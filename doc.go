@@ -104,6 +104,17 @@
 // replicates each build their own Simulator and Medium and therefore
 // their own pools, with no cross-goroutine state.
 //
+// # The receive path
+//
+// A node decodes a frame only when a handler will act on it. Each
+// received frame is first scanned — validated exactly as the decoder
+// would, without allocating — and counted; an admission step then drops
+// duplicate flood copies and frames the node is neither relaying nor
+// addressed by, undecoded. Adversarial nodes decode every frame, because
+// their Intercept hook sees every frame, and then pass the same
+// admission step. The rx.frames counter counts frames received, not
+// decodes.
+//
 // # Bootstrap admission
 //
 // Network formation is scheduled by an admission policy (internal/boot).

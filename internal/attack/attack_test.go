@@ -198,6 +198,26 @@ func TestReplayerReplays(t *testing.T) {
 	}
 }
 
+// TestReplayerCapturesDuplicateFrames: an honest receiver drops a frame
+// that is not for it before decoding it, but an adversary's Intercept
+// still sees every frame — here the same overheard RREP twice, neither
+// addressed to nor routed through the replayer.
+func TestReplayerCapturesDuplicateFrames(t *testing.T) {
+	rp := &attack.Replayer{Delay: time.Second}
+	sc := line(t, 4, true, map[int]core.Behavior{2: rp})
+	sc.Bootstrap()
+	ghost, ghost2 := ipv6.SiteLocal(0, 0xfeed), ipv6.SiteLocal(0, 0xbeef)
+	frame := wire.Encode(&wire.Packet{Src: ghost, Dst: ghost2, TTL: 8, SrcRoute: []ipv6.Addr{ghost2},
+		Msg: &wire.RREP{SIP: ghost, DIP: ghost2, Seq: 1, Sig: []byte{1}, DPK: []byte{2}, Drn: 3}})
+	before := rp.Replayed
+	sc.Nodes[1].RawBroadcast(frame)
+	sc.Nodes[1].RawBroadcast(frame)
+	sc.S.RunFor(3 * time.Second)
+	if got := rp.Replayed - before; got != 4 {
+		t.Fatalf("replayed %d frames, want 4: two captures of the duplicate, each replayed twice", got)
+	}
+}
+
 // auditedUniform builds a constant-density uniform network with per-cell
 // admission and the post-formation audit sweep enabled (period 2s).
 func auditedUniform(t *testing.T, n int, enabled bool, behaviors map[int]core.Behavior) *scenario.Scenario {

@@ -30,7 +30,7 @@ func (n *Node) AuditAdvertise() {
 	m := audit.BuildAdv(n.ident, n.auditSeq, n.auditCh)
 	n.met.Add1("crypto.sign")
 	n.met.Add1("audit.adv_sent")
-	n.auditSeen.Seen(m.SIP, auditAdvKey(m))
+	n.auditSeen.Seen(m.SIP, challengeKey(m.Seq, m.Ch))
 	n.Flood(m, n.auditTTL())
 }
 
@@ -41,13 +41,6 @@ func (n *Node) auditTTL() uint8 {
 		return t
 	}
 	return n.cfg.TTL
-}
-
-// auditAdvKey folds round counter and challenge into the flood-dedup key so
-// a clone's concurrent advertisement of the same address never suppresses
-// the original's (their challenges differ), exactly like areqKey.
-func auditAdvKey(m *wire.AuditAdv) uint32 {
-	return m.Seq ^ uint32(m.Ch) ^ uint32(m.Ch>>32)
 }
 
 // verifier returns the node's memoizing verifier: the cache when
@@ -65,9 +58,6 @@ func (n *Node) verifier() ndp.Verifier {
 }
 
 func (n *Node) handleAuditAdv(pkt *wire.Packet, m *wire.AuditAdv) {
-	if n.auditSeen.Seen(m.SIP, auditAdvKey(m)) {
-		return
-	}
 	n.met.Add1("rx.AADV")
 
 	// A configured holder of the advertised address consumes the flood —

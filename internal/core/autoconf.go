@@ -14,22 +14,12 @@ import (
 // sendAREQ is wired into the ndp.Initiator: it floods the request and
 // pre-marks it as seen so the node ignores echoed copies of its own flood.
 func (n *Node) sendAREQ(m *wire.AREQ) {
-	n.areqSeen.Seen(m.SIP, areqKey(m))
+	n.areqSeen.Seen(m.SIP, challengeKey(m.Seq, m.Ch))
 	n.met.Add1("dad.rounds")
 	n.Flood(m, n.cfg.TTL)
 }
 
-// areqKey folds the challenge into the dedup key so two hosts that happen
-// to probe the same tentative address with the same sequence number do not
-// suppress each other's floods.
-func areqKey(m *wire.AREQ) uint32 {
-	return m.Seq ^ uint32(m.Ch) ^ uint32(m.Ch>>32)
-}
-
 func (n *Node) handleAREQ(pkt *wire.Packet, m *wire.AREQ) {
-	if n.areqSeen.Seen(m.SIP, areqKey(m)) {
-		return
-	}
 	n.met.Add1("rx.AREQ")
 
 	// A configured owner of the probed address objects and stops the flood
@@ -73,19 +63,17 @@ func (n *Node) sendToUnconfigured(rr []ipv6.Addr, dst ipv6.Addr, msg wire.Messag
 }
 
 // floodToDNS broadcasts a control message addressed to the DNS anycast;
-// every configured node re-floods it (content-hash dedup) until the DNS
-// consumes it. This is the bootstrap-safe path used before routes exist.
+// every configured node re-floods it once (content-hash dedup) until the
+// DNS consumes it. This is the bootstrap-safe path used before routes
+// exist.
 func (n *Node) floodToDNS(msg wire.Message) {
 	pkt := &wire.Packet{Src: n.ident.Addr, Dst: ipv6.DNS1, TTL: n.cfg.TTL, Msg: msg}
 	raw := n.encodeFrame(pkt)
-	n.dnsFloods.Seen(pkt.Src, contentKey(raw)) // hashed before ownership transfers
+	n.dnsFloods.Seen(pkt.Src, dnsFloodKey(raw)) // hashed before ownership transfers
 	n.medium.BroadcastFrame(n.link, raw)
 }
 
-func (n *Node) handleDNSFlood(pkt *wire.Packet, raw []byte) {
-	if n.dnsFloods.Seen(pkt.Src, contentKey(raw)) {
-		return
-	}
+func (n *Node) handleDNSFlood(pkt *wire.Packet) {
 	if n.dns != nil {
 		if m, ok := pkt.Msg.(*wire.AREP); ok {
 			n.met.Add1("crypto.verify") // server validates the warn

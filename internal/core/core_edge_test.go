@@ -69,6 +69,58 @@ func TestWarnFloodCancelsNameSquatting(t *testing.T) {
 	}
 }
 
+func TestWarnFloodRelayedOncePerNode(t *testing.T) {
+	// One owner's warn against a cloned claimant in a 5×5 grid at 150 m
+	// spacing. Every relay decrements the TTL, so a dedup key covering it
+	// would make each hop's copy look new and every configured node would
+	// re-flood the warn up to TTL times; keyed without the TTL byte, each
+	// configured node relays it exactly once.
+	cfg := fastConfig(true)
+	const side, spacing = 5, 150.0
+	positions := make([]geom.Point, side*side)
+	for i := range positions {
+		positions[i] = geom.Point{X: float64(i%side) * spacing, Y: float64(i/side) * spacing}
+	}
+	tn := buildNet(t, cfg, positions, nil)
+	tn.bootstrap(t)
+
+	const ownerIdx = 12 // the grid's centre
+	owner := tn.nodes[ownerIdx]
+	clone := *owner.Identity()
+	clone.Name = "squatted" // a named AREQ is what makes the owner warn the DNS
+	before := make([]float64, len(tn.nodes))
+	for i, n := range tn.nodes {
+		before[i] = n.Metrics().Get("tx.AREP")
+	}
+	joiner := New(tn.s, tn.medium, radio.NodeID(99), &clone, tn.nodes[0].DNS().PublicKey(), cfg,
+		tn.nodes[3].Rand(), nil)
+	pos := positions[ownerIdx]
+	pos.X += 50 // hears the owner directly, so the objection needs no relay
+	tn.medium.AddNode(radio.NodeID(99), func(sim.Time) geom.Point { return pos }, joiner)
+	joiner.Start()
+	tn.s.RunFor(8 * time.Second)
+
+	if tn.nodes[0].Metrics().Get("dns.warns_accepted") == 0 {
+		t.Fatal("the owner's warn never reached the DNS")
+	}
+	if got := joiner.Metrics().Get("tx.AREP"); got != 0 {
+		t.Errorf("the probing joiner sent %v AREPs", got)
+	}
+	for i, n := range tn.nodes {
+		sent := n.Metrics().Get("tx.AREP") - before[i]
+		want := 1.0 // its one relay of the warn flood
+		switch i {
+		case 0:
+			want = 0 // the DNS consumes the warn
+		case ownerIdx:
+			want = 2 // the objection and the warn itself
+		}
+		if sent != want {
+			t.Errorf("node %d sent %v AREPs, want %v", i, sent, want)
+		}
+	}
+}
+
 func TestUnsolicitedAndMisaddressedReplies(t *testing.T) {
 	tn := chain(t, fastConfig(true), 3, nil)
 	tn.bootstrap(t)

@@ -334,6 +334,7 @@ func TestTransmitterIPInference(t *testing.T) {
 	}{
 		{"areq origin", &wire.Packet{Src: a, Msg: &wire.AREQ{SIP: a}}, a, true},
 		{"areq relayed", &wire.Packet{Src: a, Msg: &wire.AREQ{SIP: a, RR: []ipv6.Addr{b, c}}}, c, true},
+		{"audit adv relayed", &wire.Packet{Src: a, Msg: &wire.AuditAdv{SIP: a, RR: []ipv6.Addr{c, b}}}, b, true},
 		{"rreq origin", &wire.Packet{Src: a, Msg: &wire.RREQ{SIP: a}}, a, true},
 		{"rreq relayed", &wire.Packet{Src: a, Msg: &wire.RREQ{SIP: a, SRR: []wire.HopAttestation{{IP: b}}}}, b, true},
 		{"unicast first hop", &wire.Packet{Src: a, Hop: 0, SrcRoute: []ipv6.Addr{b}, Msg: &wire.Ack{}}, a, true},
@@ -342,9 +343,13 @@ func TestTransmitterIPInference(t *testing.T) {
 		{"hop out of range", &wire.Packet{Src: a, Hop: 9, SrcRoute: []ipv6.Addr{b}, Msg: &wire.Ack{}}, ipv6.Addr{}, false},
 	}
 	for _, tc := range cases {
-		got, ok := transmitterIP(tc.pkt)
+		env, err := wire.Scan(wire.Encode(tc.pkt))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		got, ok := transmitter(&env)
 		if ok != tc.ok || (ok && got != tc.want) {
-			t.Errorf("%s: transmitterIP = %v,%v want %v,%v", tc.name, got, ok, tc.want, tc.ok)
+			t.Errorf("%s: transmitter = %v,%v want %v,%v", tc.name, got, ok, tc.want, tc.ok)
 		}
 	}
 }

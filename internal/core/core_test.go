@@ -459,12 +459,70 @@ func TestRebindAddressUpdatesDNS(t *testing.T) {
 }
 
 func TestMalformedFramesCounted(t *testing.T) {
-	tn := chain(t, fastConfig(true), 1, nil)
+	tn := chain(t, fastConfig(true), 2, nil)
 	tn.bootstrap(t)
 	tn.nodes[1].RawBroadcast([]byte{0xde, 0xad})
 	tn.s.RunFor(time.Second)
 	if tn.nodes[0].Metrics().Get("rx.malformed") == 0 {
 		t.Fatal("malformed frame not counted")
+	}
+
+	// Copies of frames the receiver already took in, corrupted past their
+	// flood identity. Admission would drop intact copies undecoded, but a
+	// corrupt copy must still be caught by the scan: rx.malformed, never
+	// rx.frames.
+	src, rx := tn.nodes[1], tn.nodes[2].Metrics()
+	ghost, ghost2 := ipv6.SiteLocal(0, 0xfeed), ipv6.SiteLocal(0, 0xbeef)
+	sig, pk := []byte{1, 2, 3}, []byte{4, 5}
+	hop := wire.HopAttestation{IP: ghost2, Sig: sig, PK: pk, Rn: 6}
+	flood := func(m wire.Message) []byte {
+		return wire.Encode(&wire.Packet{Src: ghost, Dst: ipv6.AllNodes, TTL: 8, Msg: m})
+	}
+	areq := flood(&wire.AREQ{SIP: ghost, Seq: 1, DN: "x", Ch: 2, RR: []ipv6.Addr{ghost2}})
+	rreq := flood(&wire.RREQ{SIP: ghost, DIP: ghost2, Seq: 3, SRR: []wire.HopAttestation{hop}, SrcSig: sig, SPK: pk, Srn: 7})
+	adv := flood(&wire.AuditAdv{SIP: ghost, Seq: 4, Ch: 5, RR: []ipv6.Addr{ghost2}, Sig: sig, PK: pk, Rn: 8})
+	// Not addressed to the receiver: admission drops it as not-for-me.
+	answer := wire.Encode(&wire.Packet{Src: ghost, Dst: ghost2, TTL: 8,
+		Msg: &wire.DNSAnswer{Name: "x", IP: ghost, Found: true, Sig: sig}})
+	for _, f := range [][]byte{areq, rreq, adv, answer} {
+		src.RawBroadcast(f)
+	}
+	tn.s.RunFor(time.Second)
+	for _, c := range []string{"rx.AREQ", "rx.RREQ", "rx.AADV"} {
+		if rx.Get(c) == 0 {
+			t.Fatalf("%s = 0: the intact flood never reached the receiver", c)
+		}
+	}
+
+	set := func(b []byte, off int, v ...byte) []byte {
+		out := append([]byte(nil), b...)
+		copy(out[off:], v)
+		return out
+	}
+	// Offsets from each frame's tail: blob fields end with a u64 and a
+	// second blob, the RR count precedes its addresses, the bool
+	// precedes the signature blob.
+	tailBlob := len(pk) + 2 + 8 + len(sig) + 2
+	corrupt := [][]byte{
+		set(areq, len(areq)-1-16, 0xff),           // route record count beyond the frame
+		set(rreq, len(rreq)-tailBlob, 0xff, 0xff), // oversized blob length
+		set(adv, len(adv)-tailBlob, 0xff, 0xff),
+		set(answer, len(answer)-len(sig)-2-1, 2), // bool byte of 2
+		set(areq, wire.TTLOffset+3, 0xee),        // unknown type byte
+	}
+	for _, f := range [][]byte{areq, rreq, adv, answer} {
+		corrupt = append(corrupt, f[:len(f)-1], append(append([]byte(nil), f...), 0))
+	}
+	frames, malformed := rx.Get("rx.frames"), rx.Get("rx.malformed")
+	for _, f := range corrupt {
+		src.RawBroadcast(f)
+	}
+	tn.s.RunFor(time.Second)
+	if got := rx.Get("rx.frames") - frames; got != 0 {
+		t.Errorf("%v corrupt copies counted as rx.frames", got)
+	}
+	if got := rx.Get("rx.malformed") - malformed; got != float64(len(corrupt)) {
+		t.Errorf("rx.malformed rose by %v, want %d", got, len(corrupt))
 	}
 }
 

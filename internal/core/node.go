@@ -563,30 +563,78 @@ func (n *Node) VerifyRouteRecord(m *wire.RREQ) error { return n.verifySRR(m) }
 
 // --- Receive path ---
 
-// Deliver implements radio.Handler.
+// Deliver implements radio.Handler. Every frame is scanned — validated
+// without allocating — counted, and its transmitter recorded; only a frame
+// that passes the admission step is decoded and dispatched. Adversarial
+// nodes decode every frame first, because Intercept sees them all.
 func (n *Node) Deliver(from radio.NodeID, payload []byte) {
 	if n.dead {
 		return
 	}
-	pkt, err := wire.Decode(payload)
+	env, err := wire.Scan(payload)
 	if err != nil {
 		n.met.Add1("rx.malformed")
 		return
 	}
 	n.met.Add1("rx.frames")
-	if prev, ok := transmitterIP(pkt); ok {
+	if prev, ok := transmitter(&env); ok {
 		n.neighbors[prev] = from
 	}
-	if n.Behavior != nil && n.Behavior.Intercept(n, pkt, payload) {
+	var pkt *wire.Packet
+	if n.Behavior != nil {
+		pkt = decode(payload)
+		if n.Behavior.Intercept(n, pkt, payload) {
+			return
+		}
+	}
+	if !n.admit(&env, payload) {
 		return
 	}
-	n.dispatch(pkt, payload)
+	if pkt == nil {
+		pkt = decode(payload)
+	}
+	n.dispatch(pkt)
 }
 
-func (n *Node) dispatch(pkt *wire.Packet, raw []byte) {
+// decode decodes a frame Scan already accepted. Scan and Decode accept
+// exactly the same inputs (FuzzScanMatchesDecode holds them there), so a
+// failure here is a codec bug, not hostile input.
+func decode(payload []byte) *wire.Packet {
+	pkt, err := wire.Decode(payload)
+	if err != nil {
+		panic("core: wire.Decode rejected a frame wire.Scan accepted: " + err.Error())
+	}
+	return pkt
+}
+
+// admit is the receive path's admission step: the duplicate and
+// not-for-me checks, run on the envelope so a frame no handler will act
+// on is never decoded. Floods are admitted once per flood identity
+// (marking it seen); route requests only once configured and never our
+// own; source-routed packets only at their current hop or destination.
+func (n *Node) admit(e *wire.Envelope, raw []byte) bool {
+	switch {
+	case e.Dst == ipv6.DNS1 && e.RouteLen == 0:
+		return !n.dnsFloods.Seen(e.Src, dnsFloodKey(raw))
+	case e.Type == wire.TAREQ:
+		return !n.areqSeen.Seen(e.SIP, challengeKey(e.Seq, e.Ch))
+	case e.Type == wire.TRREQ:
+		return n.configured && e.SIP != n.ident.Addr && !n.rreqSeen.Seen(e.SIP, e.Seq)
+	case e.Type == wire.TAuditAdv:
+		return !n.auditSeen.Seen(e.SIP, challengeKey(e.Seq, e.Ch))
+	case int(e.Hop) < e.RouteLen:
+		return e.Next == n.ident.Addr
+	default:
+		return n.ownsAddr(e.Dst)
+	}
+}
+
+// dispatch hands an admitted packet to its handler; the cases mirror
+// admit's.
+func (n *Node) dispatch(pkt *wire.Packet) {
 	// Flood-routed DNS control (warn-AREPs before routes exist).
 	if pkt.Dst == ipv6.DNS1 && len(pkt.SrcRoute) == 0 {
-		n.handleDNSFlood(pkt, raw)
+		n.handleDNSFlood(pkt)
 		return
 	}
 	switch m := pkt.Msg.(type) {
@@ -597,53 +645,33 @@ func (n *Node) dispatch(pkt *wire.Packet, raw []byte) {
 	case *wire.AuditAdv:
 		n.handleAuditAdv(pkt, m)
 	default:
-		n.handleSourceRouted(pkt)
+		if int(pkt.Hop) < len(pkt.SrcRoute) {
+			n.forwardUnicast(pkt)
+		} else {
+			n.consume(pkt)
+		}
 	}
 }
 
-// transmitterIP infers the link-layer transmitter's IP address from the
-// packet, standing in for NDP link-layer address resolution: flooded
-// requests name the transmitter as the last route-record entry (or the
-// origin), source-routed packets as the hop before the current index.
-func transmitterIP(pkt *wire.Packet) (ipv6.Addr, bool) {
-	switch m := pkt.Msg.(type) {
-	case *wire.AREQ:
-		if len(m.RR) > 0 {
-			return m.RR[len(m.RR)-1], true
+// transmitter infers the link-layer transmitter's IP address from a
+// frame's envelope, standing in for NDP link-layer address resolution:
+// flooded requests name the transmitter as the last route-record entry (or
+// the origin), source-routed packets as the hop before the current index.
+func transmitter(e *wire.Envelope) (ipv6.Addr, bool) {
+	switch e.Type {
+	case wire.TAREQ, wire.TRREQ, wire.TAuditAdv:
+		if e.RecordLen > 0 {
+			return e.Last, true
 		}
-		return pkt.Src, true
-	case *wire.AuditAdv:
-		if len(m.RR) > 0 {
-			return m.RR[len(m.RR)-1], true
-		}
-		return pkt.Src, true
-	case *wire.RREQ:
-		if len(m.SRR) > 0 {
-			return m.SRR[len(m.SRR)-1].IP, true
-		}
-		return pkt.Src, true
+		return e.Src, true
 	default:
-		if pkt.Hop == 0 {
-			return pkt.Src, true
+		if e.Hop == 0 {
+			return e.Src, true
 		}
-		if int(pkt.Hop) <= len(pkt.SrcRoute) {
-			return pkt.SrcRoute[pkt.Hop-1], true
+		if int(e.Hop) <= e.RouteLen {
+			return e.Prev, true
 		}
 		return ipv6.Addr{}, false
-	}
-}
-
-// handleSourceRouted processes unicast packets: relay when this node is the
-// current hop, consume when it is the destination.
-func (n *Node) handleSourceRouted(pkt *wire.Packet) {
-	if int(pkt.Hop) < len(pkt.SrcRoute) {
-		if pkt.SrcRoute[pkt.Hop] == n.ident.Addr {
-			n.forwardUnicast(pkt)
-		}
-		return
-	}
-	if n.ownsAddr(pkt.Dst) {
-		n.consume(pkt)
 	}
 }
 
@@ -818,9 +846,21 @@ func reverse(rr []ipv6.Addr) []ipv6.Addr {
 	return out
 }
 
-// contentKey hashes raw frame bytes for flood dedup of unsequenced control.
-func contentKey(raw []byte) uint32 {
+// dnsFloodKey hashes a flood-routed DNS control frame for dedup: the
+// whole frame except its TTL byte. Every relay decrements the TTL, so a
+// key covering it would make each hop's copy look new, and every
+// configured node would re-flood each warn up to TTL times.
+func dnsFloodKey(raw []byte) uint32 {
 	h := fnv.New32a()
-	h.Write(raw)
+	h.Write(raw[:wire.TTLOffset])
+	h.Write(raw[wire.TTLOffset+1:])
 	return h.Sum32()
+}
+
+// challengeKey folds a flood's challenge into its dedup key, so two hosts
+// that flood the same address with the same sequence number — two probes
+// of one tentative address, a clone's concurrent audit advertisement — do
+// not suppress each other's floods (their challenges differ).
+func challengeKey(seq uint32, ch uint64) uint32 {
+	return seq ^ uint32(ch) ^ uint32(ch>>32)
 }

@@ -72,15 +72,6 @@ func (n *Node) sendRREQ(dst ipv6.Addr, d *discovery) {
 }
 
 func (n *Node) handleRREQ(pkt *wire.Packet, m *wire.RREQ) {
-	if !n.configured {
-		return
-	}
-	if m.SIP == n.ident.Addr {
-		return // echo of our own flood
-	}
-	if n.rreqSeen.Seen(m.SIP, m.Seq) {
-		return
-	}
 	n.met.Add1("rx.RREQ")
 
 	if n.ownsAddr(m.DIP) {

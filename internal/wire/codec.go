@@ -126,10 +126,36 @@ func (w *writer) route(rr []ipv6.Addr) {
 
 // reader decodes with sticky errors: after the first failure all further
 // reads return zero values and the error is reported once at the end.
+//
+// In scan mode (scan == true) it runs the identical field walk — same
+// bounds checks, same rejections — but materializes nothing: blobs,
+// strings, routes and hop records come back empty, and only rec notes
+// where the most recently walked route or hop record sits in buf. That is
+// what lets Scan accept exactly the frames Decode accepts without
+// allocating.
 type reader struct {
-	buf []byte
-	off int
-	err error
+	buf  []byte
+	off  int
+	err  error
+	scan bool
+	rec  record
+	id   floodID
+}
+
+// record locates the most recently walked route or hop record in the
+// buffer: its entry count, the offset of its first entry (routes only:
+// their entries are fixed-size) and of its last entry's address.
+type record struct {
+	n, first, last int
+}
+
+// floodID is the identity a flooded request is deduplicated by, noted
+// during its body walk together with its route record.
+type floodID struct {
+	sip ipv6.Addr
+	seq uint32
+	ch  uint64
+	rr  record
 }
 
 func (r *reader) fail(err error) {
@@ -210,7 +236,7 @@ func (r *reader) blob() []byte {
 		return nil
 	}
 	b := r.take(n)
-	if b == nil {
+	if b == nil || r.scan {
 		return nil
 	}
 	return append([]byte(nil), b...)
@@ -220,7 +246,12 @@ func (r *reader) str() string { return string(r.blob()) }
 
 func (r *reader) route() []ipv6.Addr {
 	n := int(r.u8())
+	r.rec = record{n: n, first: r.off, last: r.off + (n-1)*len(ipv6.Addr{})}
 	if n == 0 {
+		return nil
+	}
+	if r.scan {
+		r.take(n * len(ipv6.Addr{}))
 		return nil
 	}
 	rr := make([]ipv6.Addr, 0, n)
@@ -231,6 +262,35 @@ func (r *reader) route() []ipv6.Addr {
 		rr = append(rr, r.addr())
 	}
 	return rr
+}
+
+// hops walks an RREQ's secure route record.
+func (r *reader) hops() []HopAttestation {
+	n := int(r.u8())
+	r.rec = record{n: n}
+	var hh []HopAttestation
+	for i := 0; i < n && r.err == nil; i++ {
+		r.rec.last = r.off
+		h := HopAttestation{IP: r.addr(), Sig: r.blob(), PK: r.blob(), Rn: r.u64()}
+		if !r.scan {
+			hh = append(hh, h)
+		}
+	}
+	return hh
+}
+
+// addrAt reads the address at byte offset off of an already validated
+// buffer.
+func (r *reader) addrAt(off int) ipv6.Addr {
+	var a ipv6.Addr
+	copy(a[:], r.buf[off:])
+	return a
+}
+
+// flood notes a flooded request's identity together with the route
+// record its body walk just passed.
+func (r *reader) flood(sip ipv6.Addr, seq uint32, ch uint64) {
+	r.id = floodID{sip: sip, seq: seq, ch: ch, rr: r.rec}
 }
 
 func (r *reader) done() error {

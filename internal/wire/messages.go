@@ -477,60 +477,78 @@ func (m *AuditObj) encodeBody(w *writer) {
 	w.u64(m.Rn)
 }
 
-func decodeBody(t Type, r *reader) (Message, error) {
-	var m Message
+// errUnknownType rejects a frame whose type byte names no message.
+var errUnknownType = fmt.Errorf("%w: unknown message type", ErrBadField)
+
+// decodeBody walks the body of a type-t message through r: the single
+// definition of every message layout on the read side, shared by Decode
+// and the allocation-free Scan the way encodeInto serves both encoders.
+// It returns the decoded message, or nil when r is scanning or the walk
+// failed (r.err says which); the flooded requests also note their flood
+// identity in r.
+func decodeBody(t Type, r *reader) Message {
 	switch t {
 	case TAREQ:
-		m = &AREQ{SIP: r.addr(), Seq: r.u32(), DN: r.str(), Ch: r.u64(), RR: r.route()}
+		m := AREQ{SIP: r.addr(), Seq: r.u32(), DN: r.str(), Ch: r.u64(), RR: r.route()}
+		r.flood(m.SIP, m.Seq, m.Ch)
+		return keep(r, m)
 	case TAREP:
-		m = &AREP{SIP: r.addr(), RR: r.route(), Sig: r.blob(), PK: r.blob(), Rn: r.u64()}
+		return keep(r, AREP{SIP: r.addr(), RR: r.route(), Sig: r.blob(), PK: r.blob(), Rn: r.u64()})
 	case TDREP:
-		m = &DREP{SIP: r.addr(), RR: r.route(), DN: r.str(), Sig: r.blob()}
+		return keep(r, DREP{SIP: r.addr(), RR: r.route(), DN: r.str(), Sig: r.blob()})
 	case TRREQ:
-		msg := &RREQ{SIP: r.addr(), DIP: r.addr(), Seq: r.u32()}
-		n := int(r.u8())
-		for i := 0; i < n && r.err == nil; i++ {
-			msg.SRR = append(msg.SRR, HopAttestation{IP: r.addr(), Sig: r.blob(), PK: r.blob(), Rn: r.u64()})
-		}
-		msg.SrcSig = r.blob()
-		msg.SPK = r.blob()
-		msg.Srn = r.u64()
-		m = msg
+		m := RREQ{SIP: r.addr(), DIP: r.addr(), Seq: r.u32(), SRR: r.hops(), SrcSig: r.blob(), SPK: r.blob(), Srn: r.u64()}
+		r.flood(m.SIP, m.Seq, 0)
+		return keep(r, m)
 	case TRREP:
-		m = &RREP{SIP: r.addr(), DIP: r.addr(), Seq: r.u32(), RR: r.route(), Sig: r.blob(), DPK: r.blob(), Drn: r.u64()}
+		return keep(r, RREP{SIP: r.addr(), DIP: r.addr(), Seq: r.u32(), RR: r.route(), Sig: r.blob(), DPK: r.blob(), Drn: r.u64()})
 	case TCREP:
-		m = &CREP{
+		return keep(r, CREP{
 			S2IP: r.addr(), SIP: r.addr(), DIP: r.addr(),
 			Seq2: r.u32(), RRToS: r.route(), Sig1: r.blob(), SPK: r.blob(), Srn: r.u64(),
 			Seq: r.u32(), RRToD: r.route(), Sig2: r.blob(), DPK: r.blob(), Drn: r.u64(),
-		}
+		})
 	case TRERR:
-		m = &RERR{IIP: r.addr(), NIP: r.addr(), Sig: r.blob(), IPK: r.blob(), Irn: r.u64()}
+		return keep(r, RERR{IIP: r.addr(), NIP: r.addr(), Sig: r.blob(), IPK: r.blob(), Irn: r.u64()})
 	case TData:
-		m = &Data{FlowID: r.u32(), Seq: r.u32(), Salvage: r.u8(), Payload: r.blob()}
+		return keep(r, Data{FlowID: r.u32(), Seq: r.u32(), Salvage: r.u8(), Payload: r.blob()})
 	case TAck:
-		m = &Ack{FlowID: r.u32(), Seq: r.u32()}
+		return keep(r, Ack{FlowID: r.u32(), Seq: r.u32()})
 	case TDNSQuery:
-		m = &DNSQuery{Name: r.str(), Ch: r.u64()}
+		return keep(r, DNSQuery{Name: r.str(), Ch: r.u64()})
 	case TDNSAnswer:
-		m = &DNSAnswer{Name: r.str(), IP: r.addr(), Found: r.bool(), Sig: r.blob()}
+		return keep(r, DNSAnswer{Name: r.str(), IP: r.addr(), Found: r.bool(), Sig: r.blob()})
 	case TUpdateReq:
-		m = &UpdateReq{Name: r.str()}
+		return keep(r, UpdateReq{Name: r.str()})
 	case TUpdateChal:
-		m = &UpdateChal{Name: r.str(), Ch: r.u64(), Sig: r.blob()}
+		return keep(r, UpdateChal{Name: r.str(), Ch: r.u64(), Sig: r.blob()})
 	case TUpdate:
-		m = &Update{Name: r.str(), OldIP: r.addr(), NewIP: r.addr(), Rn: r.u64(), NewRn: r.u64(), PK: r.blob(), Sig: r.blob()}
+		return keep(r, Update{Name: r.str(), OldIP: r.addr(), NewIP: r.addr(), Rn: r.u64(), NewRn: r.u64(), PK: r.blob(), Sig: r.blob()})
 	case TUpdateResult:
-		m = &UpdateResult{Name: r.str(), OK: r.bool(), Ch: r.u64(), Sig: r.blob()}
+		return keep(r, UpdateResult{Name: r.str(), OK: r.bool(), Ch: r.u64(), Sig: r.blob()})
 	case TAuditAdv:
-		m = &AuditAdv{SIP: r.addr(), Seq: r.u32(), Ch: r.u64(), RR: r.route(), Sig: r.blob(), PK: r.blob(), Rn: r.u64()}
+		m := AuditAdv{SIP: r.addr(), Seq: r.u32(), Ch: r.u64(), RR: r.route(), Sig: r.blob(), PK: r.blob(), Rn: r.u64()}
+		r.flood(m.SIP, m.Seq, m.Ch)
+		return keep(r, m)
 	case TAuditObj:
-		m = &AuditObj{SIP: r.addr(), RR: r.route(), Ch: r.u64(), Sig: r.blob(), PK: r.blob(), Rn: r.u64()}
+		return keep(r, AuditObj{SIP: r.addr(), RR: r.route(), Ch: r.u64(), Sig: r.blob(), PK: r.blob(), Rn: r.u64()})
 	default:
-		return nil, fmt.Errorf("%w: unknown type %d", ErrBadField, t)
+		r.fail(errUnknownType)
+		return nil
 	}
-	if r.err != nil {
-		return nil, r.err
+}
+
+// keep finishes a body walk. Decode boxes the walked value into a fresh
+// message; a scan, or a failed walk, keeps nothing. The value arrives by
+// copy, so a scan's walk never reaches the heap.
+func keep[M any, P interface {
+	*M
+	Message
+}](r *reader, m M) Message {
+	if r.scan || r.err != nil {
+		return nil
 	}
-	return m, nil
+	p := P(new(M))
+	*p = m
+	return p
 }

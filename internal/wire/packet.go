@@ -10,6 +10,11 @@ import (
 // exceeds any diameter our scenarios produce.
 const DefaultTTL = 64
 
+// TTLOffset is the byte offset of the hop limit in every frame, after the
+// source and destination addresses: the one header byte each relay of a
+// flood rewrites.
+const TTLOffset = 2 * len(ipv6.Addr{})
+
 // Packet is the network-layer envelope around a Message: source and
 // destination addresses, a hop limit, and — for unicasts — the DSR source
 // route being followed.
@@ -76,30 +81,86 @@ func AppendEncode(dst []byte, p *Packet) []byte {
 	return w.buf
 }
 
+// header walks the fields every frame opens with, returning the type byte.
+func (r *reader) header(p *Packet) Type {
+	p.Src = r.addr()
+	p.Dst = r.addr()
+	p.TTL = r.u8()
+	p.Hop = r.u8()
+	p.SrcRoute = r.route()
+	return Type(r.u8())
+}
+
 // Decode parses a frame previously produced by Encode. Malformed input
 // yields an error, never a panic: frames may come from adversaries.
 func Decode(b []byte) (*Packet, error) {
 	r := &reader{buf: b}
-	p := &Packet{
-		Src:      r.addr(),
-		Dst:      r.addr(),
-		TTL:      r.u8(),
-		Hop:      r.u8(),
-		SrcRoute: r.route(),
-	}
-	t := Type(r.u8())
+	p := &Packet{}
+	t := r.header(p)
 	if r.err != nil {
 		return nil, r.err
 	}
-	m, err := decodeBody(t, r)
-	if err != nil {
-		return nil, err
-	}
+	p.Msg = decodeBody(t, r)
 	if err := r.done(); err != nil {
 		return nil, err
 	}
-	p.Msg = m
 	return p, nil
+}
+
+// Envelope is what a receiver needs to decide whether to decode a frame:
+// the packet header, the source-route entries around the current hop
+// and, for the flooded requests (AREQ, RREQ, AuditAdv), the flood
+// identity they are deduplicated by.
+type Envelope struct {
+	Src, Dst ipv6.Addr
+	TTL, Hop uint8
+	Type     Type
+	// RouteLen is len(SrcRoute). Next is SrcRoute[Hop] when
+	// Hop < RouteLen; Prev is SrcRoute[Hop-1] when 0 < Hop <= RouteLen.
+	RouteLen   int
+	Next, Prev ipv6.Addr
+	// SIP, Seq and Ch identify a flooded request (Ch is 0 for an RREQ).
+	// RecordLen is the length of its route record (RR, or the RREQ's
+	// SRR) and Last the record's final address when RecordLen > 0.
+	SIP       ipv6.Addr
+	Seq       uint32
+	Ch        uint64
+	RecordLen int
+	Last      ipv6.Addr
+}
+
+// Scan validates a frame exactly as Decode does — it accepts and rejects
+// the same inputs — but returns only its Envelope, and allocates nothing.
+// It runs Decode's own field walk in the reader's scan mode, so every
+// message layout is still defined once. Receivers scan every frame and
+// decode only those a handler will act on.
+func Scan(b []byte) (Envelope, error) {
+	r := reader{buf: b, scan: true}
+	var p Packet
+	t := r.header(&p)
+	if r.err != nil {
+		return Envelope{}, r.err
+	}
+	route := r.rec
+	decodeBody(t, &r)
+	if err := r.done(); err != nil {
+		return Envelope{}, err
+	}
+	e := Envelope{
+		Src: p.Src, Dst: p.Dst, TTL: p.TTL, Hop: p.Hop, Type: t, RouteLen: route.n,
+		SIP: r.id.sip, Seq: r.id.seq, Ch: r.id.ch, RecordLen: r.id.rr.n,
+	}
+	hop, size := int(p.Hop), len(ipv6.Addr{})
+	if hop < route.n {
+		e.Next = r.addrAt(route.first + hop*size)
+	}
+	if hop > 0 && hop <= route.n {
+		e.Prev = r.addrAt(route.first + (hop-1)*size)
+	}
+	if e.RecordLen > 0 {
+		e.Last = r.addrAt(r.id.rr.last)
+	}
+	return e, nil
 }
 
 // Encoder amortizes the codec's scratch state across encodes. The writer

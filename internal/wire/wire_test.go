@@ -40,6 +40,8 @@ func sampleMessages() []Message {
 		&UpdateChal{Name: "server.manet", Ch: 42, Sig: []byte{8}},
 		&Update{Name: "server.manet", OldIP: addrA, NewIP: addrB, Rn: 1, NewRn: 2, PK: []byte{9}, Sig: []byte{10}},
 		&UpdateResult{Name: "server.manet", OK: true, Ch: 42, Sig: []byte{11}},
+		&AuditAdv{SIP: addrA, Seq: 3, Ch: 0xfeed, RR: []ipv6.Addr{addrB, addrC}, Sig: []byte{12}, PK: []byte{13}, Rn: 14},
+		&AuditObj{SIP: addrA, RR: []ipv6.Addr{addrB}, Ch: 0xfeed, Sig: []byte{15}, PK: []byte{16}, Rn: 17},
 	}
 }
 
