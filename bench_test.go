@@ -17,7 +17,6 @@ import (
 	"sbr6/internal/cga"
 	"sbr6/internal/identity"
 	"sbr6/internal/ipv6"
-	"sbr6/internal/radio"
 	"sbr6/internal/scalebench"
 	"sbr6/internal/wire"
 )
@@ -323,11 +322,10 @@ func BenchmarkE4Collision(b *testing.B) {
 	}
 }
 
-// --- scale: naive O(N^2) medium vs the spatial grid at 250-4000 nodes ---
+// --- scale: the spatial-grid medium at 250-10000 nodes ---
 //
 // Constant-density flood rounds (every node broadcasts, every neighbour
-// set queried — the DAD/RREQ traffic shape). The acceptance bar for the
-// spatial index is >= 5x at 1000 nodes; run with
+// set queried — the DAD/RREQ traffic shape); run with
 //
 //	go test -run xxx -bench ScaleNodes -benchtime 3x sbr6
 //
@@ -335,24 +333,12 @@ func BenchmarkE4Collision(b *testing.B) {
 // workload.
 
 func benchmarkScale(b *testing.B, n int) {
-	for _, mode := range []struct {
-		name string
-		kind radio.IndexKind
-	}{{"naive", radio.IndexNaive}, {"grid", radio.IndexGrid}} {
-		for _, pool := range []struct {
-			name   string
-			pooled bool
-		}{{"nopool", false}, {"pool", true}} {
-			b.Run(mode.name+"/"+pool.name, func(b *testing.B) {
-				nw := scalebench.BuildScaleNetwork(n, mode.kind, pool.pooled, 1)
-				nw.Round() // warm mobility legs, the index and the pools
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					nw.Round()
-				}
-			})
-		}
+	nw := scalebench.BuildScaleNetwork(n, 1)
+	nw.Round() // warm mobility legs, the index and the pools
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nw.Round()
 	}
 }
 
@@ -361,9 +347,9 @@ func BenchmarkScaleNodes1000(b *testing.B)  { benchmarkScale(b, 1000) }
 func BenchmarkScaleNodes4000(b *testing.B)  { benchmarkScale(b, 4000) }
 func BenchmarkScaleNodes10000(b *testing.B) { benchmarkScale(b, 10000) }
 
-// The 100k tier runs on the sharded engine only: a naive O(N^2) flood round
-// is ~10^10 port checks at this size, so the comparison that matters is the
-// engine's serial mode against its sharded mode — byte-identical results
+// The 100k tier runs on the sharded engine only: the comparison that
+// matters there is the engine's serial mode against its sharded mode —
+// byte-identical results
 // (internal/shard's differential suite), wall clock the only difference.
 // cmd/sbrbench -scale -json records the same pair into BENCH_scale.json as
 // the mode "shard" cells under the trend gate.
@@ -388,29 +374,20 @@ func benchmarkShardScale(b *testing.B, n int) {
 func BenchmarkShardScale10000(b *testing.B)  { benchmarkShardScale(b, 10000) }
 func BenchmarkScaleNodes100000(b *testing.B) { benchmarkShardScale(b, 100000) }
 
-// --- scale: the pooled zero-alloc wire path vs the allocating one ---
+// --- scale: the pooled zero-alloc wire path ---
 //
 // The flood workload with a real packet encode per broadcast (see
-// scalebench.BuildWireNetwork): pooled frames + shared broadcast delivery
-// against the historical allocate-per-frame, event-per-receiver path. The
-// acceptance bar for the pooled path is >= 5x fewer allocs/op at 4000
-// nodes; cmd/sbrbench -scale -json measures the same cells (as exact
-// allocs/op) into BENCH_scale.json.
+// scalebench.BuildWireNetwork): pooled frames and one shared delivery
+// event per broadcast; cmd/sbrbench -scale -json measures the same cells
+// (as allocs/op) into BENCH_scale.json.
 
 func benchmarkWireScale(b *testing.B, n int) {
-	for _, mode := range []struct {
-		name   string
-		pooled bool
-	}{{"nopool", false}, {"pool", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			wn := scalebench.BuildWireNetwork(n, mode.pooled, 1)
-			wn.Round() // warm pools, free lists, grid, mobility legs
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				wn.Round()
-			}
-		})
+	wn := scalebench.BuildWireNetwork(n, 1)
+	wn.Round() // warm pools, free lists, grid, mobility legs
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		wn.Round()
 	}
 }
 

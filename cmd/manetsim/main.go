@@ -14,7 +14,6 @@
 //	manetsim -n 2000 -stagger 5ms -duration 10s     # thousand-node scale run
 //	manetsim -n 2000 -boot percell -duration 10s    # concurrent per-cell formation
 //	manetsim -n 100 -boot percell -audit 5s         # post-formation audit sweep
-//	manetsim -n 100 -index naive                    # force the O(N) medium
 //	manetsim -n 100 -verifycache 0                  # disable crypto memoization
 //	manetsim -n 100 -bindtable 0                    # disable cross-node CGA dedup
 //	manetsim -n 2000 -shards 4 -duration 10s        # region-sharded core
@@ -49,7 +48,6 @@ func main() {
 		waypoint    = flag.Bool("waypoint", false, "random waypoint mobility")
 		speed       = flag.Float64("speed", 5, "max waypoint speed m/s")
 		duration    = flag.Duration("duration", 30*time.Second, "measurement window")
-		index       = flag.String("index", "auto", "radio neighbor index: auto, naive or grid (results are identical)")
 		verifycache = flag.Int("verifycache", sbr6.DefaultVerifyCacheEntries,
 			"per-node memoized-verification cache entries (0 disables; results are identical)")
 		bindtable = flag.Int("bindtable", sbr6.DefaultBindTableEntries,
@@ -98,17 +96,6 @@ func main() {
 		sbr6.WithDNSCommitDelay(500 * time.Millisecond),
 		sbr6.WithDuration(*duration),
 		sbr6.WithRadioRange(*rng),
-	}
-	switch *index {
-	case "auto":
-		opts = append(opts, sbr6.WithMediumIndex(sbr6.MediumAuto))
-	case "naive":
-		opts = append(opts, sbr6.WithMediumIndex(sbr6.MediumNaive))
-	case "grid":
-		opts = append(opts, sbr6.WithMediumIndex(sbr6.MediumGrid))
-	default:
-		fmt.Fprintf(os.Stderr, "manetsim: -index %q must be auto, naive or grid\n", *index)
-		os.Exit(2)
 	}
 	if *stagger < 0 {
 		fmt.Fprintf(os.Stderr, "manetsim: -stagger %v must not be negative\n", *stagger)

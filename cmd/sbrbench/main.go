@@ -13,13 +13,16 @@
 //	sbrbench -exp all            # everything, full sweeps
 //	sbrbench -exp S2,E3 -quick   # selected experiments, small sweeps
 //	sbrbench -list               # enumerate experiments
-//	sbrbench -scale -json        # scale sweeps (radio medium, verify
-//	                             # cache, formation), JSON output — this
-//	                             # is what seeds BENCH_scale.json
-//	sbrbench -trend a.json b.json  # machine-independent speedup-ratio
-//	                               # deltas (naive/grid, nocache/cache,
-//	                               # serial/percell) between two sweeps;
-//	                               # exits 1 beyond -trend-threshold
+//	sbrbench -scale -json        # scale sweeps (radio medium, wire path,
+//	                             # verify cache, binding table, formation,
+//	                             # audit sweep, sharded engine), JSON
+//	                             # output — this is what seeds
+//	                             # BENCH_scale.json
+//	sbrbench -trend a.json b.json  # machine-independent comparison of two
+//	                               # sweeps: exact radio/audit counts,
+//	                               # wire allocations, speedup ratios of
+//	                               # the paired modes; exits 1 on a
+//	                               # regression, 2 on unreadable input
 package main
 
 import (
@@ -33,7 +36,6 @@ import (
 	"sbr6"
 	"sbr6/internal/boot"
 	"sbr6/internal/experiments"
-	"sbr6/internal/radio"
 	"sbr6/internal/scalebench"
 	"sbr6/internal/trace"
 )
@@ -47,11 +49,11 @@ func main() {
 		progress = flag.Bool("progress", false, "stream per-run progress to stderr while experiments execute")
 		csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		list     = flag.Bool("list", false, "list available experiments and exit")
-		scale    = flag.Bool("scale", false, "run the radio-medium scale sweep (naive vs grid) instead of experiments")
+		scale    = flag.Bool("scale", false, "run the scale sweeps (radio, wire, crypto, bindtable, formation, audit, shard) instead of experiments")
 		jsonOut  = flag.Bool("json", false, "with -scale, emit the results as JSON (seeds BENCH_scale.json)")
 		rounds   = flag.Int("rounds", 3, "flood rounds per scale cell")
 		trend    = flag.Bool("trend", false, "compare two scale sweep JSON files: sbrbench -trend old.json new.json")
-		trendTol = flag.Float64("trend-threshold", 0.15, "fractional speedup-ratio erosion that -trend flags as a regression (ratios cancel hardware, so this can be sharp)")
+		trendTol = flag.Float64("trend-threshold", 0.15, "fractional wire-allocation growth or speedup-ratio erosion that -trend flags as a regression; radio and audit counts are gated exactly")
 	)
 	flag.Parse()
 
@@ -97,10 +99,10 @@ func main() {
 }
 
 // runTrend loads two scale sweep JSON files (older first), renders the
-// per-pair speedup-ratio deltas — ratios within one sweep divide two wall
-// times from the same hardware, so machine speed cancels — and returns 1
-// when any pair's speedup eroded beyond the threshold, the exit code CI
-// keys the regression warning on.
+// per-cell comparison — exact radio and audit counts, wire allocations,
+// speedup ratios of the paired modes, none of them tied to machine speed —
+// and returns 1 when any row regressed, the exit code CI keys the
+// regression warning on, or 2 when the input cannot be read.
 func runTrend(args []string, threshold float64) int {
 	if len(args) != 2 {
 		fmt.Fprintln(os.Stderr, "sbrbench: -trend needs exactly two files: old.json new.json")
@@ -122,32 +124,25 @@ func runTrend(args []string, threshold float64) int {
 	rows := scalebench.Trend(load(args[0]), load(args[1]), threshold)
 	fmt.Println(scalebench.RenderTrend(rows, threshold))
 	if scalebench.Regressed(rows) {
-		fmt.Fprintf(os.Stderr, "sbrbench: a speedup ratio eroded beyond -%.0f%% (see table)\n", threshold*100)
+		fmt.Fprintf(os.Stderr, "sbrbench: the sweeps differ beyond the gate (threshold %.0f%%, see table)\n", threshold*100)
 		return 1
 	}
 	return 0
 }
 
-// runScaleSweep measures the constant-density flood workload (naive vs
-// grid medium), the wire-path workload (pooled vs allocating frames,
-// reported as exact allocations per broadcast), the verification workload
-// (direct vs memo cache), the binding-table workload (per-node memos vs
-// one shared table per verifier group, reported as exact primitive CGA
-// verifications) and the formation workload (serial vs per-cell
-// admission) at up to 10000 nodes, reporting wall time per round and the
-// speedups.
+// runScaleSweep measures every scalebench workload at up to 100000 nodes:
+// the flood and audit workloads as event and frame counts, the wire path
+// as allocations per broadcast, and the verification, binding-table,
+// formation and sharded-engine workloads as baseline/optimized pairs, with
+// wall time per round beside each.
 func runScaleSweep(seed int64, rounds int, jsonOut bool) {
 	sizes := []int{250, 1000, 4000, 10000}
 	var results []scalebench.ScaleResult
 	for _, n := range sizes {
-		for _, kind := range []radio.IndexKind{radio.IndexNaive, radio.IndexGrid} {
-			results = append(results, scalebench.RunScale(n, kind, seed, rounds, time.Now))
-		}
+		results = append(results, scalebench.RunScale(n, seed, rounds, time.Now))
 	}
 	for _, n := range sizes {
-		for _, pooled := range []bool{false, true} {
-			results = append(results, scalebench.RunWire(n, pooled, seed, rounds, time.Now))
-		}
+		results = append(results, scalebench.RunWire(n, seed, rounds, time.Now))
 	}
 	for _, n := range sizes {
 		for _, cached := range []bool{false, true} {
@@ -174,14 +169,11 @@ func runScaleSweep(seed int64, rounds int, jsonOut bool) {
 		}
 	}
 	for _, n := range []int{250, 1000, 4000} {
-		for _, kind := range []radio.IndexKind{radio.IndexNaive, radio.IndexGrid} {
-			results = append(results, scalebench.RunAuditSweep(n, kind, seed, rounds, time.Now))
-		}
+		results = append(results, scalebench.RunAuditSweep(n, seed, rounds, time.Now))
 	}
-	// The sharded engine is the only workload that reaches 100k nodes: the
-	// naive medium's O(N^2) round is unaffordable there, while the sharded
-	// grid round stays linear. Serial is the engine at one region, so the
-	// pair divides byte-identical computations and only wall time differs.
+	// The sharded engine is the only workload that reaches 100k nodes.
+	// Serial is the engine at one region, so the pair divides
+	// byte-identical computations and only wall time differs.
 	for _, n := range []int{10000, 100000} {
 		for _, regions := range []int{1, scalebench.ShardRegions} {
 			results = append(results, scalebench.RunShard(n, regions, seed, rounds, time.Now))
@@ -196,32 +188,41 @@ func runScaleSweep(seed int64, rounds int, jsonOut bool) {
 		}
 		return
 	}
-	radioT := trace.NewTable("radio medium scale sweep (wall ms per flood round)",
-		"nodes", "naive", "grid", "speedup", "mean degree")
-	wireT := trace.NewTable("wire path scale sweep (heap allocations per broadcast)",
-		"nodes", "nopool", "pool", "reduction", "wall ms/round")
+	radioT := trace.NewTable("radio medium scale sweep (per flood round)",
+		"nodes", "wall ms", "events", "tx frames", "rx frames", "mean degree")
+	wireT := trace.NewTable("wire path scale sweep (pooled frames)",
+		"nodes", "allocs/broadcast", "wall ms/round")
 	cryptoT := trace.NewTable("verification scale sweep (wall ms per verify round)",
 		"nodes", "nocache", "cache", "speedup", "crypto ops saved")
 	bindT := trace.NewTable(fmt.Sprintf("binding table scale sweep (primitive CGA verifications, %d-node verifier group)", scalebench.BindVerifiers),
 		"nodes", "pernode", "shared", "reduction", "table hits")
 	formT := trace.NewTable("formation scale sweep (wall ms to fully addressed)",
 		"nodes", "serial", "percell", "speedup", "virtual time")
-	auditT := trace.NewTable("audit sweep cost (wall ms per sweep period)",
-		"nodes", "naive", "grid", "speedup", "events/round")
+	auditT := trace.NewTable("audit sweep cost (per sweep period)",
+		"nodes", "wall ms", "events", "tx frames", "rx frames")
 	shardT := trace.NewTable(fmt.Sprintf("sharded engine flood sweep (wall ms per round, %d regions)", scalebench.ShardRegions),
 		"nodes", "serial", "sharded", "speedup", "mean degree")
-	for i := 0; i < len(results); i += 2 {
-		a, b := results[i], results[i+1]
+	perRound := func(v uint64) string { return fmt.Sprint(v / uint64(rounds)) }
+	for i := 0; i < len(results); i++ {
+		a := results[i]
 		switch a.Mode {
 		case "radio":
-			radioT.Add(fmt.Sprint(a.Nodes),
-				fmt.Sprintf("%.1f", a.WallMS), fmt.Sprintf("%.1f", b.WallMS),
-				fmt.Sprintf("%.1fx", a.WallMS/b.WallMS), fmt.Sprintf("%.1f", a.Degree))
+			radioT.Add(fmt.Sprint(a.Nodes), fmt.Sprintf("%.1f", a.WallMS),
+				perRound(a.Events), perRound(a.TxFrames), perRound(a.RxFrames),
+				fmt.Sprintf("%.1f", a.Degree))
+			continue
 		case "wire":
-			wireT.Add(fmt.Sprint(a.Nodes),
-				fmt.Sprintf("%.1f", a.AllocsPerOp), fmt.Sprintf("%.2f", b.AllocsPerOp),
-				fmt.Sprintf("%.1fx", (1+a.AllocsPerOp)/(1+b.AllocsPerOp)),
-				fmt.Sprintf("%.1f -> %.1f", a.WallMS, b.WallMS))
+			wireT.Add(fmt.Sprint(a.Nodes), fmt.Sprintf("%.4f", a.AllocsPerOp), fmt.Sprintf("%.1f", a.WallMS))
+			continue
+		case "audit":
+			auditT.Add(fmt.Sprint(a.Nodes), fmt.Sprintf("%.1f", a.WallMS),
+				perRound(a.Events), perRound(a.TxFrames), perRound(a.RxFrames))
+			continue
+		}
+		// The remaining modes are measured in baseline/optimized pairs.
+		b := results[i+1]
+		i++
+		switch a.Mode {
 		case "crypto":
 			cryptoT.Add(fmt.Sprint(a.Nodes),
 				fmt.Sprintf("%.1f", a.WallMS), fmt.Sprintf("%.1f", b.WallMS),
@@ -237,11 +238,6 @@ func runScaleSweep(seed int64, rounds int, jsonOut bool) {
 				fmt.Sprintf("%.1f", a.WallMS), fmt.Sprintf("%.1f", b.WallMS),
 				fmt.Sprintf("%.1fx", a.WallMS/b.WallMS),
 				fmt.Sprintf("%.0fs -> %.1fs", a.VirtualS, b.VirtualS))
-		case "audit":
-			auditT.Add(fmt.Sprint(a.Nodes),
-				fmt.Sprintf("%.1f", a.WallMS), fmt.Sprintf("%.1f", b.WallMS),
-				fmt.Sprintf("%.1fx", a.WallMS/b.WallMS),
-				fmt.Sprint(a.Events/uint64(a.Rounds)))
 		case "shard":
 			shardT.Add(fmt.Sprint(a.Nodes),
 				fmt.Sprintf("%.1f", a.WallMS), fmt.Sprintf("%.1f", b.WallMS),

@@ -77,26 +77,25 @@
 //
 // # Medium indexing and scale
 //
-// The radio medium resolves receivers either by scanning every node or
-// through a uniform spatial hash grid (automatic at >= 64 nodes). The two
-// index kinds are observationally identical — same receiver sets, same
-// delivery ordering, same RNG consumption, so per-seed Results match
-// byte-for-byte — and the grid makes 1k-10k-node scenarios affordable.
-// WithMediumIndex forces a kind (e.g. to benchmark one against the
-// other); WithBootStagger shortens the serial DAD schedule that otherwise
-// dominates large bootstraps.
+// The radio medium resolves receivers through a uniform spatial hash grid:
+// a query visits only the cells around the transmitter, widened by how far
+// a mover may have drifted since it was last bucketed, and filters the
+// candidates by exact distance in attachment order. That keeps 1k-100k-node
+// scenarios affordable at every network size with one code path. The
+// medium's tests hold the grid to a brute-force oracle — every pair checked
+// against the raw position functions — under motion, down toggles and
+// node churn. WithBootStagger shortens the serial DAD schedule that
+// otherwise dominates large bootstraps.
 //
 // # The pooled wire path
 //
-// Frame transmission is allocation-free by default: encoded frames come
-// from per-medium size-class buffer pools, every broadcast shares one
-// encoded frame across all its receivers in a single batched delivery
-// event, and the transmit/delivery bookkeeping itself is recycled. The
-// pooled path is observationally identical to the allocating one — the
-// differential suite holds per-seed Results byte-for-byte equal with
-// pooling on, off, and on with poisoned reuse — so it is purely a
-// performance property. WithFramePool(false) restores the allocating
-// path (honest baselines, allocation-profile comparisons).
+// Frame transmission is allocation-free: encoded frames come from
+// per-medium size-class buffer pools, every broadcast shares one encoded
+// frame across all its receivers in a single batched delivery event, and
+// the transmit/delivery bookkeeping itself is recycled. A test mode
+// poisons every released frame, and the differential suite holds per-seed
+// Results equal with and without poisoning, so no receiver or retry can
+// read a frame after the medium reclaimed it.
 //
 // The pools are single-threaded by construction: each radio.Medium owns
 // its own pool and free lists, never shared, which is exactly the

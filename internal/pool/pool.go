@@ -44,12 +44,12 @@ const poisonByte = 0xDB
 // matched by a Put), and HighWater bounds the working set — it tracks
 // frames in flight, not run length.
 type Stats struct {
-	Gets     uint64 // buffers checked out (including oversize fallbacks)
-	Puts     uint64 // buffers returned
-	Misses   uint64 // Gets served by a fresh allocation (class empty)
-	Oversize uint64 // Gets beyond MaxClass (plain allocation, not poolable)
-	Live     int    // currently checked out (Gets - Puts)
-	HighWater int   // maximum Live ever observed
+	Gets      uint64 // buffers checked out (including oversize fallbacks)
+	Puts      uint64 // buffers returned
+	Misses    uint64 // Gets served by a fresh allocation (class empty)
+	Oversize  uint64 // Gets beyond MaxClass (plain allocation, not poolable)
+	Live      int    // currently checked out (Gets - Puts)
+	HighWater int    // maximum Live ever observed
 }
 
 // Pool is a set of per-size-class free lists of byte buffers.
@@ -67,19 +67,10 @@ func New() *Pool { return &Pool{} }
 // retained a frame slice past its release point reads garbage instead of
 // silently working on recycled memory. Debug/test mode — it touches every
 // released byte.
-func (p *Pool) SetPoison(on bool) {
-	if p != nil {
-		p.poison = on
-	}
-}
+func (p *Pool) SetPoison(on bool) { p.poison = on }
 
-// Stats returns a snapshot of the pool counters. A nil pool reports zeros.
-func (p *Pool) Stats() Stats {
-	if p == nil {
-		return Stats{}
-	}
-	return p.stats
-}
+// Stats returns a snapshot of the pool counters.
+func (p *Pool) Stats() Stats { return p.stats }
 
 // classFor returns the smallest class index whose size holds n, or -1
 // when n exceeds MaxClass.
@@ -112,14 +103,10 @@ func putClass(c int) int {
 // Get returns a zero-length buffer with capacity at least n. Buffers come
 // from the matching size class when one is free; otherwise a fresh buffer
 // of the full class size is allocated (so it recycles cleanly later).
-// Requests beyond MaxClass are plain allocations. A nil pool degrades to
-// plain allocation, so callers need no nil checks on unpooled paths.
+// Requests beyond MaxClass are plain allocations.
 func (p *Pool) Get(n int) []byte {
 	if n < 0 {
 		n = 0
-	}
-	if p == nil {
-		return make([]byte, 0, n)
 	}
 	p.stats.Gets++
 	p.stats.Live++
@@ -141,12 +128,12 @@ func (p *Pool) Get(n int) []byte {
 	return make([]byte, 0, MinClass<<c)
 }
 
-// Put returns a buffer to the pool. The buffer is classified by capacity;
-// capacities below MinClass (or from a nil pool) are dropped. Put always
+// Put returns a buffer to the pool; a nil buffer is ignored. The buffer is
+// classified by capacity; capacities below MinClass are dropped. Put always
 // balances a preceding Get in the Live accounting, so a drained simulation
 // proves its release discipline with Live == 0.
 func (p *Pool) Put(b []byte) {
-	if p == nil || b == nil {
+	if b == nil {
 		return
 	}
 	p.stats.Puts++

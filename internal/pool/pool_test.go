@@ -98,16 +98,3 @@ func TestHighWaterTracksInFlight(t *testing.T) {
 		t.Errorf("misses %d, want 10 (second wave fully recycled)", st.Misses)
 	}
 }
-
-func TestNilPoolDegradesToAllocation(t *testing.T) {
-	var p *Pool
-	b := p.Get(100)
-	if len(b) != 0 || cap(b) < 100 {
-		t.Fatalf("nil pool Get: len=%d cap=%d", len(b), cap(b))
-	}
-	p.Put(b)      // must not panic
-	p.SetPoison(true) // must not panic
-	if st := p.Stats(); st != (Stats{}) {
-		t.Errorf("nil pool stats %+v, want zeros", st)
-	}
-}

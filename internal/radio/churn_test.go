@@ -1,18 +1,16 @@
 package radio_test
 
-// Mobility-churn extension of the cross-medium equivalence suite: the
-// original matrix only exercises the grid under light waypoint motion, so
-// the lazy re-bucketing path was proven mostly on near-static topologies.
-// These scenarios keep nodes crossing grid-cell boundaries mid-flood —
-// fast waypoint sweeps, bounded random walks, and the mixed fleet — and
-// hold the spatial grid to the same bar: byte-for-byte identical Results
-// against the naive scan for every seed. A non-vacuity check asserts the
+// Mobility-churn extension of the scenario-level neighbour oracle: the
+// equivalence matrix only exercises the grid under light waypoint motion,
+// so the lazy re-bucketing path would be checked mostly on near-static
+// topologies. These scenarios keep nodes crossing grid-cell boundaries
+// mid-flood — fast waypoint sweeps, bounded random walks, and the mixed
+// fleet — under the same oracle probe. A non-vacuity check asserts the
 // nodes really did churn cells during the run; otherwise a future mobility
 // regression could quietly turn this suite static.
 
 import (
 	"math"
-	"reflect"
 	"testing"
 	"time"
 
@@ -74,53 +72,36 @@ func churnMatrix() map[string]func() scenario.Config {
 	}
 }
 
-// runChurn runs one config under the given index kind and reports the
-// result plus how many nodes ended the run in a different grid cell than
-// they started it.
-func runChurn(t *testing.T, mk func() scenario.Config, seed int64, kind radio.IndexKind) (*scenario.Result, int) {
+// cellsCrossed runs one config under the oracle probe and reports how many
+// nodes ended the run in a different grid cell than they started it.
+func cellsCrossed(t *testing.T, mk func() scenario.Config, seed int64) int {
 	t.Helper()
-	cfg := mk()
-	cfg.Seed = seed
-	cfg.Radio.Index = kind
-	sc, err := scenario.Build(cfg)
-	if err != nil {
-		t.Fatalf("build (index=%d, seed=%d): %v", kind, seed, err)
-	}
-	start := make([]geom.Point, cfg.N)
-	for i := 0; i < cfg.N; i++ {
+	sc := buildSeeded(t, mk, seed)
+	start := make([]geom.Point, sc.Cfg.N)
+	for i := range start {
 		start[i] = sc.Medium.PositionOf(radio.NodeID(i))
 	}
-	res := sc.Run()
+	runOracle(t, sc)
 	crossed := 0
-	cell := cfg.Radio.Range
+	cell := sc.Cfg.Radio.Range
 	key := func(p geom.Point) [2]int32 {
 		return [2]int32{int32(math.Floor(p.X / cell)), int32(math.Floor(p.Y / cell))}
 	}
-	for i := 0; i < cfg.N; i++ {
+	for i := range start {
 		if key(start[i]) != key(sc.Medium.PositionOf(radio.NodeID(i))) {
 			crossed++
 		}
 	}
-	return res, crossed
+	return crossed
 }
 
 func TestGridMediumEquivalentUnderChurn(t *testing.T) {
-	seeds := []int64{1, 2, 3, 4, 5}
-	if testing.Short() {
-		seeds = seeds[:2]
-	}
 	for name, mk := range churnMatrix() {
 		t.Run(name, func(t *testing.T) {
-			for _, seed := range seeds {
-				naive, _ := runChurn(t, mk, seed, radio.IndexNaive)
-				grid, crossed := runChurn(t, mk, seed, radio.IndexGrid)
-				if !reflect.DeepEqual(naive, grid) {
-					t.Errorf("seed %d: naive and grid media diverged under churn:\n naive: %v\n  grid: %v",
-						seed, naive, grid)
-				}
-				// The scenario must actually churn cells, or the equivalence
-				// proves nothing new over the static matrix.
-				if min := 40 / 4; crossed < min {
+			for _, seed := range oracleSeeds() {
+				// The scenario must actually churn cells, or the oracle
+				// checks nothing new over the static matrix.
+				if crossed, min := cellsCrossed(t, mk, seed), 40/4; crossed < min {
 					t.Errorf("seed %d: only %d/40 nodes changed grid cell (want >= %d); scenario too static",
 						seed, crossed, min)
 				}

@@ -1,20 +1,19 @@
 package radio_test
 
-// Cross-medium equivalence: the spatial-grid index must be a pure
-// performance optimization. For every scenario in the matrix and every
-// seed, a run on the grid medium must produce a Result byte-for-byte
-// identical to the same run on the naive linear-scan medium — same
-// receiver sets, same delivery ordering, same RNG consumption, same
-// counters. The matrix deliberately covers static and mobile topologies,
-// lossy links (per-receiver RNG draws), adversaries (extra control
-// traffic) and windowed measurement.
+// Scenario-level neighbour oracle. For every scenario in the matrix and
+// every seed, a probe steps through the whole run — bootstrap, warmup,
+// traffic, cooldown — and at each step compares Neighbors(i) for every
+// node against the list built from InRange, an exact pairwise distance
+// check that never consults the spatial grid. The matrix covers static
+// and mobile topologies, lossy links, adversaries and windowed
+// measurement, so the grid is checked under the traffic and motion the
+// protocol actually generates. The test names keep their historical
+// "naive" wording: the oracle is the naive all-pairs computation.
 //
-// This lives next to the radio package it guards but runs the full
-// scenario harness on top of it, which is what "equivalent" has to mean
-// for every future scaling PR.
+// The same matrix drives the pooled-frame and receive-path differential
+// suites in this package.
 
 import (
-	"reflect"
 	"testing"
 	"time"
 
@@ -102,78 +101,67 @@ func equivalenceMatrix() map[string]func() scenario.Config {
 	}
 }
 
-// runWith builds and runs one configuration under the given index kind,
-// also reporting whether the grid was actually active.
-func runWith(t *testing.T, mk func() scenario.Config, seed int64, kind radio.IndexKind) (*scenario.Result, bool) {
+// oracleStep is how often the oracle probe checks the whole network.
+const oracleStep = 100 * time.Millisecond
+
+// oracleSeeds are the seeds every oracle scenario runs under.
+func oracleSeeds() []int64 {
+	if testing.Short() {
+		return []int64{1, 2}
+	}
+	return []int64{1, 2, 3, 4, 5}
+}
+
+// buildSeeded builds one configuration of the matrix under the seed.
+func buildSeeded(t *testing.T, mk func() scenario.Config, seed int64) *scenario.Scenario {
 	t.Helper()
 	cfg := mk()
 	cfg.Seed = seed
-	cfg.Radio.Index = kind
 	sc, err := scenario.Build(cfg)
 	if err != nil {
-		t.Fatalf("build (index=%d, seed=%d): %v", kind, seed, err)
+		t.Fatalf("build (seed=%d): %v", seed, err)
 	}
-	return sc.Run(), sc.Medium.GridActive()
+	return sc
+}
+
+// runOracle runs a built scenario while a probe, every oracleStep of
+// virtual time, holds Neighbors(i) of every node to the list InRange
+// builds. Probing reads positions and the index only, so the run itself is
+// unchanged.
+func runOracle(t *testing.T, sc *scenario.Scenario) {
+	t.Helper()
+	m, n := sc.Medium, sc.Cfg.N
+	probes := 0
+	var probe func()
+	probe = func() {
+		probes++
+		for i := 0; i < n; i++ {
+			a := radio.NodeID(i)
+			var want []radio.NodeID
+			for j := 0; j < n; j++ {
+				if b := radio.NodeID(j); b != a && m.InRange(a, b) {
+					want = append(want, b)
+				}
+			}
+			if got := m.Neighbors(a); !sameIDs(got, want) {
+				t.Fatalf("seed %d at %v: Neighbors(%d) = %v, InRange oracle %v", sc.Cfg.Seed, sc.S.Now(), i, got, want)
+			}
+		}
+		sc.S.After(oracleStep, probe)
+	}
+	sc.S.After(oracleStep, probe)
+	sc.Run()
+	if min := 100; probes < min {
+		t.Fatalf("seed %d: only %d oracle probes ran (want >= %d)", sc.Cfg.Seed, probes, min)
+	}
 }
 
 func TestGridMediumEquivalentToNaive(t *testing.T) {
-	seeds := []int64{1, 2, 3, 4, 5}
 	for name, mk := range equivalenceMatrix() {
 		t.Run(name, func(t *testing.T) {
-			for _, seed := range seeds {
-				naive, naiveGrid := runWith(t, mk, seed, radio.IndexNaive)
-				grid, gridGrid := runWith(t, mk, seed, radio.IndexGrid)
-				if naiveGrid {
-					t.Fatalf("seed %d: IndexNaive activated the grid", seed)
-				}
-				if !gridGrid {
-					t.Fatalf("seed %d: IndexGrid did not activate the grid", seed)
-				}
-				if !reflect.DeepEqual(naive, grid) {
-					t.Errorf("seed %d: naive and grid media diverged:\n naive: %v\n  grid: %v",
-						seed, naive, grid)
-				}
+			for _, seed := range oracleSeeds() {
+				runOracle(t, buildSeeded(t, mk, seed))
 			}
 		})
-	}
-}
-
-// The auto kind must agree with whichever side it picks — below the
-// threshold that is the naive scan, and the result must still match a
-// forced grid run.
-func TestAutoIndexEquivalent(t *testing.T) {
-	mk := equivalenceMatrix()["quickstart"]
-	auto, gridActive := runWith(t, mk, 7, radio.IndexAuto)
-	if gridActive {
-		t.Fatal("auto index enabled the grid below the threshold")
-	}
-	forced, _ := runWith(t, mk, 7, radio.IndexGrid)
-	if !reflect.DeepEqual(auto, forced) {
-		t.Errorf("auto and forced-grid runs diverged:\n auto: %v\n grid: %v", auto, forced)
-	}
-}
-
-// Above the threshold, IndexAuto must switch to the grid mid-attachment
-// and still match a run forced onto the naive scan.
-func TestAutoIndexSwitchesAtThreshold(t *testing.T) {
-	mk := func() scenario.Config {
-		cfg := scenario.DefaultConfig()
-		fastTimers(&cfg)
-		cfg.N = radio.AutoGridThreshold + 6
-		cfg.Placement = scenario.PlaceGrid
-		cfg.Area.W, cfg.Area.H = 1600, 1600
-		cfg.Duration = 5 * time.Second
-		cfg.Flows = []scenario.Flow{
-			{From: 1, To: cfg.N - 1, Interval: time.Second, Size: 64},
-		}
-		return cfg
-	}
-	auto, gridActive := runWith(t, mk, 3, radio.IndexAuto)
-	if !gridActive {
-		t.Fatalf("auto index did not enable the grid at %d nodes", radio.AutoGridThreshold+6)
-	}
-	naive, _ := runWith(t, mk, 3, radio.IndexNaive)
-	if !reflect.DeepEqual(auto, naive) {
-		t.Errorf("auto(grid) and naive runs diverged:\n auto: %v\nnaive: %v", auto, naive)
 	}
 }

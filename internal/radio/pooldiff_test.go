@@ -1,14 +1,13 @@
 package radio_test
 
-// Pooled wire path differential suite: Config.FramePool must be a pure
-// allocation optimization. For every scenario in the equivalence matrix
-// and every seed, a pooled run — shared broadcast frames, size-class
-// buffer recycling, batched delivery events — must produce a Result
-// byte-for-byte identical to the allocating run: same receiver sets, same
-// delivery ordering, same RNG consumption, same counters, same attack
-// detections. The poison variant re-runs the comparison with released
-// frames overwritten, so any use-after-release on the pooled path breaks
-// the equality instead of silently reading stale bytes.
+// Pooled wire path differential suite: frame recycling must be invisible.
+// For every scenario in the equivalence matrix and every seed, a run with
+// Config.PoisonFrames — every released frame overwritten before reuse —
+// must produce a Result identical to the plain pooled run: same receiver
+// sets, same delivery ordering, same RNG consumption, same counters, same
+// attack detections. Any use-after-release (a receiver, a retry or a
+// remote handoff touching a frame the medium already reclaimed) decodes
+// garbage and splits the Results instead of silently reading stale bytes.
 //
 // The leak suite then drives the frame lifecycle through every exit of
 // the transmit path — queue drops, down transmitters, zero-receiver
@@ -24,56 +23,35 @@ import (
 
 	"sbr6/internal/attack"
 	"sbr6/internal/geom"
-	"sbr6/internal/pool"
 	"sbr6/internal/radio"
 	"sbr6/internal/scenario"
 	"sbr6/internal/sim"
 )
 
-// runWithPool builds and runs one configuration with the pooled wire path
-// forced on or off (poison applies to pooled runs only).
-func runWithPool(t *testing.T, mk func() scenario.Config, seed int64, pooled, poison bool) *scenario.Result {
+// runPoisoned builds and runs one configuration with frame poisoning on
+// or off.
+func runPoisoned(t *testing.T, mk func() scenario.Config, seed int64, poison bool) *scenario.Result {
 	t.Helper()
 	cfg := mk()
 	cfg.Seed = seed
-	cfg.Radio.FramePool = pooled
 	cfg.Radio.PoisonFrames = poison
 	sc, err := scenario.Build(cfg)
 	if err != nil {
-		t.Fatalf("build (pooled=%v, seed=%d): %v", pooled, seed, err)
+		t.Fatalf("build (poison=%v, seed=%d): %v", poison, seed, err)
 	}
 	return sc.Run()
 }
 
-func TestFramePoolEquivalentToUnpooled(t *testing.T) {
-	seeds := []int64{1, 2, 3, 4, 5}
-	for name, mk := range equivalenceMatrix() {
-		t.Run(name, func(t *testing.T) {
-			for _, seed := range seeds {
-				plain := runWithPool(t, mk, seed, false, false)
-				pooled := runWithPool(t, mk, seed, true, false)
-				if !reflect.DeepEqual(plain, pooled) {
-					t.Errorf("seed %d: pooled and unpooled runs diverged:\nunpooled: %v\n  pooled: %v",
-						seed, plain, pooled)
-				}
-			}
-		})
-	}
-}
-
-// The poisoned comparison is the use-after-release detector: every
-// released frame is overwritten before reuse, so a receiver or retry path
-// that touches a frame after the medium reclaimed it decodes garbage and
-// the Results split. One scenario per matrix entry suffices — the frame
-// lifecycle does not depend on the seed.
 func TestPoisonedFramePoolEquivalent(t *testing.T) {
 	for name, mk := range equivalenceMatrix() {
 		t.Run(name, func(t *testing.T) {
-			plain := runWithPool(t, mk, 3, false, false)
-			poisoned := runWithPool(t, mk, 3, true, true)
-			if !reflect.DeepEqual(plain, poisoned) {
-				t.Errorf("poisoned pooled run diverged from unpooled:\nunpooled: %v\npoisoned: %v",
-					plain, poisoned)
+			for _, seed := range oracleSeeds() {
+				plain := runPoisoned(t, mk, seed, false)
+				poisoned := runPoisoned(t, mk, seed, true)
+				if !reflect.DeepEqual(plain, poisoned) {
+					t.Errorf("seed %d: poisoned run diverged from plain pooled run:\n  plain: %v\npoisoned: %v",
+						seed, plain, poisoned)
+				}
 			}
 		})
 	}
@@ -185,8 +163,7 @@ func TestFramePoolLeakFree(t *testing.T) {
 }
 
 // A caller that encodes a frame and then abandons the transmission must
-// hand the buffer back; ReleaseFrame must also tolerate the pool being
-// off entirely.
+// hand the buffer back.
 func TestReleaseFrameWithoutTransmit(t *testing.T) {
 	s := sim.New(1)
 	m := radio.New(s, radio.DefaultConfig())
@@ -195,13 +172,5 @@ func TestReleaseFrameWithoutTransmit(t *testing.T) {
 	st := m.PoolStats()
 	if st.Gets != 1 || st.Puts != 1 || st.Live != 0 {
 		t.Fatalf("release not accounted: %+v", st)
-	}
-
-	off := radio.DefaultConfig()
-	off.FramePool = false
-	m2 := radio.New(sim.New(1), off)
-	m2.ReleaseFrame(m2.Frame(100)) // plain allocation; release is a no-op
-	if st := m2.PoolStats(); st != (pool.Stats{}) {
-		t.Fatalf("disabled pool reported stats: %+v", st)
 	}
 }

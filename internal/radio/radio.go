@@ -10,11 +10,12 @@
 // Nodes are identified by a NodeID playing the role of the interface's MAC
 // address; IP-to-NodeID resolution is the upper layer's concern.
 //
-// Receiver lookup is pluggable (see IndexKind): a linear scan over all
-// ports, or a uniform spatial hash grid that answers Neighbors and
-// broadcast fan-out from the 3x3-cell neighbourhood of the transmitter.
-// Both produce byte-for-byte identical simulation results; the grid exists
-// purely to make 1k-10k-node scenarios affordable.
+// Receivers are found through a uniform spatial hash grid that answers
+// Neighbors and broadcast fan-out from the cells around the transmitter,
+// and every transmission rides one pooled path: frame buffers come from a
+// per-medium size-class pool and each broadcast's surviving receivers
+// share one delivery event. The package tests hold the grid to a
+// brute-force neighbour oracle computed from the raw position functions.
 package radio
 
 import (
@@ -51,30 +52,6 @@ func (f HandlerFunc) Deliver(from NodeID, payload []byte) { f(from, payload) }
 // PositionFunc reports a node's position at a virtual time (mobility.Track).
 type PositionFunc func(t sim.Time) geom.Point
 
-// IndexKind selects the neighbor-index implementation behind Neighbors and
-// broadcast fan-out. Every kind produces byte-for-byte identical simulation
-// results — same receiver sets, same delivery ordering, same RNG consumption
-// — so the choice is purely a time/space trade-off.
-type IndexKind int
-
-// Index kinds.
-const (
-	// IndexAuto (the zero value) scans linearly for small networks and
-	// switches to the spatial grid once the node count reaches
-	// AutoGridThreshold.
-	IndexAuto IndexKind = iota
-	// IndexNaive always scans every attached port: O(N) per query.
-	IndexNaive
-	// IndexGrid always uses the uniform spatial hash grid: O(density) per
-	// query after O(movers) amortized re-bucketing.
-	IndexGrid
-)
-
-// AutoGridThreshold is the node count at which IndexAuto switches from the
-// linear scan to the spatial grid. Below it the constant factors of the
-// grid (hashing, candidate sort) are not worth paying.
-const AutoGridThreshold = 64
-
 // Config parameterizes the medium.
 type Config struct {
 	Range           float64       // unit-disk reception radius in metres
@@ -89,25 +66,10 @@ type Config struct {
 	// loss visible to the routing layer; broadcasts are never retried.
 	UnicastRetries int
 
-	// Index selects the neighbor-index implementation; the zero value
-	// auto-picks by network size. Results are identical for every kind.
-	Index IndexKind
-
-	// FramePool enables the pooled zero-alloc wire path: frame buffers
-	// come from per-medium size-class pools (Frame/ReleaseFrame), one
-	// encoded frame is shared across every receiver of a broadcast and
-	// released after the last delivery, and the transmit/delivery
-	// bookkeeping itself (jobs, delivery batches, event structs) is
-	// recycled. Pooled and unpooled runs are byte-for-byte identical —
-	// same receiver sets, delivery ordering and RNG consumption; the
-	// differential suite in this package is the proof. The zero value is
-	// off (the honest allocation baseline); DefaultConfig turns it on.
-	FramePool bool
-
 	// PoisonFrames (debug) fills every released frame with a marker byte
 	// so a handler that retained a frame slice past Deliver's return sees
-	// garbage instead of silently reading recycled memory. Only
-	// meaningful with FramePool; the retention tests run under it.
+	// garbage instead of silently reading recycled memory. The retention
+	// tests run under it.
 	PoisonFrames bool
 
 	// Det switches the medium's randomness (contention jitter, the
@@ -195,7 +157,6 @@ func DefaultConfig() Config {
 		PropDelay:       5 * time.Microsecond,
 		BroadcastJitter: 2 * time.Millisecond,
 		MaxQueueDelay:   500 * time.Millisecond,
-		FramePool:       true,
 	}
 }
 
@@ -224,8 +185,7 @@ type port struct {
 
 // Medium is the shared channel all nodes transmit on.
 //
-// Receiver lookup runs either as a linear scan over every attached port or
-// through a uniform spatial hash grid (see IndexKind). The grid caches one
+// Receiver lookup runs through a uniform spatial hash grid that caches one
 // bucketed position per node and re-buckets lazily: nodes with a declared
 // speed bound (SetSpeedBound) are swept at most once per staleness quantum,
 // and queries widen their radius by the maximum drift a bounded node can
@@ -245,7 +205,7 @@ type Medium struct {
 	// peak live population instead of growing with cumulative joins.
 	freeOrds []int
 
-	// Spatial index state; grid == nil means linear scan.
+	// Spatial index state.
 	grid        *geom.Grid
 	speeds      []float64 // per-ord speed bound; < 0 = unbounded/unknown
 	nUnbounded  int       // how many speeds are < 0
@@ -267,10 +227,9 @@ type Medium struct {
 	nSweepMovers int             // bounded movers with no refresher
 	scanRegions  []int           // reusable Remote.ScanRegions buffer
 
-	// Pooled wire path state (nil/empty when Config.FramePool is off):
-	// the frame buffer pool plus free lists of transmit jobs and delivery
-	// batches. All strictly per-medium — the single-goroutine discipline
-	// the sharded-core roadmap item depends on.
+	// Pooled wire path state: the frame buffer pool plus free lists of
+	// transmit jobs and delivery batches. All strictly per-medium — the
+	// single-goroutine discipline the sharded engine depends on.
 	pool        *pool.Pool
 	freeJobs    *txJob
 	freeBatches *deliveryBatch
@@ -281,20 +240,14 @@ func New(s *sim.Simulator, cfg Config) *Medium {
 	if cfg.Range <= 0 {
 		cfg.Range = 250
 	}
-	m := &Medium{sim: s, cfg: cfg, ports: make(map[NodeID]*port)}
-	if cfg.FramePool {
-		m.pool = pool.New()
-		m.pool.SetPoison(cfg.PoisonFrames)
-	}
+	m := &Medium{sim: s, cfg: cfg, ports: make(map[NodeID]*port),
+		grid: geom.NewGrid(cfg.Range), pool: pool.New()}
+	m.pool.SetPoison(cfg.PoisonFrames)
 	return m
 }
 
 // Config returns the medium's configuration.
 func (m *Medium) Config() Config { return m.cfg }
-
-// GridActive reports whether receiver lookup currently runs through the
-// spatial grid (as opposed to the linear port scan).
-func (m *Medium) GridActive() bool { return m.grid != nil }
 
 // Stats returns a snapshot of the link-layer counters.
 func (m *Medium) Stats() Stats { return m.stats }
@@ -329,13 +282,7 @@ func (m *Medium) AddNode(id NodeID, pos PositionFunc, h Handler) {
 	m.ports[id] = p
 	m.live++
 	m.nUnbounded++
-	switch {
-	case m.grid != nil:
-		m.grid.Set(p.ord, pos(m.sim.Now()))
-	case m.cfg.Index == IndexGrid,
-		m.cfg.Index == IndexAuto && m.live >= AutoGridThreshold:
-		m.enableGrid()
-	}
+	m.grid.Set(p.ord, pos(m.sim.Now()))
 }
 
 // RemoveNode detaches a node for good: it stops receiving immediately, its
@@ -360,14 +307,17 @@ func (m *Medium) RemoveNode(id NodeID) {
 		m.nUnbounded--
 	}
 	m.speeds[ord] = 0
-	m.refreshers[ord] = nil // a pending refresh chain event exits harmlessly
+	m.refreshers[ord] = nil
+	// Orphan a pending refresh chain event: it exits when it fires, and
+	// the ordinal's next occupant starts a chain of its own instead of
+	// waiting out the departed node's schedule.
+	m.refreshSt[ord] = nil
+	m.refreshOn[ord] = false
 	m.noteSweepChange(ord, wasSweep)
 	m.byOrd[ord] = nil
 	m.freeOrds = append(m.freeOrds, ord)
 	m.live--
-	if m.grid != nil {
-		m.grid.Remove(ord)
-	}
+	m.grid.Remove(ord)
 }
 
 // Live reports the number of attached (non-removed) ports — the churn
@@ -399,9 +349,7 @@ func (m *Medium) SetSpeedBound(id NodeID, metresPerSec float64) {
 		m.maxSpeed = metresPerSec
 	}
 	m.noteSweepChange(p.ord, wasSweep)
-	if m.grid != nil {
-		m.startRefresh(p.ord)
-	}
+	m.startRefresh(p.ord)
 }
 
 // sweepMover reports whether the ord still depends on the lazy sweep: a
@@ -435,9 +383,7 @@ func (m *Medium) SetRefresher(id NodeID, fn RefreshFunc) {
 	was := m.sweepMover(p.ord)
 	m.refreshers[p.ord] = fn
 	m.noteSweepChange(p.ord, was)
-	if m.grid != nil {
-		m.startRefresh(p.ord)
-	}
+	m.startRefresh(p.ord)
 }
 
 // refreshSlop is the drift budget handed to refreshers. Identical to the
@@ -450,7 +396,9 @@ func (m *Medium) refreshSlop() float64 {
 	return m.cfg.Range * 0.5
 }
 
-// refreshState is the recycled argument of one node's chain events.
+// refreshState is the recycled argument of one node's chain events. It
+// belongs to the node occupying ord, not to the ordinal: RemoveNode
+// detaches it, so an event still carrying it is recognised as stale.
 type refreshState struct {
 	m   *Medium
 	ord int
@@ -491,8 +439,11 @@ func (m *Medium) scheduleRefresh(st *refreshState, at sim.Time) {
 func runRefresh(v any) {
 	st := v.(*refreshState)
 	m := st.m
+	if m.refreshSt[st.ord] != st {
+		return // its node was removed
+	}
 	m.refreshOn[st.ord] = false
-	if m.grid == nil || m.refreshers[st.ord] == nil {
+	if m.refreshers[st.ord] == nil {
 		return
 	}
 	now := m.sim.Now()
@@ -506,24 +457,6 @@ func runRefresh(v any) {
 	}
 	m.refreshOn[st.ord] = true
 	m.scheduleRefresh(st, next)
-}
-
-// enableGrid builds the spatial index over the already-attached ports and
-// starts the re-bucket chain of every registered self-refreshing track.
-func (m *Medium) enableGrid() {
-	m.grid = geom.NewGrid(m.cfg.Range)
-	now := m.sim.Now()
-	for ord, p := range m.byOrd {
-		if p == nil {
-			continue
-		}
-		m.grid.Set(ord, p.pos(now))
-	}
-	m.lastSweep = now
-	m.unboundedAt = now
-	for ord := range m.byOrd {
-		m.startRefresh(ord)
-	}
 }
 
 // slop is how far a bounded mover may have drifted from its bucketed
@@ -566,20 +499,16 @@ func (m *Medium) syncGrid(now sim.Time) {
 
 // gridForEach invokes fn for every port that could currently be within
 // range of a transmitter at `at` — a superset; callers must re-check exact
-// positions. Candidates are collected into a bitset indexed by attachment
-// ordinal and drained in increasing-ordinal order, so iteration matches
-// the linear scan exactly without sorting. The bitset is scratch state;
-// fn must not trigger another grid query (protocol callbacks run later,
-// from scheduled events, so this cannot recurse).
-func (m *Medium) gridForEach(at geom.Point, now sim.Time, fn func(o *port)) {
-	m.gridForEachRadius(at, now, 0, fn)
-}
-
-// gridForEachRadius is gridForEach with the query radius widened by extra
-// metres — the remote-scan path queries positions slightly in the past, so
-// its candidate radius must additionally cover the drift a bounded node
-// can accumulate over the propagation delay.
-func (m *Medium) gridForEachRadius(at geom.Point, now sim.Time, extra float64, fn func(o *port)) {
+// positions. extra widens the query radius beyond the range and bucketing
+// slop: the remote-scan path queries positions slightly in the past, so
+// its candidates must also cover the drift a bounded node can accumulate
+// over the propagation delay. Candidates are collected into a bitset
+// indexed by attachment ordinal and drained in increasing-ordinal order,
+// so receivers are visited in attachment order without sorting. The
+// bitset is scratch state; fn must not trigger another grid query
+// (protocol callbacks run later, from scheduled events, so this cannot
+// recurse).
+func (m *Medium) gridForEach(at geom.Point, now sim.Time, extra float64, fn func(o *port)) {
 	m.syncGrid(now)
 	words := (len(m.byOrd) + 63) >> 6
 	if cap(m.candBits) < words {
@@ -637,25 +566,14 @@ func (m *Medium) AppendNeighbors(id NodeID, out []NodeID) []NodeID {
 	now := m.sim.Now()
 	at := p.pos(now)
 	r2 := m.cfg.Range * m.cfg.Range
-	if m.grid != nil {
-		m.gridForEach(at, now, func(o *port) {
-			if o == p || o.down {
-				return
-			}
-			if at.Dist2(o.pos(now)) <= r2 {
-				out = append(out, o.id)
-			}
-		})
-		return out
-	}
-	for _, o := range m.byOrd {
-		if o == nil || o == p || o.down {
-			continue
+	m.gridForEach(at, now, 0, func(o *port) {
+		if o == p || o.down {
+			return
 		}
 		if at.Dist2(o.pos(now)) <= r2 {
 			out = append(out, o.id)
 		}
-	}
+	})
 	return out
 }
 
@@ -713,8 +631,8 @@ func (m *Medium) txJitter(from NodeID, txSeq uint64) sim.Duration {
 }
 
 // lossDraw decides whether the frame of the given transmission attempt is
-// lost on its way to the receiver. Callers gate on LossRate > 0 so the
-// plain path's RNG consumption stays exactly historical.
+// lost on its way to the receiver. Callers gate on LossRate > 0 so a
+// lossless medium draws nothing from the simulator's RNG.
 func (m *Medium) lossDraw(from NodeID, txSeq uint64, to NodeID) bool {
 	if m.cfg.Det {
 		h := detMix(m.cfg.DetSeed, uint64(from), txSeq, uint64(to)+1)
@@ -737,39 +655,29 @@ func (m *Medium) lossDraw(from NodeID, txSeq uint64, to NodeID) bool {
 //     exhausted (retries retransmit the same buffer).
 //   - Receivers never own the frame: Deliver borrows it for the duration
 //     of the call (see Handler).
-//   - The legacy Broadcast/Unicast entry points keep caller ownership:
-//     the medium never releases those payloads (pre-encoded attacker
-//     replays and harness traffic stay caller-owned), though with
-//     FramePool on they still ride the recycled job/batch event path.
-//
-// With FramePool off every method below degrades to plain allocation and
-// the exact historical transmit path, which is the measured baseline the
-// nopool/pool BENCH_scale cells compare against.
+//   - The Broadcast/Unicast entry points keep caller ownership: the
+//     medium never releases those payloads (pre-encoded attacker replays
+//     and harness traffic stay caller-owned), though they ride the same
+//     recycled job/batch event path.
 
 // Frame returns a zero-length frame buffer with capacity at least size,
-// drawn from the medium's size-class pool (or freshly allocated when
-// pooling is off). Callers encode into it with wire.AppendEncode, sizing
-// via wire.EncodedSize so the buffer never grows.
-func (m *Medium) Frame(size int) []byte {
-	return m.pool.Get(size) // nil pool degrades to make([]byte, 0, size)
-}
+// drawn from the medium's size-class pool. Callers encode into it with
+// wire.AppendEncode, sizing via wire.EncodedSize so the buffer never
+// grows.
+func (m *Medium) Frame(size int) []byte { return m.pool.Get(size) }
 
 // ReleaseFrame returns a frame obtained from Frame that will not be
-// transmitted after all. No-op when pooling is off.
-func (m *Medium) ReleaseFrame(b []byte) {
-	if m.pool != nil && b != nil {
-		m.pool.Put(b)
-	}
-}
+// transmitted after all.
+func (m *Medium) ReleaseFrame(b []byte) { m.pool.Put(b) }
 
-// PoolStats reports the frame pool's traffic counters (zeros when pooling
-// is off). The leak suite holds Live at zero after a drained run — every
-// transmit path, including every early drop, must release its frame.
+// PoolStats reports the frame pool's traffic counters. The leak suite
+// holds Live at zero after a drained run — every transmit path, including
+// every early drop, must release its frame.
 func (m *Medium) PoolStats() pool.Stats { return m.pool.Stats() }
 
-// txJob is the recycled state of one in-flight transmission: what the
-// legacy path captures in closures. A unicast job carries its own retry
-// counter, so retransmissions reuse both the job and the frame.
+// txJob is the recycled state of one in-flight transmission. A unicast
+// job carries its own retry counter, so retransmissions reuse both the job
+// and the frame.
 type txJob struct {
 	m       *Medium
 	p       *port
@@ -822,8 +730,7 @@ func (m *Medium) takeBatch() *deliveryBatch {
 // runBatch fires at transmission-end + PropDelay and invokes every
 // surviving receiver's handler in the order the loss process visited them
 // (attachment order), then releases the shared frame. Receivers that went
-// down between scheduling and delivery are skipped — the same check the
-// per-receiver events made.
+// down between scheduling and delivery are skipped.
 func runBatch(v any) {
 	b := v.(*deliveryBatch)
 	m := b.m
@@ -858,25 +765,16 @@ func runJobNack(v any)     { j := v.(*txJob); j.m.jobAckOutcome(j, false) }
 
 // BroadcastFrame broadcasts a frame the caller obtained from Frame;
 // ownership transfers to the medium, which releases it after the last
-// delivery (or immediately on any drop path). With pooling off it is
-// exactly Broadcast.
+// delivery (or immediately on any drop path).
 func (m *Medium) BroadcastFrame(from NodeID, frame []byte) {
-	if m.pool == nil {
-		m.Broadcast(from, frame)
-		return
-	}
 	m.startJob(from, frame, true, false, 0, nil)
 }
 
 // UnicastFrame unicasts a frame the caller obtained from Frame; ownership
 // transfers to the medium, which reuses the buffer across link-layer
 // retries and releases it once the ACK outcome is final and any delivery
-// has completed. With pooling off it is exactly Unicast.
+// has completed.
 func (m *Medium) UnicastFrame(from, to NodeID, frame []byte, acked func(bool)) {
-	if m.pool == nil {
-		m.Unicast(from, to, frame, acked)
-		return
-	}
 	m.startJob(from, frame, true, true, to, acked)
 }
 
@@ -885,14 +783,7 @@ func (m *Medium) UnicastFrame(from, to NodeID, frame []byte, acked func(bool)) {
 // subject to the loss process. The payload stays caller-owned (never
 // released), so pre-encoded or shared buffers are safe here.
 func (m *Medium) Broadcast(from NodeID, payload []byte) {
-	if m.pool != nil || m.cfg.Det {
-		// Det mode always rides the job path: it is the only transmit
-		// path wired for content-keyed draws and remote handoff, and it
-		// is nil-pool safe (pool methods degrade to plain allocation).
-		m.startJob(from, payload, false, false, 0, nil)
-		return
-	}
-	m.transmit(from, payload, nil, nil)
+	m.startJob(from, payload, false, false, 0, nil)
 }
 
 // Unicast queues a link-layer unicast to a specific neighbour. acked, if
@@ -900,11 +791,7 @@ func (m *Medium) Broadcast(from NodeID, payload []byte) {
 // outcome is known: true when the frame was delivered, possibly after
 // Config.UnicastRetries retransmissions. The payload stays caller-owned.
 func (m *Medium) Unicast(from, to NodeID, payload []byte, acked func(bool)) {
-	if m.pool != nil || m.cfg.Det {
-		m.startJob(from, payload, false, true, to, acked)
-		return
-	}
-	m.unicastAttempt(from, to, payload, acked, m.cfg.UnicastRetries)
+	m.startJob(from, payload, false, true, to, acked)
 }
 
 // startJob builds a recycled transmit job and runs the first attempt.
@@ -922,8 +809,10 @@ func (m *Medium) startJob(from NodeID, payload []byte, release, unicast bool, to
 	m.transmitJob(j)
 }
 
-// transmitJob mirrors transmit exactly — same RNG draws, same counters,
-// same event timing — over recycled state instead of captured closures.
+// transmitJob runs one transmission attempt: it draws the contention
+// jitter, queues the frame behind the port's earlier transmissions (or
+// drops it past MaxQueueDelay) and schedules completion at serialization
+// end.
 func (m *Medium) transmitJob(j *txJob) {
 	p := j.p
 	if p.down {
@@ -957,10 +846,9 @@ func (m *Medium) transmitJob(j *txJob) {
 }
 
 // dropJob handles a transmit-time drop. Unicasts learn the outcome
-// asynchronously (one scheduled event, exactly like the legacy path's
-// deferred acked(false) — the retry draw must happen at the event, not
-// inline); broadcasts have no observer, so the frame is released and the
-// job recycled on the spot (the legacy path schedules nothing either).
+// asynchronously, from one scheduled event (the retry draw must happen at
+// the event, not inline); broadcasts have no observer, so the frame is
+// released and the job recycled on the spot.
 func (m *Medium) dropJob(j *txJob) {
 	if j.unicast {
 		m.sim.DoArg(0, runJobNack, j)
@@ -996,9 +884,10 @@ func (m *Medium) jobAckOutcome(j *txJob, ok bool) {
 	}
 }
 
-// completeJob is the pooled counterpart of complete: same receiver visit
-// order, same loss draws, but broadcast survivors share one delivery
-// event and the single frame travels with it.
+// completeJob runs at the end of serialization: it samples receivers from
+// positions at that instant, visits them in attachment order drawing the
+// loss process once per in-range receiver, and hands broadcast survivors
+// one shared delivery event that carries the single frame.
 func (m *Medium) completeJob(j *txJob) {
 	p := j.p
 	if p.down { // went down mid-transmission
@@ -1014,6 +903,9 @@ func (m *Medium) completeJob(j *txJob) {
 	r2 := m.cfg.Range * m.cfg.Range
 
 	if j.unicast {
+		// A real radio would overhear unicasts too; the protocol does not
+		// rely on promiscuous mode, so unicast frames reach only the
+		// addressee — looked up directly instead of scanned for.
 		delivered := false
 		if o, ok := m.ports[j.to]; ok {
 			if o != p && !o.down && at.Dist2(o.pos(now)) <= r2 {
@@ -1043,15 +935,7 @@ func (m *Medium) completeJob(j *txJob) {
 		m.stats.RxFrames++
 		b.ports = append(b.ports, o)
 	}
-	if m.grid != nil {
-		m.gridForEach(at, now, collect)
-	} else {
-		for _, o := range m.byOrd {
-			if o != nil && o != p {
-				collect(o)
-			}
-		}
-	}
+	m.gridForEach(at, now, 0, collect)
 	if m.cfg.Remote != nil {
 		m.postRemoteScans(p, j, at, now)
 	}
@@ -1130,122 +1014,6 @@ func (m *Medium) deliverJob(p, o *port, j *txJob) bool {
 	b.ports = append(b.ports, o)
 	m.sim.DoArg(m.cfg.PropDelay, runBatch, b)
 	return true
-}
-
-func (m *Medium) unicastAttempt(from, to NodeID, payload []byte, acked func(bool), retries int) {
-	m.transmit(from, payload, &to, func(ok bool) {
-		if !ok && retries > 0 {
-			m.stats.Retries++
-			m.unicastAttempt(from, to, payload, acked, retries-1)
-			return
-		}
-		if acked != nil {
-			acked(ok)
-		}
-	})
-}
-
-func (m *Medium) transmit(from NodeID, payload []byte, to *NodeID, acked func(bool)) {
-	p, ok := m.ports[from]
-	if !ok {
-		panic("radio: transmit from unknown node")
-	}
-	if p.down {
-		m.stats.QueueDrops++
-		if acked != nil {
-			m.sim.Do(0, func() { acked(false) })
-		}
-		return
-	}
-
-	now := m.sim.Now()
-	start := now.Add(m.sim.Jitter(m.cfg.BroadcastJitter))
-	if p.busyUntil > start {
-		start = p.busyUntil
-	}
-	if m.cfg.MaxQueueDelay > 0 && start.Sub(now) > m.cfg.MaxQueueDelay {
-		m.stats.QueueDrops++
-		if acked != nil {
-			m.sim.Do(0, func() { acked(false) })
-		}
-		return
-	}
-	dur := m.txDuration(len(payload))
-	p.busyUntil = start.Add(dur)
-
-	m.stats.TxFrames++
-	m.stats.TxBytes += uint64(len(payload))
-	if to == nil {
-		m.stats.BroadcastSent++
-	} else {
-		m.stats.UnicastSent++
-	}
-
-	end := start.Add(dur)
-	m.sim.DoAt(end, func() {
-		m.complete(p, payload, to, acked)
-	})
-}
-
-// complete runs at the end of serialization: it samples receivers from
-// positions at that instant and schedules deliveries.
-//
-// Every path — unicast lookup, grid candidates, linear scan — visits the
-// same in-range receivers in attachment order and draws the loss RNG once
-// per visit, so seeded runs are byte-for-byte identical across index kinds.
-func (m *Medium) complete(p *port, payload []byte, to *NodeID, acked func(bool)) {
-	if p.down { // went down mid-transmission
-		if acked != nil {
-			acked(false)
-		}
-		return
-	}
-	now := m.sim.Now()
-	at := p.pos(now)
-	r2 := m.cfg.Range * m.cfg.Range
-	delivered := false
-
-	if to != nil {
-		// A real radio would overhear unicasts too; the protocol does not
-		// rely on promiscuous mode, so unicast frames reach only the
-		// addressee — looked up directly instead of scanned for.
-		if o, ok := m.ports[*to]; ok && o != p && !o.down && at.Dist2(o.pos(now)) <= r2 {
-			delivered = m.deliver(p, o, payload)
-		}
-		if !delivered {
-			m.stats.UnicastFails++
-		}
-		if acked != nil {
-			acked(delivered)
-		}
-		return
-	}
-
-	if m.grid != nil {
-		m.gridForEach(at, now, func(o *port) {
-			if o == p || o.down || at.Dist2(o.pos(now)) > r2 {
-				return
-			}
-			if m.deliver(p, o, payload) {
-				delivered = true
-			}
-		})
-	} else {
-		for _, o := range m.byOrd {
-			if o == nil || o == p {
-				continue
-			}
-			if o.down || at.Dist2(o.pos(now)) > r2 {
-				continue
-			}
-			if m.deliver(p, o, payload) {
-				delivered = true
-			}
-		}
-	}
-	if acked != nil {
-		acked(delivered)
-	}
 }
 
 // --- Boundary-crossing injection (the sharded engine's inbound side) ---
@@ -1328,31 +1096,6 @@ func (m *Medium) runRemoteScan(msg ScanMsg) {
 		o.handler.Deliver(msg.From, msg.Frame)
 		m.sim.SetOwner(prev)
 	}
-	if m.grid != nil {
-		extra := m.maxSpeed * m.cfg.PropDelay.Seconds()
-		m.gridForEachRadius(msg.Pos, m.sim.Now(), extra, collect)
-	} else {
-		for _, o := range m.byOrd {
-			if o != nil {
-				collect(o)
-			}
-		}
-	}
-}
-
-// deliver applies the per-receiver loss process and, when the frame
-// survives, schedules the handler callback after the propagation delay. It
-// reports whether the frame survived.
-func (m *Medium) deliver(p, dst *port, payload []byte) bool {
-	if m.cfg.LossRate > 0 && m.sim.Rand().Float64() < m.cfg.LossRate {
-		m.stats.LostFrames++
-		return false
-	}
-	m.stats.RxFrames++
-	m.sim.Do(m.cfg.PropDelay, func() {
-		if !dst.down {
-			dst.handler.Deliver(p.id, payload)
-		}
-	})
-	return true
+	extra := m.maxSpeed * m.cfg.PropDelay.Seconds()
+	m.gridForEach(msg.Pos, m.sim.Now(), extra, collect)
 }

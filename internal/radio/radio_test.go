@@ -377,65 +377,43 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
-// gridQuiet forces the spatial index on regardless of network size.
-func gridQuiet() Config {
-	cfg := quiet()
-	cfg.Index = IndexGrid
-	return cfg
-}
-
-func TestGridNeighborsMatchNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	pts := make([]geom.Point, 120)
-	for i := range pts {
-		pts[i] = geom.Point{X: rng.Float64() * 2000, Y: rng.Float64() * 2000}
-	}
-	naiveCfg := quiet()
-	naiveCfg.Index = IndexNaive
-	sn, sg := sim.New(1), sim.New(1)
-	naive, _ := build(sn, naiveCfg, pts...)
-	grid, _ := build(sg, gridQuiet(), pts...)
-	if naive.GridActive() {
-		t.Fatal("IndexNaive config enabled the grid")
-	}
-	if !grid.GridActive() {
-		t.Fatal("IndexGrid config did not enable the grid")
-	}
-	check := func(stage string) {
-		t.Helper()
-		for i := range pts {
-			nn := naive.Neighbors(NodeID(i))
-			gn := grid.Neighbors(NodeID(i))
-			if len(nn) != len(gn) {
-				t.Fatalf("%s: node %d: naive %v != grid %v", stage, i, nn, gn)
-			}
-			for k := range nn {
-				if nn[k] != gn[k] {
-					t.Fatalf("%s: node %d: naive %v != grid %v", stage, i, nn, gn)
-				}
-			}
-			if in, ig := naive.InRange(0, NodeID(i)), grid.InRange(0, NodeID(i)); in != ig {
-				t.Fatalf("%s: InRange(0,%d): naive %v grid %v", stage, i, in, ig)
-			}
+// A joiner that reuses a departed mover's ordinal must be re-bucketed on
+// its own refresh schedule. The departed node's chain event, still pending
+// far in the future, must not stand in for the joiner's chain: the joiner
+// would then sit in its spawn bucket until that event fires.
+func TestOrdinalReuseStartsOwnRefreshChain(t *testing.T) {
+	for _, reuse := range []bool{true, false} {
+		s := sim.New(1)
+		m := New(s, quiet())
+		nop := HandlerFunc(func(NodeID, []byte) {})
+		m.AddNode(0, fixed(geom.Point{}), nop)
+		m.SetSpeedBound(0, 0)
+		// A 1 m/s mover whose refresher asks for its next refresh 100 s out.
+		m.AddNode(1, func(t sim.Time) geom.Point { return geom.Point{X: 1000 + t.Seconds()} }, nop)
+		m.SetSpeedBound(1, 1)
+		m.SetRefresher(1, func(now sim.Time, _ float64) sim.Time { return now.Add(100 * time.Second) })
+		if reuse {
+			m.RemoveNode(1) // the joiner below takes over ordinal 1
+		}
+		// A 50 m/s joiner from 2000 m out: 100 m from the origin at 38 s.
+		m.AddNode(2, func(t sim.Time) geom.Point { return geom.Point{X: 2000 - 50*t.Seconds()} }, nop)
+		m.SetSpeedBound(2, 50)
+		m.SetRefresher(2, func(now sim.Time, slop float64) sim.Time {
+			return now.Add(sim.Duration(slop / 50 * float64(time.Second)))
+		})
+		s.RunUntil(sim.Time(38 * time.Second))
+		if nb := m.Neighbors(0); len(nb) != 1 || nb[0] != 2 {
+			t.Errorf("reuse=%v: Neighbors(0) at 38 s = %v, want [2]", reuse, nb)
 		}
 	}
-	check("initial")
-	for _, down := range []NodeID{3, 40, 77} {
-		naive.SetDown(down, true)
-		grid.SetDown(down, true)
-	}
-	check("after down")
-	naive.SetDown(40, false)
-	grid.SetDown(40, false)
-	check("after restore")
 }
 
-// A mover with a declared speed bound must leave (and re-enter) radio range
-// on the grid medium exactly as on the naive scan, across re-bucket sweeps.
+// A mover must leave (and re-enter) radio range across re-bucket sweeps
+// exactly when its true position does, with or without a declared bound.
 func TestGridMovingNodeWithSpeedBound(t *testing.T) {
 	for _, declare := range []bool{true, false} {
 		s := sim.New(1)
-		cfg := gridQuiet()
+		cfg := quiet()
 		cfg.BitrateBps = 0
 		m := New(s, cfg)
 		got := 0
@@ -468,7 +446,7 @@ func TestGridMovingNodeWithSpeedBound(t *testing.T) {
 
 func TestSetSpeedBoundEdgeCases(t *testing.T) {
 	s := sim.New(1)
-	m, _ := build(s, gridQuiet(), geom.Point{}, geom.Point{X: 10})
+	m, _ := build(s, quiet(), geom.Point{}, geom.Point{X: 10})
 	m.SetSpeedBound(99, 5) // unknown id: no-op
 	m.SetSpeedBound(0, 0)
 	m.SetSpeedBound(0, -3)          // back to unbounded
@@ -485,55 +463,46 @@ func TestSetSpeedBoundEdgeCases(t *testing.T) {
 // the previous count, and AppendNeighbors into a sized buffer allocates
 // nothing at all.
 func TestNeighborsAllocation(t *testing.T) {
-	for _, cfg := range []Config{quiet(), gridQuiet()} {
-		s := sim.New(1)
-		m := New(s, cfg)
-		for i := 0; i < 100; i++ {
-			m.AddNode(NodeID(i), fixed(geom.Point{X: float64(i * 20)}), HandlerFunc(func(NodeID, []byte) {}))
-			m.SetSpeedBound(NodeID(i), 0)
-		}
-		m.Neighbors(50) // warm the size hint
-		if a := testing.AllocsPerRun(100, func() { m.Neighbors(50) }); a > 1 {
-			t.Errorf("index=%d: Neighbors allocates %v/op, want <= 1", cfg.Index, a)
-		}
-		buf := make([]NodeID, 0, 128)
-		if a := testing.AllocsPerRun(100, func() { buf = m.AppendNeighbors(50, buf[:0]) }); a != 0 {
-			t.Errorf("index=%d: AppendNeighbors allocates %v/op, want 0", cfg.Index, a)
-		}
+	s := sim.New(1)
+	m := New(s, quiet())
+	for i := 0; i < 100; i++ {
+		m.AddNode(NodeID(i), fixed(geom.Point{X: float64(i * 20)}), HandlerFunc(func(NodeID, []byte) {}))
+		m.SetSpeedBound(NodeID(i), 0)
+	}
+	m.Neighbors(50) // warm the size hint
+	if a := testing.AllocsPerRun(100, func() { m.Neighbors(50) }); a > 1 {
+		t.Errorf("Neighbors allocates %v/op, want <= 1", a)
+	}
+	buf := make([]NodeID, 0, 128)
+	if a := testing.AllocsPerRun(100, func() { buf = m.AppendNeighbors(50, buf[:0]) }); a != 0 {
+		t.Errorf("AppendNeighbors allocates %v/op, want 0", a)
 	}
 }
 
-// BenchmarkNeighbors guards the allocation fix and shows the index
-// crossover: ~25 in-range neighbours out of 1000 attached nodes.
+// BenchmarkNeighbors guards the allocation fix: ~25 in-range neighbours
+// out of 1000 attached nodes.
 func BenchmarkNeighbors(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		kind IndexKind
-	}{{"naive", IndexNaive}, {"grid", IndexGrid}} {
-		s := sim.New(1)
-		cfg := quiet()
-		cfg.Index = mode.kind
-		m := New(s, cfg)
-		rng := rand.New(rand.NewSource(1))
-		for i := 0; i < 1000; i++ {
-			p := geom.Point{X: rng.Float64() * 4000, Y: rng.Float64() * 4000}
-			m.AddNode(NodeID(i), fixed(p), HandlerFunc(func(NodeID, []byte) {}))
-			m.SetSpeedBound(NodeID(i), 0)
-		}
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				m.Neighbors(NodeID(i % 1000))
-			}
-		})
-		b.Run(mode.name+"/append", func(b *testing.B) {
-			buf := make([]NodeID, 0, 256)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				buf = m.AppendNeighbors(NodeID(i%1000), buf[:0])
-			}
-		})
+	s := sim.New(1)
+	m := New(s, quiet())
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1000; i++ {
+		p := geom.Point{X: rng.Float64() * 4000, Y: rng.Float64() * 4000}
+		m.AddNode(NodeID(i), fixed(p), HandlerFunc(func(NodeID, []byte) {}))
+		m.SetSpeedBound(NodeID(i), 0)
 	}
+	b.Run("grid", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			m.Neighbors(NodeID(i % 1000))
+		}
+	})
+	b.Run("grid/append", func(b *testing.B) {
+		buf := make([]NodeID, 0, 256)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			buf = m.AppendNeighbors(NodeID(i%1000), buf[:0])
+		}
+	})
 }
 
 func BenchmarkBroadcastFanout50(b *testing.B) {

@@ -1,18 +1,17 @@
 // Package scalebench holds the scale workloads shared by the
-// BenchmarkScale* benches and cmd/sbrbench -scale at 250-10000 nodes:
-//
-//   - the radio-layer flood workload (ScaleNetwork) comparing the naive
-//     linear-scan medium against the spatial grid, and
-//   - the crypto-layer verification workload (CryptoNetwork) comparing
-//     the memoized verification cache against direct recomputation.
+// BenchmarkScale* benches and cmd/sbrbench -scale at 250-100000 nodes:
+// the radio-layer flood (ScaleNetwork), the pooled wire path (WireNetwork)
+// and the audit sweep (AuditNetwork), recorded as exact event, frame and
+// allocation counts, and the verification, binding-table, formation and
+// sharded-engine workloads, each measured against its own baseline cell.
+// Trend compares two sweeps cell by cell.
 package scalebench
 
 // Radio workload: the radio-layer traffic shape of the broadcast-heavy
-// protocol phases (DAD floods, DSR route discovery) at 250-10000 nodes,
-// used to compare the naive linear-scan medium against the spatial grid.
+// protocol phases (DAD floods, DSR route discovery) at 250-10000 nodes.
 // The node count sweeps while density stays constant — the regime the
-// paper's unit-disk model assumes — so the naive medium's per-broadcast
-// cost grows linearly with N and the grid's stays flat.
+// paper's unit-disk model assumes — so the grid's per-broadcast cost
+// stays flat as N grows.
 
 import (
 	"fmt"
@@ -51,15 +50,11 @@ type ScaleNetwork struct {
 }
 
 // BuildScaleNetwork constructs the workload network. The area side scales
-// with sqrt(n) so the expected degree is independent of n. pooled selects
-// the pooled wire path (the default everywhere else); the wire workload
-// builds both variants to ratio their allocation rates.
-func BuildScaleNetwork(n int, kind radio.IndexKind, pooled bool, seed int64) *ScaleNetwork {
+// with sqrt(n) so the expected degree is independent of n.
+func BuildScaleNetwork(n int, seed int64) *ScaleNetwork {
 	s := sim.New(seed)
 	cfg := radio.DefaultConfig()
-	cfg.Index = kind
 	cfg.LossRate = 0.05
-	cfg.FramePool = pooled
 	m := radio.New(s, cfg)
 
 	side := 125 * math.Sqrt(float64(n))
@@ -97,9 +92,9 @@ func (sn *ScaleNetwork) Round() {
 }
 
 // ScaleResult is one measured cell of the scale sweep, JSON-shaped for
-// BENCH_scale.json. Mode is "radio" (naive vs grid medium) or "crypto"
-// (cache vs nocache verification); Index names the variant inside the
-// mode. The verify_* fields are populated for crypto cells only.
+// BENCH_scale.json. Mode names the workload and Index the variant inside
+// it ("grid" and "pool" for the single-cell radio, audit and wire modes).
+// The verify_* fields are populated for crypto and bindtable cells only.
 type ScaleResult struct {
 	Mode     string  `json:"mode"`
 	Nodes    int     `json:"nodes"`
@@ -123,17 +118,17 @@ type ScaleResult struct {
 
 	// Wire cells only: heap allocations per broadcast operation (encode +
 	// transmit + every delivery event), measured over the timed rounds.
-	// Unlike wall time this is machine-independent AND run-to-run exact in
-	// a single-threaded deterministic simulation, so the nopool/pool trend
-	// ratio is the sharpest cell in the sweep.
+	// Unlike wall time this is machine-independent and near-exact in a
+	// single-threaded deterministic simulation, so the trend gates it
+	// directly.
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
 }
 
-// RunScale measures the workload at n nodes under the given index kind.
-// Wall time is measured by the caller-supplied clock so the package stays
-// free of direct wall-time reads outside this deliberate benchmark.
-func RunScale(n int, kind radio.IndexKind, seed int64, rounds int, now func() time.Time) ScaleResult {
-	nw := BuildScaleNetwork(n, kind, true, seed)
+// RunScale measures the workload at n nodes. Wall time is measured by the
+// caller-supplied clock so the package stays free of direct wall-time
+// reads outside this deliberate benchmark.
+func RunScale(n int, seed int64, rounds int, now func() time.Time) ScaleResult {
+	nw := BuildScaleNetwork(n, seed)
 	nw.Round() // warm the index and mobility legs before timing
 	baseEvents, baseStats := nw.S.Processed(), nw.M.Stats()
 	start := now()
@@ -148,14 +143,10 @@ func RunScale(n int, kind radio.IndexKind, seed int64, rounds int, now func() ti
 	stats.TxFrames -= baseStats.TxFrames
 	stats.RxFrames -= baseStats.RxFrames
 	stats.LostFrames -= baseStats.LostFrames
-	name := map[radio.IndexKind]string{radio.IndexNaive: "naive", radio.IndexGrid: "grid"}[kind]
-	if name == "" {
-		name = "auto"
-	}
 	return ScaleResult{
 		Mode:     "radio",
 		Nodes:    n,
-		Index:    name,
+		Index:    "grid",
 		Rounds:   rounds,
 		WallMS:   float64(wall.Nanoseconds()) / 1e6 / float64(rounds),
 		Events:   events,
@@ -175,8 +166,7 @@ func RunScale(n int, kind radio.IndexKind, seed int64, rounds int, now func() ti
 // byte-identical (the differential suite in internal/shard). The ratio is
 // therefore a pure wall-clock speedup of the identical computation, which
 // is what lets it sit under the trend gate. This is also the only sweep
-// mode that reaches 100k nodes: the naive medium's O(N^2) round is
-// unaffordable there, while the sharded grid round stays linear.
+// mode that reaches 100k nodes.
 
 // ShardRegions is the region count of the sharded variant. Fixed rather
 // than NumCPU-derived so the recorded workload is identical on every
@@ -194,8 +184,8 @@ type ShardNetwork struct {
 }
 
 // BuildShardNetwork constructs the workload at n nodes and the given region
-// count: the radio workload's constant-density placement and lossy links on
-// the spatial-grid index, but static — flood deliveries land nanoseconds
+// count: the radio workload's constant-density placement and lossy links,
+// but static — flood deliveries land nanoseconds
 // apart, so every conservative window holds thousands of events and the
 // cell measures parallel throughput. Mobility would interleave refresh
 // chains ~tens of microseconds apart, far sparser than the propagation
@@ -205,7 +195,6 @@ type ShardNetwork struct {
 // drowned in it would gate nothing.
 func BuildShardNetwork(n, regions int, seed int64) *ShardNetwork {
 	cfg := radio.DefaultConfig()
-	cfg.Index = radio.IndexGrid
 	cfg.LossRate = 0.05
 
 	side := 125 * math.Sqrt(float64(n))
@@ -265,17 +254,17 @@ func RunShard(n, regions int, seed int64, rounds int, now func() time.Time) Scal
 	}
 }
 
-// --- wire workload: the pooled zero-alloc wire path vs the allocating one ---
+// --- wire workload: allocations of the pooled zero-alloc wire path ---
 //
 // The same flood traffic shape as the radio workload, but each broadcast
 // goes through the full encode path — a realistic Data packet with a
-// source route is serialized per transmission — so the cell measures what
-// the pooled wire path actually eliminates: the per-packet encode buffer,
-// the per-receiver delivery closures and events, and the per-transmit
+// source route is serialized into a pooled frame per transmission — so the
+// cell measures what the pooled wire path must keep at zero: the
+// per-packet encode buffer, the delivery events and the per-transmit
 // bookkeeping. The measured quantity is allocations per broadcast, not
 // wall time: in a single-threaded deterministic simulation the allocation
-// count is exact and machine-independent, which makes the nopool/pool
-// ratio the most reliable cell in the trend gate.
+// count is machine-independent, which makes it the sharpest cell the trend
+// gate has.
 
 // WirePayload is the Data payload size of the wire workload, the 64-byte
 // shape the radio workload floods.
@@ -285,16 +274,13 @@ const WirePayload = 64
 // round re-encodes and broadcasts.
 type WireNetwork struct {
 	*ScaleNetwork
-	pooled bool
-	pkts   []*wire.Packet
-	enc    wire.Encoder
+	pkts []*wire.Packet
+	enc  wire.Encoder
 }
 
-// BuildWireNetwork constructs the wire workload at n nodes. The medium
-// index is fixed to the grid (index scaling is the radio workload's
-// dimension); pooled selects the wire-path variant under test.
-func BuildWireNetwork(n int, pooled bool, seed int64) *WireNetwork {
-	nw := BuildScaleNetwork(n, radio.IndexGrid, pooled, seed)
+// BuildWireNetwork constructs the wire workload at n nodes.
+func BuildWireNetwork(n int, seed int64) *WireNetwork {
+	nw := BuildScaleNetwork(n, seed)
 	rng := newRand(seed)
 	pkts := make([]*wire.Packet, n)
 	for i := range pkts {
@@ -308,32 +294,27 @@ func BuildWireNetwork(n int, pooled bool, seed int64) *WireNetwork {
 			Msg:      &wire.Data{FlowID: uint32(i), Payload: make([]byte, WirePayload)},
 		}
 	}
-	return &WireNetwork{ScaleNetwork: nw, pooled: pooled, pkts: pkts}
+	return &WireNetwork{ScaleNetwork: nw, pkts: pkts}
 }
 
-// Round performs one flood epoch with a real encode per broadcast: the
-// pooled variant sizes a pooled frame with EncodedSize and appends into
-// it; the unpooled variant is the historical Encode-then-Broadcast path.
+// Round performs one flood epoch with a real encode per broadcast: each
+// packet is sized, appended into a pooled frame and handed to the medium.
 func (wn *WireNetwork) Round() {
 	for i, pkt := range wn.pkts {
 		pkt.Msg.(*wire.Data).Seq++ // fresh bytes each round, like real flows
-		if wn.pooled {
-			raw := wn.enc.AppendEncode(wn.M.Frame(wn.enc.Size(pkt)), pkt)
-			wn.M.BroadcastFrame(radio.NodeID(i), raw)
-		} else {
-			wn.M.Broadcast(radio.NodeID(i), wire.Encode(pkt))
-		}
+		raw := wn.enc.AppendEncode(wn.M.Frame(wn.enc.Size(pkt)), pkt)
+		wn.M.BroadcastFrame(radio.NodeID(i), raw)
 	}
 	wn.S.Run()
 	wn.S.RunFor(time.Second)
 }
 
-// RunWire measures the wire workload at n nodes for one variant. Ops are
-// broadcasts; allocations are counted with runtime.MemStats over the
-// timed rounds (exact in this single-threaded setting), after a warmup
-// round has populated the pools, the event free lists and the index.
-func RunWire(n int, pooled bool, seed int64, rounds int, now func() time.Time) ScaleResult {
-	wn := BuildWireNetwork(n, pooled, seed)
+// RunWire measures the wire workload at n nodes. Ops are broadcasts;
+// allocations are counted with runtime.MemStats over the timed rounds,
+// after a warmup round has populated the pools, the event free lists and
+// the index.
+func RunWire(n int, seed int64, rounds int, now func() time.Time) ScaleResult {
+	wn := BuildWireNetwork(n, seed)
 	wn.Round() // warm: pools, free lists, grid, mobility legs
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -343,15 +324,11 @@ func RunWire(n int, pooled bool, seed int64, rounds int, now func() time.Time) S
 	}
 	wall := now().Sub(start)
 	runtime.ReadMemStats(&after)
-	name := "nopool"
-	if pooled {
-		name = "pool"
-	}
 	ops := float64(n) * float64(rounds)
 	return ScaleResult{
 		Mode:        "wire",
 		Nodes:       n,
-		Index:       name,
+		Index:       "pool",
 		Rounds:      rounds,
 		WallMS:      float64(wall.Nanoseconds()) / 1e6 / float64(rounds),
 		AllocsPerOp: float64(after.Mallocs-before.Mallocs) / ops,
@@ -380,15 +357,14 @@ const FormationTTL = 5
 // sweep's constant density (~12 neighbours each), fast DAD timers, no
 // traffic — the run is the bootstrap itself.
 func BuildFormation(n int, k boot.Kind, seed int64) *scenario.Scenario {
-	return buildFormation(n, k, seed, audit.Config{}, radio.IndexAuto)
+	return buildFormation(n, k, seed, audit.Config{})
 }
 
-// buildFormation is BuildFormation with the audit sweep configuration and
-// medium index the audit workload layers on top.
-func buildFormation(n int, k boot.Kind, seed int64, ac audit.Config, kind radio.IndexKind) *scenario.Scenario {
+// buildFormation is BuildFormation with the audit sweep configuration the
+// audit workload layers on top.
+func buildFormation(n int, k boot.Kind, seed int64, ac audit.Config) *scenario.Scenario {
 	cfg := scenario.DefaultConfig()
 	cfg.Protocol.Audit = ac
-	cfg.Radio.Index = kind
 	cfg.Seed = seed
 	cfg.N = n
 	side := 125 * math.Sqrt(float64(n))
@@ -453,14 +429,7 @@ type AuditNetwork struct {
 // admission, constant density) with the audit sweep configured. The
 // bootstrap happens outside any timed region.
 func BuildAuditNetwork(n int, seed int64) *AuditNetwork {
-	return BuildAuditNetworkIndexed(n, radio.IndexAuto, seed)
-}
-
-// BuildAuditNetworkIndexed is BuildAuditNetwork with the medium index
-// forced, so the sweep-cost cells can ratio the naive scan against the
-// spatial grid on the whole-protocol audit workload.
-func BuildAuditNetworkIndexed(n int, kind radio.IndexKind, seed int64) *AuditNetwork {
-	sc := buildFormation(n, boot.PerCell, seed, audit.Config{Period: AuditPeriod, TTL: FormationTTL}, kind)
+	sc := buildFormation(n, boot.PerCell, seed, audit.Config{Period: AuditPeriod, TTL: FormationTTL})
 	if configured := sc.Bootstrap(); configured != n {
 		panic(fmt.Sprintf("scalebench: audit workload formation left %d/%d unaddressed", n-configured, n))
 	}
@@ -468,13 +437,13 @@ func BuildAuditNetworkIndexed(n int, kind radio.IndexKind, seed int64) *AuditNet
 }
 
 // RunAuditSweep measures the per-sweep-period cost of the standing audit at
-// n nodes under the given medium index. Bootstrap happens outside the timed
-// region; the conflict-free invariant (zero steady-state verifications) is
-// enforced, never silently recorded.
-func RunAuditSweep(n int, kind radio.IndexKind, seed int64, rounds int, now func() time.Time) ScaleResult {
-	an := BuildAuditNetworkIndexed(n, kind, seed)
+// n nodes. Bootstrap happens outside the timed region; the conflict-free
+// invariant (zero steady-state verifications) is enforced, never silently
+// recorded. Event and frame counts are deltas over the timed rounds.
+func RunAuditSweep(n int, seed int64, rounds int, now func() time.Time) ScaleResult {
+	an := BuildAuditNetwork(n, seed)
 	an.Round() // warm: neighbor tables and flood seen-sets
-	baseEvents := an.SC.S.Processed()
+	baseEvents, baseStats := an.SC.S.Processed(), an.SC.Medium.Stats()
 	start := now()
 	for r := 0; r < rounds; r++ {
 		an.Round()
@@ -483,17 +452,16 @@ func RunAuditSweep(n int, kind radio.IndexKind, seed int64, rounds int, now func
 	if ops := an.VerifyOps(); ops != 0 {
 		panic(fmt.Sprintf("scalebench: conflict-free audit sweep performed %d verifications", ops))
 	}
-	name := map[radio.IndexKind]string{radio.IndexNaive: "naive", radio.IndexGrid: "grid"}[kind]
-	if name == "" {
-		name = "auto"
-	}
+	stats := an.SC.Medium.Stats()
 	return ScaleResult{
-		Mode:   "audit",
-		Nodes:  n,
-		Index:  name,
-		Rounds: rounds,
-		WallMS: float64(wall.Nanoseconds()) / 1e6 / float64(rounds),
-		Events: an.SC.S.Processed() - baseEvents,
+		Mode:     "audit",
+		Nodes:    n,
+		Index:    "grid",
+		Rounds:   rounds,
+		WallMS:   float64(wall.Nanoseconds()) / 1e6 / float64(rounds),
+		Events:   an.SC.S.Processed() - baseEvents,
+		TxFrames: stats.TxFrames - baseStats.TxFrames,
+		RxFrames: stats.RxFrames - baseStats.RxFrames,
 	}
 }
 

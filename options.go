@@ -32,20 +32,6 @@ const (
 	PlaceLine                     // horizontal chain, Spacing metres apart
 )
 
-// MediumIndex selects the neighbor-index implementation of the radio
-// medium. Every kind produces byte-for-byte identical per-seed results;
-// the choice only trades query cost against bookkeeping, so it normally
-// stays on MediumAuto. WithMediumIndex is the escape hatch for forcing one
-// side, e.g. to benchmark the naive scan against the spatial grid.
-type MediumIndex int
-
-// Medium index kinds.
-const (
-	MediumAuto  MediumIndex = iota // linear scan below ~64 nodes, grid above
-	MediumNaive                    // always the O(N) linear port scan
-	MediumGrid                     // always the spatial hash grid
-)
-
 // BootPolicy selects the bootstrap admission policy: how DAD starts are
 // spread out during network formation. Every policy forms the same network
 // — all nodes addressed, addresses unique, duplicate claims detected with
@@ -333,42 +319,7 @@ func WithRadio(r Radio) Option {
 			BroadcastJitter: r.BroadcastJitter,
 			MaxQueueDelay:   s.cfg.Radio.MaxQueueDelay,
 			UnicastRetries:  r.UnicastRetries,
-			// Orthogonal knobs with their own options survive a radio swap.
-			Index:        s.cfg.Radio.Index,
-			FramePool:    s.cfg.Radio.FramePool,
-			PoisonFrames: s.cfg.Radio.PoisonFrames,
-		}
-		return nil
-	}
-}
-
-// WithFramePool toggles the pooled zero-alloc wire path: size-class frame
-// buffers recycled per medium, one shared encoded frame per broadcast, and
-// recycled transmit/delivery event state. It is on by default — the pooled
-// path is proven byte-for-byte result-identical to the allocating one —
-// and exists mainly so benchmarks and differential tests can measure the
-// unpooled baseline.
-func WithFramePool(on bool) Option {
-	return func(s *Scenario) error {
-		s.cfg.Radio.FramePool = on
-		return nil
-	}
-}
-
-// WithMediumIndex forces the radio medium's neighbor-index implementation.
-// The default (MediumAuto) picks the spatial grid automatically once the
-// network is large enough; per-seed results are identical either way.
-func WithMediumIndex(k MediumIndex) Option {
-	return func(s *Scenario) error {
-		switch k {
-		case MediumAuto:
-			s.cfg.Radio.Index = radio.IndexAuto
-		case MediumNaive:
-			s.cfg.Radio.Index = radio.IndexNaive
-		case MediumGrid:
-			s.cfg.Radio.Index = radio.IndexGrid
-		default:
-			return fmt.Errorf("WithMediumIndex(%d): unknown index kind: %w", k, ErrOption)
+			PoisonFrames:    s.cfg.Radio.PoisonFrames,
 		}
 		return nil
 	}

@@ -47,7 +47,6 @@ func TestOptionValidation(t *testing.T) {
 		{"infinite area", []sbr6.Option{sbr6.WithArea(math.Inf(1), 100)}, "finite"},
 		{"NaN radio range", []sbr6.Option{sbr6.WithRadio(sbr6.Radio{Range: math.NaN()})}, "finite"},
 		{"NaN mobility", []sbr6.Option{sbr6.WithMobility(sbr6.Mobility{MaxSpeed: math.NaN()})}, "speeds"},
-		{"unknown medium index", []sbr6.Option{sbr6.WithMediumIndex(sbr6.MediumIndex(99))}, "WithMediumIndex"},
 		{"zero boot stagger", []sbr6.Option{sbr6.WithBootStagger(0)}, "WithBootStagger"},
 		{"flow from out of range", []sbr6.Option{
 			sbr6.WithNodes(5),

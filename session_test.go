@@ -3,7 +3,9 @@ package sbr6_test
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -292,5 +294,38 @@ func TestResumeRejectsGarbage(t *testing.T) {
 	// The untampered bytes must still resume.
 	if _, err := sbr6.Resume(good); err != nil {
 		t.Fatalf("Resume of a genuine snapshot failed: %v", err)
+	}
+}
+
+// A snapshot written by an earlier build must still resume. The committed
+// fuzz seed was taken from a 16-node session whose radio config still
+// carried the since-removed "Index" and "FramePool" keys, and whose medium
+// answered receiver queries with a linear port scan. Resume replays the
+// session on today's grid-only medium and checks the replayed state
+// digest, so success proves the replay is byte for byte the one that was
+// recorded, and that the dropped keys still decode.
+func TestResumeCommittedSnapshot(t *testing.T) {
+	raw, err := os.ReadFile("testdata/fuzz/FuzzSnapshotRoundTrip/seed_genuine")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The corpus file is "go test fuzz v1" followed by one []byte literal.
+	_, lit, ok := strings.Cut(strings.TrimSpace(string(raw)), "\n[]byte(")
+	if !ok || !strings.HasSuffix(lit, ")") {
+		t.Fatalf("unexpected corpus layout: %.60q", raw)
+	}
+	data, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(data, `"Index":0,"FramePool":true,`) {
+		t.Fatal("seed no longer carries the removed radio keys; the test proves nothing")
+	}
+	sess, err := sbr6.Resume([]byte(data))
+	if err != nil {
+		t.Fatalf("Resume of the committed snapshot failed: %v", err)
+	}
+	if got := sess.NodeCount(); got < 16 {
+		t.Fatalf("resumed session holds %d nodes, want at least 16", got)
 	}
 }
