@@ -1,7 +1,18 @@
 package radio_test
 
 // Pooled wire path differential suite: frame recycling must be invisible.
-// For every scenario in the equivalence matrix and every seed, a run with
+//
+// The unpooled comparison drives one traffic script through the two kinds
+// of entry point the medium keeps: pooled frames (Frame, BroadcastFrame,
+// UnicastFrame, ReleaseFrame), whose buffers the medium recycles, and
+// caller-owned buffers (Broadcast, Unicast), which it never touches. Each
+// scenario of the equivalence matrix lends its radio config and layout;
+// the script floods relayed broadcasts, unicasts in and out of range and
+// flaps nodes down. Both runs must log the same deliveries — instant,
+// receiver, sender and bytes — the same ACK outcomes and the same
+// counters.
+//
+// The poisoned comparison then runs the scenarios themselves: a run with
 // Config.PoisonFrames — every released frame overwritten before reuse —
 // must produce a Result identical to the plain pooled run: same receiver
 // sets, same delivery ordering, same RNG consumption, same counters, same
@@ -17,6 +28,7 @@ package radio_test
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -27,6 +39,170 @@ import (
 	"sbr6/internal/scenario"
 	"sbr6/internal/sim"
 )
+
+// wireEvent is one logged outcome of the traffic script: a delivery, or a
+// unicast's final ACK outcome (To is then the addressee and Bytes holds
+// "ack" or "nack").
+type wireEvent struct {
+	At       sim.Time
+	To, From radio.NodeID
+	Bytes    string
+}
+
+// wireTrace is everything a traffic-script run can observe.
+type wireTrace struct {
+	Events []wireEvent
+	Stats  radio.Stats
+}
+
+// Traffic-script frame layout: kind, hops left, origin, sequence number
+// (two bytes), then filler.
+const (
+	scriptFlood = iota
+	scriptUnicast
+)
+
+// runWireScript attaches the scenario's nodes, at their initial
+// positions, to a fresh medium with the scenario's radio config and plays
+// the seeded traffic script through pooled frames or caller-owned
+// buffers. Link-layer retries are switched on, so failed unicasts
+// retransmit the buffer they already hold. Every received flood frame is
+// relayed once per node while hops remain: a receiver copies the borrowed
+// frame into a buffer of its own, the way the protocol's forwarders do.
+func runWireScript(t *testing.T, sc *scenario.Scenario, seed int64, pooled bool) (wireTrace, *radio.Medium) {
+	t.Helper()
+	s := sim.New(seed)
+	cfg := sc.Medium.Config()
+	cfg.UnicastRetries = 2
+	m := radio.New(s, cfg)
+	n := sc.Cfg.N
+	var tr wireTrace
+	buf := func(size int) []byte {
+		if pooled {
+			return m.Frame(size)
+		}
+		return make([]byte, 0, size)
+	}
+	broadcast := func(from radio.NodeID, f []byte) {
+		if pooled {
+			m.BroadcastFrame(from, f)
+		} else {
+			m.Broadcast(from, f)
+		}
+	}
+	unicast := func(from, to radio.NodeID, f []byte) {
+		acked := func(ok bool) {
+			verdict := "nack"
+			if ok {
+				verdict = "ack"
+			}
+			tr.Events = append(tr.Events, wireEvent{s.Now(), to, from, verdict})
+		}
+		if pooled {
+			m.UnicastFrame(from, to, f, acked)
+		} else {
+			m.Unicast(from, to, f, acked)
+		}
+	}
+	relayed := make([]map[string]bool, n)
+	for i := 0; i < n; i++ {
+		id := radio.NodeID(i)
+		p := sc.Medium.PositionOf(id)
+		relayed[i] = map[string]bool{}
+		m.AddNode(id, func(sim.Time) geom.Point { return p }, radio.HandlerFunc(func(from radio.NodeID, f []byte) {
+			tr.Events = append(tr.Events, wireEvent{s.Now(), id, from, string(f)})
+			if f[0] != scriptFlood || f[1] == 0 || relayed[id][string(f[2:5])] {
+				return
+			}
+			relayed[id][string(f[2:5])] = true
+			r := append(buf(len(f)), f...)
+			r[1]--
+			broadcast(id, r)
+		}))
+	}
+	rng := rand.New(rand.NewSource(seed))
+	const originations = 300
+	for k := 0; k < originations; k++ {
+		from := radio.NodeID(rng.Intn(n))
+		kind, to, pick := rng.Intn(5), radio.NodeID(rng.Intn(n)), rng.Intn(n)
+		size := 37 + rng.Intn(600)
+		flap, flapDown := radio.NodeID(rng.Intn(n)), rng.Intn(3) == 0
+		s.At(sim.Time(k)*sim.Time(25*time.Millisecond), func() {
+			m.SetDown(flap, flapDown)
+			f := append(buf(size), byte(scriptFlood), 3, byte(from), byte(k>>8), byte(k))
+			for len(f) < size {
+				f = append(f, byte(k+len(f)))
+			}
+			switch kind {
+			case 0, 1:
+				broadcast(from, f)
+			case 2: // to a current neighbour, when there is one
+				if nb := m.Neighbors(from); len(nb) > 0 {
+					to = nb[pick%len(nb)]
+				}
+				fallthrough
+			case 3:
+				f[0] = scriptUnicast
+				unicast(from, to, f)
+			case 4: // encoded, then abandoned before transmission
+				if pooled {
+					m.ReleaseFrame(f)
+				}
+			}
+		})
+	}
+	s.Run()
+	tr.Stats = m.Stats()
+	return tr, m
+}
+
+// String shows an event with its bytes cut to the frame header.
+func (e wireEvent) String() string {
+	return fmt.Sprintf("%v %d<-%d %d bytes %.8q", e.At, e.To, e.From, len(e.Bytes), e.Bytes)
+}
+
+// firstDivergence reports the first event at which two traces differ.
+func firstDivergence(a, b []wireEvent) string {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			return fmt.Sprintf("event %d: unpooled %v, pooled %v", i, a[i], b[i])
+		}
+	}
+	return fmt.Sprintf("unpooled logged %d events, pooled %d", len(a), len(b))
+}
+
+func TestFramePoolEquivalentToUnpooled(t *testing.T) {
+	for name, mk := range equivalenceMatrix() {
+		t.Run(name, func(t *testing.T) {
+			for _, seed := range oracleSeeds() {
+				sc := buildSeeded(t, mk, seed)
+				plain, pm := runWireScript(t, sc, seed, false)
+				pooled, m := runWireScript(t, sc, seed, true)
+				if !reflect.DeepEqual(plain.Events, pooled.Events) {
+					t.Fatalf("seed %d: pooled and unpooled deliveries diverged: %s",
+						seed, firstDivergence(plain.Events, pooled.Events))
+				}
+				if plain.Stats != pooled.Stats {
+					t.Fatalf("seed %d: counters diverged:\nunpooled: %+v\n  pooled: %+v", seed, plain.Stats, pooled.Stats)
+				}
+				// The comparison is only worth something if the script
+				// reached every exit of the transmit path and the pooled
+				// run really recycled while the unpooled run never drew.
+				st := plain.Stats
+				if st.RxFrames < 1000 || st.Retries == 0 || st.UnicastFails == 0 || st.QueueDrops == 0 {
+					t.Fatalf("seed %d: script missed a transmit path: %+v", seed, st)
+				}
+				if ps := pm.PoolStats(); ps.Gets != 0 {
+					t.Fatalf("seed %d: unpooled run drew from the pool: %+v", seed, ps)
+				}
+				ps := m.PoolStats()
+				if ps.Live != 0 || ps.Misses*4 > ps.Gets {
+					t.Fatalf("seed %d: pooled run leaked or barely recycled: %+v", seed, ps)
+				}
+			}
+		})
+	}
+}
 
 // runPoisoned builds and runs one configuration with frame poisoning on
 // or off.
