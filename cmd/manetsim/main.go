@@ -49,7 +49,7 @@ func main() {
 		speed       = flag.Float64("speed", 5, "max waypoint speed m/s")
 		duration    = flag.Duration("duration", 30*time.Second, "measurement window")
 		verifycache = flag.Int("verifycache", sbr6.DefaultVerifyCacheEntries,
-			"per-node memoized-verification cache entries (0 disables; results are identical)")
+			"per-node memoized-verification cache entries (0 disables it and the signing memo; results are identical)")
 		bindtable = flag.Int("bindtable", sbr6.DefaultBindTableEntries,
 			"shared cross-node CGA-binding table entries, one table per simulation or per shard region (0 disables; results are identical)")
 		stagger    = flag.Duration("stagger", 0, "delay between DAD starts (0 = safe default; shrink it for 1k+ nodes)")

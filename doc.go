@@ -191,7 +191,21 @@
 // repeated RERRs stop costing signature verifications. The crypto.verify
 // metric deliberately counts logical requests (identical either way);
 // primitive-operation savings are reported by the cache's own Stats.
-// The cache is on by default; WithVerifyCache bounds or disables it.
+//
+// The same cache remembers the node's own signatures. A relay's hop
+// attestation covers only its address and the source's sequence number,
+// and every node's request counter starts at 1, so relays sign
+// byte-identical messages again for every source whose counter reaches
+// the same value. Node signatures (hop attestations, RREQ-source, RREP,
+// CREP and RERR) go through an 8-slot memo keyed by the exact signed
+// bytes, allocated on a node's first signature. A hit is sound because
+// both suites sign deterministically (Ed25519, RSA PKCS#1 v1.5) and the
+// whole message is compared, so an address change is a new message.
+// crypto.sign stays a logical count, like crypto.verify; the primitives
+// made and avoided are Stats.SignMisses and Stats.SignHits.
+// The cache is on by default; WithVerifyCache bounds or disables it, and
+// WithVerifyCache(0) (manetsim -verifycache 0) disables the signing memo
+// with it.
 //
 // # Shared binding table
 //

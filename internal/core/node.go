@@ -50,11 +50,13 @@ type Config struct {
 
 	// VerifyCache bounds the per-node memoized-verification cache
 	// (internal/verifycache): CGA bindings, signature checks and whole
-	// route-record chains are cached under content digests. 0 selects
+	// route-record chains are cached under content digests, and the
+	// node's own signatures under the exact signed bytes (a small memo of
+	// fixed size, which this bound does not change). 0 selects
 	// verifycache.DefaultEntries (the cache is on by default); a negative
-	// value disables memoization entirely. Runs with and without the
-	// cache produce byte-for-byte identical results — the cache only
-	// avoids recomputing checks whose full input was seen before.
+	// value disables both memos. Runs with and without the cache produce
+	// byte-for-byte identical results — the cache only avoids recomputing
+	// checks and deterministic signatures whose full input was seen before.
 	VerifyCache int
 	// BindTable bounds the shared read-mostly CGA-binding table
 	// (internal/bindtable) the scenario attaches beneath every node's
@@ -184,8 +186,9 @@ type Node struct {
 	// protocol once the fresh address survives its objection window.
 	auditRebind *pendingRebind
 
-	// vcache memoizes CGA-binding and signature checks (nil = disabled;
-	// every verify helper is nil-safe and computes directly).
+	// vcache memoizes CGA-binding and signature checks and the node's own
+	// signatures (nil = disabled; every helper is nil-safe and computes
+	// directly).
 	vcache *verifycache.Cache
 	// bindings is the simulation- or region-shared CGA-binding table
 	// (nil = disabled). With a cache it sits beneath the memo's CGA
@@ -523,11 +526,15 @@ func (n *Node) ownsAddr(a ipv6.Addr) bool {
 	return n.dns != nil && (a == ipv6.DNS1 || a == ipv6.DNS2 || a == ipv6.DNS3)
 }
 
-// ownAddrForDiscovery maps an alias the node answers for to its real
-// address (RREPs must carry the CGA-verifiable address).
+// sign counts one logical signature and makes it through the memo cache
+// when enabled: hop attestations and the RREQ-source, RREP, CREP and RERR
+// signatures repeat byte for byte, and a repeat reuses the signature
+// already made. Like crypto.verify, the counter tracks signing requests,
+// not primitive operations, so runs with and without the cache stay
+// byte-for-byte identical; the cache's Stats record the primitives.
 func (n *Node) sign(msg []byte) []byte {
 	n.met.Add1("crypto.sign")
-	return n.ident.Sign(msg)
+	return n.vcache.Sign(n.ident.Priv, msg)
 }
 
 // verify counts one logical signature verification and performs it through

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"strconv"
+
 	"sbr6/internal/dsr"
 	"sbr6/internal/identity"
 	"sbr6/internal/ipv6"
@@ -99,7 +101,7 @@ func (n *Node) handleRREQ(pkt *wire.Packet, m *wire.RREQ) {
 		}
 	}
 
-	if pkt.TTL <= 1 || len(m.SRR) >= 250 {
+	if pkt.TTL <= 1 || len(m.SRR) >= maxFloodRecord {
 		return
 	}
 	fwd := *m
@@ -179,10 +181,10 @@ func (n *Node) verifySRRSlow(m *wire.RREQ) error {
 			return errBadIdentity("hop key", err)
 		}
 		if !n.verifyCGA(h.IP, h.PK, h.Rn) {
-			return errVerifyHop("hop CGA binding", i)
+			return errVerifyHop("CGA binding", i)
 		}
 		if !n.verify(pk, wire.SigHop(h.IP, m.Seq), h.Sig) {
-			return errVerifyHop("hop signature", i)
+			return errVerifyHop("signature", i)
 		}
 	}
 	return nil
@@ -410,8 +412,10 @@ func (e verifyError) Error() string { return "core: verification failed: " + str
 
 func errVerify(what string) error { return verifyError(what) }
 
+// errVerifyHop names the failing entry of the route record by its index,
+// counting from 0 at the relay nearest the source.
 func errVerifyHop(what string, hop int) error {
-	return verifyError(what)
+	return verifyError("hop " + strconv.Itoa(hop) + " " + what)
 }
 
 func errBadIdentity(what string, err error) error {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"sbr6/internal/dnssrv"
@@ -143,6 +144,24 @@ func TestVerifySRRRejectsTamperedHop(t *testing.T) {
 	m.SRR[0].Sig = ids[0].Sign(wire.SigHop(ids[1].Addr, 4))
 	if n.verifySRR(m) == nil {
 		t.Fatal("hop signed by the wrong key accepted")
+	}
+}
+
+// A rejected route record names the failing hop by its index in the
+// record, so a log line says which relay's attestation was bad.
+func TestVerifySRRNamesFailingHop(t *testing.T) {
+	n, ids := newVerifier(t)
+	tampers := map[string]func(h *wire.HopAttestation){
+		"hop 1 signature":   func(h *wire.HopAttestation) { h.Sig = ids[0].Sign(wire.SigHop(h.IP, 5)) },
+		"hop 1 CGA binding": func(h *wire.HopAttestation) { h.Rn++ },
+	}
+	for want, tamper := range tampers {
+		m := honestRREQ(ids[0], []*identity.Identity{ids[1], ids[2], ids[3]}, 5)
+		tamper(&m.SRR[1])
+		err := n.verifySRR(m)
+		if err == nil || !strings.HasSuffix(err.Error(), ": "+want) {
+			t.Errorf("tampered hop 1: error %v, want one ending in %q", err, want)
+		}
 	}
 }
 

@@ -180,3 +180,103 @@ func TestDisabledCacheRecordsNothing(t *testing.T) {
 		t.Fatalf("disabled cache recorded traffic: %+v", got)
 	}
 }
+
+// newSigner builds a standalone configured node of the given suite with
+// the memo cache on.
+func newSigner(t *testing.T, suite identity.Suite) *Node {
+	t.Helper()
+	s := sim.New(1)
+	medium := radio.New(s, radio.DefaultConfig())
+	ident, err := identity.New(suite, rand.New(rand.NewSource(2)), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Suite = suite
+	n := New(s, medium, 0, ident, ident.Pub, cfg, rand.New(rand.NewSource(3)), nil)
+	medium.AddNode(0, func(sim.Time) geom.Point { return geom.Point{} }, n)
+	n.StartConfigured()
+	return n
+}
+
+// The signing memo returns exactly the bytes a direct Identity.Sign
+// makes, for both suites. The messages outnumber the memo's slots, so
+// some share a slot and evict each other; each is signed twice in a row
+// (a hit) and again after all the others.
+func TestSignMemoMatchesDirectSign(t *testing.T) {
+	for _, suite := range []identity.Suite{identity.SuiteEd25519, identity.SuiteRSA1024} {
+		t.Run(suite.String(), func(t *testing.T) {
+			n := newSigner(t, suite)
+			var msgs [][]byte
+			for seq := uint32(1); seq <= 12; seq++ {
+				msgs = append(msgs, wire.SigHop(n.Addr(), seq), wire.SigRREQSource(n.Addr(), seq))
+			}
+			check := func(msg []byte) {
+				if got, want := n.sign(msg), n.ident.Sign(msg); string(got) != string(want) {
+					t.Fatalf("memo signature of %x differs from a direct signature", msg)
+				}
+			}
+			for _, msg := range msgs {
+				check(msg)
+				check(msg)
+			}
+			for _, msg := range msgs {
+				check(msg)
+			}
+			st := n.VerifyCacheStats()
+			if st.SignHits < uint64(len(msgs)) || st.SignMisses <= uint64(len(msgs)) {
+				t.Fatalf("stats %+v: want a hit per message and, with slots shared, more than %d misses", st, len(msgs))
+			}
+			if got := n.Metrics().Get("crypto.sign"); got != float64(3*len(msgs)) {
+				t.Fatalf("crypto.sign = %v, want %d logical signatures", got, 3*len(msgs))
+			}
+		})
+	}
+}
+
+// A relay whose address changes (audit rekey, DNS rebind) attests the new
+// address: the memo keys on the whole signed message, never on the
+// sequence number alone. The relay changes address more times than the
+// memo has slots, attesting the same sequence number each time, so some
+// new address shares a slot with an earlier one.
+func TestHopAttestationAfterAddressChange(t *testing.T) {
+	n := newSigner(t, identity.SuiteEd25519)
+	prev := n.hopAttestation(5)
+	for i := 0; i < 32; i++ {
+		n.ident.Regenerate(n.rng)
+		h := n.hopAttestation(5)
+		if h.IP == prev.IP || h.IP != n.Addr() {
+			t.Fatalf("rekey %d: attestation address %v, want the new address %v", i, h.IP, n.Addr())
+		}
+		if !n.ident.Pub.Verify(wire.SigHop(h.IP, 5), h.Sig) {
+			t.Fatalf("rekey %d: attestation does not verify under the new address", i)
+		}
+		prev = h
+	}
+}
+
+// A memoized signature is handed to every packet that repeats it, so no
+// caller may modify one. Relays of a chain attest the same sequence
+// numbers for sources at both ends; after the traffic, every signature
+// the memo hands out again must still equal a direct signature.
+func TestSharedSignaturesStayIntact(t *testing.T) {
+	tn := chain(t, fastConfig(true), 4, nil)
+	tn.bootstrap(t)
+	if got := deliverData(tn, 1, 4, 3); got != 3 {
+		t.Fatalf("delivered %d of 3 from node 1", got)
+	}
+	if got := deliverData(tn, 4, 1, 3); got != 3 {
+		t.Fatalf("delivered %d of 3 from node 4", got)
+	}
+	for _, relay := range tn.nodes[2:4] {
+		if relay.VerifyCacheStats().SignHits == 0 {
+			t.Fatalf("relay %v never reused a signature", relay.Addr())
+		}
+		for seq := uint32(1); seq <= 3; seq++ {
+			msg := wire.SigHop(relay.Addr(), seq)
+			if string(relay.sign(msg)) != string(relay.ident.Sign(msg)) {
+				t.Fatalf("relay %v: signature of seq %d was modified after it was handed out", relay.Addr(), seq)
+			}
+		}
+	}
+}

@@ -133,6 +133,28 @@ func TestEd25519Deterministic(t *testing.T) {
 	}
 }
 
+// TestSignIsDeterministic holds every suite to deterministic signing: one
+// key signing one message twice yields equal bytes. The signing memo in
+// internal/verifycache hands out a stored signature in place of a fresh
+// one, which is sound only while this holds. Every suite belongs in the
+// list: a randomized one, such as PSS or ECDSA, fails here and must not
+// sign through the memo. RSA-2048 signs through the same code as RSA-1024.
+func TestSignIsDeterministic(t *testing.T) {
+	for _, suite := range []Suite{SuiteEd25519, SuiteRSA1024} {
+		t.Run(suite.String(), func(t *testing.T) {
+			id, err := New(suite, rand.New(rand.NewSource(3)), "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			msg := []byte("hop attestation 7")
+			first, second := id.Sign(msg), id.Sign(msg)
+			if string(first) != string(second) {
+				t.Fatalf("two signatures of one message differ:\n%x\n%x", first, second)
+			}
+		})
+	}
+}
+
 func TestRSA2048RoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("RSA-2048 keygen is slow")

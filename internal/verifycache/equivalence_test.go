@@ -4,9 +4,9 @@ package verifycache_test
 // pure memoization. For every scenario in the matrix and every seed, a run
 // with the per-node cache enabled must produce a Result byte-for-byte
 // identical to the same run with the cache disabled — same deliveries,
-// same route choices, same rejection counters, same crypto.verify
-// accounting — while the cache's own stats prove the primitive operation
-// count actually dropped. The matrix deliberately includes adversaries
+// same route choices, same rejection counters, same crypto.verify and
+// crypto.sign accounting — while the cache's own stats prove the
+// primitive operation counts actually dropped. The matrix deliberately includes adversaries
 // (black holes forging cached replies, RERR spammers, a fake DNS, a gray
 // hole) so that "every attack detected without the cache is detected with
 // it" is checked on full runs, not just unit fixtures.
@@ -139,6 +139,7 @@ func TestVerifyCacheEquivalentToDirect(t *testing.T) {
 		seeds = seeds[:2] // keep the -race CI lap affordable
 	}
 	var totalHits, totalLogical, totalPrimitive uint64
+	var signHits, signMisses, signLogical uint64
 	detections := map[string]float64{}
 	for name, mk := range equivalenceMatrix() {
 		t.Run(name, func(t *testing.T) {
@@ -162,6 +163,9 @@ func TestVerifyCacheEquivalentToDirect(t *testing.T) {
 				totalHits += cachedStats.Hits()
 				totalLogical += uint64(cached.CryptoVerify)
 				totalPrimitive += cachedStats.SigMisses
+				signHits += cachedStats.SignHits
+				signMisses += cachedStats.SignMisses
+				signLogical += uint64(cached.CryptoSign)
 			}
 		})
 	}
@@ -177,6 +181,16 @@ func TestVerifyCacheEquivalentToDirect(t *testing.T) {
 	if totalPrimitive >= totalLogical {
 		t.Fatalf("crypto op count did not drop: %d primitive vs %d logical verifications",
 			totalPrimitive, totalLogical)
+	}
+	// Signing: crypto.sign counts every logical signature, memoized or
+	// not (DAD, audit and DNS signatures stay direct), so the cache-off
+	// run made signLogical primitive signatures and each memo hit is one
+	// this run did not make.
+	if signHits+signMisses > signLogical {
+		t.Fatalf("signing memo saw %d requests, more than the %d logical signatures", signHits+signMisses, signLogical)
+	}
+	if primitive := signLogical - signHits; primitive >= signLogical {
+		t.Fatalf("signature count did not drop: %d primitive vs %d logical signatures", primitive, signLogical)
 	}
 	var detected float64
 	for _, c := range []string{"crep.rejected", "rerr.spammer_flagged", "dns.answer_rejected", "probe.concluded"} {

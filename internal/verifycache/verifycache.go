@@ -23,6 +23,16 @@
 // check whose verdict depends on mutable local state (pending challenges,
 // route caches, credit standing). Those stay outside this package.
 //
+// The cache also remembers the signatures its owner made (Sign). A relay
+// attests only (its address, the source's sequence number), and every
+// node's request counter starts at 1, so a relay signs byte-identical
+// messages again for every source whose counter reaches the same value.
+// Every suite in package identity signs deterministically (Ed25519, RSA
+// PKCS#1 v1.5), and the memo keys on the exact signed bytes, so a hit
+// returns exactly the signature the private key would compute. The
+// memo is a small direct-mapped table, allocated on the owner's first
+// signature; it is on and off with the rest of the cache.
+//
 // The cache is per node and the simulator drives each node from a single
 // goroutine, so there is no locking; parallel batch replicates build
 // disjoint caches.
@@ -31,6 +41,7 @@ package verifycache
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"hash/fnv"
 
 	"sbr6/internal/bindtable"
 	"sbr6/internal/identity"
@@ -57,17 +68,21 @@ const (
 // Stats counts cache traffic. Hits are primitive operations avoided;
 // misses are operations actually performed through the cache. A chain hit
 // stands for the whole sequence of per-hop checks the chain would redo.
+// SignHits and SignMisses count the signing memo: a miss is one primitive
+// signature, a hit one avoided.
 type Stats struct {
 	CGAHits, CGAMisses     uint64
 	SigHits, SigMisses     uint64
 	ChainHits, ChainMisses uint64
 	Evictions              uint64
+	SignHits, SignMisses   uint64
 }
 
-// Hits sums hits over all check kinds.
+// Hits sums hits over all check kinds; signing is not a check and stays
+// out.
 func (s Stats) Hits() uint64 { return s.CGAHits + s.SigHits + s.ChainHits }
 
-// Misses sums misses over all check kinds.
+// Misses sums misses over all check kinds; signing stays out.
 func (s Stats) Misses() uint64 { return s.CGAMisses + s.SigMisses + s.ChainMisses }
 
 // Add accumulates other into s (for aggregating per-node caches).
@@ -79,6 +94,8 @@ func (s *Stats) Add(other Stats) {
 	s.ChainHits += other.ChainHits
 	s.ChainMisses += other.ChainMisses
 	s.Evictions += other.Evictions
+	s.SignHits += other.SignHits
+	s.SignMisses += other.SignMisses
 }
 
 type entry struct {
@@ -110,6 +127,9 @@ type Cache struct {
 	// purely node-local — their content (challenges, sequence numbers)
 	// rarely repeats across nodes, so sharing them would buy nothing.
 	shared *bindtable.Table
+
+	// signs is the owner's signing memo, nil until its first Sign.
+	signs *signMemo
 }
 
 // New creates a cache bounded to capacity entries (DefaultEntries when
@@ -285,6 +305,55 @@ func (c *Cache) ChainStore(k Key, err error, verifies int) {
 		return
 	}
 	c.insert(&entry{key: k, err: err, verifies: verifies})
+}
+
+// --- signing memo ---
+
+// signSlots bounds the signing memo. A relay's repeated hop attestations
+// differ only in the trailing sequence number, which signSlot spreads
+// over distinct slots, so the table keeps the signatures of about eight
+// recent sequence numbers: about 1 KiB per node with Ed25519.
+const signSlots = 8
+
+// signMemo is a direct-mapped table of the owner's latest signatures.
+type signMemo [signSlots]signed
+
+type signed struct {
+	msg string // the signed bytes: the whole key
+	sig []byte
+}
+
+// Sign returns priv's signature over msg, reusing the signature already
+// made for identical bytes. A Cache signs for one key, its owner's, which
+// Identity.Regenerate keeps when the address changes. A returned
+// signature is handed out again on later hits, so callers must not
+// modify it.
+func (c *Cache) Sign(priv identity.PrivateKey, msg []byte) []byte {
+	if c == nil {
+		return priv.Sign(msg)
+	}
+	if c.signs == nil {
+		c.signs = new(signMemo)
+	}
+	s := &c.signs[signSlot(msg)]
+	if s.sig != nil && s.msg == string(msg) {
+		c.stats.SignHits++
+		return s.sig
+	}
+	c.stats.SignMisses++
+	sig := priv.Sign(msg)
+	*s = signed{msg: string(msg), sig: sig}
+	return sig
+}
+
+// signSlot hashes msg with 32-bit FNV-1a. Its last step xors in the final
+// byte and multiplies by an odd prime, so messages that differ only in
+// the low three bits of their last byte, such as hop attestations for
+// consecutive sequence numbers, land in different slots.
+func signSlot(msg []byte) int {
+	h := fnv.New32a()
+	_, _ = h.Write(msg) // a hash.Hash never returns a write error
+	return int(h.Sum32() % signSlots)
 }
 
 // --- key construction ---

@@ -1,6 +1,7 @@
 package verifycache
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -78,6 +79,32 @@ func TestSigMemoAgreesWithDirect(t *testing.T) {
 	st := c.Stats()
 	if st.SigHits != 2 || st.SigMisses != 4 {
 		t.Fatalf("stats = %+v, want 2 hits / 4 misses", st)
+	}
+}
+
+// Two messages that share a slot evict each other, and each is still
+// answered with its own signature: a hit compares the whole stored
+// message, never just the slot.
+func TestSignMemoSharedSlot(t *testing.T) {
+	c := New(64)
+	id := newIdent(t, 7)
+	a := []byte("hop 1")
+	var b []byte
+	for i := 2; b == nil; i++ {
+		if m := []byte(fmt.Sprintf("hop %d", i)); signSlot(m) == signSlot(a) {
+			b = m
+		}
+	}
+	for i, msg := range [][]byte{a, b, a, b, b} {
+		if got := c.Sign(id.Priv, msg); string(got) != string(id.Sign(msg)) {
+			t.Fatalf("sign %d (%q): memo returned another message's signature", i, msg)
+		}
+	}
+	if st := c.Stats(); st.SignMisses != 4 || st.SignHits != 1 {
+		t.Fatalf("stats = %+v, want 4 sign misses and 1 hit", st)
+	}
+	if c.Len() != 0 || c.Stats().Hits()+c.Stats().Misses() != 0 {
+		t.Fatal("signing counted as a check")
 	}
 }
 
@@ -189,6 +216,9 @@ func TestNilCacheComputesDirectly(t *testing.T) {
 		t.Fatal("nil cache reported a chain hit")
 	}
 	c.ChainStore(Key{}, nil, 1) // must not panic
+	if got := c.Sign(id.Priv, msg); string(got) != string(id.Sign(msg)) {
+		t.Fatal("nil cache signed differently from the key")
+	}
 	if c.Len() != 0 || c.Stats() != (Stats{}) {
 		t.Fatal("nil cache reported state")
 	}
@@ -218,10 +248,11 @@ func TestDigestFieldBoundaries(t *testing.T) {
 }
 
 func TestStatsAggregate(t *testing.T) {
-	a := Stats{CGAHits: 1, SigMisses: 2, ChainHits: 3, Evictions: 4}
-	b := Stats{CGAHits: 10, SigHits: 5, ChainMisses: 6}
+	a := Stats{CGAHits: 1, SigMisses: 2, ChainHits: 3, Evictions: 4, SignHits: 7}
+	b := Stats{CGAHits: 10, SigHits: 5, ChainMisses: 6, SignHits: 1, SignMisses: 8}
 	a.Add(b)
-	if a.CGAHits != 11 || a.SigHits != 5 || a.SigMisses != 2 || a.ChainHits != 3 || a.ChainMisses != 6 || a.Evictions != 4 {
+	if a.CGAHits != 11 || a.SigHits != 5 || a.SigMisses != 2 || a.ChainHits != 3 || a.ChainMisses != 6 || a.Evictions != 4 ||
+		a.SignHits != 8 || a.SignMisses != 8 {
 		t.Fatalf("aggregate = %+v", a)
 	}
 	if a.Hits() != 11+5+3 || a.Misses() != 2+6 {

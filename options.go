@@ -511,10 +511,14 @@ const DefaultVerifyCacheEntries = verifycache.DefaultEntries
 // WithVerifyCache bounds the per-node memoized-verification cache: CGA
 // bindings, signature checks and whole route-record chains are cached
 // under content digests so identical checks are never recomputed. The
-// cache is on by default (DefaultVerifyCacheEntries); entries <= 0
-// disables memoization entirely — the configuration the differential
-// suite compares against. Per-seed results are byte-for-byte identical
-// either way; only the number of primitive crypto operations changes.
+// same cache keeps a small fixed-size memo of the node's own route
+// signatures, keyed by the exact signed bytes, because relays sign the
+// same (address, sequence number) attestations again and again; entries
+// does not size it. The cache is on by default
+// (DefaultVerifyCacheEntries); entries <= 0 disables memoization entirely,
+// signatures included — the configuration the differential suite
+// compares against. Per-seed results are byte-for-byte identical either
+// way; only the number of primitive crypto operations changes.
 func WithVerifyCache(entries int) Option {
 	return func(s *Scenario) error {
 		if entries > 0 {
