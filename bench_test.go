@@ -409,7 +409,7 @@ func benchmarkVerifyScale(b *testing.B, n int) {
 	}{{"nocache", false}, {"cache", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			nw := scalebench.BuildCryptoNetwork(n, mode.cached, 1, b.N+1)
-			nw.Round() // warm the identity/CGA side of the cache
+			nw.Round() // warm: an untimed epoch grows the heap and the cache map first
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -14,8 +14,8 @@
 //	sbrbench -exp S2,E3 -quick   # selected experiments, small sweeps
 //	sbrbench -list               # enumerate experiments
 //	sbrbench -scale -json        # scale sweeps (radio medium, wire path,
-//	                             # verify cache, binding table, formation,
-//	                             # audit sweep, sharded engine), JSON
+//	                             # verify cache, formation, audit sweep,
+//	                             # sharded engine), JSON
 //	                             # output — this is what seeds
 //	                             # BENCH_scale.json
 //	sbrbench -trend a.json b.json  # machine-independent comparison of two
@@ -49,7 +49,7 @@ func main() {
 		progress = flag.Bool("progress", false, "stream per-run progress to stderr while experiments execute")
 		csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		list     = flag.Bool("list", false, "list available experiments and exit")
-		scale    = flag.Bool("scale", false, "run the scale sweeps (radio, wire, crypto, bindtable, formation, audit, shard) instead of experiments")
+		scale    = flag.Bool("scale", false, "run the scale sweeps (radio, wire, crypto, formation, audit, shard) instead of experiments")
 		jsonOut  = flag.Bool("json", false, "with -scale, emit the results as JSON (seeds BENCH_scale.json)")
 		rounds   = flag.Int("rounds", 3, "flood rounds per scale cell")
 		trend    = flag.Bool("trend", false, "compare two scale sweep JSON files: sbrbench -trend old.json new.json")
@@ -132,9 +132,9 @@ func runTrend(args []string, threshold float64) int {
 
 // runScaleSweep measures every scalebench workload at up to 100000 nodes:
 // the flood and audit workloads as event and frame counts, the wire path
-// as allocations per broadcast, and the verification, binding-table,
-// formation and sharded-engine workloads as baseline/optimized pairs, with
-// wall time per round beside each.
+// as allocations per broadcast, and the verification, formation and
+// sharded-engine workloads as baseline/optimized pairs, with wall time per
+// round beside each.
 func runScaleSweep(seed int64, rounds int, jsonOut bool) {
 	sizes := []int{250, 1000, 4000, 10000}
 	var results []scalebench.ScaleResult
@@ -147,11 +147,6 @@ func runScaleSweep(seed int64, rounds int, jsonOut bool) {
 	for _, n := range sizes {
 		for _, cached := range []bool{false, true} {
 			results = append(results, scalebench.RunCryptoScale(n, cached, seed, rounds, time.Now))
-		}
-	}
-	for _, n := range []int{1000, 4000, 10000} {
-		for _, shared := range []bool{false, true} {
-			results = append(results, scalebench.RunBindScale(n, shared, seed, rounds, time.Now))
 		}
 	}
 	for _, n := range []int{1000, 4000, 10000} {
@@ -194,8 +189,6 @@ func runScaleSweep(seed int64, rounds int, jsonOut bool) {
 		"nodes", "allocs/broadcast", "wall ms/round")
 	cryptoT := trace.NewTable("verification scale sweep (wall ms per verify round)",
 		"nodes", "nocache", "cache", "speedup", "crypto ops saved")
-	bindT := trace.NewTable(fmt.Sprintf("binding table scale sweep (primitive CGA verifications, %d-node verifier group)", scalebench.BindVerifiers),
-		"nodes", "pernode", "shared", "reduction", "table hits")
 	formT := trace.NewTable("formation scale sweep (wall ms to fully addressed)",
 		"nodes", "serial", "percell", "speedup", "virtual time")
 	auditT := trace.NewTable("audit sweep cost (per sweep period)",
@@ -228,11 +221,6 @@ func runScaleSweep(seed int64, rounds int, jsonOut bool) {
 				fmt.Sprintf("%.1f", a.WallMS), fmt.Sprintf("%.1f", b.WallMS),
 				fmt.Sprintf("%.1fx", a.WallMS/b.WallMS),
 				fmt.Sprintf("%d/%d", a.VerifyOps-b.VerifyOps, a.VerifyOps))
-		case "bindtable":
-			bindT.Add(fmt.Sprint(a.Nodes),
-				fmt.Sprint(a.VerifyOps), fmt.Sprint(b.VerifyOps),
-				fmt.Sprintf("%.1fx", float64(1+a.VerifyOps)/float64(1+b.VerifyOps)),
-				fmt.Sprint(b.CacheHits))
 		case "formation":
 			formT.Add(fmt.Sprint(a.Nodes),
 				fmt.Sprintf("%.1f", a.WallMS), fmt.Sprintf("%.1f", b.WallMS),
@@ -247,7 +235,6 @@ func runScaleSweep(seed int64, rounds int, jsonOut bool) {
 	fmt.Println(radioT.String())
 	fmt.Println(wireT.String())
 	fmt.Println(cryptoT.String())
-	fmt.Println(bindT.String())
 	fmt.Println(formT.String())
 	fmt.Println(auditT.String())
 	fmt.Println(shardT.String())

@@ -177,15 +177,17 @@
 //
 // # Verification cache
 //
-// Every node memoizes its cryptographic checks — CGA bindings, signature
-// verifications and whole route-record chains — in a bounded LRU keyed by
-// SHA-256 digests of the full verified content (internal/verifycache).
-// Because both checks are pure functions of that content, a hit is
-// exactly the verdict recomputation would produce: cached and uncached
-// runs yield byte-for-byte identical per-seed Results (enforced by the
-// differential suite in internal/verifycache, adversaries included), and
-// nothing keyed by less than the full content or dependent on mutable
-// local state is ever memoized. What changes is only the number of
+// Every node memoizes its signature verifications and whole route-record
+// chains in a bounded LRU keyed by SHA-256 digests of the full verified
+// content (internal/verifycache). CGA bindings are checked directly with
+// cga.Verify: one digest and a compare cost less than a memo hit, which
+// digests the same inputs and then looks them up. Because both memoized
+// checks are pure functions of that content, a hit is exactly the verdict
+// recomputation would produce: cached and uncached runs yield
+// byte-for-byte identical per-seed Results (enforced by the differential
+// suite in internal/verifycache, adversaries included), and nothing keyed
+// by less than the full content or dependent on mutable local state is
+// ever memoized. What changes is only the number of
 // primitive crypto operations, which is what makes 10k-node formations
 // affordable: duplicate flood copies, re-served CREP attestations and
 // repeated RERRs stop costing signature verifications. The crypto.verify
@@ -206,26 +208,6 @@
 // The cache is on by default; WithVerifyCache bounds or disables it, and
 // WithVerifyCache(0) (manetsim -verifycache 0) disables the signing memo
 // with it.
-//
-// # Shared binding table
-//
-// The per-node memo dedups repeated checks across time at one node; the
-// shared CGA-binding table (internal/bindtable) dedups the first check
-// across nodes. One read-mostly table per simulation — or one per
-// region under WithShards, populated only by that region's event loop
-// and exchanged at no barrier — maps the content digest of one
-// (address, public key, modifier) binding to its cga.Verify verdict, so
-// a flood binding verified by any node is served, positive or negative,
-// to every later node in the same region. Verdicts are pure functions
-// of the digested bytes, so serving one changes no behavior: table on,
-// off and paranoid (every served verdict recomputed, disagreement
-// panics) runs are byte-for-byte identical, enforced by the
-// differential suite in internal/bindtable across the scenario matrix,
-// seeds and shard counts, with cross-node poisoning probes in
-// internal/bindtable and internal/core. The crypto.verify metric still
-// counts logical requests per node; primitives absorbed across nodes
-// are the table's own Stats. On by default beneath every node's memo;
-// WithBindingTable bounds or disables it.
 //
 // # The region-sharded core
 //
@@ -266,8 +248,8 @@
 // walltime (no wall clock, no global math/rand), simrng (RNG streams
 // minted only by annotated seed-derived owners; crypto/rand confined to
 // identity keygen), globalstate (no package-level mutable vars) and
-// directverify (no direct cga.Verify calls bypassing the memoized
-// verification path).
+// directverify (no direct identity.PublicKey.Verify calls bypassing
+// the memoized signature check).
 // Exceptions require a reasoned //sbr6:allow or //sbr6:commutative
 // annotation, inventoried by `sbr6lint -list-allows`. globalstate in
 // particular is what makes the region-sharded core's ownership rules

@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"sbr6/internal/boot"
+	"sbr6/internal/cga"
 	"sbr6/internal/identity"
 	"sbr6/internal/ipv6"
 	"sbr6/internal/ndp"
@@ -168,9 +169,10 @@ func BuildObjection(owner *identity.Identity, contested ipv6.Addr, ch uint64, rr
 	}
 }
 
-// ValidateAdv runs the two-step proof check on a re-advertisement through v
-// (nil computes directly): the advertised address must equal H(PK, rn) and
-// the signature must verify over (SIP, seq, ch) under PK. The ndp
+// ValidateAdv runs the two-step proof check on a re-advertisement, with
+// the signature check through v (nil computes directly): the advertised
+// address must equal H(PK, rn) and the signature must verify over
+// (SIP, seq, ch) under PK. The ndp
 // sentinel errors are reused so attack experiments assert one vocabulary.
 func ValidateAdv(v ndp.Verifier, m *wire.AuditAdv, suite identity.Suite) error {
 	return validateBinding(v, m.SIP, m.PK, m.Rn, wire.SigAuditAdv(m.SIP, m.Seq, m.Ch), m.Sig, suite)
@@ -194,7 +196,7 @@ func validateBinding(v ndp.Verifier, addr ipv6.Addr, pkBytes []byte, rn uint64, 
 	if v == nil {
 		v = ndp.DirectVerifier{}
 	}
-	if !v.VerifyCGA(addr, pkBytes, rn) {
+	if !cga.Verify(addr, pkBytes, rn) {
 		return ndp.ErrCGABinding
 	}
 	if !v.VerifySig(pk, msg, sig) {

@@ -37,6 +37,12 @@ func TestVerifyRejectsWrongInputs(t *testing.T) {
 	if Verify(fake, pubA, 42) {
 		t.Fatal("verified a non-site-local address")
 	}
+	if Verify(Address(pubB, 42), pubA, 42) {
+		t.Fatal("verified another host's address")
+	}
+	if Verify(ipv6.MustParse("2001:db8::1"), pubA, 42) {
+		t.Fatal("verified a global address")
+	}
 }
 
 func TestModifierChangesAddressKeepsKey(t *testing.T) {

@@ -44,15 +44,11 @@ func (n *Node) auditTTL() uint8 {
 }
 
 // verifier returns the node's memoizing verifier: the cache when
-// enabled (it consults the shared binding table beneath), the table
-// adapter when only the table is on, and nil for the documented
-// direct-computation fallback (a typed-nil interface would bypass it).
+// enabled, and nil for the documented direct-computation fallback (a
+// typed-nil interface would bypass it).
 func (n *Node) verifier() ndp.Verifier {
 	if n.vcache != nil {
 		return n.vcache
-	}
-	if n.bindings != nil {
-		return tableVerifier{n.bindings}
 	}
 	return nil
 }

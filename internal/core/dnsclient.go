@@ -184,7 +184,9 @@ func (n *Node) handleUpdate(pkt *wire.Packet, m *wire.Update) {
 	// Count the verifications the server actually performed — it
 	// short-circuits on unknown names, stale challenges and failed CGA
 	// checks, so a flat "+3" would overcount exactly the rejected
-	// (adversarial) updates and poison cache-hit accounting.
+	// (adversarial) updates and poison cache-hit accounting. The count
+	// includes the two CGA checks: the one place CGA checks reach
+	// crypto.verify.
 	res, verifies := n.dns.HandleUpdateCounted(m)
 	n.met.Inc("crypto.verify", float64(verifies))
 	n.met.Add1("crypto.sign")

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sbr6/internal/cga"
 	"sbr6/internal/dsr"
 	"sbr6/internal/identity"
 	"sbr6/internal/ipv6"
@@ -304,7 +305,7 @@ func (n *Node) handleRERR(pkt *wire.Packet, m *wire.RERR) {
 		// (IIP, NIP) content, so repeated (and spammed) RERRs hit the
 		// signature memo after the first check.
 		ipk, err := identity.ParsePublicKey(n.cfg.Suite, m.IPK)
-		if err != nil || !n.verifyCGA(m.IIP, m.IPK, m.Irn) ||
+		if err != nil || !cga.Verify(m.IIP, m.IPK, m.Irn) ||
 			!n.verify(ipk, wire.SigRERR(m.IIP, m.NIP), m.Sig) {
 			n.met.Add1("rerr.rejected")
 			return

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"sbr6/internal/audit"
-	"sbr6/internal/bindtable"
 	"sbr6/internal/credit"
 	"sbr6/internal/dnssrv"
 	"sbr6/internal/dsr"
@@ -49,28 +48,17 @@ type Config struct {
 	MaxSalvage uint8
 
 	// VerifyCache bounds the per-node memoized-verification cache
-	// (internal/verifycache): CGA bindings, signature checks and whole
-	// route-record chains are cached under content digests, and the
-	// node's own signatures under the exact signed bytes (a small memo of
-	// fixed size, which this bound does not change). 0 selects
-	// verifycache.DefaultEntries (the cache is on by default); a negative
-	// value disables both memos. Runs with and without the cache produce
-	// byte-for-byte identical results — the cache only avoids recomputing
-	// checks and deterministic signatures whose full input was seen before.
+	// (internal/verifycache): signature checks and whole route-record
+	// chains are cached under content digests, and the node's own
+	// signatures under the exact signed bytes (a small memo of fixed
+	// size, which this bound does not change). CGA bindings are checked
+	// directly: one digest and a compare cost less than a memo lookup.
+	// 0 selects verifycache.DefaultEntries (the cache is on by default);
+	// a negative value disables both memos. Runs with and without the
+	// cache produce byte-for-byte identical results — the cache only
+	// avoids recomputing checks and deterministic signatures whose full
+	// input was seen before.
 	VerifyCache int
-	// BindTable bounds the shared read-mostly CGA-binding table
-	// (internal/bindtable) the scenario attaches beneath every node's
-	// memo: one table per simulation, or one per region under the
-	// sharded core. 0 selects bindtable.DefaultEntries (the table is on
-	// by default); a negative value disables cross-node sharing. Runs
-	// with and without the table produce byte-for-byte identical
-	// results — it only avoids recomputing a pure function another node
-	// already evaluated on the same event loop.
-	BindTable int
-	// BindParanoia makes every binding-table hit recompute the
-	// primitive and panic on disagreement — the "poisoned" arm of the
-	// differential suite, never on in production runs.
-	BindParanoia bool
 	// FloodCache bounds each per-node duplicate-flood suppression set
 	// (AREQ, RREQ and DNS-control floods). 0 selects 4096 entries —
 	// enough below ~1000 nodes; the scenario harness scales it with the
@@ -186,14 +174,10 @@ type Node struct {
 	// protocol once the fresh address survives its objection window.
 	auditRebind *pendingRebind
 
-	// vcache memoizes CGA-binding and signature checks and the node's own
-	// signatures (nil = disabled; every helper is nil-safe and computes
-	// directly).
+	// vcache memoizes signature and route-record chain checks and the
+	// node's own signatures (nil = disabled; every helper is nil-safe and
+	// computes directly).
 	vcache *verifycache.Cache
-	// bindings is the simulation- or region-shared CGA-binding table
-	// (nil = disabled). With a cache it sits beneath the memo's CGA
-	// miss path; without one it still dedups bindings across nodes.
-	bindings *bindtable.Table
 
 	routes  *dsr.Cache
 	credits *credit.Table
@@ -332,48 +316,12 @@ func New(s *sim.Simulator, medium *radio.Medium, link radio.NodeID, ident *ident
 }
 
 // AttachDNS makes this node the MANET's DNS server; it then also owns the
-// well-known anycast address ipv6.DNS1. The server's CGA and signature
-// checks route through this node's memoized verifier so their cost lands
-// in the same Stats as every other check the node performs.
+// well-known anycast address ipv6.DNS1. The server's signature checks
+// route through this node's memoized verifier so their cost lands in the
+// same Stats as every other check the node performs.
 func (n *Node) AttachDNS(srv *dnssrv.Server) {
 	n.dns = srv
 	srv.Verifier = n.verifier()
-}
-
-// SetBindings attaches the shared CGA-binding table. The scenario calls
-// it once per node right after construction: with the memo cache on, the
-// cache consults the table on local misses; with the cache disabled, the
-// table alone still dedups bindings across nodes.
-func (n *Node) SetBindings(t *bindtable.Table) {
-	if t == nil {
-		return
-	}
-	n.bindings = t
-	if n.vcache != nil {
-		n.vcache.SetShared(t)
-	} else {
-		// ndp's pluggable checks flow through the table adapter. Only
-		// assign when the table exists — a typed-nil interface would
-		// defeat ndp's documented direct-computation fallback.
-		n.autoconf.Verify = tableVerifier{t}
-	}
-	if n.dns != nil {
-		n.dns.Verifier = n.verifier()
-	}
-}
-
-// tableVerifier is the ndp.Verifier of a node whose per-node memo is
-// disabled but whose simulation shares a binding table: CGA checks go
-// through the table, signature checks compute directly (the table holds
-// only bindings).
-type tableVerifier struct{ t *bindtable.Table }
-
-func (v tableVerifier) VerifyCGA(addr ipv6.Addr, pk []byte, rn uint64) bool {
-	return v.t.Verify(addr, pk, rn)
-}
-
-func (v tableVerifier) VerifySig(pk identity.PublicKey, msg, sig []byte) bool {
-	return pk.Verify(msg, sig)
 }
 
 // Accessors used by scenarios, examples and the attack package.
@@ -541,21 +489,13 @@ func (n *Node) sign(msg []byte) []byte {
 // the memo cache when enabled. The counter tracks verification *requests*,
 // not primitive operations, so cached and uncached runs stay byte-for-byte
 // identical; the cache's own Stats record how many primitives were avoided.
+// The node's CGA checks call cga.Verify directly and count toward no
+// metric: crypto.verify follows the paper's signature-operation
+// accounting. The one exception is the DNS server's update handler
+// (handleUpdate), which adds the CGA checks dnssrv reports to the count.
 func (n *Node) verify(pk identity.PublicKey, msg, sig []byte) bool {
 	n.met.Add1("crypto.verify")
 	return n.vcache.VerifySig(pk, msg, sig)
-}
-
-// verifyCGA checks the CGA binding addr == H(pk, rn) through the memo
-// cache, which in turn consults the shared binding table on a local miss.
-// With the cache disabled the table (nil-safe) is checked alone. CGA
-// checks are not counted under crypto.verify (they never were: the
-// counter follows the paper's signature-operation accounting).
-func (n *Node) verifyCGA(addr ipv6.Addr, pk []byte, rn uint64) bool {
-	if n.vcache == nil {
-		return n.bindings.Verify(addr, pk, rn)
-	}
-	return n.vcache.VerifyCGA(addr, pk, rn)
 }
 
 // VerifyCacheStats exposes the memo cache's traffic counters (zero when

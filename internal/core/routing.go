@@ -3,6 +3,7 @@ package core
 import (
 	"strconv"
 
+	"sbr6/internal/cga"
 	"sbr6/internal/dsr"
 	"sbr6/internal/identity"
 	"sbr6/internal/ipv6"
@@ -169,7 +170,7 @@ func (n *Node) verifySRRSlow(m *wire.RREQ) error {
 	if err != nil {
 		return errBadIdentity("source key", err)
 	}
-	if !n.verifyCGA(m.SIP, m.SPK, m.Srn) {
+	if !cga.Verify(m.SIP, m.SPK, m.Srn) {
 		return errVerify("source CGA binding")
 	}
 	if !n.verify(spk, wire.SigRREQSource(m.SIP, m.Seq), m.SrcSig) {
@@ -180,7 +181,7 @@ func (n *Node) verifySRRSlow(m *wire.RREQ) error {
 		if err != nil {
 			return errBadIdentity("hop key", err)
 		}
-		if !n.verifyCGA(h.IP, h.PK, h.Rn) {
+		if !cga.Verify(h.IP, h.PK, h.Rn) {
 			return errVerifyHop("CGA binding", i)
 		}
 		if !n.verify(pk, wire.SigHop(h.IP, m.Seq), h.Sig) {
@@ -228,7 +229,7 @@ func (n *Node) handleRREP(pkt *wire.Packet, m *wire.RREP) {
 
 	if n.cfg.Secure {
 		dpk, err := identity.ParsePublicKey(n.cfg.Suite, m.DPK)
-		if err != nil || !n.verifyCGA(m.DIP, m.DPK, m.Drn) ||
+		if err != nil || !cga.Verify(m.DIP, m.DPK, m.Drn) ||
 			!n.verify(dpk, wire.SigRREP(m.SIP, m.Seq, m.RR), m.Sig) {
 			n.met.Add1("rrep.rejected")
 			return
@@ -333,7 +334,7 @@ func (n *Node) handleCREP(pkt *wire.Packet, m *wire.CREP) {
 		// Fresh half: the cache holder signs (S2IP, seq2, RRToS) now; the
 		// fresh seq2 defeats replay.
 		spk, err := identity.ParsePublicKey(n.cfg.Suite, m.SPK)
-		if err != nil || !n.verifyCGA(m.SIP, m.SPK, m.Srn) ||
+		if err != nil || !cga.Verify(m.SIP, m.SPK, m.Srn) ||
 			!n.verify(spk, wire.SigRREP(m.S2IP, m.Seq2, m.RRToS), m.Sig1) {
 			n.met.Add1("crep.rejected")
 			return
@@ -343,7 +344,7 @@ func (n *Node) handleCREP(pkt *wire.Packet, m *wire.CREP) {
 		// attestation recurs every time the holder re-serves its cache
 		// entry, so this is a signature-memo hot spot.
 		dpk, err := identity.ParsePublicKey(n.cfg.Suite, m.DPK)
-		if err != nil || !n.verifyCGA(m.DIP, m.DPK, m.Drn) ||
+		if err != nil || !cga.Verify(m.DIP, m.DPK, m.Drn) ||
 			!n.verify(dpk, wire.SigRREP(m.SIP, m.Seq, m.RRToD), m.Sig2) {
 			n.met.Add1("crep.rejected")
 			return

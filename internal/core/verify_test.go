@@ -263,3 +263,84 @@ func TestVerifyCountsCryptoOps(t *testing.T) {
 		t.Fatalf("crypto.verify delta = %v, want 2", got)
 	}
 }
+
+// Every rewritten CGA check site must reject a message whose modifier is
+// off by one while everything else stays honest. No signature covers the
+// modifier, so the bumped message still carries valid signatures and only
+// the CGA clause can reject it; the unbumped message must be accepted,
+// which proves each probe reaches that clause.
+func TestCGASitesRejectBumpedModifier(t *testing.T) {
+	// reply delivers a route reply for dst at a node with a pending
+	// discovery of seq, and reports whether the reply was rejected and
+	// whether a route to dst was cached.
+	reply := func(n *Node, counter string, dst ipv6.Addr, seq uint32, handle func()) (rejected, accepted bool) {
+		n.pending[dst] = &discovery{seq: seq}
+		before := n.Metrics().Get(counter)
+		handle()
+		_, cached := n.RouteTo(dst)
+		return n.Metrics().Get(counter) > before, cached
+	}
+	crep := func(t *testing.T, bumpSrn, bumpDrn uint64) (bool, bool) {
+		n, ids := newVerifier(t)
+		holder, dst := ids[1], ids[0]
+		m := &wire.CREP{
+			S2IP: n.Addr(), SIP: holder.Addr, DIP: dst.Addr, Seq2: 9, Seq: 3,
+			Sig1: holder.Sign(wire.SigRREP(n.Addr(), 9, nil)),
+			SPK:  holder.Pub.Bytes(), Srn: holder.Rn + bumpSrn,
+			Sig2: dst.Sign(wire.SigRREP(holder.Addr, 3, nil)),
+			DPK:  dst.Pub.Bytes(), Drn: dst.Rn + bumpDrn,
+		}
+		return reply(n, "crep.rejected", dst.Addr, 9, func() { n.handleCREP(&wire.Packet{}, m) })
+	}
+	cases := []struct {
+		site string
+		// run probes the site with the modifier bumped by bump, and
+		// reports whether the message was rejected and whether it was
+		// accepted.
+		run func(t *testing.T, bump uint64) (rejected, accepted bool)
+	}{
+		{"handleRREP Drn", func(t *testing.T, bump uint64) (bool, bool) {
+			n, ids := newVerifier(t)
+			dst := ids[0]
+			rr := []ipv6.Addr{ids[1].Addr}
+			m := &wire.RREP{
+				SIP: n.Addr(), DIP: dst.Addr, Seq: 5, RR: rr,
+				Sig: dst.Sign(wire.SigRREP(n.Addr(), 5, rr)),
+				DPK: dst.Pub.Bytes(), Drn: dst.Rn + bump,
+			}
+			return reply(n, "rrep.rejected", dst.Addr, 5, func() { n.handleRREP(&wire.Packet{}, m) })
+		}},
+		{"handleCREP fresh half Srn", func(t *testing.T, bump uint64) (bool, bool) {
+			return crep(t, bump, 0)
+		}},
+		{"handleCREP cached half Drn", func(t *testing.T, bump uint64) (bool, bool) {
+			return crep(t, 0, bump)
+		}},
+		{"dnssrv.verifyUpdate NewRn", func(t *testing.T, bump uint64) (bool, bool) {
+			n, _ := newVerifier(t)
+			rng := rand.New(rand.NewSource(8))
+			host, err := identity.New(identity.SuiteEd25519, rng, "mobile")
+			if err != nil {
+				t.Fatal(err)
+			}
+			n.dns.Preload("mobile", host.Addr)
+			oldIP, oldRn := host.Addr, host.Rn
+			chal := n.dns.HandleUpdateReq(&wire.UpdateReq{Name: "mobile"})
+			host.Regenerate(rng)
+			upd := dnssrv.BuildUpdate(host, "mobile", oldIP, oldRn, chal.Ch)
+			upd.NewRn += bump // the old binding stays valid
+			res, checks := n.dns.HandleUpdateCounted(upd)
+			return !res.OK && checks == 2, res.OK && checks == 3
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.site, func(t *testing.T) {
+			if rejected, accepted := tc.run(t, 0); rejected || !accepted {
+				t.Fatalf("honest message: rejected=%v accepted=%v, want it accepted", rejected, accepted)
+			}
+			if rejected, accepted := tc.run(t, 1); !rejected || accepted {
+				t.Fatalf("modifier bumped by one: rejected=%v accepted=%v, want it rejected with no route or binding change", rejected, accepted)
+			}
+		})
+	}
+}

@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"time"
 
+	"sbr6/internal/cga"
 	"sbr6/internal/identity"
 	"sbr6/internal/ipv6"
 	"sbr6/internal/ndp"
@@ -54,12 +55,10 @@ type pendingReg struct {
 
 // Server is the DNS server state machine.
 type Server struct {
-	// Verifier, when set by the owning node, routes the server's CGA
-	// and signature checks through that node's memoized verification
-	// path (verify cache and shared binding table) so their cost lands
-	// in the same Stats as every other check. nil computes directly —
-	// historically these checks bypassed the memo entirely, which made
-	// them invisible to cache accounting and to the cross-node dedup.
+	// Verifier, when set by the owning node, routes the server's
+	// signature checks through that node's memoized verification cache
+	// so their cost lands in the same Stats as every other check. nil
+	// computes directly. CGA bindings are checked with cga.Verify.
 	Verifier ndp.Verifier
 
 	clock   ndp.Clock
@@ -219,6 +218,7 @@ func (s *Server) HandleQuery(q *wire.DNSQuery) *wire.DNSAnswer {
 
 // ValidateAnswer is the client-side check of a signed lookup answer.
 func ValidateAnswer(m *wire.DNSAnswer, dnsPub identity.PublicKey, ch uint64) bool {
+	//sbr6:allow directverify only experiments, examples and tests call this; nodes verify answers through core.Node.verify
 	return dnsPub.Verify(wire.SigDNSAnswer(m.Name, m.IP, m.Found, ch), m.Sig)
 }
 
@@ -236,6 +236,7 @@ func (s *Server) HandleUpdateReq(m *wire.UpdateReq) *wire.UpdateChal {
 
 // ValidateUpdateChal is the client-side check of the challenge.
 func ValidateUpdateChal(m *wire.UpdateChal, dnsPub identity.PublicKey) bool {
+	//sbr6:allow directverify only experiments, examples and tests call this; nodes verify challenges through core.Node.verify
 	return dnsPub.Verify(wire.SigUpdateChal(m.Name, m.Ch), m.Sig)
 }
 
@@ -292,15 +293,15 @@ func (s *Server) verifyUpdate(m *wire.Update) (bool, int) {
 	if err != nil {
 		return false, 0
 	}
+	if !cga.Verify(m.OldIP, m.PK, m.Rn) {
+		return false, 1
+	}
+	if !cga.Verify(m.NewIP, m.PK, m.NewRn) {
+		return false, 2
+	}
 	v := s.Verifier
 	if v == nil {
 		v = ndp.DirectVerifier{}
-	}
-	if !v.VerifyCGA(m.OldIP, m.PK, m.Rn) {
-		return false, 1
-	}
-	if !v.VerifyCGA(m.NewIP, m.PK, m.NewRn) {
-		return false, 2
 	}
 	return v.VerifySig(pk, wire.SigUpdate(m.OldIP, m.NewIP, ch), m.Sig), 3
 }
@@ -310,6 +311,7 @@ func ValidateUpdateResult(m *wire.UpdateResult, dnsPub identity.PublicKey, ch ui
 	if m.Ch != ch {
 		return false
 	}
+	//sbr6:allow directverify only experiments, examples and tests call this; nodes verify results through core.Node.verify
 	return dnsPub.Verify(wire.SigUpdateResult(m.Name, m.OK, m.Ch), m.Sig)
 }
 

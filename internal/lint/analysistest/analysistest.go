@@ -15,7 +15,7 @@
 //
 // Fixtures importing the stdlib type-check straight from GOROOT. An
 // analyzer that matches symbols of an sbr6-internal package (e.g.
-// directverify on sbr6/internal/cga) cannot import the real package
+// directverify on sbr6/internal/identity) cannot import the real package
 // from a fixture — the source importer resolves only GOROOT — so the
 // fixture imports a *stub*: a minimal same-path package under
 // testdata/stub/<import-path>/ that declares just the matched symbols.

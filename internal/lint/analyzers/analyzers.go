@@ -15,10 +15,10 @@
 //   - globalstate: package-level mutable state, the direct blocker to the
 //     region-sharded simulation core on the roadmap (region-local state
 //     must be the only state).
-//   - directverify: direct cga.Verify calls that bypass the memoized
-//     verification path (verifycache + the shared bindtable), making
-//     their cost invisible to the Stats the benchmarks and differential
-//     suites account against.
+//   - directverify: direct identity.PublicKey.Verify calls that bypass
+//     the memoized signature check (verifycache), making their cost
+//     invisible to the Stats the benchmarks and differential suites
+//     account against.
 package analyzers
 
 import (
@@ -50,22 +50,21 @@ func ByName(name string) *analysis.Analyzer {
 // lint) and the facade/CLIs (which run scenarios but hold no per-event
 // state).
 var scopedPackages = map[string]bool{
-	"sbr6/internal/sim":       true,
-	"sbr6/internal/core":      true,
-	"sbr6/internal/ndp":       true,
-	"sbr6/internal/radio":     true,
-	"sbr6/internal/scenario":  true,
-	"sbr6/internal/audit":     true,
-	"sbr6/internal/boot":      true,
-	"sbr6/internal/dsr":       true,
-	"sbr6/internal/geom":      true,
-	"sbr6/internal/wire":      true,
-	"sbr6/internal/mobility":  true,
-	"sbr6/internal/attack":    true,
-	"sbr6/internal/pool":      true,
-	"sbr6/internal/shard":     true,
-	"sbr6/internal/bindtable": true,
-	"sbr6/internal/dnssrv":    true,
+	"sbr6/internal/sim":      true,
+	"sbr6/internal/core":     true,
+	"sbr6/internal/ndp":      true,
+	"sbr6/internal/radio":    true,
+	"sbr6/internal/scenario": true,
+	"sbr6/internal/audit":    true,
+	"sbr6/internal/boot":     true,
+	"sbr6/internal/dsr":      true,
+	"sbr6/internal/geom":     true,
+	"sbr6/internal/wire":     true,
+	"sbr6/internal/mobility": true,
+	"sbr6/internal/attack":   true,
+	"sbr6/internal/pool":     true,
+	"sbr6/internal/shard":    true,
+	"sbr6/internal/dnssrv":   true,
 }
 
 // Scoped reports whether the package with the given import path is on

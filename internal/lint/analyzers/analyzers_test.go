@@ -56,8 +56,8 @@ func TestGlobalState(t *testing.T) {
 }
 
 // TestDirectVerify drives the directverify fixture (against the stub
-// cga package): a bare primitive call is flagged, an annotated compute
-// site and a method merely named Verify are not.
+// identity package): a bare PublicKey.Verify call is flagged, an
+// annotated compute site and a VerifySig method on another type are not.
 func TestDirectVerify(t *testing.T) {
 	diags := analysistest.Run(t, DirectVerify, "directverify")
 	if len(diags) != 1 {
@@ -91,7 +91,7 @@ func TestScoped(t *testing.T) {
 		{"sbr6", false},
 		{"sbr6/internal/wire", true},
 		{"sbr6/internal/shard", true},
-		{"sbr6/internal/bindtable", true},
+		{"sbr6/internal/mobility", true},
 		{"sbr6/internal/dnssrv", true},
 	} {
 		if got := Scoped(tc.path); got != tc.want {
@@ -111,7 +111,7 @@ func TestScopedDir(t *testing.T) {
 		{"./internal/scenario", true},
 		{"/root/repo/internal/wire", true},
 		{"internal/shard", true},
-		{"internal/bindtable", true},
+		{"internal/mobility", true},
 		{"internal/dnssrv", true},
 		{"internal/identity", false},
 		{"internal/lint/analyzers", false},

@@ -7,21 +7,21 @@ import (
 	"sbr6/internal/lint/analysis"
 )
 
-// DirectVerify forbids calling the CGA primitive cga.Verify directly on
-// sim paths. Every binding check must flow through the node's memoized
-// verification path — internal/verifycache on top of the shared
-// internal/bindtable — or through an ndp.Verifier hook a node can plug
-// that path into. A direct call recomputes work the memo already paid
-// for, and worse, its cost is invisible: the Stats the benchmarks and
-// the differential suite reason about no longer cover every primitive
-// (exactly the bug internal/dnssrv shipped with for five PRs). The
-// sanctioned compute sites — the memo packages themselves and
-// ndp.DirectVerifier's documented fallback — carry //sbr6:allow
-// annotations; node-local self-checks outside the scoped packages
-// (identity assembly, experiment harnesses) are untouched.
+// DirectVerify forbids calling the signature primitive
+// identity.PublicKey.Verify directly on sim paths. Every signature check
+// must flow through the node's memoized verification path — core's
+// Node.verify on top of internal/verifycache — or through an
+// ndp.Verifier hook a node can plug that path into. A direct call
+// recomputes work the memo already paid for, and worse, its cost is
+// invisible: the Stats the benchmarks and the differential suite reason
+// about no longer cover every primitive. The sanctioned compute sites —
+// ndp.DirectVerifier's documented fallback and the dnssrv client-side
+// validators nodes never call — carry //sbr6:allow annotations. CGA
+// binding checks (cga.Verify) are one digest and a compare, cheaper than
+// a memo lookup, so they are called directly and not policed.
 var DirectVerify = &analysis.Analyzer{
 	Name: "directverify",
-	Doc:  "forbid direct cga.Verify calls that bypass the verification memo on sim paths",
+	Doc:  "forbid direct identity.PublicKey.Verify calls that bypass the signature memo on sim paths",
 	Run:  runDirectVerify,
 }
 
@@ -33,14 +33,26 @@ func runDirectVerify(pass *analysis.Pass) error {
 				return true
 			}
 			fn, ok := pass.TypesInfo.Uses[id].(*types.Func)
-			if !ok || fn.Pkg() == nil {
-				return true
-			}
-			if fn.Pkg().Path() == "sbr6/internal/cga" && fn.Name() == "Verify" {
-				pass.Reportf(id.Pos(), "cga.Verify bypasses the verification memo on a sim path; route the check through the node's verifier (verifycache/bindtable, or an ndp.Verifier hook)")
+			if ok && isPublicKeyVerify(fn) {
+				pass.Reportf(id.Pos(), "identity.PublicKey.Verify bypasses the signature memo on a sim path; route the check through the node's verifier (core's Node.verify, or an ndp.Verifier hook)")
 			}
 			return true
 		})
 	}
 	return nil
+}
+
+// isPublicKeyVerify reports whether fn is the Verify method of the
+// identity.PublicKey interface.
+func isPublicKeyVerify(fn *types.Func) bool {
+	recv := fn.Type().(*types.Signature).Recv()
+	if fn.Name() != "Verify" || recv == nil {
+		return false
+	}
+	named, ok := recv.Type().(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Pkg() != nil && obj.Pkg().Path() == "sbr6/internal/identity" && obj.Name() == "PublicKey"
 }

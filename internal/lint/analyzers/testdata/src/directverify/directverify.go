@@ -1,29 +1,40 @@
 // Package directverify exercises the directverify analyzer: a bare
-// primitive call is flagged, an annotated compute site is allowed, and
-// methods merely named Verify on other types are ignored.
+// primitive call is flagged, an annotated compute site is allowed, and a
+// VerifySig method on another type is ignored.
 package directverify
 
-import "sbr6/internal/cga"
+import "sbr6/internal/identity"
 
-type memo struct{}
+// stub is a PublicKey the fixture can call through.
+type stub struct{}
 
-func (memo) Verify(addr cga.Addr, pk []byte, rn uint64) bool {
-	_ = addr
-	_ = pk
-	_ = rn
+func (stub) Verify(msg, sig []byte) bool {
+	_ = msg
+	_ = sig
 	return false
 }
 
-func bare(addr cga.Addr, pk []byte, rn uint64) bool {
-	return cga.Verify(addr, pk, rn) // want `cga\.Verify bypasses the verification memo`
+var _ identity.PublicKey = stub{}
+
+type memo struct{}
+
+func (memo) VerifySig(pk identity.PublicKey, msg, sig []byte) bool {
+	_ = pk
+	_ = msg
+	_ = sig
+	return false
 }
 
-func allowedComputeSite(addr cga.Addr, pk []byte, rn uint64) bool {
+func bare(pk identity.PublicKey, msg, sig []byte) bool {
+	return pk.Verify(msg, sig) // want `identity\.PublicKey\.Verify bypasses the signature memo`
+}
+
+func allowedComputeSite(pk identity.PublicKey, msg, sig []byte) bool {
 	//sbr6:allow directverify this fixture models the memo's own compute site
-	return cga.Verify(addr, pk, rn)
+	return pk.Verify(msg, sig)
 }
 
-func viaMemo(addr cga.Addr, pk []byte, rn uint64) bool {
+func viaMemo(msg, sig []byte) bool {
 	var m memo
-	return m.Verify(addr, pk, rn)
+	return m.VerifySig(stub{}, msg, sig)
 }

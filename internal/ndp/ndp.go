@@ -38,26 +38,23 @@ var (
 	ErrNotProbing   = errors.New("ndp: no DAD in progress")
 )
 
-// Verifier abstracts the two primitive checks so a node can route them
-// through its memoized verification cache (internal/verifycache
-// implements it). A nil Verifier means direct computation.
+// Verifier abstracts the signature check so a node can route it through
+// its memoized verification cache (internal/verifycache implements it).
+// A nil Verifier means direct computation. CGA bindings are checked
+// directly with cga.Verify: one digest and a compare cost less than a
+// memo lookup.
 type Verifier interface {
-	VerifyCGA(addr ipv6.Addr, pk []byte, rn uint64) bool
 	VerifySig(pk identity.PublicKey, msg, sig []byte) bool
 }
 
-// DirectVerifier computes both checks without memoization — the fallback
-// behind every nil Verifier, shared with the audit sweep's validators.
+// DirectVerifier computes the signature check without memoization — the
+// fallback behind every nil Verifier, shared with the audit sweep's
+// validators.
 type DirectVerifier struct{}
-
-// VerifyCGA implements Verifier.
-func (DirectVerifier) VerifyCGA(addr ipv6.Addr, pk []byte, rn uint64) bool {
-	//sbr6:allow directverify the documented direct-computation fallback behind every nil Verifier
-	return cga.Verify(addr, pk, rn)
-}
 
 // VerifySig implements Verifier.
 func (DirectVerifier) VerifySig(pk identity.PublicKey, msg, sig []byte) bool {
+	//sbr6:allow directverify the documented direct-computation fallback behind every nil Verifier
 	return pk.Verify(msg, sig)
 }
 
@@ -73,7 +70,7 @@ func ValidateAREP(m *wire.AREP, suite identity.Suite, ch uint64) error {
 	return ValidateAREPVia(nil, m, suite, ch)
 }
 
-// ValidateAREPVia is ValidateAREP with the primitive checks performed
+// ValidateAREPVia is ValidateAREP with the signature check performed
 // through v (nil falls back to direct computation).
 func ValidateAREPVia(v Verifier, m *wire.AREP, suite identity.Suite, ch uint64) error {
 	if v == nil {
@@ -83,7 +80,7 @@ func ValidateAREPVia(v Verifier, m *wire.AREP, suite identity.Suite, ch uint64) 
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrBadKey, err)
 	}
-	if !v.VerifyCGA(m.SIP, m.PK, m.Rn) {
+	if !cga.Verify(m.SIP, m.PK, m.Rn) {
 		return ErrCGABinding
 	}
 	if !v.VerifySig(pk, wire.SigAREP(m.SIP, ch), m.Sig) {

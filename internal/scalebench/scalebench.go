@@ -2,8 +2,8 @@
 // BenchmarkScale* benches and cmd/sbrbench -scale at 250-100000 nodes:
 // the radio-layer flood (ScaleNetwork), the pooled wire path (WireNetwork)
 // and the audit sweep (AuditNetwork), recorded as exact event, frame and
-// allocation counts, and the verification, binding-table, formation and
-// sharded-engine workloads, each measured against its own baseline cell.
+// allocation counts, and the verification, formation and sharded-engine
+// workloads, each measured against its own baseline cell.
 // Trend compares two sweeps cell by cell.
 package scalebench
 
@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"sbr6/internal/audit"
-	"sbr6/internal/bindtable"
 	"sbr6/internal/boot"
 	"sbr6/internal/core"
 	"sbr6/internal/geom"
@@ -94,7 +93,7 @@ func (sn *ScaleNetwork) Round() {
 // ScaleResult is one measured cell of the scale sweep, JSON-shaped for
 // BENCH_scale.json. Mode names the workload and Index the variant inside
 // it ("grid" and "pool" for the single-cell radio, audit and wire modes).
-// The verify_* fields are populated for crypto and bindtable cells only.
+// The verify_* fields are populated for crypto cells only.
 type ScaleResult struct {
 	Mode     string  `json:"mode"`
 	Nodes    int     `json:"nodes"`
@@ -601,179 +600,12 @@ func (cn *CryptoNetwork) Round() {
 	}
 }
 
-// --- bindtable workload: shared CGA-binding table vs per-node memos ---
-//
-// The cross-node companion to the crypto workload: the same duplicated
-// route-record streams, but verified by a group of co-located nodes —
-// the shape of a flood epoch, where every node in a neighbourhood sees
-// copies of the same chains. Each node's verify cache dedups its own
-// copies either way; what the shared table dedups is the *first*
-// encounter at every node after the first. The measured quantity is the
-// primitive CGA verification count, not wall time: in this
-// deterministic workload it is exact and machine-independent (the wire
-// workload's allocs-per-op argument), and the expected pernode/shared
-// ratio is the verifier-group size itself. Identities are minted fresh
-// per epoch — reusing a population would let every node's local memo
-// absorb all bindings after the warmup epoch and both cells' deltas
-// would collapse to zero.
-
-// BindVerifiers is the verifier-group size of the bindtable workload:
-// the nodes sharing one region's table, sized to the scale sweep's mean
-// degree (~12) rounded to the shard count.
-const BindVerifiers = 8
-
-// BindNetwork is a group of verifier nodes plus the pre-signed
-// verification streams, one per round. The shared variant wires every
-// node's memo to one binding table; the pernode variant leaves each
-// node to compute its own misses.
-type BindNetwork struct {
-	Nodes []*core.Node
-	Table *bindtable.Table // nil in the pernode variant
-
-	epochs [][]*wire.RREQ
-	next   int
-}
-
-// BuildBindNetwork constructs the workload for `epochs` rounds at
-// n-node scale: BindVerifiers memoizing nodes, and per epoch
-// max(n/32, 8) fresh chains (fresh source and hop identities every
-// epoch) each presented CryptoDuplicates times to every node.
-func BuildBindNetwork(n int, shared bool, seed int64, epochs int) *BindNetwork {
-	s := sim.New(seed)
-	medium := radio.New(s, radio.DefaultConfig())
-	rng := newRand(seed)
-
-	mustIdent := func(name string) *identity.Identity {
-		id, err := identity.New(identity.SuiteEd25519, rng, name)
-		if err != nil {
-			panic(fmt.Sprintf("scalebench: identity: %v", err))
-		}
-		return id
-	}
-	dns := mustIdent("dns")
-	bn := &BindNetwork{}
-	if shared {
-		bn.Table = bindtable.New(0)
-	}
-	for i := 0; i < BindVerifiers; i++ {
-		node := core.New(s, medium, radio.NodeID(i), mustIdent(""), dns.Pub, core.DefaultConfig(), rng, nil)
-		node.StartConfigured()
-		node.SetBindings(bn.Table) // nil table: no-op, per-node misses compute
-		bn.Nodes = append(bn.Nodes, node)
-	}
-
-	fresh := n / 32
-	if fresh < 8 {
-		fresh = 8
-	}
-	var seq uint32
-	for e := 0; e < epochs; e++ {
-		chains := make([]*wire.RREQ, 0, fresh)
-		for j := 0; j < fresh; j++ {
-			seq++
-			src := mustIdent("")
-			m := &wire.RREQ{
-				SIP: src.Addr, DIP: src.Addr, Seq: seq,
-				SrcSig: src.Sign(wire.SigRREQSource(src.Addr, seq)),
-				SPK:    src.Pub.Bytes(), Srn: src.Rn,
-			}
-			for h := 0; h < CryptoChainHops; h++ {
-				hid := mustIdent("")
-				m.SRR = append(m.SRR, wire.HopAttestation{
-					IP:  hid.Addr,
-					Sig: hid.Sign(wire.SigHop(hid.Addr, seq)),
-					PK:  hid.Pub.Bytes(), Rn: hid.Rn,
-				})
-			}
-			chains = append(chains, m)
-		}
-		stream := make([]*wire.RREQ, 0, fresh*CryptoDuplicates)
-		for pass := 0; pass < CryptoDuplicates; pass++ {
-			stream = append(stream, chains...)
-		}
-		bn.epochs = append(bn.epochs, stream)
-	}
-	return bn
-}
-
-// Round presents one epoch's stream to every node; every chain is
-// honest, so any rejection is a bug.
-func (bn *BindNetwork) Round() {
-	stream := bn.epochs[bn.next%len(bn.epochs)]
-	bn.next++
-	for _, node := range bn.Nodes {
-		for _, m := range stream {
-			if err := node.VerifyRouteRecord(m); err != nil {
-				panic(fmt.Sprintf("scalebench: honest chain rejected: %v", err))
-			}
-		}
-	}
-}
-
-// cgaMisses sums the nodes' local CGA miss counters — in the pernode
-// variant every local miss computes the primitive.
-func (bn *BindNetwork) cgaMisses() uint64 {
-	var misses uint64
-	for _, node := range bn.Nodes {
-		misses += node.VerifyCacheStats().CGAMisses
-	}
-	return misses
-}
-
-// RunBindScale measures the bindtable workload at n nodes with the
-// shared table attached or absent. One warmup epoch runs untimed; the
-// logical request count is identical in both variants (the differential
-// bar), only where the primitive computes moves.
-func RunBindScale(n int, shared bool, seed int64, rounds int, now func() time.Time) ScaleResult {
-	bn := BuildBindNetwork(n, shared, seed, rounds+1)
-	bn.Round() // warm: sig memos for epoch-stable keys, table plumbing
-	var baseReq uint64
-	for _, node := range bn.Nodes {
-		baseReq += uint64(node.Metrics().Get("crypto.verify"))
-	}
-	baseMisses := bn.cgaMisses()
-	var baseTable bindtable.Stats
-	if bn.Table != nil {
-		baseTable = bn.Table.Stats()
-	}
-	start := now()
-	for r := 0; r < rounds; r++ {
-		bn.Round()
-	}
-	wall := now().Sub(start)
-
-	var req uint64
-	for _, node := range bn.Nodes {
-		req += uint64(node.Metrics().Get("crypto.verify"))
-	}
-	req -= baseReq
-	name := "pernode"
-	ops := bn.cgaMisses() - baseMisses // no table: every local miss computes
-	var hits uint64
-	if shared {
-		name = "shared"
-		ts := bn.Table.Stats()
-		ops = ts.Misses - baseTable.Misses
-		hits = ts.Hits - baseTable.Hits
-	}
-	return ScaleResult{
-		Mode:           "bindtable",
-		Nodes:          n,
-		Index:          name,
-		Rounds:         rounds,
-		WallMS:         float64(wall.Nanoseconds()) / 1e6 / float64(rounds),
-		VerifyRequests: req,
-		VerifyOps:      ops,
-		CacheHits:      hits,
-	}
-}
-
 // RunCryptoScale measures the verification workload at n nodes with the
 // cache enabled or disabled. One warmup epoch runs untimed (mirroring the
 // radio workload's index warmup), then `rounds` epochs are timed.
 func RunCryptoScale(n int, cached bool, seed int64, rounds int, now func() time.Time) ScaleResult {
 	cn := BuildCryptoNetwork(n, cached, seed, rounds+1)
-	cn.Round() // warm: first epoch populates the CGA/identity side of the cache
+	cn.Round() // warm: an untimed epoch grows the heap and the cache map first
 	met := cn.Node.Metrics()
 	baseReq := uint64(met.Get("crypto.verify"))
 	baseStats := cn.Node.VerifyCacheStats()

@@ -16,7 +16,7 @@ package scalebench
 //   - Cell value (wire). The pool cell's 1+allocs_per_op, flagged when it
 //     grows beyond the threshold. The +1 keeps an allocation-free cell
 //     (the pooled path's steady state) finite and comparable.
-//   - Speedup ratio (crypto, formation, shard, bindtable). Base over
+//   - Speedup ratio (crypto, formation, shard). Base over
 //     optimized cell within one sweep, so the hardware cancels, flagged
 //     when the ratio erodes beyond the threshold.
 //
@@ -54,7 +54,6 @@ var rules = map[string]rule{
 	"crypto":    {kind: ratioRule, base: "nocache", opt: "cache"},
 	"formation": {kind: ratioRule, base: "serial", opt: "percell"},
 	"shard":     {kind: ratioRule, base: "serial", opt: "sharded"},
-	"bindtable": {kind: ratioRule, base: "pernode", opt: "shared"},
 }
 
 // label names what a rule compares in the rendered table.
@@ -79,18 +78,12 @@ func (ru rule) show(p point) string {
 	return fmt.Sprintf("%.2fx", p.value)
 }
 
-// cellValue is the quantity ratio and cell rules compare. Wall time for
-// the wall-bound modes; for the wire mode, 1 + allocations per broadcast;
-// for the bindtable mode, 1 + primitive CGA verifications — its wall time
-// is drowned in signature checks (identical in both cells), while the op
-// count is exact and its pernode/shared ratio is the verifier-group size
-// by construction.
+// cellValue is the quantity ratio and cell rules compare: wall time for
+// the wall-bound modes, and for the wire mode 1 + allocations per
+// broadcast.
 func cellValue(r ScaleResult) float64 {
-	switch r.Mode {
-	case "wire":
+	if r.Mode == "wire" {
 		return 1 + r.AllocsPerOp
-	case "bindtable":
-		return 1 + float64(r.VerifyOps)
 	}
 	return r.WallMS
 }

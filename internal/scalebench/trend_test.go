@@ -102,42 +102,6 @@ func TestTrendWirePairUsesAllocs(t *testing.T) {
 	}
 }
 
-// The bindtable pair ratios primitive CGA verification counts, not wall
-// time: the sig-check-dominated wall clock is identical in both cells,
-// while the shared table losing its dedup (ops regrowing toward the
-// pernode count) erodes the ratio.
-func TestTrendBindtablePairUsesOps(t *testing.T) {
-	old := []ScaleResult{
-		{Mode: "bindtable", Nodes: 4000, Index: "pernode", WallMS: 50, VerifyOps: 6992},
-		{Mode: "bindtable", Nodes: 4000, Index: "shared", WallMS: 48, VerifyOps: 874}, // 8.0x
-	}
-	// Wall times double (different machine); the shared cell now computes
-	// half the pernode count — a real erosion the wall numbers would hide.
-	new := []ScaleResult{
-		{Mode: "bindtable", Nodes: 4000, Index: "pernode", WallMS: 100, VerifyOps: 6992},
-		{Mode: "bindtable", Nodes: 4000, Index: "shared", WallMS: 96, VerifyOps: 3496},
-	}
-	rows := Trend(old, new, 0.15)
-	if len(rows) != 1 {
-		t.Fatalf("got %d rows, want 1", len(rows))
-	}
-	r := rows[0]
-	if r.Gate != "pernode/shared" {
-		t.Fatalf("bindtable pair misnamed: %+v", r)
-	}
-	if !r.Regressed {
-		t.Errorf("dedup erosion not flagged through the op-count ratio: %+v", r)
-	}
-	// Identical op counts on different hardware: no flag.
-	same := Trend(old, []ScaleResult{
-		{Mode: "bindtable", Nodes: 4000, Index: "pernode", WallMS: 100, VerifyOps: 6992},
-		{Mode: "bindtable", Nodes: 4000, Index: "shared", WallMS: 96, VerifyOps: 874},
-	}, 0.15)
-	if Regressed(same) {
-		t.Errorf("machine-speed change flagged on the bindtable pair: %+v", same)
-	}
-}
-
 // gridCell is a radio or audit cell with the given counts at 3 rounds.
 func gridCell(mode string, nodes int, wall float64, events, tx, rx uint64) ScaleResult {
 	return ScaleResult{Mode: mode, Nodes: nodes, Index: "grid", Rounds: 3, WallMS: wall,

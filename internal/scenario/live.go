@@ -44,7 +44,6 @@ import (
 	"time"
 
 	"sbr6/internal/audit"
-	"sbr6/internal/bindtable"
 	"sbr6/internal/core"
 	"sbr6/internal/identity"
 	"sbr6/internal/ipv6"
@@ -422,14 +421,12 @@ func (lv *Live) Join(name string, b core.Behavior) (int, error) {
 		prev := ns.SetOwner(uint32(id) + 1)
 		n = core.New(ns, nm, id, ident, dnsPub, cfg.Protocol, rng, nil)
 		ns.SetOwner(prev)
-		n.SetBindings(sc.eng.BindTable(id))
 		n.Behavior = b
 		sc.eng.AddNode(id, track, n)
 		sc.eng.ScheduleOwnedAt(id, sc.S.Now().Add(jitter), n.Start)
 	} else {
 		id := radio.NodeID(idx)
 		n = core.New(sc.S, sc.Medium, id, ident, dnsPub, cfg.Protocol, rng, nil)
-		n.SetBindings(sc.bindTable)
 		n.Behavior = b
 		sc.Medium.AddNode(id, track.Position, n)
 		if bt, ok := track.(mobility.Bounded); ok {
@@ -446,8 +443,8 @@ func (lv *Live) Join(name string, b core.Behavior) (int, error) {
 }
 
 // Leave removes a node for good: its timers are cancelled, its radio port
-// tombstoned, its binding-table verdict forgotten, and its counters
-// merged into the graveyard. The index is never reused. Barrier-only.
+// tombstoned, and its counters merged into the graveyard. The index is
+// never reused. Barrier-only.
 func (lv *Live) Leave(idx int) error {
 	if !lv.started {
 		return ErrNotStarted
@@ -471,14 +468,10 @@ func (lv *Live) Leave(idx int) error {
 	// Drain samples first so nothing is stranded, then bank the counters.
 	lv.drainInto(n.Metrics())
 	lv.graveyard.Merge(n.Metrics())
-	ident := n.Identity()
-	key := bindtable.KeyOf(ident.Addr, ident.Pub.Bytes(), ident.Rn)
 	n.Shutdown()
 	if sc.eng != nil {
-		sc.eng.BindTable(radio.NodeID(idx)).Forget(key)
 		sc.eng.RemoveNode(radio.NodeID(idx))
 	} else {
-		sc.bindTable.Forget(key)
 		sc.Medium.RemoveNode(radio.NodeID(idx))
 	}
 	return nil

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"sbr6/internal/audit"
-	"sbr6/internal/bindtable"
 	"sbr6/internal/boot"
 	"sbr6/internal/core"
 	"sbr6/internal/dnssrv"
@@ -306,11 +305,6 @@ type Scenario struct {
 
 	// eng is the region-sharded engine, nil on the serial path.
 	eng *shard.Engine
-	// bindTable is the serial path's shared CGA-binding table (nil when
-	// disabled or sharded — the engine owns one table per region). It is
-	// built per run, never in shared configuration: parallel batch
-	// replicates each Build their own disjoint table.
-	bindTable *bindtable.Table
 	// flowLogs defers the shared flow bookkeeping under sharding: send
 	// and delivery events append to their own region's log, and the
 	// engine replays the merged logs in deterministic order at barriers.
@@ -485,19 +479,6 @@ func Build(cfg Config) (*Scenario, error) {
 		sc.Medium = radio.New(sc.S, cfg.Radio)
 	}
 
-	// The shared CGA-binding table: one per simulation on the serial
-	// path, one per region under sharding so it stays region-local by
-	// construction (populated only by the owning region's event loop,
-	// exchanged at no barrier).
-	if cfg.Protocol.BindTable >= 0 {
-		if sc.eng != nil {
-			sc.eng.EnableBindTables(cfg.Protocol.BindTable, cfg.Protocol.BindParanoia)
-		} else {
-			sc.bindTable = bindtable.New(cfg.Protocol.BindTable)
-			sc.bindTable.SetParanoid(cfg.Protocol.BindParanoia)
-		}
-	}
-
 	// The admission schedule is fixed at build time from the formation-start
 	// positions; policies are pure functions of the plan, so they consume no
 	// simulator RNG and never perturb the rest of the seeded run. The
@@ -552,9 +533,6 @@ func Build(cfg Config) (*Scenario, error) {
 		}
 		if sc.eng != nil {
 			ns.SetOwner(prevOwner)
-			n.SetBindings(sc.eng.BindTable(radio.NodeID(i)))
-		} else {
-			n.SetBindings(sc.bindTable)
 		}
 		if b, hostile := cfg.Behaviors[i]; hostile {
 			n.Behavior = b
@@ -732,21 +710,6 @@ func (sc *Scenario) RunFor(d time.Duration) {
 
 // Engine returns the region-sharded engine, or nil on the serial path.
 func (sc *Scenario) Engine() *shard.Engine { return sc.eng }
-
-// BindStats aggregates the shared binding-table counters over the run's
-// tables — the single serial table, or every region's. Zero when the
-// table is disabled; not part of the deterministic Result surface.
-func (sc *Scenario) BindStats() bindtable.Stats {
-	var st bindtable.Stats
-	if sc.eng != nil {
-		for _, t := range sc.eng.BindTables() {
-			st.Add(t.Stats())
-		}
-		return st
-	}
-	st.Add(sc.bindTable.Stats())
-	return st
-}
 
 // Run executes the full experiment: bootstrap, warmup, measured traffic,
 // cooldown; it returns the aggregated result.

@@ -73,7 +73,6 @@ import (
 	"sync"
 	"time"
 
-	"sbr6/internal/bindtable"
 	"sbr6/internal/geom"
 	"sbr6/internal/mobility"
 	"sbr6/internal/radio"
@@ -191,14 +190,6 @@ type Engine struct {
 	// of a joining node is a pure function of its spawn position — the same
 	// at every shard count and under snapshot replay.
 	splits []float64
-
-	// bind, when enabled, holds one region-local CGA-binding table per
-	// region: populated only by the owning region's event loop, never
-	// exchanged at barriers, read across regions only for barrier-time
-	// stats aggregation. Cross-region dedup is deliberately forgone —
-	// region-local by construction means no locks and no cross-loop
-	// happens-before on the hottest verification path.
-	bind []*bindtable.Table
 
 	nexts    []sim.Time // scratch: per-region earliest pending event
 	horizons []sim.Time // scratch: per-region safe horizon
@@ -338,8 +329,8 @@ func (e *Engine) AddNode(id radio.NodeID, track mobility.Track, h radio.Handler)
 // the engine's slices and the region's pruning box are then mutated
 // race-free, exactly like SetDown's history appends. Ids must grow
 // densely (the next id is len(nodes)). The caller builds the node against
-// NodeSim/NodeMedium/BindTable exactly as for a build-time node, then
-// attaches it with AddNode.
+// NodeSim/NodeMedium exactly as for a build-time node, then attaches it
+// with AddNode.
 func (e *Engine) InjectNode(id radio.NodeID, pos geom.Point) {
 	if int(id) != len(e.nodes) {
 		panic("shard: InjectNode ids must extend the node space densely")
@@ -376,41 +367,6 @@ func (e *Engine) RemoveNode(id radio.NodeID) {
 	r.med.RemoveNode(id)
 	if e.finalized {
 		r.nNodes--
-	}
-}
-
-// EnableBindTables creates one shared CGA-binding table per region
-// (entries <= 0 selects the default bound; paranoid arms hit
-// re-verification). Call it before building nodes against the engine so
-// each node can be handed its region's table.
-func (e *Engine) EnableBindTables(entries int, paranoid bool) {
-	e.bind = make([]*bindtable.Table, len(e.regions))
-	for i := range e.bind {
-		t := bindtable.New(entries)
-		t.SetParanoid(paranoid)
-		e.bind[i] = t
-	}
-}
-
-// BindTable returns the binding table of the region owning the node, or
-// nil when tables are disabled. The table is region-local state: it must
-// be touched only from that region's event loop.
-func (e *Engine) BindTable(id radio.NodeID) *bindtable.Table {
-	if e.bind == nil {
-		return nil
-	}
-	return e.bind[e.regionOf[id]]
-}
-
-// BindTables returns every region's table (nil when disabled), for
-// barrier-time stats aggregation only — all regions must be idle.
-func (e *Engine) BindTables() []*bindtable.Table { return e.bind }
-
-// ResetBindTables clears every region table. Barrier-only: all regions
-// must be idle.
-func (e *Engine) ResetBindTables() {
-	for _, t := range e.bind {
-		t.Reset()
 	}
 }
 

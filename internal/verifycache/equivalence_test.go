@@ -138,7 +138,7 @@ func TestVerifyCacheEquivalentToDirect(t *testing.T) {
 	if testing.Short() {
 		seeds = seeds[:2] // keep the -race CI lap affordable
 	}
-	var totalHits, totalLogical, totalPrimitive uint64
+	var sigHits, totalLogical, totalPrimitive uint64
 	var signHits, signMisses, signLogical uint64
 	detections := map[string]float64{}
 	for name, mk := range equivalenceMatrix() {
@@ -160,7 +160,7 @@ func TestVerifyCacheEquivalentToDirect(t *testing.T) {
 					}
 					detections[c] += g
 				}
-				totalHits += cachedStats.Hits()
+				sigHits += cachedStats.SigHits
 				totalLogical += uint64(cached.CryptoVerify)
 				totalPrimitive += cachedStats.SigMisses
 				signHits += cachedStats.SignHits
@@ -171,12 +171,18 @@ func TestVerifyCacheEquivalentToDirect(t *testing.T) {
 	}
 
 	// The equality above must not be vacuous: the adversarial scenarios
-	// must have produced detections, and the cache must have actually
-	// absorbed work. Every signature verification flows through the memo,
-	// so primitives-with-cache = SigMisses and primitives-without-cache =
-	// the logical crypto.verify count.
-	if totalHits == 0 {
-		t.Fatal("cache recorded no hits across the whole matrix")
+	// must have produced detections, and the signature memo must have
+	// actually absorbed work. Every signature verification flows through
+	// the memo, so primitives-with-cache = SigMisses and
+	// primitives-without-cache = the logical crypto.verify count. The
+	// chain memo records no hits in these runs: a node admits each
+	// (source, sequence) flood once, and a copy re-admitted after its id
+	// left the seen-set arrives over another path, so its chain differs;
+	// only a replayed frame could repeat one, and no adversary here
+	// replays. TestChainMemoReplaysAccounting in internal/core covers
+	// chain hits.
+	if sigHits == 0 {
+		t.Fatal("signature memo recorded no hits across the whole matrix")
 	}
 	if totalPrimitive >= totalLogical {
 		t.Fatalf("crypto op count did not drop: %d primitive vs %d logical verifications",

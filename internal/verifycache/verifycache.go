@@ -1,22 +1,27 @@
-// Package verifycache memoizes the two primitive checks behind every
-// verification procedure in the paper — the CGA binding test
-// addr == H(PK, rn) (Sections 3.1/3.3 check (i)) and the signature test
-// (check (ii)) — plus whole route-record chains, in one bounded per-node
-// LRU.
+// Package verifycache memoizes the signature test behind every
+// verification procedure in the paper (Sections 3.1/3.3 check (ii)) and
+// whole route-record chains, in one bounded per-node LRU.
 //
-// Why this is safe under the paper's adversary model: both checks are pure
-// functions of their full input. Cache keys are SHA-256 digests over every
-// byte the check reads (domain-separated per check kind), so a lookup can
-// only hit when the address, key, modifier, message and signature are all
-// identical to an earlier check — in which case recomputing would return
-// the same verdict. An adversary who wants the cache to return a stale
-// "valid" for forged content needs a SHA-256 collision; replaying an old
-// valid message hits the cache but is exactly as valid as it was the first
-// time (replay defense stays where it belongs, in the challenge/sequence
-// fields that are part of the signed content and therefore part of the
-// key). Negative results are cached too: re-presenting a rejected forgery
-// costs one digest instead of one signature verification, which blunts
-// rather than enables flooding with invalid traffic.
+// Check (i), the CGA binding test addr == H(PK, rn), is not memoized:
+// it is one SHA-256 and a compare, cheaper than the digest and map
+// lookup a memo hit costs, so every caller runs cga.Verify directly. A
+// signature verification costs hundreds of times that digest, which is
+// where the memo pays.
+//
+// Why this is safe under the paper's adversary model: both memoized checks
+// are pure functions of their full input. Cache keys are SHA-256 digests
+// over every byte the check reads (domain-separated per check kind), so a
+// lookup can only hit when the key, message and signature (and, for a
+// chain, every address and modifier) are all identical to an earlier
+// check — in which case recomputing would return the same verdict. An
+// adversary who wants the cache to return a stale "valid" for forged
+// content needs a SHA-256 collision; replaying an old valid message hits
+// the cache but is exactly as valid as it was the first time (replay
+// defense stays where it belongs, in the challenge/sequence fields that
+// are part of the signed content and therefore part of the key). Negative
+// results are cached too: re-presenting a rejected forgery costs one
+// digest instead of one signature verification, which blunts rather than
+// enables flooding with invalid traffic.
 //
 // What is deliberately NOT memoizable: anything keyed by less than the
 // full verified content (e.g. "this address was fine recently"), and any
@@ -43,9 +48,7 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 
-	"sbr6/internal/bindtable"
 	"sbr6/internal/identity"
-	"sbr6/internal/ipv6"
 )
 
 // DefaultEntries bounds the cache when the owner does not choose a size.
@@ -57,10 +60,9 @@ const DefaultEntries = 16384
 // Key is a content digest identifying one memoized check.
 type Key [sha256.Size]byte
 
-// Domain-separation tags; hashed into the key so the three check kinds can
+// Domain-separation tags; hashed into the key so the two check kinds can
 // never alias.
 const (
-	tagCGA   = 0x01
 	tagSig   = 0x02
 	tagChain = 0x03
 )
@@ -71,7 +73,6 @@ const (
 // SignHits and SignMisses count the signing memo: a miss is one primitive
 // signature, a hit one avoided.
 type Stats struct {
-	CGAHits, CGAMisses     uint64
 	SigHits, SigMisses     uint64
 	ChainHits, ChainMisses uint64
 	Evictions              uint64
@@ -80,15 +81,13 @@ type Stats struct {
 
 // Hits sums hits over all check kinds; signing is not a check and stays
 // out.
-func (s Stats) Hits() uint64 { return s.CGAHits + s.SigHits + s.ChainHits }
+func (s Stats) Hits() uint64 { return s.SigHits + s.ChainHits }
 
 // Misses sums misses over all check kinds; signing stays out.
-func (s Stats) Misses() uint64 { return s.CGAMisses + s.SigMisses + s.ChainMisses }
+func (s Stats) Misses() uint64 { return s.SigMisses + s.ChainMisses }
 
 // Add accumulates other into s (for aggregating per-node caches).
 func (s *Stats) Add(other Stats) {
-	s.CGAHits += other.CGAHits
-	s.CGAMisses += other.CGAMisses
 	s.SigHits += other.SigHits
 	s.SigMisses += other.SigMisses
 	s.ChainHits += other.ChainHits
@@ -120,14 +119,6 @@ type Cache struct {
 	tail  *entry // least recently used
 	stats Stats
 
-	// shared, when non-nil, is the cross-node binding table consulted
-	// beneath the node-local memo: a CGA miss here may still be a hit
-	// there, because another node on the same event loop already
-	// computed the identical binding. Signature and chain checks stay
-	// purely node-local — their content (challenges, sequence numbers)
-	// rarely repeats across nodes, so sharing them would buy nothing.
-	shared *bindtable.Table
-
 	// signs is the owner's signing memo, nil until its first Sign.
 	signs *signMemo
 }
@@ -155,17 +146,6 @@ func (c *Cache) Stats() Stats {
 		return Stats{}
 	}
 	return c.stats
-}
-
-// SetShared attaches the simulation- (or region-) wide binding table
-// this cache consults on CGA misses. CGAMisses keeps counting local
-// misses either way; how many of those became primitive computations
-// versus cross-node hits is the table's own Stats' business.
-func (c *Cache) SetShared(t *bindtable.Table) {
-	if c == nil {
-		return
-	}
-	c.shared = t
 }
 
 // --- LRU plumbing ---
@@ -233,30 +213,6 @@ func (c *Cache) unlink(e *entry) {
 }
 
 // --- memoized checks ---
-
-// VerifyCGA reports whether addr's interface ID equals H(pk, rn),
-// memoizing the result under a digest of (addr, pk, rn). Local misses
-// are served through the shared binding table when one is attached
-// (another node may have computed the identical binding already); a
-// nil table computes directly.
-func (c *Cache) VerifyCGA(addr ipv6.Addr, pk []byte, rn uint64) bool {
-	if c == nil {
-		return (*bindtable.Table)(nil).Verify(addr, pk, rn)
-	}
-	d := NewDigest(tagCGA)
-	d.Bytes(addr[:])
-	d.Bytes(pk)
-	d.U64(rn)
-	k := d.Key()
-	if e, ok := c.lookup(k); ok {
-		c.stats.CGAHits++
-		return e.ok
-	}
-	c.stats.CGAMisses++
-	ok := c.shared.Verify(addr, pk, rn)
-	c.insert(&entry{key: k, ok: ok})
-	return ok
-}
 
 // VerifySig reports whether sig is pk's valid signature over msg,
 // memoizing under a digest of (pk, msg, sig).

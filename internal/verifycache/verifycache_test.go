@@ -5,9 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"sbr6/internal/cga"
 	"sbr6/internal/identity"
-	"sbr6/internal/ipv6"
 )
 
 func newIdent(t *testing.T, seed int64) *identity.Identity {
@@ -17,37 +15,6 @@ func newIdent(t *testing.T, seed int64) *identity.Identity {
 		t.Fatal(err)
 	}
 	return id
-}
-
-func TestCGAMemoAgreesWithDirect(t *testing.T) {
-	c := New(64)
-	id := newIdent(t, 1)
-	other := newIdent(t, 2)
-
-	cases := []struct {
-		addr ipv6.Addr
-		pk   []byte
-		rn   uint64
-	}{
-		{id.Addr, id.Pub.Bytes(), id.Rn},                       // valid
-		{id.Addr, other.Pub.Bytes(), id.Rn},                    // wrong key
-		{id.Addr, id.Pub.Bytes(), id.Rn + 1},                   // wrong modifier
-		{other.Addr, id.Pub.Bytes(), id.Rn},                    // wrong address
-		{ipv6.MustParse("2001:db8::1"), id.Pub.Bytes(), id.Rn}, // not site-local
-	}
-	for i, tc := range cases {
-		want := cga.Verify(tc.addr, tc.pk, tc.rn)
-		if got := c.VerifyCGA(tc.addr, tc.pk, tc.rn); got != want {
-			t.Fatalf("case %d: first (miss) result %v, want %v", i, got, want)
-		}
-		if got := c.VerifyCGA(tc.addr, tc.pk, tc.rn); got != want {
-			t.Fatalf("case %d: second (hit) result %v, want %v", i, got, want)
-		}
-	}
-	st := c.Stats()
-	if st.CGAMisses != uint64(len(cases)) || st.CGAHits != uint64(len(cases)) {
-		t.Fatalf("stats = %+v, want %d misses and %d hits", st, len(cases), len(cases))
-	}
 }
 
 func TestSigMemoAgreesWithDirect(t *testing.T) {
@@ -171,11 +138,14 @@ func TestChainStoreReplacesExistingKey(t *testing.T) {
 func TestLRUBoundAndEviction(t *testing.T) {
 	c := New(4)
 	id := newIdent(t, 5)
-	keys := make([]ipv6.Addr, 6)
-	for i := range keys {
-		keys[i] = ipv6.SiteLocal(0, uint64(i+1))
-		c.VerifyCGA(keys[i], id.Pub.Bytes(), 7)
+	msgs := make([][]byte, 6)
+	sigs := make([][]byte, 6)
+	for i := range msgs {
+		msgs[i] = []byte(fmt.Sprintf("message %d", i))
+		sigs[i] = id.Sign(msgs[i])
+		c.VerifySig(id.Pub, msgs[i], sigs[i])
 	}
+	verify := func(i int) { c.VerifySig(id.Pub, msgs[i], sigs[i]) }
 	if c.Len() != 4 {
 		t.Fatalf("len = %d, want cap 4", c.Len())
 	}
@@ -184,20 +154,20 @@ func TestLRUBoundAndEviction(t *testing.T) {
 	}
 	// The two oldest entries are gone (miss), the newest four are hits.
 	base := c.Stats()
-	for _, a := range keys[2:] {
-		c.VerifyCGA(a, id.Pub.Bytes(), 7)
+	for i := 2; i < len(msgs); i++ {
+		verify(i)
 	}
-	if got := c.Stats().CGAHits - base.CGAHits; got != 4 {
+	if got := c.Stats().SigHits - base.SigHits; got != 4 {
 		t.Fatalf("hits on recent entries = %d, want 4", got)
 	}
-	// keys[2] was just touched; inserting two more must evict keys[3]
-	// before keys[2] (LRU order, not FIFO).
-	c.VerifyCGA(keys[2], id.Pub.Bytes(), 7)
-	c.VerifyCGA(keys[0], id.Pub.Bytes(), 7)
-	c.VerifyCGA(keys[1], id.Pub.Bytes(), 7)
+	// msgs[2] was just touched; inserting two more must evict msgs[3]
+	// before msgs[2] (LRU order, not FIFO).
+	verify(2)
+	verify(0)
+	verify(1)
 	base = c.Stats()
-	c.VerifyCGA(keys[2], id.Pub.Bytes(), 7)
-	if c.Stats().CGAHits == base.CGAHits {
+	verify(2)
+	if c.Stats().SigHits == base.SigHits {
 		t.Fatal("recently used entry was evicted before older ones")
 	}
 }
@@ -205,9 +175,6 @@ func TestLRUBoundAndEviction(t *testing.T) {
 func TestNilCacheComputesDirectly(t *testing.T) {
 	var c *Cache
 	id := newIdent(t, 6)
-	if !c.VerifyCGA(id.Addr, id.Pub.Bytes(), id.Rn) {
-		t.Fatal("nil cache rejected a valid binding")
-	}
 	msg := []byte("m")
 	if !c.VerifySig(id.Pub, msg, id.Sign(msg)) {
 		t.Fatal("nil cache rejected a valid signature")
@@ -248,14 +215,14 @@ func TestDigestFieldBoundaries(t *testing.T) {
 }
 
 func TestStatsAggregate(t *testing.T) {
-	a := Stats{CGAHits: 1, SigMisses: 2, ChainHits: 3, Evictions: 4, SignHits: 7}
-	b := Stats{CGAHits: 10, SigHits: 5, ChainMisses: 6, SignHits: 1, SignMisses: 8}
+	a := Stats{SigHits: 1, SigMisses: 2, ChainHits: 3, Evictions: 4, SignHits: 7}
+	b := Stats{SigHits: 5, ChainMisses: 6, SignHits: 1, SignMisses: 8}
 	a.Add(b)
-	if a.CGAHits != 11 || a.SigHits != 5 || a.SigMisses != 2 || a.ChainHits != 3 || a.ChainMisses != 6 || a.Evictions != 4 ||
+	if a.SigHits != 6 || a.SigMisses != 2 || a.ChainHits != 3 || a.ChainMisses != 6 || a.Evictions != 4 ||
 		a.SignHits != 8 || a.SignMisses != 8 {
 		t.Fatalf("aggregate = %+v", a)
 	}
-	if a.Hits() != 11+5+3 || a.Misses() != 2+6 {
+	if a.Hits() != 6+3 || a.Misses() != 2+6 {
 		t.Fatalf("totals: hits=%d misses=%d", a.Hits(), a.Misses())
 	}
 }

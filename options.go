@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"sbr6/internal/bindtable"
 	"sbr6/internal/boot"
 	"sbr6/internal/core"
 	"sbr6/internal/geom"
@@ -508,13 +507,14 @@ func WithRouteCache(on bool) Option {
 // bound applied when WithVerifyCache is not used.
 const DefaultVerifyCacheEntries = verifycache.DefaultEntries
 
-// WithVerifyCache bounds the per-node memoized-verification cache: CGA
-// bindings, signature checks and whole route-record chains are cached
-// under content digests so identical checks are never recomputed. The
-// same cache keeps a small fixed-size memo of the node's own route
-// signatures, keyed by the exact signed bytes, because relays sign the
-// same (address, sequence number) attestations again and again; entries
-// does not size it. The cache is on by default
+// WithVerifyCache bounds the per-node memoized-verification cache:
+// signature checks and whole route-record chains are cached under
+// content digests so identical checks are never recomputed. CGA bindings
+// are checked directly, because one digest and a compare cost less than
+// a memo lookup. The same cache keeps a small fixed-size memo of the
+// node's own route signatures, keyed by the exact signed bytes, because
+// relays sign the same (address, sequence number) attestations again and
+// again; entries does not size it. The cache is on by default
 // (DefaultVerifyCacheEntries); entries <= 0 disables memoization entirely,
 // signatures included — the configuration the differential suite
 // compares against. Per-seed results are byte-for-byte identical either
@@ -525,31 +525,6 @@ func WithVerifyCache(entries int) Option {
 			s.cfg.Protocol.VerifyCache = entries
 		} else {
 			s.cfg.Protocol.VerifyCache = -1
-		}
-		return nil
-	}
-}
-
-// DefaultBindTableEntries is the shared CGA-binding table bound applied
-// when WithBindingTable is not used.
-const DefaultBindTableEntries = bindtable.DefaultEntries
-
-// WithBindingTable bounds the shared read-mostly CGA-binding table that
-// dedups verification of the same (addr, pk, rn) binding across nodes —
-// one table per simulation, or one per region under WithShards so it
-// stays local to each region's event loop. It sits beneath the per-node
-// verify cache: a node's first check of a binding is served from the
-// table whenever any node on the same event loop already computed it.
-// The table is on by default (DefaultBindTableEntries); entries <= 0
-// disables cross-node sharing — the configuration the differential
-// suite compares against. Per-seed results are byte-for-byte identical
-// either way; only the number of primitive CGA computations changes.
-func WithBindingTable(entries int) Option {
-	return func(s *Scenario) error {
-		if entries > 0 {
-			s.cfg.Protocol.BindTable = entries
-		} else {
-			s.cfg.Protocol.BindTable = -1
 		}
 		return nil
 	}

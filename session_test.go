@@ -299,11 +299,13 @@ func TestResumeRejectsGarbage(t *testing.T) {
 
 // A snapshot written by an earlier build must still resume. The committed
 // fuzz seed was taken from a 16-node session whose radio config still
-// carried the since-removed "Index" and "FramePool" keys, and whose medium
-// answered receiver queries with a linear port scan. Resume replays the
-// session on today's grid-only medium and checks the replayed state
-// digest, so success proves the replay is byte for byte the one that was
-// recorded, and that the dropped keys still decode.
+// carried the since-removed "Index" and "FramePool" keys, whose protocol
+// config still carried the since-removed "BindTable" and "BindParanoia"
+// keys, and whose medium answered receiver queries with a linear port
+// scan. Resume replays the session on today's grid-only medium, with CGA
+// bindings checked directly, and checks the replayed state digest, so
+// success proves the replay is byte for byte the one that was recorded,
+// and that the dropped keys still decode.
 func TestResumeCommittedSnapshot(t *testing.T) {
 	raw, err := os.ReadFile("testdata/fuzz/FuzzSnapshotRoundTrip/seed_genuine")
 	if err != nil {
@@ -320,6 +322,9 @@ func TestResumeCommittedSnapshot(t *testing.T) {
 	}
 	if !strings.Contains(data, `"Index":0,"FramePool":true,`) {
 		t.Fatal("seed no longer carries the removed radio keys; the test proves nothing")
+	}
+	if !strings.Contains(data, `"BindTable":131072,"BindParanoia":false,`) {
+		t.Fatal("seed no longer carries the removed binding-table keys; the test proves nothing")
 	}
 	sess, err := sbr6.Resume([]byte(data))
 	if err != nil {
