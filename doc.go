@@ -105,14 +105,25 @@
 //
 // # The receive path
 //
-// A node decodes a frame only when a handler will act on it. Each
-// received frame is first scanned — validated exactly as the decoder
-// would, without allocating — and counted; an admission step then drops
-// duplicate flood copies and frames the node is neither relaying nor
-// addressed by, undecoded. Adversarial nodes decode every frame, because
-// their Intercept hook sees every frame, and then pass the same
-// admission step. The rx.frames counter counts frames received, not
-// decodes.
+// A node decodes a frame only when a handler needs more than the frame's
+// envelope. Each received frame is first scanned — validated exactly as
+// the decoder would, without allocating — and counted; an admission step
+// then drops duplicate flood copies and frames the node is neither
+// relaying nor addressed by, undecoded. A relay forwards by splicing the
+// received bytes: a flooded request is rebroadcast with the relay's
+// route-record entry (its address, or for an RREQ its signed hop
+// attestation) inserted and the record count bumped, and a source-routed
+// packet or flood-routed DNS control message moves on with its TTL and
+// hop index patched. So an AREQ is decoded only at the owner of the
+// probed address and at the DNS server, an audit advertisement only at
+// the holder of the advertised address, and an RREQ only at its
+// destination and at nodes holding a cached route they could answer it
+// from; source-routed forwards still decode, because their link-failure
+// path reads the packet. The spliced bytes equal the re-encoded packet,
+// so outputs match the decode-and-re-encode relay byte for byte.
+// Adversarial nodes decode every frame, because their Intercept hook sees
+// every frame, then pass the same admission step and relay by the same
+// splice. The rx.frames counter counts frames received, not decodes.
 //
 // # Bootstrap admission
 //

@@ -2,7 +2,6 @@ package core
 
 import (
 	"sbr6/internal/audit"
-	"sbr6/internal/ipv6"
 	"sbr6/internal/ndp"
 	"sbr6/internal/wire"
 )
@@ -53,23 +52,22 @@ func (n *Node) verifier() ndp.Verifier {
 	return nil
 }
 
-func (n *Node) handleAuditAdv(pkt *wire.Packet, m *wire.AuditAdv) {
+// handleAuditAdv decodes the advertisement only at a configured holder of
+// the advertised address; every other node relays it from the envelope
+// alone.
+func (n *Node) handleAuditAdv(f *frame) {
 	n.met.Add1("rx.AADV")
 
 	// A configured holder of the advertised address consumes the flood —
 	// the conflict gets resolved here, relaying it further serves no one.
-	if n.configured && m.SIP == n.ident.Addr {
-		n.handleConflictingAdv(m)
+	if n.configured && f.env.SIP == n.ident.Addr {
+		n.handleConflictingAdv(f.packet().Msg.(*wire.AuditAdv))
 		return
 	}
 
 	// Relay with this node appended to the route record, AREQ-style, so an
 	// objector further out still owns a reverse path to the advertiser.
-	n.relayFlood(pkt, m.RR, func(rr []ipv6.Addr) wire.Message {
-		fwd := *m
-		fwd.RR = rr
-		return &fwd
-	})
+	n.relayRecord(f)
 }
 
 // handleConflictingAdv runs when another node advertised a binding for THIS

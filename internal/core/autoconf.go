@@ -19,12 +19,16 @@ func (n *Node) sendAREQ(m *wire.AREQ) {
 	n.Flood(m, n.cfg.TTL)
 }
 
-func (n *Node) handleAREQ(pkt *wire.Packet, m *wire.AREQ) {
+// handleAREQ decodes the request only at the configured owner of the
+// probed address and at the DNS server; every other node relays it from
+// the envelope alone.
+func (n *Node) handleAREQ(f *frame) {
 	n.met.Add1("rx.AREQ")
 
 	// A configured owner of the probed address objects and stops the flood
 	// here: the requester must pick a new address anyway.
-	if n.configured && m.SIP == n.ident.Addr {
+	if n.configured && f.env.SIP == n.ident.Addr {
+		m := f.packet().Msg.(*wire.AREQ)
 		n.met.Add1("dad.objections_sent")
 		arep := ndp.BuildAREP(n.ident, m.SIP, m.Ch, m.RR)
 		n.met.Add1("crypto.sign")
@@ -40,6 +44,7 @@ func (n *Node) handleAREQ(pkt *wire.Packet, m *wire.AREQ) {
 
 	// The DNS server checks the domain-name side (6DNAR).
 	if n.dns != nil {
+		m := f.packet().Msg.(*wire.AREQ)
 		if drep := n.dns.HandleAREQ(m); drep != nil {
 			n.met.Add1("crypto.sign") // the server signed the DREP
 			n.sendToUnconfigured(m.RR, m.SIP, drep)
@@ -47,11 +52,7 @@ func (n *Node) handleAREQ(pkt *wire.Packet, m *wire.AREQ) {
 	}
 
 	// Relay the flood with this node appended to the route record.
-	n.relayFlood(pkt, m.RR, func(rr []ipv6.Addr) wire.Message {
-		fwd := *m
-		fwd.RR = rr
-		return &fwd
-	})
+	n.relayRecord(f)
 }
 
 // sendToUnconfigured source-routes a reply along the reverse of the AREQ's
@@ -73,9 +74,11 @@ func (n *Node) floodToDNS(msg wire.Message) {
 	n.medium.BroadcastFrame(n.link, raw)
 }
 
-func (n *Node) handleDNSFlood(pkt *wire.Packet) {
+// handleDNSFlood consumes a flood-routed DNS control message at the DNS
+// server and relays it, TTL decremented and undecoded, everywhere else.
+func (n *Node) handleDNSFlood(f *frame) {
 	if n.dns != nil {
-		if m, ok := pkt.Msg.(*wire.AREP); ok {
+		if m, ok := f.packet().Msg.(*wire.AREP); ok {
 			n.met.Add1("crypto.verify") // server validates the warn
 			if n.dns.HandleWarnAREP(m) {
 				n.met.Add1("dns.warns_accepted")
@@ -83,12 +86,10 @@ func (n *Node) handleDNSFlood(pkt *wire.Packet) {
 		}
 		return
 	}
-	if !n.configured || pkt.TTL <= 1 {
+	if !n.configured || f.env.TTL <= 1 {
 		return
 	}
-	fwd := *pkt
-	fwd.TTL--
-	n.broadcastPacket(&fwd)
+	n.medium.BroadcastFrame(n.link, n.spliceFrame(f, nil))
 }
 
 func (n *Node) handleAREP(pkt *wire.Packet, m *wire.AREP) {

@@ -343,8 +343,8 @@ func TestTransmitterIPInference(t *testing.T) {
 		{"hop out of range", &wire.Packet{Src: a, Hop: 9, SrcRoute: []ipv6.Addr{b}, Msg: &wire.Ack{}}, ipv6.Addr{}, false},
 	}
 	for _, tc := range cases {
-		env, err := wire.Scan(wire.Encode(tc.pkt))
-		if err != nil {
+		var env wire.Envelope
+		if err := wire.Scan(wire.Encode(tc.pkt), &env); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		got, ok := transmitter(&env)

@@ -207,7 +207,12 @@ func (n *Node) condemn(h ipv6.Addr) {
 
 // --- Forwarding and route errors ---
 
-func (n *Node) forwardUnicast(pkt *wire.Packet) {
+// forwardUnicast relays a source-routed packet to the next hop of its
+// route, splicing the received bytes with TTL and hop index advanced. It
+// decodes the packet: Behavior.DropForward and the link-failure path read
+// it.
+func (n *Node) forwardUnicast(f *frame) {
+	pkt := f.packet()
 	if n.Behavior != nil && n.Behavior.DropForward(n, pkt) {
 		n.met.Add1("fwd.dropped.behavior")
 		return
@@ -216,11 +221,12 @@ func (n *Node) forwardUnicast(pkt *wire.Packet) {
 		n.met.Add1("fwd.ttl_expired")
 		return
 	}
-	fwd := *pkt
-	fwd.TTL--
-	fwd.Hop++
+	next := pkt.Dst
+	if hop := int(pkt.Hop) + 1; hop < len(pkt.SrcRoute) {
+		next = pkt.SrcRoute[hop]
+	}
 	n.met.Add1("fwd.relayed")
-	n.sendSourceRouted(&fwd, func(next ipv6.Addr) {
+	n.sendToHop(n.spliceFrame(f, nil), next, next == pkt.Dst && lastHopBroadcast(pkt.Msg), func(next ipv6.Addr) {
 		n.met.Add1("fwd.linkfail")
 		n.routes.InvalidateLink(n.ident.Addr, next)
 		if _, isData := pkt.Msg.(*wire.Data); isData {

@@ -129,7 +129,11 @@ func BaselineConfig() Config {
 // is an honest node.
 type Behavior interface {
 	// Intercept sees every received packet before normal processing and
-	// may consume it by returning true.
+	// may consume it by returning true. A packet it lets through is
+	// relayed from the received bytes raw, not re-encoded from pkt, so
+	// edits Intercept makes to pkt never reach the relayed frame: a
+	// behavior that wants a different relay consumes the frame and
+	// transmits its own.
 	Intercept(n *Node, pkt *wire.Packet, raw []byte) bool
 	// DropForward reports whether to silently drop a unicast this node was
 	// asked to relay (the black-hole primitive).
@@ -511,36 +515,48 @@ func (n *Node) VerifyRouteRecord(m *wire.RREQ) error { return n.verifySRR(m) }
 // --- Receive path ---
 
 // Deliver implements radio.Handler. Every frame is scanned — validated
-// without allocating — counted, and its transmitter recorded; only a frame
-// that passes the admission step is decoded and dispatched. Adversarial
+// without allocating — counted, and its transmitter recorded; a frame
+// that passes the admission step is dispatched to its handler, which
+// decodes it only if it needs more than the envelope. A relay that only
+// forwards never decodes: it splices the received bytes. Adversarial
 // nodes decode every frame first, because Intercept sees them all.
 func (n *Node) Deliver(from radio.NodeID, payload []byte) {
 	if n.dead {
 		return
 	}
-	env, err := wire.Scan(payload)
-	if err != nil {
+	f := frame{raw: payload}
+	if err := wire.Scan(payload, &f.env); err != nil {
 		n.met.Add1("rx.malformed")
 		return
 	}
 	n.met.Add1("rx.frames")
-	if prev, ok := transmitter(&env); ok {
+	if prev, ok := transmitter(&f.env); ok {
 		n.neighbors[prev] = from
 	}
-	var pkt *wire.Packet
-	if n.Behavior != nil {
-		pkt = decode(payload)
-		if n.Behavior.Intercept(n, pkt, payload) {
-			return
-		}
-	}
-	if !n.admit(&env, payload) {
+	if n.Behavior != nil && n.Behavior.Intercept(n, f.packet(), payload) {
 		return
 	}
-	if pkt == nil {
-		pkt = decode(payload)
+	if !n.admit(&f.env, payload) {
+		return
 	}
-	n.dispatch(pkt)
+	n.dispatch(&f)
+}
+
+// frame is one received frame on its way to a handler: the envelope Scan
+// read, the bytes (borrowed for the Deliver call, see radio.Handler) and
+// the decoded packet, nil until something needs more than the envelope.
+type frame struct {
+	env wire.Envelope
+	raw []byte
+	pkt *wire.Packet
+}
+
+// packet returns the decoded packet, decoding the frame on first use.
+func (f *frame) packet() *wire.Packet {
+	if f.pkt == nil {
+		f.pkt = decode(f.raw)
+	}
+	return f.pkt
 }
 
 // decode decodes a frame Scan already accepted. Scan and Decode accept
@@ -576,27 +592,26 @@ func (n *Node) admit(e *wire.Envelope, raw []byte) bool {
 	}
 }
 
-// dispatch hands an admitted packet to its handler; the cases mirror
-// admit's.
-func (n *Node) dispatch(pkt *wire.Packet) {
-	// Flood-routed DNS control (warn-AREPs before routes exist).
-	if pkt.Dst == ipv6.DNS1 && len(pkt.SrcRoute) == 0 {
-		n.handleDNSFlood(pkt)
-		return
-	}
-	switch m := pkt.Msg.(type) {
-	case *wire.AREQ:
-		n.handleAREQ(pkt, m)
-	case *wire.RREQ:
-		n.handleRREQ(pkt, m)
-	case *wire.AuditAdv:
-		n.handleAuditAdv(pkt, m)
+// dispatch hands an admitted frame to its handler; the cases mirror
+// admit's. The flood handlers and the DNS-control relay decode only when
+// they act on more than the envelope; source-routed forwards decode,
+// because their link-failure path (RERR, salvage) reads the packet.
+func (n *Node) dispatch(f *frame) {
+	e := &f.env
+	switch {
+	case e.Dst == ipv6.DNS1 && e.RouteLen == 0:
+		// Flood-routed DNS control (warn-AREPs before routes exist).
+		n.handleDNSFlood(f)
+	case e.Type == wire.TAREQ:
+		n.handleAREQ(f)
+	case e.Type == wire.TRREQ:
+		n.handleRREQ(f)
+	case e.Type == wire.TAuditAdv:
+		n.handleAuditAdv(f)
+	case int(e.Hop) < e.RouteLen:
+		n.forwardUnicast(f)
 	default:
-		if int(pkt.Hop) < len(pkt.SrcRoute) {
-			n.forwardUnicast(pkt)
-		} else {
-			n.consume(pkt)
-		}
+		n.consume(f.packet())
 	}
 }
 
@@ -659,12 +674,21 @@ func (n *Node) consume(pkt *wire.Packet) {
 
 // --- Transmit primitives ---
 
-func (n *Node) account(pkt *wire.Packet, size int) {
-	n.met.Add1("tx." + pkt.Msg.Type().String())
-	switch pkt.Msg.(type) {
-	case *wire.Data:
+// txCounters names each message type's transmission counter ("tx.AREQ",
+// "tx.DATA", ...), built once so accounting a frame allocates no name.
+var txCounters = func() (names [256]string) {
+	for t := range names {
+		names[t] = "tx." + wire.Type(t).String()
+	}
+	return names
+}()
+
+// account counts one transmitted frame of message type t and size bytes.
+func (n *Node) account(t wire.Type, size int) {
+	n.met.Add1(txCounters[t])
+	if t == wire.TData {
 		n.met.Inc("tx.bytes.data", float64(size))
-	default:
+	} else {
 		n.met.Inc("tx.bytes.control", float64(size))
 	}
 	n.met.Inc("tx.bytes.total", float64(size))
@@ -677,16 +701,20 @@ func (n *Node) account(pkt *wire.Packet, size int) {
 // return it with ReleaseFrame on every non-transmitting path.
 func (n *Node) encodeFrame(pkt *wire.Packet) []byte {
 	raw := n.enc.AppendEncode(n.medium.Frame(n.enc.Size(pkt)), pkt)
-	n.account(pkt, len(raw))
+	n.account(pkt.Msg.Type(), len(raw))
 	return raw
 }
 
-// broadcastPacket encodes and broadcasts a packet frame.
-func (n *Node) broadcastPacket(pkt *wire.Packet) {
-	if n.dead {
-		return
-	}
-	n.medium.BroadcastFrame(n.link, n.encodeFrame(pkt))
+// spliceFrame builds the frame this node relays in place of the received
+// frame f, spliced from its bytes into a pooled frame by wire.AppendSplice:
+// a flooded request rebroadcast with entry appended to its route record,
+// or — entry nil — the frame with its TTL (and, source-routed, its hop
+// index) advanced. It accounts the frame like encodeFrame, under the same
+// ownership rule.
+func (n *Node) spliceFrame(f *frame, entry *wire.HopAttestation) []byte {
+	raw := wire.AppendSplice(n.medium.Frame(wire.SplicedSize(f.raw, &f.env, entry)), f.raw, &f.env, entry)
+	n.account(f.env.Type, len(raw))
+	return raw
 }
 
 // RawBroadcast transmits pre-encoded bytes unmodified; the replay attacker
@@ -707,7 +735,10 @@ func (n *Node) RawBroadcast(raw []byte) {
 
 // Flood broadcasts msg network-wide from this node.
 func (n *Node) Flood(msg wire.Message, ttl uint8) {
-	n.broadcastPacket(&wire.Packet{Src: n.ident.Addr, Dst: ipv6.AllNodes, TTL: ttl, Msg: msg})
+	if n.dead {
+		return
+	}
+	n.medium.BroadcastFrame(n.link, n.encodeFrame(&wire.Packet{Src: n.ident.Addr, Dst: ipv6.AllNodes, TTL: ttl, Msg: msg}))
 }
 
 // SendAlong source-routes msg to dst via the given relays.
@@ -746,15 +777,21 @@ func (n *Node) sendSourceRouted(pkt *wire.Packet, onFail func(next ipv6.Addr)) {
 		n.met.Add1("tx.route_exhausted")
 		return
 	}
-	raw := n.encodeFrame(pkt)
-	if next == pkt.Dst && lastHopBroadcast(pkt.Msg) {
+	n.sendToHop(n.encodeFrame(pkt), next, next == pkt.Dst && lastHopBroadcast(pkt.Msg), onFail)
+}
+
+// sendToHop transmits a source-routed frame to its next hop: broadcast
+// when the final hop must be (see lastHopBroadcast), unicast to the
+// resolved neighbour otherwise. onFail is sendSourceRouted's.
+func (n *Node) sendToHop(raw []byte, next ipv6.Addr, broadcast bool, onFail func(next ipv6.Addr)) {
+	if broadcast {
 		n.medium.BroadcastFrame(n.link, raw)
 		return
 	}
 	nid, known := n.neighbors[next]
 	if !known {
 		n.met.Add1("tx.no_neighbor")
-		n.medium.ReleaseFrame(raw) // encoded but never transmitted
+		n.medium.ReleaseFrame(raw) // built but never transmitted
 		if onFail != nil {
 			onFail(next)
 		}
@@ -771,17 +808,15 @@ func (n *Node) sendSourceRouted(pkt *wire.Packet, onFail func(next ipv6.Addr)) {
 // the codec's 255-hop route limit.
 const maxFloodRecord = 250
 
-// relayFlood rebroadcasts a flooded request with this node appended to its
-// route record — the shared relay step of AREQ and audit-advertisement
-// floods. rr is the incoming record; rebuild wraps the extended record
-// back into the concrete message. Unconfigured nodes cannot appear in a
-// route record and stay silent.
-func (n *Node) relayFlood(pkt *wire.Packet, rr []ipv6.Addr, rebuild func(rr []ipv6.Addr) wire.Message) {
-	if !n.configured || pkt.TTL <= 1 || len(rr) >= maxFloodRecord {
+// relayRecord rebroadcasts a flooded AREQ or audit advertisement with this
+// node's address appended to its route record, spliced from the received
+// bytes. Unconfigured nodes cannot appear in a route record and stay
+// silent.
+func (n *Node) relayRecord(f *frame) {
+	if !n.configured || f.env.TTL <= 1 || f.env.RecordLen >= maxFloodRecord {
 		return
 	}
-	ext := append(append([]ipv6.Addr(nil), rr...), n.ident.Addr)
-	n.broadcastPacket(&wire.Packet{Src: pkt.Src, Dst: ipv6.AllNodes, TTL: pkt.TTL - 1, Msg: rebuild(ext)})
+	n.medium.BroadcastFrame(n.link, n.spliceFrame(f, &wire.HopAttestation{IP: n.ident.Addr}))
 }
 
 // reverse returns a reversed copy of a route record.

@@ -74,11 +74,15 @@ func (n *Node) sendRREQ(dst ipv6.Addr, d *discovery) {
 	})
 }
 
-func (n *Node) handleRREQ(pkt *wire.Packet, m *wire.RREQ) {
+// handleRREQ decodes the request only at its destination and at a node
+// holding a cached route it could answer with a CREP; every other node
+// relays it from the envelope alone, splicing its hop attestation into
+// the received bytes.
+func (n *Node) handleRREQ(f *frame) {
 	n.met.Add1("rx.RREQ")
 
-	if n.ownsAddr(m.DIP) {
-		n.answerRREQ(m)
+	if n.ownsAddr(f.env.DIP) {
+		n.answerRREQ(f.packet().Msg.(*wire.RREQ))
 		return
 	}
 
@@ -89,26 +93,34 @@ func (n *Node) handleRREQ(pkt *wire.Packet, m *wire.RREQ) {
 	// exploits. A cached route that would loop through the querier or a
 	// hop already on the request's path must not be served (DSR's loop
 	// rule); such requests fall through to normal rebroadcast.
-	if n.cfg.UseCache {
-		if n.cfg.Secure {
-			if r, ok := n.routes.Attested(m.DIP, n.sim.Now()); ok && !crepWouldLoop(m, n.ident.Addr, r.Relays) &&
-				n.verifySRR(m) == nil {
-				n.sendCREP(m, r)
-				return
-			}
-		} else if r, ok := n.routes.Best(m.DIP, n.sim.Now(), nil); ok && !crepWouldLoop(m, n.ident.Addr, r.Relays) {
+	if r, ok := n.crepRoute(f.env.DIP); ok {
+		m := f.packet().Msg.(*wire.RREQ)
+		if !crepWouldLoop(m, n.ident.Addr, r.Relays) && (!n.cfg.Secure || n.verifySRR(m) == nil) {
 			n.sendCREP(m, r)
 			return
 		}
 	}
 
-	if pkt.TTL <= 1 || len(m.SRR) >= maxFloodRecord {
+	if f.env.TTL <= 1 || f.env.RecordLen >= maxFloodRecord {
 		return
 	}
-	fwd := *m
-	fwd.SRR = append(append([]wire.HopAttestation(nil), m.SRR...), n.hopAttestation(m.Seq))
+	h := n.hopAttestation(f.env.Seq)
 	n.met.Add1("fwd.RREQ")
-	n.broadcastPacket(&wire.Packet{Src: pkt.Src, Dst: ipv6.AllNodes, TTL: pkt.TTL - 1, Msg: &fwd})
+	n.medium.BroadcastFrame(n.link, n.spliceFrame(f, &h))
+}
+
+// crepRoute returns the cached route this node may serve a CREP from: an
+// attested (destination-signed) entry in secure mode, any cached route in
+// plain DSR, none when route caching is off.
+func (n *Node) crepRoute(dst ipv6.Addr) (dsr.Route, bool) {
+	switch {
+	case !n.cfg.UseCache:
+		return dsr.Route{}, false
+	case n.cfg.Secure:
+		return n.routes.Attested(dst, n.sim.Now())
+	default:
+		return n.routes.Best(dst, n.sim.Now(), nil)
+	}
 }
 
 // hopAttestation builds this node's SRR entry: signed in secure mode, a

@@ -178,11 +178,8 @@ func (m *RREQ) encodeBody(w *writer) {
 		panic("wire: SRR too long")
 	}
 	w.u8(uint8(len(m.SRR)))
-	for _, h := range m.SRR {
-		w.addr(h.IP)
-		w.blob(h.Sig)
-		w.blob(h.PK)
-		w.u64(h.Rn)
+	for i := range m.SRR {
+		w.hop(&m.SRR[i])
 	}
 	w.blob(m.SrcSig)
 	w.blob(m.SPK)
@@ -490,7 +487,7 @@ func decodeBody(t Type, r *reader) Message {
 	switch t {
 	case TAREQ:
 		m := AREQ{SIP: r.addr(), Seq: r.u32(), DN: r.str(), Ch: r.u64(), RR: r.route()}
-		r.flood(m.SIP, m.Seq, m.Ch)
+		r.flood(m.SIP, ipv6.Addr{}, m.Seq, m.Ch)
 		return keep(r, m)
 	case TAREP:
 		return keep(r, AREP{SIP: r.addr(), RR: r.route(), Sig: r.blob(), PK: r.blob(), Rn: r.u64()})
@@ -498,7 +495,7 @@ func decodeBody(t Type, r *reader) Message {
 		return keep(r, DREP{SIP: r.addr(), RR: r.route(), DN: r.str(), Sig: r.blob()})
 	case TRREQ:
 		m := RREQ{SIP: r.addr(), DIP: r.addr(), Seq: r.u32(), SRR: r.hops(), SrcSig: r.blob(), SPK: r.blob(), Srn: r.u64()}
-		r.flood(m.SIP, m.Seq, 0)
+		r.flood(m.SIP, m.DIP, m.Seq, 0)
 		return keep(r, m)
 	case TRREP:
 		return keep(r, RREP{SIP: r.addr(), DIP: r.addr(), Seq: r.u32(), RR: r.route(), Sig: r.blob(), DPK: r.blob(), Drn: r.u64()})
@@ -528,7 +525,7 @@ func decodeBody(t Type, r *reader) Message {
 		return keep(r, UpdateResult{Name: r.str(), OK: r.bool(), Ch: r.u64(), Sig: r.blob()})
 	case TAuditAdv:
 		m := AuditAdv{SIP: r.addr(), Seq: r.u32(), Ch: r.u64(), RR: r.route(), Sig: r.blob(), PK: r.blob(), Rn: r.u64()}
-		r.flood(m.SIP, m.Seq, m.Ch)
+		r.flood(m.SIP, ipv6.Addr{}, m.Seq, m.Ch)
 		return keep(r, m)
 	case TAuditObj:
 		return keep(r, AuditObj{SIP: r.addr(), RR: r.route(), Ch: r.u64(), Sig: r.blob(), PK: r.blob(), Rn: r.u64()})

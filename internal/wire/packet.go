@@ -107,10 +107,11 @@ func Decode(b []byte) (*Packet, error) {
 	return p, nil
 }
 
-// Envelope is what a receiver needs to decide whether to decode a frame:
-// the packet header, the source-route entries around the current hop
-// and, for the flooded requests (AREQ, RREQ, AuditAdv), the flood
-// identity they are deduplicated by.
+// Envelope is what a receiver needs to decide whether to decode a frame,
+// and what a relay needs to forward it without decoding: the packet
+// header, the source-route entries around the current hop and, for the
+// flooded requests (AREQ, RREQ, AuditAdv), the flood identity they are
+// deduplicated by and where their route record sits in the frame.
 type Envelope struct {
 	Src, Dst ipv6.Addr
 	TTL, Hop uint8
@@ -119,48 +120,57 @@ type Envelope struct {
 	// Hop < RouteLen; Prev is SrcRoute[Hop-1] when 0 < Hop <= RouteLen.
 	RouteLen   int
 	Next, Prev ipv6.Addr
-	// SIP, Seq and Ch identify a flooded request (Ch is 0 for an RREQ).
-	// RecordLen is the length of its route record (RR, or the RREQ's
-	// SRR) and Last the record's final address when RecordLen > 0.
+	// SIP, Seq and Ch identify a flooded request (Ch is 0 for an RREQ);
+	// DIP is an RREQ's destination. RecordLen is the length of its route
+	// record (RR, or the RREQ's SRR) and Last the record's final address
+	// when RecordLen > 0.
 	SIP       ipv6.Addr
+	DIP       ipv6.Addr
 	Seq       uint32
 	Ch        uint64
 	RecordLen int
 	Last      ipv6.Addr
+	// RecordAt is the frame offset of the route record's count byte and
+	// RecordEnd the offset just past its last entry: where AppendSplice
+	// bumps the count and inserts a relay's entry. Both are 0 for frames
+	// that are not flooded requests.
+	RecordAt, RecordEnd int
 }
 
 // Scan validates a frame exactly as Decode does — it accepts and rejects
-// the same inputs — but returns only its Envelope, and allocates nothing.
-// It runs Decode's own field walk in the reader's scan mode, so every
-// message layout is still defined once. Receivers scan every frame and
-// decode only those a handler will act on.
-func Scan(b []byte) (Envelope, error) {
+// the same inputs — but fills in only its Envelope, e, and allocates
+// nothing. It runs Decode's own field walk in the reader's scan mode, so
+// every message layout is still defined once. Receivers scan every frame
+// and decode only those a handler will act on; e is filled in place
+// because copying the envelope out by value is a measurable share of a
+// scan. When Scan fails, e holds nothing of the frame.
+func Scan(b []byte, e *Envelope) error {
 	r := reader{buf: b, scan: true}
 	var p Packet
 	t := r.header(&p)
-	if r.err != nil {
-		return Envelope{}, r.err
-	}
 	route := r.rec
-	decodeBody(t, &r)
+	if r.err == nil {
+		decodeBody(t, &r)
+	}
+	*e = Envelope{}
 	if err := r.done(); err != nil {
-		return Envelope{}, err
+		return err
 	}
-	e := Envelope{
-		Src: p.Src, Dst: p.Dst, TTL: p.TTL, Hop: p.Hop, Type: t, RouteLen: route.n,
-		SIP: r.id.sip, Seq: r.id.seq, Ch: r.id.ch, RecordLen: r.id.rr.n,
-	}
+	e.Src, e.Dst, e.TTL, e.Hop, e.Type, e.RouteLen = p.Src, p.Dst, p.TTL, p.Hop, t, route.n
 	hop, size := int(p.Hop), len(ipv6.Addr{})
 	if hop < route.n {
-		e.Next = r.addrAt(route.first + hop*size)
+		e.Next = r.addrAt(route.at + 1 + hop*size)
 	}
 	if hop > 0 && hop <= route.n {
-		e.Prev = r.addrAt(route.first + (hop-1)*size)
+		e.Prev = r.addrAt(route.at + 1 + (hop-1)*size)
 	}
-	if e.RecordLen > 0 {
-		e.Last = r.addrAt(r.id.rr.last)
+	id := &r.id
+	e.SIP, e.DIP, e.Seq, e.Ch = id.sip, id.dip, id.seq, id.ch
+	e.RecordLen, e.RecordAt, e.RecordEnd = id.rr.n, id.rr.at, id.rr.end
+	if id.rr.n > 0 {
+		e.Last = r.addrAt(id.rr.last)
 	}
-	return e, nil
+	return nil
 }
 
 // Encoder amortizes the codec's scratch state across encodes. The writer

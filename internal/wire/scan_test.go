@@ -17,14 +17,28 @@ func envelopeOf(p *Packet) Envelope {
 	if h := int(p.Hop); h > 0 && h <= len(p.SrcRoute) {
 		e.Prev = p.SrcRoute[h-1]
 	}
+	// The record offsets count the bytes in front of the record: the
+	// header (addresses, TTL, hop, route, type) and the body fields the
+	// message's layout puts before it.
+	const addr = len(ipv6.Addr{})
+	header := 2*addr + 3 + len(p.SrcRoute)*addr + 1
 	var rr []ipv6.Addr
 	switch m := p.Msg.(type) {
 	case *AREQ:
 		e.SIP, e.Seq, e.Ch, rr = m.SIP, m.Seq, m.Ch, m.RR
+		e.RecordAt = header + addr + 4 + 2 + len(m.DN) + 8
+		e.RecordEnd = e.RecordAt + 1 + len(rr)*addr
 	case *AuditAdv:
 		e.SIP, e.Seq, e.Ch, rr = m.SIP, m.Seq, m.Ch, m.RR
+		e.RecordAt = header + addr + 4 + 8
+		e.RecordEnd = e.RecordAt + 1 + len(rr)*addr
 	case *RREQ:
-		e.SIP, e.Seq, rr = m.SIP, m.Seq, m.Route()
+		e.SIP, e.DIP, e.Seq, rr = m.SIP, m.DIP, m.Seq, m.Route()
+		e.RecordAt = header + 2*addr + 4
+		e.RecordEnd = e.RecordAt + 1
+		for _, h := range m.SRR {
+			e.RecordEnd += addr + 2 + len(h.Sig) + 2 + len(h.PK) + 8
+		}
 	}
 	e.RecordLen = len(rr)
 	if len(rr) > 0 {
@@ -37,12 +51,16 @@ func envelopeOf(p *Packet) Envelope {
 // reject, and an accepted frame's envelope matches the decoded packet.
 func checkScan(t *testing.T, b []byte) {
 	t.Helper()
-	env, serr := Scan(b)
+	env := Envelope{Src: addrA, SIP: addrB, RecordAt: 9} // stale fields Scan must clear
+	serr := Scan(b, &env)
 	pkt, derr := Decode(b)
 	if (serr == nil) != (derr == nil) {
 		t.Fatalf("Scan err = %v, Decode err = %v on %x", serr, derr, b)
 	}
 	if derr != nil {
+		if env != (Envelope{}) {
+			t.Fatalf("a failed Scan left %+v in the envelope", env)
+		}
 		return
 	}
 	if want := envelopeOf(pkt); env != want {
@@ -93,10 +111,11 @@ func TestScanRejectsWhatDecodeRejects(t *testing.T) {
 func TestScanAllocatesNothing(t *testing.T) {
 	for _, msg := range sampleMessages() {
 		b := scanSample(msg)
-		if _, err := Scan(b); err != nil {
+		var e Envelope
+		if err := Scan(b, &e); err != nil {
 			t.Fatal(err)
 		}
-		if n := testing.AllocsPerRun(100, func() { _, _ = Scan(b) }); n != 0 {
+		if n := testing.AllocsPerRun(100, func() { _ = Scan(b, &e) }); n != 0 {
 			t.Errorf("Scan of a %s frame allocates %v times, want 0", msg.Type(), n)
 		}
 	}
@@ -120,8 +139,9 @@ func BenchmarkScanRREQ8Hops(b *testing.B) {
 	}
 	enc := Encode(&Packet{Src: addrA, Dst: ipv6.AllNodes, TTL: 64, Msg: m})
 	b.ReportAllocs()
+	var e Envelope
 	for i := 0; i < b.N; i++ {
-		if _, err := Scan(enc); err != nil {
+		if err := Scan(enc, &e); err != nil {
 			b.Fatal(err)
 		}
 	}
