@@ -50,7 +50,7 @@ func main() {
 		verifycache = flag.Int("verifycache", sbr6.DefaultVerifyCacheEntries,
 			"per-node memoized-verification cache entries (0 disables it and the signing memo; results are identical)")
 		stagger    = flag.Duration("stagger", 0, "delay between DAD starts (0 = safe default; shrink it for 1k+ nodes)")
-		shards     = flag.Int("shards", 0, "spatial regions with independent event loops; results are identical for every count >= 1 (0 = classic unsharded core)")
+		shards     = flag.Int("shards", 0, "spatial regions of the simulation engine, each with its own event loop; results are identical for every count (0 = one region)")
 		bootPolicy = flag.String("boot", "serial", "bootstrap admission policy: serial or percell (concurrent per-cell formation)")
 		auditEvery = flag.Duration("audit", 0, "post-formation address audit sweep period (0 = disabled)")
 		windows    = flag.Duration("windows", 0, "bucket delivery into windows of this size")

@@ -222,33 +222,32 @@
 //
 // # The region-sharded core
 //
-// WithShards(n) runs the simulation on the region-sharded engine
-// (internal/shard): the area is cut into n x-sorted equal-count strips,
-// and regions advance in parallel rounds bounded by conservative
-// lookahead from the radio propagation delay, merging cross-region
-// messages at deterministic barriers. The region-ownership rules the
-// engine is built on:
+// Every scenario runs on the region-sharded engine (internal/shard), at
+// one region unless WithShards(n) asks for more: the area is cut into n
+// x-sorted equal-count strips, and regions advance in parallel rounds
+// bounded by conservative lookahead from the radio propagation delay,
+// merging cross-region messages at deterministic barriers. The
+// region-ownership rules the engine is built on:
 //
 //   - Every node belongs to exactly one region, which owns its event
-//     heap, radio medium, spatial grid, RNG consumption and counters.
+//     heap, radio medium, spatial grid and counters.
 //   - No pointer crosses a region boundary. Regions communicate only
 //     through immutable messages (broadcast frames, unicast
 //     deliveries), exchanged at barriers in region-index order and
 //     scheduled under the global (time, owner, seq) event ordering.
 //   - Radio randomness is content-derived, so a draw's value does not
-//     depend on which region performs it or in what order.
+//     depend on which region performs it or in what order. The medium
+//     has no other random source.
 //   - A region's horizon is sound against feedback: its own first
 //     boundary-crossing send at time u tightens the remaining horizon
 //     to u+2L, so a peer's reaction can never land in this region's
 //     virtual past.
 //
 // Under those rules the merged Result is byte-for-byte identical at
-// every shard count >= 1 — proven by the differential suite in
+// every shard count — proven by the differential suite in
 // internal/shard across static, mobile and adversarial scenarios, five
-// seeds, shard counts {1,2,4,8}, under -race in CI. Results at
-// WithShards(1) differ from the historical unsharded default (the
-// engine forces content-derived radio draws), so sharded experiments
-// anchor on WithShards(1), not on omitting the option.
+// seeds, shard counts {1,2,4,8}, under -race in CI — and a scenario
+// without WithShards equals one with WithShards(1).
 //
 // # Static analysis
 //

@@ -11,6 +11,7 @@ import (
 	"sbr6/internal/core"
 	"sbr6/internal/geom"
 	"sbr6/internal/ipv6"
+	"sbr6/internal/radio"
 	"sbr6/internal/scenario"
 	"sbr6/internal/wire"
 )
@@ -44,11 +45,12 @@ func sendMany(sc *scenario.Scenario, from, to, count int, spacing time.Duration)
 	dst := sc.Nodes[to].Addr()
 	sc.Nodes[to].OnData = func(ipv6.Addr, *wire.Data) { delivered++ }
 	for i := 0; i < count; i++ {
-		sc.S.After(time.Duration(i)*spacing, func() {
+		at := sc.Now().Add(time.Duration(i) * spacing)
+		sc.Engine().ScheduleOwnedAt(radio.NodeID(from), at, func() {
 			sc.Nodes[from].SendData(dst, []byte("payload"))
 		})
 	}
-	sc.S.RunFor(time.Duration(count)*spacing + 8*time.Second)
+	sc.RunFor(time.Duration(count)*spacing + 8*time.Second)
 	return delivered
 }
 
@@ -172,11 +174,11 @@ func TestFakeDNSCounters(t *testing.T) {
 	fake := &attack.FakeDNS{}
 	sc := line(t, 5, false, map[int]core.Behavior{1: fake})
 	sc.Bootstrap()
-	sc.S.RunFor(time.Second)
+	sc.RunFor(time.Second)
 	var got ipv6.Addr
 	var found bool
 	sc.Nodes[2].Resolve("anything", func(a ipv6.Addr, ok bool) { got, found = a, ok })
-	sc.S.RunFor(8 * time.Second)
+	sc.RunFor(8 * time.Second)
 	if fake.Answers == 0 {
 		t.Fatal("fake DNS never answered")
 	}
@@ -212,7 +214,7 @@ func TestReplayerCapturesDuplicateFrames(t *testing.T) {
 	before := rp.Replayed
 	sc.Nodes[1].RawBroadcast(frame)
 	sc.Nodes[1].RawBroadcast(frame)
-	sc.S.RunFor(3 * time.Second)
+	sc.RunFor(3 * time.Second)
 	if got := rp.Replayed - before; got != 4 {
 		t.Fatalf("replayed %d frames, want 4: two captures of the duplicate, each replayed twice", got)
 	}
@@ -257,7 +259,7 @@ func TestCloneAttackerAuditRecovery(t *testing.T) {
 		*sc.Nodes[attacker].Identity() = *sc.Nodes[victim].Identity()
 		sc.Bootstrap()
 		sc.StartAuditSweeps(8 * time.Second)
-		sc.S.RunFor(8 * time.Second)
+		sc.RunFor(8 * time.Second)
 		return sc, ca
 	}
 

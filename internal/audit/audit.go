@@ -67,7 +67,7 @@ func (c Config) Enabled() bool { return c.Period > 0 }
 // Offset returns node id's seed-stable advertisement phase inside one sweep
 // period: a deterministic hash of (seed, id) reduced to [0, period). It is
 // literally boot.PerCell's phase construction (boot.Mix), consumes no
-// simulator RNG, so two nodes' sweeps interleave the same way on every run
+// RNG stream, so two nodes' sweeps interleave the same way on every run
 // of one seed while the population's phases spread uniformly across the
 // period instead of thundering together.
 func Offset(seed int64, id int, period time.Duration) time.Duration {

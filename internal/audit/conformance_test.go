@@ -74,7 +74,7 @@ func seedCrossCellClones(t *testing.T, sc *scenario.Scenario, pairs int) int {
 	window := sc.Cfg.Protocol.DAD.ObjectionWindow()
 	g := geom.NewGrid(sc.Cfg.Radio.Range * boot.DefaultCellFraction)
 	for i := 0; i < sc.Cfg.N; i++ {
-		g.Set(i, sc.Medium.PositionOf(radio.NodeID(i)))
+		g.Set(i, sc.Engine().PosNow(radio.NodeID(i)))
 	}
 	seeded := 0
 	used := map[int]bool{0: true}
@@ -155,7 +155,7 @@ func runAudit(t *testing.T, cfg scenario.Config, pairs int, span time.Duration) 
 	}
 
 	sc.StartAuditSweeps(span)
-	sc.S.RunFor(span)
+	sc.RunFor(span)
 
 	merged := trace.NewMetrics()
 	out := outcome{Addrs: map[string]int{}, Counters: map[string]float64{}}
@@ -319,7 +319,7 @@ func TestAuditRekeyPreservesNameBinding(t *testing.T) {
 	window := cfg.Protocol.DAD.ObjectionWindow()
 	g := geom.NewGrid(cfg.Radio.Range * boot.DefaultCellFraction)
 	for i := 0; i < cfg.N; i++ {
-		g.Set(i, sc.Medium.PositionOf(radio.NodeID(i)))
+		g.Set(i, sc.Engine().PosNow(radio.NodeID(i)))
 	}
 	ix, iy, _ := g.CellOf(1)
 	clone := -1
@@ -349,7 +349,7 @@ func TestAuditRekeyPreservesNameBinding(t *testing.T) {
 	// Sweeps plus headroom for the post-DAD update round trip.
 	span := resolveK*sweepPeriod + 4*time.Second
 	sc.StartAuditSweeps(span)
-	sc.S.RunFor(span)
+	sc.RunFor(span)
 
 	victim := sc.Nodes[1]
 	if victim.Addr() == stolen || sc.Nodes[clone].Addr() == victim.Addr() {

@@ -78,9 +78,9 @@ func runMerge(t *testing.T, cfg scenario.Config) (out outcome, connected bool) {
 	}
 
 	// Run past the glide plus k sweep periods.
-	span := sc.MergeComplete() - time.Duration(sc.S.Now()) + resolveK*sweepPeriod
+	span := sc.MergeComplete() - time.Duration(sc.Now()) + resolveK*sweepPeriod
 	sc.StartAuditSweeps(span)
-	sc.S.RunFor(span)
+	sc.RunFor(span)
 
 	out = outcome{Addrs: map[string]int{}, Counters: map[string]float64{}}
 	merged := metricsOf(sc)

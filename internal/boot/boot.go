@@ -12,7 +12,7 @@
 // separated by at least the objection window, while spatially disjoint
 // cells bootstrap concurrently.
 //
-// Both policies are pure functions of their Plan: no simulator RNG is
+// Both policies are pure functions of their Plan: no RNG stream is
 // consumed, so adding or switching a policy never perturbs the rest of a
 // seeded run, and a given (policy, seed) pair always produces the same
 // schedule. The formation conformance suite in this package is the proof

@@ -102,7 +102,7 @@ func seedDuplicatePairs(t *testing.T, sc *scenario.Scenario, pairs int) int {
 	t.Helper()
 	g := geom.NewGrid(sc.Cfg.Radio.Range * boot.DefaultCellFraction)
 	for i := 0; i < sc.Cfg.N; i++ {
-		g.Set(i, sc.Medium.PositionOf(radio.NodeID(i)))
+		g.Set(i, sc.Engine().PosNow(radio.NodeID(i)))
 	}
 	seeded := 0
 	used := map[int]bool{0: true, 1: true} // keep the anchor and preload targets pristine
@@ -136,10 +136,10 @@ func seedDuplicatePairs(t *testing.T, sc *scenario.Scenario, pairs int) int {
 // cannot depend on relays either.
 func seedNameConflict(t *testing.T, sc *scenario.Scenario) int {
 	t.Helper()
-	anchor := sc.Medium.PositionOf(0)
+	anchor := sc.Engine().PosNow(0)
 	reach := sc.Cfg.Radio.Range * 0.6
 	for j := 2; j < sc.Cfg.N; j++ {
-		if sc.Medium.PositionOf(radio.NodeID(j)).Dist(anchor) <= reach {
+		if sc.Engine().PosNow(radio.NodeID(j)).Dist(anchor) <= reach {
 			sc.Nodes[j].Identity().Name = "svc"
 			return 1
 		}
@@ -171,7 +171,7 @@ func runFormation(t *testing.T, cfg scenario.Config, seedConflicts conflictSpec)
 	merged := trace.NewMetrics()
 	out := formationOutcome{
 		Configured: configured,
-		VirtualS:   sc.S.Now().Seconds(),
+		VirtualS:   sc.Now().Seconds(),
 		Addrs:      map[string]int{},
 		Counters:   map[string]float64{},
 	}

@@ -106,7 +106,7 @@ func TestFloodTTLBoundsDiscovery(t *testing.T) {
 func TestLossyChannelStillDelivers(t *testing.T) {
 	// 10% per-receiver loss across a 3-hop chain: retries in discovery and
 	// per-packet acks should still land most packets.
-	s := sim.New(11)
+	s := sim.New()
 	rcfg := radio.DefaultConfig()
 	rcfg.BroadcastJitter = time.Millisecond
 	rcfg.LossRate = 0.1

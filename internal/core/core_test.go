@@ -40,7 +40,7 @@ func fastConfig(secure bool) Config {
 // buildNet creates nodes at the given positions; names[i] may be "".
 func buildNet(t testing.TB, cfg Config, positions []geom.Point, names []string) *testnet {
 	t.Helper()
-	s := sim.New(7)
+	s := sim.New()
 	rcfg := radio.DefaultConfig()
 	rcfg.BroadcastJitter = time.Millisecond
 	medium := radio.New(s, rcfg)

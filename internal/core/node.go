@@ -676,6 +676,8 @@ func (n *Node) consume(pkt *wire.Packet) {
 
 // txCounters names each message type's transmission counter ("tx.AREQ",
 // "tx.DATA", ...), built once so accounting a frame allocates no name.
+//
+//sbr6:allow globalstate name table written once at init and read-only after
 var txCounters = func() (names [256]string) {
 	for t := range names {
 		names[t] = "tx." + wire.Type(t).String()

@@ -23,7 +23,7 @@ type relayRig struct {
 
 func newRelayRig(t testing.TB, cfg Config, record bool) *relayRig {
 	t.Helper()
-	s := sim.New(7)
+	s := sim.New()
 	medium := radio.New(s, radio.DefaultConfig())
 	ident, err := identity.New(cfg.Suite, rand.New(rand.NewSource(42)), "")
 	if err != nil {

@@ -21,7 +21,7 @@ import (
 // identities to construct route records from.
 func newVerifier(t *testing.T) (*Node, []*identity.Identity) {
 	t.Helper()
-	s := sim.New(1)
+	s := sim.New()
 	medium := radio.New(s, radio.DefaultConfig())
 	dnsIdent, err := identity.New(identity.SuiteEd25519, rand.New(rand.NewSource(1)), "dns")
 	if err != nil {
@@ -190,7 +190,7 @@ func TestHopAttestationModes(t *testing.T) {
 	}
 
 	// Baseline node leaves crypto fields empty.
-	s := sim.New(2)
+	s := sim.New()
 	medium := radio.New(s, radio.DefaultConfig())
 	ident, _ := identity.New(identity.SuiteEd25519, rand.New(rand.NewSource(5)), "")
 	base := New(s, medium, 1, ident, nil, BaselineConfig(), rand.New(rand.NewSource(6)), nil)

@@ -22,7 +22,7 @@ import (
 // but with an explicit cache configuration.
 func newCachedVerifier(t *testing.T, entries int) (*Node, []*identity.Identity) {
 	t.Helper()
-	s := sim.New(1)
+	s := sim.New()
 	medium := radio.New(s, radio.DefaultConfig())
 	dnsIdent, err := identity.New(identity.SuiteEd25519, rand.New(rand.NewSource(1)), "dns")
 	if err != nil {
@@ -185,7 +185,7 @@ func TestDisabledCacheRecordsNothing(t *testing.T) {
 // the memo cache on.
 func newSigner(t *testing.T, suite identity.Suite) *Node {
 	t.Helper()
-	s := sim.New(1)
+	s := sim.New()
 	medium := radio.New(s, radio.DefaultConfig())
 	ident, err := identity.New(suite, rand.New(rand.NewSource(2)), "")
 	if err != nil {

@@ -23,9 +23,9 @@ func newIdent(t testing.TB, seed int64, name string) *identity.Identity {
 
 func newServer(t *testing.T) (*sim.Simulator, *Server, *identity.Identity) {
 	t.Helper()
-	s := sim.New(1)
+	s := sim.New()
 	dnsID := newIdent(t, 100, "dns")
-	srv := New(s, s.Rand(), dnsID, DefaultConfig(), nil)
+	srv := New(s, rand.New(rand.NewSource(1)), dnsID, DefaultConfig(), nil)
 	return s, srv, dnsID
 }
 

@@ -62,7 +62,7 @@ func runS1(opt Options) []*trace.Table {
 	// because the fresh challenge is covered by the signature.
 	rng := rand.New(rand.NewSource(opt.Seed))
 	dnsIdent, _ := identity.New(identity.SuiteEd25519, rng, "dns")
-	srv := dnssrv.New(sim.New(opt.Seed), rng, dnsIdent, dnssrv.DefaultConfig(), nil)
+	srv := dnssrv.New(sim.New(), rng, dnsIdent, dnssrv.DefaultConfig(), nil)
 	srv.Preload("server", ipv6.SiteLocal(0, 0x1234))
 	old := srv.HandleQuery(&wire.DNSQuery{Name: "server", Ch: 111})
 	replay := trace.NewTable("S1b: replayed DNS answer", "check", "result")

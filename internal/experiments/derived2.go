@@ -96,10 +96,11 @@ func runE6(opt Options) []*trace.Table {
 // r1 whose identity clones the owner's. It reports whether DAD resolved
 // the duplicate (true) or falsely succeeded (false).
 func dadTrial(seed int64, loss float64, hops, retries int) bool {
-	s := sim.New(seed)
+	s := sim.New()
 	rcfg := radio.DefaultConfig()
 	rcfg.BroadcastJitter = time.Millisecond
 	rcfg.LossRate = loss
+	rcfg.DetSeed = uint64(seed)
 	rcfg.UnicastRetries = retries
 	medium := radio.New(s, rcfg)
 	pcfg := fastProtocol(true)

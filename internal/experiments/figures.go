@@ -82,9 +82,10 @@ func runF1(opt Options) []*trace.Table {
 // on its domain name (the DNS objects with a signed DREP), and finally
 // configures under a fresh address and name.
 func runF2(opt Options) []*trace.Table {
-	s := sim.New(opt.Seed)
+	s := sim.New()
 	rcfg := radio.DefaultConfig()
 	rcfg.BroadcastJitter = time.Millisecond
+	rcfg.DetSeed = uint64(opt.Seed)
 	medium := radio.New(s, rcfg)
 	pcfg := fastProtocol(true)
 
@@ -170,13 +171,13 @@ func runF3(opt Options) []*trace.Table {
 	// Phase 1: S (node 2) discovers and uses a route to D (node 5).
 	dAddr := sc.Nodes[5].Addr()
 	sc.Nodes[2].SendData(dAddr, []byte("figure-3-data"))
-	sc.S.RunFor(3 * time.Second)
+	sc.RunFor(3 * time.Second)
 	phase1 := tr.table("F3a: RREQ flood, SRR growth and signed RREP (S -> D)", 40)
 
 	// Phase 2: S' (node 1) asks for D; S answers from its attested cache.
 	tr.rows = tr.rows[:0]
 	sc.Nodes[1].SendData(dAddr, []byte("figure-3-crep"))
-	sc.S.RunFor(3 * time.Second)
+	sc.RunFor(3 * time.Second)
 	phase2 := tr.table("F3b: cached route reply (CREP) answering S'", 40)
 
 	facts := trace.NewTable("F3c: verification outcome", "fact", "value")

@@ -17,11 +17,11 @@ import (
 //     process entropy and the repo standardizes on the seeded math/rand
 //     streams the scenario mints.
 //   - rand.New / rand.NewSource are flagged everywhere on sim paths, so
-//     each place a stream is minted from the seed (the Simulator root
-//     RNG, the scenario's placement/identity/per-node/track streams)
-//     carries a visible //sbr6:allow — new mints must justify themselves
-//     in review. Everything else consumes a *rand.Rand handed down from
-//     those owners, or uses boot.Mix-style splitmix hashing, which draws
+//     each place a stream is minted from the seed (the scenario's
+//     placement/identity/per-node/track streams) carries a visible
+//     //sbr6:allow — new mints must justify themselves in review.
+//     Everything else consumes a *rand.Rand handed down from those
+//     owners, or uses boot.Mix-style splitmix hashing, which draws
 //     nothing.
 var SimRNG = &analysis.Analyzer{
 	Name: "simrng",

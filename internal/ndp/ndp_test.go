@@ -34,10 +34,10 @@ type harness struct {
 
 func newHarness(t *testing.T, cfg Config, name string) *harness {
 	t.Helper()
-	h := &harness{s: sim.New(1)}
+	h := &harness{s: sim.New()}
 	h.ident = newIdent(t, 10, name)
 	h.dns = newIdent(t, 20, "dns")
-	h.init = NewInitiator(h.s, h.s.Rand(), h.ident, h.dns.Pub, cfg)
+	h.init = NewInitiator(h.s, rand.New(rand.NewSource(1)), h.ident, h.dns.Pub, cfg)
 	h.init.SendAREQ = func(m *wire.AREQ) { h.sent = append(h.sent, m) }
 	h.init.OnConfigured = func() { h.done = true }
 	h.init.OnFailed = func(reason string) { h.fail = reason }

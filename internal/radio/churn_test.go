@@ -79,7 +79,7 @@ func cellsCrossed(t *testing.T, mk func() scenario.Config, seed int64) int {
 	sc := buildSeeded(t, mk, seed)
 	start := make([]geom.Point, sc.Cfg.N)
 	for i := range start {
-		start[i] = sc.Medium.PositionOf(radio.NodeID(i))
+		start[i] = sc.Engine().PosNow(radio.NodeID(i))
 	}
 	runOracle(t, sc)
 	crossed := 0
@@ -88,7 +88,7 @@ func cellsCrossed(t *testing.T, mk func() scenario.Config, seed int64) int {
 		return [2]int32{int32(math.Floor(p.X / cell)), int32(math.Floor(p.Y / cell))}
 	}
 	for i := range start {
-		if key(start[i]) != key(sc.Medium.PositionOf(radio.NodeID(i))) {
+		if key(start[i]) != key(sc.Engine().PosNow(radio.NodeID(i))) {
 			crossed++
 		}
 	}

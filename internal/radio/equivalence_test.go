@@ -124,13 +124,25 @@ func buildSeeded(t *testing.T, mk func() scenario.Config, seed int64) *scenario.
 	return sc
 }
 
+// onlyMedium returns the medium of a one-region scenario, which holds
+// every node's port.
+func onlyMedium(t *testing.T, sc *scenario.Scenario) *radio.Medium {
+	t.Helper()
+	if r := sc.Engine().Regions(); r != 1 {
+		t.Fatalf("scenario runs on %d regions; the oracle needs the one medium that holds every port", r)
+	}
+	return sc.Engine().NodeMedium(0)
+}
+
 // runOracle runs a built scenario while a probe, every oracleStep of
 // virtual time, holds Neighbors(i) of every node to the list InRange
-// builds. Probing reads positions and the index only, so the run itself is
-// unchanged.
+// builds. The probe runs on the medium's own simulator, so it samples the
+// grid at exactly the probe instant. Probing reads positions and the index
+// only, so the run itself is unchanged.
 func runOracle(t *testing.T, sc *scenario.Scenario) {
 	t.Helper()
-	m, n := sc.Medium, sc.Cfg.N
+	m, n := onlyMedium(t, sc), sc.Cfg.N
+	s := sc.Engine().NodeSim(0)
 	probes := 0
 	var probe func()
 	probe = func() {
@@ -144,12 +156,12 @@ func runOracle(t *testing.T, sc *scenario.Scenario) {
 				}
 			}
 			if got := m.Neighbors(a); !sameIDs(got, want) {
-				t.Fatalf("seed %d at %v: Neighbors(%d) = %v, InRange oracle %v", sc.Cfg.Seed, sc.S.Now(), i, got, want)
+				t.Fatalf("seed %d at %v: Neighbors(%d) = %v, InRange oracle %v", sc.Cfg.Seed, s.Now(), i, got, want)
 			}
 		}
-		sc.S.After(oracleStep, probe)
+		s.After(oracleStep, probe)
 	}
-	sc.S.After(oracleStep, probe)
+	s.After(oracleStep, probe)
 	sc.Run()
 	if min := 100; probes < min {
 		t.Fatalf("seed %d: only %d oracle probes ran (want >= %d)", sc.Cfg.Seed, probes, min)

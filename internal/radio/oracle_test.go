@@ -47,7 +47,7 @@ func newOracleNet(t *testing.T, seed int64) *oracleNet {
 	cfg := radio.DefaultConfig()
 	cfg.BroadcastJitter = 0
 	cfg.BitrateBps = 0 // receivers are sampled at the instant of the probe
-	s := sim.New(seed)
+	s := sim.New()
 	return &oracleNet{
 		t:     t,
 		s:     s,

@@ -15,7 +15,7 @@ package radio_test
 // The poisoned comparison then runs the scenarios themselves: a run with
 // Config.PoisonFrames — every released frame overwritten before reuse —
 // must produce a Result identical to the plain pooled run: same receiver
-// sets, same delivery ordering, same RNG consumption, same counters, same
+// sets, same delivery ordering, same loss draws, same counters, same
 // attack detections. Any use-after-release (a receiver, a retry or a
 // remote handoff touching a frame the medium already reclaimed) decodes
 // garbage and splits the Results instead of silently reading stale bytes.
@@ -71,9 +71,10 @@ const (
 // frame into a buffer of its own, the way the protocol's forwarders do.
 func runWireScript(t *testing.T, sc *scenario.Scenario, seed int64, pooled bool) (wireTrace, *radio.Medium) {
 	t.Helper()
-	s := sim.New(seed)
-	cfg := sc.Medium.Config()
+	s := sim.New()
+	cfg := sc.Cfg.Radio
 	cfg.UnicastRetries = 2
+	cfg.DetSeed = uint64(seed)
 	m := radio.New(s, cfg)
 	n := sc.Cfg.N
 	var tr wireTrace
@@ -107,7 +108,7 @@ func runWireScript(t *testing.T, sc *scenario.Scenario, seed int64, pooled bool)
 	relayed := make([]map[string]bool, n)
 	for i := 0; i < n; i++ {
 		id := radio.NodeID(i)
-		p := sc.Medium.PositionOf(id)
+		p := sc.Engine().PosNow(id)
 		relayed[i] = map[string]bool{}
 		m.AddNode(id, func(sim.Time) geom.Point { return p }, radio.HandlerFunc(func(from radio.NodeID, f []byte) {
 			tr.Events = append(tr.Events, wireEvent{s.Now(), id, from, string(f)})
@@ -267,7 +268,7 @@ func TestReplayScenarioByteAccounting(t *testing.T) {
 // and completion-time drops).
 func poolChurnNet(t *testing.T) (*sim.Simulator, *radio.Medium) {
 	t.Helper()
-	s := sim.New(11)
+	s := sim.New()
 	cfg := radio.DefaultConfig()
 	cfg.LossRate = 0.3
 	cfg.UnicastRetries = 2
@@ -341,7 +342,7 @@ func TestFramePoolLeakFree(t *testing.T) {
 // A caller that encodes a frame and then abandons the transmission must
 // hand the buffer back.
 func TestReleaseFrameWithoutTransmit(t *testing.T) {
-	s := sim.New(1)
+	s := sim.New()
 	m := radio.New(s, radio.DefaultConfig())
 	f := m.Frame(100)
 	m.ReleaseFrame(f)

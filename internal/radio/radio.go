@@ -7,6 +7,13 @@
 // acknowledgements for unicasts (modeling the 802.11 ACK, which is what DSR
 // route maintenance uses to detect broken links).
 //
+// Every random draw — contention jitter and the per-receiver loss process —
+// is a content hash keyed by (Config.DetSeed, transmitter, the
+// transmitter's transmission sequence, receiver). A draw therefore does not
+// depend on the order the medium visits receivers, on other media sharing
+// the simulator, or on how the sharded engine split the network, and the
+// medium consumes no sequential random stream.
+//
 // Nodes are identified by a NodeID playing the role of the interface's MAC
 // address; IP-to-NodeID resolution is the upper layer's concern.
 //
@@ -72,25 +79,15 @@ type Config struct {
 	// tests run under it.
 	PoisonFrames bool
 
-	// Det switches the medium's randomness (contention jitter, the
-	// per-receiver loss process) from the simulator's sequential RNG
-	// stream to content-derived hashes keyed by (DetSeed, transmitter,
-	// per-port transmission sequence, receiver). Hashed draws do not
-	// depend on the order the medium visits receivers or on how many
-	// other media share the simulator, which is what lets the sharded
-	// engine split one logical medium across region-local simulators and
-	// still produce byte-identical results at every shard count. Det runs
-	// are NOT byte-identical to non-Det runs of the same seed — the
-	// sharded differential suite compares Det@1 shard against Det@n.
-	Det bool
-
-	// DetSeed seeds the content-derived draws when Det is on.
+	// DetSeed seeds the content-derived draws (contention jitter and the
+	// loss process); the sharded engine derives it from the scenario seed
+	// when zero.
 	DetSeed uint64
 
 	// Remote, when non-nil, is the sharded engine's view of nodes that
 	// live in other regions: transmissions that may reach across the
 	// region boundary are handed off through it instead of silently
-	// stopping at the local port table. Only meaningful with Det.
+	// stopping at the local port table.
 	Remote Remote
 }
 
@@ -180,7 +177,7 @@ type port struct {
 	handler   Handler
 	busyUntil sim.Time
 	down      bool
-	txSeq     uint64 // transmissions attempted so far; keys Det-mode draws
+	txSeq     uint64 // transmissions attempted so far; keys the medium's draws
 }
 
 // Medium is the shared channel all nodes transmit on.
@@ -423,17 +420,13 @@ func (m *Medium) startRefresh(ord int) {
 	m.scheduleRefresh(st, next)
 }
 
-// scheduleRefresh queues the next chain event. In Det mode it is stamped
-// with the chained node's own scheduling owner — a chain started while
-// another node's event was executing must not ride that node's owner key.
+// scheduleRefresh queues the next chain event, stamped with the chained
+// node's own scheduling owner — a chain started while another node's event
+// was executing must not ride that node's owner key.
 func (m *Medium) scheduleRefresh(st *refreshState, at sim.Time) {
-	if m.cfg.Det {
-		prev := m.sim.SetOwner(uint32(m.byOrd[st.ord].id) + 1)
-		m.sim.DoAtArg(at, runRefresh, st)
-		m.sim.SetOwner(prev)
-		return
-	}
+	prev := m.sim.SetOwner(uint32(m.byOrd[st.ord].id) + 1)
 	m.sim.DoAtArg(at, runRefresh, st)
+	m.sim.SetOwner(prev)
 }
 
 func runRefresh(v any) {
@@ -597,7 +590,7 @@ func (m *Medium) txDuration(size int) sim.Duration {
 }
 
 // mix64 is the splitmix64 finalizer — a cheap, well-distributed 64-bit
-// hash for the Det-mode draws.
+// hash for the medium's draws.
 func mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
@@ -607,10 +600,10 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// detMix derives one Det-mode draw from the medium seed and the draw's
-// identity. The sequential RNG this replaces would entangle every medium
-// draw with global event order; a content-keyed hash gives each draw the
-// same value no matter which region evaluates it or in what order.
+// detMix derives one draw from the medium seed and the draw's identity. A
+// sequential RNG would entangle every medium draw with global event order;
+// a content-keyed hash gives each draw the same value no matter which
+// region evaluates it or in what order.
 func detMix(seed, a, b, c uint64) uint64 {
 	h := mix64(seed + 0x9e3779b97f4a7c15 + a)
 	h = mix64(h + 0x9e3779b97f4a7c15 + b)
@@ -620,9 +613,6 @@ func detMix(seed, a, b, c uint64) uint64 {
 
 // txJitter draws the contention jitter for one transmission attempt.
 func (m *Medium) txJitter(from NodeID, txSeq uint64) sim.Duration {
-	if !m.cfg.Det {
-		return m.sim.Jitter(m.cfg.BroadcastJitter)
-	}
 	if m.cfg.BroadcastJitter <= 0 {
 		return 0
 	}
@@ -632,13 +622,10 @@ func (m *Medium) txJitter(from NodeID, txSeq uint64) sim.Duration {
 
 // lossDraw decides whether the frame of the given transmission attempt is
 // lost on its way to the receiver. Callers gate on LossRate > 0 so a
-// lossless medium draws nothing from the simulator's RNG.
+// lossless medium hashes nothing.
 func (m *Medium) lossDraw(from NodeID, txSeq uint64, to NodeID) bool {
-	if m.cfg.Det {
-		h := detMix(m.cfg.DetSeed, uint64(from), txSeq, uint64(to)+1)
-		return float64(h>>11)/(1<<53) < m.cfg.LossRate
-	}
-	return m.sim.Rand().Float64() < m.cfg.LossRate
+	h := detMix(m.cfg.DetSeed, uint64(from), txSeq, uint64(to)+1)
+	return float64(h>>11)/(1<<53) < m.cfg.LossRate
 }
 
 // --- Frame ownership (the pooled wire path) ---
@@ -738,15 +725,11 @@ func runBatch(v any) {
 		if o.down {
 			continue
 		}
-		if m.cfg.Det {
-			// Events the receiver schedules in reaction belong to the
-			// receiver's causal stream, not the transmitter's.
-			prev := m.sim.SetOwner(uint32(o.id) + 1)
-			o.handler.Deliver(b.from, b.frame)
-			m.sim.SetOwner(prev)
-		} else {
-			o.handler.Deliver(b.from, b.frame)
-		}
+		// Events the receiver schedules in reaction belong to the
+		// receiver's causal stream, not the transmitter's.
+		prev := m.sim.SetOwner(uint32(o.id) + 1)
+		o.handler.Deliver(b.from, b.frame)
+		m.sim.SetOwner(prev)
 	}
 	if b.release {
 		m.pool.Put(b.frame)

@@ -48,7 +48,7 @@ func quiet() Config {
 }
 
 func TestBroadcastReachesOnlyInRange(t *testing.T) {
-	s := sim.New(1)
+	s := sim.New()
 	// Node 1 at 100 m (in range), node 2 at 300 m (out of the 250 m range).
 	m, sinks := build(s, quiet(), geom.Point{}, geom.Point{X: 100}, geom.Point{X: 300})
 	m.Broadcast(0, []byte("hello"))
@@ -65,7 +65,7 @@ func TestBroadcastReachesOnlyInRange(t *testing.T) {
 }
 
 func TestUnicastDeliversAndAcks(t *testing.T) {
-	s := sim.New(1)
+	s := sim.New()
 	m, sinks := build(s, quiet(), geom.Point{}, geom.Point{X: 50}, geom.Point{X: 100})
 	var acked *bool
 	m.Unicast(0, 1, []byte("data"), func(ok bool) { acked = &ok })
@@ -82,7 +82,7 @@ func TestUnicastDeliversAndAcks(t *testing.T) {
 }
 
 func TestUnicastOutOfRangeFails(t *testing.T) {
-	s := sim.New(1)
+	s := sim.New()
 	m, sinks := build(s, quiet(), geom.Point{}, geom.Point{X: 1000})
 	var acked *bool
 	m.Unicast(0, 1, []byte("data"), func(ok bool) { acked = &ok })
@@ -99,7 +99,7 @@ func TestUnicastOutOfRangeFails(t *testing.T) {
 }
 
 func TestDownNodeNeitherSendsNorReceives(t *testing.T) {
-	s := sim.New(1)
+	s := sim.New()
 	m, sinks := build(s, quiet(), geom.Point{}, geom.Point{X: 10})
 	m.SetDown(1, true)
 	m.Broadcast(0, []byte("x"))
@@ -123,7 +123,7 @@ func TestDownNodeNeitherSendsNorReceives(t *testing.T) {
 }
 
 func TestSerializationDelaysBackToBackFrames(t *testing.T) {
-	s := sim.New(1)
+	s := sim.New()
 	cfg := quiet()
 	cfg.BitrateBps = 8000 // 1 byte per millisecond
 	cfg.PropDelay = 0
@@ -132,7 +132,7 @@ func TestSerializationDelaysBackToBackFrames(t *testing.T) {
 	m2 := &sink{}
 	_ = m2
 	// Replace handler to capture times: rebuild with a custom handler.
-	s = sim.New(1)
+	s = sim.New()
 	m = New(s, cfg)
 	m.AddNode(0, fixed(geom.Point{}), HandlerFunc(func(NodeID, []byte) {}))
 	m.AddNode(1, fixed(geom.Point{X: 10}), HandlerFunc(func(from NodeID, p []byte) {
@@ -154,7 +154,7 @@ func TestSerializationDelaysBackToBackFrames(t *testing.T) {
 }
 
 func TestQueueSaturationDrops(t *testing.T) {
-	s := sim.New(1)
+	s := sim.New()
 	cfg := quiet()
 	cfg.BitrateBps = 8000
 	cfg.MaxQueueDelay = 150 * time.Millisecond
@@ -174,7 +174,7 @@ func TestQueueSaturationDrops(t *testing.T) {
 }
 
 func TestLossRateDropsRoughlyProportionally(t *testing.T) {
-	s := sim.New(42)
+	s := sim.New()
 	cfg := quiet()
 	cfg.LossRate = 0.5
 	cfg.BitrateBps = 0 // instantaneous so the run is fast
@@ -197,7 +197,7 @@ func TestLossRateDropsRoughlyProportionally(t *testing.T) {
 
 func TestUnicastRetriesRecoverLosses(t *testing.T) {
 	// With 50% loss and 3 retries, per-packet success is 1-0.5^4 = 93.75%.
-	s := sim.New(21)
+	s := sim.New()
 	cfg := quiet()
 	cfg.LossRate = 0.5
 	cfg.UnicastRetries = 3
@@ -226,7 +226,7 @@ func TestUnicastRetriesRecoverLosses(t *testing.T) {
 
 func TestUnicastRetriesExhaust(t *testing.T) {
 	// Out-of-range unicasts fail even with retries, after trying them.
-	s := sim.New(1)
+	s := sim.New()
 	cfg := quiet()
 	cfg.UnicastRetries = 2
 	m, _ := build(s, cfg, geom.Point{}, geom.Point{X: 5000})
@@ -243,7 +243,7 @@ func TestUnicastRetriesExhaust(t *testing.T) {
 }
 
 func TestNeighborsAndInRange(t *testing.T) {
-	s := sim.New(1)
+	s := sim.New()
 	m, _ := build(s, quiet(), geom.Point{}, geom.Point{X: 100}, geom.Point{X: 240}, geom.Point{X: 600})
 	nb := m.Neighbors(0)
 	if len(nb) != 2 || nb[0] != 1 || nb[1] != 2 {
@@ -263,7 +263,7 @@ func TestNeighborsAndInRange(t *testing.T) {
 }
 
 func TestMovingNodeLeavesRange(t *testing.T) {
-	s := sim.New(1)
+	s := sim.New()
 	cfg := quiet()
 	cfg.BitrateBps = 0
 	m := New(s, cfg)
@@ -287,13 +287,13 @@ func TestTransmitFromUnknownNodePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	s := sim.New(1)
+	s := sim.New()
 	m := New(s, quiet())
 	m.Broadcast(42, []byte("x"))
 }
 
 func TestDownSenderFailsUnicastAck(t *testing.T) {
-	s := sim.New(1)
+	s := sim.New()
 	m, _ := build(s, quiet(), geom.Point{}, geom.Point{X: 10})
 	m.SetDown(0, true)
 	var acked *bool
@@ -305,7 +305,7 @@ func TestDownSenderFailsUnicastAck(t *testing.T) {
 }
 
 func TestSenderDiesMidTransmission(t *testing.T) {
-	s := sim.New(1)
+	s := sim.New()
 	cfg := quiet()
 	cfg.BitrateBps = 8000 // 1 byte/ms: a 100-byte frame takes 100 ms
 	m, sinks := build(s, cfg, geom.Point{}, geom.Point{X: 10})
@@ -322,7 +322,7 @@ func TestSenderDiesMidTransmission(t *testing.T) {
 }
 
 func TestNilPositionOrHandlerPanics(t *testing.T) {
-	s := sim.New(1)
+	s := sim.New()
 	m := New(s, quiet())
 	for _, try := range []func(){
 		func() { m.AddNode(0, nil, HandlerFunc(func(NodeID, []byte) {})) },
@@ -340,7 +340,7 @@ func TestNilPositionOrHandlerPanics(t *testing.T) {
 }
 
 func TestZeroRangeDefaulted(t *testing.T) {
-	s := sim.New(1)
+	s := sim.New()
 	m := New(s, Config{})
 	if m.Config().Range != 250 {
 		t.Fatalf("zero range not defaulted: %v", m.Config().Range)
@@ -353,14 +353,14 @@ func TestDuplicateNodePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	s := sim.New(1)
+	s := sim.New()
 	m := New(s, quiet())
 	m.AddNode(1, fixed(geom.Point{}), HandlerFunc(func(NodeID, []byte) {}))
 	m.AddNode(1, fixed(geom.Point{}), HandlerFunc(func(NodeID, []byte) {}))
 }
 
 func TestStatsAccounting(t *testing.T) {
-	s := sim.New(1)
+	s := sim.New()
 	m, _ := build(s, quiet(), geom.Point{}, geom.Point{X: 10})
 	m.Broadcast(0, make([]byte, 64))
 	m.Unicast(0, 1, make([]byte, 32), nil)
@@ -383,7 +383,7 @@ func TestStatsAccounting(t *testing.T) {
 // would then sit in its spawn bucket until that event fires.
 func TestOrdinalReuseStartsOwnRefreshChain(t *testing.T) {
 	for _, reuse := range []bool{true, false} {
-		s := sim.New(1)
+		s := sim.New()
 		m := New(s, quiet())
 		nop := HandlerFunc(func(NodeID, []byte) {})
 		m.AddNode(0, fixed(geom.Point{}), nop)
@@ -412,7 +412,7 @@ func TestOrdinalReuseStartsOwnRefreshChain(t *testing.T) {
 // exactly when its true position does, with or without a declared bound.
 func TestGridMovingNodeWithSpeedBound(t *testing.T) {
 	for _, declare := range []bool{true, false} {
-		s := sim.New(1)
+		s := sim.New()
 		cfg := quiet()
 		cfg.BitrateBps = 0
 		m := New(s, cfg)
@@ -445,7 +445,7 @@ func TestGridMovingNodeWithSpeedBound(t *testing.T) {
 }
 
 func TestSetSpeedBoundEdgeCases(t *testing.T) {
-	s := sim.New(1)
+	s := sim.New()
 	m, _ := build(s, quiet(), geom.Point{}, geom.Point{X: 10})
 	m.SetSpeedBound(99, 5) // unknown id: no-op
 	m.SetSpeedBound(0, 0)
@@ -463,7 +463,7 @@ func TestSetSpeedBoundEdgeCases(t *testing.T) {
 // the previous count, and AppendNeighbors into a sized buffer allocates
 // nothing at all.
 func TestNeighborsAllocation(t *testing.T) {
-	s := sim.New(1)
+	s := sim.New()
 	m := New(s, quiet())
 	for i := 0; i < 100; i++ {
 		m.AddNode(NodeID(i), fixed(geom.Point{X: float64(i * 20)}), HandlerFunc(func(NodeID, []byte) {}))
@@ -482,7 +482,7 @@ func TestNeighborsAllocation(t *testing.T) {
 // BenchmarkNeighbors guards the allocation fix: ~25 in-range neighbours
 // out of 1000 attached nodes.
 func BenchmarkNeighbors(b *testing.B) {
-	s := sim.New(1)
+	s := sim.New()
 	m := New(s, quiet())
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 1000; i++ {
@@ -506,7 +506,7 @@ func BenchmarkNeighbors(b *testing.B) {
 }
 
 func BenchmarkBroadcastFanout50(b *testing.B) {
-	s := sim.New(1)
+	s := sim.New()
 	cfg := quiet()
 	cfg.BitrateBps = 0
 	m := New(s, cfg)

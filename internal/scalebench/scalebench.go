@@ -39,7 +39,7 @@ func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 // ScaleNetwork is a radio medium populated for the scale workload: nodes
 // uniformly placed at constant density (~12 neighbours each), every odd
 // node under random-waypoint motion with a declared speed bound, lossy
-// links so the per-receiver RNG path is exercised.
+// links so the per-receiver loss draw is exercised.
 type ScaleNetwork struct {
 	S *sim.Simulator
 	M *radio.Medium
@@ -51,9 +51,10 @@ type ScaleNetwork struct {
 // BuildScaleNetwork constructs the workload network. The area side scales
 // with sqrt(n) so the expected degree is independent of n.
 func BuildScaleNetwork(n int, seed int64) *ScaleNetwork {
-	s := sim.New(seed)
+	s := sim.New()
 	cfg := radio.DefaultConfig()
 	cfg.LossRate = 0.05
+	cfg.DetSeed = uint64(seed)
 	m := radio.New(s, cfg)
 
 	side := 125 * math.Sqrt(float64(n))
@@ -155,17 +156,17 @@ func RunScale(n int, seed int64, rounds int, now func() time.Time) ScaleResult {
 	}
 }
 
-// --- shard workload: the region-sharded engine vs its own serial mode ---
+// --- shard workload: the engine at ShardRegions regions vs at one ---
 //
 // The flood workload of the radio mode, run on the sharded simulation core:
 // the area is cut into ShardRegions x-sorted strips, each with its own event
 // loop and medium, synchronized by conservative lookahead. The baseline is
-// the engine at one region — not the plain medium — because the engine
-// forces content-derived radio draws, and only engine-vs-engine is proven
-// byte-identical (the differential suite in internal/shard). The ratio is
-// therefore a pure wall-clock speedup of the identical computation, which
-// is what lets it sit under the trend gate. This is also the only sweep
-// mode that reaches 100k nodes.
+// the engine at one region — not the plain medium, whose loss draws are
+// keyed by a different seed — and engine runs are proven byte-identical
+// across region counts (the differential suite in internal/shard). The
+// ratio is therefore a pure wall-clock speedup of the identical
+// computation, which is what lets it sit under the trend gate. This is
+// also the only sweep mode that reaches 100k nodes.
 
 // ShardRegions is the region count of the sharded variant. Fixed rather
 // than NumCPU-derived so the recorded workload is identical on every
@@ -395,9 +396,9 @@ func RunFormation(n int, k boot.Kind, seed int64, now func() time.Time) ScaleRes
 		Index:      k.String(),
 		Rounds:     1,
 		WallMS:     float64(wall.Nanoseconds()) / 1e6,
-		Events:     sc.S.Processed(),
+		Events:     sc.Engine().Events(),
 		Configured: configured,
-		VirtualS:   sc.S.Now().Seconds(),
+		VirtualS:   sc.Now().Seconds(),
 	}
 }
 
@@ -442,7 +443,8 @@ func BuildAuditNetwork(n int, seed int64) *AuditNetwork {
 func RunAuditSweep(n int, seed int64, rounds int, now func() time.Time) ScaleResult {
 	an := BuildAuditNetwork(n, seed)
 	an.Round() // warm: neighbor tables and flood seen-sets
-	baseEvents, baseStats := an.SC.S.Processed(), an.SC.Medium.Stats()
+	eng := an.SC.Engine()
+	baseEvents, baseStats := eng.Events(), eng.Stats()
 	start := now()
 	for r := 0; r < rounds; r++ {
 		an.Round()
@@ -451,14 +453,14 @@ func RunAuditSweep(n int, seed int64, rounds int, now func() time.Time) ScaleRes
 	if ops := an.VerifyOps(); ops != 0 {
 		panic(fmt.Sprintf("scalebench: conflict-free audit sweep performed %d verifications", ops))
 	}
-	stats := an.SC.Medium.Stats()
+	stats := eng.Stats()
 	return ScaleResult{
 		Mode:     "audit",
 		Nodes:    n,
 		Index:    "grid",
 		Rounds:   rounds,
 		WallMS:   float64(wall.Nanoseconds()) / 1e6 / float64(rounds),
-		Events:   an.SC.S.Processed() - baseEvents,
+		Events:   eng.Events() - baseEvents,
 		TxFrames: stats.TxFrames - baseStats.TxFrames,
 		RxFrames: stats.RxFrames - baseStats.RxFrames,
 	}
@@ -468,7 +470,7 @@ func RunAuditSweep(n int, seed int64, rounds int, now func() time.Time) ScaleRes
 // phase and the simulator drains the relays and deliveries.
 func (an *AuditNetwork) Round() {
 	an.SC.StartAuditSweeps(AuditPeriod)
-	an.SC.S.RunFor(AuditPeriod)
+	an.SC.RunFor(AuditPeriod)
 }
 
 // AdvsProcessed sums the rx.AADV counter over all nodes: how many distinct
@@ -529,7 +531,7 @@ type CryptoNetwork struct {
 // BuildCryptoNetwork constructs the workload for `epochs` rounds at
 // n-node scale. cached selects the memoized (default) or direct verifier.
 func BuildCryptoNetwork(n int, cached bool, seed int64, epochs int) *CryptoNetwork {
-	s := sim.New(seed)
+	s := sim.New()
 	medium := radio.New(s, radio.DefaultConfig())
 	rng := newRand(seed)
 

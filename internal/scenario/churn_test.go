@@ -4,7 +4,20 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+
+	"sbr6/internal/radio"
+	"sbr6/internal/sim"
 )
+
+// onlyRegion returns the simulator and medium of a one-region scenario,
+// which hold every node event and every port.
+func onlyRegion(t *testing.T, sc *Scenario) (*sim.Simulator, *radio.Medium) {
+	t.Helper()
+	if r := sc.eng.Regions(); r != 1 {
+		t.Fatalf("scenario runs on %d regions, want 1", r)
+	}
+	return sc.eng.NodeSim(0), sc.eng.NodeMedium(0)
+}
 
 // settle steps enough windows that every packet in flight when the last
 // op was applied has either landed or been dropped and every finalized
@@ -48,19 +61,21 @@ func TestChurnNoResidualState(t *testing.T) {
 
 	// First wave establishes the steady-state fingerprint; the sim is
 	// deterministic, so later identically-shaped waves must reproduce it.
+	rs, med := onlyRegion(t, sc)
+	pending := func() int { return rs.Pending() + sc.eng.Global.Pending() }
 	churnWave(t, lv, 5)
-	wantLive := sc.Medium.Live()
-	wantPending := sc.S.Pending()
+	wantLive := med.Live()
+	wantPending := pending()
 	if wantLive != 16 {
 		t.Fatalf("grid occupancy %d after first wave, want the 16 built nodes", wantLive)
 	}
 
 	for wave := 2; wave <= 4; wave++ {
 		joined := churnWave(t, lv, 5)
-		if got := sc.Medium.Live(); got != wantLive {
+		if got := med.Live(); got != wantLive {
 			t.Errorf("wave %d: grid occupancy %d, want %d — departed ports leaked", wave, got, wantLive)
 		}
-		if got := sc.S.Pending(); got != wantPending {
+		if got := pending(); got != wantPending {
 			t.Errorf("wave %d: %d pending events, want %d — departed timers leaked", wave, got, wantPending)
 		}
 		for _, idx := range joined {
@@ -87,7 +102,8 @@ func TestChurnPoolDrains(t *testing.T) {
 		}
 	}
 	settle(lv)
-	if st := sc.Medium.PoolStats(); st.Live != 0 {
+	_, med := onlyRegion(t, sc)
+	if st := med.PoolStats(); st.Live != 0 {
 		t.Errorf("pool holds %d outstanding buffers after the sources left and the cooldown drained: %+v", st.Live, st)
 	}
 }

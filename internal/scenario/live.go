@@ -24,13 +24,12 @@
 //
 // # Determinism
 //
-// Everything external happens at window barriers, when the serial loop
-// is idle or every region of the sharded engine has quiesced: joins,
-// leaves, queries and snapshots never interleave with events. Join
-// positions and start jitters draw from a dedicated churn RNG stream, so
-// a session replayed from the same seed with the same barrier-stamped
-// operation journal reproduces the run byte for byte — that replay is
-// exactly how snapshot restore works.
+// Everything external happens at window barriers, when every region of
+// the engine has quiesced: joins, leaves, queries and snapshots never
+// interleave with events. Join positions and start jitters draw from a
+// dedicated churn RNG stream, so a session replayed from the same seed
+// with the same barrier-stamped operation journal reproduces the run byte
+// for byte — that replay is exactly how snapshot restore works.
 package scenario
 
 import (
@@ -46,12 +45,9 @@ import (
 	"sbr6/internal/audit"
 	"sbr6/internal/core"
 	"sbr6/internal/identity"
-	"sbr6/internal/ipv6"
-	"sbr6/internal/mobility"
 	"sbr6/internal/ndp"
 	"sbr6/internal/radio"
 	"sbr6/internal/trace"
-	"sbr6/internal/wire"
 )
 
 // Live session errors.
@@ -217,7 +213,7 @@ func (lv *Live) Start() int {
 	configured := sc.Bootstrap()
 	lv.startAudits()
 	sc.RunFor(sc.Cfg.Warmup)
-	sc.measureStart = sc.S.Now()
+	sc.measureStart = sc.Now()
 	sc.onLatency = func(_ int, seconds float64) { lv.observe("e2e.latency_s", seconds) }
 	lv.startFlows()
 	lv.started = true
@@ -225,21 +221,20 @@ func (lv *Live) Start() int {
 }
 
 // Step runs exactly one measurement window and performs the barrier work:
-// flow-log replay (sharded), in-flight pruning, sample draining, counter
-// deltas, and lagged window finalization.
+// flow-log replay, in-flight pruning, sample draining, counter deltas, and
+// lagged window finalization.
 func (lv *Live) Step() {
 	sc := lv.sc
 	sc.RunFor(lv.w)
-	// The engine replays region flow logs at its final barrier; the
-	// serial path applied them inline. Either way the bookkeeping below
-	// sees a fully settled window.
+	// The engine replays region flow logs at its final barrier, so the
+	// bookkeeping below sees a fully settled window.
 	lv.windowRing(lv.window) // materialize the window even if nothing was sent
 	lv.window++
 
 	// Prune in-flight entries past the cooldown: the batch path would
 	// have counted them lost at run end; a session must not hold them
 	// forever waiting for a delivery that can no longer be attributed.
-	horizon := sc.S.Now().Add(-sc.Cfg.Cooldown)
+	horizon := sc.Now().Add(-sc.Cfg.Cooldown)
 	//sbr6:commutative age-threshold deletes touch disjoint keys and no surviving state
 	for k, at := range sc.sent {
 		if at < horizon {
@@ -412,31 +407,15 @@ func (lv *Live) Join(name string, b core.Behavior) (int, error) {
 	jitter := time.Duration(1 + lv.churn.Int63n(jitterRange))
 	track := buildTrack(cfg, pos, idx)
 
-	dnsPub := sc.Nodes[0].Identity().Pub
-	var n *core.Node
-	if sc.eng != nil {
-		id := radio.NodeID(idx)
-		sc.eng.InjectNode(id, pos)
-		ns, nm := sc.eng.NodeSim(id), sc.eng.NodeMedium(id)
-		prev := ns.SetOwner(uint32(id) + 1)
-		n = core.New(ns, nm, id, ident, dnsPub, cfg.Protocol, rng, nil)
-		ns.SetOwner(prev)
-		n.Behavior = b
-		sc.eng.AddNode(id, track, n)
-		sc.eng.ScheduleOwnedAt(id, sc.S.Now().Add(jitter), n.Start)
-	} else {
-		id := radio.NodeID(idx)
-		n = core.New(sc.S, sc.Medium, id, ident, dnsPub, cfg.Protocol, rng, nil)
-		n.Behavior = b
-		sc.Medium.AddNode(id, track.Position, n)
-		if bt, ok := track.(mobility.Bounded); ok {
-			sc.Medium.SetSpeedBound(id, bt.SpeedBound())
-		}
-		if rf, ok := track.(mobility.Refresher); ok {
-			sc.Medium.SetRefresher(id, rf.NextRefresh)
-		}
-		sc.S.After(jitter, n.Start)
-	}
+	id := radio.NodeID(idx)
+	sc.eng.InjectNode(id, pos)
+	ns, nm := sc.eng.NodeSim(id), sc.eng.NodeMedium(id)
+	prev := ns.SetOwner(uint32(id) + 1)
+	n := core.New(ns, nm, id, ident, sc.Nodes[0].Identity().Pub, cfg.Protocol, rng, nil)
+	ns.SetOwner(prev)
+	n.Behavior = b
+	sc.eng.AddNode(id, track, n)
+	sc.eng.ScheduleOwnedAt(id, sc.Now().Add(jitter), n.Start)
 	sc.Nodes = append(sc.Nodes, n)
 	lv.scheduleAudit(idx, n)
 	return idx, nil
@@ -469,11 +448,7 @@ func (lv *Live) Leave(idx int) error {
 	lv.drainInto(n.Metrics())
 	lv.graveyard.Merge(n.Metrics())
 	n.Shutdown()
-	if sc.eng != nil {
-		sc.eng.RemoveNode(radio.NodeID(idx))
-	} else {
-		sc.Medium.RemoveNode(radio.NodeID(idx))
-	}
+	sc.eng.RemoveNode(radio.NodeID(idx))
 	return nil
 }
 
@@ -498,10 +473,7 @@ func (lv *Live) scheduleAudit(i int, n *core.Node) {
 	if period <= 0 {
 		return
 	}
-	ns := sc.S
-	if sc.eng != nil {
-		ns = sc.eng.NodeSim(radio.NodeID(i))
-	}
+	ns := sc.eng.NodeSim(radio.NodeID(i))
 	var fire func()
 	fire = func() {
 		if n.Dead() {
@@ -514,11 +486,7 @@ func (lv *Live) scheduleAudit(i int, n *core.Node) {
 	if first == 0 {
 		first = period
 	}
-	if sc.eng != nil {
-		sc.eng.ScheduleOwnedAt(radio.NodeID(i), sc.S.Now().Add(first), fire)
-	} else {
-		sc.S.After(first, fire)
-	}
+	sc.eng.ScheduleOwnedAt(radio.NodeID(i), sc.Now().Add(first), fire)
 }
 
 // startFlows arms the configured CBR flows as self-rescheduling chains —
@@ -528,77 +496,24 @@ func (lv *Live) scheduleAudit(i int, n *core.Node) {
 func (lv *Live) startFlows() {
 	sc := lv.sc
 	for fi, f := range sc.Cfg.Flows {
-		fi, f := fi, f
-		st := &flowStat{}
-		sc.flowStats[fi] = st
-		src, dst := sc.Nodes[f.From], sc.Nodes[f.To]
+		sc.flowStats[fi] = &flowStat{}
 		flowID := uint32(fi + 1)
+		sc.hookFlowSink(flowID, f.To)
+		srcID, src := radio.NodeID(f.From), sc.Nodes[f.From]
+		srcRegion, srcSim := sc.eng.RegionOf(srcID), sc.eng.NodeSim(srcID)
 		payload := make([]byte, f.Size)
-		dstAddr := dst.Addr()
-
-		if sc.eng != nil {
-			srcID := radio.NodeID(f.From)
-			srcRegion, dstRegion := sc.eng.RegionOf(srcID), sc.eng.RegionOf(radio.NodeID(f.To))
-			srcSim, dstSim := sc.eng.NodeSim(srcID), sc.eng.NodeSim(radio.NodeID(f.To))
-			prevOnData := dst.OnData
-			dst.OnData = func(from ipv6.Addr, d *wire.Data) {
-				if prevOnData != nil {
-					prevOnData(from, d)
-				}
-				if d.FlowID != flowID {
-					return
-				}
-				sc.flowLogs[dstRegion] = append(sc.flowLogs[dstRegion],
-					flowLogEntry{at: dstSim.Now(), kind: flowDeliver, flow: d.FlowID, seq: d.Seq})
-			}
-			var send func()
-			send = func() {
-				if src.Dead() {
-					return
-				}
-				_, seq := src.SendFlow(dstAddr, flowID, payload)
-				sc.flowLogs[srcRegion] = append(sc.flowLogs[srcRegion],
-					flowLogEntry{at: srcSim.Now(), kind: flowSend, flow: flowID, seq: seq})
-				srcSim.After(f.Interval, send)
-			}
-			sc.eng.ScheduleOwnedAt(srcID, sc.S.Now().Add(f.Start+f.Interval), send)
-			continue
-		}
-
-		prevOnData := dst.OnData
-		dst.OnData = func(from ipv6.Addr, d *wire.Data) {
-			if prevOnData != nil {
-				prevOnData(from, d)
-			}
-			if d.FlowID != flowID {
-				return
-			}
-			key := flowPacket{d.FlowID, d.Seq}
-			sentAt, tracked := sc.sent[key]
-			if !tracked {
-				return // duplicate, pruned, or out-of-window
-			}
-			delete(sc.sent, key)
-			st.delivered++
-			sc.onLatency(f.From, sc.S.Now().Sub(sentAt).Seconds())
-			if w := sc.windowAt(sc.windowIndex(sentAt)); w != nil {
-				w.Delivered++
-			}
-		}
+		dstAddr := sc.Nodes[f.To].Addr()
 		var send func()
 		send = func() {
 			if src.Dead() {
 				return
 			}
 			_, seq := src.SendFlow(dstAddr, flowID, payload)
-			sc.sent[flowPacket{flowID, seq}] = sc.S.Now()
-			st.sent++
-			if w := sc.windowAt(sc.windowIndex(sc.S.Now())); w != nil {
-				w.Sent++
-			}
-			sc.S.After(f.Interval, send)
+			sc.flowLogs[srcRegion] = append(sc.flowLogs[srcRegion],
+				flowLogEntry{at: srcSim.Now(), kind: flowSend, flow: flowID, seq: seq})
+			srcSim.After(f.Interval, send)
 		}
-		sc.S.After(f.Start+f.Interval, send)
+		sc.eng.ScheduleOwnedAt(srcID, sc.Now().Add(f.Start+f.Interval), send)
 	}
 }
 
@@ -645,11 +560,7 @@ func (lv *Live) Result() *Result {
 	res.DataBytes = res.Metrics.Get("tx.bytes.data")
 	res.CryptoSign = res.Metrics.Get("crypto.sign")
 	res.CryptoVerify = res.Metrics.Get("crypto.verify")
-	if sc.eng != nil {
-		res.Link = sc.eng.Stats()
-	} else {
-		res.Link = sc.Medium.Stats()
-	}
+	res.Link = sc.eng.Stats()
 	return res
 }
 

@@ -4,6 +4,12 @@
 // shared substrate of the benchmark harness, the example programs and the
 // integration tests.
 //
+// Every scenario runs on the region-sharded engine (internal/shard), with
+// one region unless Config.Shards asks for more; the region count changes
+// wall time only, never results. Node events run on their region's
+// simulator, so a harness advances time with Scenario.RunFor, never by
+// driving the engine's global simulator alone.
+//
 // Node 0 is always the DNS server, the network's single security anchor.
 package scenario
 
@@ -138,11 +144,10 @@ type Config struct {
 	// convergence over time (e.g. credits learning around a black hole).
 	WindowSize time.Duration
 
-	// Shards, when positive, runs the scenario on the region-sharded
-	// engine (internal/shard) with that many regions. Shards=1 is the
-	// engine's serial baseline: identical event ordering rules to any
-	// higher count, so its Results are byte-comparable across counts.
-	// Zero keeps the historical single-loop path.
+	// Shards is the region count of the simulation engine
+	// (internal/shard); Build turns values below 1 into one region.
+	// Results are byte-identical at every count, so it changes only wall
+	// time.
 	Shards int
 }
 
@@ -268,14 +273,7 @@ func effectiveRange(cfg Config) float64 {
 
 // Scenario is a built simulation ready to run.
 type Scenario struct {
-	Cfg Config
-	// S is the simulator driving global time. Under sharding it is the
-	// engine's barrier-synchronized Global simulator: events scheduled on
-	// it run only while every region is idle.
-	S *sim.Simulator
-	// Medium is the single shared channel of the serial path; nil when
-	// the scenario runs sharded (each region owns its own medium).
-	Medium *radio.Medium
+	Cfg    Config
 	Nodes  []*core.Node
 	DNSSrv *dnssrv.Server
 
@@ -303,11 +301,12 @@ type Scenario struct {
 	bootHorizon  time.Duration
 	mergeDone    time.Duration // latest partition glide arrival; 0 = no partition
 
-	// eng is the region-sharded engine, nil on the serial path.
+	// eng is the simulation engine: every node lives on one of its
+	// regions, and its Global simulator runs only at barriers.
 	eng *shard.Engine
-	// flowLogs defers the shared flow bookkeeping under sharding: send
-	// and delivery events append to their own region's log, and the
-	// engine replays the merged logs in deterministic order at barriers.
+	// flowLogs defers the shared flow bookkeeping: send and delivery
+	// events append to their own region's log, and the engine replays the
+	// merged logs in deterministic order at barriers.
 	flowLogs [][]flowLogEntry
 }
 
@@ -419,6 +418,9 @@ func Build(cfg Config) (*Scenario, error) {
 	if cfg.Spacing <= 0 {
 		cfg.Spacing = 200
 	}
+	if cfg.Shards < 1 {
+		cfg.Shards = 1
+	}
 	// Scale the per-node duplicate-flood suppression sets with the
 	// network: during a 10k-node bootstrap more than 4096 flood ids are
 	// in flight, and a FIFO seen-set smaller than the working set forgets
@@ -459,29 +461,22 @@ func Build(cfg Config) (*Scenario, error) {
 		formationPos = stagePartition(cfg, positions, effectiveRange(cfg))
 	}
 
-	// The simulation substrate: one shared simulator and medium on the
-	// serial path, or the region-sharded engine. Regions are partitioned
-	// from the formation-start positions — ownership is a load-balancing
-	// choice fixed at build time, so nodes that later roam (or glide in
-	// from a staged partition) keep their home region.
-	if cfg.Shards > 0 {
-		sc.eng = shard.New(shard.Config{
-			Seed:      cfg.Seed,
-			Regions:   cfg.Shards,
-			Radio:     cfg.Radio,
-			Positions: formationPos,
-		})
-		sc.S = sc.eng.Global
-		sc.flowLogs = make([][]flowLogEntry, sc.eng.Regions())
-		sc.eng.OnBarrier = sc.replayFlowLogs
-	} else {
-		sc.S = sim.New(cfg.Seed)
-		sc.Medium = radio.New(sc.S, cfg.Radio)
-	}
+	// The simulation engine. Regions are partitioned from the
+	// formation-start positions — ownership is a load-balancing choice
+	// fixed at build time, so nodes that later roam (or glide in from a
+	// staged partition) keep their home region.
+	sc.eng = shard.New(shard.Config{
+		Seed:      cfg.Seed,
+		Regions:   cfg.Shards,
+		Radio:     cfg.Radio,
+		Positions: formationPos,
+	})
+	sc.flowLogs = make([][]flowLogEntry, sc.eng.Regions())
+	sc.eng.OnBarrier = sc.replayFlowLogs
 
 	// The admission schedule is fixed at build time from the formation-start
 	// positions; policies are pure functions of the plan, so they consume no
-	// simulator RNG and never perturb the rest of the seeded run. The
+	// RNG stream and never perturb the rest of the seeded run. The
 	// horizon — when Bootstrap declares formation over — anchors the
 	// partition glide start, so it is fixed here too: one extra stagger of
 	// settle time beyond the last objection window, matching the historical
@@ -515,15 +510,11 @@ func Build(cfg Config) (*Scenario, error) {
 			}
 		}
 		rng := rand.New(rand.NewSource(cfg.Seed + 9000 + int64(i))) //sbr6:allow simrng seed-derived per-node protocol stream owned by Build
-		ns, nm := sc.S, sc.Medium
-		var prevOwner uint32
-		if sc.eng != nil {
-			// The node lives on its region's simulator and medium, and
-			// everything it ever schedules — starting with construction-time
-			// timers — is stamped with its own causal stream.
-			ns, nm = sc.eng.NodeSim(radio.NodeID(i)), sc.eng.NodeMedium(radio.NodeID(i))
-			prevOwner = ns.SetOwner(uint32(i) + 1)
-		}
+		// The node lives on its region's simulator and medium, and
+		// everything it ever schedules — starting with construction-time
+		// timers — is stamped with its own causal stream.
+		ns, nm := sc.eng.NodeSim(radio.NodeID(i)), sc.eng.NodeMedium(radio.NodeID(i))
+		prevOwner := ns.SetOwner(uint32(i) + 1)
 		n := core.New(ns, nm, radio.NodeID(i), ident, dnsIdent.Pub, cfg.Protocol, rng, nil)
 		if i == 0 {
 			dcfg := cfg.DNS
@@ -531,9 +522,7 @@ func Build(cfg Config) (*Scenario, error) {
 			sc.DNSSrv = dnssrv.New(ns, rng, dnsIdent, dcfg, nil)
 			n.AttachDNS(sc.DNSSrv)
 		}
-		if sc.eng != nil {
-			ns.SetOwner(prevOwner)
-		}
+		ns.SetOwner(prevOwner)
 		if b, hostile := cfg.Behaviors[i]; hostile {
 			n.Behavior = b
 		}
@@ -552,22 +541,7 @@ func Build(cfg Config) (*Scenario, error) {
 		} else {
 			track = buildTrack(cfg, positions[i], i)
 		}
-		if sc.eng != nil {
-			sc.eng.AddNode(radio.NodeID(i), track, n)
-		} else {
-			sc.Medium.AddNode(radio.NodeID(i), track.Position, n)
-			// Declare the track's speed bound so the medium's spatial index
-			// can re-bucket lazily; tracks that cannot bound themselves stay
-			// unbounded and are re-bucketed exactly.
-			if bt, ok := track.(mobility.Bounded); ok {
-				sc.Medium.SetSpeedBound(radio.NodeID(i), bt.SpeedBound())
-			}
-			// Tracks that can announce their own drift get event-driven
-			// per-leg re-bucketing instead of the O(movers) query-time sweep.
-			if rf, ok := track.(mobility.Refresher); ok {
-				sc.Medium.SetRefresher(radio.NodeID(i), rf.NextRefresh)
-			}
-		}
+		sc.eng.AddNode(radio.NodeID(i), track, n)
 		sc.Nodes = append(sc.Nodes, n)
 	}
 
@@ -652,12 +626,7 @@ func (sc *Scenario) BootOffsets() []time.Duration {
 // many nodes configured successfully.
 func (sc *Scenario) Bootstrap() int {
 	for i, n := range sc.Nodes {
-		n := n
-		if sc.eng != nil {
-			sc.eng.ScheduleOwnedAt(radio.NodeID(i), sc.S.Now().Add(sc.bootOffsets[i]), n.Start)
-		} else {
-			sc.S.After(sc.bootOffsets[i], n.Start)
-		}
+		sc.eng.ScheduleOwnedAt(radio.NodeID(i), sc.Now().Add(sc.bootOffsets[i]), n.Start)
 	}
 	sc.RunFor(sc.bootHorizon)
 	configured := 0
@@ -687,28 +656,20 @@ func (sc *Scenario) StartAuditSweeps(span time.Duration) {
 		return
 	}
 	for i, n := range sc.Nodes {
-		n := n
 		for t := audit.Offset(sc.Cfg.Seed, i, period); t < span; t += period {
-			if sc.eng != nil {
-				sc.eng.ScheduleOwnedAt(radio.NodeID(i), sc.S.Now().Add(t), n.AuditAdvertise)
-			} else {
-				sc.S.After(t, n.AuditAdvertise)
-			}
+			sc.eng.ScheduleOwnedAt(radio.NodeID(i), sc.Now().Add(t), n.AuditAdvertise)
 		}
 	}
 }
 
-// RunFor advances the simulation by d: directly on the serial path,
-// through the barrier protocol when sharded.
-func (sc *Scenario) RunFor(d time.Duration) {
-	if sc.eng != nil {
-		sc.eng.RunFor(d)
-		return
-	}
-	sc.S.RunFor(d)
-}
+// RunFor advances the simulation by d through the engine's barrier
+// protocol, running every node event and global event due in the span.
+func (sc *Scenario) RunFor(d time.Duration) { sc.eng.RunFor(d) }
 
-// Engine returns the region-sharded engine, or nil on the serial path.
+// Now returns the current virtual time.
+func (sc *Scenario) Now() sim.Time { return sc.eng.Now() }
+
+// Engine returns the simulation engine.
 func (sc *Scenario) Engine() *shard.Engine { return sc.eng }
 
 // Run executes the full experiment: bootstrap, warmup, measured traffic,
@@ -722,15 +683,13 @@ func (sc *Scenario) Run() *Result {
 
 	sc.StartAuditSweeps(sc.Cfg.Warmup + sc.Cfg.Duration + sc.Cfg.Cooldown)
 	sc.RunFor(sc.Cfg.Warmup)
-	sc.measureStart = sc.S.Now()
+	sc.measureStart = sc.Now()
 	sc.startFlows()
 	sc.scheduleWindowEmissions()
 	sc.RunFor(sc.Cfg.Duration + sc.Cfg.Cooldown)
-	if sc.eng != nil {
-		// A stopped run skips the engine's final barrier; the replay is
-		// idempotent over drained logs, so flush unconditionally.
-		sc.replayFlowLogs()
-	}
+	// A stopped run skips the engine's final barrier; the replay is
+	// idempotent over drained logs, so flush unconditionally.
+	sc.replayFlowLogs()
 
 	// Aggregate.
 	lat := trace.NewMetrics()
@@ -753,11 +712,7 @@ func (sc *Scenario) Run() *Result {
 	res.DataBytes = res.Metrics.Get("tx.bytes.data")
 	res.CryptoSign = res.Metrics.Get("crypto.sign")
 	res.CryptoVerify = res.Metrics.Get("crypto.verify")
-	if sc.eng != nil {
-		res.Link = sc.eng.Stats()
-	} else {
-		res.Link = sc.Medium.Stats()
-	}
+	res.Link = sc.eng.Stats()
 	res.Windows = sc.windows
 	return res
 }
@@ -778,7 +733,7 @@ func (sc *Scenario) scheduleWindowEmissions() {
 		if at > sc.Cfg.Duration {
 			at = sc.Cfg.Duration
 		}
-		sc.S.After(at+sc.Cfg.Cooldown, func() {
+		sc.eng.Global.After(at+sc.Cfg.Cooldown, func() {
 			w := WindowStat{Start: time.Duration(k) * sc.Cfg.WindowSize}
 			if k < len(sc.windows) {
 				w = sc.windows[k]
@@ -790,76 +745,43 @@ func (sc *Scenario) scheduleWindowEmissions() {
 
 // startFlows schedules the CBR sources across the measurement window and
 // hooks delivery tracking at each sink. Flow fields were validated by
-// Build, so every flow here is well-formed.
+// Build, so every flow here is well-formed. The send events and the
+// delivery hook run inside region event loops, so instead of mutating the
+// shared bookkeeping directly — the sent map, window counters and the
+// source's latency samples are all order-sensitive — they append to their
+// own region's log; replayFlowLogs applies the merged logs in a
+// shard-count-independent order at each barrier.
 func (sc *Scenario) startFlows() {
 	for fi, f := range sc.Cfg.Flows {
-		fi, f := fi, f
-		st := &flowStat{}
-		sc.flowStats[fi] = st
-		src, dst := sc.Nodes[f.From], sc.Nodes[f.To]
+		sc.flowStats[fi] = &flowStat{}
 		flowID := uint32(fi + 1)
-
-		if sc.eng != nil {
-			sc.startFlowSharded(f, flowID, src, dst)
-			continue
-		}
-
-		prevOnData := dst.OnData
-		dst.OnData = func(from ipv6.Addr, d *wire.Data) {
-			if prevOnData != nil {
-				prevOnData(from, d)
-			}
-			if d.FlowID != flowID {
-				return
-			}
-			key := flowPacket{d.FlowID, d.Seq}
-			sentAt, tracked := sc.sent[key]
-			if !tracked {
-				return // duplicate or out-of-window
-			}
-			delete(sc.sent, key)
-			st.delivered++
-			src.Metrics().Observe("e2e.latency_s", sc.S.Now().Sub(sentAt).Seconds())
-			// Deliveries are attributed to the window the packet was SENT
-			// in, so window PDRs are well defined.
-			if w := sc.windowAt(sc.windowIndex(sentAt)); w != nil {
-				w.Delivered++
-			}
-		}
-
-		interval := f.Interval
-		count := int((sc.Cfg.Duration - f.Start) / interval)
+		sc.hookFlowSink(flowID, f.To)
+		srcID, src := radio.NodeID(f.From), sc.Nodes[f.From]
+		srcRegion, srcSim := sc.eng.RegionOf(srcID), sc.eng.NodeSim(srcID)
+		// The destination address is captured once, here, while every
+		// region is idle: reading it from inside the source's event loop
+		// would cross region ownership. Flows target post-formation
+		// addresses, so the snapshot is the address the sink holds.
+		dstAddr := sc.Nodes[f.To].Addr()
+		count := int((sc.Cfg.Duration - f.Start) / f.Interval)
 		payload := make([]byte, f.Size)
+		base := sc.Now()
 		for k := 0; k < count; k++ {
-			at := f.Start + time.Duration(k)*interval
-			sc.S.After(at, func() {
-				_, seq := src.SendFlow(dst.Addr(), flowID, payload)
-				sc.sent[flowPacket{flowID, seq}] = sc.S.Now()
-				st.sent++
-				if w := sc.windowAt(sc.windowIndex(sc.S.Now())); w != nil {
-					w.Sent++
-				}
+			at := base.Add(f.Start + time.Duration(k)*f.Interval)
+			sc.eng.ScheduleOwnedAt(srcID, at, func() {
+				_, seq := src.SendFlow(dstAddr, flowID, payload)
+				sc.flowLogs[srcRegion] = append(sc.flowLogs[srcRegion],
+					flowLogEntry{at: srcSim.Now(), kind: flowSend, flow: flowID, seq: seq})
 			})
 		}
 	}
 }
 
-// startFlowSharded wires one flow under the engine. The send events and
-// the delivery hook run inside region event loops, so instead of mutating
-// the shared bookkeeping directly — the sent map, window counters and the
-// source's latency samples are all order-sensitive — they append to their
-// own region's log; replayFlowLogs applies the merged logs in a
-// shard-count-independent order at each barrier.
-func (sc *Scenario) startFlowSharded(f Flow, flowID uint32, src, dst *core.Node) {
-	srcID, dstID := radio.NodeID(f.From), radio.NodeID(f.To)
-	srcRegion, dstRegion := sc.eng.RegionOf(srcID), sc.eng.RegionOf(dstID)
-	srcSim, dstSim := sc.eng.NodeSim(srcID), sc.eng.NodeSim(dstID)
-	// The destination address is captured once, here, while every region
-	// is idle: reading it from inside the source's event loop would cross
-	// region ownership. Flows target post-formation addresses, so the
-	// snapshot is the address the serial path would read too.
-	dstAddr := dst.Addr()
-
+// hookFlowSink chains a delivery hook onto the flow's sink, node to, that
+// logs each of the flow's packets into the sink region's flow log.
+func (sc *Scenario) hookFlowSink(flowID uint32, to int) {
+	dst, dstID := sc.Nodes[to], radio.NodeID(to)
+	dstRegion, dstSim := sc.eng.RegionOf(dstID), sc.eng.NodeSim(dstID)
 	prevOnData := dst.OnData
 	dst.OnData = func(from ipv6.Addr, d *wire.Data) {
 		if prevOnData != nil {
@@ -871,18 +793,6 @@ func (sc *Scenario) startFlowSharded(f Flow, flowID uint32, src, dst *core.Node)
 		sc.flowLogs[dstRegion] = append(sc.flowLogs[dstRegion],
 			flowLogEntry{at: dstSim.Now(), kind: flowDeliver, flow: d.FlowID, seq: d.Seq})
 	}
-
-	count := int((sc.Cfg.Duration - f.Start) / f.Interval)
-	payload := make([]byte, f.Size)
-	base := sc.S.Now()
-	for k := 0; k < count; k++ {
-		at := base.Add(f.Start + time.Duration(k)*f.Interval)
-		sc.eng.ScheduleOwnedAt(srcID, at, func() {
-			_, seq := src.SendFlow(dstAddr, flowID, payload)
-			sc.flowLogs[srcRegion] = append(sc.flowLogs[srcRegion],
-				flowLogEntry{at: srcSim.Now(), kind: flowSend, flow: flowID, seq: seq})
-		})
-	}
 }
 
 // replayFlowLogs drains the per-region flow logs and applies them to the
@@ -890,9 +800,9 @@ func (sc *Scenario) startFlowSharded(f Flow, flowID uint32, src, dst *core.Node)
 // at every barrier — all regions have quiesced strictly below the global
 // clock, so every logged instant is final — and Run flushes once more
 // before aggregating. Sends sort before deliveries at the same instant,
-// matching the serial path where a packet cannot land before SendFlow
-// recorded it; duplicate deliveries fall out exactly as they do serially,
-// because only the first replayed delivery finds its packet tracked.
+// since a packet cannot land before SendFlow recorded it; a duplicate
+// delivery counts nothing, because only the first replayed delivery finds
+// its packet tracked.
 func (sc *Scenario) replayFlowLogs() {
 	total := 0
 	for i := range sc.flowLogs {
@@ -953,34 +863,27 @@ func (sc *Scenario) replayFlowLogs() {
 // distinguish protocol failures from plain partitions.
 func (sc *Scenario) Components() [][]int {
 	n := sc.Cfg.N
-	neighbors := func(i int, visit func(nb int)) {
-		for _, nb := range sc.Medium.Neighbors(radio.NodeID(i)) {
-			visit(int(nb))
+	// Ports may be spread across region media, so assemble a global snapshot:
+	// positions at the current barrier instant in one grid.
+	r := effectiveRange(sc.Cfg)
+	pos := make([]geom.Point, n)
+	grid := geom.NewGrid(r)
+	for i := 0; i < n; i++ {
+		pos[i] = sc.eng.PosNow(radio.NodeID(i))
+		if !sc.eng.IsDown(radio.NodeID(i)) {
+			grid.Set(i, pos[i])
 		}
 	}
-	if sc.eng != nil {
-		// Ports are spread across region media, so assemble a global
-		// snapshot: positions at the current barrier instant in one grid.
-		r := effectiveRange(sc.Cfg)
-		pos := make([]geom.Point, n)
-		grid := geom.NewGrid(r)
-		for i := 0; i < n; i++ {
-			pos[i] = sc.eng.PosNow(radio.NodeID(i))
-			if !sc.eng.IsDown(radio.NodeID(i)) {
-				grid.Set(i, pos[i])
-			}
+	r2 := r * r
+	neighbors := func(i int, visit func(nb int)) {
+		if sc.eng.IsDown(radio.NodeID(i)) {
+			return
 		}
-		r2 := r * r
-		neighbors = func(i int, visit func(nb int)) {
-			if sc.eng.IsDown(radio.NodeID(i)) {
-				return
+		grid.Visit(pos[i], r, func(id int) {
+			if id != i && pos[i].Dist2(pos[id]) <= r2 {
+				visit(id)
 			}
-			grid.Visit(pos[i], r, func(id int) {
-				if id != i && pos[i].Dist2(pos[id]) <= r2 {
-					visit(id)
-				}
-			})
-		}
+		})
 	}
 	visited := make([]bool, n)
 	var comps [][]int

@@ -86,8 +86,8 @@ func TestBootstrapPerCellConfiguresAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	serial.Bootstrap()
-	if sc.S.Now() >= serial.S.Now() {
-		t.Fatalf("per-cell formation (%v) not shorter than serial (%v)", sc.S.Now(), serial.S.Now())
+	if sc.Now() >= serial.Now() {
+		t.Fatalf("per-cell formation (%v) not shorter than serial (%v)", sc.Now(), serial.Now())
 	}
 }
 
@@ -222,11 +222,11 @@ func TestFakeDNSPoisonsOnlyBaseline(t *testing.T) {
 			t.Fatal(err)
 		}
 		sc.Bootstrap()
-		sc.S.RunFor(time.Second)
+		sc.RunFor(time.Second)
 		var got ipv6.Addr
 		var found bool
 		sc.Nodes[2].Resolve("server", func(a ipv6.Addr, ok bool) { got, found = a, ok })
-		sc.S.RunFor(8 * time.Second)
+		sc.RunFor(8 * time.Second)
 		return got, found, sc
 	}
 
@@ -259,7 +259,7 @@ func TestPreloadedNameResolves(t *testing.T) {
 	var got ipv6.Addr
 	var found bool
 	sc.Nodes[2].Resolve("hq.manet", func(a ipv6.Addr, ok bool) { got, found = a, ok })
-	sc.S.RunFor(6 * time.Second)
+	sc.RunFor(6 * time.Second)
 	if !found || got != sc.Nodes[4].Addr() {
 		t.Fatalf("preloaded resolve = %v, %v; want %v", got, found, sc.Nodes[4].Addr())
 	}
@@ -503,21 +503,21 @@ func TestPartitionStagingAndMerge(t *testing.T) {
 	}
 	// No partition node within radio reach of any main node.
 	for i := cfg.N - 10; i < cfg.N; i++ {
-		pi := sc.Medium.PositionOf(radio.NodeID(i))
+		pi := sc.eng.PosNow(radio.NodeID(i))
 		for j := 0; j < cfg.N-10; j++ {
-			if pi.Dist(sc.Medium.PositionOf(radio.NodeID(j))) <= cfg.Radio.Range {
+			if pi.Dist(sc.eng.PosNow(radio.NodeID(j))) <= cfg.Radio.Range {
 				t.Fatalf("staged node %d within range of main node %d", i, j)
 			}
 		}
 	}
 	before := len(sc.Components())
 	sc.Bootstrap()
-	sc.S.RunFor(sc.MergeComplete() - time.Duration(sc.S.Now()) + time.Second)
+	sc.RunFor(sc.MergeComplete() - time.Duration(sc.Now()) + time.Second)
 	// Every staged node has arrived inside the main area (sparse random
 	// placements need not be fully connected, so the assertion is on the
 	// glide itself, not the unit-disk graph).
 	for i := cfg.N - 10; i < cfg.N; i++ {
-		p := sc.Medium.PositionOf(radio.NodeID(i))
+		p := sc.eng.PosNow(radio.NodeID(i))
 		if p.X > cfg.Area.W || p.Y > cfg.Area.H {
 			t.Fatalf("staged node %d never arrived: still at (%g, %g)", i, p.X, p.Y)
 		}

@@ -1,7 +1,9 @@
-// Package shard implements the region-sharded deterministic simulation
-// core: the spatial area is partitioned into vertical strips of equal node
-// count, each strip owning its own event loop (sim.Simulator), radio medium
-// and node state, with no cross-region pointers except immutable messages.
+// Package shard implements the deterministic simulation engine every
+// scenario runs on: the spatial area is partitioned into vertical strips of
+// equal node count, each strip owning its own event loop (sim.Simulator),
+// radio medium and node state, with no cross-region pointers except
+// immutable messages. One region is the default; more regions change only
+// wall time, never results.
 //
 // # Synchronization
 //
@@ -35,17 +37,16 @@
 //
 // # Determinism
 //
-// Every region simulator runs in owner mode: events are keyed
-// (at, owner, seq) where the owner is the node id + 1 (0 is reserved for
-// global/engine events, which sort first — mirroring the engine's
-// globals-run-first barrier policy). Ownership is inherited: an event
-// scheduled from inside another event belongs to the same causal stream,
-// so per-owner sequences depend only on that node's own history, never on
-// how nodes were interleaved across regions. Cross-boundary messages are
-// stamped with the *sender's* owner, placing them at the same position in
-// the (at, owner, seq) order at every shard count. Content-derived radio
-// randomness (radio.Config.Det) replaces the shared RNG stream, which
-// would otherwise be consumed in a region-count-dependent order.
+// Events are keyed (at, owner, seq) where the owner is the node id + 1 (0
+// is reserved for global/engine events, which sort first — mirroring the
+// engine's globals-run-first barrier policy). Ownership is inherited: an
+// event scheduled from inside another event belongs to the same causal
+// stream, so per-owner sequences depend only on that node's own history,
+// never on how nodes were interleaved across regions. Cross-boundary
+// messages are stamped with the *sender's* owner, placing them at the same
+// position in the (at, owner, seq) order at every shard count. The radio's
+// draws are content hashes (see package radio), so no random stream is
+// consumed in a region-count-dependent order.
 //
 // # Region ownership rules
 //
@@ -58,7 +59,8 @@
 //     position only affects radio reachability, which flows via messages.
 //   - Mobility tracks are owned by their node's region but queried remotely
 //     (lazily-extended legs mutate under a per-node mutex, the only lock on
-//     the hot path).
+//     the hot path; a stateless static track, or any track when there is
+//     only one region, is read without it).
 //   - Down state is global: toggles are barrier-only (global events, all
 //     regions idle) and recorded as an append-only history, so concurrent
 //     region reads of DownAt(t) for past t are race-free and final.
@@ -81,8 +83,8 @@ import (
 
 // Config parameterizes an Engine.
 type Config struct {
-	// Seed seeds the global simulator and derives the content-hash seed
-	// for deterministic radio draws.
+	// Seed derives the content-hash seed of the radio draws when
+	// Radio.DetSeed is zero.
 	Seed int64
 	// Regions is the shard count; values < 1 are treated as 1.
 	Regions int
@@ -202,9 +204,7 @@ const inf = sim.Time(math.MaxInt64)
 
 // New builds an engine with len(cfg.Positions) node slots partitioned into
 // cfg.Regions x-sorted strips of equal node count (ties broken by id, so
-// the partition is deterministic). Deterministic content-derived radio
-// draws are forced on: the shared per-medium RNG stream cannot survive
-// sharding.
+// the partition is deterministic).
 func New(cfg Config) *Engine {
 	if cfg.Regions < 1 {
 		cfg.Regions = 1
@@ -215,14 +215,13 @@ func New(cfg Config) *Engine {
 		// so engine runs stay byte-comparable across counts.
 		cfg.Radio.PropDelay = time.Nanosecond
 	}
-	cfg.Radio.Det = true
 	if cfg.Radio.DetSeed == 0 {
 		cfg.Radio.DetSeed = uint64(cfg.Seed)*0x9e3779b97f4a7c15 + 1
 	}
 
 	n := len(cfg.Positions)
 	e := &Engine{
-		Global:    sim.New(cfg.Seed),
+		Global:    sim.New(),
 		cfg:       cfg,
 		lookahead: sim.Duration(cfg.Radio.PropDelay),
 		regionOf:  make([]int, n),
@@ -256,8 +255,7 @@ func New(cfg Config) *Engine {
 		if ri < extra {
 			size++
 		}
-		r := &region{idx: ri, sim: sim.New(cfg.Seed + int64(ri) + 1)}
-		r.sim.EnableOwners()
+		r := &region{idx: ri, sim: sim.New()}
 		rcfg := cfg.Radio
 		rcfg.Remote = &regionRemote{e: e, idx: ri}
 		r.med = radio.New(r.sim, rcfg)
@@ -303,22 +301,37 @@ func (e *Engine) NodeMedium(id radio.NodeID) *radio.Medium { return e.regions[e.
 
 // AddNode attaches a node to its region's medium. All nodes must be added
 // before the first run; ownership is fixed by the build-time partition.
+//
+// Other regions query the track concurrently (PosAt), and lazily-extended
+// tracks mutate their leg cache on query, so the owning medium reads it
+// under the node's lock too — unless no other region exists or the track
+// is a stateless mobility.Static, when it reads the track directly.
 func (e *Engine) AddNode(id radio.NodeID, track mobility.Track, h radio.Handler) {
 	ni := e.nodes[id]
 	ni.track = track
 	ni.exists = true
 	r := e.regions[e.regionOf[id]]
-	r.med.AddNode(id, ni.position, h)
+	_, static := track.(mobility.Static)
+	locked := !static && len(e.regions) > 1
+	pos := track.Position
+	if locked {
+		pos = ni.position
+	}
+	r.med.AddNode(id, pos, h)
 	if bt, ok := track.(mobility.Bounded); ok {
 		r.med.SetSpeedBound(id, bt.SpeedBound())
 	}
 	if rf, ok := track.(mobility.Refresher); ok {
-		r.med.SetRefresher(id, func(now sim.Time, slop float64) sim.Time {
-			ni.mu.Lock()
-			t := rf.NextRefresh(now, slop)
-			ni.mu.Unlock()
-			return t
-		})
+		next := rf.NextRefresh
+		if locked {
+			next = func(now sim.Time, slop float64) sim.Time {
+				ni.mu.Lock()
+				t := rf.NextRefresh(now, slop)
+				ni.mu.Unlock()
+				return t
+			}
+		}
+		r.med.SetRefresher(id, next)
 	}
 }
 
@@ -537,7 +550,7 @@ func (e *Engine) runRegions(c sim.Time) {
 // RunUntil drives the engine to the deadline: alternating barrier rounds
 // (exchange pending messages, run due global events) and parallel region
 // rounds under conservative horizons. Stop on the global simulator halts
-// the run and freezes every clock, exactly like the serial kernel.
+// the run and freezes every clock, exactly like sim.Simulator.RunUntil.
 func (e *Engine) RunUntil(deadline sim.Time) {
 	e.finalize()
 	g := e.Global

@@ -9,7 +9,7 @@ import (
 // watchdog-cancelled run that reported Now() == deadline would claim
 // virtual time it never simulated.
 func TestStopFreezesClockInRunUntil(t *testing.T) {
-	s := New(1)
+	s := New()
 	stopAt := Time(10 * time.Millisecond)
 	s.At(stopAt, func() { s.Stop() })
 	s.At(Time(20*time.Millisecond), func() { t.Fatal("event after Stop fired") })
@@ -20,7 +20,7 @@ func TestStopFreezesClockInRunUntil(t *testing.T) {
 }
 
 func TestStopFreezesClockInRunFor(t *testing.T) {
-	s := New(1)
+	s := New()
 	s.RunFor(time.Millisecond) // move the base clock off zero first
 	base := s.Now()
 	stopAt := base.Add(3 * time.Millisecond)
@@ -34,7 +34,7 @@ func TestStopFreezesClockInRunFor(t *testing.T) {
 // Without Stop, RunUntil still advances the clock to the deadline even
 // when the queue drains early — the historical contract.
 func TestRunUntilStillAdvancesWhenNotStopped(t *testing.T) {
-	s := New(1)
+	s := New()
 	s.At(Time(time.Millisecond), func() {})
 	s.RunUntil(Time(time.Second))
 	if s.Now() != Time(time.Second) {
@@ -45,7 +45,7 @@ func TestRunUntilStillAdvancesWhenNotStopped(t *testing.T) {
 // Cancel must clear fn, afn and arg: a cleared-but-referenced argument
 // object would stay pinned until the event struct itself is collected.
 func TestTimerCancelClearsAllCallbackFields(t *testing.T) {
-	s := New(1)
+	s := New()
 	tm := s.After(time.Second, func() {})
 	ev := tm.ev
 	// Simulate an argument-carrying event under a Timer so the test fails
@@ -64,7 +64,7 @@ func TestTimerCancelClearsAllCallbackFields(t *testing.T) {
 // Cancel now enforces it. A Timer pointing at a pooled event is a kernel
 // bug, so the check must be loud.
 func TestTimerCancelPanicsOnPooledEvent(t *testing.T) {
-	s := New(1)
+	s := New()
 	s.DoAt(Time(time.Second), func() {})
 	bogus := &Timer{sim: s, ev: s.queue[0]} // pooled event straight off the heap
 	defer func() {
@@ -75,11 +75,10 @@ func TestTimerCancelPanicsOnPooledEvent(t *testing.T) {
 	bogus.Cancel()
 }
 
-// In owner mode, same-instant ties resolve by owner id then per-owner seq
-// — independent of the order the events were scheduled in.
+// Same-instant ties resolve by owner id then per-owner seq — independent
+// of the order the events were scheduled in.
 func TestOwnerModeOrdersByOwnerAtSameInstant(t *testing.T) {
-	s := New(1)
-	s.EnableOwners()
+	s := New()
 	at := Time(time.Millisecond)
 	var got []int
 	push := func(v int) func() { return func() { got = append(got, v) } }
@@ -108,44 +107,40 @@ func TestOwnerModeOrdersByOwnerAtSameInstant(t *testing.T) {
 	}
 }
 
-// Outside owner mode nothing changes: owner stays 0 and the global seq
-// keeps the historical FIFO, so enabling the field is invisible to every
-// existing simulation.
+// A simulator that never calls SetOwner stamps every event with owner 0,
+// whose counter is a global FIFO: same-instant events fire in scheduling
+// order, whether scheduled from outside or from inside events, and with
+// or without a cancellation handle.
 func TestPlainModeKeepsGlobalFIFO(t *testing.T) {
-	s := New(1)
-	s.SetOwner(7) // must be ignored outside owner mode
+	s := New()
 	at := Time(time.Millisecond)
 	var got []int
-	for i := 0; i < 5; i++ {
-		v := i
-		s.At(at, func() { got = append(got, v) })
-	}
+	push := func(v int) func() { return func() { got = append(got, v) } }
+	s.At(0, func() {
+		s.At(at, push(2))
+		s.DoAt(at, push(3))
+	})
+	s.At(at, push(0))
+	s.DoAt(at, push(1))
 	s.Run()
-	for i := 0; i < 5; i++ {
-		if got[i] != i {
+	want := []int{0, 1, 2, 3}
+	if len(got) != len(want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
 			t.Fatalf("fired %v, want ascending FIFO", got)
 		}
 	}
-	if s.queue != nil && len(s.queue) != 0 {
+	if len(s.queue) != 0 {
 		t.Fatal("queue not drained")
 	}
-}
-
-func TestEnableOwnersAfterSchedulePanics(t *testing.T) {
-	s := New(1)
-	s.At(Time(time.Millisecond), func() {})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("EnableOwners after scheduling did not panic")
-		}
-	}()
-	s.EnableOwners()
 }
 
 // RunBelow is strict: an event at exactly the horizon stays queued, and
 // the clock is left at the last processed event rather than the horizon.
 func TestRunBelowStrictHorizon(t *testing.T) {
-	s := New(1)
+	s := New()
 	fired := make(map[int]bool)
 	s.At(Time(1*time.Millisecond), func() { fired[1] = true })
 	s.At(Time(2*time.Millisecond), func() { fired[2] = true })
@@ -171,7 +166,7 @@ func TestRunBelowStrictHorizon(t *testing.T) {
 }
 
 func TestTightenHorizonStopsRunBelowEarly(t *testing.T) {
-	s := New(1)
+	s := New()
 	fired := make(map[int]bool)
 	s.At(Time(1*time.Millisecond), func() {
 		fired[1] = true
@@ -200,7 +195,7 @@ func TestTightenHorizonStopsRunBelowEarly(t *testing.T) {
 }
 
 func TestAdvanceToRespectsStop(t *testing.T) {
-	s := New(1)
+	s := New()
 	s.Stop()
 	s.AdvanceTo(Time(time.Second))
 	if s.Now() != 0 {

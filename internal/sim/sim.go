@@ -1,15 +1,17 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
-// The kernel keeps a virtual clock and a priority queue of events. Events
-// scheduled for the same instant fire in scheduling order, which — together
-// with a seeded random source — makes every simulation run exactly
-// reproducible. All protocol code in this repository is driven by this clock;
-// nothing reads wall time.
+// The kernel keeps a virtual clock and a priority queue of events keyed
+// (time, owner, per-owner sequence). Events one owner schedules for the
+// same instant fire in scheduling order, and owners tie-break by id, so the
+// order never depends on how different owners' events interleaved while
+// being scheduled. The kernel draws no randomness: protocol code owns its
+// seeded streams and the radio draws from content hashes, which makes every
+// simulation run exactly reproducible. All protocol code in this
+// repository is driven by this clock; nothing reads wall time.
 package sim
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 )
 
@@ -39,7 +41,7 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 // closure per event. Exactly one of fn/afn is set.
 type event struct {
 	at    Time
-	owner uint32 // scheduling owner; 0 outside owner mode (see SetOwner)
+	owner uint32 // scheduling owner (see SetOwner)
 	seq   uint64 // tie-breaker: FIFO for equal (at, owner)
 	fn    func()
 	afn   func(any)
@@ -61,13 +63,13 @@ type event struct {
 // 4-ary, halves the tree depth; the event queue is the hottest structure
 // in large simulations.
 //
-// Outside owner mode every event has owner 0 and a globally increasing
-// seq, so the order degenerates to the historical (at, seq) FIFO. In owner
-// mode (the sharded engine) seq is drawn from a per-owner counter: ties at
-// one instant resolve by owner id first and by each owner's own causal
-// order second — a key that does not depend on how events from different
-// owners interleaved while being scheduled, which is exactly what makes
-// the merged execution order independent of the shard count.
+// seq is drawn from a per-owner counter: ties at one instant resolve by
+// owner id first and by each owner's own causal order second — a key that
+// does not depend on how events from different owners interleaved while
+// being scheduled, which is exactly what makes the sharded engine's merged
+// execution order independent of the shard count. A simulator whose events
+// all carry owner 0 (one that never calls SetOwner) orders them as a plain
+// (at, seq) FIFO.
 type eventHeap []*event
 
 func eventLess(a, b *event) bool {
@@ -170,9 +172,7 @@ func (h *eventHeap) remove(i int) {
 // point, and all model code runs inside event callbacks on one goroutine.
 type Simulator struct {
 	now       Time
-	seq       uint64
 	queue     eventHeap
-	rng       *rand.Rand
 	processed uint64
 	stopped   bool
 
@@ -180,33 +180,25 @@ type Simulator struct {
 	// every event so TightenHorizon can shrink the round from inside one.
 	horizon Time
 
-	// Owner mode (the sharded engine): when enabled, every scheduled
-	// event carries the current owner id and a seq from that owner's
-	// private counter instead of the global one. Disabled (the default)
-	// nothing changes: owner stays 0 and seq is the global counter.
-	ownerMode bool
-	owner     uint32
-	ownerSeq  []uint64
+	// owner is stamped on every scheduled event, with a seq from that
+	// owner's private counter.
+	owner    uint32
+	ownerSeq []uint64
 
 	// freeEvents recycles fired handle-free events. Frame schedules are
 	// the hottest allocation in large simulations; recycling the event
 	// structs (the closures are the callers' problem — see DoArg) keeps
 	// the steady-state event rate allocation-free. Recycling is invisible
 	// to simulation results: the heap order is a strict total order over
-	// (at, seq) whatever struct identity the events have.
+	// (at, owner, seq) whatever struct identity the events have.
 	freeEvents []*event
 }
 
-// New returns a simulator whose random source is seeded with seed.
-func New(seed int64) *Simulator {
-	return &Simulator{rng: rand.New(rand.NewSource(seed))} //sbr6:allow simrng the root seeded stream every sim consumer draws from
-}
+// New returns an empty simulator at time zero.
+func New() *Simulator { return &Simulator{} }
 
 // Now returns the current virtual time.
 func (s *Simulator) Now() Time { return s.now }
-
-// Rand returns the simulator's deterministic random source.
-func (s *Simulator) Rand() *rand.Rand { return s.rng }
 
 // Processed reports how many events have fired so far.
 func (s *Simulator) Processed() uint64 { return s.processed }
@@ -214,25 +206,10 @@ func (s *Simulator) Processed() uint64 { return s.processed }
 // Pending reports how many events are waiting in the queue.
 func (s *Simulator) Pending() int { return len(s.queue) }
 
-// EnableOwners switches the simulator into owner mode: from now on every
-// scheduled event is keyed (at, owner, per-owner seq) instead of (at,
-// global seq). The sharded engine enables it on each region simulator so
-// that same-instant ties resolve by a key independent of how events from
-// different nodes interleaved while being scheduled. Must be called before
-// any event is scheduled; enabling it mid-run would mix the two key
-// disciplines.
-func (s *Simulator) EnableOwners() {
-	if s.seq != 0 || len(s.queue) != 0 {
-		panic("sim: EnableOwners after events were scheduled")
-	}
-	s.ownerMode = true
-}
-
 // SetOwner sets the owner id stamped on subsequently scheduled events and
 // returns the previous owner. Owner 0 is reserved for global/harness
 // events, which therefore sort before any node's events at the same
-// instant; the sharded engine uses node id + 1 for node-owned events. A
-// no-op (always returning 0) outside owner mode.
+// instant; the sharded engine uses node id + 1 for node-owned events.
 func (s *Simulator) SetOwner(o uint32) uint32 {
 	prev := s.owner
 	s.owner = o
@@ -244,16 +221,12 @@ func (s *Simulator) Owner() uint32 { return s.owner }
 
 // nextKey mints the ordering key for a newly scheduled event.
 func (s *Simulator) nextKey() (owner uint32, seq uint64) {
-	if !s.ownerMode {
-		seq = s.seq
-		s.seq++
-		return 0, seq
-	}
 	o := s.owner
-	if int(o) >= len(s.ownerSeq) {
-		grown := make([]uint64, int(o)+1)
-		copy(grown, s.ownerSeq)
-		s.ownerSeq = grown
+	if n := int(o) + 1; n > len(s.ownerSeq) {
+		// Owners appear in increasing id order as nodes are built or join;
+		// append grows the capacity geometrically, so extending the table
+		// one owner at a time is not quadratic.
+		s.ownerSeq = append(s.ownerSeq, make([]uint64, n-len(s.ownerSeq))...)
 	}
 	seq = s.ownerSeq[o]
 	s.ownerSeq[o]++
@@ -359,14 +332,12 @@ func (s *Simulator) Step() bool {
 	ev := s.queue.pop()
 	s.now = ev.at
 	s.processed++
-	if s.ownerMode {
-		// The firing event's owner becomes the scheduling context: events
-		// a callback schedules belong to the same causal stream unless it
-		// says otherwise (SetOwner). This is what makes ownership an
-		// inherited property rather than something every call site threads
-		// through by hand.
-		s.owner = ev.owner
-	}
+	// The firing event's owner becomes the scheduling context: events a
+	// callback schedules belong to the same causal stream unless it says
+	// otherwise (SetOwner). This is what makes ownership an inherited
+	// property rather than something every call site threads through by
+	// hand.
+	s.owner = ev.owner
 	fn, afn, arg := ev.fn, ev.afn, ev.arg
 	if ev.pooled {
 		// Recycle before firing: the callback may itself schedule events
@@ -484,12 +455,3 @@ func (t *Timer) Cancel() bool {
 
 // Pending reports whether the event is still queued.
 func (t *Timer) Pending() bool { return t != nil && t.ev != nil && t.ev.idx >= 0 }
-
-// Jitter returns a uniformly random duration in [0, max). A non-positive max
-// yields zero. Protocol code uses this for broadcast desynchronization.
-func (s *Simulator) Jitter(max Duration) Duration {
-	if max <= 0 {
-		return 0
-	}
-	return Duration(s.rng.Int63n(int64(max)))
-}

@@ -1,13 +1,14 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
 )
 
 func TestEmptyRun(t *testing.T) {
-	s := New(1)
+	s := New()
 	s.Run()
 	if s.Now() != 0 {
 		t.Fatalf("clock moved with no events: %v", s.Now())
@@ -18,7 +19,7 @@ func TestEmptyRun(t *testing.T) {
 }
 
 func TestEventOrdering(t *testing.T) {
-	s := New(1)
+	s := New()
 	var order []int
 	s.After(30*time.Millisecond, func() { order = append(order, 3) })
 	s.After(10*time.Millisecond, func() { order = append(order, 1) })
@@ -36,7 +37,7 @@ func TestEventOrdering(t *testing.T) {
 }
 
 func TestFIFOAtSameInstant(t *testing.T) {
-	s := New(1)
+	s := New()
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
@@ -51,7 +52,7 @@ func TestFIFOAtSameInstant(t *testing.T) {
 }
 
 func TestScheduleInPastClampsToNow(t *testing.T) {
-	s := New(1)
+	s := New()
 	var fired Time
 	s.After(10*time.Millisecond, func() {
 		s.At(0, func() { fired = s.Now() })
@@ -63,7 +64,7 @@ func TestScheduleInPastClampsToNow(t *testing.T) {
 }
 
 func TestNestedScheduling(t *testing.T) {
-	s := New(1)
+	s := New()
 	depth := 0
 	var schedule func()
 	schedule = func() {
@@ -83,7 +84,7 @@ func TestNestedScheduling(t *testing.T) {
 }
 
 func TestTimerCancel(t *testing.T) {
-	s := New(1)
+	s := New()
 	fired := false
 	tm := s.After(time.Millisecond, func() { fired = true })
 	if !tm.Pending() {
@@ -102,7 +103,7 @@ func TestTimerCancel(t *testing.T) {
 }
 
 func TestCancelOneOfMany(t *testing.T) {
-	s := New(1)
+	s := New()
 	var got []int
 	var timers []*Timer
 	for i := 0; i < 5; i++ {
@@ -123,7 +124,7 @@ func TestCancelOneOfMany(t *testing.T) {
 }
 
 func TestRunUntilAdvancesClock(t *testing.T) {
-	s := New(1)
+	s := New()
 	count := 0
 	s.After(time.Millisecond, func() { count++ })
 	s.After(time.Hour, func() { count++ })
@@ -140,7 +141,7 @@ func TestRunUntilAdvancesClock(t *testing.T) {
 }
 
 func TestRunForIsRelative(t *testing.T) {
-	s := New(1)
+	s := New()
 	s.RunFor(time.Second)
 	s.RunFor(time.Second)
 	if s.Now() != Time(2*time.Second) {
@@ -149,7 +150,7 @@ func TestRunForIsRelative(t *testing.T) {
 }
 
 func TestStopHaltsRun(t *testing.T) {
-	s := New(1)
+	s := New()
 	count := 0
 	for i := 1; i <= 10; i++ {
 		s.After(Duration(i)*time.Millisecond, func() {
@@ -170,11 +171,12 @@ func TestStopHaltsRun(t *testing.T) {
 
 func TestDeterminismAcrossRuns(t *testing.T) {
 	run := func() []int64 {
-		s := New(42)
+		s := New()
+		rng := rand.New(rand.NewSource(42))
 		var draws []int64
 		for i := 0; i < 50; i++ {
-			s.After(Duration(s.Rand().Int63n(int64(time.Second))), func() {
-				draws = append(draws, s.Rand().Int63())
+			s.After(Duration(rng.Int63n(int64(time.Second))), func() {
+				draws = append(draws, rng.Int63())
 			})
 		}
 		s.Run()
@@ -197,20 +199,7 @@ func TestNilCallbackPanics(t *testing.T) {
 			t.Fatal("expected panic on nil callback")
 		}
 	}()
-	New(1).After(time.Second, nil)
-}
-
-func TestJitterBounds(t *testing.T) {
-	s := New(7)
-	if s.Jitter(0) != 0 || s.Jitter(-time.Second) != 0 {
-		t.Fatal("non-positive max should yield 0")
-	}
-	for i := 0; i < 1000; i++ {
-		j := s.Jitter(5 * time.Millisecond)
-		if j < 0 || j >= 5*time.Millisecond {
-			t.Fatalf("jitter %v outside [0, 5ms)", j)
-		}
-	}
+	New().After(time.Second, nil)
 }
 
 func TestTimeArithmetic(t *testing.T) {
@@ -233,7 +222,7 @@ func TestTimeArithmetic(t *testing.T) {
 // the clock never moves backwards.
 func TestPropertyMonotonicClock(t *testing.T) {
 	prop := func(offsets []uint32) bool {
-		s := New(3)
+		s := New()
 		var fired []Time
 		for _, off := range offsets {
 			s.After(Duration(off%1e6)*time.Microsecond, func() {
@@ -254,7 +243,7 @@ func TestPropertyMonotonicClock(t *testing.T) {
 }
 
 func BenchmarkSchedulerThroughput(b *testing.B) {
-	s := New(1)
+	s := New()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s.After(time.Microsecond, func() {})
@@ -263,7 +252,7 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 }
 
 func TestDoArgOrderingMatchesDo(t *testing.T) {
-	s := New(1)
+	s := New()
 	var got []int
 	push := func(v any) { got = append(got, v.(int)) }
 	s.DoArg(2*time.Millisecond, push, 3)
@@ -279,7 +268,7 @@ func TestDoArgOrderingMatchesDo(t *testing.T) {
 }
 
 func TestHandleFreeEventsRecycle(t *testing.T) {
-	s := New(1)
+	s := New()
 	// Interleave pooled schedules with firings; the free list must hand
 	// the same structs back without perturbing order or the timer path.
 	fired := 0

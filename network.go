@@ -55,13 +55,12 @@ func (nw *Network) Node(i int) *Node { return nw.nodes[i] }
 // objection window closes; it returns how many configured successfully.
 func (nw *Network) Bootstrap() int { return nw.session.sc.Bootstrap() }
 
-// RunFor advances the simulation by d of virtual time. Under WithShards
-// this drives the sharded engine's barrier loop; otherwise the serial
-// kernel directly.
+// RunFor advances the simulation by d of virtual time through the
+// engine's barrier loop.
 func (nw *Network) RunFor(d time.Duration) { nw.session.sc.RunFor(d) }
 
 // Now returns the current virtual time since the start of the run.
-func (nw *Network) Now() time.Duration { return time.Duration(nw.session.sc.S.Now()) }
+func (nw *Network) Now() time.Duration { return time.Duration(nw.session.sc.Now()) }
 
 // Run executes the full experiment — bootstrap, warmup, measured traffic,
 // cooldown — and returns the aggregated result. For parallel multi-seed

@@ -705,17 +705,14 @@ func WithDNSCommitDelay(d time.Duration) Option {
 	}
 }
 
-// WithShards runs the scenario on the region-sharded simulation core with n
-// regions: the area is cut into x-sorted strips of equal node count, each
-// with its own event loop and radio medium, synchronized by conservative
-// lookahead derived from the radio propagation delay. Results are
-// byte-for-byte identical at every shard count — the differential suite in
-// internal/shard is the proof — so the only observable effect of n is
-// wall-clock speed on multi-core machines. Sharded runs are however not
-// byte-comparable to the historical unsharded path (the default): the
-// engine forces content-derived radio randomness in place of the shared
-// per-medium RNG stream, so compare sharded runs against WithShards(1), the
-// engine's serial baseline.
+// WithShards sets the region count of the simulation engine every scenario
+// runs on (one region without this option): the area is cut into n
+// x-sorted strips of equal node count, each with its own event loop and
+// radio medium, synchronized by conservative lookahead derived from the
+// radio propagation delay. Results are byte-for-byte identical at every
+// region count — the differential suite in internal/shard is the proof —
+// so the only observable effect of n is wall-clock speed on multi-core
+// machines. A scenario without WithShards equals one with WithShards(1).
 func WithShards(n int) Option {
 	return func(s *Scenario) error {
 		if n < 1 {

@@ -136,19 +136,20 @@ func (r *Runner) runOne(ctx context.Context, sc *Scenario, seed int64, obs Obser
 		}
 	}
 	if ctx.Done() != nil {
-		// A watchdog event polls ctx on the virtual clock and halts the
-		// scheduler when cancelled. It reads no model state and draws no
-		// randomness, so an interruptible run stays byte-identical to an
-		// uninterruptible one.
+		// A watchdog event on the engine's global simulator polls ctx on
+		// the virtual clock and halts the engine when cancelled. It reads
+		// no model state and draws no randomness, so an interruptible run
+		// stays byte-identical to an uninterruptible one.
+		g := nw.session.sc.Engine().Global
 		var watchdog func()
 		watchdog = func() {
 			if ctx.Err() != nil {
-				nw.session.sc.S.Stop()
+				g.Stop()
 				return
 			}
-			nw.session.sc.S.After(100*time.Millisecond, watchdog)
+			g.After(100*time.Millisecond, watchdog)
 		}
-		nw.session.sc.S.After(0, watchdog)
+		g.After(0, watchdog)
 	}
 	res := nw.Run()
 	if err := ctx.Err(); err != nil {

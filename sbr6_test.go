@@ -5,6 +5,7 @@ package sbr6_test
 // guarantee (same seed => byte-identical Result, serial or parallel).
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
@@ -249,6 +250,88 @@ func TestShardedFacade(t *testing.T) {
 	}
 	if a.Delivered == 0 {
 		t.Fatal("baseline delivered nothing; the comparison is vacuous")
+	}
+}
+
+// defaultEngineSpec is one scenario shape of the default-engine check:
+// a 14-node network with two flows and 1 s windows, static, mobile under
+// 5% loss, or with an insider gray hole.
+func defaultEngineSpec(t *testing.T, kind string, extra ...sbr6.Option) *sbr6.Scenario {
+	t.Helper()
+	opts := []sbr6.Option{
+		sbr6.WithSeed(3),
+		sbr6.WithNodes(14),
+		sbr6.WithArea(600, 600),
+		sbr6.WithFastTimers(),
+		sbr6.WithWarmup(time.Second),
+		sbr6.WithDuration(4 * time.Second),
+		sbr6.WithWindows(time.Second),
+		sbr6.WithCooldown(time.Second),
+		sbr6.WithFlows(
+			sbr6.Flow{From: 1, To: 2, Interval: 250 * time.Millisecond, Size: 64},
+			sbr6.Flow{From: 3, To: 4, Interval: 400 * time.Millisecond, Size: 32},
+		),
+	}
+	switch kind {
+	case "static":
+	case "mobile-lossy":
+		opts = append(opts, sbr6.WithLoss(0.05), sbr6.WithMobility(sbr6.Mobility{
+			MinSpeed: 1, MaxSpeed: 5, Pause: 500 * time.Millisecond,
+		}))
+	case "adversarial":
+		opts = append(opts, sbr6.WithAdversaries(sbr6.GrayHole(5, 0.5)))
+	default:
+		t.Fatalf("unknown kind %q", kind)
+	}
+	sc, err := sbr6.NewScenario(append(opts, extra...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sc
+}
+
+// TestDefaultIsOneRegionEngine pins the single simulation substrate: a
+// scenario that never sets WithShards runs on the engine at one region,
+// so its Result (windows included) and its session snapshot bytes equal
+// those of the same scenario with WithShards(1).
+func TestDefaultIsOneRegionEngine(t *testing.T) {
+	for _, kind := range []string{"static", "mobile-lossy", "adversarial"} {
+		t.Run(kind, func(t *testing.T) {
+			runner := &sbr6.Runner{Workers: 1}
+			def, err := runner.Run(context.Background(), defaultEngineSpec(t, kind))
+			if err != nil {
+				t.Fatal(err)
+			}
+			one, err := runner.Run(context.Background(), defaultEngineSpec(t, kind, sbr6.WithShards(1)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if def.Delivered == 0 || len(def.Windows) == 0 {
+				t.Fatalf("default run delivered %d packets over %d windows; the comparison is vacuous",
+					def.Delivered, len(def.Windows))
+			}
+			if !reflect.DeepEqual(def, one) {
+				t.Fatalf("default run diverged from WithShards(1):\ndefault: %v\none:     %v", def, one)
+			}
+
+			snapshot := func(spec *sbr6.Scenario) []byte {
+				t.Helper()
+				sess, err := sbr6.Serve(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var joined int
+				driveSession(t, sess, 5, &joined)
+				snap, err := sess.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return snap
+			}
+			if a, b := snapshot(defaultEngineSpec(t, kind)), snapshot(defaultEngineSpec(t, kind, sbr6.WithShards(1))); !bytes.Equal(a, b) {
+				t.Fatalf("default session snapshot differs from WithShards(1):\ndefault: %.300s\none:     %.300s", a, b)
+			}
+		})
 	}
 }
 

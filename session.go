@@ -135,7 +135,7 @@ func (s *Session) Windows() int {
 }
 
 // Now returns the current virtual time since the start of the run.
-func (s *Session) Now() time.Duration { return time.Duration(s.sc.S.Now()) }
+func (s *Session) Now() time.Duration { return time.Duration(s.sc.Now()) }
 
 // LiveNodes reports how many nodes are currently part of the network.
 func (s *Session) LiveNodes() int {

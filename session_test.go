@@ -2,6 +2,7 @@ package sbr6_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"reflect"
@@ -279,7 +280,7 @@ func TestResumeRejectsGarbage(t *testing.T) {
 		{"future version", []byte(`{"version":99}`)},
 		{"negative windows", bytes.Replace(good, []byte(`"windows":1`), []byte(`"windows":-1`), 1)},
 		{"digest tampered", bytes.Replace(good, []byte(`"digest":"`), []byte(`"digest":"00`), 1)},
-		{"unknown journal op", []byte(`{"version":1,"journal":[{"window":0,"kind":"explode","index":1}],"windows":0,"digest":""}`)},
+		{"unknown journal op", []byte(`{"version":2,"journal":[{"window":0,"kind":"explode","index":1}],"windows":0,"digest":""}`)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -297,21 +298,14 @@ func TestResumeRejectsGarbage(t *testing.T) {
 	}
 }
 
-// A snapshot written by an earlier build must still resume. The committed
-// fuzz seed was taken from a 16-node session whose radio config still
-// carried the since-removed "Index" and "FramePool" keys, whose protocol
-// config still carried the since-removed "BindTable" and "BindParanoia"
-// keys, and whose medium answered receiver queries with a linear port
-// scan. Resume replays the session on today's grid-only medium, with CGA
-// bindings checked directly, and checks the replayed state digest, so
-// success proves the replay is byte for byte the one that was recorded,
-// and that the dropped keys still decode.
-func TestResumeCommittedSnapshot(t *testing.T) {
-	raw, err := os.ReadFile("testdata/fuzz/FuzzSnapshotRoundTrip/seed_genuine")
+// corpusSnapshot reads one committed fuzz corpus file: "go test fuzz v1"
+// followed by one []byte literal.
+func corpusSnapshot(t *testing.T, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile("testdata/fuzz/FuzzSnapshotRoundTrip/" + name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The corpus file is "go test fuzz v1" followed by one []byte literal.
 	_, lit, ok := strings.Cut(strings.TrimSpace(string(raw)), "\n[]byte(")
 	if !ok || !strings.HasSuffix(lit, ")") {
 		t.Fatalf("unexpected corpus layout: %.60q", raw)
@@ -320,17 +314,29 @@ func TestResumeCommittedSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(data, `"Index":0,"FramePool":true,`) {
-		t.Fatal("seed no longer carries the removed radio keys; the test proves nothing")
-	}
-	if !strings.Contains(data, `"BindTable":131072,"BindParanoia":false,`) {
-		t.Fatal("seed no longer carries the removed binding-table keys; the test proves nothing")
-	}
-	sess, err := sbr6.Resume([]byte(data))
+	return []byte(data)
+}
+
+// The committed snapshot of a 16-node session with a join must resume:
+// Resume replays it and checks the replayed state digest, so success
+// proves the replay is byte for byte the one that was recorded. The
+// version 1 bytes the same session produced before every run moved onto
+// the one-region engine cannot replay to their digest, so Resume must
+// refuse them by version before replaying anything.
+func TestResumeCommittedSnapshot(t *testing.T) {
+	sess, err := sbr6.Resume(corpusSnapshot(t, "seed_genuine"))
 	if err != nil {
 		t.Fatalf("Resume of the committed snapshot failed: %v", err)
 	}
 	if got := sess.NodeCount(); got < 16 {
 		t.Fatalf("resumed session holds %d nodes, want at least 16", got)
+	}
+
+	_, err = sbr6.Resume(corpusSnapshot(t, "seed_v1_genuine"))
+	if !errors.Is(err, sbr6.ErrSnapshot) {
+		t.Fatalf("Resume of a version 1 snapshot: err = %v, want ErrSnapshot", err)
+	}
+	if !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("version 1 snapshot rejected for the wrong reason: %v", err)
 	}
 }

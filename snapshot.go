@@ -17,7 +17,9 @@ var ErrSnapshot = errors.New("sbr6: invalid snapshot")
 
 // snapshotVersion is bumped whenever the codec's meaning changes; Resume
 // rejects versions it does not know instead of replaying them wrongly.
-const snapshotVersion = 1
+// Version 2: every session runs on the one-region engine with hashed radio
+// draws, so a version 1 session can no longer replay to its digest.
+const snapshotVersion = 2
 
 // snapshotFile is the serialized form of a live session. A snapshot does
 // not serialize simulator state — it stores the effective configuration,

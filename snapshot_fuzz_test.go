@@ -112,8 +112,8 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	}
 	f.Add(genuine)
 	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"version":1}`))
-	f.Add([]byte(`{"version":1,"windows":0,"digest":"","config":{"N":4}}`))
+	f.Add([]byte(`{"version":2}`))
+	f.Add([]byte(`{"version":2,"windows":0,"digest":"","config":{"N":4}}`))
 	f.Add([]byte(`not a snapshot`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
