@@ -100,7 +100,7 @@ func dadTrial(seed int64, loss float64, hops, retries int) bool {
 	rcfg := radio.DefaultConfig()
 	rcfg.BroadcastJitter = time.Millisecond
 	rcfg.LossRate = loss
-	rcfg.DetSeed = uint64(seed)
+	rcfg.Seed = uint64(seed)
 	rcfg.UnicastRetries = retries
 	medium := radio.New(s, rcfg)
 	pcfg := fastProtocol(true)

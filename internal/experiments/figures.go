@@ -85,7 +85,7 @@ func runF2(opt Options) []*trace.Table {
 	s := sim.New()
 	rcfg := radio.DefaultConfig()
 	rcfg.BroadcastJitter = time.Millisecond
-	rcfg.DetSeed = uint64(opt.Seed)
+	rcfg.Seed = uint64(opt.Seed)
 	medium := radio.New(s, rcfg)
 	pcfg := fastProtocol(true)
 

@@ -2,10 +2,10 @@ package radio_test
 
 // Scenario-level neighbour oracle. For every scenario in the matrix and
 // every seed, a probe steps through the whole run — bootstrap, warmup,
-// traffic, cooldown — and at each step compares Neighbors(i) for every
-// node against the list built from InRange, an exact pairwise distance
-// check that never consults the spatial grid. The matrix covers static
-// and mobile topologies, lossy links, adversaries and windowed
+// traffic, cooldown — and at each step compares AppendNeighbors(i) for
+// every node against the list built from InRange, an exact pairwise
+// distance check that never consults the spatial grid. The matrix covers
+// static and mobile topologies, lossy links, adversaries and windowed
 // measurement, so the grid is checked under the traffic and motion the
 // protocol actually generates. The test names keep their historical
 // "naive" wording: the oracle is the naive all-pairs computation.
@@ -135,10 +135,10 @@ func onlyMedium(t *testing.T, sc *scenario.Scenario) *radio.Medium {
 }
 
 // runOracle runs a built scenario while a probe, every oracleStep of
-// virtual time, holds Neighbors(i) of every node to the list InRange
-// builds. The probe runs on the medium's own simulator, so it samples the
-// grid at exactly the probe instant. Probing reads positions and the index
-// only, so the run itself is unchanged.
+// virtual time, holds AppendNeighbors(i) of every node to the list
+// InRange builds. The probe runs on the medium's own simulator, so it
+// samples the grid at exactly the probe instant. Probing reads positions
+// and the index only, so the run itself is unchanged.
 func runOracle(t *testing.T, sc *scenario.Scenario) {
 	t.Helper()
 	m, n := onlyMedium(t, sc), sc.Cfg.N
@@ -155,8 +155,8 @@ func runOracle(t *testing.T, sc *scenario.Scenario) {
 					want = append(want, b)
 				}
 			}
-			if got := m.Neighbors(a); !sameIDs(got, want) {
-				t.Fatalf("seed %d at %v: Neighbors(%d) = %v, InRange oracle %v", sc.Cfg.Seed, s.Now(), i, got, want)
+			if got := m.AppendNeighbors(a, nil); !sameIDs(got, want) {
+				t.Fatalf("seed %d at %v: AppendNeighbors(%d) = %v, InRange oracle %v", sc.Cfg.Seed, s.Now(), i, got, want)
 			}
 		}
 		s.After(oracleStep, probe)

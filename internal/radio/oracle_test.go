@@ -6,7 +6,8 @@ package radio_test
 // reused last-in first-out — and answers "who hears node i now" by
 // checking every attached pair against the raw position functions. The
 // grid must agree with it exactly, order included, at every probe
-// instant: for Neighbors and for the receiver set of every broadcast.
+// instant: for AppendNeighbors and for the receiver set of every
+// broadcast.
 //
 // The network mixes every kind of node the grid treats differently:
 // static nodes, slow and fast movers whose tracks drive their own refresh
@@ -155,16 +156,16 @@ func (o *oracleNet) want(i radio.NodeID) []radio.NodeID {
 	return out
 }
 
-// probe checks every node's Neighbors against the oracle and broadcasts
-// from every node, recording what each broadcast must reach.
+// probe checks every node's AppendNeighbors against the oracle and
+// broadcasts from every node, recording what each broadcast must reach.
 func (o *oracleNet) probe(k int, expect map[string][]radio.NodeID) {
 	if got, want := o.m.Live(), len(o.track); got != want {
 		o.t.Fatalf("probe %d: medium holds %d live nodes, oracle %d", k, got, want)
 	}
 	for _, i := range o.attached() {
 		want := o.want(i)
-		if got := o.m.Neighbors(i); !sameIDs(got, want) {
-			o.t.Fatalf("probe %d at %v: Neighbors(%d) = %v, brute force %v", k, o.s.Now(), i, got, want)
+		if got := o.m.AppendNeighbors(i, nil); !sameIDs(got, want) {
+			o.t.Fatalf("probe %d at %v: AppendNeighbors(%d) = %v, brute force %v", k, o.s.Now(), i, got, want)
 		}
 		key := fmt.Sprintf("%d/%d", k, i)
 		expect[key] = want

@@ -74,7 +74,7 @@ func runWireScript(t *testing.T, sc *scenario.Scenario, seed int64, pooled bool)
 	s := sim.New()
 	cfg := sc.Cfg.Radio
 	cfg.UnicastRetries = 2
-	cfg.DetSeed = uint64(seed)
+	cfg.Seed = uint64(seed)
 	m := radio.New(s, cfg)
 	n := sc.Cfg.N
 	var tr wireTrace
@@ -138,7 +138,7 @@ func runWireScript(t *testing.T, sc *scenario.Scenario, seed int64, pooled bool)
 			case 0, 1:
 				broadcast(from, f)
 			case 2: // to a current neighbour, when there is one
-				if nb := m.Neighbors(from); len(nb) > 0 {
+				if nb := m.AppendNeighbors(from, nil); len(nb) > 0 {
 					to = nb[pick%len(nb)]
 				}
 				fallthrough

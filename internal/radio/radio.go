@@ -8,7 +8,7 @@
 // route maintenance uses to detect broken links).
 //
 // Every random draw — contention jitter and the per-receiver loss process —
-// is a content hash keyed by (Config.DetSeed, transmitter, the
+// is a content hash keyed by (Config.Seed, transmitter, the
 // transmitter's transmission sequence, receiver). A draw therefore does not
 // depend on the order the medium visits receivers, on other media sharing
 // the simulator, or on how the sharded engine split the network, and the
@@ -18,10 +18,10 @@
 // address; IP-to-NodeID resolution is the upper layer's concern.
 //
 // Receivers are found through a uniform spatial hash grid that answers
-// Neighbors and broadcast fan-out from the cells around the transmitter,
-// and every transmission rides one pooled path: frame buffers come from a
-// per-medium size-class pool and each broadcast's surviving receivers
-// share one delivery event. The package tests hold the grid to a
+// AppendNeighbors and broadcast fan-out from the cells around the
+// transmitter, and every transmission rides one pooled path: frame buffers
+// come from a per-medium size-class pool and each broadcast's surviving
+// receivers share one delivery event. The package tests hold the grid to a
 // brute-force neighbour oracle computed from the raw position functions.
 package radio
 
@@ -79,10 +79,11 @@ type Config struct {
 	// tests run under it.
 	PoisonFrames bool
 
-	// DetSeed seeds the content-derived draws (contention jitter and the
-	// loss process); the sharded engine derives it from the scenario seed
-	// when zero.
-	DetSeed uint64
+	// Seed keys every draw of the medium (contention jitter and the loss
+	// process). The engine derives it from the scenario seed when zero; a
+	// caller of New must set it from its own run seed, or every run draws
+	// the same jitter and loss.
+	Seed uint64
 
 	// Remote, when non-nil, is the sharded engine's view of nodes that
 	// live in other regions: transmissions that may reach across the
@@ -210,7 +211,6 @@ type Medium struct {
 	lastSweep   sim.Time  // last re-bucket sweep of bounded movers
 	unboundedAt sim.Time  // instant the unbounded nodes were last re-bucketed
 	candBits    []uint64  // reusable candidate bitset (single-threaded sim)
-	nbHint      int       // size of the last Neighbors result, pre-sizes the next
 
 	// Event-driven re-bucketing: tracks that report their own refresh
 	// instants (mobility.Refresher) get a per-node event chain instead of
@@ -533,21 +533,6 @@ func (m *Medium) SetDown(id NodeID, down bool) {
 	}
 }
 
-// PositionOf returns the node's current position.
-func (m *Medium) PositionOf(id NodeID) geom.Point {
-	return m.ports[id].pos(m.sim.Now())
-}
-
-// Neighbors returns the ids currently within range of id, in attachment
-// order. Down nodes are excluded. The result is a fresh slice, pre-sized to
-// the previous call's count; hot paths that can recycle a buffer should use
-// AppendNeighbors instead.
-func (m *Medium) Neighbors(id NodeID) []NodeID {
-	out := m.AppendNeighbors(id, make([]NodeID, 0, m.nbHint))
-	m.nbHint = len(out)
-	return out
-}
-
 // AppendNeighbors appends the ids currently within range of id to out — in
 // attachment order, excluding down nodes — and returns the extended slice.
 // It allocates nothing when out has sufficient capacity.
@@ -600,11 +585,11 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// detMix derives one draw from the medium seed and the draw's identity. A
+// drawMix derives one draw from the medium seed and the draw's identity. A
 // sequential RNG would entangle every medium draw with global event order;
 // a content-keyed hash gives each draw the same value no matter which
 // region evaluates it or in what order.
-func detMix(seed, a, b, c uint64) uint64 {
+func drawMix(seed, a, b, c uint64) uint64 {
 	h := mix64(seed + 0x9e3779b97f4a7c15 + a)
 	h = mix64(h + 0x9e3779b97f4a7c15 + b)
 	h = mix64(h + 0x9e3779b97f4a7c15 + c)
@@ -616,7 +601,7 @@ func (m *Medium) txJitter(from NodeID, txSeq uint64) sim.Duration {
 	if m.cfg.BroadcastJitter <= 0 {
 		return 0
 	}
-	h := detMix(m.cfg.DetSeed, uint64(from), txSeq, 0)
+	h := drawMix(m.cfg.Seed, uint64(from), txSeq, 0)
 	return sim.Duration(h % uint64(m.cfg.BroadcastJitter))
 }
 
@@ -624,7 +609,7 @@ func (m *Medium) txJitter(from NodeID, txSeq uint64) sim.Duration {
 // lost on its way to the receiver. Callers gate on LossRate > 0 so a
 // lossless medium hashes nothing.
 func (m *Medium) lossDraw(from NodeID, txSeq uint64, to NodeID) bool {
-	h := detMix(m.cfg.DetSeed, uint64(from), txSeq, uint64(to)+1)
+	h := drawMix(m.cfg.Seed, uint64(from), txSeq, uint64(to)+1)
 	return float64(h>>11)/(1<<53) < m.cfg.LossRate
 }
 

@@ -245,17 +245,17 @@ func TestUnicastRetriesExhaust(t *testing.T) {
 func TestNeighborsAndInRange(t *testing.T) {
 	s := sim.New()
 	m, _ := build(s, quiet(), geom.Point{}, geom.Point{X: 100}, geom.Point{X: 240}, geom.Point{X: 600})
-	nb := m.Neighbors(0)
+	nb := m.AppendNeighbors(0, nil)
 	if len(nb) != 2 || nb[0] != 1 || nb[1] != 2 {
-		t.Fatalf("Neighbors(0) = %v", nb)
+		t.Fatalf("AppendNeighbors(0) = %v", nb)
 	}
 	if !m.InRange(0, 1) || m.InRange(0, 3) {
 		t.Fatal("InRange wrong")
 	}
 	m.SetDown(1, true)
-	nb = m.Neighbors(0)
+	nb = m.AppendNeighbors(0, nil)
 	if len(nb) != 1 || nb[0] != 2 {
-		t.Fatalf("Neighbors(0) after down = %v", nb)
+		t.Fatalf("AppendNeighbors(0) after down = %v", nb)
 	}
 	if m.InRange(0, 1) {
 		t.Fatal("down node still in range")
@@ -402,8 +402,8 @@ func TestOrdinalReuseStartsOwnRefreshChain(t *testing.T) {
 			return now.Add(sim.Duration(slop / 50 * float64(time.Second)))
 		})
 		s.RunUntil(sim.Time(38 * time.Second))
-		if nb := m.Neighbors(0); len(nb) != 1 || nb[0] != 2 {
-			t.Errorf("reuse=%v: Neighbors(0) at 38 s = %v, want [2]", reuse, nb)
+		if nb := m.AppendNeighbors(0, nil); len(nb) != 1 || nb[0] != 2 {
+			t.Errorf("reuse=%v: AppendNeighbors(0) at 38 s = %v, want [2]", reuse, nb)
 		}
 	}
 }
@@ -427,14 +427,14 @@ func TestGridMovingNodeWithSpeedBound(t *testing.T) {
 		} // else: stays unbounded and is re-bucketed exactly
 		s.After(time.Second, func() { m.Broadcast(0, []byte("early")) })
 		s.After(2*time.Second, func() {
-			if nb := m.Neighbors(1); len(nb) != 1 || nb[0] != 0 {
-				t.Errorf("declare=%v: Neighbors(1) at 2s = %v, want [0]", declare, nb)
+			if nb := m.AppendNeighbors(1, nil); len(nb) != 1 || nb[0] != 0 {
+				t.Errorf("declare=%v: AppendNeighbors(1) at 2s = %v, want [0]", declare, nb)
 			}
 		})
 		s.After(10*time.Second, func() { m.Broadcast(0, []byte("late")) })
 		s.After(11*time.Second, func() {
-			if nb := m.Neighbors(0); len(nb) != 0 {
-				t.Errorf("declare=%v: Neighbors(0) at 11s = %v, want none", declare, nb)
+			if nb := m.AppendNeighbors(0, nil); len(nb) != 0 {
+				t.Errorf("declare=%v: AppendNeighbors(0) at 11s = %v, want none", declare, nb)
 			}
 		})
 		s.Run()
@@ -459,19 +459,13 @@ func TestSetSpeedBoundEdgeCases(t *testing.T) {
 	}
 }
 
-// Neighbors must not churn allocations: the returned slice is pre-sized to
-// the previous count, and AppendNeighbors into a sized buffer allocates
-// nothing at all.
+// AppendNeighbors into a sized buffer must allocate nothing at all.
 func TestNeighborsAllocation(t *testing.T) {
 	s := sim.New()
 	m := New(s, quiet())
 	for i := 0; i < 100; i++ {
 		m.AddNode(NodeID(i), fixed(geom.Point{X: float64(i * 20)}), HandlerFunc(func(NodeID, []byte) {}))
 		m.SetSpeedBound(NodeID(i), 0)
-	}
-	m.Neighbors(50) // warm the size hint
-	if a := testing.AllocsPerRun(100, func() { m.Neighbors(50) }); a > 1 {
-		t.Errorf("Neighbors allocates %v/op, want <= 1", a)
 	}
 	buf := make([]NodeID, 0, 128)
 	if a := testing.AllocsPerRun(100, func() { buf = m.AppendNeighbors(50, buf[:0]) }); a != 0 {
@@ -490,12 +484,6 @@ func BenchmarkNeighbors(b *testing.B) {
 		m.AddNode(NodeID(i), fixed(p), HandlerFunc(func(NodeID, []byte) {}))
 		m.SetSpeedBound(NodeID(i), 0)
 	}
-	b.Run("grid", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			m.Neighbors(NodeID(i % 1000))
-		}
-	})
 	b.Run("grid/append", func(b *testing.B) {
 		buf := make([]NodeID, 0, 256)
 		b.ReportAllocs()

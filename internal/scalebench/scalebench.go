@@ -54,7 +54,7 @@ func BuildScaleNetwork(n int, seed int64) *ScaleNetwork {
 	s := sim.New()
 	cfg := radio.DefaultConfig()
 	cfg.LossRate = 0.05
-	cfg.DetSeed = uint64(seed)
+	cfg.Seed = uint64(seed)
 	m := radio.New(s, cfg)
 
 	side := 125 * math.Sqrt(float64(n))

@@ -496,24 +496,18 @@ func (lv *Live) scheduleAudit(i int, n *core.Node) {
 func (lv *Live) startFlows() {
 	sc := lv.sc
 	for fi, f := range sc.Cfg.Flows {
-		sc.flowStats[fi] = &flowStat{}
-		flowID := uint32(fi + 1)
-		sc.hookFlowSink(flowID, f.To)
+		send := sc.armFlow(fi)
 		srcID, src := radio.NodeID(f.From), sc.Nodes[f.From]
-		srcRegion, srcSim := sc.eng.RegionOf(srcID), sc.eng.NodeSim(srcID)
-		payload := make([]byte, f.Size)
-		dstAddr := sc.Nodes[f.To].Addr()
-		var send func()
-		send = func() {
+		srcSim := sc.eng.NodeSim(srcID)
+		var tick func()
+		tick = func() {
 			if src.Dead() {
 				return
 			}
-			_, seq := src.SendFlow(dstAddr, flowID, payload)
-			sc.flowLogs[srcRegion] = append(sc.flowLogs[srcRegion],
-				flowLogEntry{at: srcSim.Now(), kind: flowSend, flow: flowID, seq: seq})
-			srcSim.After(f.Interval, send)
+			send()
+			srcSim.After(f.Interval, tick)
 		}
-		sc.eng.ScheduleOwnedAt(srcID, sc.Now().Add(f.Start+f.Interval), send)
+		sc.eng.ScheduleOwnedAt(srcID, sc.Now().Add(f.Start+f.Interval), tick)
 	}
 }
 

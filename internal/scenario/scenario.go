@@ -745,35 +745,44 @@ func (sc *Scenario) scheduleWindowEmissions() {
 
 // startFlows schedules the CBR sources across the measurement window and
 // hooks delivery tracking at each sink. Flow fields were validated by
-// Build, so every flow here is well-formed. The send events and the
-// delivery hook run inside region event loops, so instead of mutating the
-// shared bookkeeping directly — the sent map, window counters and the
-// source's latency samples are all order-sensitive — they append to their
-// own region's log; replayFlowLogs applies the merged logs in a
-// shard-count-independent order at each barrier.
+// Build, so every flow here is well-formed.
 func (sc *Scenario) startFlows() {
 	for fi, f := range sc.Cfg.Flows {
-		sc.flowStats[fi] = &flowStat{}
-		flowID := uint32(fi + 1)
-		sc.hookFlowSink(flowID, f.To)
-		srcID, src := radio.NodeID(f.From), sc.Nodes[f.From]
-		srcRegion, srcSim := sc.eng.RegionOf(srcID), sc.eng.NodeSim(srcID)
-		// The destination address is captured once, here, while every
-		// region is idle: reading it from inside the source's event loop
-		// would cross region ownership. Flows target post-formation
-		// addresses, so the snapshot is the address the sink holds.
-		dstAddr := sc.Nodes[f.To].Addr()
+		send := sc.armFlow(fi)
 		count := int((sc.Cfg.Duration - f.Start) / f.Interval)
-		payload := make([]byte, f.Size)
 		base := sc.Now()
 		for k := 0; k < count; k++ {
 			at := base.Add(f.Start + time.Duration(k)*f.Interval)
-			sc.eng.ScheduleOwnedAt(srcID, at, func() {
-				_, seq := src.SendFlow(dstAddr, flowID, payload)
-				sc.flowLogs[srcRegion] = append(sc.flowLogs[srcRegion],
-					flowLogEntry{at: srcSim.Now(), kind: flowSend, flow: flowID, seq: seq})
-			})
+			sc.eng.ScheduleOwnedAt(radio.NodeID(f.From), at, send)
 		}
+	}
+}
+
+// armFlow sets up flow fi's stats and sink hook and returns the action
+// that sends one of its packets; the caller schedules it as an event owned
+// by the source. The send events and the delivery hook run inside region
+// event loops, so instead of mutating the shared bookkeeping directly —
+// the sent map, window counters and the source's latency samples are all
+// order-sensitive — they append to their own region's log;
+// replayFlowLogs applies the merged logs in a shard-count-independent
+// order at each barrier.
+func (sc *Scenario) armFlow(fi int) func() {
+	f := sc.Cfg.Flows[fi]
+	sc.flowStats[fi] = &flowStat{}
+	flowID := uint32(fi + 1)
+	sc.hookFlowSink(flowID, f.To)
+	srcID, src := radio.NodeID(f.From), sc.Nodes[f.From]
+	srcRegion, srcSim := sc.eng.RegionOf(srcID), sc.eng.NodeSim(srcID)
+	// The destination address is captured once, here, while every region
+	// is idle: reading it from inside the source's event loop would cross
+	// region ownership. Flows target post-formation addresses, so the
+	// snapshot is the address the sink holds.
+	dstAddr := sc.Nodes[f.To].Addr()
+	payload := make([]byte, f.Size)
+	return func() {
+		_, seq := src.SendFlow(dstAddr, flowID, payload)
+		sc.flowLogs[srcRegion] = append(sc.flowLogs[srcRegion],
+			flowLogEntry{at: srcSim.Now(), kind: flowSend, flow: flowID, seq: seq})
 	}
 }
 

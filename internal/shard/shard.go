@@ -59,8 +59,7 @@
 //     position only affects radio reachability, which flows via messages.
 //   - Mobility tracks are owned by their node's region but queried remotely
 //     (lazily-extended legs mutate under a per-node mutex, the only lock on
-//     the hot path; a stateless static track, or any track when there is
-//     only one region, is read without it).
+//     the hot path; with only one region the track is read without it).
 //   - Down state is global: toggles are barrier-only (global events, all
 //     regions idle) and recorded as an append-only history, so concurrent
 //     region reads of DownAt(t) for past t are race-free and final.
@@ -84,7 +83,7 @@ import (
 // Config parameterizes an Engine.
 type Config struct {
 	// Seed derives the content-hash seed of the radio draws when
-	// Radio.DetSeed is zero.
+	// Radio.Seed is zero.
 	Seed int64
 	// Regions is the shard count; values < 1 are treated as 1.
 	Regions int
@@ -215,8 +214,8 @@ func New(cfg Config) *Engine {
 		// so engine runs stay byte-comparable across counts.
 		cfg.Radio.PropDelay = time.Nanosecond
 	}
-	if cfg.Radio.DetSeed == 0 {
-		cfg.Radio.DetSeed = uint64(cfg.Seed)*0x9e3779b97f4a7c15 + 1
+	if cfg.Radio.Seed == 0 {
+		cfg.Radio.Seed = uint64(cfg.Seed)*0x9e3779b97f4a7c15 + 1
 	}
 
 	n := len(cfg.Positions)
@@ -304,15 +303,14 @@ func (e *Engine) NodeMedium(id radio.NodeID) *radio.Medium { return e.regions[e.
 //
 // Other regions query the track concurrently (PosAt), and lazily-extended
 // tracks mutate their leg cache on query, so the owning medium reads it
-// under the node's lock too — unless no other region exists or the track
-// is a stateless mobility.Static, when it reads the track directly.
+// under the node's lock too — unless no other region exists, when it
+// reads the track directly.
 func (e *Engine) AddNode(id radio.NodeID, track mobility.Track, h radio.Handler) {
 	ni := e.nodes[id]
 	ni.track = track
 	ni.exists = true
 	r := e.regions[e.regionOf[id]]
-	_, static := track.(mobility.Static)
-	locked := !static && len(e.regions) > 1
+	locked := len(e.regions) > 1
 	pos := track.Position
 	if locked {
 		pos = ni.position
