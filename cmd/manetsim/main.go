@@ -14,7 +14,6 @@
 //	manetsim -n 2000 -stagger 5ms -duration 10s     # thousand-node scale run
 //	manetsim -n 2000 -boot percell -duration 10s    # concurrent per-cell formation
 //	manetsim -n 100 -boot percell -audit 5s         # post-formation audit sweep
-//	manetsim -n 100 -verifycache 0                  # disable crypto memoization
 //	manetsim -n 2000 -shards 4 -duration 10s        # region-sharded core
 //	manetsim -n 16 -windows 1s -serve unix:/tmp/sbr6.sock   # daemon mode
 //	manetsim -connect unix:/tmp/sbr6.sock -call info        # client mode
@@ -35,20 +34,18 @@ import (
 
 func main() {
 	var (
-		n           = flag.Int("n", 25, "node count (node 0 is the DNS server)")
-		secure      = flag.Bool("secure", true, "secure protocol (false = plain DSR)")
-		credits     = flag.Bool("credits", true, "credit management (secure mode)")
-		seed        = flag.Int64("seed", 1, "simulation seed (first seed with -reps)")
-		reps        = flag.Int("reps", 1, "seed replicates, fanned out across the worker pool")
-		workers     = flag.Int("workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
-		area        = flag.Float64("area", 0, "square area side in metres (0 = grid-sized)")
-		rng         = flag.Float64("range", 250, "radio range in metres")
-		loss        = flag.Float64("loss", 0, "per-receiver frame loss probability")
-		waypoint    = flag.Bool("waypoint", false, "random waypoint mobility")
-		speed       = flag.Float64("speed", 5, "max waypoint speed m/s")
-		duration    = flag.Duration("duration", 30*time.Second, "measurement window")
-		verifycache = flag.Int("verifycache", sbr6.DefaultVerifyCacheEntries,
-			"per-node memoized-verification cache entries (0 disables it and the signing memo; results are identical)")
+		n          = flag.Int("n", 25, "node count (node 0 is the DNS server)")
+		secure     = flag.Bool("secure", true, "secure protocol (false = plain DSR)")
+		credits    = flag.Bool("credits", true, "credit management (secure mode)")
+		seed       = flag.Int64("seed", 1, "simulation seed (first seed with -reps)")
+		reps       = flag.Int("reps", 1, "seed replicates, fanned out across the worker pool")
+		workers    = flag.Int("workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
+		area       = flag.Float64("area", 0, "square area side in metres (0 = grid-sized)")
+		rng        = flag.Float64("range", 250, "radio range in metres")
+		loss       = flag.Float64("loss", 0, "per-receiver frame loss probability")
+		waypoint   = flag.Bool("waypoint", false, "random waypoint mobility")
+		speed      = flag.Float64("speed", 5, "max waypoint speed m/s")
+		duration   = flag.Duration("duration", 30*time.Second, "measurement window")
 		stagger    = flag.Duration("stagger", 0, "delay between DAD starts (0 = safe default; shrink it for 1k+ nodes)")
 		shards     = flag.Int("shards", 0, "spatial regions of the simulation engine, each with its own event loop; results are identical for every count (0 = one region)")
 		bootPolicy = flag.String("boot", "serial", "bootstrap admission policy: serial or percell (concurrent per-cell formation)")
@@ -117,7 +114,6 @@ func main() {
 	if *auditEvery > 0 {
 		opts = append(opts, sbr6.WithAuditSweep(*auditEvery))
 	}
-	opts = append(opts, sbr6.WithVerifyCache(*verifycache))
 	if *shards != 0 {
 		opts = append(opts, sbr6.WithShards(*shards))
 	}

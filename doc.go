@@ -188,22 +188,23 @@
 //
 // # Verification cache
 //
-// Every node memoizes its signature verifications and whole route-record
-// chains in a bounded LRU keyed by SHA-256 digests of the full verified
-// content (internal/verifycache). CGA bindings are checked directly with
-// cga.Verify: one digest and a compare cost less than a memo hit, which
-// digests the same inputs and then looks them up. Because both memoized
-// checks are pure functions of that content, a hit is exactly the verdict
-// recomputation would produce: cached and uncached runs yield
-// byte-for-byte identical per-seed Results (enforced by the differential
-// suite in internal/verifycache, adversaries included), and nothing keyed
-// by less than the full content or dependent on mutable local state is
-// ever memoized. What changes is only the number of
-// primitive crypto operations, which is what makes 10k-node formations
-// affordable: duplicate flood copies, re-served CREP attestations and
-// repeated RERRs stop costing signature verifications. The crypto.verify
-// metric deliberately counts logical requests (identical either way);
-// primitive-operation savings are reported by the cache's own Stats.
+// Every node memoizes its signature verifications in a bounded LRU keyed
+// by SHA-256 digests of the full verified content (internal/verifycache).
+// CGA bindings are checked directly with cga.Verify: one digest and a
+// compare cost less than a memo hit, which digests the same inputs and
+// then looks them up. Route records are walked hop by hop on every check:
+// a node's flood seen-set admits each request once, so a whole-chain memo
+// would not hit. Because a signature check is a pure function of its
+// content, a hit is exactly the verdict recomputation would produce:
+// cached and uncached runs yield byte-for-byte identical per-seed Results
+// (enforced by the differential suite in internal/verifycache,
+// adversaries included), and nothing keyed by less than the full content
+// or dependent on mutable local state is ever memoized. What changes is
+// only the number of primitive crypto operations: re-served CREP
+// attestations, repeated RERRs and re-sent forgeries stop costing
+// signature verifications. The crypto.verify metric deliberately counts
+// logical requests (identical either way); primitive-operation savings
+// are reported by the cache's own Stats.
 //
 // The same cache remembers the node's own signatures. A relay's hop
 // attestation covers only its address and the source's sequence number,
@@ -216,9 +217,8 @@
 // whole message is compared, so an address change is a new message.
 // crypto.sign stays a logical count, like crypto.verify; the primitives
 // made and avoided are Stats.SignMisses and Stats.SignHits.
-// The cache is on by default; WithVerifyCache bounds or disables it, and
-// WithVerifyCache(0) (manetsim -verifycache 0) disables the signing memo
-// with it.
+// The cache is always on and has no option: it changes no result, only
+// the CPU a run spends.
 //
 // # The region-sharded core
 //

@@ -43,7 +43,7 @@ func buildNet(t testing.TB, cfg Config, positions []geom.Point, names []string) 
 	s := sim.New()
 	rcfg := radio.DefaultConfig()
 	rcfg.BroadcastJitter = time.Millisecond
-	medium := radio.New(s, rcfg)
+	medium := radio.New(s, rcfg, 0, nil)
 	tn := &testnet{s: s, medium: medium}
 
 	dnsIdent, err := identity.New(cfg.Suite, rand.New(rand.NewSource(1000)), "dns")

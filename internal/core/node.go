@@ -47,18 +47,14 @@ type Config struct {
 	// MaxSalvage bounds how often one packet may be salvaged.
 	MaxSalvage uint8
 
-	// VerifyCache bounds the per-node memoized-verification cache
-	// (internal/verifycache): signature checks and whole route-record
-	// chains are cached under content digests, and the node's own
-	// signatures under the exact signed bytes (a small memo of fixed
-	// size, which this bound does not change). CGA bindings are checked
-	// directly: one digest and a compare cost less than a memo lookup.
-	// 0 selects verifycache.DefaultEntries (the cache is on by default);
-	// a negative value disables both memos. Runs with and without the
-	// cache produce byte-for-byte identical results — the cache only
-	// avoids recomputing checks and deterministic signatures whose full
-	// input was seen before.
-	VerifyCache int
+	// DirectVerify computes every signature check and signature directly
+	// instead of through the node's verification cache
+	// (internal/verifycache). Runs with and without the cache produce
+	// byte-for-byte identical results — the cache only avoids recomputing
+	// checks and deterministic signatures whose full input was seen
+	// before — so only tests and the scale benchmark's baseline set it,
+	// and snapshots do not carry it.
+	DirectVerify bool `json:"-"`
 	// FloodCache bounds each per-node duplicate-flood suppression set
 	// (AREQ, RREQ and DNS-control floods). 0 selects 4096 entries —
 	// enough below ~1000 nodes; the scenario harness scales it with the
@@ -178,9 +174,9 @@ type Node struct {
 	// protocol once the fresh address survives its objection window.
 	auditRebind *pendingRebind
 
-	// vcache memoizes signature and route-record chain checks and the
-	// node's own signatures (nil = disabled; every helper is nil-safe and
-	// computes directly).
+	// vcache memoizes signature checks and the node's own signatures
+	// (nil under DirectVerify; every helper is nil-safe and computes
+	// directly).
 	vcache *verifycache.Cache
 
 	routes  *dsr.Cache
@@ -285,8 +281,8 @@ func New(s *sim.Simulator, medium *radio.Medium, link radio.NodeID, ident *ident
 		floodCap = 4096
 	}
 	var vc *verifycache.Cache
-	if cfg.VerifyCache >= 0 {
-		vc = verifycache.New(cfg.VerifyCache) // 0 selects the default size
+	if !cfg.DirectVerify {
+		vc = verifycache.New(verifycache.DefaultEntries)
 	}
 	n := &Node{
 		sim: s, medium: medium, link: link, ident: ident, dnsPub: dnsPub,
@@ -307,12 +303,7 @@ func New(s *sim.Simulator, medium *radio.Medium, link radio.NodeID, ident *ident
 		aliases:     make(map[ipv6.Addr]ipv6.Addr),
 	}
 	n.autoconf = ndp.NewInitiator(s, rng, ident, dnsPub, cfg.DAD)
-	if n.vcache != nil {
-		// Leave Verify nil when the cache is disabled so ndp takes its
-		// documented direct-computation fallback (a typed-nil interface
-		// would bypass it).
-		n.autoconf.Verify = n.vcache
-	}
+	n.autoconf.Verify = n.verifier()
 	n.autoconf.SendAREQ = n.sendAREQ
 	n.autoconf.OnConfigured = n.dadDone
 	n.autoconf.Rename = func(old string) string { return old + "-r" }

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"sbr6/internal/identity"
+	"sbr6/internal/verifycache"
 	"sbr6/internal/wire"
 )
 
@@ -112,8 +113,11 @@ var tamperOps = []struct {
 }
 
 func TestPropertySRRVerifiesIffUntampered(t *testing.T) {
-	cached, pool := newCachedVerifier(t, 0)
-	direct, _ := newCachedVerifier(t, -1)
+	cached, pool := newCachedVerifier(t, false)
+	// A small cache keeps evicting under the tamper mix, so verdicts are
+	// also checked while the LRU churns.
+	cached.vcache = verifycache.New(8)
+	direct, _ := newCachedVerifier(t, true)
 	r := rand.New(rand.NewSource(42))
 
 	seq := uint32(0)
@@ -153,7 +157,7 @@ func TestPropertySRRVerifiesIffUntampered(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
 	}
-	if cached.VerifyCacheStats().Misses() == 0 {
-		t.Fatal("property run never exercised the cache")
+	if st := cached.VerifyCacheStats(); st.SigMisses == 0 || st.Evictions == 0 {
+		t.Fatalf("property run never filled or evicted the cache: %+v", st)
 	}
 }

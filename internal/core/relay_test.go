@@ -24,7 +24,7 @@ type relayRig struct {
 func newRelayRig(t testing.TB, cfg Config, record bool) *relayRig {
 	t.Helper()
 	s := sim.New()
-	medium := radio.New(s, radio.DefaultConfig())
+	medium := radio.New(s, radio.DefaultConfig(), 0, nil)
 	ident, err := identity.New(cfg.Suite, rand.New(rand.NewSource(42)), "")
 	if err != nil {
 		t.Fatal(err)

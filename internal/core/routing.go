@@ -7,7 +7,6 @@ import (
 	"sbr6/internal/dsr"
 	"sbr6/internal/identity"
 	"sbr6/internal/ipv6"
-	"sbr6/internal/verifycache"
 	"sbr6/internal/wire"
 )
 
@@ -137,47 +136,9 @@ func (n *Node) hopAttestation(seq uint32) wire.HopAttestation {
 
 // verifySRR runs the destination's checks from Section 3.3: the source and
 // every intermediate hop must satisfy (i) the CGA binding and (ii) a valid
-// signature over (IP, seq).
-//
-// The whole walk is memoized under a digest of every byte it reads (the
-// flood-level dedup): a node that already verified this exact source/hop
-// chain — a duplicate flood copy re-presented after the seen-set evicted
-// its id, or the same chain re-offered to the CREP path — replays the
-// stored verdict and its verification accounting instead of redoing the
-// per-hop crypto.
+// signature over (IP, seq). Each signature check goes through the node's
+// verification cache.
 func (n *Node) verifySRR(m *wire.RREQ) error {
-	if n.vcache != nil {
-		key := srrChainKey(m)
-		if err, verifies, ok := n.vcache.ChainLookup(key); ok {
-			n.met.Inc("crypto.verify", float64(verifies))
-			return err
-		}
-		before := n.met.Get("crypto.verify")
-		err := n.verifySRRSlow(m)
-		n.vcache.ChainStore(key, err, int(n.met.Get("crypto.verify")-before))
-		return err
-	}
-	return n.verifySRRSlow(m)
-}
-
-// srrChainKey digests the full content verifySRRSlow reads.
-func srrChainKey(m *wire.RREQ) verifycache.Key {
-	d := verifycache.NewChainDigest()
-	d.Bytes(m.SIP[:])
-	d.U32(m.Seq)
-	d.Bytes(m.SPK)
-	d.U64(m.Srn)
-	d.Bytes(m.SrcSig)
-	for _, h := range m.SRR {
-		d.Bytes(h.IP[:])
-		d.Bytes(h.PK)
-		d.U64(h.Rn)
-		d.Bytes(h.Sig)
-	}
-	return d.Key()
-}
-
-func (n *Node) verifySRRSlow(m *wire.RREQ) error {
 	spk, err := identity.ParsePublicKey(n.cfg.Suite, m.SPK)
 	if err != nil {
 		return errBadIdentity("source key", err)

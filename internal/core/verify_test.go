@@ -22,7 +22,7 @@ import (
 func newVerifier(t *testing.T) (*Node, []*identity.Identity) {
 	t.Helper()
 	s := sim.New()
-	medium := radio.New(s, radio.DefaultConfig())
+	medium := radio.New(s, radio.DefaultConfig(), 0, nil)
 	dnsIdent, err := identity.New(identity.SuiteEd25519, rand.New(rand.NewSource(1)), "dns")
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +191,7 @@ func TestHopAttestationModes(t *testing.T) {
 
 	// Baseline node leaves crypto fields empty.
 	s := sim.New()
-	medium := radio.New(s, radio.DefaultConfig())
+	medium := radio.New(s, radio.DefaultConfig(), 0, nil)
 	ident, _ := identity.New(identity.SuiteEd25519, rand.New(rand.NewSource(5)), "")
 	base := New(s, medium, 1, ident, nil, BaselineConfig(), rand.New(rand.NewSource(6)), nil)
 	medium.AddNode(1, func(sim.Time) geom.Point { return geom.Point{} }, base)

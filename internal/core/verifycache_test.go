@@ -8,6 +8,7 @@ import (
 	"sbr6/internal/identity"
 	"sbr6/internal/radio"
 	"sbr6/internal/sim"
+	"sbr6/internal/verifycache"
 	"sbr6/internal/wire"
 )
 
@@ -18,12 +19,12 @@ import (
 // form of the security argument in internal/verifycache's package doc.
 
 // newCachedVerifier builds a standalone configured node (cache on unless
-// entries < 0) plus honest identities, like newVerifier in verify_test.go
-// but with an explicit cache configuration.
-func newCachedVerifier(t *testing.T, entries int) (*Node, []*identity.Identity) {
+// direct) plus honest identities, like newVerifier in verify_test.go but
+// with an explicit cache configuration.
+func newCachedVerifier(t *testing.T, direct bool) (*Node, []*identity.Identity) {
 	t.Helper()
 	s := sim.New()
-	medium := radio.New(s, radio.DefaultConfig())
+	medium := radio.New(s, radio.DefaultConfig(), 0, nil)
 	dnsIdent, err := identity.New(identity.SuiteEd25519, rand.New(rand.NewSource(1)), "dns")
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +34,7 @@ func newCachedVerifier(t *testing.T, entries int) (*Node, []*identity.Identity) 
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	cfg.VerifyCache = entries
+	cfg.DirectVerify = direct
 	n := New(s, medium, 0, ident, dnsIdent.Pub, cfg, rand.New(rand.NewSource(3)), nil)
 	medium.AddNode(0, func(sim.Time) geom.Point { return geom.Point{} }, n)
 	n.StartConfigured()
@@ -50,7 +51,7 @@ func newCachedVerifier(t *testing.T, entries int) (*Node, []*identity.Identity) 
 }
 
 func TestCacheHonestThenTamperedRejected(t *testing.T) {
-	n, ids := newCachedVerifier(t, 0)
+	n, ids := newCachedVerifier(t, false)
 	honest := honestRREQ(ids[0], []*identity.Identity{ids[1], ids[2]}, 7)
 	if err := n.verifySRR(honest); err != nil {
 		t.Fatalf("honest chain rejected: %v", err)
@@ -81,7 +82,7 @@ func TestCacheHonestThenTamperedRejected(t *testing.T) {
 }
 
 func TestCacheForgedThenReplayedHonest(t *testing.T) {
-	n, ids := newCachedVerifier(t, 0)
+	n, ids := newCachedVerifier(t, false)
 	// The adversary gets there first: a forged chain is verified (and its
 	// rejection cached) before the honest one ever arrives.
 	forged := honestRREQ(ids[0], []*identity.Identity{ids[1]}, 3)
@@ -98,8 +99,8 @@ func TestCacheForgedThenReplayedHonest(t *testing.T) {
 	if n.verifySRR(forged) == nil {
 		t.Fatal("replayed forgery accepted")
 	}
-	if hits := n.VerifyCacheStats().ChainHits; hits == 0 {
-		t.Fatal("replayed forgery did not hit the chain memo")
+	if hits := n.VerifyCacheStats().SigHits; hits == 0 {
+		t.Fatal("replayed forgery did not hit the signature memo")
 	}
 }
 
@@ -107,7 +108,7 @@ func TestCacheForgedThenReplayedHonest(t *testing.T) {
 // chain: hop 2's (cached, valid) attestation signature presented under hop
 // 1's identity. Component caching must not let the splice through.
 func TestCacheCrossSpliceRejected(t *testing.T) {
-	n, ids := newCachedVerifier(t, 0)
+	n, ids := newCachedVerifier(t, false)
 	if err := n.verifySRR(honestRREQ(ids[0], []*identity.Identity{ids[1], ids[2]}, 9)); err != nil {
 		t.Fatalf("honest chain rejected: %v", err)
 	}
@@ -118,57 +119,42 @@ func TestCacheCrossSpliceRejected(t *testing.T) {
 	}
 }
 
-// A chain-memo hit must replay the exact crypto.verify accounting of the
-// original walk, or cached and uncached runs would diverge in Results.
-func TestChainMemoReplaysAccounting(t *testing.T) {
-	n, ids := newCachedVerifier(t, 0)
+// A chain walked twice counts the same logical verifications both times,
+// or cached and uncached runs would diverge in Results; the second walk's
+// signature checks all hit the memo.
+func TestRepeatedChainAccounting(t *testing.T) {
+	n, ids := newCachedVerifier(t, false)
+	walk := func(m *wire.RREQ, wantOK bool) (float64, verifycache.Stats) {
+		t.Helper()
+		before := n.Metrics().Get("crypto.verify")
+		if err := n.verifySRR(m); (err == nil) != wantOK {
+			t.Fatalf("verifySRR = %v, want accepted=%v", err, wantOK)
+		}
+		return n.Metrics().Get("crypto.verify") - before, n.VerifyCacheStats()
+	}
 	m := honestRREQ(ids[0], []*identity.Identity{ids[1], ids[2]}, 11)
-
-	before := n.Metrics().Get("crypto.verify")
-	if err := n.verifySRR(m); err != nil {
-		t.Fatal(err)
+	first, st1 := walk(m, true)
+	second, st2 := walk(m, true)
+	if first != 3 || second != 3 { // source + two hops
+		t.Fatalf("walks counted %v and %v verifications, want 3 each", first, second)
 	}
-	first := n.Metrics().Get("crypto.verify") - before
-
-	before = n.Metrics().Get("crypto.verify")
-	if err := n.verifySRR(m); err != nil {
-		t.Fatal(err)
+	if st1.SigMisses != 3 || st2.SigMisses != 3 || st2.SigHits-st1.SigHits != 3 {
+		t.Fatalf("stats %+v then %+v: want 3 primitive checks, then 3 hits and none more", st1, st2)
 	}
-	second := n.Metrics().Get("crypto.verify") - before
-
-	if first != second {
-		t.Fatalf("accounting diverged: first walk counted %v, memoized walk %v", first, second)
-	}
-	if first != 3 { // source + two hops
-		t.Fatalf("first walk counted %v verifications, want 3", first)
-	}
-	st := n.VerifyCacheStats()
-	if st.ChainHits != 1 {
-		t.Fatalf("chain hits = %d, want 1", st.ChainHits)
-	}
-	if st.SigMisses != 3 {
-		t.Fatalf("primitive sig ops = %d, want 3 (memo must absorb the second walk)", st.SigMisses)
-	}
-	// A failing walk replays its (shorter) accounting too.
+	// A failing walk stops at the same check both times.
 	bad := honestRREQ(ids[0], []*identity.Identity{ids[1], ids[2]}, 12)
 	bad.SRR[1].Sig = nil
-	before = n.Metrics().Get("crypto.verify")
-	if n.verifySRR(bad) == nil {
-		t.Fatal("tampered chain accepted")
+	if failFirst, _ := walk(bad, false); failFirst != 3 {
+		t.Fatalf("failing walk counted %v verifications, want 3", failFirst)
 	}
-	failFirst := n.Metrics().Get("crypto.verify") - before
-	before = n.Metrics().Get("crypto.verify")
-	if n.verifySRR(bad) == nil {
-		t.Fatal("tampered chain accepted on replay")
-	}
-	if failSecond := n.Metrics().Get("crypto.verify") - before; failSecond != failFirst {
-		t.Fatalf("failure accounting diverged: %v then %v", failFirst, failSecond)
+	if failSecond, _ := walk(bad, false); failSecond != 3 {
+		t.Fatalf("repeated failing walk counted %v verifications, want 3", failSecond)
 	}
 }
 
-// Disabled cache (VerifyCache < 0) records nothing and changes nothing.
+// A direct verifier (DirectVerify) records nothing and changes nothing.
 func TestDisabledCacheRecordsNothing(t *testing.T) {
-	n, ids := newCachedVerifier(t, -1)
+	n, ids := newCachedVerifier(t, true)
 	m := honestRREQ(ids[0], []*identity.Identity{ids[1]}, 5)
 	if err := n.verifySRR(m); err != nil {
 		t.Fatal(err)
@@ -176,7 +162,7 @@ func TestDisabledCacheRecordsNothing(t *testing.T) {
 	if err := n.verifySRR(m); err != nil {
 		t.Fatal(err)
 	}
-	if got := n.VerifyCacheStats(); got.Hits() != 0 || got.Misses() != 0 {
+	if got := n.VerifyCacheStats(); got != (verifycache.Stats{}) {
 		t.Fatalf("disabled cache recorded traffic: %+v", got)
 	}
 }
@@ -186,7 +172,7 @@ func TestDisabledCacheRecordsNothing(t *testing.T) {
 func newSigner(t *testing.T, suite identity.Suite) *Node {
 	t.Helper()
 	s := sim.New()
-	medium := radio.New(s, radio.DefaultConfig())
+	medium := radio.New(s, radio.DefaultConfig(), 0, nil)
 	ident, err := identity.New(suite, rand.New(rand.NewSource(2)), "")
 	if err != nil {
 		t.Fatal(err)

@@ -100,9 +100,8 @@ func dadTrial(seed int64, loss float64, hops, retries int) bool {
 	rcfg := radio.DefaultConfig()
 	rcfg.BroadcastJitter = time.Millisecond
 	rcfg.LossRate = loss
-	rcfg.Seed = uint64(seed)
 	rcfg.UnicastRetries = retries
-	medium := radio.New(s, rcfg)
+	medium := radio.New(s, rcfg, uint64(seed), nil)
 	pcfg := fastProtocol(true)
 	pcfg.DAD.MaxRetries = 8
 

@@ -85,8 +85,7 @@ func runF2(opt Options) []*trace.Table {
 	s := sim.New()
 	rcfg := radio.DefaultConfig()
 	rcfg.BroadcastJitter = time.Millisecond
-	rcfg.Seed = uint64(opt.Seed)
-	medium := radio.New(s, rcfg)
+	medium := radio.New(s, rcfg, uint64(opt.Seed), nil)
 	pcfg := fastProtocol(true)
 
 	tr := &transcript{}

@@ -52,7 +52,7 @@ func newOracleNet(t *testing.T, seed int64) *oracleNet {
 	return &oracleNet{
 		t:     t,
 		s:     s,
-		m:     radio.New(s, cfg),
+		m:     radio.New(s, cfg, 0, nil),
 		rng:   rand.New(rand.NewSource(seed)),
 		area:  geom.Rect{W: 1500, H: 1500},
 		r2:    cfg.Range * cfg.Range,

@@ -74,8 +74,7 @@ func runWireScript(t *testing.T, sc *scenario.Scenario, seed int64, pooled bool)
 	s := sim.New()
 	cfg := sc.Cfg.Radio
 	cfg.UnicastRetries = 2
-	cfg.Seed = uint64(seed)
-	m := radio.New(s, cfg)
+	m := radio.New(s, cfg, uint64(seed), nil)
 	n := sc.Cfg.N
 	var tr wireTrace
 	buf := func(size int) []byte {
@@ -275,7 +274,7 @@ func poolChurnNet(t *testing.T) (*sim.Simulator, *radio.Medium) {
 	cfg.MaxQueueDelay = 2 * time.Millisecond // bursts overflow the queue
 	cfg.BroadcastJitter = time.Millisecond
 	cfg.PoisonFrames = true
-	m := radio.New(s, cfg)
+	m := radio.New(s, cfg, 0, nil)
 	for i := 0; i < 8; i++ {
 		p := geom.Point{X: float64(i) * 20, Y: 0}
 		m.AddNode(radio.NodeID(i), func(sim.Time) geom.Point { return p }, radio.HandlerFunc(func(radio.NodeID, []byte) {}))
@@ -343,7 +342,7 @@ func TestFramePoolLeakFree(t *testing.T) {
 // hand the buffer back.
 func TestReleaseFrameWithoutTransmit(t *testing.T) {
 	s := sim.New()
-	m := radio.New(s, radio.DefaultConfig())
+	m := radio.New(s, radio.DefaultConfig(), 0, nil)
 	f := m.Frame(100)
 	m.ReleaseFrame(f)
 	st := m.PoolStats()

@@ -8,7 +8,7 @@
 // route maintenance uses to detect broken links).
 //
 // Every random draw — contention jitter and the per-receiver loss process —
-// is a content hash keyed by (Config.Seed, transmitter, the
+// is a content hash keyed by (the seed New takes, transmitter, the
 // transmitter's transmission sequence, receiver). A draw therefore does not
 // depend on the order the medium visits receivers, on other media sharing
 // the simulator, or on how the sharded engine split the network, and the
@@ -78,18 +78,6 @@ type Config struct {
 	// garbage instead of silently reading recycled memory. The retention
 	// tests run under it.
 	PoisonFrames bool
-
-	// Seed keys every draw of the medium (contention jitter and the loss
-	// process). The engine derives it from the scenario seed when zero; a
-	// caller of New must set it from its own run seed, or every run draws
-	// the same jitter and loss.
-	Seed uint64
-
-	// Remote, when non-nil, is the sharded engine's view of nodes that
-	// live in other regions: transmissions that may reach across the
-	// region boundary are handed off through it instead of silently
-	// stopping at the local port table.
-	Remote Remote
 }
 
 // Remote is implemented by the sharded engine (one adapter per region).
@@ -191,12 +179,14 @@ type port struct {
 // Nodes without a bound are re-bucketed exactly whenever the clock moved —
 // always correct, but worth avoiding on the hot path.
 type Medium struct {
-	sim   *sim.Simulator
-	cfg   Config
-	ports map[NodeID]*port
-	byOrd []*port // ports indexed by attachment ordinal; nil = vacated slot
-	live  int     // attached (non-removed) ports
-	stats Stats
+	sim    *sim.Simulator
+	cfg    Config
+	seed   uint64 // keys every draw (contention jitter and the loss process)
+	remote Remote // the sharded engine's view of other regions; nil when alone
+	ports  map[NodeID]*port
+	byOrd  []*port // ports indexed by attachment ordinal; nil = vacated slot
+	live   int     // attached (non-removed) ports
+	stats  Stats
 
 	// freeOrds are ordinals vacated by RemoveNode, reused LIFO by the next
 	// AddNode so churning sessions hold the per-ord parallel arrays at the
@@ -232,12 +222,17 @@ type Medium struct {
 	freeBatches *deliveryBatch
 }
 
-// New creates a medium on the given simulator.
-func New(s *sim.Simulator, cfg Config) *Medium {
+// New creates a medium on the given simulator. seed keys every draw of
+// the medium (contention jitter and the loss process); callers pass their
+// run's seed, so each run draws its own jitter and loss. remote, when
+// non-nil, is the sharded engine's view of nodes that live in other
+// regions: transmissions that may reach across the region boundary are
+// handed off through it instead of stopping at the local port table.
+func New(s *sim.Simulator, cfg Config, seed uint64, remote Remote) *Medium {
 	if cfg.Range <= 0 {
 		cfg.Range = 250
 	}
-	m := &Medium{sim: s, cfg: cfg, ports: make(map[NodeID]*port),
+	m := &Medium{sim: s, cfg: cfg, seed: seed, remote: remote, ports: make(map[NodeID]*port),
 		grid: geom.NewGrid(cfg.Range), pool: pool.New()}
 	m.pool.SetPoison(cfg.PoisonFrames)
 	return m
@@ -601,7 +596,7 @@ func (m *Medium) txJitter(from NodeID, txSeq uint64) sim.Duration {
 	if m.cfg.BroadcastJitter <= 0 {
 		return 0
 	}
-	h := drawMix(m.cfg.Seed, uint64(from), txSeq, 0)
+	h := drawMix(m.seed, uint64(from), txSeq, 0)
 	return sim.Duration(h % uint64(m.cfg.BroadcastJitter))
 }
 
@@ -609,7 +604,7 @@ func (m *Medium) txJitter(from NodeID, txSeq uint64) sim.Duration {
 // lost on its way to the receiver. Callers gate on LossRate > 0 so a
 // lossless medium hashes nothing.
 func (m *Medium) lossDraw(from NodeID, txSeq uint64, to NodeID) bool {
-	h := drawMix(m.cfg.Seed, uint64(from), txSeq, uint64(to)+1)
+	h := drawMix(m.seed, uint64(from), txSeq, uint64(to)+1)
 	return float64(h>>11)/(1<<53) < m.cfg.LossRate
 }
 
@@ -879,7 +874,7 @@ func (m *Medium) completeJob(j *txJob) {
 			if o != p && !o.down && at.Dist2(o.pos(now)) <= r2 {
 				delivered = m.deliverJob(p, o, j)
 			}
-		} else if m.cfg.Remote != nil {
+		} else if m.remote != nil {
 			delivered = m.remoteUnicast(p, j, at, now)
 		}
 		if !delivered {
@@ -904,7 +899,7 @@ func (m *Medium) completeJob(j *txJob) {
 		b.ports = append(b.ports, o)
 	}
 	m.gridForEach(at, now, 0, collect)
-	if m.cfg.Remote != nil {
+	if m.remote != nil {
 		m.postRemoteScans(p, j, at, now)
 	}
 	if len(b.ports) > 0 {
@@ -923,7 +918,7 @@ func (m *Medium) completeJob(j *txJob) {
 // could be within range: one read-only frame copy shared by all of them
 // (the local pooled buffer is released on schedule, so it cannot travel).
 func (m *Medium) postRemoteScans(p *port, j *txJob, at geom.Point, now sim.Time) {
-	r := m.cfg.Remote
+	r := m.remote
 	m.scanRegions = r.ScanRegions(at, m.cfg.Range, m.scanRegions[:0])
 	if len(m.scanRegions) == 0 {
 		return
@@ -946,7 +941,7 @@ func (m *Medium) postRemoteScans(p *port, j *txJob, at geom.Point, now sim.Time)
 // serialization end, exactly when a local target would decide it, so the
 // link-layer ACK timing is identical whichever region owns the receiver.
 func (m *Medium) remoteUnicast(p *port, j *txJob, at geom.Point, now sim.Time) bool {
-	r := m.cfg.Remote
+	r := m.remote
 	if !r.Exists(j.to) || r.DownAt(j.to, now) {
 		return false
 	}
@@ -1044,7 +1039,7 @@ func (m *Medium) InjectDeliver(msg DeliverMsg) {
 // between Sent and now, on top of the usual bucketing slop.
 func (m *Medium) runRemoteScan(msg ScanMsg) {
 	r2 := m.cfg.Range * m.cfg.Range
-	rm := m.cfg.Remote
+	rm := m.remote
 	collect := func(o *port) {
 		if rm.DownAt(o.id, msg.Sent) {
 			return

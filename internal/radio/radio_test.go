@@ -31,7 +31,7 @@ func fixed(p geom.Point) PositionFunc {
 // build creates a medium with nodes at the given positions and returns
 // the sinks in id order.
 func build(s *sim.Simulator, cfg Config, positions ...geom.Point) (*Medium, []*sink) {
-	m := New(s, cfg)
+	m := New(s, cfg, 0, nil)
 	sinks := make([]*sink, len(positions))
 	for i, p := range positions {
 		sinks[i] = &sink{}
@@ -133,7 +133,7 @@ func TestSerializationDelaysBackToBackFrames(t *testing.T) {
 	_ = m2
 	// Replace handler to capture times: rebuild with a custom handler.
 	s = sim.New()
-	m = New(s, cfg)
+	m = New(s, cfg, 0, nil)
 	m.AddNode(0, fixed(geom.Point{}), HandlerFunc(func(NodeID, []byte) {}))
 	m.AddNode(1, fixed(geom.Point{X: 10}), HandlerFunc(func(from NodeID, p []byte) {
 		deliveries = append(deliveries, s.Now())
@@ -179,7 +179,7 @@ func TestLossRateDropsRoughlyProportionally(t *testing.T) {
 	cfg.LossRate = 0.5
 	cfg.BitrateBps = 0 // instantaneous so the run is fast
 	count := 0
-	m := New(s, cfg)
+	m := New(s, cfg, 0, nil)
 	m.AddNode(0, fixed(geom.Point{}), HandlerFunc(func(NodeID, []byte) {}))
 	m.AddNode(1, fixed(geom.Point{X: 10}), HandlerFunc(func(NodeID, []byte) { count++ }))
 	const n = 2000
@@ -203,7 +203,7 @@ func TestUnicastRetriesRecoverLosses(t *testing.T) {
 	cfg.UnicastRetries = 3
 	cfg.BitrateBps = 0
 	got := 0
-	m := New(s, cfg)
+	m := New(s, cfg, 0, nil)
 	m.AddNode(0, fixed(geom.Point{}), HandlerFunc(func(NodeID, []byte) {}))
 	m.AddNode(1, fixed(geom.Point{X: 10}), HandlerFunc(func(NodeID, []byte) { got++ }))
 	const n = 1000
@@ -266,7 +266,7 @@ func TestMovingNodeLeavesRange(t *testing.T) {
 	s := sim.New()
 	cfg := quiet()
 	cfg.BitrateBps = 0
-	m := New(s, cfg)
+	m := New(s, cfg, 0, nil)
 	got := 0
 	// Node 1 moves away at 100 m/s starting in range, out of range after ~2.5s.
 	m.AddNode(0, fixed(geom.Point{}), HandlerFunc(func(NodeID, []byte) {}))
@@ -288,7 +288,7 @@ func TestTransmitFromUnknownNodePanics(t *testing.T) {
 		}
 	}()
 	s := sim.New()
-	m := New(s, quiet())
+	m := New(s, quiet(), 0, nil)
 	m.Broadcast(42, []byte("x"))
 }
 
@@ -323,7 +323,7 @@ func TestSenderDiesMidTransmission(t *testing.T) {
 
 func TestNilPositionOrHandlerPanics(t *testing.T) {
 	s := sim.New()
-	m := New(s, quiet())
+	m := New(s, quiet(), 0, nil)
 	for _, try := range []func(){
 		func() { m.AddNode(0, nil, HandlerFunc(func(NodeID, []byte) {})) },
 		func() { m.AddNode(1, fixed(geom.Point{}), nil) },
@@ -341,7 +341,7 @@ func TestNilPositionOrHandlerPanics(t *testing.T) {
 
 func TestZeroRangeDefaulted(t *testing.T) {
 	s := sim.New()
-	m := New(s, Config{})
+	m := New(s, Config{}, 0, nil)
 	if m.Config().Range != 250 {
 		t.Fatalf("zero range not defaulted: %v", m.Config().Range)
 	}
@@ -354,7 +354,7 @@ func TestDuplicateNodePanics(t *testing.T) {
 		}
 	}()
 	s := sim.New()
-	m := New(s, quiet())
+	m := New(s, quiet(), 0, nil)
 	m.AddNode(1, fixed(geom.Point{}), HandlerFunc(func(NodeID, []byte) {}))
 	m.AddNode(1, fixed(geom.Point{}), HandlerFunc(func(NodeID, []byte) {}))
 }
@@ -384,7 +384,7 @@ func TestStatsAccounting(t *testing.T) {
 func TestOrdinalReuseStartsOwnRefreshChain(t *testing.T) {
 	for _, reuse := range []bool{true, false} {
 		s := sim.New()
-		m := New(s, quiet())
+		m := New(s, quiet(), 0, nil)
 		nop := HandlerFunc(func(NodeID, []byte) {})
 		m.AddNode(0, fixed(geom.Point{}), nop)
 		m.SetSpeedBound(0, 0)
@@ -415,7 +415,7 @@ func TestGridMovingNodeWithSpeedBound(t *testing.T) {
 		s := sim.New()
 		cfg := quiet()
 		cfg.BitrateBps = 0
-		m := New(s, cfg)
+		m := New(s, cfg, 0, nil)
 		got := 0
 		m.AddNode(0, fixed(geom.Point{}), HandlerFunc(func(NodeID, []byte) {}))
 		m.AddNode(1, func(t sim.Time) geom.Point {
@@ -462,7 +462,7 @@ func TestSetSpeedBoundEdgeCases(t *testing.T) {
 // AppendNeighbors into a sized buffer must allocate nothing at all.
 func TestNeighborsAllocation(t *testing.T) {
 	s := sim.New()
-	m := New(s, quiet())
+	m := New(s, quiet(), 0, nil)
 	for i := 0; i < 100; i++ {
 		m.AddNode(NodeID(i), fixed(geom.Point{X: float64(i * 20)}), HandlerFunc(func(NodeID, []byte) {}))
 		m.SetSpeedBound(NodeID(i), 0)
@@ -477,7 +477,7 @@ func TestNeighborsAllocation(t *testing.T) {
 // out of 1000 attached nodes.
 func BenchmarkNeighbors(b *testing.B) {
 	s := sim.New()
-	m := New(s, quiet())
+	m := New(s, quiet(), 0, nil)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 1000; i++ {
 		p := geom.Point{X: rng.Float64() * 4000, Y: rng.Float64() * 4000}
@@ -497,7 +497,7 @@ func BenchmarkBroadcastFanout50(b *testing.B) {
 	s := sim.New()
 	cfg := quiet()
 	cfg.BitrateBps = 0
-	m := New(s, cfg)
+	m := New(s, cfg, 0, nil)
 	for i := 0; i < 50; i++ {
 		m.AddNode(NodeID(i), fixed(geom.Point{X: float64(i)}), HandlerFunc(func(NodeID, []byte) {}))
 	}

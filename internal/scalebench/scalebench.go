@@ -54,8 +54,7 @@ func BuildScaleNetwork(n int, seed int64) *ScaleNetwork {
 	s := sim.New()
 	cfg := radio.DefaultConfig()
 	cfg.LossRate = 0.05
-	cfg.Seed = uint64(seed)
-	m := radio.New(s, cfg)
+	m := radio.New(s, cfg, uint64(seed), nil)
 
 	side := 125 * math.Sqrt(float64(n))
 	region := geom.Rect{W: side, H: side}
@@ -108,7 +107,7 @@ type ScaleResult struct {
 
 	VerifyRequests uint64 `json:"verify_requests,omitempty"` // logical signature checks
 	VerifyOps      uint64 `json:"verify_ops,omitempty"`      // primitives actually computed
-	CacheHits      uint64 `json:"cache_hits,omitempty"`
+	CacheHits      uint64 `json:"cache_hits,omitempty"`      // signature memo hits
 
 	// Formation cells only: nodes that completed DAD and the virtual span
 	// of the bootstrap phase (serial admission pays N staggers of virtual
@@ -504,19 +503,18 @@ func (an *AuditNetwork) VerifyOps() uint64 {
 // is what gets measured. Each epoch brings a batch of freshly signed
 // route-record chains over a population of n identities — new discovery
 // floods carry new sequence numbers, so their signatures cannot be
-// pre-warmed — and each chain is presented several times, the shape a
-// node sees from duplicate flood copies arriving over different paths,
-// re-served CREP attestations and repeated RERRs once the seen-set can
-// no longer hold every flood id (the 10k regime ROADMAP item 1
-// describes). Without the cache every copy re-runs the full per-hop
-// crypto; with the cache later copies cost one content digest.
+// pre-warmed — and each chain is presented several times, far more
+// often than a full run repeats one: there the flood seen-set admits each
+// request once, and only re-served CREP attestations and repeated signed
+// messages recur. Every copy re-runs the per-hop walk: without the cache
+// each signature check is a primitive verification, with it every
+// signature after a chain's first copy is one content digest and a hit.
 
 // CryptoChainHops is the route-record depth of every workload chain.
 const CryptoChainHops = 6
 
 // CryptoDuplicates is how many times each fresh chain is presented per
-// epoch (1 fresh + duplicates-1 copies). Mean degree in the radio
-// workload is ~12, so 4 is conservative.
+// epoch (1 fresh + duplicates-1 copies).
 const CryptoDuplicates = 4
 
 // CryptoNetwork is a verifier node plus the pre-built (pre-signed)
@@ -532,7 +530,7 @@ type CryptoNetwork struct {
 // n-node scale. cached selects the memoized (default) or direct verifier.
 func BuildCryptoNetwork(n int, cached bool, seed int64, epochs int) *CryptoNetwork {
 	s := sim.New()
-	medium := radio.New(s, radio.DefaultConfig())
+	medium := radio.New(s, radio.DefaultConfig(), uint64(seed), nil)
 	rng := newRand(seed)
 
 	mustIdent := func(name string) *identity.Identity {
@@ -544,9 +542,7 @@ func BuildCryptoNetwork(n int, cached bool, seed int64, epochs int) *CryptoNetwo
 	}
 	dns := mustIdent("dns")
 	cfg := core.DefaultConfig()
-	if !cached {
-		cfg.VerifyCache = -1
-	}
+	cfg.DirectVerify = !cached
 	node := core.New(s, medium, 0, mustIdent(""), dns.Pub, cfg, rng, nil)
 	node.StartConfigured()
 
@@ -625,7 +621,7 @@ func RunCryptoScale(n int, cached bool, seed int64, rounds int, now func() time.
 	if cached {
 		name = "cache"
 		ops = stats.SigMisses - baseStats.SigMisses
-		hits = stats.Hits() - baseStats.Hits()
+		hits = stats.SigHits - baseStats.SigHits
 	}
 	return ScaleResult{
 		Mode:           "crypto",

@@ -82,8 +82,8 @@ import (
 
 // Config parameterizes an Engine.
 type Config struct {
-	// Seed derives the content-hash seed of the radio draws when
-	// Radio.Seed is zero.
+	// Seed derives the seed every region's medium keys its radio draws
+	// with.
 	Seed int64
 	// Regions is the shard count; values < 1 are treated as 1.
 	Regions int
@@ -214,9 +214,7 @@ func New(cfg Config) *Engine {
 		// so engine runs stay byte-comparable across counts.
 		cfg.Radio.PropDelay = time.Nanosecond
 	}
-	if cfg.Radio.Seed == 0 {
-		cfg.Radio.Seed = uint64(cfg.Seed)*0x9e3779b97f4a7c15 + 1
-	}
+	radioSeed := uint64(cfg.Seed)*0x9e3779b97f4a7c15 + 1
 
 	n := len(cfg.Positions)
 	e := &Engine{
@@ -255,9 +253,7 @@ func New(cfg Config) *Engine {
 			size++
 		}
 		r := &region{idx: ri, sim: sim.New()}
-		rcfg := cfg.Radio
-		rcfg.Remote = &regionRemote{e: e, idx: ri}
-		r.med = radio.New(r.sim, rcfg)
+		r.med = radio.New(r.sim, cfg.Radio, radioSeed, &regionRemote{e: e, idx: ri})
 		for _, id := range order[at : at+size] {
 			e.regionOf[id] = ri
 			r.owned = append(r.owned, radio.NodeID(id))

@@ -105,11 +105,7 @@ func runWith(t *testing.T, mk func() scenario.Config, seed int64, cached bool) (
 	t.Helper()
 	cfg := mk()
 	cfg.Seed = seed
-	if cached {
-		cfg.Protocol.VerifyCache = 0 // default-on
-	} else {
-		cfg.Protocol.VerifyCache = -1
-	}
+	cfg.Protocol.DirectVerify = !cached
 	sc, err := scenario.Build(cfg)
 	if err != nil {
 		t.Fatalf("build (cached=%v, seed=%d): %v", cached, seed, err)
@@ -174,13 +170,7 @@ func TestVerifyCacheEquivalentToDirect(t *testing.T) {
 	// must have produced detections, and the signature memo must have
 	// actually absorbed work. Every signature verification flows through
 	// the memo, so primitives-with-cache = SigMisses and
-	// primitives-without-cache = the logical crypto.verify count. The
-	// chain memo records no hits in these runs: a node admits each
-	// (source, sequence) flood once, and a copy re-admitted after its id
-	// left the seen-set arrives over another path, so its chain differs;
-	// only a replayed frame could repeat one, and no adversary here
-	// replays. TestChainMemoReplaysAccounting in internal/core covers
-	// chain hits.
+	// primitives-without-cache = the logical crypto.verify count.
 	if sigHits == 0 {
 		t.Fatal("signature memo recorded no hits across the whole matrix")
 	}

@@ -1,6 +1,6 @@
 // Package verifycache memoizes the signature test behind every
-// verification procedure in the paper (Sections 3.1/3.3 check (ii)) and
-// whole route-record chains, in one bounded per-node LRU.
+// verification procedure in the paper (Sections 3.1/3.3 check (ii)) in one
+// bounded per-node LRU, and remembers the signatures its owner made.
 //
 // Check (i), the CGA binding test addr == H(PK, rn), is not memoized:
 // it is one SHA-256 and a compare, cheaper than the digest and map
@@ -8,20 +8,25 @@
 // signature verification costs hundreds of times that digest, which is
 // where the memo pays.
 //
-// Why this is safe under the paper's adversary model: both memoized checks
-// are pure functions of their full input. Cache keys are SHA-256 digests
-// over every byte the check reads (domain-separated per check kind), so a
-// lookup can only hit when the key, message and signature (and, for a
-// chain, every address and modifier) are all identical to an earlier
-// check — in which case recomputing would return the same verdict. An
-// adversary who wants the cache to return a stale "valid" for forged
-// content needs a SHA-256 collision; replaying an old valid message hits
-// the cache but is exactly as valid as it was the first time (replay
-// defense stays where it belongs, in the challenge/sequence fields that
-// are part of the signed content and therefore part of the key). Negative
-// results are cached too: re-presenting a rejected forgery costs one
-// digest instead of one signature verification, which blunts rather than
-// enables flooding with invalid traffic.
+// Route records are not memoized as whole chains either. A node's flood
+// seen-set admits each (source, sequence) once, so the destination check
+// of Section 3.3 walks a given chain once; a chain presented again (the
+// crypto scale workload does so by construction) re-runs the walk, and
+// each of its signatures hits the memo below.
+//
+// Why this is safe under the paper's adversary model: a signature check
+// is a pure function of its full input. Cache keys are SHA-256 digests
+// over every byte the check reads, so a lookup can only hit when the key,
+// message and signature are all identical to an earlier check — in which
+// case recomputing would return the same verdict. An adversary who wants
+// the cache to return a stale "valid" for forged content needs a SHA-256
+// collision; replaying an old valid message hits the cache but is exactly
+// as valid as it was the first time (replay defense stays where it
+// belongs, in the challenge/sequence fields that are part of the signed
+// content and therefore part of the key). Negative results are cached
+// too: re-presenting a rejected forgery costs one digest instead of one
+// signature verification, which blunts rather than enables flooding with
+// invalid traffic.
 //
 // What is deliberately NOT memoizable: anything keyed by less than the
 // full verified content (e.g. "this address was fine recently"), and any
@@ -36,7 +41,11 @@
 // PKCS#1 v1.5), and the memo keys on the exact signed bytes, so a hit
 // returns exactly the signature the private key would compute. The
 // memo is a small direct-mapped table, allocated on the owner's first
-// signature; it is on and off with the rest of the cache.
+// signature.
+//
+// Every node carries a cache. A nil *Cache computes every check and
+// signature directly and records nothing; the differential suites run
+// nodes that way to prove the cache changes no result.
 //
 // The cache is per node and the simulator drives each node from a single
 // goroutine, so there is no locking; parallel batch replicates build
@@ -51,61 +60,39 @@ import (
 	"sbr6/internal/identity"
 )
 
-// DefaultEntries bounds the cache when the owner does not choose a size.
-// Entries are ~100 bytes, so the default costs at most ~1.6 MB per node
-// and in practice far less: the map fills only with content the node
-// actually verified.
+// DefaultEntries is the bound every node's cache uses. Entries are ~100
+// bytes, so it costs at most ~1.6 MB per node and in practice far less:
+// the map fills only with content the node actually verified.
 const DefaultEntries = 16384
 
-// Key is a content digest identifying one memoized check.
-type Key [sha256.Size]byte
+// key is a content digest identifying one memoized check.
+type key [sha256.Size]byte
 
-// Domain-separation tags; hashed into the key so the two check kinds can
-// never alias.
-const (
-	tagSig   = 0x02
-	tagChain = 0x03
-)
+// tagSig is the domain-separation tag hashed into every signature key.
+const tagSig = 0x02
 
-// Stats counts cache traffic. Hits are primitive operations avoided;
-// misses are operations actually performed through the cache. A chain hit
-// stands for the whole sequence of per-hop checks the chain would redo.
-// SignHits and SignMisses count the signing memo: a miss is one primitive
-// signature, a hit one avoided.
+// Stats counts cache traffic. SigHits are primitive signature
+// verifications avoided, SigMisses those actually performed through the
+// cache. SignHits and SignMisses count the signing memo: a miss is one
+// primitive signature, a hit one avoided.
 type Stats struct {
-	SigHits, SigMisses     uint64
-	ChainHits, ChainMisses uint64
-	Evictions              uint64
-	SignHits, SignMisses   uint64
+	SigHits, SigMisses   uint64
+	Evictions            uint64
+	SignHits, SignMisses uint64
 }
-
-// Hits sums hits over all check kinds; signing is not a check and stays
-// out.
-func (s Stats) Hits() uint64 { return s.SigHits + s.ChainHits }
-
-// Misses sums misses over all check kinds; signing stays out.
-func (s Stats) Misses() uint64 { return s.SigMisses + s.ChainMisses }
 
 // Add accumulates other into s (for aggregating per-node caches).
 func (s *Stats) Add(other Stats) {
 	s.SigHits += other.SigHits
 	s.SigMisses += other.SigMisses
-	s.ChainHits += other.ChainHits
-	s.ChainMisses += other.ChainMisses
 	s.Evictions += other.Evictions
 	s.SignHits += other.SignHits
 	s.SignMisses += other.SignMisses
 }
 
 type entry struct {
-	key Key
-	ok  bool
-	// Chain entries carry the memoized error and how many logical
-	// signature verifications the full chain walk performed, so a hit can
-	// replay the verifier's accounting exactly.
-	err      error
-	verifies int
-
+	key        key
+	ok         bool
 	prev, next *entry
 }
 
@@ -114,7 +101,7 @@ type entry struct {
 // "cache off" runs share the same call sites.
 type Cache struct {
 	cap   int
-	m     map[Key]*entry
+	m     map[key]*entry
 	head  *entry // most recently used
 	tail  *entry // least recently used
 	stats Stats
@@ -123,13 +110,9 @@ type Cache struct {
 	signs *signMemo
 }
 
-// New creates a cache bounded to capacity entries (DefaultEntries when
-// capacity <= 0).
+// New creates a cache bounded to capacity entries.
 func New(capacity int) *Cache {
-	if capacity <= 0 {
-		capacity = DefaultEntries
-	}
-	return &Cache{cap: capacity, m: make(map[Key]*entry)}
+	return &Cache{cap: capacity, m: make(map[key]*entry)}
 }
 
 // Len reports the number of memoized checks.
@@ -150,7 +133,7 @@ func (c *Cache) Stats() Stats {
 
 // --- LRU plumbing ---
 
-func (c *Cache) lookup(k Key) (*entry, bool) {
+func (c *Cache) lookup(k key) (*entry, bool) {
 	e, ok := c.m[k]
 	if ok {
 		c.moveToFront(e)
@@ -158,13 +141,9 @@ func (c *Cache) lookup(k Key) (*entry, bool) {
 	return e, ok
 }
 
+// insert adds an entry whose key is not present: VerifySig inserts only
+// after a miss.
 func (c *Cache) insert(e *entry) {
-	// Replacing an existing key must unlink its old node first, or the
-	// orphan would later be evicted and delete the live map entry.
-	if old, ok := c.m[e.key]; ok {
-		c.unlink(old)
-		delete(c.m, old.key)
-	}
 	c.m[e.key] = e
 	e.prev = nil
 	e.next = c.head
@@ -220,11 +199,11 @@ func (c *Cache) VerifySig(pk identity.PublicKey, msg, sig []byte) bool {
 	if c == nil {
 		return pk.Verify(msg, sig)
 	}
-	d := NewDigest(tagSig)
-	d.Bytes(pk.Bytes())
-	d.Bytes(msg)
-	d.Bytes(sig)
-	k := d.Key()
+	d := newDigest(tagSig)
+	d.bytes(pk.Bytes())
+	d.bytes(msg)
+	d.bytes(sig)
+	k := d.sum()
 	if e, ok := c.lookup(k); ok {
 		c.stats.SigHits++
 		return e.ok
@@ -233,34 +212,6 @@ func (c *Cache) VerifySig(pk identity.PublicKey, msg, sig []byte) bool {
 	ok := pk.Verify(msg, sig)
 	c.insert(&entry{key: k, ok: ok})
 	return ok
-}
-
-// ChainLookup returns the memoized verdict for a whole verified chain
-// (route-record walk): the stored error, how many logical signature
-// verifications the original walk counted, and whether the key was
-// present.
-func (c *Cache) ChainLookup(k Key) (err error, verifies int, ok bool) {
-	if c == nil {
-		return nil, 0, false
-	}
-	e, present := c.lookup(k)
-	if !present {
-		c.stats.ChainMisses++
-		return nil, 0, false
-	}
-	c.stats.ChainHits++
-	return e.err, e.verifies, true
-}
-
-// ChainStore memoizes a chain verdict under k. verifies is the number of
-// logical signature verifications the walk performed, replayed into the
-// verifier's counters on a later hit so cached and uncached runs account
-// identically.
-func (c *Cache) ChainStore(k Key, err error, verifies int) {
-	if c == nil {
-		return
-	}
-	c.insert(&entry{key: k, err: err, verifies: verifies})
 }
 
 // --- signing memo ---
@@ -314,42 +265,23 @@ func signSlot(msg []byte) int {
 
 // --- key construction ---
 
-// Digest builds a cache key over a sequence of fields. Variable-length
+// digest builds a cache key over a sequence of fields. Variable-length
 // fields are length-prefixed so adjacent fields can never alias
 // ("ab"+"c" vs "a"+"bc"), and every digest starts with a kind tag.
-type Digest struct {
+type digest struct {
 	buf []byte
 }
 
-// NewDigest starts a key over the given domain tag.
-func NewDigest(tag byte) *Digest { return &Digest{buf: []byte{tag}} }
+// newDigest starts a key over the given domain tag.
+func newDigest(tag byte) *digest { return &digest{buf: []byte{tag}} }
 
-// NewChainDigest starts a chain-kind key. The owning layer hashes in the
-// full content its chain walk reads (core's route-record key covers the
-// source identity, sequence number and every hop attestation).
-func NewChainDigest() *Digest { return NewDigest(tagChain) }
-
-// Bytes appends a length-prefixed variable-length field.
-func (d *Digest) Bytes(b []byte) {
+// bytes appends a length-prefixed variable-length field.
+func (d *digest) bytes(b []byte) {
 	var n [4]byte
 	binary.BigEndian.PutUint32(n[:], uint32(len(b)))
 	d.buf = append(d.buf, n[:]...)
 	d.buf = append(d.buf, b...)
 }
 
-// U64 appends a fixed-width 64-bit field.
-func (d *Digest) U64(v uint64) {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	d.buf = append(d.buf, b[:]...)
-}
-
-// U32 appends a fixed-width 32-bit field.
-func (d *Digest) U32(v uint32) {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], v)
-	d.buf = append(d.buf, b[:]...)
-}
-
-// Key finalizes the digest.
-func (d *Digest) Key() Key { return Key(sha256.Sum256(d.buf)) }
+// sum finalizes the digest.
+func (d *digest) sum() key { return key(sha256.Sum256(d.buf)) }

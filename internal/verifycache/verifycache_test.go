@@ -70,68 +70,8 @@ func TestSignMemoSharedSlot(t *testing.T) {
 	if st := c.Stats(); st.SignMisses != 4 || st.SignHits != 1 {
 		t.Fatalf("stats = %+v, want 4 sign misses and 1 hit", st)
 	}
-	if c.Len() != 0 || c.Stats().Hits()+c.Stats().Misses() != 0 {
+	if st := c.Stats(); c.Len() != 0 || st.SigHits+st.SigMisses != 0 {
 		t.Fatal("signing counted as a check")
-	}
-}
-
-func TestChainMemo(t *testing.T) {
-	c := New(64)
-	d := NewChainDigest()
-	d.Bytes([]byte("chain"))
-	k := d.Key()
-
-	if _, _, ok := c.ChainLookup(k); ok {
-		t.Fatal("phantom hit on empty cache")
-	}
-	stored := errChain("nope")
-	c.ChainStore(k, stored, 5)
-	err, verifies, ok := c.ChainLookup(k)
-	if !ok || err != stored || verifies != 5 {
-		t.Fatalf("lookup = (%v, %d, %v)", err, verifies, ok)
-	}
-	// nil error (accepted chain) round-trips too.
-	d2 := NewChainDigest()
-	d2.Bytes([]byte("chain2"))
-	c.ChainStore(d2.Key(), nil, 3)
-	if err, verifies, ok := c.ChainLookup(d2.Key()); !ok || err != nil || verifies != 3 {
-		t.Fatalf("nil-error lookup = (%v, %d, %v)", err, verifies, ok)
-	}
-}
-
-type errChain string
-
-func (e errChain) Error() string { return string(e) }
-
-// Re-storing an existing key must replace the entry cleanly: Len stays
-// bounded, the latest value wins, and later evictions never remove the
-// live map entry via an orphaned list node.
-func TestChainStoreReplacesExistingKey(t *testing.T) {
-	c := New(2)
-	d := NewChainDigest()
-	d.Bytes([]byte("dup"))
-	k := d.Key()
-	c.ChainStore(k, errChain("first"), 1)
-	c.ChainStore(k, errChain("second"), 2)
-	if c.Len() != 1 {
-		t.Fatalf("len = %d after double store, want 1", c.Len())
-	}
-	if err, verifies, ok := c.ChainLookup(k); !ok || err.Error() != "second" || verifies != 2 {
-		t.Fatalf("lookup = (%v, %d, %v), want latest value", err, verifies, ok)
-	}
-	// Fill past capacity; the replaced key was just used, so it must
-	// survive one eviction and still resolve through the map.
-	d2 := NewChainDigest()
-	d2.Bytes([]byte("other1"))
-	c.ChainStore(d2.Key(), nil, 0)
-	d3 := NewChainDigest()
-	d3.Bytes([]byte("other2"))
-	c.ChainStore(d3.Key(), nil, 0)
-	if c.Len() != 2 {
-		t.Fatalf("len = %d after evictions, want cap 2", c.Len())
-	}
-	if _, _, ok := c.ChainLookup(d3.Key()); !ok {
-		t.Fatal("newest entry missing after eviction")
 	}
 }
 
@@ -179,10 +119,6 @@ func TestNilCacheComputesDirectly(t *testing.T) {
 	if !c.VerifySig(id.Pub, msg, id.Sign(msg)) {
 		t.Fatal("nil cache rejected a valid signature")
 	}
-	if _, _, ok := c.ChainLookup(Key{}); ok {
-		t.Fatal("nil cache reported a chain hit")
-	}
-	c.ChainStore(Key{}, nil, 1) // must not panic
 	if got := c.Sign(id.Priv, msg); string(got) != string(id.Sign(msg)) {
 		t.Fatal("nil cache signed differently from the key")
 	}
@@ -195,34 +131,30 @@ func TestNilCacheComputesDirectly(t *testing.T) {
 // ("ab","c") and ("a","bc") must produce different keys even though their
 // concatenation is identical.
 func TestDigestFieldBoundaries(t *testing.T) {
-	d1 := NewChainDigest()
-	d1.Bytes([]byte("ab"))
-	d1.Bytes([]byte("c"))
-	d2 := NewChainDigest()
-	d2.Bytes([]byte("a"))
-	d2.Bytes([]byte("bc"))
-	if d1.Key() == d2.Key() {
+	d1 := newDigest(tagSig)
+	d1.bytes([]byte("ab"))
+	d1.bytes([]byte("c"))
+	d2 := newDigest(tagSig)
+	d2.bytes([]byte("a"))
+	d2.bytes([]byte("bc"))
+	if d1.sum() == d2.sum() {
 		t.Fatal("field boundaries alias")
 	}
 	// Different domain tags never alias either.
-	da := NewDigest(0x01)
-	da.Bytes([]byte("x"))
-	db := NewDigest(0x02)
-	db.Bytes([]byte("x"))
-	if da.Key() == db.Key() {
+	da := newDigest(0x01)
+	da.bytes([]byte("x"))
+	db := newDigest(0x02)
+	db.bytes([]byte("x"))
+	if da.sum() == db.sum() {
 		t.Fatal("domain tags alias")
 	}
 }
 
 func TestStatsAggregate(t *testing.T) {
-	a := Stats{SigHits: 1, SigMisses: 2, ChainHits: 3, Evictions: 4, SignHits: 7}
-	b := Stats{SigHits: 5, ChainMisses: 6, SignHits: 1, SignMisses: 8}
+	a := Stats{SigHits: 1, SigMisses: 2, Evictions: 4, SignHits: 7}
+	b := Stats{SigHits: 5, Evictions: 3, SignHits: 1, SignMisses: 8}
 	a.Add(b)
-	if a.SigHits != 6 || a.SigMisses != 2 || a.ChainHits != 3 || a.ChainMisses != 6 || a.Evictions != 4 ||
-		a.SignHits != 8 || a.SignMisses != 8 {
+	if a != (Stats{SigHits: 6, SigMisses: 2, Evictions: 7, SignHits: 8, SignMisses: 8}) {
 		t.Fatalf("aggregate = %+v", a)
-	}
-	if a.Hits() != 6+3 || a.Misses() != 2+6 {
-		t.Fatalf("totals: hits=%d misses=%d", a.Hits(), a.Misses())
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"sbr6/internal/identity"
 	"sbr6/internal/radio"
 	"sbr6/internal/scenario"
-	"sbr6/internal/verifycache"
 )
 
 // ErrOption is wrapped by every error NewScenario returns for an invalid
@@ -499,33 +498,6 @@ func WithCredits(on bool) Option {
 func WithRouteCache(on bool) Option {
 	return func(s *Scenario) error {
 		s.cfg.Protocol.UseCache = on
-		return nil
-	}
-}
-
-// DefaultVerifyCacheEntries is the per-node memoized-verification cache
-// bound applied when WithVerifyCache is not used.
-const DefaultVerifyCacheEntries = verifycache.DefaultEntries
-
-// WithVerifyCache bounds the per-node memoized-verification cache:
-// signature checks and whole route-record chains are cached under
-// content digests so identical checks are never recomputed. CGA bindings
-// are checked directly, because one digest and a compare cost less than
-// a memo lookup. The same cache keeps a small fixed-size memo of the
-// node's own route signatures, keyed by the exact signed bytes, because
-// relays sign the same (address, sequence number) attestations again and
-// again; entries does not size it. The cache is on by default
-// (DefaultVerifyCacheEntries); entries <= 0 disables memoization entirely,
-// signatures included — the configuration the differential suite
-// compares against. Per-seed results are byte-for-byte identical either
-// way; only the number of primitive crypto operations changes.
-func WithVerifyCache(entries int) Option {
-	return func(s *Scenario) error {
-		if entries > 0 {
-			s.cfg.Protocol.VerifyCache = entries
-		} else {
-			s.cfg.Protocol.VerifyCache = -1
-		}
 		return nil
 	}
 }

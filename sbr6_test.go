@@ -337,99 +337,71 @@ func TestDefaultIsOneRegionEngine(t *testing.T) {
 
 // TestRunBatchDeterminism is the facade's core guarantee: the same seed
 // yields an identical Result whether run serially or through the parallel
-// worker pool, adversaries included.
+// worker pool, adversaries included. The second scenario sends forged
+// cached-route replies and signed RERR lies through every node's
+// verification cache; run under -race in CI, it proves the per-replicate
+// caches share no state across the worker pool.
 func TestRunBatchDeterminism(t *testing.T) {
-	mk := func() *sbr6.Scenario {
-		return fastSpec(t,
-			sbr6.WithWindows(5*time.Second),
+	scenarios := []struct {
+		name string
+		opts []sbr6.Option
+	}{
+		{"blackhole", []sbr6.Option{
+			sbr6.WithWindows(5 * time.Second),
 			sbr6.WithAdversaries(sbr6.BlackHole(4)),
-		)
-	}
-	seeds := sbr6.SeedRange(1, 4)
-
-	serial := &sbr6.Runner{Workers: 1}
-	sb, err := serial.RunBatch(context.Background(), mk(), seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	parallel := &sbr6.Runner{Workers: 4}
-	pb, err := parallel.RunBatch(ctx, mk(), seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if len(sb.Results) != len(pb.Results) {
-		t.Fatalf("result counts differ: %d vs %d", len(sb.Results), len(pb.Results))
-	}
-	for i := range sb.Results {
-		if !reflect.DeepEqual(sb.Results[i], pb.Results[i]) {
-			t.Fatalf("seed %d: serial and parallel results differ:\nserial:   %v\nparallel: %v",
-				sb.Seeds[i], sb.Results[i], pb.Results[i])
-		}
-	}
-
-	// A direct interactive run of the same seed agrees too.
-	nw, err := mk().BuildSeed(seeds[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if direct := nw.Run(); !reflect.DeepEqual(direct, sb.Results[0]) {
-		t.Fatalf("direct run differs from batch:\ndirect: %v\nbatch:  %v", direct, sb.Results[0])
-	}
-
-	if sb.PDR.N != len(seeds) || sb.PDR.Mean <= 0 || sb.PDR.Mean > 1 {
-		t.Fatalf("suspicious PDR stat: %+v", sb.PDR)
-	}
-	if sb.PDR.Min > sb.PDR.Mean || sb.PDR.Max < sb.PDR.Mean {
-		t.Fatalf("stat bounds wrong: %+v", sb.PDR)
-	}
-}
-
-// TestRunBatchDeterminismVerifyCache extends the determinism guarantee to
-// the memoized-verification cache: a parallel batch with the per-node
-// cache enabled (the default) must match, seed for seed, a serial batch
-// with memoization disabled. Run under -race in CI, this also proves the
-// per-replicate caches share no state across the worker pool.
-func TestRunBatchDeterminismVerifyCache(t *testing.T) {
-	// Adversaries sit off the 1->8 diagonal so some traffic still lands
-	// (zero deliveries would make the latency stats NaN, which DeepEqual
-	// cannot compare).
-	mk := func(extra ...sbr6.Option) *sbr6.Scenario {
-		return fastSpec(t, append([]sbr6.Option{
+		}},
+		// Adversaries sit off the 1->8 diagonal so some traffic still lands
+		// (zero deliveries would make the latency stats NaN, which
+		// DeepEqual cannot compare).
+		{"forging-blackhole+spammer", []sbr6.Option{
 			sbr6.WithAdversaries(sbr6.ForgingBlackHole(2), sbr6.RERRSpammer(6)),
-		}, extra...)...)
+		}},
 	}
-	seeds := sbr6.SeedRange(1, 4)
+	for _, tc := range scenarios {
+		t.Run(tc.name, func(t *testing.T) {
+			mk := func() *sbr6.Scenario { return fastSpec(t, tc.opts...) }
+			seeds := sbr6.SeedRange(1, 4)
 
-	serial := &sbr6.Runner{Workers: 1}
-	off, err := serial.RunBatch(context.Background(), mk(sbr6.WithVerifyCache(0)), seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel := &sbr6.Runner{Workers: 4}
-	on, err := parallel.RunBatch(context.Background(), mk(), seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range off.Results {
-		if !reflect.DeepEqual(off.Results[i], on.Results[i]) {
-			t.Fatalf("seed %d: cache-off and cache-on results differ:\noff: %v\non:  %v",
-				off.Seeds[i], off.Results[i], on.Results[i])
-		}
-	}
-	// A tiny explicit bound behaves like the default (just with more
-	// evictions) — still byte-identical.
-	tiny, err := serial.RunBatch(context.Background(), mk(sbr6.WithVerifyCache(32)), seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range off.Results {
-		if !reflect.DeepEqual(off.Results[i], tiny.Results[i]) {
-			t.Fatalf("seed %d: 32-entry cache diverged from direct run", off.Seeds[i])
-		}
+			serial := &sbr6.Runner{Workers: 1}
+			sb, err := serial.RunBatch(context.Background(), mk(), seeds)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			parallel := &sbr6.Runner{Workers: 4}
+			pb, err := parallel.RunBatch(ctx, mk(), seeds)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			if len(sb.Results) != len(pb.Results) {
+				t.Fatalf("result counts differ: %d vs %d", len(sb.Results), len(pb.Results))
+			}
+			for i := range sb.Results {
+				if !reflect.DeepEqual(sb.Results[i], pb.Results[i]) {
+					t.Fatalf("seed %d: serial and parallel results differ:\nserial:   %v\nparallel: %v",
+						sb.Seeds[i], sb.Results[i], pb.Results[i])
+				}
+			}
+
+			// A direct interactive run of the same seed agrees too.
+			nw, err := mk().BuildSeed(seeds[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if direct := nw.Run(); !reflect.DeepEqual(direct, sb.Results[0]) {
+				t.Fatalf("direct run differs from batch:\ndirect: %v\nbatch:  %v", direct, sb.Results[0])
+			}
+
+			if sb.PDR.N != len(seeds) || sb.PDR.Mean <= 0 || sb.PDR.Mean > 1 {
+				t.Fatalf("suspicious PDR stat: %+v", sb.PDR)
+			}
+			if sb.PDR.Min > sb.PDR.Mean || sb.PDR.Max < sb.PDR.Mean {
+				t.Fatalf("stat bounds wrong: %+v", sb.PDR)
+			}
+		})
 	}
 }
 

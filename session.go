@@ -202,9 +202,9 @@ func (s *Session) Inject(name string) (int, error) {
 }
 
 // Eject removes a node for good: its timers are cancelled, its radio
-// port tombstoned and reclaimed, its binding-table verdict forgotten, and
-// its counters banked so cumulative results survive the departure. The
-// index is never reused. Node 0 — the DNS anchor — cannot leave.
+// port tombstoned and reclaimed, and its counters banked so cumulative
+// results survive the departure. The index is never reused. Node 0 — the
+// DNS anchor — cannot leave.
 func (s *Session) Eject(idx int) error {
 	if err := s.ok(); err != nil {
 		return err

@@ -271,23 +271,31 @@ func TestResumeRejectsGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Each case names the error it must produce, so no case can pass on an
+	// earlier check than the one it targets.
 	cases := []struct {
 		name string
 		data []byte
+		want string
 	}{
-		{"not json", []byte("not json")},
-		{"empty object", []byte("{}")},
-		{"future version", []byte(`{"version":99}`)},
-		{"negative windows", bytes.Replace(good, []byte(`"windows":1`), []byte(`"windows":-1`), 1)},
-		{"digest tampered", bytes.Replace(good, []byte(`"digest":"`), []byte(`"digest":"00`), 1)},
-		{"unknown journal op", []byte(`{"version":2,"journal":[{"window":0,"kind":"explode","index":1}],"windows":0,"digest":""}`)},
+		{"not json", []byte("not json"), "invalid character"},
+		{"empty object", []byte("{}"), "unsupported version 0"},
+		{"future version", []byte(`{"version":99}`), "unsupported version 99"},
+		{"negative windows", bytes.Replace(good, []byte(`"windows":1`), []byte(`"windows":-1`), 1), "negative window count -1"},
+		{"digest tampered", bytes.Replace(good, []byte(`"digest":"`), []byte(`"digest":"00`), 1), "state digest mismatch"},
+		{"unknown journal op", bytes.Replace(good, []byte(`"windows":`),
+			[]byte(`"journal":[{"window":0,"kind":"explode","index":1}],"windows":`), 1), `unknown journal op "explode"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := sbr6.Resume(tc.data); err == nil {
+			_, err := sbr6.Resume(tc.data)
+			switch {
+			case err == nil:
 				t.Fatalf("Resume accepted %s", tc.name)
-			} else if !strings.Contains(err.Error(), "invalid snapshot") {
+			case !errors.Is(err, sbr6.ErrSnapshot):
 				t.Fatalf("error does not wrap ErrSnapshot: %v", err)
+			case !strings.Contains(err.Error(), tc.want):
+				t.Fatalf("error %q does not name %q", err, tc.want)
 			}
 		})
 	}
