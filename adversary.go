@@ -15,7 +15,8 @@ import (
 // Construct values with the functions below; the zero value is rejected
 // by NewScenario. Adversary state (drop counters, forged-reply counts) is
 // created fresh for every run, so batch replicates never share it; read it
-// back from a built Network with AdversaryState.
+// back from a Runner's Result with AdversaryState, or from a Session
+// through the node's Unwrap().Behavior.
 type Adversary struct {
 	node   int
 	victim int // Impersonate and AddressClone only

@@ -140,12 +140,12 @@ func BenchmarkFigure1CGA(b *testing.B) {
 func BenchmarkFigure2DAD(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sc := benchSpec(b, int64(i+1), 9, true, WithFlows())
-		nw, err := sc.Build()
+		sc := benchSpec(b, int64(i+1), 9, true, WithFlows(), WithWarmup(0))
+		sess, err := Serve(sc)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if got := nw.Bootstrap(); got != 9 {
+		if got := sess.Configured(); got != 9 {
 			b.Fatalf("configured %d/9", got)
 		}
 	}
@@ -184,17 +184,20 @@ func BenchmarkSection4DNSImpersonation(b *testing.B) {
 			WithName(3, "server"),
 			WithAdversaries(FakeDNS(1)),
 			WithFlows(),
+			WithWarmup(0),
+			WithWindows(time.Second),
 		)
-		nw, err := sc.Build()
+		sess, err := Serve(sc)
 		if err != nil {
 			b.Fatal(err)
 		}
-		nw.Bootstrap()
 		poisoned := false
-		nw.Node(2).Resolve("server", func(a Addr, ok bool) {
-			poisoned = ok && a == nw.Node(1).Addr()
+		sess.Node(2).Resolve("server", func(a Addr, ok bool) {
+			poisoned = ok && a == sess.Node(1).Addr()
 		})
-		nw.RunFor(8 * time.Second)
+		if err := sess.Advance(8); err != nil {
+			b.Fatal(err)
+		}
 		if poisoned {
 			b.Fatal("secure client poisoned")
 		}
@@ -227,12 +230,8 @@ func BenchmarkSection4ForgeReplay(b *testing.B) {
 			WithFlows(Flow{From: 1, To: 4, Interval: time.Second, Size: 32}),
 			WithDuration(5*time.Second),
 		)
-		nw, err := sc.Build()
-		if err != nil {
-			b.Fatal(err)
-		}
-		nw.Run()
-		if im := nw.AdversaryState(2).(*attack.Impersonator); im.StolenData != 0 {
+		res := benchRun(b, sc)
+		if im := res.AdversaryState(2).(*attack.Impersonator); im.StolenData != 0 {
 			b.Fatal("secure protocol leaked data")
 		}
 	}

@@ -36,10 +36,10 @@
 //	batch, err := (&sbr6.Runner{}).RunBatch(ctx, sc, sbr6.SeedRange(1, 16))
 //	fmt.Println(batch.PDR) // "0.912 ± 0.014"
 //
-// For experiments that drive the simulation interactively — bootstrap,
-// resolve a name, poke individual nodes, advance virtual time — Build
-// instantiates a Network with per-node handles. Network is now a thin
-// compatibility shim over the live Session API below.
+// A Result also carries the final state of each adversary
+// (AdversaryState). For experiments that drive the simulation
+// interactively — bootstrap, resolve a name, poke individual nodes,
+// advance virtual time — Serve returns a Session with per-node handles.
 //
 // # Live sessions and daemon mode
 //
@@ -56,7 +56,7 @@
 //	sess, err := sbr6.Serve(sc)
 //	idx, err := sess.Inject("late-joiner.example")
 //	err = sess.Advance(4)
-//	res, err := sess.Query()
+//	res := sess.Query()
 //
 // Snapshot serializes a session at a barrier into one self-verifying
 // JSON value, and Resume rebuilds it by deterministic replay: the
@@ -269,7 +269,7 @@
 //
 // Layout:
 //
-//	.                    public facade: options, Runner, Network, Observer
+//	.                    public facade: options, Runner, Session, Observer
 //	internal/core        the full secure node stack (the paper's contribution)
 //	internal/audit       post-formation address audit sweep
 //	internal/boot        bootstrap admission policies

@@ -26,6 +26,9 @@ import (
 	"sbr6/internal/wire"
 )
 
+// window is the step the session advances by.
+const window = 200 * time.Millisecond
+
 func main() {
 	sc, err := sbr6.NewScenario(
 		sbr6.WithSeed(3),
@@ -35,17 +38,23 @@ func main() {
 		sbr6.WithDNSCommitDelay(500*time.Millisecond),
 		sbr6.WithName(2, "shop.event"), // node 2 runs the server
 		sbr6.WithPreload("www.event", 2),
+		sbr6.WithWarmup(time.Second),
+		sbr6.WithWindows(window),
 	)
 	if err != nil {
 		log.Fatal(err)
 	}
-	nw, err := sc.Build()
+	sess, err := sbr6.Serve(sc)
 	if err != nil {
 		log.Fatal(err)
 	}
-	nw.Bootstrap()
-	nw.RunFor(time.Second)
-	server, client, attacker := nw.Node(2), nw.Node(4), nw.Node(3)
+	advance := func(d time.Duration) {
+		if err := sess.Advance(int(d / window)); err != nil {
+			log.Fatal(err)
+		}
+	}
+	server, client, attacker := sess.Node(2), sess.Node(4), sess.Node(3)
+	dns := sess.Node(0).Unwrap().DNS()
 
 	// 1. Secure lookup of the pre-provisioned name.
 	var serverAddr sbr6.Addr
@@ -55,7 +64,7 @@ func main() {
 		}
 		serverAddr = a
 	})
-	nw.RunFor(5 * time.Second)
+	advance(5 * time.Second)
 	fmt.Printf("client resolved www.event -> %s (matches server: %v)\n",
 		serverAddr, serverAddr == server.Addr())
 
@@ -64,16 +73,16 @@ func main() {
 	server.OnData(func(src sbr6.Addr, payload []byte) { served++ })
 	for i := 0; i < 3; i++ {
 		client.SendData(serverAddr, []byte("GET /"))
-		nw.RunFor(200 * time.Millisecond)
+		advance(200 * time.Millisecond)
 	}
-	nw.RunFor(4 * time.Second)
+	advance(4 * time.Second)
 	fmt.Printf("server handled %d/3 requests\n", served)
 
 	// 3. Attack A: the attacker tries to hijack the binding through the
 	// challenge-based update protocol. It cannot present a key whose CGA
 	// matches the server's address, so the DNS refuses.
 	atkIdent := attacker.Unwrap().Identity()
-	chal := nw.DNSServer().HandleUpdateReq(&wire.UpdateReq{Name: "www.event"})
+	chal := dns.HandleUpdateReq(&wire.UpdateReq{Name: "www.event"})
 	forged := &wire.Update{
 		Name:  "www.event",
 		OldIP: server.Addr(),
@@ -83,7 +92,7 @@ func main() {
 		PK:    atkIdent.Pub.Bytes(),
 		Sig:   atkIdent.Sign(wire.SigUpdate(server.Addr(), attacker.Addr(), chal.Ch)),
 	}
-	verdict := nw.DNSServer().HandleUpdate(forged)
+	verdict := dns.HandleUpdate(forged)
 	fmt.Printf("attacker re-binding attempt accepted: %v\n", verdict.OK)
 
 	// 4. Attack B is structural: a forged DNS answer cannot carry the DNS
@@ -92,15 +101,15 @@ func main() {
 	fake := &wire.DNSAnswer{Name: "www.event", IP: attacker.Addr(), Found: true,
 		Sig: atkIdent.Sign(wire.SigDNSAnswer("www.event", attacker.Addr(), true, 99))}
 	fmt.Printf("forged DNS answer validates: %v\n",
-		dnssrv.ValidateAnswer(fake, nw.DNSServer().PublicKey(), 99))
+		dnssrv.ValidateAnswer(fake, dns.PublicKey(), 99))
 
 	// 5. The real server moves to a fresh address and re-binds — allowed,
 	// because it proves ownership of the key behind both addresses.
 	oldAddr := server.Addr()
 	var rebound bool
 	server.RebindAddress(func(ok bool) { rebound = ok })
-	nw.RunFor(8 * time.Second)
-	newAddr, _ := nw.DNSServer().Lookup("shop.event")
+	advance(8 * time.Second)
+	newAddr, _ := dns.Lookup("shop.event")
 	fmt.Printf("server re-bound %s -> %s (ok=%v, address changed=%v)\n",
 		oldAddr, server.Addr(), rebound, server.Addr() != oldAddr && newAddr == server.Addr())
 }

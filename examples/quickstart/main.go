@@ -1,10 +1,11 @@
 // Quickstart: the smallest end-to-end use of the library.
 //
 // It declares a five-node chain with the functional-options builder (node
-// 0 is the DNS server, the network's trust anchor), bootstraps every node
-// through secure duplicate address detection, registers a domain name,
-// resolves it through the in-MANET DNS, and delivers a few data packets
-// over a securely discovered multi-hop route.
+// 0 is the DNS server, the network's trust anchor), serves it as a live
+// session that bootstraps every node through secure duplicate address
+// detection and registers a domain name, resolves that name through the
+// in-MANET DNS, and delivers a few data packets over a securely
+// discovered multi-hop route.
 //
 // Run with: go run ./examples/quickstart
 package main
@@ -17,6 +18,9 @@ import (
 	"sbr6"
 )
 
+// window is the step the session advances by.
+const window = 100 * time.Millisecond
+
 func main() {
 	sc, err := sbr6.NewScenario(
 		sbr6.WithNodes(5),
@@ -24,51 +28,57 @@ func main() {
 		sbr6.WithDADTimeout(500*time.Millisecond),
 		sbr6.WithDNSCommitDelay(500*time.Millisecond),
 		sbr6.WithName(4, "sensor-hub"), // node 4 registers a name
+		sbr6.WithWarmup(time.Second),   // let the registration commit
+		sbr6.WithWindows(window),
 	)
-	if err != nil {
-		log.Fatal(err)
-	}
-	nw, err := sc.Build()
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// Phase 1: secure bootstrap. Every node floods an AREQ, waits for
 	// objections, and ends up with a unique CGA-bound site-local address.
-	configured := nw.Bootstrap()
-	fmt.Printf("bootstrap: %d/%d nodes configured\n", configured, nw.Size())
-	for i := 0; i < nw.Size(); i++ {
-		n := nw.Node(i)
+	sess, err := sbr6.Serve(sc)
+	if err != nil {
+		log.Fatal(err)
+	}
+	advance := func(d time.Duration) {
+		if err := sess.Advance(int(d / window)); err != nil {
+			log.Fatal(err)
+		}
+	}
+	fmt.Printf("bootstrap: %d/%d nodes configured\n", sess.Configured(), sess.NodeCount())
+	for i := 0; i < sess.NodeCount(); i++ {
+		n := sess.Node(i)
 		fmt.Printf("  node %d: %-28s name=%q\n", i, n.Addr(), n.Name())
 	}
 
 	// Phase 2: resolve the hub's name with a challenge-bound signed lookup.
-	nw.RunFor(time.Second) // let the registration commit
 	var hub sbr6.Addr
-	nw.Node(1).Resolve("sensor-hub", func(a sbr6.Addr, ok bool) {
+	sess.Node(1).Resolve("sensor-hub", func(a sbr6.Addr, ok bool) {
 		if !ok {
 			log.Fatal("resolve failed")
 		}
 		hub = a
 	})
-	nw.RunFor(5 * time.Second)
+	advance(5 * time.Second)
 	fmt.Printf("resolved sensor-hub -> %s (signed by the DNS, bound to our challenge)\n", hub)
 
 	// Phase 3: send data. Route discovery carries per-hop signed identity
 	// attestations; the destination verifies every hop before answering.
 	received := 0
-	nw.Node(4).OnData(func(src sbr6.Addr, payload []byte) {
+	sess.Node(4).OnData(func(src sbr6.Addr, payload []byte) {
 		received++
 		fmt.Printf("  hub got %q from %s\n", payload, src)
 	})
 	for i := 0; i < 3; i++ {
-		nw.Node(1).SendData(hub, []byte(fmt.Sprintf("reading-%d", i)))
-		nw.RunFor(300 * time.Millisecond)
+		sess.Node(1).SendData(hub, []byte(fmt.Sprintf("reading-%d", i)))
+		advance(300 * time.Millisecond)
 	}
-	nw.RunFor(5 * time.Second)
+	advance(5 * time.Second)
 
-	relays, _ := nw.Node(1).Route(hub)
+	relays, _ := sess.Node(1).Route(hub)
+	total := sess.Query()
 	fmt.Printf("delivered %d/3 over a %d-hop verified route\n", received, relays+1)
 	fmt.Printf("crypto: %.0f signatures, %.0f verifications across the network\n",
-		nw.Metric("crypto.sign"), nw.Metric("crypto.verify"))
+		total.Metric("crypto.sign"), total.Metric("crypto.verify"))
 }

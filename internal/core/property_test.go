@@ -148,6 +148,11 @@ func TestPropertySRRVerifiesIffUntampered(t *testing.T) {
 			t.Logf("tamper %q: cached verdict %v, direct verdict %v", name, errCached, errDirect)
 			return false
 		}
+		// The second pass answers from the verdicts the first one cached.
+		if errAgain := cached.verifySRR(m); (errAgain == nil) != (errCached == nil) {
+			t.Logf("tamper %q: first cached verdict %v, repeat verdict %v", name, errCached, errAgain)
+			return false
+		}
 		if accepted := errCached == nil; accepted == tampered {
 			t.Logf("tamper %q (applied=%v): accepted=%v, err=%v", name, tampered, accepted, errCached)
 			return false
@@ -157,7 +162,7 @@ func TestPropertySRRVerifiesIffUntampered(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
 	}
-	if st := cached.VerifyCacheStats(); st.SigMisses == 0 || st.Evictions == 0 {
-		t.Fatalf("property run never filled or evicted the cache: %+v", st)
+	if st := cached.VerifyCacheStats(); st.SigMisses == 0 || st.SigHits == 0 || st.Evictions == 0 {
+		t.Fatalf("property run never filled, reused or evicted the cache: %+v", st)
 	}
 }

@@ -36,26 +36,27 @@ func runS1(opt Options) []*trace.Table {
 		"protocol", "forged answers sent", "client poisoned", "forged rejected", "answers accepted")
 
 	for _, secure := range []bool{false, true} {
-		nw := buildNet(lineSpec(opt.Seed, 5, secure,
+		// The one-second warmup lets the name commit; the lookup then
+		// gets eight one-second windows.
+		sess := serveSpec(lineSpec(opt.Seed, 5, secure,
 			sbr6.WithName(3, "server"),
 			sbr6.WithAdversaries(sbr6.FakeDNS(1)), // relay between client and DNS
+			sbr6.WithWindows(time.Second),
 		))
-		nw.Bootstrap()
-		nw.RunFor(time.Second)
 		var got sbr6.Addr
 		var found bool
-		nw.Node(2).Resolve("server", func(a sbr6.Addr, ok bool) { got, found = a, ok })
-		nw.RunFor(8 * time.Second)
+		sess.Node(2).Resolve("server", func(a sbr6.Addr, ok bool) { got, found = a, ok })
+		advance(sess, 8)
 
-		fake := nw.AdversaryState(1).(*attack.FakeDNS)
-		poisoned := found && got == nw.Node(1).Addr()
+		fake := sess.Node(1).Unwrap().Behavior.(*attack.FakeDNS)
+		poisoned := found && got == sess.Node(1).Addr()
 		name := "baseline"
 		if secure {
 			name = "secure"
 		}
 		t.Add(name, fmt.Sprint(fake.Answers), fmt.Sprint(poisoned),
-			trace.FormatFloat(nw.Node(2).Metric("dns.answer_rejected")),
-			trace.FormatFloat(nw.Node(2).Metric("dns.answer_accepted")))
+			trace.FormatFloat(sess.Node(2).Metric("dns.answer_rejected")),
+			trace.FormatFloat(sess.Node(2).Metric("dns.answer_accepted")))
 	}
 
 	// Replayed DNS answer: a past signed answer cannot satisfy a new query
@@ -190,21 +191,24 @@ func runS3(opt Options) []*trace.Table {
 	// RREP forged end to end: an impersonator answers discoveries for the
 	// victim. Baseline believes it (data stolen); the CGA check stops it.
 	for _, secure := range []bool{false, true} {
-		nw := buildNet(lineSpec(opt.Seed, 5, secure,
+		// One send per half-second window from the end of bootstrap, then
+		// the rest of 12 s.
+		sess := serveSpec(lineSpec(opt.Seed, 5, secure,
 			sbr6.WithAdversaries(sbr6.Impersonate(2, 4)),
+			sbr6.WithWarmup(0),
+			sbr6.WithWindows(500*time.Millisecond),
 		))
-		nw.Bootstrap()
 		deliveredToVictim := 0
-		nw.Node(4).OnData(func(sbr6.Addr, []byte) { deliveredToVictim++ })
-		victimAddr := nw.Node(4).Addr()
+		sess.Node(4).OnData(func(sbr6.Addr, []byte) { deliveredToVictim++ })
+		victimAddr := sess.Node(4).Addr()
 		for i := 0; i < 5; i++ {
-			nw.Node(1).SendData(victimAddr, []byte("secret"))
-			nw.RunFor(500 * time.Millisecond)
+			sess.Node(1).SendData(victimAddr, []byte("secret"))
+			advance(sess, 1)
 		}
-		nw.RunFor(12*time.Second - 5*500*time.Millisecond)
-		im := nw.AdversaryState(2).(*attack.Impersonator)
+		advance(sess, 24-5)
+		im := sess.Node(2).Unwrap().Behavior.(*attack.Impersonator)
 		outcome := fmt.Sprintf("stolen=%d delivered=%d rejected=%.0f",
-			im.StolenData, deliveredToVictim, nw.Node(1).Metric("rrep.rejected"))
+			im.StolenData, deliveredToVictim, sess.Node(1).Metric("rrep.rejected"))
 		if secure {
 			t.Add("RREP", "forged (impersonation)", "", outcome)
 		} else {
@@ -214,12 +218,11 @@ func runS3(opt Options) []*trace.Table {
 
 	// CREP forged: measured by the S2 machinery with a single black hole.
 	for _, secure := range []bool{false, true} {
-		nw := buildNet(gridSpec(opt.Seed, 9, secure,
+		res := runSpec(opt, gridSpec(opt.Seed, 9, secure,
 			sbr6.WithAdversaries(sbr6.ForgingBlackHole(4)),
 			sbr6.WithFlows(cornerFlows(9, 500*time.Millisecond)...),
 		))
-		res := nw.Run()
-		bh := nw.AdversaryState(4).(*attack.BlackHole)
+		bh := res.AdversaryState(4).(*attack.BlackHole)
 		outcome := fmt.Sprintf("forged=%d rejected=%.0f pdr=%.2f",
 			bh.ForgedReplies, res.Metric("crep.rejected"), res.PDR)
 		if secure {
@@ -231,12 +234,11 @@ func runS3(opt Options) []*trace.Table {
 
 	// RREP replay end to end: a hostile relay re-broadcasts captured
 	// control frames; stale sequence numbers make them unsolicited.
-	nw := buildNet(lineSpec(opt.Seed, 5, true,
+	res := runSpec(opt, lineSpec(opt.Seed, 5, true,
 		sbr6.WithAdversaries(sbr6.Replay(2, 2*time.Second)),
 		sbr6.WithFlows(sbr6.Flow{From: 1, To: 4, Interval: 500 * time.Millisecond, Size: 32}),
 	))
-	res := nw.Run()
-	rp := nw.AdversaryState(2).(*attack.Replayer)
+	rp := res.AdversaryState(2).(*attack.Replayer)
 	t.Add("RREP/CREP/AREP", "replayed frames", "routes churned",
 		fmt.Sprintf("replayed=%d unsolicited=%.0f rejected=%.0f pdr=%.2f",
 			rp.Replayed,
@@ -259,14 +261,13 @@ func runS4(opt Options) []*trace.Table {
 	for _, secure := range []bool{false, true} {
 		// Grid topology: alternate paths exist, so once the spammer is
 		// identified the secure protocol can actually route around it.
-		nw := buildNet(gridSpec(opt.Seed, 9, secure,
+		res := runSpec(opt, gridSpec(opt.Seed, 9, secure,
 			sbr6.WithAdversaries(sbr6.RERRSpammer(4)), // centre
 			sbr6.WithRERRThreshold(3),
 			sbr6.WithFlows(cornerFlows(9, 400*time.Millisecond)...),
 			sbr6.WithDuration(20*time.Second),
 		))
-		res := nw.Run()
-		sp := nw.AdversaryState(4).(*attack.RERRSpammer)
+		sp := res.AdversaryState(4).(*attack.RERRSpammer)
 		name := "baseline"
 		if secure {
 			name = "secure+credits"

@@ -145,13 +145,12 @@ func runE3(opt Options) []*trace.Table {
 	// at the low initial credit.
 	churn := trace.NewTable("E3b: identity churn vs low initial credit",
 		"metric", "value")
-	nw := buildNet(gridSpec(opt.Seed, 9, true,
+	res := runSpec(opt, gridSpec(opt.Seed, 9, true,
 		sbr6.WithAdversaries(sbr6.IdentityChurner(4, 8*time.Second)),
 		sbr6.WithFlows(cornerFlows(9, 400*time.Millisecond)...),
 		sbr6.WithDuration(30*time.Second),
 	))
-	res := nw.Run()
-	churner := nw.AdversaryState(4).(*attack.IdentityChurner)
+	churner := res.AdversaryState(4).(*attack.IdentityChurner)
 	churn.Add("identity churns", fmt.Sprint(churner.Churns))
 	churn.Add("PDR despite churn", fmt.Sprintf("%.3f", res.PDR))
 	churn.Add("punishments applied", trace.FormatFloat(res.Metric("credit.punished")))

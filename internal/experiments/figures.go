@@ -141,10 +141,12 @@ func runF2(opt Options) []*trace.Table {
 	sweep := trace.NewTable("F2c: DAD cost vs network size (grid, no conflicts)",
 		"nodes", "mean DAD latency (s)", "AREQ floods", "control bytes", "configured")
 	for _, n := range sizes {
-		nw := buildNet(gridSpec(opt.Seed, n, true))
-		configured := nw.Bootstrap()
-		sweep.Addf(n, nw.MetricMean("dad.latency_s"), nw.Metric("tx.AREQ"), nw.Metric("tx.bytes.control"),
-			fmt.Sprintf("%d/%d", configured, n))
+		// Without a warmup the session stops at the end of bootstrap,
+		// before any window drains the DAD latency samples.
+		sess := serveSpec(gridSpec(opt.Seed, n, true, sbr6.WithWarmup(0)))
+		res := sess.Query()
+		sweep.Addf(n, res.MetricMean("dad.latency_s"), res.Metric("tx.AREQ"), res.Metric("tx.bytes.control"),
+			fmt.Sprintf("%d/%d", sess.Configured(), n))
 	}
 	return []*trace.Table{walk, outcome, sweep}
 }

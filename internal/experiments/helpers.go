@@ -54,13 +54,20 @@ func runSpec(o Options, sc *sbr6.Scenario) *sbr6.Result {
 	return res
 }
 
-// buildNet instantiates a spec for interactive driving.
-func buildNet(sc *sbr6.Scenario) *sbr6.Network {
-	nw, err := sc.Build()
+// serveSpec bootstraps a spec as a live session for interactive driving.
+func serveSpec(sc *sbr6.Scenario) *sbr6.Session {
+	sess, err := sbr6.Serve(sc)
 	if err != nil {
 		panic(err)
 	}
-	return nw
+	return sess
+}
+
+// advance runs a session for the given number of windows.
+func advance(sess *sbr6.Session, windows int) {
+	if err := sess.Advance(windows); err != nil {
+		panic(err)
+	}
 }
 
 // fastProtocol returns protocol timers sized for simulation sweeps.

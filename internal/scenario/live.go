@@ -184,16 +184,18 @@ type Live struct {
 }
 
 // NewLive wraps a built (not yet run) scenario. The window size comes
-// from cfg.WindowSize and must be positive; the cooldown bounds how long
-// a packet may stay in flight and sets the emission lag.
-func NewLive(sc *Scenario) (*Live, error) {
+// from Cfg.WindowSize, one second when unset; the cooldown, one window
+// when unset, bounds how long a packet may stay in flight and sets the
+// emission lag. Both defaults are written back into Cfg, where a session
+// snapshot reads them.
+func NewLive(sc *Scenario) *Live {
 	if sc.Cfg.WindowSize <= 0 {
-		return nil, fmt.Errorf("scenario: live session needs WindowSize > 0: %w", ErrConfig)
+		sc.Cfg.WindowSize = time.Second
 	}
 	if sc.Cfg.Cooldown <= 0 {
-		return nil, fmt.Errorf("scenario: live session needs Cooldown > 0: %w", ErrConfig)
+		sc.Cfg.Cooldown = sc.Cfg.WindowSize
 	}
-	lv := &Live{
+	return &Live{
 		sc:           sc,
 		w:            sc.Cfg.WindowSize,
 		lag:          int((sc.Cfg.Cooldown+sc.Cfg.WindowSize-1)/sc.Cfg.WindowSize) + 1,
@@ -202,7 +204,6 @@ func NewLive(sc *Scenario) (*Live, error) {
 		aggs:         make(map[string]*SampleAgg),
 		prevCounters: make(map[string]float64),
 	}
-	return lv, nil
 }
 
 // Start bootstraps the network, runs the warmup, and opens the first
@@ -368,18 +369,6 @@ func (lv *Live) LiveNodes() int {
 // InFlight reports the tracked in-flight packet count (conformance
 // suites watch it return to steady state).
 func (lv *Live) InFlight() int { return len(lv.sc.sent) }
-
-// Node returns the node at idx (nil past the end). Departed nodes are
-// still returned — callers check Dead().
-func (lv *Live) Node(idx int) *core.Node {
-	if idx < 0 || idx >= len(lv.sc.Nodes) {
-		return nil
-	}
-	return lv.sc.Nodes[idx]
-}
-
-// NodeCount returns the total number of node slots ever created.
-func (lv *Live) NodeCount() int { return len(lv.sc.Nodes) }
 
 // Join admits a new node: a fresh identity on the next seed-derived
 // streams, a spawn position and start jitter from the churn stream, and a

@@ -29,10 +29,7 @@ func startLive(t *testing.T, cfg Config) *Live {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	lv, err := NewLive(sc)
-	if err != nil {
-		t.Fatalf("NewLive: %v", err)
-	}
+	lv := NewLive(sc)
 	if got := lv.Start(); got < cfg.N-1 {
 		t.Fatalf("bootstrap configured %d of %d", got, cfg.N)
 	}
@@ -52,7 +49,7 @@ func TestLiveSmoke(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			lv.Step()
 		}
-		if !lv.Node(idx).Configured() {
+		if !lv.sc.Nodes[idx].Configured() {
 			t.Errorf("shards=%d: joined node %d not configured after 3 windows", shards, idx)
 		}
 		if err := lv.Leave(idx); err != nil {

@@ -66,29 +66,6 @@ func NewProgressObserver(w io.Writer) Observer {
 	}
 }
 
-// multiObserver fans every event out to several observers in order —
-// how a Runner merges its own Observer with a scenario's WithObserver
-// attachments.
-type multiObserver struct{ obs []Observer }
-
-func (m multiObserver) RunStarted(seed int64) {
-	for _, o := range m.obs {
-		o.RunStarted(seed)
-	}
-}
-
-func (m multiObserver) Window(seed int64, w WindowStat) {
-	for _, o := range m.obs {
-		o.Window(seed, w)
-	}
-}
-
-func (m multiObserver) RunFinished(seed int64, r *Result) {
-	for _, o := range m.obs {
-		o.RunFinished(seed, r)
-	}
-}
-
 // syncObserver serializes observer callbacks across batch workers.
 type syncObserver struct {
 	mu  sync.Mutex

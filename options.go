@@ -122,12 +122,11 @@ type TapEvent struct {
 
 // Scenario is a validated, immutable experiment declaration. Build one
 // with NewScenario, then execute it with a Runner (one or many seeds) or
-// instantiate it interactively with Build.
+// drive it as a long-lived Session with Serve.
 type Scenario struct {
 	cfg     scenario.Config
 	areaSet bool
 	advs    []Adversary
-	obs     []Observer // scenario-level observers, merged with the Runner's
 	tap     func(TapEvent)
 	tapMu   sync.Mutex // serializes tap delivery across batch workers
 }
@@ -217,8 +216,8 @@ func gridSide(n int) int {
 	return side
 }
 
-// WithSeed sets the default seed used by Run and Build. RunBatch overrides
-// it per replicate.
+// WithSeed sets the default seed used by Runner.Run and Serve. RunBatch
+// overrides it per replicate.
 func WithSeed(seed int64) Option {
 	return func(s *Scenario) error {
 		s.cfg.Seed = seed
@@ -540,28 +539,12 @@ func WithAdversaries(advs ...Adversary) Option {
 	}
 }
 
-// WithObserver attaches a streaming Observer to the scenario itself, so
-// every execution of it — Runner.Run, Runner.RunBatch — reports progress
-// without per-Runner wiring. Scenario observers are merged with the
-// Runner's own Observer; each receives every event, and calls are
-// serialized across batch workers. May be repeated.
-func WithObserver(o Observer) Option {
-	return func(s *Scenario) error {
-		if o == nil {
-			return fmt.Errorf("WithObserver(nil): %w", ErrOption)
-		}
-		s.obs = append(s.obs, o)
-		return nil
-	}
-}
-
 // WithTap streams every packet reception at honest (non-adversarial) nodes
 // to f during the run. It is the low-level packet-trace hook: for run
-// progress and per-window statistics use WithObserver (or a Runner's
-// Observer) instead. The callback must not mutate simulation state. Calls
-// are serialized, so a tap shared by the parallel replicates of a RunBatch
-// needs no locking of its own (events from different seeds interleave
-// arbitrarily).
+// progress and per-window statistics use a Runner's Observer instead. The
+// callback must not mutate simulation state. Calls are serialized, so a
+// tap shared by the parallel replicates of a RunBatch needs no locking of
+// its own (events from different seeds interleave arbitrarily).
 func WithTap(f func(TapEvent)) Option {
 	return func(s *Scenario) error {
 		if f == nil {
@@ -608,7 +591,7 @@ func WithCooldown(d time.Duration) Option {
 
 // WithWindows buckets sent/delivered counts into consecutive windows of
 // the given size, enabling per-window streaming to Observers and the
-// Windows field of Result.
+// Windows field of Result. In a Session it is the step Advance takes.
 func WithWindows(size time.Duration) Option {
 	return func(s *Scenario) error {
 		if size <= 0 {
@@ -714,22 +697,34 @@ func (s *Scenario) Seed() int64 { return s.cfg.Seed }
 // Nodes returns the node count, including the DNS server.
 func (s *Scenario) Nodes() int { return s.cfg.N }
 
-// materialize compiles the declaration into an internal config for one
-// seed, instantiating fresh adversary state so replicates never share it.
-func (s *Scenario) materialize(seed int64) (scenario.Config, map[int]core.Behavior) {
+// instantiate builds the simulation for one seed: fresh adversary state
+// on the attackers' nodes, so runs never share it, the tap on every other
+// node, and each adversary bound to the built network. It returns the
+// adversary state by node index.
+func (s *Scenario) instantiate(seed int64) (*scenario.Scenario, map[int]core.Behavior, error) {
 	cfg := s.cfg
 	cfg.Seed = seed
-	behaviors := make(map[int]core.Behavior, len(s.advs))
+	advs := make(map[int]core.Behavior, len(s.advs))
+	cfg.Behaviors = make(map[int]core.Behavior, len(s.advs))
 	for _, a := range s.advs {
-		behaviors[a.node] = a.build()
+		advs[a.node] = a.build()
+		cfg.Behaviors[a.node] = advs[a.node]
 	}
 	if s.tap != nil {
 		for i := 0; i < cfg.N; i++ {
-			if _, taken := behaviors[i]; !taken {
-				behaviors[i] = &tapBehavior{f: s.emitTap, node: i}
+			if _, taken := advs[i]; !taken {
+				cfg.Behaviors[i] = &tapBehavior{f: s.emitTap, node: i}
 			}
 		}
 	}
-	cfg.Behaviors = behaviors
-	return cfg, behaviors
+	sc, err := scenario.Build(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, a := range s.advs {
+		if a.bind != nil {
+			a.bind(advs[a.node], sc)
+		}
+	}
+	return sc, advs, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"sbr6/internal/core"
 	"sbr6/internal/ipv6"
 	"sbr6/internal/scenario"
 	"sbr6/internal/trace"
@@ -38,7 +39,8 @@ type Result struct {
 	PerFlow map[int]FlowResult
 	Windows []WindowStat // per-window counts when WithWindows was set
 
-	metrics *trace.Metrics
+	metrics     *trace.Metrics
+	adversaries map[int]core.Behavior
 }
 
 // FlowResult is one flow's delivery outcome.
@@ -78,6 +80,13 @@ func (r *Result) MetricQuantile(name string, q float64) float64 {
 
 // MetricNames lists the merged counter names in sorted order.
 func (r *Result) MetricNames() []string { return r.metrics.CounterNames() }
+
+// AdversaryState returns the attack state a Runner's run left at a node
+// (for example *attack.BlackHole with its drop counters), or nil for an
+// honest node. A Session's Query carries none: read a session's attacker
+// through its node's Unwrap().Behavior. In-module experiments type-assert
+// on it; its concrete types live in internal packages.
+func (r *Result) AdversaryState(node int) any { return r.adversaries[node] }
 
 // String renders a one-line summary.
 func (r *Result) String() string {

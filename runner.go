@@ -39,7 +39,7 @@ func SeedRange(base int64, n int) []int64 {
 // Run executes one full experiment with the scenario's default seed,
 // honoring ctx cancellation between simulation events.
 func (r *Runner) Run(ctx context.Context, sc *Scenario) (*Result, error) {
-	return r.runOne(ctx, sc, sc.Seed(), r.observerFor(sc))
+	return r.runOne(ctx, sc, sc.Seed(), r.observer())
 }
 
 // RunBatch executes one replicate per seed across the worker pool and
@@ -57,7 +57,7 @@ func (r *Runner) RunBatch(ctx context.Context, sc *Scenario, seeds []int64) (*Ba
 	if workers > len(seeds) {
 		workers = len(seeds)
 	}
-	obs := r.observerFor(sc)
+	obs := r.observer()
 
 	results := make([]*Result, len(seeds))
 	errs := make([]error, len(seeds))
@@ -102,36 +102,27 @@ func (r *Runner) RunBatch(ctx context.Context, sc *Scenario, seeds []int64) (*Ba
 	return batch, errors.Join(failures...)
 }
 
-// observerFor merges the Runner's Observer with the scenario's
-// WithObserver attachments and wraps the result for concurrent use.
-func (r *Runner) observerFor(sc *Scenario) Observer {
-	var list []Observer
-	if r.Observer != nil {
-		list = append(list, r.Observer)
-	}
-	list = append(list, sc.obs...)
-	switch len(list) {
-	case 0:
+// observer wraps the Runner's Observer for concurrent use by the batch
+// workers; nil when none is set.
+func (r *Runner) observer() Observer {
+	if r.Observer == nil {
 		return nil
-	case 1:
-		return &syncObserver{obs: list[0]}
-	default:
-		return &syncObserver{obs: multiObserver{obs: list}}
 	}
+	return &syncObserver{obs: r.Observer}
 }
 
 // runOne builds and runs a single seed-replicate.
-func (r *Runner) runOne(ctx context.Context, sc *Scenario, seed int64, obs Observer) (*Result, error) {
+func (r *Runner) runOne(ctx context.Context, spec *Scenario, seed int64, obs Observer) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	nw, err := sc.BuildSeed(seed)
+	sc, advs, err := spec.instantiate(seed)
 	if err != nil {
 		return nil, err
 	}
 	if obs != nil {
 		obs.RunStarted(seed)
-		nw.session.sc.OnWindow = func(idx int, w scenarioWindow) {
+		sc.OnWindow = func(idx int, w scenarioWindow) {
 			obs.Window(seed, publicWindow(w))
 		}
 	}
@@ -140,7 +131,7 @@ func (r *Runner) runOne(ctx context.Context, sc *Scenario, seed int64, obs Obser
 		// the virtual clock and halts the engine when cancelled. It reads
 		// no model state and draws no randomness, so an interruptible run
 		// stays byte-identical to an uninterruptible one.
-		g := nw.session.sc.Engine().Global
+		g := sc.Engine().Global
 		var watchdog func()
 		watchdog = func() {
 			if ctx.Err() != nil {
@@ -151,7 +142,8 @@ func (r *Runner) runOne(ctx context.Context, sc *Scenario, seed int64, obs Obser
 		}
 		g.After(0, watchdog)
 	}
-	res := nw.Run()
+	res := publicResult(seed, sc.Run())
+	res.adversaries = advs
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

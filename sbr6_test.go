@@ -1,7 +1,7 @@
 package sbr6_test
 
 // Tests for the public facade: eager option validation, the interactive
-// Network surface, observer streaming, and the batch runner's determinism
+// Session surface, observer streaming, and the batch runner's determinism
 // guarantee (same seed => byte-identical Result, serial or parallel).
 
 import (
@@ -135,7 +135,6 @@ func TestOptionValidation(t *testing.T) {
 		}, "WithFlows"},
 		{"bad suite names option", []sbr6.Option{sbr6.WithSuite(sbr6.Suite(42))}, "WithSuite"},
 		{"zero-value adversary", []sbr6.Option{sbr6.WithAdversaries(sbr6.Adversary{})}, "WithAdversaries"},
-		{"nil observer", []sbr6.Option{sbr6.WithObserver(nil)}, "WithObserver"},
 		{"negative duration", []sbr6.Option{sbr6.WithDuration(-time.Second)}, "WithDuration"},
 		{"negative cooldown", []sbr6.Option{sbr6.WithCooldown(-time.Second)}, "WithCooldown"},
 		{"negative window", []sbr6.Option{sbr6.WithWindows(-time.Second)}, "WithWindows"},
@@ -179,72 +178,82 @@ func TestNetworkInteractive(t *testing.T) {
 		sbr6.WithPlacement(sbr6.PlaceLine),
 		sbr6.WithFastTimers(),
 		sbr6.WithName(4, "sensor-hub"),
+		sbr6.WithWarmup(time.Second),
+		sbr6.WithWindows(time.Second),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw, err := sc.Build()
+	sess, err := sbr6.Serve(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := nw.Bootstrap(); got != 5 {
+	if got := sess.Configured(); got != 5 {
 		t.Fatalf("configured %d/5", got)
 	}
-	nw.RunFor(time.Second)
 
 	var hub sbr6.Addr
 	var found bool
-	nw.Node(1).Resolve("sensor-hub", func(a sbr6.Addr, ok bool) { hub, found = a, ok })
-	nw.RunFor(5 * time.Second)
-	if !found || hub != nw.Node(4).Addr() {
+	sess.Node(1).Resolve("sensor-hub", func(a sbr6.Addr, ok bool) { hub, found = a, ok })
+	advance(t, sess, 5)
+	if !found || hub != sess.Node(4).Addr() {
 		t.Fatalf("resolve failed: found=%v hub=%s", found, hub)
 	}
 
 	received := 0
-	nw.Node(4).OnData(func(src sbr6.Addr, payload []byte) { received++ })
-	nw.Node(1).SendData(hub, []byte("ping"))
-	nw.RunFor(5 * time.Second)
+	sess.Node(4).OnData(func(src sbr6.Addr, payload []byte) { received++ })
+	sess.Node(1).SendData(hub, []byte("ping"))
+	advance(t, sess, 5)
 	if received != 1 {
 		t.Fatalf("received %d packets, want 1", received)
 	}
-	if relays, ok := nw.Node(1).Route(hub); !ok || relays == 0 {
+	if relays, ok := sess.Node(1).Route(hub); !ok || relays == 0 {
 		t.Fatalf("route to hub: relays=%d ok=%v", relays, ok)
 	}
-	if nw.Metric("crypto.verify") == 0 {
+	if sess.Query().Metric("crypto.verify") == 0 {
 		t.Fatal("no verifications counted on a secure run")
 	}
 }
 
+// advance runs sess for the given number of windows.
+func advance(t *testing.T, sess *sbr6.Session, windows int) {
+	t.Helper()
+	if err := sess.Advance(windows); err != nil {
+		t.Fatalf("Advance(%d): %v", windows, err)
+	}
+}
+
 // TestShardedFacade drives the sharded core through the public surface:
-// the interactive Network works unchanged on the engine, and a sharded run
-// is byte-identical to the engine's serial baseline (the internal/shard
+// an interactive Session works unchanged on two regions, and a sharded
+// run is byte-identical to the engine's serial baseline (the internal/shard
 // differential suite proves this across a full scenario matrix; here we
 // only pin the facade plumbing).
 func TestShardedFacade(t *testing.T) {
-	nw, err := fastSpec(t, sbr6.WithShards(2)).Build()
+	sess, err := sbr6.Serve(fastSpec(t, sbr6.WithShards(2), sbr6.WithFlows(), sbr6.WithWarmup(0),
+		sbr6.WithWindows(time.Second)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := nw.Bootstrap(); got != 9 {
+	if got := sess.Configured(); got != 9 {
 		t.Fatalf("configured %d/9", got)
 	}
 	received := 0
-	nw.Node(8).OnData(func(src sbr6.Addr, payload []byte) { received++ })
-	nw.Node(1).SendData(nw.Node(8).Addr(), []byte("ping"))
-	nw.RunFor(5 * time.Second)
+	sess.Node(8).OnData(func(src sbr6.Addr, payload []byte) { received++ })
+	sess.Node(1).SendData(sess.Node(8).Addr(), []byte("ping"))
+	advance(t, sess, 5)
 	if received != 1 {
 		t.Fatalf("received %d packets, want 1", received)
 	}
 
-	serial, err := fastSpec(t, sbr6.WithShards(1)).Build()
+	runner := &sbr6.Runner{}
+	a, err := runner.Run(context.Background(), fastSpec(t, sbr6.WithShards(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := fastSpec(t, sbr6.WithShards(2)).Build()
+	b, err := runner.Run(context.Background(), fastSpec(t, sbr6.WithShards(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := serial.Run(), sharded.Run()
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("sharded run diverged from engine serial baseline:\nserial:  %v\nsharded: %v", a, b)
 	}
@@ -386,12 +395,12 @@ func TestRunBatchDeterminism(t *testing.T) {
 				}
 			}
 
-			// A direct interactive run of the same seed agrees too.
-			nw, err := mk().BuildSeed(seeds[0])
+			// A direct run of the same seed agrees too.
+			direct, err := (&sbr6.Runner{}).Run(context.Background(), mk())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if direct := nw.Run(); !reflect.DeepEqual(direct, sb.Results[0]) {
+			if direct.Seed != seeds[0] || !reflect.DeepEqual(direct, sb.Results[0]) {
 				t.Fatalf("direct run differs from batch:\ndirect: %v\nbatch:  %v", direct, sb.Results[0])
 			}
 
@@ -502,21 +511,28 @@ func TestRunBatchCancellation(t *testing.T) {
 	}
 }
 
+// TestAdversaryStateIsolatedPerRun checks that every run gets fresh
+// adversary state and that a Result reports it at adversary nodes only:
+// the tap on honest nodes is not an adversary.
 func TestAdversaryStateIsolatedPerRun(t *testing.T) {
-	sc := fastSpec(t, sbr6.WithAdversaries(sbr6.ForgingBlackHole(4)))
-	nw1, err := sc.Build()
+	sc := fastSpec(t,
+		sbr6.WithTap(func(sbr6.TapEvent) {}),
+		sbr6.WithAdversaries(sbr6.ForgingBlackHole(4)),
+	)
+	runner := &sbr6.Runner{}
+	r1, err := runner.Run(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw2, err := sc.Build()
+	r2, err := runner.Run(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nw1.AdversaryState(4) == nil || nw1.AdversaryState(4) == nw2.AdversaryState(4) {
+	if r1.AdversaryState(4) == nil || r1.AdversaryState(4) == r2.AdversaryState(4) {
 		t.Fatal("adversary state shared between runs")
 	}
-	if nw1.AdversaryState(3) != nil {
-		t.Fatal("honest node reports adversary state")
+	if st := r1.AdversaryState(3); st != nil {
+		t.Fatalf("honest node reports adversary state %T", st)
 	}
 }
 
@@ -545,7 +561,9 @@ func TestRunBatchNoSeeds(t *testing.T) {
 // address from across the grid; WithAuditSweep surfaces the conflict and
 // the victim recovers onto a fresh unique address. WithSecure is applied
 // AFTER WithAuditSweep to pin that a protocol-variant switch preserves the
-// sweep configuration.
+// sweep configuration. The session runs as long as a batch run of the
+// same declaration: the 5 s warmup, then two 1 s windows for its
+// duration and cooldown.
 func TestAddressCloneAuditRecoveryFacade(t *testing.T) {
 	sc, err := sbr6.NewScenario(
 		sbr6.WithSeed(3),
@@ -560,29 +578,31 @@ func TestAddressCloneAuditRecoveryFacade(t *testing.T) {
 		sbr6.WithWarmup(5*time.Second),
 		sbr6.WithDuration(time.Second),
 		sbr6.WithCooldown(time.Second),
+		sbr6.WithWindows(time.Second),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw, err := sc.Build()
+	sess, err := sbr6.Serve(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw.Run()
+	advance(t, sess, 2)
 
-	if nw.Node(1).Addr() == nw.Node(20).Addr() {
+	if sess.Node(1).Addr() == sess.Node(20).Addr() {
 		t.Fatal("victim still shares the cloned address after the sweep")
 	}
-	if !nw.Node(1).Configured() {
+	if !sess.Node(1).Configured() {
 		t.Fatal("victim did not re-form")
 	}
-	if got := nw.Metric("audit.rekeys"); got != 1 {
+	res := sess.Query()
+	if got := res.Metric("audit.rekeys"); got != 1 {
 		t.Fatalf("audit.rekeys = %v, want 1 (the victim alone)", got)
 	}
-	if nw.Metric("audit.adv_sent") == 0 {
+	if res.Metric("audit.adv_sent") == 0 {
 		t.Fatal("no advertisements sent — WithSecure wiped the sweep configuration")
 	}
-	if nw.Metric("audit.conflicts") == 0 {
+	if res.Metric("audit.conflicts") == 0 {
 		t.Fatal("the conflict never surfaced")
 	}
 }

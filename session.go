@@ -7,6 +7,7 @@ import (
 
 	"sbr6/internal/core"
 	"sbr6/internal/scenario"
+	"sbr6/internal/wire"
 )
 
 // WindowReport is one finalized measurement window streamed by a Session:
@@ -16,9 +17,8 @@ import (
 // emitted window.
 type WindowReport = scenario.WindowReport
 
-// ErrSession is returned by every Session method invoked on a session
-// that is not serving — closed, or the paused form behind the deprecated
-// Network wrapper.
+// ErrSession is returned by every Session method invoked on a closed
+// session.
 var ErrSession = errors.New("sbr6: session not serving")
 
 // Journal op kinds. Every external mutation of a live session is recorded
@@ -51,8 +51,7 @@ type sessionOp struct {
 type Session struct {
 	spec       *Scenario
 	sc         *scenario.Scenario
-	lv         *scenario.Live // nil in the paused form behind Network
-	behaviors  map[int]core.Behavior
+	lv         *scenario.Live
 	journal    []sessionOp
 	configured int
 	closed     bool
@@ -64,11 +63,11 @@ type Session struct {
 //
 // A session needs a window size and a cooldown: when the scenario does
 // not set them (WithWindows, WithCooldown), the window defaults to one
-// second and the cooldown to one window. The scenario's tap and observers
-// are honored for the session's own process but are not part of a
-// snapshot — a resumed session starts with neither.
+// second and the cooldown to one window. The scenario's tap is honored
+// for the session's own process but is not part of a snapshot — a
+// resumed session starts without it.
 func Serve(s *Scenario) (*Session, error) {
-	sess, err := newSession(s, s.cfg.Seed, true)
+	sess, err := newSession(s, s.cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -76,44 +75,19 @@ func Serve(s *Scenario) (*Session, error) {
 	return sess, nil
 }
 
-// newSession builds the scenario instance behind every Session. live
-// false is the paused form the deprecated Network wrapper sits on: the
-// simulation is built but none of the session machinery (windowing,
-// churn, bounded aggregation) is armed, so Network's batch path stays
-// byte-identical to its historical behavior.
-func newSession(spec *Scenario, seed int64, live bool) (*Session, error) {
-	cfg, behaviors := spec.materialize(seed)
-	if live {
-		if cfg.WindowSize <= 0 {
-			cfg.WindowSize = time.Second
-		}
-		if cfg.Cooldown <= 0 {
-			cfg.Cooldown = cfg.WindowSize
-		}
-	}
-	sc, err := scenario.Build(cfg)
+// newSession builds the scenario instance behind every Session, armed
+// for windowing, churn and bounded aggregation but not yet started.
+func newSession(spec *Scenario, seed int64) (*Session, error) {
+	sc, _, err := spec.instantiate(seed)
 	if err != nil {
 		return nil, err
 	}
-	for _, a := range spec.advs {
-		if a.bind != nil {
-			a.bind(behaviors[a.node], sc)
-		}
-	}
-	sess := &Session{spec: spec, sc: sc, behaviors: behaviors}
-	if live {
-		lv, err := scenario.NewLive(sc)
-		if err != nil {
-			return nil, err
-		}
-		sess.lv = lv
-	}
-	return sess, nil
+	return &Session{spec: spec, sc: sc, lv: scenario.NewLive(sc)}, nil
 }
 
 // ok reports whether the session accepts commands.
 func (s *Session) ok() error {
-	if s.lv == nil || s.closed {
+	if s.closed {
 		return ErrSession
 	}
 	return nil
@@ -127,23 +101,13 @@ func (s *Session) Seed() int64 { return s.sc.Cfg.Seed }
 func (s *Session) Configured() int { return s.configured }
 
 // Windows reports how many measurement windows have fully run.
-func (s *Session) Windows() int {
-	if s.lv == nil {
-		return 0
-	}
-	return s.lv.Windows()
-}
+func (s *Session) Windows() int { return s.lv.Windows() }
 
 // Now returns the current virtual time since the start of the run.
 func (s *Session) Now() time.Duration { return time.Duration(s.sc.Now()) }
 
 // LiveNodes reports how many nodes are currently part of the network.
-func (s *Session) LiveNodes() int {
-	if s.lv == nil {
-		return 0
-	}
-	return s.lv.LiveNodes()
-}
+func (s *Session) LiveNodes() int { return s.lv.LiveNodes() }
 
 // NodeCount returns the total number of node slots ever created,
 // including departed nodes — indexes are never reused.
@@ -151,12 +115,7 @@ func (s *Session) NodeCount() int { return len(s.sc.Nodes) }
 
 // InFlight reports the tracked in-flight data packet count at the current
 // barrier.
-func (s *Session) InFlight() int {
-	if s.lv == nil {
-		return 0
-	}
-	return s.lv.InFlight()
-}
+func (s *Session) InFlight() int { return s.lv.InFlight() }
 
 // Node returns the i-th node's handle, or nil past the end. Departed
 // nodes are still returned; their Configured() reads false.
@@ -220,12 +179,7 @@ func (s *Session) Eject(idx int) error {
 // counters merged across departed and live nodes, latency from the
 // bounded aggregates, delivery totals per flow. Windows is nil — a
 // session streams windows instead of retaining them.
-func (s *Session) Query() *Result {
-	if s.lv == nil {
-		return nil
-	}
-	return publicResult(s.Seed(), s.lv.Result())
-}
+func (s *Session) Query() *Result { return publicResult(s.Seed(), s.lv.Result()) }
 
 // Stream registers f to receive each finalized window; a nil f
 // unsubscribes. Only one callback is active at a time. The callback runs
@@ -245,3 +199,64 @@ func (s *Session) Close() error {
 	s.closed = true
 	return nil
 }
+
+// Node is a handle on one MANET host inside a Session.
+type Node struct {
+	n   *core.Node
+	idx int
+}
+
+// Index returns the node's position in the scenario.
+func (nd *Node) Index() int { return nd.idx }
+
+// Addr returns the node's current (CGA-bound) address.
+func (nd *Node) Addr() Addr { return nd.n.Addr() }
+
+// Name returns the domain name the node registered, if any.
+func (nd *Node) Name() string { return nd.n.Name() }
+
+// Configured reports whether the node completed secure DAD.
+func (nd *Node) Configured() bool { return nd.n.Configured() }
+
+// Departed reports whether the node has been ejected from its session.
+func (nd *Node) Departed() bool { return nd.n.Dead() }
+
+// Resolve performs a challenge-bound signed DNS lookup; cb fires when the
+// answer arrives or the resolve times out.
+func (nd *Node) Resolve(name string, cb func(Addr, bool)) { nd.n.Resolve(name, cb) }
+
+// SendData routes a payload to dst, running secure route discovery if no
+// verified route is cached.
+func (nd *Node) SendData(dst Addr, payload []byte) { nd.n.SendData(dst, payload) }
+
+// OnData registers a handler for data payloads addressed to this node,
+// chaining before any previously registered handler.
+func (nd *Node) OnData(f func(src Addr, payload []byte)) {
+	prev := nd.n.OnData
+	nd.n.OnData = func(src Addr, d *wire.Data) {
+		f(src, d.Payload)
+		if prev != nil {
+			prev(src, d)
+		}
+	}
+}
+
+// Route reports the cached verified route to dst as its relay count
+// (0 = direct neighbour) and whether one exists.
+func (nd *Node) Route(dst Addr) (relays int, ok bool) {
+	rr, ok := nd.n.RouteTo(dst)
+	return len(rr), ok
+}
+
+// RebindAddress moves the node to a fresh CGA address and re-binds its
+// registered name through the challenge-based update protocol.
+func (nd *Node) RebindAddress(cb func(ok bool)) { nd.n.RebindAddress(cb) }
+
+// Metric reads one of the node's counters by name.
+func (nd *Node) Metric(name string) float64 { return nd.n.Metrics().Get(name) }
+
+// Unwrap returns the underlying protocol stack. The concrete type lives in
+// an internal package; it is an escape hatch for in-module experiments
+// that need the full surface: an attacker's state is its Behavior, and
+// node 0's DNS() is the trust anchor's server.
+func (nd *Node) Unwrap() *core.Node { return nd.n }

@@ -96,7 +96,7 @@ func Resume(data []byte) (*Session, error) {
 		return nil, fmt.Errorf("%w: %v", ErrSnapshot, err)
 	}
 
-	sess, err := newSession(spec, cfg.Seed, true)
+	sess, err := newSession(spec, cfg.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrSnapshot, err)
 	}
