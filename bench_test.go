@@ -1,6 +1,7 @@
 package sbr6
 
-// One benchmark per reproduced artifact (DESIGN.md experiment index).
+// One benchmark per reproduced artifact (`sbrbench -list` enumerates the
+// experiment ids; internal/experiments/experiments.go indexes them).
 // Table/figure regeneration itself is cmd/sbrbench; these benches measure
 // the hot path behind each artifact so regressions show up in -bench runs.
 // Simulation-driven benchmarks go through the public facade — the same
@@ -328,8 +329,8 @@ func BenchmarkE4Collision(b *testing.B) {
 //
 //	go test -run xxx -bench ScaleNodes -benchtime 3x sbr6
 //
-// cmd/sbrbench -scale -json regenerates BENCH_scale.json from the same
-// workload.
+// cmd/sbrbench -scale counts the same workload's events and frames into
+// the scale ledger (.github/scale-ledger.txt).
 
 func benchmarkScale(b *testing.B, n int) {
 	nw := scalebench.BuildScaleNetwork(n, 1)
@@ -346,18 +347,17 @@ func BenchmarkScaleNodes1000(b *testing.B)  { benchmarkScale(b, 1000) }
 func BenchmarkScaleNodes4000(b *testing.B)  { benchmarkScale(b, 4000) }
 func BenchmarkScaleNodes10000(b *testing.B) { benchmarkScale(b, 10000) }
 
-// The 100k tier runs on the sharded engine only: the comparison that
-// matters there is the engine's serial mode against its sharded mode —
-// byte-identical results
-// (internal/shard's differential suite), wall clock the only difference.
-// cmd/sbrbench -scale -json records the same pair into BENCH_scale.json as
-// the mode "shard" cells under the trend gate.
+// The 100k tier runs on the shard engine only, at one region and at
+// scalebench.ShardRegions: byte-identical results (internal/shard's
+// differential suite), wall clock the only difference that matters.
+// cmd/sbrbench -scale counts the same pair into the scale ledger as the
+// shard.r1 and shard.r8 cells.
 
 func benchmarkShardScale(b *testing.B, n int) {
 	for _, mode := range []struct {
 		name    string
 		regions int
-	}{{"serial", 1}, {"sharded", scalebench.ShardRegions}} {
+	}{{"r1", 1}, {"r8", scalebench.ShardRegions}} {
 		b.Run(mode.name, func(b *testing.B) {
 			sn := scalebench.BuildShardNetwork(n, mode.regions, 1)
 			sn.Round() // warm the grids, mobility legs and region partitions
@@ -377,8 +377,8 @@ func BenchmarkScaleNodes100000(b *testing.B) { benchmarkShardScale(b, 100000) }
 //
 // The flood workload with a real packet encode per broadcast (see
 // scalebench.BuildWireNetwork): pooled frames and one shared delivery
-// event per broadcast; cmd/sbrbench -scale -json measures the same cells
-// (as allocs/op) into BENCH_scale.json.
+// event per broadcast. scalebench's TestWireRoundAllocs fails when a warm
+// 1000-node round makes more than 10 allocations.
 
 func benchmarkWireScale(b *testing.B, n int) {
 	wn := scalebench.BuildWireNetwork(n, 1)
@@ -398,8 +398,9 @@ func BenchmarkWireScale4000(b *testing.B) { benchmarkWireScale(b, 4000) }
 // The crypto-layer companion to ScaleNodes: one node verifies the
 // duplicate-heavy chain stream of an N-node formation (see
 // scalebench.CryptoNetwork). The acceptance bar for the verification
-// cache is >= 2x at 4000+ nodes; cmd/sbrbench -scale -json measures the
-// same cells into BENCH_scale.json.
+// cache is >= 2x at 4000+ nodes; cmd/sbrbench -scale counts the cached
+// cell's requests, primitive verifications and memo hits into the scale
+// ledger.
 
 func benchmarkVerifyScale(b *testing.B, n int) {
 	for _, mode := range []struct {
@@ -430,7 +431,8 @@ func BenchmarkScaleVerify10000(b *testing.B) { benchmarkVerifyScale(b, 10000) }
 // neighborhoods concurrently. The acceptance bar for the per-cell policy
 // is >= 2x at 10000 nodes; the formation conformance suite in
 // internal/boot holds both policies to identical security outcomes.
-// cmd/sbrbench -scale -json measures the same cells into BENCH_scale.json.
+// cmd/sbrbench -scale counts the same cells' events, addressed nodes and
+// virtual formation time into the scale ledger.
 
 func benchmarkFormation(b *testing.B, n int) {
 	for _, mode := range []struct {

@@ -288,5 +288,6 @@
 //	examples/            quickstart, rescue, battlefield, nameserver
 //
 // The benchmark file in this directory holds one testing.B benchmark per
-// reproduced artifact, mirroring the experiment ids in DESIGN.md.
+// reproduced artifact, mirroring the experiment ids that `sbrbench -list`
+// enumerates and internal/experiments/experiments.go indexes.
 package sbr6

@@ -14,6 +14,8 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"maps"
+	"slices"
 	"time"
 
 	"sbr6"
@@ -70,7 +72,8 @@ func main() {
 	fmt.Printf("  control overhead:       %.0f bytes (%.1f%% of all bytes)\n",
 		res.ControlBytes, 100*res.ControlBytes/(res.ControlBytes+res.DataBytes))
 	fmt.Printf("  signatures/verifies:    %.0f / %.0f\n", res.CryptoSign, res.CryptoVerify)
-	for fi, fr := range res.PerFlow {
+	for _, fi := range slices.Sorted(maps.Keys(res.PerFlow)) {
+		fr := res.PerFlow[fi]
 		fmt.Printf("  flow %d: %d/%d delivered\n", fi, fr.Delivered, fr.Sent)
 	}
 }

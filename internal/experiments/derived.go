@@ -13,11 +13,11 @@ import (
 	"sbr6/internal/trace"
 )
 
-// This file implements the derived experiments of DESIGN.md: the cost of
-// security vs network size (E1), the signature-suite ablation (E2), credit
-// convergence around black holes and identity churn (E3), and the DAD
-// collision probability vs hash width (E4). Simulation sweeps run through
-// the public facade.
+// This file implements the first derived experiments of the index in
+// experiments.go: the cost of security vs network size (E1), the
+// signature-suite ablation (E2), credit convergence around black holes and
+// identity churn (E3), and the DAD collision probability vs hash width
+// (E4). Simulation sweeps run through the public facade.
 
 func init() {
 	register("E1", "Derived: security overhead vs network size", runE1)

@@ -16,9 +16,10 @@ import (
 	"sbr6/internal/trace"
 )
 
-// E5 and E6: the remaining ablations DESIGN.md §6 calls out — the route
-// cache / CREP mechanism, and the robustness of timeout-based DAD when the
-// radio loses frames (the paper's silence-means-success assumption).
+// E5 and E6: the remaining derived ablations of the index in
+// experiments.go — the route cache / CREP mechanism, and the robustness of
+// timeout-based DAD when the radio loses frames (the paper's
+// silence-means-success assumption).
 
 func init() {
 	register("E5", "Derived: route cache and CREP ablation", runE5)

@@ -1,11 +1,15 @@
 // Package experiments regenerates every table, figure and security-analysis
-// claim of the paper, plus the derived quantitative experiments DESIGN.md
-// defines. Each experiment is a pure function from options to result
-// tables, shared by cmd/sbrbench (printing), the root benchmark suite and
-// the integration tests.
+// claim of the paper, plus derived quantitative experiments. Each
+// experiment is a pure function from options to result tables, shared by
+// cmd/sbrbench (printing), the root benchmark suite and the integration
+// tests.
 //
-// Experiment ids follow DESIGN.md: T1/T2 (tables), F1-F3 (figures), S1-S4
-// (Section 4 attacks) and E1-E4 (derived measurements).
+// The experiment index, which `sbrbench -list` prints id by id with
+// titles: T1/T2 are the paper's tables, F1-F3 its figures, S1-S4 the
+// Section 4 attacks, and E1-E6 derived measurements (security overhead vs
+// network size, the signature suite ablation, credit convergence and
+// identity churn, address collision probability, the route cache and CREP
+// ablation, and DAD under frame loss).
 package experiments
 
 import (
@@ -20,8 +24,8 @@ import (
 type Options struct {
 	// Seed drives every simulation in the experiment.
 	Seed int64
-	// Quick shrinks sweeps for fast CI/bench runs; full mode covers the
-	// ranges EXPERIMENTS.md records.
+	// Quick shrinks sweeps for fast CI/bench runs; full mode runs each
+	// sweep's whole range.
 	Quick bool
 	// Replicates averages stochastic sweeps (currently S2) over this many
 	// seeds; 0 or 1 means a single run. Replicates fan out across the
@@ -32,8 +36,8 @@ type Options struct {
 	Observer sbr6.Observer
 }
 
-// replicateSeeds returns the seed list a stochastic sweep averages over,
-// spaced the way EXPERIMENTS.md records.
+// replicateSeeds returns the seed list a stochastic sweep averages over:
+// the base seed, then steps of 101.
 func (o Options) replicateSeeds() []int64 {
 	reps := o.replicates()
 	seeds := make([]int64, 0, reps)
@@ -43,7 +47,7 @@ func (o Options) replicateSeeds() []int64 {
 	return seeds
 }
 
-// DefaultOptions is the configuration EXPERIMENTS.md was produced with.
+// DefaultOptions is the configuration `sbrbench -exp all` runs with.
 func DefaultOptions() Options { return Options{Seed: 1, Replicates: 3} }
 
 // replicates normalizes the replicate count.

@@ -1,10 +1,15 @@
 // Package scalebench holds the scale workloads shared by the
 // BenchmarkScale* benches and cmd/sbrbench -scale at 250-100000 nodes:
-// the radio-layer flood (ScaleNetwork), the pooled wire path (WireNetwork)
-// and the audit sweep (AuditNetwork), recorded as exact event, frame and
-// allocation counts, and the verification, formation and sharded-engine
-// workloads, each measured against its own baseline cell.
-// Trend compares two sweeps cell by cell.
+// the radio-layer flood (ScaleNetwork), the pooled wire path (WireNetwork),
+// route-record verification (CryptoNetwork), formation under both
+// admission policies, the audit sweep (AuditNetwork) and the flood on the
+// shard engine (ShardNetwork). Each Run* function measures one cell as
+// exact counts, which depend only on the workload, seed and round count,
+// beside its wall time. ScaleResult.WriteRows prints a cell in perfbench's
+// `name value unit samples` layout; .github/scale-ledger.sh keeps the
+// count rows of a one-round sweep, and CI diffs them against
+// .github/scale-ledger.txt at zero tolerance. Wall time is printed, never
+// gated.
 package scalebench
 
 // Radio workload: the radio-layer traffic shape of the broadcast-heavy
@@ -15,6 +20,7 @@ package scalebench
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"runtime"
@@ -90,82 +96,87 @@ func (sn *ScaleNetwork) Round() {
 	sn.S.RunFor(time.Second)
 }
 
-// ScaleResult is one measured cell of the scale sweep, JSON-shaped for
-// BENCH_scale.json. Mode names the workload and Index the variant inside
-// it ("grid" and "pool" for the single-cell radio, audit and wire modes).
-// The verify_* fields are populated for crypto cells only.
+// ScaleResult is one measured cell of the scale sweep.
 type ScaleResult struct {
-	Mode     string  `json:"mode"`
-	Nodes    int     `json:"nodes"`
-	Index    string  `json:"index"`
-	Rounds   int     `json:"rounds"`
-	WallMS   float64 `json:"wall_ms_per_round"`
-	Events   uint64  `json:"sim_events,omitempty"`
-	TxFrames uint64  `json:"tx_frames,omitempty"`
-	RxFrames uint64  `json:"rx_frames,omitempty"`
-	Degree   float64 `json:"mean_degree,omitempty"`
-
-	VerifyRequests uint64 `json:"verify_requests,omitempty"` // logical signature checks
-	VerifyOps      uint64 `json:"verify_ops,omitempty"`      // primitives actually computed
-	CacheHits      uint64 `json:"cache_hits,omitempty"`      // signature memo hits
-
-	// Formation cells only: nodes that completed DAD and the virtual span
-	// of the bootstrap phase (serial admission pays N staggers of virtual
-	// time, per-cell pays max-occupancy staggers).
-	Configured int     `json:"configured,omitempty"`
-	VirtualS   float64 `json:"virtual_s,omitempty"`
-
-	// Wire cells only: heap allocations per broadcast operation (encode +
-	// transmit + every delivery event), measured over the timed rounds.
-	// Unlike wall time this is machine-independent and near-exact in a
-	// single-threaded deterministic simulation, so the trend gates it
-	// directly.
-	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
+	Cell   string // workload and variant, e.g. "radio" or "shard.r8"
+	Nodes  int
+	Rounds int
+	Wall   time.Duration // all timed rounds together
+	Counts []Count       // totals over the timed rounds
 }
 
-// RunScale measures the workload at n nodes. Wall time is measured by the
-// caller-supplied clock so the package stays free of direct wall-time
-// reads outside this deliberate benchmark.
+// Count is one quantity of a cell. Units "count" and "ns" (virtual time)
+// are exact: equal on every host for an equal seed and round count. The
+// wire cell's "allocs" also see the Go runtime's own allocations, so they
+// are printed but not gated.
+type Count struct {
+	Name  string
+	Value uint64
+	Unit  string
+}
+
+// WriteRows prints the cell in perfbench's `name value unit samples`
+// layout, one row per count named cell.nodes.count, then the wall time.
+// Samples is the number of timed rounds, and every row is a total over
+// them. Counts print in full: perfbench's %.6g would print 5,534,028
+// frames as 5.53403e+06 and hide a drift.
+func (r ScaleResult) WriteRows(w io.Writer) {
+	prefix := fmt.Sprintf("%s.%d.", r.Cell, r.Nodes)
+	for _, c := range r.Counts {
+		fmt.Fprintf(w, "%-34s %16d %-6s %d\n", prefix+c.Name, c.Value, c.Unit, r.Rounds)
+	}
+	fmt.Fprintf(w, "%-34s %16.6g %-6s %d\n", prefix+"wall_ms", float64(r.Wall)/float64(time.Millisecond), "ms", r.Rounds)
+}
+
+// WriteHeader prints the column names of the WriteRows layout.
+func WriteHeader(w io.Writer) {
+	fmt.Fprintf(w, "%-34s %16s %-6s %s\n", "metric", "value", "unit", "samples")
+}
+
+// timed runs round `rounds` times and returns the wall time they took.
+// Wall time is read through the caller-supplied clock so the package
+// stays free of direct wall-time reads outside this deliberate benchmark.
+func timed(rounds int, round func(), now func() time.Time) time.Duration {
+	start := now()
+	for r := 0; r < rounds; r++ {
+		round()
+	}
+	return now().Sub(start)
+}
+
+// floodCounts are a flood cell's counts over the timed rounds: events run
+// and frames sent, received and lost.
+func floodCounts(events uint64, before, after radio.Stats) []Count {
+	return []Count{
+		{"sim_events", events, "count"},
+		{"tx_frames", after.TxFrames - before.TxFrames, "count"},
+		{"rx_frames", after.RxFrames - before.RxFrames, "count"},
+		{"lost_frames", after.LostFrames - before.LostFrames, "count"},
+	}
+}
+
+// RunScale measures the radio workload at n nodes.
 func RunScale(n int, seed int64, rounds int, now func() time.Time) ScaleResult {
 	nw := BuildScaleNetwork(n, seed)
 	nw.Round() // warm the index and mobility legs before timing
 	baseEvents, baseStats := nw.S.Processed(), nw.M.Stats()
-	start := now()
-	for r := 0; r < rounds; r++ {
-		nw.Round()
-	}
-	wall := now().Sub(start)
-	// Counters are deltas over the timed rounds only, so per-round rates
-	// derived from the JSON are not skewed by the warmup round.
-	events := nw.S.Processed() - baseEvents
-	stats := nw.M.Stats()
-	stats.TxFrames -= baseStats.TxFrames
-	stats.RxFrames -= baseStats.RxFrames
-	stats.LostFrames -= baseStats.LostFrames
+	wall := timed(rounds, nw.Round, now)
 	return ScaleResult{
-		Mode:     "radio",
-		Nodes:    n,
-		Index:    "grid",
-		Rounds:   rounds,
-		WallMS:   float64(wall.Nanoseconds()) / 1e6 / float64(rounds),
-		Events:   events,
-		TxFrames: stats.TxFrames,
-		RxFrames: stats.RxFrames,
-		Degree:   float64(stats.RxFrames+stats.LostFrames) / float64(stats.TxFrames),
+		Cell: "radio", Nodes: n, Rounds: rounds, Wall: wall,
+		Counts: floodCounts(nw.S.Processed()-baseEvents, baseStats, nw.M.Stats()),
 	}
 }
 
-// --- shard workload: the engine at ShardRegions regions vs at one ---
+// --- shard workload: the flood on the engine at 1 and ShardRegions regions ---
 //
-// The flood workload of the radio mode, run on the sharded simulation core:
-// the area is cut into ShardRegions x-sorted strips, each with its own event
-// loop and medium, synchronized by conservative lookahead. The baseline is
-// the engine at one region — not the plain medium, whose loss draws are
-// keyed by a different seed — and engine runs are proven byte-identical
-// across region counts (the differential suite in internal/shard). The
-// ratio is therefore a pure wall-clock speedup of the identical
-// computation, which is what lets it sit under the trend gate. This is
-// also the only sweep mode that reaches 100k nodes.
+// The flood workload of the radio mode, run on the shard engine: the area
+// is cut into x-sorted strips, each with its own event loop and medium,
+// synchronized by conservative lookahead. The engine is proven
+// byte-identical across region counts (the differential suite in
+// internal/shard), so both cells send, receive and lose the same frames;
+// the sharded cell counts more events, since a broadcast that crosses a
+// strip boundary is also scanned by an event in the region across it.
+// This is also the only sweep mode that reaches 100k nodes.
 
 // ShardRegions is the region count of the sharded variant. Fixed rather
 // than NumCPU-derived so the recorded workload is identical on every
@@ -220,36 +231,16 @@ func (sn *ShardNetwork) Round() {
 	sn.Eng.RunFor(sim.Duration(time.Second))
 }
 
-// RunShard measures the flood workload on the engine at n nodes. regions=1
-// is the serial baseline cell; ShardRegions is the sharded cell.
+// RunShard measures the flood workload on the engine at n nodes and the
+// given region count.
 func RunShard(n, regions int, seed int64, rounds int, now func() time.Time) ScaleResult {
 	sn := BuildShardNetwork(n, regions, seed)
 	sn.Round() // warm the grids, mobility legs and region partitions
 	baseEvents, baseStats := sn.Eng.Events(), sn.Eng.Stats()
-	start := now()
-	for r := 0; r < rounds; r++ {
-		sn.Round()
-	}
-	wall := now().Sub(start)
-	events := sn.Eng.Events() - baseEvents
-	stats := sn.Eng.Stats()
-	stats.TxFrames -= baseStats.TxFrames
-	stats.RxFrames -= baseStats.RxFrames
-	stats.LostFrames -= baseStats.LostFrames
-	name := "serial"
-	if regions > 1 {
-		name = "sharded"
-	}
+	wall := timed(rounds, sn.Round, now)
 	return ScaleResult{
-		Mode:     "shard",
-		Nodes:    n,
-		Index:    name,
-		Rounds:   rounds,
-		WallMS:   float64(wall.Nanoseconds()) / 1e6 / float64(rounds),
-		Events:   events,
-		TxFrames: stats.TxFrames,
-		RxFrames: stats.RxFrames,
-		Degree:   float64(stats.RxFrames+stats.LostFrames) / float64(stats.TxFrames),
+		Cell: fmt.Sprintf("shard.r%d", regions), Nodes: n, Rounds: rounds, Wall: wall,
+		Counts: floodCounts(sn.Eng.Events()-baseEvents, baseStats, sn.Eng.Stats()),
 	}
 }
 
@@ -260,10 +251,9 @@ func RunShard(n, regions int, seed int64, rounds int, now func() time.Time) Scal
 // source route is serialized into a pooled frame per transmission — so the
 // cell measures what the pooled wire path must keep at zero: the
 // per-packet encode buffer, the delivery events and the per-transmit
-// bookkeeping. The measured quantity is allocations per broadcast, not
-// wall time: in a single-threaded deterministic simulation the allocation
-// count is machine-independent, which makes it the sharpest cell the trend
-// gate has.
+// bookkeeping. TestWireRoundAllocs fails when a warm 1000-node round makes
+// more than 10 allocations; the sweep reports the cell's allocations and
+// wall time.
 
 // WirePayload is the Data payload size of the wire workload, the 64-byte
 // shape the radio workload floods.
@@ -308,29 +298,19 @@ func (wn *WireNetwork) Round() {
 	wn.S.RunFor(time.Second)
 }
 
-// RunWire measures the wire workload at n nodes. Ops are broadcasts;
-// allocations are counted with runtime.MemStats over the timed rounds,
-// after a warmup round has populated the pools, the event free lists and
-// the index.
+// RunWire measures the wire workload at n nodes. Allocations are counted
+// with runtime.MemStats over the timed rounds, after a warmup round has
+// populated the pools, the event free lists and the index.
 func RunWire(n int, seed int64, rounds int, now func() time.Time) ScaleResult {
 	wn := BuildWireNetwork(n, seed)
 	wn.Round() // warm: pools, free lists, grid, mobility legs
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	start := now()
-	for r := 0; r < rounds; r++ {
-		wn.Round()
-	}
-	wall := now().Sub(start)
+	wall := timed(rounds, wn.Round, now)
 	runtime.ReadMemStats(&after)
-	ops := float64(n) * float64(rounds)
 	return ScaleResult{
-		Mode:        "wire",
-		Nodes:       n,
-		Index:       "pool",
-		Rounds:      rounds,
-		WallMS:      float64(wall.Nanoseconds()) / 1e6 / float64(rounds),
-		AllocsPerOp: float64(after.Mallocs-before.Mallocs) / ops,
+		Cell: "wire", Nodes: n, Rounds: rounds, Wall: wall,
+		Counts: []Count{{"allocs", after.Mallocs - before.Mallocs, "allocs"}},
 	}
 }
 
@@ -338,11 +318,12 @@ func RunWire(n int, seed int64, rounds int, now func() time.Time) ScaleResult {
 //
 // The whole-protocol companion to the radio and crypto cells: a complete
 // secure bootstrap of an n-node network through the real scenario harness,
-// measured as the wall clock from the first DAD start until every node is
-// addressed. Only configured nodes relay AREQ floods, so the serial policy
-// makes claim k traverse ~k configured relays — the O(N^2) delivery bill
-// that keeps 10k-node formation serialized — while the per-cell policy
-// floods into a mostly-unconfigured network and pays a fraction of it.
+// measured from the first DAD start until every node is addressed, as the
+// events it runs, its virtual span and its wall clock. Only configured
+// nodes relay AREQ floods, so the serial policy makes claim k traverse ~k
+// configured relays — the O(N^2) delivery bill that keeps 10k-node
+// formation serialized — while the per-cell policy floods into a
+// mostly-unconfigured network and pays a fraction of it.
 // The flood TTL is clamped so the serial baseline stays affordable to
 // measure; both policies run the identical configuration.
 
@@ -381,23 +362,25 @@ func buildFormation(n int, k boot.Kind, seed int64, ac audit.Config) *scenario.S
 	return sc
 }
 
-// RunFormation measures wall-clock-to-fully-addressed for one policy at n
-// nodes. Identity generation and placement happen outside the timed region;
-// the clock covers exactly the bootstrap phase.
+// RunFormation measures one policy's bootstrap at n nodes. Identity
+// generation and placement happen outside the timed region; the clock
+// covers exactly the bootstrap phase. A formation that leaves a node
+// unaddressed panics rather than record a broken policy's counts.
 func RunFormation(n int, k boot.Kind, seed int64, now func() time.Time) ScaleResult {
 	sc := BuildFormation(n, k, seed)
 	start := now()
 	configured := sc.Bootstrap()
 	wall := now().Sub(start)
+	if configured != n {
+		panic(fmt.Sprintf("scalebench: %s formation at %d nodes left %d unaddressed", k, n, n-configured))
+	}
 	return ScaleResult{
-		Mode:       "formation",
-		Nodes:      n,
-		Index:      k.String(),
-		Rounds:     1,
-		WallMS:     float64(wall.Nanoseconds()) / 1e6,
-		Events:     sc.Engine().Events(),
-		Configured: configured,
-		VirtualS:   sc.Now().Seconds(),
+		Cell: "formation." + k.String(), Nodes: n, Rounds: 1, Wall: wall,
+		Counts: []Count{
+			{"sim_events", sc.Engine().Events(), "count"},
+			{"configured", uint64(configured), "count"},
+			{"virtual_ns", uint64(sc.Now()), "ns"},
+		},
 	}
 }
 
@@ -438,30 +421,19 @@ func BuildAuditNetwork(n int, seed int64) *AuditNetwork {
 // RunAuditSweep measures the per-sweep-period cost of the standing audit at
 // n nodes. Bootstrap happens outside the timed region; the conflict-free
 // invariant (zero steady-state verifications) is enforced, never silently
-// recorded. Event and frame counts are deltas over the timed rounds.
+// recorded.
 func RunAuditSweep(n int, seed int64, rounds int, now func() time.Time) ScaleResult {
 	an := BuildAuditNetwork(n, seed)
 	an.Round() // warm: neighbor tables and flood seen-sets
 	eng := an.SC.Engine()
 	baseEvents, baseStats := eng.Events(), eng.Stats()
-	start := now()
-	for r := 0; r < rounds; r++ {
-		an.Round()
-	}
-	wall := now().Sub(start)
+	wall := timed(rounds, an.Round, now)
 	if ops := an.VerifyOps(); ops != 0 {
 		panic(fmt.Sprintf("scalebench: conflict-free audit sweep performed %d verifications", ops))
 	}
-	stats := eng.Stats()
 	return ScaleResult{
-		Mode:     "audit",
-		Nodes:    n,
-		Index:    "grid",
-		Rounds:   rounds,
-		WallMS:   float64(wall.Nanoseconds()) / 1e6 / float64(rounds),
-		Events:   eng.Events() - baseEvents,
-		TxFrames: stats.TxFrames - baseStats.TxFrames,
-		RxFrames: stats.RxFrames - baseStats.RxFrames,
+		Cell: "audit", Nodes: n, Rounds: rounds, Wall: wall,
+		Counts: floodCounts(eng.Events()-baseEvents, baseStats, eng.Stats()),
 	}
 }
 
@@ -509,6 +481,8 @@ func (an *AuditNetwork) VerifyOps() uint64 {
 // messages recur. Every copy re-runs the per-hop walk: without the cache
 // each signature check is a primitive verification, with it every
 // signature after a chain's first copy is one content digest and a hit.
+// BenchmarkScaleVerify* times both verifiers; the sweep's cell runs the
+// cached one and counts what the cache saves.
 
 // CryptoChainHops is the route-record depth of every workload chain.
 const CryptoChainHops = 6
@@ -598,39 +572,23 @@ func (cn *CryptoNetwork) Round() {
 	}
 }
 
-// RunCryptoScale measures the verification workload at n nodes with the
-// cache enabled or disabled. One warmup epoch runs untimed (mirroring the
-// radio workload's index warmup), then `rounds` epochs are timed.
-func RunCryptoScale(n int, cached bool, seed int64, rounds int, now func() time.Time) ScaleResult {
-	cn := BuildCryptoNetwork(n, cached, seed, rounds+1)
+// RunCryptoScale measures the cached verifier at n nodes: logical
+// verification requests, primitive verifications computed and memo hits.
+// One warmup epoch runs untimed (mirroring the radio workload's index
+// warmup), then `rounds` epochs are timed.
+func RunCryptoScale(n int, seed int64, rounds int, now func() time.Time) ScaleResult {
+	cn := BuildCryptoNetwork(n, true, seed, rounds+1)
 	cn.Round() // warm: an untimed epoch grows the heap and the cache map first
 	met := cn.Node.Metrics()
-	baseReq := uint64(met.Get("crypto.verify"))
-	baseStats := cn.Node.VerifyCacheStats()
-	start := now()
-	for r := 0; r < rounds; r++ {
-		cn.Round()
-	}
-	wall := now().Sub(start)
-
-	req := uint64(met.Get("crypto.verify")) - baseReq
+	baseReq, base := uint64(met.Get("crypto.verify")), cn.Node.VerifyCacheStats()
+	wall := timed(rounds, cn.Round, now)
 	stats := cn.Node.VerifyCacheStats()
-	name := "nocache"
-	ops := req // without the memo every logical check is computed
-	var hits uint64
-	if cached {
-		name = "cache"
-		ops = stats.SigMisses - baseStats.SigMisses
-		hits = stats.SigHits - baseStats.SigHits
-	}
 	return ScaleResult{
-		Mode:           "crypto",
-		Nodes:          n,
-		Index:          name,
-		Rounds:         rounds,
-		WallMS:         float64(wall.Nanoseconds()) / 1e6 / float64(rounds),
-		VerifyRequests: req,
-		VerifyOps:      ops,
-		CacheHits:      hits,
+		Cell: "crypto", Nodes: n, Rounds: rounds, Wall: wall,
+		Counts: []Count{
+			{"verify_requests", uint64(met.Get("crypto.verify")) - baseReq, "count"},
+			{"verify_ops", stats.SigMisses - base.SigMisses, "count"},
+			{"cache_hits", stats.SigHits - base.SigHits, "count"},
+		},
 	}
 }
