@@ -49,6 +49,14 @@ type Refresher interface {
 	NextRefresh(now sim.Time, slop float64) sim.Time
 }
 
+// Forgetter is implemented by tracks that keep the legs they generate. The
+// sharded engine calls Forget(t) at every barrier with the earliest instant
+// any later query can name, so a track's history stays bounded over an
+// open-ended run. A query before t afterwards is a bug and panics.
+type Forgetter interface {
+	Forget(t sim.Time)
+}
+
 // Static is a Track that never moves.
 type Static geom.Point
 
@@ -83,11 +91,13 @@ func (l leg) position(t sim.Time) geom.Point {
 
 // mover lazily extends a trajectory with legs produced by next. The speed
 // bound is the fastest any generated leg can travel, declared up front by
-// the model that builds the mover.
+// the model that builds the mover. Legs that ended before floor have been
+// forgotten.
 type mover struct {
 	legs  []leg
 	next  func(prev leg) leg
 	bound float64
+	floor sim.Time
 }
 
 // SpeedBound implements Bounded.
@@ -131,7 +141,11 @@ func (m *mover) NextRefresh(now sim.Time, slop float64) sim.Time {
 	return next
 }
 
+// Position implements Track.
 func (m *mover) Position(t sim.Time) geom.Point {
+	if t < m.floor {
+		panic("mobility: position queried before the forgotten history")
+	}
 	for m.legs[len(m.legs)-1].end < t {
 		m.legs = append(m.legs, m.next(m.legs[len(m.legs)-1]))
 	}
@@ -146,6 +160,22 @@ func (m *mover) Position(t sim.Time) geom.Point {
 		}
 	}
 	return m.legs[lo].position(t)
+}
+
+// Forget implements Forgetter: it drops every leg that ended before t,
+// keeping the newest, which the next leg is generated from. Position picks
+// the first leg that ends at or after the queried instant, so every answer
+// at or after t is unchanged.
+func (m *mover) Forget(t sim.Time) {
+	if t <= m.floor {
+		return
+	}
+	m.floor = t
+	i := 0
+	for i < len(m.legs)-1 && m.legs[i].end < t {
+		i++
+	}
+	m.legs = m.legs[:copy(m.legs, m.legs[i:])]
 }
 
 // WaypointConfig parameterizes the classic random waypoint model.

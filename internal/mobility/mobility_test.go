@@ -248,3 +248,43 @@ func TestGlideTrack(t *testing.T) {
 		t.Fatalf("zero-length glide moved: %v", got)
 	}
 }
+
+// A walk that forgets its past at every barrier answers every query at or
+// after the barrier exactly as an untrimmed twin from the same seed, keeps
+// a bounded history while the twin's grows with virtual time, and panics
+// on a query before the last barrier.
+func TestWalkForgetBoundsHistory(t *testing.T) {
+	cfg := WalkConfig{Region: geom.Rect{W: 500, H: 500}, Speed: 5, Epoch: time.Second}
+	mk := func() *mover {
+		return NewWalk(cfg, geom.Point{X: 250, Y: 250}, rand.New(rand.NewSource(7))).(*mover)
+	}
+	trimmed, twin := mk(), mk()
+	q := rand.New(rand.NewSource(8))
+	var barrier sim.Time
+	for round := 0; round < 300; round++ {
+		next := barrier + sim.Time(1+q.Int63n(int64(3*time.Second)))
+		for i := 0; i < 10; i++ {
+			at := barrier + sim.Time(q.Int63n(int64(next-barrier)+1))
+			if got, want := trimmed.Position(at), twin.Position(at); got != want {
+				t.Fatalf("round %d: Position(%v) = %v, untrimmed twin says %v", round, at, got, want)
+			}
+			if got, want := trimmed.NextRefresh(at, 1), twin.NextRefresh(at, 1); got != want {
+				t.Fatalf("round %d: NextRefresh(%v) = %v, untrimmed twin says %v", round, at, got, want)
+			}
+		}
+		barrier = next
+		trimmed.Forget(barrier)
+		if len(trimmed.legs) > 2 {
+			t.Fatalf("round %d: %d legs kept after Forget(%v)", round, len(trimmed.legs), barrier)
+		}
+	}
+	if len(twin.legs) < 200 {
+		t.Fatalf("untrimmed twin holds only %d legs; the bound above is vacuous", len(twin.legs))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Position before the last Forget did not panic")
+		}
+	}()
+	trimmed.Position(barrier - 1)
+}

@@ -11,6 +11,7 @@ package radio_test
 // to the plain run.
 
 import (
+	"context"
 	"reflect"
 	"testing"
 	"time"
@@ -88,7 +89,7 @@ func runDecodeDiff(t *testing.T, row decodeDiffRow, seed int64, passThroughAll b
 	if row.prepare != nil {
 		row.prepare(sc)
 	}
-	return sc.Run()
+	return sc.Run(context.Background())
 }
 
 func TestSkippedDecodesInvisible(t *testing.T) {

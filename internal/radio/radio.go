@@ -82,8 +82,8 @@ type Config struct {
 
 // Remote is implemented by the sharded engine (one adapter per region).
 // It answers pure-past queries about nodes owned by other regions —
-// positions and up/down state at or before the caller's current virtual
-// time — and transports boundary-crossing frames. All methods must be
+// positions at or before the caller's current virtual time — and
+// transports boundary-crossing frames. All methods must be
 // safe to call while other regions execute concurrently.
 type Remote interface {
 	// Exists reports whether the id is attached anywhere in the network.
@@ -91,9 +91,6 @@ type Remote interface {
 	// PosAt returns the node's position at time t (t never exceeds the
 	// calling region's safe horizon, so the answer is final).
 	PosAt(id NodeID, t sim.Time) geom.Point
-	// DownAt reports the node's down state at time t. Down toggles are
-	// barrier-synchronized by the engine, so the answer is final.
-	DownAt(id NodeID, t sim.Time) bool
 	// ScanRegions appends the indices of regions other than the caller's
 	// own whose nodes could be within reach of a transmitter at from,
 	// in increasing order, and returns the extended slice.
@@ -937,12 +934,12 @@ func (m *Medium) postRemoteScans(p *port, j *txJob, at geom.Point, now sim.Time)
 }
 
 // remoteUnicast resolves a unicast whose target lives in another region.
-// The whole outcome — existence, range, up/down, loss — is decided here at
+// The whole outcome — existence, range, loss — is decided here at
 // serialization end, exactly when a local target would decide it, so the
 // link-layer ACK timing is identical whichever region owns the receiver.
 func (m *Medium) remoteUnicast(p *port, j *txJob, at geom.Point, now sim.Time) bool {
 	r := m.remote
-	if !r.Exists(j.to) || r.DownAt(j.to, now) {
+	if !r.Exists(j.to) {
 		return false
 	}
 	if at.Dist2(r.PosAt(j.to, now)) > m.cfg.Range*m.cfg.Range {
@@ -1039,11 +1036,7 @@ func (m *Medium) InjectDeliver(msg DeliverMsg) {
 // between Sent and now, on top of the usual bucketing slop.
 func (m *Medium) runRemoteScan(msg ScanMsg) {
 	r2 := m.cfg.Range * m.cfg.Range
-	rm := m.remote
 	collect := func(o *port) {
-		if rm.DownAt(o.id, msg.Sent) {
-			return
-		}
 		if msg.Pos.Dist2(o.pos(msg.Sent)) > r2 {
 			return
 		}
@@ -1052,7 +1045,7 @@ func (m *Medium) runRemoteScan(msg ScanMsg) {
 			return
 		}
 		m.stats.RxFrames++
-		if o.down { // went down between Sent and delivery
+		if o.down { // down at delivery, as in runBatch
 			return
 		}
 		prev := m.sim.SetOwner(uint32(o.id) + 1)

@@ -62,7 +62,7 @@ func TestChurnNoResidualState(t *testing.T) {
 	// First wave establishes the steady-state fingerprint; the sim is
 	// deterministic, so later identically-shaped waves must reproduce it.
 	rs, med := onlyRegion(t, sc)
-	pending := func() int { return rs.Pending() + sc.eng.Global.Pending() }
+	pending := func() int { return rs.Pending() }
 	churnWave(t, lv, 5)
 	wantLive := med.Live()
 	wantPending := pending()

@@ -227,8 +227,8 @@ func (lv *Live) Start() int {
 func (lv *Live) Step() {
 	sc := lv.sc
 	sc.RunFor(lv.w)
-	// The engine replays region flow logs at its final barrier, so the
-	// bookkeeping below sees a fully settled window.
+	// RunFor has replayed the region flow logs, so the bookkeeping below
+	// sees a fully settled window.
 	lv.windowRing(lv.window) // materialize the window even if nothing was sent
 	lv.window++
 
@@ -307,9 +307,8 @@ func sortedNames(m map[string]float64) []string {
 	return names
 }
 
-// mergedCounters returns the merged counter map across the graveyard and
-// every live node. Samples are already drained, so this is counters only.
-func (lv *Live) mergedCounters() map[string]float64 {
+// merged returns the counters of the graveyard and every live node, merged.
+func (lv *Live) merged() *trace.Metrics {
 	m := trace.NewMetrics()
 	m.Merge(lv.graveyard)
 	for _, n := range lv.sc.Nodes {
@@ -317,6 +316,13 @@ func (lv *Live) mergedCounters() map[string]float64 {
 			m.Merge(n.Metrics())
 		}
 	}
+	return m
+}
+
+// mergedCounters returns the merged counter map across the graveyard and
+// every live node. Samples are already drained, so this is counters only.
+func (lv *Live) mergedCounters() map[string]float64 {
+	m := lv.merged()
 	out := make(map[string]float64, 64)
 	for _, name := range m.CounterNames() {
 		out[name] = m.Get(name)
@@ -506,17 +512,10 @@ func (lv *Live) startFlows() {
 // Windows slice is nil — sessions stream windows instead of retaining
 // them.
 func (lv *Live) Result() *Result {
-	sc := lv.sc
-	res := &Result{Metrics: trace.NewMetrics(), PerFlow: make(map[int]FlowResult)}
-	res.Metrics.Merge(lv.graveyard)
-	for _, n := range sc.Nodes {
-		if !n.Dead() {
-			res.Metrics.Merge(n.Metrics())
-		}
-	}
+	res := lv.sc.result(lv.merged())
 	res.Configured = lv.deadConfig
 	res.DADFailed = lv.deadFailed
-	for _, n := range sc.Nodes {
+	for _, n := range lv.sc.Nodes {
 		if n.Dead() {
 			continue
 		}
@@ -526,24 +525,10 @@ func (lv *Live) Result() *Result {
 			res.DADFailed++
 		}
 	}
-	//sbr6:commutative order-free sums plus one distinct PerFlow key per flow
-	for fi, st := range sc.flowStats {
-		res.Sent += st.sent
-		res.Delivered += st.delivered
-		res.PerFlow[fi] = FlowResult{Sent: st.sent, Delivered: st.delivered}
-	}
-	if res.Sent > 0 {
-		res.PDR = float64(res.Delivered) / float64(res.Sent)
-	}
 	if lat, ok := lv.aggs["e2e.latency_s"]; ok {
 		res.LatencyMean = lat.Mean()
 		res.LatencyP95 = lat.Quantile(0.95)
 	}
-	res.ControlBytes = res.Metrics.Get("tx.bytes.control")
-	res.DataBytes = res.Metrics.Get("tx.bytes.data")
-	res.CryptoSign = res.Metrics.Get("crypto.sign")
-	res.CryptoVerify = res.Metrics.Get("crypto.verify")
-	res.Link = sc.eng.Stats()
 	return res
 }
 

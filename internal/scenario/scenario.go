@@ -7,13 +7,15 @@
 // Every scenario runs on the region-sharded engine (internal/shard), with
 // one region unless Config.Shards asks for more; the region count changes
 // wall time only, never results. Node events run on their region's
-// simulator, so a harness advances time with Scenario.RunFor, never by
-// driving the engine's global simulator alone.
+// simulator, and a harness advances time with Scenario.RunFor, never by
+// driving the engine directly: RunFor also applies the flow bookkeeping
+// the regions logged.
 //
 // Node 0 is always the DNS server, the network's single security anchor.
 package scenario
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -284,7 +286,6 @@ type Scenario struct {
 	OnWindow func(idx int, w WindowStat)
 
 	sent      map[flowPacket]sim.Time
-	result    *Result
 	flowStats map[int]*flowStat
 	windows   []WindowStat
 	// winBase is the absolute index of windows[0]. Batch runs keep it 0;
@@ -302,11 +303,11 @@ type Scenario struct {
 	mergeDone    time.Duration // latest partition glide arrival; 0 = no partition
 
 	// eng is the simulation engine: every node lives on one of its
-	// regions, and its Global simulator runs only at barriers.
+	// regions.
 	eng *shard.Engine
 	// flowLogs defers the shared flow bookkeeping: send and delivery
-	// events append to their own region's log, and the engine replays the
-	// merged logs in deterministic order at barriers.
+	// events append to their own region's log, and RunFor replays the
+	// merged logs in deterministic order after each span.
 	flowLogs [][]flowLogEntry
 }
 
@@ -472,7 +473,6 @@ func Build(cfg Config) (*Scenario, error) {
 		Positions: formationPos,
 	})
 	sc.flowLogs = make([][]flowLogEntry, sc.eng.Regions())
-	sc.eng.OnBarrier = sc.replayFlowLogs
 
 	// The admission schedule is fixed at build time from the formation-start
 	// positions; policies are pure functions of the plan, so they consume no
@@ -625,17 +625,24 @@ func (sc *Scenario) BootOffsets() []time.Duration {
 // in effect — still runs until the last window has closed). It returns how
 // many nodes configured successfully.
 func (sc *Scenario) Bootstrap() int {
+	configured, _ := sc.bootstrap(context.TODO())
+	return configured
+}
+
+// bootstrap is Bootstrap under ctx; ok is false when ctx ended it early.
+func (sc *Scenario) bootstrap(ctx context.Context) (configured int, ok bool) {
 	for i, n := range sc.Nodes {
 		sc.eng.ScheduleOwnedAt(radio.NodeID(i), sc.Now().Add(sc.bootOffsets[i]), n.Start)
 	}
-	sc.RunFor(sc.bootHorizon)
-	configured := 0
+	if !sc.runTo(ctx, sc.Now().Add(sc.bootHorizon)) {
+		return 0, false
+	}
 	for _, n := range sc.Nodes {
 		if n.Configured() {
 			configured++
 		}
 	}
-	return configured
+	return configured, true
 }
 
 // MergeComplete returns the virtual instant (from run start) by which every
@@ -663,8 +670,25 @@ func (sc *Scenario) StartAuditSweeps(span time.Duration) {
 }
 
 // RunFor advances the simulation by d through the engine's barrier
-// protocol, running every node event and global event due in the span.
-func (sc *Scenario) RunFor(d time.Duration) { sc.eng.RunFor(d) }
+// protocol, running every node event due in the span, then applies the
+// flow bookkeeping those events logged.
+func (sc *Scenario) RunFor(d time.Duration) {
+	sc.eng.RunFor(d)
+	sc.replayFlowLogs()
+}
+
+// cancelSpan is the most virtual time Run advances between two checks of
+// its context.
+const cancelSpan = 100 * time.Millisecond
+
+// runTo advances the simulation to end in spans of at most cancelSpan,
+// checking ctx before each; it reports false once ctx is done.
+func (sc *Scenario) runTo(ctx context.Context, end sim.Time) bool {
+	for ctx.Err() == nil && sc.Now() < end {
+		sc.RunFor(min(end.Sub(sc.Now()), cancelSpan))
+	}
+	return ctx.Err() == nil
+}
 
 // Now returns the current virtual time.
 func (sc *Scenario) Now() sim.Time { return sc.eng.Now() }
@@ -673,26 +697,58 @@ func (sc *Scenario) Now() sim.Time { return sc.eng.Now() }
 func (sc *Scenario) Engine() *shard.Engine { return sc.eng }
 
 // Run executes the full experiment: bootstrap, warmup, measured traffic,
-// cooldown; it returns the aggregated result.
-func (sc *Scenario) Run() *Result {
-	res := &Result{Metrics: trace.NewMetrics(), PerFlow: make(map[int]FlowResult)}
-	sc.result = res
-
-	res.Configured = sc.Bootstrap()
-	res.DADFailed = sc.Cfg.N - res.Configured
-
+// cooldown; it returns the aggregated result. It checks ctx every
+// cancelSpan of virtual time and returns nil once ctx is done.
+func (sc *Scenario) Run(ctx context.Context) *Result {
+	configured, ok := sc.bootstrap(ctx)
+	if !ok {
+		return nil
+	}
 	sc.StartAuditSweeps(sc.Cfg.Warmup + sc.Cfg.Duration + sc.Cfg.Cooldown)
-	sc.RunFor(sc.Cfg.Warmup)
+	if !sc.runTo(ctx, sc.Now().Add(sc.Cfg.Warmup)) {
+		return nil
+	}
 	sc.measureStart = sc.Now()
 	sc.startFlows()
-	sc.scheduleWindowEmissions()
-	sc.RunFor(sc.Cfg.Duration + sc.Cfg.Cooldown)
-	// A stopped run skips the engine's final barrier; the replay is
-	// idempotent over drained logs, so flush unconditionally.
-	sc.replayFlowLogs()
+	if sc.Cfg.WindowSize > 0 && sc.OnWindow != nil {
+		numW := int((sc.Cfg.Duration + sc.Cfg.WindowSize - 1) / sc.Cfg.WindowSize)
+		for k := 0; k < numW; k++ {
+			// Window k is emitted one cooldown after its send span ends
+			// (clamped to the run's end), when every packet sent inside
+			// it has had a full cooldown to land. The emission sees every
+			// event before that instant and none at it.
+			at := min(time.Duration(k+1)*sc.Cfg.WindowSize, sc.Cfg.Duration)
+			if !sc.runTo(ctx, sc.measureStart.Add(at+sc.Cfg.Cooldown-1)) {
+				return nil
+			}
+			w := WindowStat{Start: time.Duration(k) * sc.Cfg.WindowSize}
+			if k < len(sc.windows) {
+				w = sc.windows[k]
+			}
+			sc.OnWindow(k, w)
+		}
+	}
+	if !sc.runTo(ctx, sc.measureStart.Add(sc.Cfg.Duration+sc.Cfg.Cooldown)) {
+		return nil
+	}
 
-	// Aggregate.
-	lat := trace.NewMetrics()
+	m := trace.NewMetrics()
+	for _, n := range sc.Nodes {
+		m.Merge(n.Metrics())
+	}
+	res := sc.result(m)
+	res.Configured, res.DADFailed = configured, sc.Cfg.N-configured
+	res.LatencyMean = m.Mean("e2e.latency_s")
+	res.LatencyP95 = m.Quantile("e2e.latency_s", 0.95)
+	res.Windows = sc.windows
+	return res
+}
+
+// result assembles what batch runs and live sessions report alike from the
+// merged node counters m: the flow totals, the delivery ratio, the byte and
+// crypto counters and the link stats.
+func (sc *Scenario) result(m *trace.Metrics) *Result {
+	res := &Result{Metrics: m, PerFlow: make(map[int]FlowResult)}
 	//sbr6:commutative order-free sums plus one distinct PerFlow key per flow
 	for fi, st := range sc.flowStats {
 		res.Sent += st.sent
@@ -702,45 +758,12 @@ func (sc *Scenario) Run() *Result {
 	if res.Sent > 0 {
 		res.PDR = float64(res.Delivered) / float64(res.Sent)
 	}
-	for _, n := range sc.Nodes {
-		res.Metrics.Merge(n.Metrics())
-	}
-	lat.Merge(res.Metrics)
-	res.LatencyMean = res.Metrics.Mean("e2e.latency_s")
-	res.LatencyP95 = res.Metrics.Quantile("e2e.latency_s", 0.95)
-	res.ControlBytes = res.Metrics.Get("tx.bytes.control")
-	res.DataBytes = res.Metrics.Get("tx.bytes.data")
-	res.CryptoSign = res.Metrics.Get("crypto.sign")
-	res.CryptoVerify = res.Metrics.Get("crypto.verify")
+	res.ControlBytes = m.Get("tx.bytes.control")
+	res.DataBytes = m.Get("tx.bytes.data")
+	res.CryptoSign = m.Get("crypto.sign")
+	res.CryptoVerify = m.Get("crypto.verify")
 	res.Link = sc.eng.Stats()
-	res.Windows = sc.windows
 	return res
-}
-
-// scheduleWindowEmissions arranges the OnWindow stream: window k fires one
-// cooldown after its send-span ends (clamped to the run's end), by which
-// point every packet sent inside it has had a full cooldown to land. The
-// emission events read state without touching the model or its RNGs, so a
-// streamed run stays byte-identical to an unobserved one.
-func (sc *Scenario) scheduleWindowEmissions() {
-	if sc.Cfg.WindowSize <= 0 || sc.OnWindow == nil {
-		return
-	}
-	numW := int((sc.Cfg.Duration + sc.Cfg.WindowSize - 1) / sc.Cfg.WindowSize)
-	for k := 0; k < numW; k++ {
-		k := k
-		at := time.Duration(k+1) * sc.Cfg.WindowSize
-		if at > sc.Cfg.Duration {
-			at = sc.Cfg.Duration
-		}
-		sc.eng.Global.After(at+sc.Cfg.Cooldown, func() {
-			w := WindowStat{Start: time.Duration(k) * sc.Cfg.WindowSize}
-			if k < len(sc.windows) {
-				w = sc.windows[k]
-			}
-			sc.OnWindow(k, w)
-		})
-	}
 }
 
 // startFlows schedules the CBR sources across the measurement window and
@@ -765,7 +788,7 @@ func (sc *Scenario) startFlows() {
 // the sent map, window counters and the source's latency samples are all
 // order-sensitive — they append to their own region's log;
 // replayFlowLogs applies the merged logs in a shard-count-independent
-// order at each barrier.
+// order after each span.
 func (sc *Scenario) armFlow(fi int) func() {
 	f := sc.Cfg.Flows[fi]
 	sc.flowStats[fi] = &flowStat{}
@@ -805,10 +828,10 @@ func (sc *Scenario) hookFlowSink(flowID uint32, to int) {
 }
 
 // replayFlowLogs drains the per-region flow logs and applies them to the
-// shared bookkeeping in (at, kind, flow, seq) order. The engine invokes it
-// at every barrier — all regions have quiesced strictly below the global
-// clock, so every logged instant is final — and Run flushes once more
-// before aggregating. Sends sort before deliveries at the same instant,
+// shared bookkeeping in (at, kind, flow, seq) order. RunFor calls it after
+// every span, when all regions have quiesced at the engine's clock, so
+// every logged instant is final. Sends sort before deliveries at the same
+// instant,
 // since a packet cannot land before SendFlow recorded it; a duplicate
 // delivery counts nothing, because only the first replayed delivery finds
 // its packet tracked.
@@ -879,21 +902,9 @@ func (sc *Scenario) Components() [][]int {
 	grid := geom.NewGrid(r)
 	for i := 0; i < n; i++ {
 		pos[i] = sc.eng.PosNow(radio.NodeID(i))
-		if !sc.eng.IsDown(radio.NodeID(i)) {
-			grid.Set(i, pos[i])
-		}
+		grid.Set(i, pos[i])
 	}
 	r2 := r * r
-	neighbors := func(i int, visit func(nb int)) {
-		if sc.eng.IsDown(radio.NodeID(i)) {
-			return
-		}
-		grid.Visit(pos[i], r, func(id int) {
-			if id != i && pos[i].Dist2(pos[id]) <= r2 {
-				visit(id)
-			}
-		})
-	}
 	visited := make([]bool, n)
 	var comps [][]int
 	for start := 0; start < n; start++ {
@@ -903,10 +914,11 @@ func (sc *Scenario) Components() [][]int {
 		comp := []int{start}
 		visited[start] = true
 		for i := 0; i < len(comp); i++ {
-			neighbors(comp[i], func(nb int) {
-				if !visited[nb] {
-					visited[nb] = true
-					comp = append(comp, nb)
+			p := pos[comp[i]]
+			grid.Visit(p, r, func(id int) {
+				if !visited[id] && p.Dist2(pos[id]) <= r2 {
+					visited[id] = true
+					comp = append(comp, id)
 				}
 			})
 		}

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"errors"
 	"math"
 	"reflect"
@@ -119,7 +120,7 @@ func TestCleanRunDeliversEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := sc.Run()
+	res := sc.Run(context.Background())
 	if res.Configured != 9 {
 		t.Fatalf("configured = %d", res.Configured)
 	}
@@ -142,7 +143,7 @@ func TestDeterministicRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sc.Run()
+		return sc.Run(context.Background())
 	}
 	a, b := run(), run()
 	if a.PDR != b.PDR || a.ControlBytes != b.ControlBytes || a.Delivered != b.Delivered ||
@@ -159,7 +160,7 @@ func TestSecureOverheadExceedsBaseline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sc.Run()
+		return sc.Run(context.Background())
 	}
 	sec, base := run(true), run(false)
 	if sec.PDR < 0.95 || base.PDR < 0.95 {
@@ -189,7 +190,7 @@ func blackHoleRun(t *testing.T, secure bool) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sc.Run()
+	return sc.Run(context.Background())
 }
 
 func TestBlackHoleCollapsesBaseline(t *testing.T) {
@@ -277,7 +278,7 @@ func TestRERRSpammerIsFlagged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := sc.Run()
+	res := sc.Run(context.Background())
 	if sp.Sent == 0 {
 		t.Fatal("spammer never spammed")
 	}
@@ -300,7 +301,7 @@ func TestReplayerGainsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := sc.Run()
+	res := sc.Run(context.Background())
 	if rp.Replayed == 0 {
 		t.Fatal("replayer never replayed")
 	}
@@ -319,7 +320,7 @@ func TestWaypointMobilityRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := sc.Run()
+	res := sc.Run(context.Background())
 	if res.Configured < 8 {
 		t.Fatalf("configured = %d", res.Configured)
 	}
@@ -343,7 +344,7 @@ func TestIdentityChurnerChurns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc.Run()
+	sc.Run(context.Background())
 	if ch.Churns == 0 {
 		t.Fatal("churner never changed identity")
 	}
@@ -363,7 +364,7 @@ func TestLargeNetworkSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := sc.Run()
+	res := sc.Run(context.Background())
 	if res.Configured != 49 {
 		t.Fatalf("configured %d/49", res.Configured)
 	}
@@ -406,7 +407,7 @@ func TestFlowStartOffset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := sc.Run()
+	res := sc.Run(context.Background())
 	// Only (Duration-Start)/Interval = 2 packets fit the window.
 	if res.Sent != 2 {
 		t.Fatalf("sent = %d, want 2", res.Sent)

@@ -1,9 +1,12 @@
 package shard_test
 
 import (
+	"context"
 	"fmt"
+	"math/rand"
 	"os"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -136,7 +139,7 @@ func runSharded(t *testing.T, cfg scenario.Config, shards int) *scenario.Result 
 	if err != nil {
 		t.Fatalf("build with %d shards: %v", shards, err)
 	}
-	return sc.Run()
+	return sc.Run(context.Background())
 }
 
 func TestShardDifferential(t *testing.T) {
@@ -173,5 +176,57 @@ func TestShardedRunDelivers(t *testing.T) {
 	}
 	if res.PDR < 0.9 {
 		t.Fatalf("sharded clean-network PDR = %v (%d/%d)", res.PDR, res.Delivered, res.Sent)
+	}
+}
+
+// TestBarrierPlacementInvisible pins that where a run stops changes
+// nothing: a live session advanced 12 s in one RunFor equals the same
+// session advanced in seeded irregular spans of 1 ns to 700 ms, at one
+// region and at every shard level. Batch runs stop every 100 ms to check
+// their context and a session stops at every window, so both rely on it.
+func TestBarrierPlacementInvisible(t *testing.T) {
+	levels := shardLevels(t)
+	if !slices.Contains(levels, 1) {
+		levels = append([]int{1}, levels...)
+	}
+	const total = 12 * time.Second
+	for _, c := range diffMatrix {
+		for _, seed := range diffSeeds() {
+			c, seed := c, seed
+			t.Run(fmt.Sprintf("%s/seed=%d", c.name, seed), func(t *testing.T) {
+				t.Parallel()
+				for _, n := range levels {
+					run := func(spans *rand.Rand) (*scenario.Result, uint64) {
+						cfg := c.cfg(seed)
+						cfg.Shards = n
+						sc, err := scenario.Build(cfg)
+						if err != nil {
+							t.Fatalf("build with %d shards: %v", n, err)
+						}
+						lv := scenario.NewLive(sc)
+						lv.Start()
+						for left := total; left > 0; {
+							d := left
+							if spans != nil {
+								d = min(left, time.Duration(1+spans.Int63n(int64(700*time.Millisecond))))
+							}
+							sc.RunFor(d)
+							left -= d
+						}
+						return lv.Result(), sc.Engine().Events()
+					}
+					whole, wholeEvents := run(nil)
+					split, splitEvents := run(rand.New(rand.NewSource(seed)))
+					if whole.Sent == 0 || whole.Delivered == 0 {
+						t.Fatalf("shards=%d: sent=%d delivered=%d; the comparison would be vacuous",
+							n, whole.Sent, whole.Delivered)
+					}
+					if !reflect.DeepEqual(whole, split) || wholeEvents != splitEvents {
+						t.Errorf("shards=%d: irregular spans diverged from one span:\n  whole: %v (%d events)\n  split: %v (%d events)",
+							n, whole, wholeEvents, split, splitEvents)
+					}
+				}
+			})
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package shard_test
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -69,6 +70,35 @@ func TestCrossRegionPrimitives(t *testing.T) {
 		t.Fatalf("stats = %+v, want 1 broadcast / 2 unicasts / 3 receptions", st)
 	}
 	if eng.Now() != sim.Time(time.Second) {
-		t.Fatalf("global clock = %v after drain, want 1s", eng.Now())
+		t.Fatalf("engine clock = %v after drain, want 1s", eng.Now())
+	}
+}
+
+// A barrier can fall while a cross-region broadcast is in flight. The
+// receiving region samples its receivers at the frame's serialization end,
+// before the barrier, so the engine must not forget that instant of their
+// tracks: it keeps one lookahead of history behind every deadline.
+func TestBarrierDuringCrossRegionFlight(t *testing.T) {
+	cfg := radio.DefaultConfig()
+	cfg.BroadcastJitter, cfg.BitrateBps = 0, 0
+	at := []geom.Point{{X: 100, Y: 100}, {X: 200, Y: 100}}
+	eng := shard.New(shard.Config{Seed: 1, Regions: 2, Radio: cfg, Positions: at})
+	walk := mobility.NewWalk(mobility.WalkConfig{Region: geom.Rect{W: 300, H: 200}, Speed: 1, Epoch: time.Second},
+		at[1], rand.New(rand.NewSource(1)))
+	got := 0
+	eng.AddNode(0, mobility.Static(at[0]), radio.HandlerFunc(func(radio.NodeID, []byte) {}))
+	eng.AddNode(1, walk, radio.HandlerFunc(func(radio.NodeID, []byte) { got++ }))
+	if eng.RegionOf(0) == eng.RegionOf(1) {
+		t.Fatal("nodes share a region; test is vacuous")
+	}
+	sent := sim.Time(time.Second)
+	eng.ScheduleOwnedAt(0, sent, func() { eng.NodeMedium(0).Broadcast(0, []byte("bc")) })
+	eng.RunUntil(sent.Add(cfg.PropDelay / 2)) // the frame is still in flight
+	if got != 0 {
+		t.Fatal("frame landed before its propagation delay")
+	}
+	eng.RunFor(time.Second)
+	if got != 1 {
+		t.Fatalf("walker received %d copies, want 1", got)
 	}
 }

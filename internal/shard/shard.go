@@ -14,8 +14,8 @@
 //
 //	h_i = min(C, min_{j != i} next_j + L)
 //
-// where next_j is region j's earliest pending event and C caps the round at
-// the next global event (or the run deadline). The region holding the
+// where next_j is region j's earliest pending event and C, one past the run
+// deadline, caps the round at the deadline. The region holding the
 // minimum next always has h > next, so every round fires at least one event
 // and the loop cannot stall. Messages generated during a round carry
 // delivery times >= next_j + L >= h_i, so injecting them at the next
@@ -37,16 +37,23 @@
 //
 // # Determinism
 //
-// Events are keyed (at, owner, seq) where the owner is the node id + 1 (0
-// is reserved for global/engine events, which sort first — mirroring the
-// engine's globals-run-first barrier policy). Ownership is inherited: an
-// event scheduled from inside another event belongs to the same causal
-// stream, so per-owner sequences depend only on that node's own history,
-// never on how nodes were interleaved across regions. Cross-boundary
-// messages are stamped with the *sender's* owner, placing them at the same
-// position in the (at, owner, seq) order at every shard count. The radio's
-// draws are content hashes (see package radio), so no random stream is
-// consumed in a region-count-dependent order.
+// Events are keyed (at, owner, seq) where the owner is the node id + 1.
+// Ownership is inherited: an event scheduled from inside another event
+// belongs to the same causal stream, so per-owner sequences depend only on
+// that node's own history, never on how nodes were interleaved across
+// regions. Cross-boundary messages are stamped with the *sender's* owner,
+// placing them at the same position in the (at, owner, seq) order at every
+// shard count. The radio's draws are content hashes (see package radio), so
+// no random stream is consumed in a region-count-dependent order.
+//
+// # One clock
+//
+// The engine has no event loop of its own. Its clock is the deadline of
+// the last RunUntil, and every region clock is set to that deadline when
+// the run returns. A barrier is simply where RunUntil stops: every region
+// has run each event at or before the deadline and none after it, so the
+// caller may read any region's state, admit or remove nodes and schedule
+// node-owned events. Where a caller places its barriers changes no result.
 //
 // # Region ownership rules
 //
@@ -60,12 +67,8 @@
 //   - Mobility tracks are owned by their node's region but queried remotely
 //     (lazily-extended legs mutate under a per-node mutex, the only lock on
 //     the hot path; with only one region the track is read without it).
-//   - Down state is global: toggles are barrier-only (global events, all
-//     regions idle) and recorded as an append-only history, so concurrent
-//     region reads of DownAt(t) for past t are race-free and final.
-//   - The global simulator (watchdog timers, window emission, flow
-//     bookkeeping replay) runs only at barriers, when every region has
-//     quiesced strictly below the global clock.
+//     At each barrier the engine has every track drop the legs no later
+//     query can reach (mobility.Forgetter).
 package shard
 
 import (
@@ -133,19 +136,12 @@ func (r *region) rectDist2(p geom.Point) float64 {
 	return dx*dx + dy*dy
 }
 
-type downChange struct {
-	at   sim.Time
-	down bool
-}
-
 // nodeInfo is the engine's cross-region view of one node. The mutex guards
 // the track only: lazily-extended tracks mutate their leg cache on query.
-// The down history is appended exclusively at barriers and read lock-free.
 type nodeInfo struct {
 	mu     sync.Mutex
 	track  mobility.Track
 	exists bool
-	downs  []downChange
 }
 
 func (ni *nodeInfo) position(t sim.Time) geom.Point {
@@ -155,35 +151,16 @@ func (ni *nodeInfo) position(t sim.Time) geom.Point {
 	return p
 }
 
-func (ni *nodeInfo) downAt(t sim.Time) bool {
-	down := false
-	for i := range ni.downs {
-		if ni.downs[i].at > t {
-			break
-		}
-		down = ni.downs[i].down
-	}
-	return down
-}
-
-// Engine owns the global simulator, the regions, and the barrier protocol.
+// Engine owns the regions, the barrier protocol and the clock.
 type Engine struct {
-	// Global is the barrier-synchronized simulator: schedule watchdogs,
-	// window emissions and other cross-region coordination here. Global
-	// events run only while every region is idle.
-	Global *sim.Simulator
-
-	// OnBarrier, if set, is invoked before each batch of global events
-	// (and once more after the run drains). Every region has quiesced
-	// strictly below the global clock, so the callback may read any
-	// region's state and replay deferred cross-region bookkeeping.
-	OnBarrier func()
-
 	cfg       Config
 	lookahead sim.Duration
 	regions   []*region
 	regionOf  []int
 	nodes     []*nodeInfo
+
+	// now is the engine's clock: the deadline of the last RunUntil.
+	now sim.Time
 
 	// splits are the build-partition strip boundaries: splits[i] is the
 	// largest build x owned by region i (for i < Regions-1). Nodes injected
@@ -218,7 +195,6 @@ func New(cfg Config) *Engine {
 
 	n := len(cfg.Positions)
 	e := &Engine{
-		Global:    sim.New(),
 		cfg:       cfg,
 		lookahead: sim.Duration(cfg.Radio.PropDelay),
 		regionOf:  make([]int, n),
@@ -332,10 +308,9 @@ func (e *Engine) AddNode(id radio.NodeID, track mobility.Track, h radio.Handler)
 // InjectNode admits a node born after the engine was built, assigning it
 // the region whose build-time strip contains its spawn position (never
 // rebalanced, like every ownership decision). Barrier-only: call it
-// between runs or from a Global event, when every region has quiesced —
-// the engine's slices and the region's pruning box are then mutated
-// race-free, exactly like SetDown's history appends. Ids must grow
-// densely (the next id is len(nodes)). The caller builds the node against
+// between runs, when every region has quiesced, so the engine's slices and
+// the region's pruning box are mutated race-free. Ids must grow densely
+// (the next id is len(nodes)). The caller builds the node against
 // NodeSim/NodeMedium exactly as for a build-time node, then attaches it
 // with AddNode.
 func (e *Engine) InjectNode(id radio.NodeID, pos geom.Point) {
@@ -378,9 +353,9 @@ func (e *Engine) RemoveNode(id radio.NodeID) {
 }
 
 // ScheduleOwnedAt schedules fn at time at on the node's region simulator,
-// stamped with the node's owner id. Safe to call from Global events: when
-// globals run, every region clock is strictly below the global clock, so
-// at >= Global.Now() is always in the region's future.
+// stamped with the node's owner id. Barrier-only, like InjectNode: every
+// region clock is then the engine's, so at >= Now() is in the region's
+// future.
 func (e *Engine) ScheduleOwnedAt(id radio.NodeID, at sim.Time, fn func()) {
 	rs := e.regions[e.regionOf[id]].sim
 	prev := rs.SetOwner(uint32(id) + 1)
@@ -388,24 +363,11 @@ func (e *Engine) ScheduleOwnedAt(id radio.NodeID, at sim.Time, fn func()) {
 	rs.SetOwner(prev)
 }
 
-// SetDown toggles a node's radio at the current global time. Must be called
-// only from Global events (or while the engine is not running): the down
-// history is read lock-free by concurrently executing regions, which is
-// race-free precisely because toggles happen while all regions are idle.
-func (e *Engine) SetDown(id radio.NodeID, down bool) {
-	ni := e.nodes[id]
-	ni.downs = append(ni.downs, downChange{at: e.Global.Now(), down: down})
-	e.regions[e.regionOf[id]].med.SetDown(id, down)
-}
+// PosNow returns the node's position at the engine's clock.
+func (e *Engine) PosNow(id radio.NodeID) geom.Point { return e.nodes[id].position(e.now) }
 
-// IsDown reports the node's down state at the current global time.
-func (e *Engine) IsDown(id radio.NodeID) bool { return e.nodes[id].downAt(e.Global.Now()) }
-
-// PosNow returns the node's position at the current global time.
-func (e *Engine) PosNow(id radio.NodeID) geom.Point { return e.nodes[id].position(e.Global.Now()) }
-
-// Now returns the global clock.
-func (e *Engine) Now() sim.Time { return e.Global.Now() }
+// Now returns the engine's clock: the deadline of the last RunUntil.
+func (e *Engine) Now() sim.Time { return e.now }
 
 // Stats sums the link-layer counters of every region medium.
 func (e *Engine) Stats() radio.Stats {
@@ -425,10 +387,10 @@ func (e *Engine) Stats() radio.Stats {
 	return t
 }
 
-// Events returns the total number of events processed across the global
-// and every region simulator.
+// Events returns the total number of events processed across every region
+// simulator.
 func (e *Engine) Events() uint64 {
-	t := e.Global.Processed()
+	var t uint64
 	for _, r := range e.regions {
 		t += r.sim.Processed()
 	}
@@ -482,8 +444,10 @@ func (e *Engine) exchange() {
 }
 
 // runRegions runs one parallel round: each region processes events strictly
-// below its own conservative horizon min(C, min_{j != i} next_j + L).
-func (e *Engine) runRegions(c sim.Time) {
+// below its own conservative horizon min(C, min_{j != i} next_j + L). It
+// reports false, running nothing, when no region has an event before c:
+// the region holding the earliest event always has one below its horizon.
+func (e *Engine) runRegions(c sim.Time) bool {
 	for i, r := range e.regions {
 		if t, ok := r.sim.NextAt(); ok {
 			e.nexts[i] = t
@@ -525,7 +489,7 @@ func (e *Engine) runRegions(c sim.Time) {
 		if eligible == 1 {
 			e.regions[last].sim.RunBelow(e.horizons[last])
 		}
-		return
+		return eligible == 1
 	}
 	var wg sync.WaitGroup
 	for i, r := range e.regions {
@@ -539,62 +503,41 @@ func (e *Engine) runRegions(c sim.Time) {
 		}(r, e.horizons[i])
 	}
 	wg.Wait()
+	return true
 }
 
-// RunUntil drives the engine to the deadline: alternating barrier rounds
-// (exchange pending messages, run due global events) and parallel region
-// rounds under conservative horizons. Stop on the global simulator halts
-// the run and freezes every clock, exactly like sim.Simulator.RunUntil.
+// RunUntil drives the engine to the deadline: it exchanges pending
+// messages, then runs one parallel round under conservative horizons, until
+// no region has an event at or before the deadline. It then sets the
+// engine's clock and every region clock to the deadline, and has every
+// track forget the legs no later query can reach.
 func (e *Engine) RunUntil(deadline sim.Time) {
 	e.finalize()
-	g := e.Global
-	for !g.Stopped() {
+	for {
 		e.exchange()
-		nm := inf
-		for _, r := range e.regions {
-			if t, ok := r.sim.NextAt(); ok && t < nm {
-				nm = t
-			}
-		}
-		if gt, ok := g.NextAt(); ok && gt <= deadline && gt <= nm {
-			// Global events are due at or before every region event:
-			// run them first (owner 0 sorts first inside regions for the
-			// same reason). All regions have quiesced strictly below gt.
-			if e.OnBarrier != nil {
-				e.OnBarrier()
-			}
-			limit := nm
-			if deadline < limit {
-				limit = deadline
-			}
-			g.RunBelow(limit + 1)
-			continue
-		}
-		// Cap region progress at the next global event: globals may
-		// schedule region events (audit sweeps, flow sends) and must
-		// observe barrier-consistent state.
-		c := deadline + 1
-		if gt, ok := g.NextAt(); ok && gt < c {
-			c = gt
-		}
-		if nm >= c {
+		if !e.runRegions(deadline + 1) {
 			break
 		}
-		e.runRegions(c)
 	}
-	if !g.Stopped() {
-		if e.OnBarrier != nil {
-			e.OnBarrier()
-		}
-		g.AdvanceTo(deadline)
-		for _, r := range e.regions {
-			r.sim.AdvanceTo(deadline)
+	if e.now < deadline {
+		e.now = deadline
+	}
+	for _, r := range e.regions {
+		r.sim.AdvanceTo(deadline)
+	}
+	// Every later event is at or after the deadline, but a cross-region
+	// broadcast still in flight samples its receivers at its serialization
+	// end, up to one lookahead before it lands.
+	keep := deadline.Add(-e.lookahead)
+	for _, ni := range e.nodes {
+		if f, ok := ni.track.(mobility.Forgetter); ok {
+			f.Forget(keep)
 		}
 	}
 }
 
-// RunFor advances the engine by d from the current global time.
-func (e *Engine) RunFor(d sim.Duration) { e.RunUntil(e.Global.Now().Add(d)) }
+// RunFor advances the engine by d from its clock.
+func (e *Engine) RunFor(d sim.Duration) { e.RunUntil(e.now.Add(d)) }
 
 // regionRemote adapts one region's view of the rest of the network to the
 // radio.Remote interface. Every method is called from inside the region's
@@ -610,10 +553,6 @@ func (r *regionRemote) Exists(id radio.NodeID) bool {
 
 func (r *regionRemote) PosAt(id radio.NodeID, t sim.Time) geom.Point {
 	return r.e.nodes[id].position(t)
-}
-
-func (r *regionRemote) DownAt(id radio.NodeID, t sim.Time) bool {
-	return r.e.nodes[id].downAt(t)
 }
 
 func (r *regionRemote) ScanRegions(from geom.Point, reach float64, buf []int) []int {

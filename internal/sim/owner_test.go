@@ -5,34 +5,8 @@ import (
 	"time"
 )
 
-// Stop inside RunUntil must freeze the clock at the stopping event: a
-// watchdog-cancelled run that reported Now() == deadline would claim
-// virtual time it never simulated.
-func TestStopFreezesClockInRunUntil(t *testing.T) {
-	s := New()
-	stopAt := Time(10 * time.Millisecond)
-	s.At(stopAt, func() { s.Stop() })
-	s.At(Time(20*time.Millisecond), func() { t.Fatal("event after Stop fired") })
-	s.RunUntil(Time(time.Second))
-	if s.Now() != stopAt {
-		t.Fatalf("clock advanced to %v after Stop, want frozen at %v", s.Now(), stopAt)
-	}
-}
-
-func TestStopFreezesClockInRunFor(t *testing.T) {
-	s := New()
-	s.RunFor(time.Millisecond) // move the base clock off zero first
-	base := s.Now()
-	stopAt := base.Add(3 * time.Millisecond)
-	s.At(stopAt, func() { s.Stop() })
-	s.RunFor(time.Second)
-	if s.Now() != stopAt {
-		t.Fatalf("clock advanced to %v after Stop, want frozen at %v", s.Now(), stopAt)
-	}
-}
-
-// Without Stop, RunUntil still advances the clock to the deadline even
-// when the queue drains early — the historical contract.
+// RunUntil advances the clock to the deadline even when the queue drains
+// early.
 func TestRunUntilStillAdvancesWhenNotStopped(t *testing.T) {
 	s := New()
 	s.At(Time(time.Millisecond), func() {})
@@ -191,14 +165,5 @@ func TestTightenHorizonStopsRunBelowEarly(t *testing.T) {
 	}
 	if next, ok := s.NextAt(); ok {
 		t.Fatalf("event at %v survived a raise-attempt round below 7ms", next)
-	}
-}
-
-func TestAdvanceToRespectsStop(t *testing.T) {
-	s := New()
-	s.Stop()
-	s.AdvanceTo(Time(time.Second))
-	if s.Now() != 0 {
-		t.Fatalf("AdvanceTo moved a stopped clock to %v", s.Now())
 	}
 }

@@ -174,7 +174,6 @@ type Simulator struct {
 	now       Time
 	queue     eventHeap
 	processed uint64
-	stopped   bool
 
 	// horizon is the live bound of an in-progress RunBelow, re-read before
 	// every event so TightenHorizon can shrink the round from inside one.
@@ -207,9 +206,9 @@ func (s *Simulator) Processed() uint64 { return s.processed }
 func (s *Simulator) Pending() int { return len(s.queue) }
 
 // SetOwner sets the owner id stamped on subsequently scheduled events and
-// returns the previous owner. Owner 0 is reserved for global/harness
-// events, which therefore sort before any node's events at the same
-// instant; the sharded engine uses node id + 1 for node-owned events.
+// returns the previous owner. The sharded engine stamps node-owned events
+// with node id + 1; owner 0 is the default of a simulator that never calls
+// SetOwner.
 func (s *Simulator) SetOwner(o uint32) uint32 {
 	prev := s.owner
 	s.owner = o
@@ -324,9 +323,9 @@ func (s *Simulator) DoArg(d Duration, fn func(any), arg any) {
 }
 
 // Step fires the earliest pending event. It reports false when the queue is
-// empty or the simulator has been stopped.
+// empty.
 func (s *Simulator) Step() bool {
-	if s.stopped || len(s.queue) == 0 {
+	if len(s.queue) == 0 {
 		return false
 	}
 	ev := s.queue.pop()
@@ -353,24 +352,19 @@ func (s *Simulator) Step() bool {
 	return true
 }
 
-// Run processes events until the queue is empty or Stop is called.
+// Run processes events until the queue is empty.
 func (s *Simulator) Run() {
 	for s.Step() {
 	}
 }
 
 // RunUntil processes events with timestamps <= deadline and then sets the
-// clock to deadline (if it has not already passed it). If Stop fired
-// mid-run the clock stays frozen at the last processed event — reporting
-// virtual time the run never simulated would misattribute every rate
-// metric computed from Now.
+// clock to deadline (if it has not already passed it).
 func (s *Simulator) RunUntil(deadline Time) {
-	for !s.stopped && len(s.queue) > 0 && s.queue[0].at <= deadline {
+	for len(s.queue) > 0 && s.queue[0].at <= deadline {
 		s.Step()
 	}
-	if !s.stopped && s.now < deadline {
-		s.now = deadline
-	}
+	s.AdvanceTo(deadline)
 }
 
 // RunFor advances the simulation by d virtual time.
@@ -394,7 +388,7 @@ func (s *Simulator) NextAt() (t Time, ok bool) {
 // mid-run via TightenHorizon.
 func (s *Simulator) RunBelow(horizon Time) {
 	s.horizon = horizon
-	for !s.stopped && len(s.queue) > 0 && s.queue[0].at < s.horizon {
+	for len(s.queue) > 0 && s.queue[0].at < s.horizon {
 		s.Step()
 	}
 	s.horizon = 0
@@ -414,20 +408,13 @@ func (s *Simulator) TightenHorizon(t Time) {
 }
 
 // AdvanceTo moves the clock forward to t without processing anything, a
-// no-op if the clock already passed t or the simulator is stopped. The
-// sharded engine uses it to align region clocks with the global deadline
-// once every region has quiesced.
+// no-op if the clock already passed t. The sharded engine uses it to set
+// every region clock to a run's deadline once every region has quiesced.
 func (s *Simulator) AdvanceTo(t Time) {
-	if !s.stopped && s.now < t {
+	if s.now < t {
 		s.now = t
 	}
 }
-
-// Stop halts Run/RunUntil after the current event returns.
-func (s *Simulator) Stop() { s.stopped = true }
-
-// Stopped reports whether Stop has been called.
-func (s *Simulator) Stopped() bool { return s.stopped }
 
 // Timer is a handle to a scheduled event that can be cancelled.
 type Timer struct {

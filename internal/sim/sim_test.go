@@ -149,26 +149,6 @@ func TestRunForIsRelative(t *testing.T) {
 	}
 }
 
-func TestStopHaltsRun(t *testing.T) {
-	s := New()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		s.After(Duration(i)*time.Millisecond, func() {
-			count++
-			if count == 3 {
-				s.Stop()
-			}
-		})
-	}
-	s.Run()
-	if count != 3 {
-		t.Fatalf("count = %d, want 3 (Stop ignored)", count)
-	}
-	if !s.Stopped() {
-		t.Fatal("Stopped() = false after Stop")
-	}
-}
-
 func TestDeterminismAcrossRuns(t *testing.T) {
 	run := func() []int64 {
 		s := New()

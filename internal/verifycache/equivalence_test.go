@@ -15,6 +15,7 @@ package verifycache_test
 // role for the spatial-grid medium.
 
 import (
+	"context"
 	"reflect"
 	"testing"
 	"time"
@@ -110,7 +111,7 @@ func runWith(t *testing.T, mk func() scenario.Config, seed int64, cached bool) (
 	if err != nil {
 		t.Fatalf("build (cached=%v, seed=%d): %v", cached, seed, err)
 	}
-	res := sc.Run()
+	res := sc.Run(context.Background())
 	var stats verifycache.Stats
 	for _, n := range sc.Nodes {
 		s := n.VerifyCacheStats()

@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"time"
 )
 
 // Runner executes scenarios. Each discrete-event simulation stays
@@ -37,7 +36,7 @@ func SeedRange(base int64, n int) []int64 {
 }
 
 // Run executes one full experiment with the scenario's default seed,
-// honoring ctx cancellation between simulation events.
+// checking ctx every 100 ms of virtual time.
 func (r *Runner) Run(ctx context.Context, sc *Scenario) (*Result, error) {
 	return r.runOne(ctx, sc, sc.Seed(), r.observer())
 }
@@ -126,27 +125,12 @@ func (r *Runner) runOne(ctx context.Context, spec *Scenario, seed int64, obs Obs
 			obs.Window(seed, publicWindow(w))
 		}
 	}
-	if ctx.Done() != nil {
-		// A watchdog event on the engine's global simulator polls ctx on
-		// the virtual clock and halts the engine when cancelled. It reads
-		// no model state and draws no randomness, so an interruptible run
-		// stays byte-identical to an uninterruptible one.
-		g := sc.Engine().Global
-		var watchdog func()
-		watchdog = func() {
-			if ctx.Err() != nil {
-				g.Stop()
-				return
-			}
-			g.After(100*time.Millisecond, watchdog)
-		}
-		g.After(0, watchdog)
-	}
-	res := publicResult(seed, sc.Run())
-	res.adversaries = advs
+	out := sc.Run(ctx)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	res := publicResult(seed, out)
+	res.adversaries = advs
 	if obs != nil {
 		obs.RunFinished(seed, res)
 	}

@@ -511,6 +511,30 @@ func TestRunBatchCancellation(t *testing.T) {
 	}
 }
 
+// TestRunnerCancelsMidRun stops a replicate that is already running: the
+// observer cancels at the first streamed window, and the run must end
+// there, with one window streamed, no result and no RunFinished.
+func TestRunnerCancelsMidRun(t *testing.T) {
+	sc := fastSpec(t, sbr6.WithWindows(time.Second), sbr6.WithDuration(60*time.Second))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	windows, finished := 0, 0
+	r := &sbr6.Runner{Observer: sbr6.ObserverFuncs{
+		OnWindow: func(int64, sbr6.WindowStat) {
+			windows++
+			cancel()
+		},
+		OnRunFinished: func(int64, *sbr6.Result) { finished++ },
+	}}
+	res, err := r.Run(ctx, sc)
+	if res != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run = %v, %v; want nil, context.Canceled", res, err)
+	}
+	if windows != 1 || finished != 0 {
+		t.Fatalf("observer saw %d windows and %d finishes; want 1 and 0", windows, finished)
+	}
+}
+
 // TestAdversaryStateIsolatedPerRun checks that every run gets fresh
 // adversary state and that a Result reports it at adversary nodes only:
 // the tap on honest nodes is not an adversary.
