@@ -288,6 +288,9 @@ func (c *IdentityChurner) scheduleChurn(n *core.Node) {
 		every = 10 * time.Second
 	}
 	n.Sim().After(every, func() {
+		if n.Dead() {
+			return // departed: stop, as a dead node's audit and flow chains do
+		}
 		n.Identity().Regenerate(n.Rand())
 		c.Churns++
 		c.scheduleChurn(n)

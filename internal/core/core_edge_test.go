@@ -39,7 +39,7 @@ func TestWarnFloodCancelsNameSquatting(t *testing.T) {
 	// directly, so the DNS opens a pending registration that the owner's
 	// warn must cancel.
 	pos := geom.Point{X: 100}
-	tn.medium.AddNode(radio.NodeID(77), func(sim.Time) geom.Point { return pos }, joiner)
+	tn.medium.AddNode(radio.NodeID(77), func(sim.Time) geom.Point { return pos }, 0, joiner)
 	joiner.Start()
 	tn.s.RunFor(8 * time.Second)
 
@@ -96,7 +96,7 @@ func TestWarnFloodRelayedOncePerNode(t *testing.T) {
 		tn.nodes[3].Rand(), nil)
 	pos := positions[ownerIdx]
 	pos.X += 50 // hears the owner directly, so the objection needs no relay
-	tn.medium.AddNode(radio.NodeID(99), func(sim.Time) geom.Point { return pos }, joiner)
+	tn.medium.AddNode(radio.NodeID(99), func(sim.Time) geom.Point { return pos }, 0, joiner)
 	joiner.Start()
 	tn.s.RunFor(8 * time.Second)
 
@@ -354,5 +354,61 @@ func TestAccessors(t *testing.T) {
 	}
 	if tn.nodes[0].DNS() == nil {
 		t.Fatal("DNS node reports no server")
+	}
+}
+
+// Shutdown releases what a departed node would otherwise pin for the rest
+// of a session, the four flood seen-sets and the random source, and every
+// entry point that would read them does nothing afterwards: the node's
+// counters stay exactly where Shutdown left them.
+func TestShutdownReleasesSeenSetsAndRand(t *testing.T) {
+	cfg := fastConfig(true)
+	cfg.Audit.Period = time.Second
+	tn := chain(t, cfg, 2, nil)
+	tn.bootstrap(t)
+	n := tn.nodes[1]
+	areq := wire.Encode(&wire.Packet{Src: tn.nodes[2].Addr(), Dst: ipv6.AllNodes, TTL: 2,
+		Msg: &wire.AREQ{SIP: tn.nodes[2].Addr(), Seq: 99, Ch: 7}})
+	n.Deliver(2, areq)
+	n.AuditAdvertise()
+	tn.s.RunFor(time.Second)
+	if n.Metrics().Get("rx.AREQ") == 0 || n.Metrics().Get("audit.adv_sent") == 0 {
+		t.Fatal("the live node neither admitted the AREQ nor advertised")
+	}
+
+	n.Shutdown()
+	if n.areqSeen != nil || n.rreqSeen != nil || n.dnsFloods != nil || n.auditSeen != nil {
+		t.Fatal("Shutdown kept a flood seen-set")
+	}
+	if n.Rand() != nil {
+		t.Fatal("Shutdown kept the random source")
+	}
+	before := map[string]float64{}
+	for _, name := range n.Metrics().CounterNames() {
+		before[name] = n.Metrics().Get(name)
+	}
+	areq = wire.Encode(&wire.Packet{Src: tn.nodes[2].Addr(), Dst: ipv6.AllNodes, TTL: 2,
+		Msg: &wire.AREQ{SIP: tn.nodes[2].Addr(), Seq: 100, Ch: 8}})
+	n.Deliver(2, areq)
+	resolved := 0
+	n.Resolve("anything", func(_ ipv6.Addr, ok bool) {
+		if ok {
+			t.Error("a dead node resolved a name")
+		}
+		resolved++
+	})
+	n.AuditAdvertise()
+	tn.s.RunFor(2 * time.Second)
+	if resolved != 1 {
+		t.Fatalf("Resolve callback ran %d times, want once", resolved)
+	}
+	after := n.Metrics().CounterNames()
+	if len(after) != len(before) {
+		t.Fatalf("counters after Shutdown: %v, before: %v", after, before)
+	}
+	for _, name := range after {
+		if got := n.Metrics().Get(name); got != before[name] {
+			t.Errorf("counter %s moved after Shutdown: %v -> %v", name, before[name], got)
+		}
 	}
 }

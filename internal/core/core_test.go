@@ -74,7 +74,7 @@ func buildNet(t testing.TB, cfg Config, positions []geom.Point, names []string) 
 			n.AttachDNS(dnssrv.New(s, rng, dnsIdent, dcfg, nil))
 		}
 		p := pos
-		medium.AddNode(radio.NodeID(i), func(sim.Time) geom.Point { return p }, n)
+		medium.AddNode(radio.NodeID(i), func(sim.Time) geom.Point { return p }, 0, n)
 		tn.nodes = append(tn.nodes, n)
 	}
 	return tn
@@ -147,7 +147,7 @@ func TestDuplicateAddressResolvedByDAD(t *testing.T) {
 	rng := rand.New(rand.NewSource(424242))
 	joiner := New(tn.s, tn.medium, radio.NodeID(99), clone, tn.nodes[0].DNS().PublicKey(), cfg, rng, nil)
 	pos := geom.Point{X: 250} // neighbour of node 1
-	tn.medium.AddNode(radio.NodeID(99), func(sim.Time) geom.Point { return pos }, joiner)
+	tn.medium.AddNode(radio.NodeID(99), func(sim.Time) geom.Point { return pos }, 0, joiner)
 
 	oldAddr := owner.Addr()
 	joiner.Start()

@@ -267,7 +267,7 @@ type pendingRebind struct {
 }
 
 // New creates a node. The caller attaches it to the medium (the scenario
-// owns positions): medium.AddNode(link, track.Position, node).
+// owns positions): medium.AddNode(link, track.Position, track.SpeedBound(), node).
 func New(s *sim.Simulator, medium *radio.Medium, link radio.NodeID, ident *identity.Identity,
 	dnsPub identity.PublicKey, cfg Config, rng *rand.Rand, met *trace.Metrics) *Node {
 	if met == nil {
@@ -345,7 +345,7 @@ func (n *Node) Config() Config { return n.cfg }
 // Sim returns the simulator driving the node.
 func (n *Node) Sim() *sim.Simulator { return n.sim }
 
-// Rand returns the node's random source.
+// Rand returns the node's random source, nil once Shutdown has run.
 func (n *Node) Rand() *rand.Rand { return n.rng }
 
 // DNS returns the attached DNS server, or nil.
@@ -414,10 +414,12 @@ func (n *Node) Shutdown() {
 		}
 		n.rebind = nil
 	}
-	// Drop per-peer state so the only thing a departed node pins is its
-	// metrics sink (merged into the scenario's graveyard by the caller).
-	// Untracked events that survive (finishProbe) look their state up by
-	// key and no-op on the emptied maps.
+	// Drop per-peer state, the flood seen-sets and the random source
+	// (autoconf.Stop released its share) so the only thing a departed
+	// node pins is its metrics sink (merged into the scenario's graveyard
+	// by the caller). Untracked events that survive (finishProbe) look
+	// their state up by key and no-op on the emptied maps; every path
+	// that reads a seen-set or the random source is inert once dead.
 	n.neighbors = make(map[ipv6.Addr]radio.NodeID)
 	n.pending = make(map[ipv6.Addr]*discovery)
 	n.outstanding = make(map[ackKey]*sentData)
@@ -427,6 +429,8 @@ func (n *Node) Shutdown() {
 	n.resolves = make(map[string]*resolveState)
 	n.aliases = make(map[ipv6.Addr]ipv6.Addr)
 	n.auditRebind = nil
+	n.areqSeen, n.rreqSeen, n.dnsFloods, n.auditSeen = nil, nil, nil, nil
+	n.rng = nil
 }
 
 // Dead reports whether Shutdown has run.

@@ -31,8 +31,8 @@ func newRelayRig(t testing.TB, cfg Config, record bool) *relayRig {
 	}
 	rig := &relayRig{s: s, relay: New(s, medium, 0, ident, ident.Pub, cfg, rand.New(rand.NewSource(43)), nil)}
 	rig.relay.StartConfigured()
-	medium.AddNode(0, func(sim.Time) geom.Point { return geom.Point{} }, rig.relay)
-	medium.AddNode(1, func(sim.Time) geom.Point { return geom.Point{X: 100} }, radio.HandlerFunc(func(_ radio.NodeID, b []byte) {
+	medium.AddNode(0, func(sim.Time) geom.Point { return geom.Point{} }, 0, rig.relay)
+	medium.AddNode(1, func(sim.Time) geom.Point { return geom.Point{X: 100} }, 0, radio.HandlerFunc(func(_ radio.NodeID, b []byte) {
 		if record {
 			rig.heard = append(rig.heard, append([]byte(nil), b...))
 		}

@@ -32,7 +32,7 @@ func newVerifier(t *testing.T) (*Node, []*identity.Identity) {
 		t.Fatal(err)
 	}
 	n := New(s, medium, 0, ident, dnsIdent.Pub, DefaultConfig(), rand.New(rand.NewSource(3)), nil)
-	medium.AddNode(0, func(sim.Time) geom.Point { return geom.Point{} }, n)
+	medium.AddNode(0, func(sim.Time) geom.Point { return geom.Point{} }, 0, n)
 	n.StartConfigured()
 	n.AttachDNS(dnssrv.New(s, rand.New(rand.NewSource(4)), dnsIdent, dnssrv.DefaultConfig(), nil))
 
@@ -194,7 +194,7 @@ func TestHopAttestationModes(t *testing.T) {
 	medium := radio.New(s, radio.DefaultConfig(), 0, nil)
 	ident, _ := identity.New(identity.SuiteEd25519, rand.New(rand.NewSource(5)), "")
 	base := New(s, medium, 1, ident, nil, BaselineConfig(), rand.New(rand.NewSource(6)), nil)
-	medium.AddNode(1, func(sim.Time) geom.Point { return geom.Point{} }, base)
+	medium.AddNode(1, func(sim.Time) geom.Point { return geom.Point{} }, 0, base)
 	base.StartConfigured()
 	hb := base.hopAttestation(42)
 	if len(hb.Sig) != 0 || len(hb.PK) != 0 {

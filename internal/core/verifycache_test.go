@@ -36,7 +36,7 @@ func newCachedVerifier(t *testing.T, direct bool) (*Node, []*identity.Identity) 
 	cfg := DefaultConfig()
 	cfg.DirectVerify = direct
 	n := New(s, medium, 0, ident, dnsIdent.Pub, cfg, rand.New(rand.NewSource(3)), nil)
-	medium.AddNode(0, func(sim.Time) geom.Point { return geom.Point{} }, n)
+	medium.AddNode(0, func(sim.Time) geom.Point { return geom.Point{} }, 0, n)
 	n.StartConfigured()
 
 	var ids []*identity.Identity
@@ -180,7 +180,7 @@ func newSigner(t *testing.T, suite identity.Suite) *Node {
 	cfg := DefaultConfig()
 	cfg.Suite = suite
 	n := New(s, medium, 0, ident, ident.Pub, cfg, rand.New(rand.NewSource(3)), nil)
-	medium.AddNode(0, func(sim.Time) geom.Point { return geom.Point{} }, n)
+	medium.AddNode(0, func(sim.Time) geom.Point { return geom.Point{} }, 0, n)
 	n.StartConfigured()
 	return n
 }

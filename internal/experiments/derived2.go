@@ -113,7 +113,7 @@ func dadTrial(seed int64, loss float64, hops, retries int) bool {
 	mk := func(i int, ident *identity.Identity, pos geom.Point) *core.Node {
 		rng := rand.New(rand.NewSource(seed + 100 + int64(i)))
 		n := core.New(s, medium, radio.NodeID(i), ident, dnsIdent.Pub, pcfg, rng, nil)
-		medium.AddNode(radio.NodeID(i), mobility.Static(pos).Position, n)
+		medium.AddNode(radio.NodeID(i), mobility.Static(pos).Position, 0, n)
 		return n
 	}
 

@@ -94,7 +94,7 @@ func runF2(opt Options) []*trace.Table {
 		rng := rand.New(rand.NewSource(opt.Seed + 100 + int64(i)))
 		n := core.New(s, medium, radio.NodeID(i), ident, dnsPub, pcfg, rng, nil)
 		n.Behavior = tap{tr: tr, name: fmt.Sprintf("n%d(%s)", i, names[min(i, len(names)-1)])}
-		medium.AddNode(radio.NodeID(i), func(sim.Time) geom.Point { return pos }, n)
+		medium.AddNode(radio.NodeID(i), func(sim.Time) geom.Point { return pos }, 0, n)
 		return n
 	}
 

@@ -1,8 +1,9 @@
 // Package mobility provides deterministic node mobility models for the
 // simulated MANET: static placement, random waypoint, and bounded random
 // walk. Every model exposes a Track — a function of virtual time to a
-// position — built lazily from a seeded random source so that runs are
-// reproducible and positions can be queried out of order.
+// position, with the speed bound it never exceeds — built lazily from a
+// seeded random source so that runs are reproducible and positions can be
+// queried out of order.
 package mobility
 
 import (
@@ -19,41 +20,16 @@ import (
 // same point.
 type Track interface {
 	Position(t sim.Time) geom.Point
-}
-
-// Bounded is implemented by tracks that can bound their own speed. The
-// radio medium's spatial index uses the bound to size the staleness slop of
-// its lazily re-bucketed position cache: a node can drift at most
-// SpeedBound times the cache age from its bucketed position. Tracks that do
-// not implement Bounded are treated as unbounded and re-bucketed exactly,
-// which is correct but slower.
-type Bounded interface {
 	// SpeedBound returns the maximum speed in metres/second the track can
-	// ever move at. Zero means the track never moves.
+	// ever move at; zero means it never moves. The radio medium's spatial
+	// index sizes the staleness slop of its lazily re-bucketed position
+	// cache by it: a node drifts at most SpeedBound times the cache age
+	// from its bucketed position.
 	SpeedBound() float64
-}
-
-// Refresher is implemented by tracks that can report when they next need
-// their spatial-index bucket refreshed. NextRefresh returns the earliest
-// instant strictly after now at which the track may have drifted more than
-// slop metres from its position at now, or -1 if it never will (static, or
-// arrived at a final destination). The radio medium uses this to drive
-// event-driven per-node re-bucketing instead of sweeping every mover on
-// every query — crucially, a per-node event chain stays inside one region
-// of the sharded core, while a sweep would be a cross-region scan.
-//
-// Implementations may be conservative (return an earlier time than
-// strictly necessary) but must never be late: between now and the returned
-// instant the track must stay within slop of Position(now).
-type Refresher interface {
-	NextRefresh(now sim.Time, slop float64) sim.Time
-}
-
-// Forgetter is implemented by tracks that keep the legs they generate. The
-// sharded engine calls Forget(t) at every barrier with the earliest instant
-// any later query can name, so a track's history stays bounded over an
-// open-ended run. A query before t afterwards is a bug and panics.
-type Forgetter interface {
+	// Forget drops history no later query can reach. The sharded engine
+	// calls it at every barrier with the earliest instant any later query
+	// can name, so a track's history stays bounded over an open-ended run.
+	// A query before t afterwards is a bug and may panic.
 	Forget(t sim.Time)
 }
 
@@ -63,11 +39,11 @@ type Static geom.Point
 // Position implements Track.
 func (s Static) Position(sim.Time) geom.Point { return geom.Point(s) }
 
-// SpeedBound implements Bounded: a static node never moves.
+// SpeedBound implements Track: a static node never moves.
 func (s Static) SpeedBound() float64 { return 0 }
 
-// NextRefresh implements Refresher: a static node never needs one.
-func (s Static) NextRefresh(sim.Time, float64) sim.Time { return -1 }
+// Forget implements Track: a static node keeps no history.
+func (s Static) Forget(sim.Time) {}
 
 // leg is one segment of piecewise-linear motion: travel from From to To
 // during [Start, ArriveAt], then hold position until End (pause time).
@@ -100,46 +76,8 @@ type mover struct {
 	floor sim.Time
 }
 
-// SpeedBound implements Bounded.
+// SpeedBound implements Track.
 func (m *mover) SpeedBound() float64 { return m.bound }
-
-// NextRefresh implements Refresher. While travelling, the node needs a
-// refresh after covering slop metres at the leg's own speed (not the
-// global bound); while paused it holds position until the leg ends. The
-// returned instant is always strictly after now, so refresh event chains
-// make progress even across leg boundaries.
-func (m *mover) NextRefresh(now sim.Time, slop float64) sim.Time {
-	// Find the leg that strictly covers now (end > now), extending lazily.
-	for m.legs[len(m.legs)-1].end <= now {
-		m.legs = append(m.legs, m.next(m.legs[len(m.legs)-1]))
-	}
-	lo, hi := 0, len(m.legs)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if m.legs[mid].end <= now {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	l := m.legs[lo]
-	next := l.end // paused (or zero-travel leg): position holds until the leg ends
-	if now < l.arriveAt && l.arriveAt > l.start {
-		speed := l.from.Dist(l.to) / l.arriveAt.Sub(l.start).Seconds()
-		if speed > 0 {
-			drift := now.Add(sim.Duration(slop / speed * float64(time.Second)))
-			if drift < l.arriveAt {
-				next = drift
-			} else {
-				next = l.arriveAt
-			}
-		}
-	}
-	if next <= now { // float rounding guard: chains must always advance
-		next = now + 1
-	}
-	return next
-}
 
 // Position implements Track.
 func (m *mover) Position(t sim.Time) geom.Point {
@@ -162,7 +100,7 @@ func (m *mover) Position(t sim.Time) geom.Point {
 	return m.legs[lo].position(t)
 }
 
-// Forget implements Forgetter: it drops every leg that ended before t,
+// Forget implements Track: it drops every leg that ended before t,
 // keeping the newest, which the next leg is generated from. Position picks
 // the first leg that ends at or after the queried instant, so every answer
 // at or after t is unchanged.
@@ -269,35 +207,16 @@ func (g *Glide) Position(t sim.Time) geom.Point {
 	return g.From.Lerp(g.To, travelled/dist)
 }
 
-// SpeedBound implements Bounded.
+// SpeedBound implements Track.
 func (g *Glide) SpeedBound() float64 { return g.Speed }
+
+// Forget implements Track: a glide is a closed form and keeps no history.
+func (g *Glide) Forget(sim.Time) {}
 
 // Arrival returns the instant the track reaches To.
 func (g *Glide) Arrival() sim.Time {
 	dist := g.From.Dist(g.To)
 	return g.Start.Add(sim.Duration(dist / g.Speed * float64(time.Second)))
-}
-
-// NextRefresh implements Refresher: nothing moves before Start or after
-// Arrival; in between, slop metres at the glide speed.
-func (g *Glide) NextRefresh(now sim.Time, slop float64) sim.Time {
-	arr := g.Arrival()
-	if now >= arr {
-		return -1
-	}
-	drift := sim.Duration(slop / g.Speed * float64(time.Second))
-	start := g.Start
-	if now > start {
-		start = now
-	}
-	next := start.Add(drift)
-	if next > arr {
-		next = arr
-	}
-	if next <= now {
-		next = now + 1
-	}
-	return next
 }
 
 // UniformPlacement returns n independent uniform positions inside region.

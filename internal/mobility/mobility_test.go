@@ -73,11 +73,7 @@ func TestTracksDeclareSpeedBounds(t *testing.T) {
 		{"walk defaulted", NewWalk(WalkConfig{Region: region}, geom.Point{}, rng()), 1},
 	}
 	for _, c := range cases {
-		b, ok := c.track.(Bounded)
-		if !ok {
-			t.Fatalf("%s: track does not implement Bounded", c.name)
-		}
-		if got := b.SpeedBound(); got != c.want {
+		if got := c.track.SpeedBound(); got != c.want {
 			t.Errorf("%s: SpeedBound = %v, want %v", c.name, got, c.want)
 		}
 	}
@@ -267,9 +263,6 @@ func TestWalkForgetBoundsHistory(t *testing.T) {
 			at := barrier + sim.Time(q.Int63n(int64(next-barrier)+1))
 			if got, want := trimmed.Position(at), twin.Position(at); got != want {
 				t.Fatalf("round %d: Position(%v) = %v, untrimmed twin says %v", round, at, got, want)
-			}
-			if got, want := trimmed.NextRefresh(at, 1), twin.NextRefresh(at, 1); got != want {
-				t.Fatalf("round %d: NextRefresh(%v) = %v, untrimmed twin says %v", round, at, got, want)
 			}
 		}
 		barrier = next

@@ -250,14 +250,15 @@ func (i *Initiator) Start() {
 // Stop abandons any DAD in progress and disarms the objection-window
 // timer, returning the state machine to StateIdle. A node leaving a
 // running simulation calls it so no success/retry callback fires after
-// the node's state has been reclaimed; Start afterwards would begin a
-// fresh cycle, but a stopped node never calls it.
+// the node's state has been reclaimed. Stop also drops the random source,
+// so a stopped initiator never starts again.
 func (i *Initiator) Stop() {
 	if i.timer != nil {
 		i.timer.Cancel()
 		i.timer = nil
 	}
 	i.state = StateIdle
+	i.rng = nil
 }
 
 func (i *Initiator) succeed() {

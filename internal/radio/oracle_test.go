@@ -9,12 +9,14 @@ package radio_test
 // instant: for AppendNeighbors and for the receiver set of every
 // broadcast.
 //
-// The network mixes every kind of node the grid treats differently:
-// static nodes, slow and fast movers whose tracks drive their own refresh
-// chains, a bounded mover left to the sweep, and an unbounded mover
-// re-bucketed on every query. Down toggles and remove/add churn run
-// between probes; joiners are fast and reuse the ordinals of departed slow
-// movers, whose refresh chains are still pending far in the future.
+// Every node attaches with its track's speed bound. The network mixes
+// static nodes, which the grid never re-buckets, with movers at several
+// speeds, which it re-buckets together once per staleness quantum. Down
+// toggles and remove/add churn run between probes; joiners are fast, so
+// they raise the maximum speed and shrink the quantum mid-run, and they
+// reuse the ordinals of departed slow movers. One seed starts with static
+// nodes only, when the grid is exact and the slop zero, and admits its
+// movers after the first probes.
 
 import (
 	"fmt"
@@ -62,14 +64,13 @@ func newOracleNet(t *testing.T, seed int64) *oracleNet {
 	}
 }
 
-// Node kinds, by how the grid keeps their bucket fresh.
+// Node kinds, by speed.
 const (
-	kindStatic  = iota
-	kindSlow    // 0.5-1 m/s waypoint mover with a refresher: chains ~2 min apart
-	kindWalk    // 15 m/s random walk with a refresher
-	kindSweep   // bounded waypoint mover without a refresher: the lazy sweep
-	kindUnbound // no declared bound: re-bucketed on every query
-	kindFast    // 20-40 m/s waypoint mover with a refresher: the joiners
+	kindStatic = iota
+	kindSlow   // 0.5-1 m/s waypoint mover
+	kindWalk   // 15 m/s random walk
+	kindMedium // 5-12 m/s waypoint mover
+	kindFast   // 20-40 m/s waypoint mover: the joiners
 )
 
 // add attaches a fresh node of the given kind at a random position.
@@ -89,20 +90,14 @@ func (o *oracleNet) add(kind int) {
 		tr = wp(0.5, 1)
 	case kindWalk:
 		tr = mobility.NewWalk(mobility.WalkConfig{Region: o.area, Speed: 15, Epoch: 3 * time.Second}, start, trng)
-	case kindSweep, kindUnbound:
+	case kindMedium:
 		tr = wp(5, 12)
 	case kindFast:
 		tr = wp(20, 40)
 	}
-	o.m.AddNode(id, tr.Position, radio.HandlerFunc(func(_ radio.NodeID, p []byte) {
+	o.m.AddNode(id, tr.Position, tr.SpeedBound(), radio.HandlerFunc(func(_ radio.NodeID, p []byte) {
 		o.heard[string(p)] = append(o.heard[string(p)], id)
 	}))
-	if kind != kindUnbound {
-		o.m.SetSpeedBound(id, tr.(mobility.Bounded).SpeedBound())
-	}
-	if kind != kindSweep && kind != kindUnbound {
-		o.m.SetRefresher(id, tr.(mobility.Refresher).NextRefresh)
-	}
 	o.track[id] = tr
 	if n := len(o.free); n > 0 {
 		o.slots[o.free[n-1]] = id
@@ -182,7 +177,7 @@ func (o *oracleNet) churn() {
 	o.m.SetDown(flip, o.down[flip])
 	for tries := 0; tries < 8; tries++ {
 		victim := ids[o.rng.Intn(len(ids))]
-		if v := o.track[victim].(mobility.Bounded).SpeedBound(); v == 0 || v > 1 {
+		if v := o.track[victim].SpeedBound(); v == 0 || v > 1 {
 			continue // not a slow mover
 		}
 		o.remove(victim)
@@ -204,11 +199,25 @@ func sameIDs(a, b []radio.NodeID) bool {
 }
 
 // TestGridNeighborsMatchNaive holds the grid to the brute-force oracle.
+// Seeds 1-3 attach every kind but the joiners' up front; seed 4 attaches
+// only the static ones and admits the movers between probes 4 and 5.
 func TestGridNeighborsMatchNaive(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
+	for seed := int64(1); seed <= 4; seed++ {
 		o := newOracleNet(t, seed)
+		late := seed == 4
 		for i := 0; i < 90; i++ {
-			o.add(i % kindFast) // every kind but the joiners'
+			if kind := i % kindFast; !late || kind == kindStatic {
+				o.add(kind) // every kind but the joiners'
+			}
+		}
+		if late {
+			o.s.At(sim.Time(1100*time.Millisecond), func() {
+				for i := 0; i < 90; i++ {
+					if kind := i % kindFast; kind != kindStatic {
+						o.add(kind)
+					}
+				}
+			})
 		}
 		expect := map[string][]radio.NodeID{}
 		const probes = 240 // every 250 ms for a minute of virtual time

@@ -110,7 +110,7 @@ func runWireScript(t *testing.T, sc *scenario.Scenario, seed int64, pooled bool)
 		id := radio.NodeID(i)
 		p := sc.Engine().PosNow(id)
 		relayed[i] = map[string]bool{}
-		m.AddNode(id, func(sim.Time) geom.Point { return p }, radio.HandlerFunc(func(from radio.NodeID, f []byte) {
+		m.AddNode(id, func(sim.Time) geom.Point { return p }, 0, radio.HandlerFunc(func(from radio.NodeID, f []byte) {
 			tr.Events = append(tr.Events, wireEvent{s.Now(), id, from, string(f)})
 			if f[0] != scriptFlood || f[1] == 0 || relayed[id][string(f[2:5])] {
 				return
@@ -278,12 +278,12 @@ func poolChurnNet(t *testing.T) (*sim.Simulator, *radio.Medium) {
 	m := radio.New(s, cfg, 0, nil)
 	for i := 0; i < 8; i++ {
 		p := geom.Point{X: float64(i) * 20, Y: 0}
-		m.AddNode(radio.NodeID(i), func(sim.Time) geom.Point { return p }, radio.HandlerFunc(func(radio.NodeID, []byte) {}))
+		m.AddNode(radio.NodeID(i), func(sim.Time) geom.Point { return p }, 0, radio.HandlerFunc(func(radio.NodeID, []byte) {}))
 	}
 	far := geom.Point{X: 1e6, Y: 1e6}
-	m.AddNode(8, func(sim.Time) geom.Point { return far }, radio.HandlerFunc(func(radio.NodeID, []byte) {}))
+	m.AddNode(8, func(sim.Time) geom.Point { return far }, 0, radio.HandlerFunc(func(radio.NodeID, []byte) {}))
 	flappy := geom.Point{X: 80, Y: 10}
-	m.AddNode(9, func(sim.Time) geom.Point { return flappy }, radio.HandlerFunc(func(radio.NodeID, []byte) {}))
+	m.AddNode(9, func(sim.Time) geom.Point { return flappy }, 0, radio.HandlerFunc(func(radio.NodeID, []byte) {}))
 	return s, m
 }
 

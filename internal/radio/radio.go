@@ -127,10 +127,6 @@ type DeliverMsg struct {
 	Frame []byte
 }
 
-// RefreshFunc reports when a node's track next needs its grid bucket
-// refreshed (mobility.Refresher.NextRefresh); -1 means never again.
-type RefreshFunc func(now sim.Time, slop float64) sim.Time
-
 // DefaultConfig mimics a 2 Mb/s 802.11-style radio with a 250 m range.
 func DefaultConfig() Config {
 	return Config{
@@ -160,6 +156,7 @@ type port struct {
 	id        NodeID
 	ord       int // attachment ordinal; receiver iteration is sorted by it
 	pos       PositionFunc
+	speed     float64 // declared speed bound in m/s; 0 = static
 	handler   Handler
 	busyUntil sim.Time
 	down      bool
@@ -169,12 +166,13 @@ type port struct {
 // Medium is the shared channel all nodes transmit on.
 //
 // Receiver lookup runs through a uniform spatial hash grid that caches one
-// bucketed position per node and re-buckets lazily: nodes with a declared
-// speed bound (SetSpeedBound) are swept at most once per staleness quantum,
-// and queries widen their radius by the maximum drift a bounded node can
-// accumulate within that quantum, so pruning never loses a true neighbour.
-// Nodes without a bound are re-bucketed exactly whenever the clock moved —
-// always correct, but worth avoiding on the hot path.
+// bucketed position per node. Every node declares its speed bound when it
+// attaches. Once the cached positions are older than the staleness quantum
+// slop / maxSpeed, the next query re-buckets every mover in one sweep.
+// Every query widens its radius by the slop, the farthest a node can drift
+// within one quantum, so pruning never loses a true neighbour. The sweep
+// schedules no event and covers only this medium's ports, so under the
+// sharded engine it stays inside one region.
 type Medium struct {
 	sim    *sim.Simulator
 	cfg    Config
@@ -192,24 +190,11 @@ type Medium struct {
 
 	// Spatial index state.
 	grid        *geom.Grid
-	speeds      []float64 // per-ord speed bound; < 0 = unbounded/unknown
-	nUnbounded  int       // how many speeds are < 0
-	maxSpeed    float64   // max declared bound, never decreases
-	lastSweep   sim.Time  // last re-bucket sweep of bounded movers
-	unboundedAt sim.Time  // instant the unbounded nodes were last re-bucketed
-	candBits    []uint64  // reusable candidate bitset (single-threaded sim)
-
-	// Event-driven re-bucketing: tracks that report their own refresh
-	// instants (mobility.Refresher) get a per-node event chain instead of
-	// riding the O(movers) sweep. Only bounded movers WITHOUT a refresher
-	// remain sweep candidates — under sharding a sweep is region-local
-	// and still correct, but the chains keep re-bucketing cost
-	// proportional to actual motion.
-	refreshers   []RefreshFunc   // per-ord; nil = no refresher
-	refreshOn    []bool          // per-ord; a chain event is pending
-	refreshSt    []*refreshState // per-ord recycled chain event argument
-	nSweepMovers int             // bounded movers with no refresher
-	scanRegions  []int           // reusable Remote.ScanRegions buffer
+	movers      int      // attached ports with a positive speed bound
+	maxSpeed    float64  // max declared bound, never decreases
+	lastSweep   sim.Time // last re-bucket sweep of the movers
+	candBits    []uint64 // reusable candidate bitset (single-threaded sim)
+	scanRegions []int    // reusable Remote.ScanRegions buffer
 
 	// Pooled wire path state: the frame buffer pool plus free lists of
 	// transmit jobs and delivery batches. All strictly per-medium — the
@@ -241,42 +226,44 @@ func (m *Medium) Config() Config { return m.cfg }
 // Stats returns a snapshot of the link-layer counters.
 func (m *Medium) Stats() Stats { return m.stats }
 
-// AddNode attaches a node to the medium. Adding the same id twice panics:
-// that is always a harness bug. New nodes are treated as unbounded movers
-// until SetSpeedBound declares otherwise. Ordinals vacated by RemoveNode
-// are reused, so a joiner may iterate where a departed node used to —
-// receiver order stays a deterministic function of the attach/remove
-// history.
-func (m *Medium) AddNode(id NodeID, pos PositionFunc, h Handler) {
+// AddNode attaches a node to the medium. speed is the node's speed bound
+// in metres/second (mobility.Track.SpeedBound; zero = static): pos must
+// never move faster. Adding the same id twice panics, and so does a
+// negative, NaN or infinite bound: both are always harness bugs. Ordinals
+// vacated by RemoveNode are reused, so a joiner may iterate where a
+// departed node used to — receiver order stays a deterministic function of
+// the attach/remove history.
+func (m *Medium) AddNode(id NodeID, pos PositionFunc, speed float64, h Handler) {
 	if _, dup := m.ports[id]; dup {
 		panic("radio: duplicate NodeID")
 	}
 	if pos == nil || h == nil {
 		panic("radio: nil position or handler")
 	}
-	p := &port{id: id, pos: pos, handler: h}
+	if speed < 0 || math.IsNaN(speed) || math.IsInf(speed, 0) {
+		panic("radio: speed bound must be finite and non-negative")
+	}
+	p := &port{id: id, pos: pos, speed: speed, handler: h}
 	if n := len(m.freeOrds); n > 0 {
 		p.ord = m.freeOrds[n-1]
 		m.freeOrds = m.freeOrds[:n-1]
 		m.byOrd[p.ord] = p
-		m.speeds[p.ord] = -1
 	} else {
 		p.ord = len(m.byOrd)
 		m.byOrd = append(m.byOrd, p)
-		m.speeds = append(m.speeds, -1)
-		m.refreshers = append(m.refreshers, nil)
-		m.refreshOn = append(m.refreshOn, false)
-		m.refreshSt = append(m.refreshSt, nil)
 	}
+	if speed > 0 {
+		m.movers++
+	}
+	m.maxSpeed = math.Max(m.maxSpeed, speed)
 	m.ports[id] = p
 	m.live++
-	m.nUnbounded++
 	m.grid.Set(p.ord, pos(m.sim.Now()))
 }
 
 // RemoveNode detaches a node for good: it stops receiving immediately, its
-// grid bucket and speed/refresher accounting are reclaimed, and its ordinal
-// is recycled to the next AddNode. In-flight state is handled by the
+// grid bucket and speed accounting are reclaimed, and its ordinal is
+// recycled to the next AddNode. In-flight state is handled by the
 // tombstone: the vacated port is marked down, so pending transmit jobs
 // drop (releasing their pooled frames) and pending delivery batches skip
 // it — exactly the paths a mid-transmission SetDown already exercises.
@@ -291,18 +278,9 @@ func (m *Medium) RemoveNode(id NodeID) {
 	delete(m.ports, id)
 	p.down = true // tombstone for in-flight jobs and batches
 	ord := p.ord
-	wasSweep := m.sweepMover(ord)
-	if m.speeds[ord] < 0 {
-		m.nUnbounded--
+	if p.speed > 0 {
+		m.movers--
 	}
-	m.speeds[ord] = 0
-	m.refreshers[ord] = nil
-	// Orphan a pending refresh chain event: it exits when it fires, and
-	// the ordinal's next occupant starts a chain of its own instead of
-	// waiting out the departed node's schedule.
-	m.refreshSt[ord] = nil
-	m.refreshOn[ord] = false
-	m.noteSweepChange(ord, wasSweep)
 	m.byOrd[ord] = nil
 	m.freeOrds = append(m.freeOrds, ord)
 	m.live--
@@ -313,141 +291,10 @@ func (m *Medium) RemoveNode(id NodeID) {
 // conformance suite's occupancy check.
 func (m *Medium) Live() int { return m.live }
 
-// SetSpeedBound declares that the node's position function never moves
-// faster than metresPerSec (zero = static). The spatial grid relies on the
-// bound to re-bucket lazily instead of on every query; declare it before
-// the node starts moving, and never below the node's true top speed.
-// Negative, NaN or infinite values mark the node unbounded again.
-func (m *Medium) SetSpeedBound(id NodeID, metresPerSec float64) {
-	p, ok := m.ports[id]
-	if !ok {
-		return
-	}
-	if metresPerSec < 0 || math.IsNaN(metresPerSec) || math.IsInf(metresPerSec, 0) {
-		metresPerSec = -1
-	}
-	old := m.speeds[p.ord]
-	if old < 0 && metresPerSec >= 0 {
-		m.nUnbounded--
-	} else if old >= 0 && metresPerSec < 0 {
-		m.nUnbounded++
-	}
-	wasSweep := m.sweepMover(p.ord)
-	m.speeds[p.ord] = metresPerSec
-	if metresPerSec > m.maxSpeed {
-		m.maxSpeed = metresPerSec
-	}
-	m.noteSweepChange(p.ord, wasSweep)
-	m.startRefresh(p.ord)
-}
-
-// sweepMover reports whether the ord still depends on the lazy sweep: a
-// bounded mover whose track does not announce its own refresh instants.
-func (m *Medium) sweepMover(ord int) bool {
-	return m.speeds[ord] > 0 && m.refreshers[ord] == nil
-}
-
-func (m *Medium) noteSweepChange(ord int, was bool) {
-	if is := m.sweepMover(ord); is != was {
-		if is {
-			m.nSweepMovers++
-		} else {
-			m.nSweepMovers--
-		}
-	}
-}
-
-// SetRefresher registers the node's track as self-refreshing: the medium
-// drives a per-node event chain that re-buckets the node's grid position
-// exactly when the track may have drifted past the staleness slop, taking
-// the node off the O(movers) sweep. fn is mobility.Refresher.NextRefresh;
-// nil unregisters. Results are byte-identical either way — the grid
-// remains a slop-widened superset filtered by exact positions, and chain
-// events touch nothing but the index.
-func (m *Medium) SetRefresher(id NodeID, fn RefreshFunc) {
-	p, ok := m.ports[id]
-	if !ok {
-		return
-	}
-	was := m.sweepMover(p.ord)
-	m.refreshers[p.ord] = fn
-	m.noteSweepChange(p.ord, was)
-	m.startRefresh(p.ord)
-}
-
-// refreshSlop is the drift budget handed to refreshers. Identical to the
-// query slop so the superset invariant holds; the guard covers a refresher
-// registered before any speed bound is declared.
-func (m *Medium) refreshSlop() float64 {
-	if s := m.slop(); s > 0 {
-		return s
-	}
-	return m.cfg.Range * 0.5
-}
-
-// refreshState is the recycled argument of one node's chain events. It
-// belongs to the node occupying ord, not to the ordinal: RemoveNode
-// detaches it, so an event still carrying it is recognised as stale.
-type refreshState struct {
-	m   *Medium
-	ord int
-}
-
-// startRefresh begins the node's re-bucket chain if it needs one and does
-// not have one pending.
-func (m *Medium) startRefresh(ord int) {
-	if m.refreshOn[ord] || m.refreshers[ord] == nil || m.speeds[ord] <= 0 {
-		return
-	}
-	next := m.refreshers[ord](m.sim.Now(), m.refreshSlop())
-	if next < 0 {
-		return
-	}
-	m.refreshOn[ord] = true
-	st := m.refreshSt[ord]
-	if st == nil {
-		st = &refreshState{m: m, ord: ord}
-		m.refreshSt[ord] = st
-	}
-	m.scheduleRefresh(st, next)
-}
-
-// scheduleRefresh queues the next chain event, stamped with the chained
-// node's own scheduling owner — a chain started while another node's event
-// was executing must not ride that node's owner key.
-func (m *Medium) scheduleRefresh(st *refreshState, at sim.Time) {
-	prev := m.sim.SetOwner(uint32(m.byOrd[st.ord].id) + 1)
-	m.sim.DoAtArg(at, runRefresh, st)
-	m.sim.SetOwner(prev)
-}
-
-func runRefresh(v any) {
-	st := v.(*refreshState)
-	m := st.m
-	if m.refreshSt[st.ord] != st {
-		return // its node was removed
-	}
-	m.refreshOn[st.ord] = false
-	if m.refreshers[st.ord] == nil {
-		return
-	}
-	now := m.sim.Now()
-	m.grid.Set(st.ord, m.byOrd[st.ord].pos(now))
-	next := m.refreshers[st.ord](now, m.refreshSlop())
-	if next < 0 {
-		return
-	}
-	if next <= now {
-		next = now + 1 // refresher rounding guard: the chain must advance
-	}
-	m.refreshOn[st.ord] = true
-	m.scheduleRefresh(st, next)
-}
-
-// slop is how far a bounded mover may have drifted from its bucketed
-// position; queries widen their radius by it so the grid never prunes a
-// true neighbour. Half the radio range balances sweep frequency against
-// candidate-set size.
+// slop is how far a mover may have drifted from its bucketed position;
+// queries widen their radius by it so the grid never prunes a true
+// neighbour. Half the radio range balances sweep frequency against
+// candidate-set size. With no mover attached yet the grid is exact.
 func (m *Medium) slop() float64 {
 	if m.maxSpeed <= 0 {
 		return 0
@@ -455,39 +302,32 @@ func (m *Medium) slop() float64 {
 	return m.cfg.Range * 0.5
 }
 
-// syncGrid re-buckets stale cached positions before a query at now:
-// unbounded nodes exactly whenever the clock moved, and bounded movers
-// without a self-refreshing track at most once per staleness quantum
-// (slop / maxSpeed). Movers with a registered refresher are re-bucketed by
-// their own event chains and skipped here.
+// syncGrid re-buckets every mover before a query at now once the cached
+// positions are older than the staleness quantum slop / maxSpeed. A node
+// attached since the last sweep was bucketed at its attach instant, later
+// than the sweep, so it has drifted no farther than the swept movers.
 func (m *Medium) syncGrid(now sim.Time) {
-	if m.nUnbounded > 0 && now != m.unboundedAt {
-		for ord, p := range m.byOrd {
-			if m.speeds[ord] < 0 {
-				m.grid.Set(ord, p.pos(now))
-			}
-		}
-		m.unboundedAt = now
+	if m.movers == 0 {
+		return
 	}
-	if m.nSweepMovers > 0 {
-		quantum := sim.Duration(m.slop() / m.maxSpeed * float64(time.Second))
-		if now.Sub(m.lastSweep) > quantum {
-			for ord, p := range m.byOrd {
-				if m.sweepMover(ord) {
-					m.grid.Set(ord, p.pos(now))
-				}
-			}
-			m.lastSweep = now
+	quantum := sim.Duration(m.slop() / m.maxSpeed * float64(time.Second))
+	if now.Sub(m.lastSweep) <= quantum {
+		return
+	}
+	for ord, p := range m.byOrd {
+		if p != nil && p.speed > 0 {
+			m.grid.Set(ord, p.pos(now))
 		}
 	}
+	m.lastSweep = now
 }
 
 // gridForEach invokes fn for every port that could currently be within
 // range of a transmitter at `at` — a superset; callers must re-check exact
 // positions. extra widens the query radius beyond the range and bucketing
 // slop: the remote-scan path queries positions slightly in the past, so
-// its candidates must also cover the drift a bounded node can accumulate
-// over the propagation delay. Candidates are collected into a bitset
+// its candidates must also cover the drift a node can accumulate over the
+// propagation delay. Candidates are collected into a bitset
 // indexed by attachment ordinal and drained in increasing-ordinal order,
 // so receivers are visited in attachment order without sorting. The
 // bitset is scratch state; fn must not trigger another grid query
@@ -1032,8 +872,8 @@ func (m *Medium) InjectDeliver(msg DeliverMsg) {
 // the instant the transmitter's region sampled its local receivers), the
 // loss process draws the same content-keyed hashes a local evaluation
 // would, and surviving receivers that are still up get the frame. The
-// candidate radius is widened by the drift a bounded node can accumulate
-// between Sent and now, on top of the usual bucketing slop.
+// candidate radius is widened by the drift a node can accumulate between
+// Sent and now, on top of the usual bucketing slop.
 func (m *Medium) runRemoteScan(msg ScanMsg) {
 	r2 := m.cfg.Range * m.cfg.Range
 	collect := func(o *port) {

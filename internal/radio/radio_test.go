@@ -35,7 +35,7 @@ func build(s *sim.Simulator, cfg Config, positions ...geom.Point) (*Medium, []*s
 	sinks := make([]*sink, len(positions))
 	for i, p := range positions {
 		sinks[i] = &sink{}
-		m.AddNode(NodeID(i), fixed(p), sinks[i])
+		m.AddNode(NodeID(i), fixed(p), 0, sinks[i])
 	}
 	return m, sinks
 }
@@ -134,8 +134,8 @@ func TestSerializationDelaysBackToBackFrames(t *testing.T) {
 	// Replace handler to capture times: rebuild with a custom handler.
 	s = sim.New()
 	m = New(s, cfg, 0, nil)
-	m.AddNode(0, fixed(geom.Point{}), HandlerFunc(func(NodeID, []byte) {}))
-	m.AddNode(1, fixed(geom.Point{X: 10}), HandlerFunc(func(from NodeID, p []byte) {
+	m.AddNode(0, fixed(geom.Point{}), 0, HandlerFunc(func(NodeID, []byte) {}))
+	m.AddNode(1, fixed(geom.Point{X: 10}), 0, HandlerFunc(func(from NodeID, p []byte) {
 		deliveries = append(deliveries, s.Now())
 	}))
 	payload := make([]byte, 100) // 100 ms serialization each
@@ -180,8 +180,8 @@ func TestLossRateDropsRoughlyProportionally(t *testing.T) {
 	cfg.BitrateBps = 0 // instantaneous so the run is fast
 	count := 0
 	m := New(s, cfg, 0, nil)
-	m.AddNode(0, fixed(geom.Point{}), HandlerFunc(func(NodeID, []byte) {}))
-	m.AddNode(1, fixed(geom.Point{X: 10}), HandlerFunc(func(NodeID, []byte) { count++ }))
+	m.AddNode(0, fixed(geom.Point{}), 0, HandlerFunc(func(NodeID, []byte) {}))
+	m.AddNode(1, fixed(geom.Point{X: 10}), 0, HandlerFunc(func(NodeID, []byte) { count++ }))
 	const n = 2000
 	for i := 0; i < n; i++ {
 		m.Broadcast(0, []byte("x"))
@@ -204,8 +204,8 @@ func TestUnicastRetriesRecoverLosses(t *testing.T) {
 	cfg.BitrateBps = 0
 	got := 0
 	m := New(s, cfg, 0, nil)
-	m.AddNode(0, fixed(geom.Point{}), HandlerFunc(func(NodeID, []byte) {}))
-	m.AddNode(1, fixed(geom.Point{X: 10}), HandlerFunc(func(NodeID, []byte) { got++ }))
+	m.AddNode(0, fixed(geom.Point{}), 0, HandlerFunc(func(NodeID, []byte) {}))
+	m.AddNode(1, fixed(geom.Point{X: 10}), 0, HandlerFunc(func(NodeID, []byte) { got++ }))
 	const n = 1000
 	acked := 0
 	for i := 0; i < n; i++ {
@@ -269,10 +269,10 @@ func TestMovingNodeLeavesRange(t *testing.T) {
 	m := New(s, cfg, 0, nil)
 	got := 0
 	// Node 1 moves away at 100 m/s starting in range, out of range after ~2.5s.
-	m.AddNode(0, fixed(geom.Point{}), HandlerFunc(func(NodeID, []byte) {}))
+	m.AddNode(0, fixed(geom.Point{}), 0, HandlerFunc(func(NodeID, []byte) {}))
 	m.AddNode(1, func(t sim.Time) geom.Point {
 		return geom.Point{X: 100 * t.Seconds()}
-	}, HandlerFunc(func(NodeID, []byte) { got++ }))
+	}, 100, HandlerFunc(func(NodeID, []byte) { got++ }))
 	s.After(time.Second, func() { m.Broadcast(0, []byte("early")) })
 	s.After(10*time.Second, func() { m.Broadcast(0, []byte("late")) })
 	s.Run()
@@ -325,8 +325,8 @@ func TestNilPositionOrHandlerPanics(t *testing.T) {
 	s := sim.New()
 	m := New(s, quiet(), 0, nil)
 	for _, try := range []func(){
-		func() { m.AddNode(0, nil, HandlerFunc(func(NodeID, []byte) {})) },
-		func() { m.AddNode(1, fixed(geom.Point{}), nil) },
+		func() { m.AddNode(0, nil, 0, HandlerFunc(func(NodeID, []byte) {})) },
+		func() { m.AddNode(1, fixed(geom.Point{}), 0, nil) },
 	} {
 		func() {
 			defer func() {
@@ -355,8 +355,8 @@ func TestDuplicateNodePanics(t *testing.T) {
 	}()
 	s := sim.New()
 	m := New(s, quiet(), 0, nil)
-	m.AddNode(1, fixed(geom.Point{}), HandlerFunc(func(NodeID, []byte) {}))
-	m.AddNode(1, fixed(geom.Point{}), HandlerFunc(func(NodeID, []byte) {}))
+	m.AddNode(1, fixed(geom.Point{}), 0, HandlerFunc(func(NodeID, []byte) {}))
+	m.AddNode(1, fixed(geom.Point{}), 0, HandlerFunc(func(NodeID, []byte) {}))
 }
 
 func TestStatsAccounting(t *testing.T) {
@@ -377,81 +377,58 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
-// A joiner that reuses a departed mover's ordinal must be re-bucketed on
-// its own refresh schedule. The departed node's chain event, still pending
-// far in the future, must not stand in for the joiner's chain: the joiner
-// would then sit in its spawn bucket until that event fires.
-func TestOrdinalReuseStartsOwnRefreshChain(t *testing.T) {
-	for _, reuse := range []bool{true, false} {
-		s := sim.New()
-		m := New(s, quiet(), 0, nil)
-		nop := HandlerFunc(func(NodeID, []byte) {})
-		m.AddNode(0, fixed(geom.Point{}), nop)
-		m.SetSpeedBound(0, 0)
-		// A 1 m/s mover whose refresher asks for its next refresh 100 s out.
-		m.AddNode(1, func(t sim.Time) geom.Point { return geom.Point{X: 1000 + t.Seconds()} }, nop)
-		m.SetSpeedBound(1, 1)
-		m.SetRefresher(1, func(now sim.Time, _ float64) sim.Time { return now.Add(100 * time.Second) })
-		if reuse {
-			m.RemoveNode(1) // the joiner below takes over ordinal 1
-		}
-		// A 50 m/s joiner from 2000 m out: 100 m from the origin at 38 s.
-		m.AddNode(2, func(t sim.Time) geom.Point { return geom.Point{X: 2000 - 50*t.Seconds()} }, nop)
-		m.SetSpeedBound(2, 50)
-		m.SetRefresher(2, func(now sim.Time, slop float64) sim.Time {
-			return now.Add(sim.Duration(slop / 50 * float64(time.Second)))
-		})
-		s.RunUntil(sim.Time(38 * time.Second))
-		if nb := m.AppendNeighbors(0, nil); len(nb) != 1 || nb[0] != 2 {
-			t.Errorf("reuse=%v: AppendNeighbors(0) at 38 s = %v, want [2]", reuse, nb)
-		}
-	}
-}
-
 // A mover must leave (and re-enter) radio range across re-bucket sweeps
-// exactly when its true position does, with or without a declared bound.
+// exactly when its true position does.
 func TestGridMovingNodeWithSpeedBound(t *testing.T) {
-	for _, declare := range []bool{true, false} {
-		s := sim.New()
-		cfg := quiet()
-		cfg.BitrateBps = 0
-		m := New(s, cfg, 0, nil)
-		got := 0
-		m.AddNode(0, fixed(geom.Point{}), HandlerFunc(func(NodeID, []byte) {}))
-		m.AddNode(1, func(t sim.Time) geom.Point {
-			return geom.Point{X: 100 * t.Seconds()} // out of 250 m range after 2.5 s
-		}, HandlerFunc(func(NodeID, []byte) { got++ }))
-		m.SetSpeedBound(0, 0)
-		if declare {
-			m.SetSpeedBound(1, 100)
-		} // else: stays unbounded and is re-bucketed exactly
-		s.After(time.Second, func() { m.Broadcast(0, []byte("early")) })
-		s.After(2*time.Second, func() {
-			if nb := m.AppendNeighbors(1, nil); len(nb) != 1 || nb[0] != 0 {
-				t.Errorf("declare=%v: AppendNeighbors(1) at 2s = %v, want [0]", declare, nb)
-			}
-		})
-		s.After(10*time.Second, func() { m.Broadcast(0, []byte("late")) })
-		s.After(11*time.Second, func() {
-			if nb := m.AppendNeighbors(0, nil); len(nb) != 0 {
-				t.Errorf("declare=%v: AppendNeighbors(0) at 11s = %v, want none", declare, nb)
-			}
-		})
-		s.Run()
-		if got != 1 {
-			t.Fatalf("declare=%v: deliveries = %d, want 1 (only while in range)", declare, got)
+	s := sim.New()
+	cfg := quiet()
+	cfg.BitrateBps = 0
+	m := New(s, cfg, 0, nil)
+	got := 0
+	m.AddNode(0, fixed(geom.Point{}), 0, HandlerFunc(func(NodeID, []byte) {}))
+	m.AddNode(1, func(t sim.Time) geom.Point {
+		return geom.Point{X: 100 * t.Seconds()} // out of 250 m range after 2.5 s
+	}, 100, HandlerFunc(func(NodeID, []byte) { got++ }))
+	s.After(time.Second, func() { m.Broadcast(0, []byte("early")) })
+	s.After(2*time.Second, func() {
+		if nb := m.AppendNeighbors(1, nil); len(nb) != 1 || nb[0] != 0 {
+			t.Errorf("AppendNeighbors(1) at 2s = %v, want [0]", nb)
 		}
+	})
+	s.After(10*time.Second, func() { m.Broadcast(0, []byte("late")) })
+	s.After(11*time.Second, func() {
+		if nb := m.AppendNeighbors(0, nil); len(nb) != 0 {
+			t.Errorf("AppendNeighbors(0) at 11s = %v, want none", nb)
+		}
+	})
+	s.Run()
+	if got != 1 {
+		t.Fatalf("deliveries = %d, want 1 (only while in range)", got)
 	}
 }
 
-func TestSetSpeedBoundEdgeCases(t *testing.T) {
+// AddNode rejects a speed bound the grid cannot rely on, as it rejects a
+// duplicate id: the node is not attached, and the medium still works.
+func TestAddNodeRejectsBadSpeedBound(t *testing.T) {
 	s := sim.New()
 	m, _ := build(s, quiet(), geom.Point{}, geom.Point{X: 10})
-	m.SetSpeedBound(99, 5) // unknown id: no-op
-	m.SetSpeedBound(0, 0)
-	m.SetSpeedBound(0, -3)          // back to unbounded
-	m.SetSpeedBound(1, math.NaN())  // unbounded
-	m.SetSpeedBound(1, math.Inf(1)) // unbounded
+	for i, speed := range []float64{-3, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		id := NodeID(2 + i)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AddNode with speed bound %v did not panic", speed)
+				}
+			}()
+			m.AddNode(id, fixed(geom.Point{X: 20}), speed, HandlerFunc(func(NodeID, []byte) {}))
+		}()
+		if m.InRange(0, id) {
+			t.Errorf("node with speed bound %v was attached", speed)
+		}
+	}
+	if m.Live() != 2 {
+		t.Fatalf("Live = %d, want 2", m.Live())
+	}
 	m.Broadcast(0, []byte("x"))
 	s.Run()
 	if m.Stats().RxFrames != 1 {
@@ -464,8 +441,7 @@ func TestNeighborsAllocation(t *testing.T) {
 	s := sim.New()
 	m := New(s, quiet(), 0, nil)
 	for i := 0; i < 100; i++ {
-		m.AddNode(NodeID(i), fixed(geom.Point{X: float64(i * 20)}), HandlerFunc(func(NodeID, []byte) {}))
-		m.SetSpeedBound(NodeID(i), 0)
+		m.AddNode(NodeID(i), fixed(geom.Point{X: float64(i * 20)}), 0, HandlerFunc(func(NodeID, []byte) {}))
 	}
 	buf := make([]NodeID, 0, 128)
 	if a := testing.AllocsPerRun(100, func() { buf = m.AppendNeighbors(50, buf[:0]) }); a != 0 {
@@ -481,8 +457,7 @@ func BenchmarkNeighbors(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 1000; i++ {
 		p := geom.Point{X: rng.Float64() * 4000, Y: rng.Float64() * 4000}
-		m.AddNode(NodeID(i), fixed(p), HandlerFunc(func(NodeID, []byte) {}))
-		m.SetSpeedBound(NodeID(i), 0)
+		m.AddNode(NodeID(i), fixed(p), 0, HandlerFunc(func(NodeID, []byte) {}))
 	}
 	b.Run("grid/append", func(b *testing.B) {
 		buf := make([]NodeID, 0, 256)
@@ -499,7 +474,7 @@ func BenchmarkBroadcastFanout50(b *testing.B) {
 	cfg.BitrateBps = 0
 	m := New(s, cfg, 0, nil)
 	for i := 0; i < 50; i++ {
-		m.AddNode(NodeID(i), fixed(geom.Point{X: float64(i)}), HandlerFunc(func(NodeID, []byte) {}))
+		m.AddNode(NodeID(i), fixed(geom.Point{X: float64(i)}), 0, HandlerFunc(func(NodeID, []byte) {}))
 	}
 	payload := make([]byte, 128)
 	b.ReportAllocs()

@@ -74,8 +74,7 @@ func BuildScaleNetwork(n int, seed int64) *ScaleNetwork {
 		} else {
 			track = mobility.Static(positions[i])
 		}
-		m.AddNode(radio.NodeID(i), track.Position, radio.HandlerFunc(func(radio.NodeID, []byte) {}))
-		m.SetSpeedBound(radio.NodeID(i), track.(mobility.Bounded).SpeedBound())
+		m.AddNode(radio.NodeID(i), track.Position, track.SpeedBound(), radio.HandlerFunc(func(radio.NodeID, []byte) {}))
 	}
 	return &ScaleNetwork{S: s, M: m, N: n}
 }
@@ -195,14 +194,11 @@ type ShardNetwork struct {
 
 // BuildShardNetwork constructs the workload at n nodes and the given region
 // count: the radio workload's constant-density placement and lossy links,
-// but static — flood deliveries land nanoseconds
-// apart, so every conservative window holds thousands of events and the
-// cell measures parallel throughput. Mobility would interleave refresh
-// chains ~tens of microseconds apart, far sparser than the propagation
-// lookahead, turning most rounds into single-event synchronization — a
-// lookahead-starvation regime worth knowing about, but the differential
-// suite already covers mobility for correctness, and a throughput cell
-// drowned in it would gate nothing.
+// but static. Flood deliveries land nanoseconds apart, so every
+// conservative window holds thousands of events and the cell measures
+// parallel throughput, and each region's bounding box prunes the remote
+// scans of broadcasts that cannot reach it, which a region holding a
+// mover gives up. The differential suite covers mobility for correctness.
 func BuildShardNetwork(n, regions int, seed int64) *ShardNetwork {
 	cfg := radio.DefaultConfig()
 	cfg.LossRate = 0.05

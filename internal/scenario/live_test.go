@@ -4,6 +4,8 @@ import (
 	"testing"
 	"time"
 
+	"sbr6/internal/attack"
+	"sbr6/internal/core"
 	"sbr6/internal/geom"
 )
 
@@ -124,6 +126,35 @@ func TestLiveDeterministicReplay(t *testing.T) {
 		a, b := run(shards), run(shards)
 		if a != b {
 			t.Errorf("shards=%d: same ops, different digests\n%x\n%x", shards, a, b)
+		}
+	}
+}
+
+// A churner that leaves the session stops churning: its count and its
+// address, which the session digest hashes, stay where they were when it
+// left.
+func TestEjectedChurnerStopsChurning(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		cfg := liveConfig(5, shards)
+		ch := &attack.IdentityChurner{Every: time.Second}
+		cfg.Behaviors = map[int]core.Behavior{5: ch}
+		lv := startLive(t, cfg)
+		for i := 0; i < 3; i++ {
+			lv.Step()
+		}
+		if ch.Churns == 0 {
+			t.Fatalf("shards=%d: the churner never churned while attached", shards)
+		}
+		if err := lv.Leave(5); err != nil {
+			t.Fatalf("shards=%d Leave: %v", shards, err)
+		}
+		churns, addr := ch.Churns, lv.sc.Nodes[5].Addr()
+		for i := 0; i < 5; i++ {
+			lv.Step()
+		}
+		if ch.Churns != churns || lv.sc.Nodes[5].Addr() != addr {
+			t.Errorf("shards=%d: departed churner went on: %d churns and %v, left with %d and %v",
+				shards, ch.Churns, lv.sc.Nodes[5].Addr(), churns, addr)
 		}
 	}
 }

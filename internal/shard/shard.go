@@ -67,8 +67,8 @@
 //   - Mobility tracks are owned by their node's region but queried remotely
 //     (lazily-extended legs mutate under a per-node mutex, the only lock on
 //     the hot path; with only one region the track is read without it).
-//     At each barrier the engine has every track drop the legs no later
-//     query can reach (mobility.Forgetter).
+//     At each barrier the engine has every attached node's track drop the
+//     legs no later query can reach (mobility.Track.Forget).
 package shard
 
 import (
@@ -281,28 +281,11 @@ func (e *Engine) AddNode(id radio.NodeID, track mobility.Track, h radio.Handler)
 	ni := e.nodes[id]
 	ni.track = track
 	ni.exists = true
-	r := e.regions[e.regionOf[id]]
-	locked := len(e.regions) > 1
 	pos := track.Position
-	if locked {
+	if len(e.regions) > 1 {
 		pos = ni.position
 	}
-	r.med.AddNode(id, pos, h)
-	if bt, ok := track.(mobility.Bounded); ok {
-		r.med.SetSpeedBound(id, bt.SpeedBound())
-	}
-	if rf, ok := track.(mobility.Refresher); ok {
-		next := rf.NextRefresh
-		if locked {
-			next = func(now sim.Time, slop float64) sim.Time {
-				ni.mu.Lock()
-				t := rf.NextRefresh(now, slop)
-				ni.mu.Unlock()
-				return t
-			}
-		}
-		r.med.SetRefresher(id, next)
-	}
+	e.regions[e.regionOf[id]].med.AddNode(id, pos, track.SpeedBound(), h)
 }
 
 // InjectNode admits a node born after the engine was built, assigning it
@@ -417,7 +400,7 @@ func (e *Engine) finalize() {
 			p := e.cfg.Positions[id]
 			r.minX, r.maxX = math.Min(r.minX, p.X), math.Max(r.maxX, p.X)
 			r.minY, r.maxY = math.Min(r.minY, p.Y), math.Max(r.maxY, p.Y)
-			if bt, ok := ni.track.(mobility.Bounded); !ok || bt.SpeedBound() > 0 {
+			if ni.track.SpeedBound() > 0 {
 				r.allStatic = false
 			}
 		}
@@ -510,7 +493,7 @@ func (e *Engine) runRegions(c sim.Time) bool {
 // messages, then runs one parallel round under conservative horizons, until
 // no region has an event at or before the deadline. It then sets the
 // engine's clock and every region clock to the deadline, and has every
-// track forget the legs no later query can reach.
+// attached node's track forget the legs no later query can reach.
 func (e *Engine) RunUntil(deadline sim.Time) {
 	e.finalize()
 	for {
@@ -530,8 +513,8 @@ func (e *Engine) RunUntil(deadline sim.Time) {
 	// end, up to one lookahead before it lands.
 	keep := deadline.Add(-e.lookahead)
 	for _, ni := range e.nodes {
-		if f, ok := ni.track.(mobility.Forgetter); ok {
-			f.Forget(keep)
+		if ni.exists {
+			ni.track.Forget(keep)
 		}
 	}
 }

@@ -34,13 +34,13 @@ func TestTimerCancelClearsAllCallbackFields(t *testing.T) {
 	}
 }
 
-// The event.pooled comment promises Timer-backed events are never pooled;
-// Cancel now enforces it. A Timer pointing at a pooled event is a kernel
-// bug, so the check must be loud.
+// The event comment promises Timers never reference handle-free events,
+// whose structs are recycled; Cancel enforces it. A Timer pointing at a
+// handle-free event is a kernel bug, so the check must be loud.
 func TestTimerCancelPanicsOnPooledEvent(t *testing.T) {
 	s := New()
-	s.DoAt(Time(time.Second), func() {})
-	bogus := &Timer{sim: s, ev: s.queue[0]} // pooled event straight off the heap
+	s.DoAtArg(Time(time.Second), func(any) {}, nil)
+	bogus := &Timer{sim: s, ev: s.queue[0]} // handle-free event straight off the heap
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Cancel of a pooled-event Timer did not panic")
@@ -56,6 +56,7 @@ func TestOwnerModeOrdersByOwnerAtSameInstant(t *testing.T) {
 	at := Time(time.Millisecond)
 	var got []int
 	push := func(v int) func() { return func() { got = append(got, v) } }
+	pushArg := func(v any) { got = append(got, v.(int)) }
 
 	// Schedule deliberately out of owner order, interleaved.
 	s.SetOwner(3)
@@ -67,7 +68,7 @@ func TestOwnerModeOrdersByOwnerAtSameInstant(t *testing.T) {
 	s.SetOwner(0) // global owner sorts first
 	s.At(at, push(0))
 	s.SetOwner(1)
-	s.DoAt(at, push(11))
+	s.DoAtArg(at, pushArg, 11)
 
 	s.Run()
 	want := []int{0, 10, 11, 30, 31}
@@ -90,12 +91,13 @@ func TestPlainModeKeepsGlobalFIFO(t *testing.T) {
 	at := Time(time.Millisecond)
 	var got []int
 	push := func(v int) func() { return func() { got = append(got, v) } }
+	pushArg := func(v any) { got = append(got, v.(int)) }
 	s.At(0, func() {
 		s.At(at, push(2))
-		s.DoAt(at, push(3))
+		s.DoAtArg(at, pushArg, 3)
 	})
 	s.At(at, push(0))
-	s.DoAt(at, push(1))
+	s.DoAtArg(at, pushArg, 1)
 	s.Run()
 	want := []int{0, 1, 2, 3}
 	if len(got) != len(want) {

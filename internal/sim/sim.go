@@ -35,10 +35,14 @@ func (t Time) Add(d Duration) Time { return t + Time(d) }
 // Sub returns the duration between t and earlier time u.
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
-// event is a single scheduled callback: either a plain closure (fn) or an
-// argument-carrying pair (afn, arg) — the latter lets hot paths schedule a
-// static function over a recycled state object instead of allocating a
-// closure per event. Exactly one of fn/afn is set.
+// event is a single scheduled callback: either a Timer-backed closure (fn,
+// from At) or a handle-free argument-carrying pair (afn, arg, from
+// DoAtArg), which lets hot paths schedule a static function over a
+// recycled state object instead of allocating a closure per event.
+// Exactly one of fn/afn is set. No Timer ever references an afn event, so
+// Step recycles its struct after it fires; Timer-backed events are never
+// recycled — a stale Timer holding a recycled event could cancel an
+// unrelated later event.
 type event struct {
 	at    Time
 	owner uint32 // scheduling owner (see SetOwner)
@@ -47,12 +51,6 @@ type event struct {
 	afn   func(any)
 	arg   any
 	idx   int // heap index, -1 when popped
-
-	// pooled marks handle-free events (Do/DoAt/DoArg/DoAtArg): no Timer
-	// ever references them, so Step recycles the struct after it fires.
-	// Timer-backed events are never pooled — a stale Timer holding a
-	// recycled event could cancel an unrelated later event.
-	pooled bool
 }
 
 // eventHeap is a hand-rolled 4-ary min-heap ordered by (at, owner, seq).
@@ -186,8 +184,8 @@ type Simulator struct {
 
 	// freeEvents recycles fired handle-free events. Frame schedules are
 	// the hottest allocation in large simulations; recycling the event
-	// structs (the closures are the callers' problem — see DoArg) keeps
-	// the steady-state event rate allocation-free. Recycling is invisible
+	// structs (with no closure per event — see DoAtArg) keeps the
+	// steady-state event rate allocation-free. Recycling is invisible
 	// to simulation results: the heap order is a strict total order over
 	// (at, owner, seq) whatever struct identity the events have.
 	freeEvents []*event
@@ -265,41 +263,17 @@ func (s *Simulator) takeEvent() *event {
 		s.freeEvents = s.freeEvents[:l-1]
 		return ev
 	}
-	return &event{pooled: true}
-}
-
-// DoAt schedules fn at absolute time t without returning a cancellation
-// handle. It is the allocation-light variant of At for hot paths — frame
-// deliveries schedule hundreds of thousands of uncancellable events per
-// simulated second, and the Timer wrapper was pure garbage there. The
-// event struct itself is recycled after firing.
-func (s *Simulator) DoAt(t Time, fn func()) {
-	if fn == nil {
-		panic("sim: DoAt called with nil callback")
-	}
-	if t < s.now {
-		t = s.now
-	}
-	ev := s.takeEvent()
-	ev.at, ev.fn = t, fn
-	ev.owner, ev.seq = s.nextKey()
-	s.queue.push(ev)
-}
-
-// Do schedules fn to run d after the current time without returning a
-// cancellation handle; negative durations are clamped to zero.
-func (s *Simulator) Do(d Duration, fn func()) {
-	if d < 0 {
-		d = 0
-	}
-	s.DoAt(s.now.Add(d), fn)
+	return &event{}
 }
 
 // DoAtArg schedules fn(arg) at absolute time t without a cancellation
-// handle. Passing a static function plus a pointer argument avoids the
-// per-event closure allocation of DoAt — the pooled wire path schedules
-// its recycled transmit and delivery state this way, making the hot event
-// path allocation-free end to end.
+// handle. It is the allocation-light variant of At for hot paths — frame
+// deliveries schedule hundreds of thousands of uncancellable events per
+// simulated second. Passing a static function plus a pointer argument
+// avoids a closure per event, and the event struct itself is recycled
+// after firing: the pooled wire path schedules its recycled transmit and
+// delivery state this way, making the hot event path allocation-free end
+// to end.
 func (s *Simulator) DoAtArg(t Time, fn func(any), arg any) {
 	if fn == nil {
 		panic("sim: DoAtArg called with nil callback")
@@ -337,17 +311,14 @@ func (s *Simulator) Step() bool {
 	// property rather than something every call site threads through by
 	// hand.
 	s.owner = ev.owner
-	fn, afn, arg := ev.fn, ev.afn, ev.arg
-	if ev.pooled {
+	if afn, arg := ev.afn, ev.arg; afn != nil {
 		// Recycle before firing: the callback may itself schedule events
 		// and can then reuse this struct immediately.
-		ev.fn, ev.afn, ev.arg = nil, nil, nil
+		ev.afn, ev.arg = nil, nil
 		s.freeEvents = append(s.freeEvents, ev)
-	}
-	if afn != nil {
 		afn(arg)
 	} else {
-		fn()
+		ev.fn()
 	}
 	return true
 }
@@ -428,11 +399,12 @@ func (t *Timer) Cancel() bool {
 	if t == nil || t.ev == nil || t.ev.idx < 0 {
 		return false
 	}
-	if t.ev.pooled {
-		// The comment on event.pooled promises Timers never reference
-		// pooled events; a recycled struct under a live Timer could cancel
-		// an unrelated later event, so enforce it instead of trusting it.
-		panic("sim: Timer bound to a pooled event")
+	if t.ev.fn == nil {
+		// Only At sets fn. The comment on event promises Timers never
+		// reference handle-free events; a recycled struct under a live
+		// Timer could cancel an unrelated later event, so enforce it
+		// instead of trusting it.
+		panic("sim: Timer bound to a handle-free event")
 	}
 	t.sim.queue.remove(t.ev.idx)
 	t.ev.fn, t.ev.afn, t.ev.arg = nil, nil, nil

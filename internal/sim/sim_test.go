@@ -231,13 +231,15 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 	}
 }
 
-func TestDoArgOrderingMatchesDo(t *testing.T) {
+// Handle-free events share the Timer-backed events' ordering key: one
+// FIFO per (instant, owner), whichever entry point scheduled them.
+func TestDoArgOrderingMatchesAt(t *testing.T) {
 	s := New()
 	var got []int
 	push := func(v any) { got = append(got, v.(int)) }
 	s.DoArg(2*time.Millisecond, push, 3)
-	s.Do(time.Millisecond, func() { got = append(got, 1) })
-	s.DoAtArg(Time(time.Millisecond), push, 2) // same instant as the Do above, scheduled later
+	s.After(time.Millisecond, func() { got = append(got, 1) })
+	s.DoAtArg(Time(time.Millisecond), push, 2) // same instant as the After above, scheduled later
 	s.Run()
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -249,7 +251,7 @@ func TestDoArgOrderingMatchesDo(t *testing.T) {
 
 func TestHandleFreeEventsRecycle(t *testing.T) {
 	s := New()
-	// Interleave pooled schedules with firings; the free list must hand
+	// Interleave handle-free schedules with firings; the free list must hand
 	// the same structs back without perturbing order or the timer path.
 	fired := 0
 	var loop func()
@@ -259,7 +261,7 @@ func TestHandleFreeEventsRecycle(t *testing.T) {
 			s.DoArg(time.Microsecond, func(any) { loop() }, nil)
 		}
 	}
-	s.Do(0, loop)
+	s.DoArg(0, func(any) { loop() }, nil)
 	timer := s.After(time.Second, func() { t.Fatal("cancelled timer fired") })
 	s.RunFor(time.Millisecond)
 	if fired != 100 {
@@ -271,8 +273,8 @@ func TestHandleFreeEventsRecycle(t *testing.T) {
 	if !timer.Cancel() {
 		t.Fatal("timer was not pending")
 	}
-	// A Timer-backed event is never pooled: cancelling after heavy
+	// A Timer-backed event is never recycled: cancelling after heavy
 	// recycling must not have corrupted the free list or the queue.
-	s.Do(0, func() {})
+	s.DoArg(0, func(any) {}, nil)
 	s.Run()
 }
