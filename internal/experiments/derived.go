@@ -55,7 +55,7 @@ func runE1(opt Options) []*trace.Table {
 
 func runE2(opt Options) []*trace.Table {
 	t := trace.NewTable("E2: signature suite ablation (5-node chain, 1 flow)",
-		"suite", "PDR", "ctrl bytes", "RREQ bytes @3 hops", "verify ops", "wall-clock verify us/route")
+		"suite", "PDR", "ctrl bytes", "RREQ bytes @3 hops", "verify ops", "wall-clock verify us/route").WallClock(5)
 
 	suites := []struct {
 		pub sbr6.Suite

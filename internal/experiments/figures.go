@@ -58,7 +58,7 @@ func runF1(opt Options) []*trace.Table {
 		panic(err)
 	}
 	atk := trace.NewTable("F1b: brute-force address takeover vs interface-ID width",
-		"bits", "expected attempts (2^w)", "measured attempts", "wall time")
+		"bits", "expected attempts (2^w)", "measured attempts", "wall time").WallClock(3)
 	for _, w := range widths {
 		victim := cga.TruncatedID(id.Pub.Bytes(), id.Rn, w)
 		start := time.Now()

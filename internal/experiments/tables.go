@@ -136,7 +136,7 @@ func runT2(opt Options) []*trace.Table {
 	}
 
 	t := trace.NewTable("T2: cryptographic operation costs (wall clock)",
-		"suite", "op", "iters", "us/op", "bytes")
+		"suite", "op", "iters", "us/op", "bytes").WallClock(3)
 
 	for _, suite := range []identity.Suite{identity.SuiteEd25519, identity.SuiteRSA1024} {
 		rng := rand.New(rand.NewSource(opt.Seed))
@@ -183,7 +183,7 @@ func runT2(opt Options) []*trace.Table {
 
 	// What a destination pays to verify a k-hop secure route record.
 	k := trace.NewTable("T2b: destination verification cost vs route length",
-		"hops", "verifies", "ed25519 us", "rsa1024 us")
+		"hops", "verifies", "ed25519 us", "rsa1024 us").WallClock(2, 3)
 	rngs := rand.New(rand.NewSource(opt.Seed + 1))
 	edID, _ := identity.New(identity.SuiteEd25519, rngs, "")
 	rsaID, _ := identity.New(identity.SuiteRSA1024, rngs, "")

@@ -121,6 +121,9 @@ type Table struct {
 	Title   string
 	Headers []string
 	Rows    [][]string
+	// Wall lists the columns measured in wall-clock time, whose cells
+	// differ from run to run; Ledger prints them as "~".
+	Wall []int
 }
 
 // NewTable creates a table with the given title and column headers.
@@ -189,6 +192,28 @@ func (t *Table) String() string {
 	var b strings.Builder
 	t.Fprint(&b)
 	return b.String()
+}
+
+// WallClock marks columns as wall-clock measurements and returns t.
+func (t *Table) WallClock(cols ...int) *Table {
+	t.Wall = append(t.Wall, cols...)
+	return t
+}
+
+// Ledger renders the table like String, with every wall-clock cell
+// printed as "~", so two runs of one experiment render identically.
+func (t *Table) Ledger() string {
+	c := *t
+	c.Rows = make([][]string, len(t.Rows))
+	for i, row := range t.Rows {
+		c.Rows[i] = append([]string(nil), row...)
+		for _, col := range t.Wall {
+			if col < len(row) {
+				c.Rows[i][col] = "~"
+			}
+		}
+	}
+	return c.String()
 }
 
 // CSV renders the table as comma-separated values (no quoting; cells are

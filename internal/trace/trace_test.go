@@ -123,3 +123,16 @@ func TestFormatFloat(t *testing.T) {
 		t.Error("NaN should render as dash")
 	}
 }
+
+func TestTableLedgerMasksWallClock(t *testing.T) {
+	tb := NewTable("t", "op", "us/op").WallClock(1)
+	tb.Add("sign", "62.1")
+	tb.Add("verify", "97.8")
+	want := "== t ==\nop      us/op\n------  -----\nsign    ~\nverify  ~\n"
+	if got := tb.Ledger(); got != want {
+		t.Fatalf("Ledger = %q, want %q", got, want)
+	}
+	if !strings.Contains(tb.String(), "62.1") {
+		t.Fatal("Ledger changed the table itself")
+	}
+}
