@@ -8,10 +8,10 @@
 //   - Ed25519 (default): fast, small keys and signatures, deterministic key
 //     generation from a seeded reader, so whole simulations are reproducible.
 //   - RSA (1024/2048 with SHA-256 PKCS#1 v1.5): the kind of keys the 2003
-//     paper had in mind; used by the suite-ablation experiment E2. Note that
-//     crypto/rsa deliberately randomizes key generation even with a
-//     deterministic reader, so RSA runs are not bit-reproducible (protocol
-//     behaviour does not depend on key bits, only timings do).
+//     paper had in mind; used by the suite-ablation experiment E2. Its
+//     primes are searched on the seeded reader here, because
+//     crypto/rsa.GenerateKey may read an extra byte from its reader, so a
+//     seeded reader alone does not fix its key.
 package identity
 
 import (
@@ -23,6 +23,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/big"
 	"math/rand"
 
 	"sbr6/internal/cga"
@@ -142,13 +143,63 @@ func GenerateKey(suite Suite, rng io.Reader) (PrivateKey, error) {
 		if suite == SuiteRSA2048 {
 			bits = 2048
 		}
-		key, err := rsa.GenerateKey(rng, bits)
+		key, err := generateRSA(rng, bits)
 		if err != nil {
 			return nil, fmt.Errorf("identity: rsa keygen: %w", err)
 		}
 		return rsaPrivate{key}, nil
 	default:
 		return nil, fmt.Errorf("identity: unknown suite %d", suite)
+	}
+}
+
+// rsaExponent is the public exponent of every RSA key.
+const rsaExponent = 65537
+
+// generateRSA builds a bits-sized RSA key whose primes are the first two
+// that searchPrime finds on rng, so one reader state gives one key.
+func generateRSA(rng io.Reader, bits int) (*rsa.PrivateKey, error) {
+	p, err := searchPrime(rng, bits/2)
+	if err != nil {
+		return nil, err
+	}
+	q, err := searchPrime(rng, bits/2)
+	if err != nil {
+		return nil, err
+	}
+	one := big.NewInt(1)
+	phi := new(big.Int).Mul(new(big.Int).Sub(p, one), new(big.Int).Sub(q, one))
+	key := &rsa.PrivateKey{
+		PublicKey: rsa.PublicKey{N: new(big.Int).Mul(p, q), E: rsaExponent},
+		D:         new(big.Int).ModInverse(big.NewInt(rsaExponent), phi),
+		Primes:    []*big.Int{p, q},
+	}
+	if err := key.Validate(); err != nil {
+		return nil, err
+	}
+	key.Precompute()
+	return key, nil
+}
+
+// searchPrime reads odd candidates of bits bits (a multiple of 8) with the
+// top two bits set from rng until one is a prime p with p−1 coprime to the
+// exponent. The top two bits make the product of two such primes exactly
+// twice as long.
+func searchPrime(rng io.Reader, bits int) (*big.Int, error) {
+	buf := make([]byte, bits/8)
+	e, one := big.NewInt(rsaExponent), big.NewInt(1)
+	for {
+		if _, err := io.ReadFull(rng, buf); err != nil {
+			return nil, err
+		}
+		buf[0] |= 0xc0
+		buf[len(buf)-1] |= 1
+		p := new(big.Int).SetBytes(buf)
+		// The exponent is prime, so it shares a factor with p−1 exactly
+		// when p ≡ 1 modulo it.
+		if p.ProbablyPrime(20) && new(big.Int).Mod(p, e).Cmp(one) != 0 {
+			return p, nil
+		}
 	}
 }
 

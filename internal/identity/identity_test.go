@@ -1,6 +1,7 @@
 package identity
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -273,5 +274,29 @@ func BenchmarkRSA1024Verify(b *testing.B) {
 		if !id.Pub.Verify(msg, sig) {
 			b.Fatal("verify failed")
 		}
+	}
+}
+
+// One seeded reader state gives one RSA key: crypto/rsa.GenerateKey may
+// read an extra byte from its reader, so it gave a different key per
+// call.
+func TestRSAKeygenDeterministic(t *testing.T) {
+	gen := func() *Identity {
+		id, err := New(SuiteRSA1024, rand.New(rand.NewSource(7)), "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	a, b := gen(), gen()
+	if !bytes.Equal(a.Pub.Bytes(), b.Pub.Bytes()) || a.Addr != b.Addr {
+		t.Fatal("one seed gave two RSA keys")
+	}
+	if n := len(a.Pub.Bytes()); n != 140 {
+		t.Fatalf("RSA-1024 public key encodes to %d bytes, want 140", n)
+	}
+	msg := []byte("attestation")
+	if !b.Pub.Verify(msg, a.Sign(msg)) {
+		t.Fatal("signature from one key fails under its twin")
 	}
 }
