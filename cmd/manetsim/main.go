@@ -45,7 +45,7 @@ func main() {
 		loss       = flag.Float64("loss", 0, "per-receiver frame loss probability")
 		waypoint   = flag.Bool("waypoint", false, "random waypoint mobility")
 		speed      = flag.Float64("speed", 5, "max waypoint speed m/s")
-		duration   = flag.Duration("duration", 30*time.Second, "measurement window")
+		duration   = flag.Duration("duration", 30*time.Second, "measurement window; flows send only inside it, in a served session too")
 		stagger    = flag.Duration("stagger", 0, "delay between DAD starts (0 = safe default; shrink it for 1k+ nodes)")
 		shards     = flag.Int("shards", 0, "spatial regions of the simulation engine, each with its own event loop; results are identical for every count (0 = one region)")
 		bootPolicy = flag.String("boot", "serial", "bootstrap admission policy: serial or percell (concurrent per-cell formation)")

@@ -24,39 +24,40 @@
 //
 // # Running
 //
-// A Runner executes scenarios. Run performs a single simulation; RunBatch
-// fans seed-replicates out across a worker pool and aggregates
-// mean/stddev/95%-CI statistics per metric. Each discrete-event simulation
-// stays single-threaded and deterministic — parallelism is across runs —
-// so a batch's per-seed Results are byte-identical to serial execution.
-// An Observer streams run starts, per-window delivery counts and final
-// results while the batch executes; both context cancellation and partial
-// aggregation are honored.
-//
-//	batch, err := (&sbr6.Runner{}).RunBatch(ctx, sc, sbr6.SeedRange(1, 16))
-//	fmt.Println(batch.PDR) // "0.912 ± 0.014"
-//
-// A Result also carries the final state of each adversary
-// (AdversaryState). For experiments that drive the simulation
-// interactively — bootstrap, resolve a name, poke individual nodes,
-// advance virtual time — Serve returns a Session with per-node handles.
-//
-// # Live sessions and daemon mode
-//
-// Serve hosts a scenario as a long-lived Session: the network
-// bootstraps, then advances in explicit window-sized steps under caller
-// control instead of running to completion. Between steps the caller
-// can Inject new nodes (full CGA autoconfiguration, DAD and name
-// registration run live inside the simulation), Eject existing ones,
-// Query cumulative results, or Stream per-window reports. Every
-// mutation lands at a window barrier, which keeps the run as
-// deterministic as a batch run: the same scenario, seed and op sequence
-// yield byte-identical results.
+// Serve hosts a scenario as a Session: the network bootstraps, runs the
+// warmup, then advances in window-sized steps under caller control.
+// Between steps the caller can Inject new nodes (full CGA
+// autoconfiguration, DAD and name registration run live inside the
+// simulation), Eject existing ones, Query cumulative results, or Stream
+// per-window reports. Every mutation lands at a window barrier, so the
+// same scenario, seed and op sequence yield byte-identical results.
 //
 //	sess, err := sbr6.Serve(sc)
 //	idx, err := sess.Inject("late-joiner.example")
 //	err = sess.Advance(4)
 //	res := sess.Query()
+//
+// A Runner runs a scenario to its end, and a replicate is exactly a
+// Session run to its end: ⌈Duration/W⌉ measured and ⌈Cooldown/W⌉
+// cooldown windows of size W, then Query. RunBatch fans seed-replicates
+// out across a worker pool and aggregates mean/stddev/95%-CI statistics
+// per metric; each simulation stays single-threaded, so a batch's
+// per-seed Results are byte-identical to serial execution. An Observer
+// streams run starts, measured windows and final results, and a Runner's
+// Result also carries each adversary's final state (AdversaryState).
+//
+//	batch, err := (&sbr6.Runner{}).RunBatch(ctx, sc, sbr6.SeedRange(1, 16))
+//	fmt.Println(batch.PDR) // "0.912 ± 0.014"
+//
+// Every run keeps one rule each. A flow sends at Start + k·Interval into
+// the measured span, for k ≥ 1, strictly before Duration. A node's audit
+// sweep fires at its seed-stable phase, and a zero phase waits one period.
+// A packet in flight at the first window barrier more than one cooldown
+// after its send counts as lost.
+// Sample series are read from bounded log histograms: means are exact,
+// and a quantile is the upper edge of the bucket that holds it.
+//
+// # Snapshots and daemon mode
 //
 // Snapshot serializes a session at a barrier into one self-verifying
 // JSON value, and Resume rebuilds it by deterministic replay: the

@@ -258,7 +258,7 @@ func TestCloneAttackerAuditRecovery(t *testing.T) {
 		sc := auditedUniform(t, n, enabled, map[int]core.Behavior{attacker: ca})
 		*sc.Nodes[attacker].Identity() = *sc.Nodes[victim].Identity()
 		sc.Bootstrap()
-		sc.StartAuditSweeps(8 * time.Second)
+		sc.StartAudits()
 		sc.RunFor(8 * time.Second)
 		return sc, ca
 	}

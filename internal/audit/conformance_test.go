@@ -154,7 +154,7 @@ func runAudit(t *testing.T, cfg scenario.Config, pairs int, span time.Duration) 
 		}
 	}
 
-	sc.StartAuditSweeps(span)
+	sc.StartAudits()
 	sc.RunFor(span)
 
 	merged := trace.NewMetrics()
@@ -348,7 +348,7 @@ func TestAuditRekeyPreservesNameBinding(t *testing.T) {
 
 	// Sweeps plus headroom for the post-DAD update round trip.
 	span := resolveK*sweepPeriod + 4*time.Second
-	sc.StartAuditSweeps(span)
+	sc.StartAudits()
 	sc.RunFor(span)
 
 	victim := sc.Nodes[1]

@@ -79,7 +79,7 @@ func runMerge(t *testing.T, cfg scenario.Config) (out outcome, connected bool) {
 
 	// Run past the glide plus k sweep periods.
 	span := sc.MergeComplete() - time.Duration(sc.Now()) + resolveK*sweepPeriod
-	sc.StartAuditSweeps(span)
+	sc.StartAudits()
 	sc.RunFor(span)
 
 	out = outcome{Addrs: map[string]int{}, Counters: map[string]float64{}}

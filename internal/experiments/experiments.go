@@ -2,47 +2,24 @@
 // claim of the paper, plus derived quantitative experiments. Each
 // experiment is a pure function from options to result tables, shared by
 // cmd/sbrbench (printing), the root benchmark suite and the integration
-// tests.
+// tests. `sbrbench -list` prints the index. Each experiment reproduces one
+// claim, and the named shape test in experiments_test.go asserts it:
 //
-// The experiment index, which `sbrbench -list` prints id by id with
-// titles. Each entry names the paper claim the experiment reproduces and
-// the shape test in experiments_test.go that asserts it:
-//
-//   - T1, Table 1: every control message exists, and secure messages grow
-//     with signatures and keys, RSA more than Ed25519
-//     (TestT1MessageSizes).
-//   - T2, Table 2: the cryptographic substrate every secure message pays
-//     for, per suite and operation (TestT2CryptoCosts).
-//   - F1, Figure 1: the site-local CGA layout, and an address takeover
-//     that costs 2^w hash attempts for a w-bit interface ID
-//     (TestF1LayoutAndTakeover).
-//   - F2, Figure 2: secure DAD detects a duplicate address and a duplicate
-//     name, the owner keeps its address, and every node of a conflict-free
-//     grid configures (TestF2DADWalkthrough).
-//   - F3, Figure 3: route discovery accumulates a signed route record, and
-//     a signed CREP answers a second querier from a cache
-//     (TestF3RouteDiscoveryWalkthrough).
-//   - S1, Section 4: a fake DNS server poisons plain DSR but not the
-//     secure protocol, and an old DNS answer fails a new challenge
-//     (TestS1DNSImpersonation).
-//   - S2, Section 4: black holes collapse plain DSR, while the secure
-//     protocol with credits keeps delivering (TestS2BlackHoleShape).
-//   - S3, Section 4: forged and replayed AREP, DREP, RREP and CREP are
-//     rejected (TestS3ForgeReplayTable).
-//   - S4, Section 4: a RERR spammer is flagged, and a RERR forged in
-//     another relay's name fails its CGA binding (TestS4RERRSpam).
-//   - E1: security costs control bytes and crypto operations at every
-//     network size (TestE1OverheadShape).
-//   - E2: both signature suites deliver, and RSA requests are larger
-//     (TestE2SuiteAblation).
-//   - E3: credits route around an insider black hole, and identity churn
-//     gains an attacker nothing (TestE3CreditConvergence).
-//   - E4: truncated CGA hashes collide as the birthday bound predicts,
-//     which is why the paper uses 64 bits (TestE4CollisionBirthday).
-//   - E5: the route cache and CREP cut discovery attempts
-//     (TestE5CacheAblation).
-//   - E6: DAD falsely succeeds only when frame loss eats every objection
-//     (TestE6DADLossShape).
+//	T1  Table 1   secure messages outgrow plain ones, RSA's most        TestT1MessageSizes
+//	T2  Table 2   what each suite's sign, verify and CGA hash cost      TestT2CryptoCosts
+//	F1  Figure 1  the CGA layout; a w-bit takeover costs ~2^w hashes    TestF1LayoutAndTakeover
+//	F2  Figure 2  secure DAD catches duplicate addresses and names      TestF2DADWalkthrough
+//	F3  Figure 3  signed route records, and a CREP from a cache         TestF3RouteDiscoveryWalkthrough
+//	S1  Sec. 4    a fake DNS poisons plain DSR only; replays fail       TestS1DNSImpersonation
+//	S2  Sec. 4    black holes collapse DSR; credits keep delivering     TestS2BlackHoleShape
+//	S3  Sec. 4    forged and replayed AREP/DREP/RREP/CREP are rejected  TestS3ForgeReplayTable
+//	S4  Sec. 4    RERR spammers are flagged; forged RERRs fail the CGA  TestS4RERRSpam
+//	E1  derived   security costs bytes and crypto at every size         TestE1OverheadShape
+//	E2  derived   both suites deliver; RSA requests are larger          TestE2SuiteAblation
+//	E3  derived   credits route around an insider black hole            TestE3CreditConvergence
+//	E4  derived   truncated CGA hashes collide at the birthday bound    TestE4CollisionBirthday
+//	E5  derived   the route cache and CREP cut discovery attempts       TestE5CacheAblation
+//	E6  derived   DAD falsely succeeds only when loss eats objections   TestE6DADLossShape
 //
 // TestExperimentsLedger pins every table of `sbrbench -exp all` to
 // testdata/ledger.txt at zero tolerance, with wall-clock cells masked.

@@ -141,8 +141,8 @@ func runF2(opt Options) []*trace.Table {
 	sweep := trace.NewTable("F2c: DAD cost vs network size (grid, no conflicts)",
 		"nodes", "mean DAD latency (s)", "AREQ floods", "control bytes", "configured")
 	for _, n := range sizes {
-		// Without a warmup the session stops at the end of bootstrap,
-		// before any window drains the DAD latency samples.
+		// Without a warmup the session stops at the end of bootstrap, so
+		// the counters cover formation alone.
 		sess := serveSpec(gridSpec(opt.Seed, n, true, sbr6.WithWarmup(0)))
 		res := sess.Query()
 		sweep.Addf(n, res.MetricMean("dad.latency_s"), res.Metric("tx.AREQ"), res.Metric("tx.bytes.control"),

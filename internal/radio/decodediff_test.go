@@ -89,7 +89,7 @@ func runDecodeDiff(t *testing.T, row decodeDiffRow, seed int64, passThroughAll b
 	if row.prepare != nil {
 		row.prepare(sc)
 	}
-	return sc.Run(context.Background())
+	return scenario.NewLive(sc).Run(context.Background())
 }
 
 func TestSkippedDecodesInvisible(t *testing.T) {

@@ -163,7 +163,7 @@ func runOracle(t *testing.T, sc *scenario.Scenario) {
 		s.After(oracleStep, probe)
 	}
 	s.After(oracleStep, probe)
-	sc.Run(context.Background())
+	scenario.NewLive(sc).Run(context.Background())
 	if min := 100; probes < min {
 		t.Fatalf("seed %d: only %d oracle probes ran (want >= %d)", sc.Cfg.Seed, probes, min)
 	}

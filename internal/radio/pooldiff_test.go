@@ -216,7 +216,7 @@ func runPoisoned(t *testing.T, mk func() scenario.Config, seed int64, poison boo
 	if err != nil {
 		t.Fatalf("build (poison=%v, seed=%d): %v", poison, seed, err)
 	}
-	return sc.Run(context.Background())
+	return scenario.NewLive(sc).Run(context.Background())
 }
 
 func TestPoisonedFramePoolEquivalent(t *testing.T) {
@@ -246,7 +246,7 @@ func TestReplayScenarioByteAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc.Run(context.Background())
+	scenario.NewLive(sc).Run(context.Background())
 	raw := 0.0
 	for i, n := range sc.Nodes {
 		m := n.Metrics()

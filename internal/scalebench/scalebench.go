@@ -404,13 +404,14 @@ type AuditNetwork struct {
 }
 
 // BuildAuditNetwork bootstraps the formation workload's network (per-cell
-// admission, constant density) with the audit sweep configured. The
-// bootstrap happens outside any timed region.
+// admission, constant density) and arms its audit sweep. The bootstrap
+// happens outside any timed region.
 func BuildAuditNetwork(n int, seed int64) *AuditNetwork {
 	sc := buildFormation(n, boot.PerCell, seed, audit.Config{Period: AuditPeriod, TTL: FormationTTL})
 	if configured := sc.Bootstrap(); configured != n {
 		panic(fmt.Sprintf("scalebench: audit workload formation left %d/%d unaddressed", n-configured, n))
 	}
+	sc.StartAudits()
 	return &AuditNetwork{SC: sc, N: n}
 }
 
@@ -435,10 +436,7 @@ func RunAuditSweep(n int, seed int64, rounds int, now func() time.Time) ScaleRes
 
 // Round runs exactly one sweep period: each node advertises once at its
 // phase and the simulator drains the relays and deliveries.
-func (an *AuditNetwork) Round() {
-	an.SC.StartAuditSweeps(AuditPeriod)
-	an.SC.RunFor(AuditPeriod)
-}
+func (an *AuditNetwork) Round() { an.SC.RunFor(AuditPeriod) }
 
 // AdvsProcessed sums the rx.AADV counter over all nodes: how many distinct
 // audit advertisements the network has accepted so far. Divided by nodes

@@ -1,21 +1,30 @@
-// Live is the open-ended counterpart of Run: the same built Scenario
-// advanced window by window under external control, with nodes joining
-// and leaving between windows and every per-window measurement streamed
-// and dropped instead of accumulated. It is the substrate of the public
-// Session facade and the manetsim daemon.
+// Live is the one definition of a run: a built Scenario advanced window
+// by window, with nodes joining and leaving between windows and every
+// per-window measurement streamed and dropped instead of accumulated.
+// Live.Run drives it to its end (bootstrap, warmup, the measured windows
+// and the cooldown windows); the public Runner runs every replicate that
+// way, and the public Session and the manetsim daemon drive the same type
+// under external control.
+//
+// # One rule each
+//
+// A flow is one self-rescheduling chain that sends at Start + k·Interval
+// into the measured span, for k ≥ 1, strictly before Duration. A node's
+// audit sweep is one chain at its audit.Offset phase, where a zero phase
+// waits one period (Scenario.StartAudits). The memory bounds below decide
+// the rest: a packet pruned from tracking counts as lost, and every sample
+// series is read from its SampleAgg.
 //
 // # Bounded memory
 //
-// A batch Run may buffer freely — it ends. A session must hold a
-// steady-state heap over an unbounded run, so every open-ended buffer in
-// the batch path is replaced here:
+// A session must hold a steady-state heap over an unbounded run, so no
+// buffer grows with the run's length:
 //
 //   - sample series (latencies, DAD durations) are drained from every
 //     node's metrics at each window barrier and folded into fixed-size
 //     aggregates (count/sum/min/max plus a 64-bucket log histogram);
 //   - the in-flight packet map is pruned of entries older than the
-//     cooldown — past it the batch path would have counted the packet
-//     lost anyway;
+//     cooldown;
 //   - window stats live in a short ring: a window is finalized and
 //     emitted once no in-flight packet can still land in it (the
 //     cooldown lag), then dropped;
@@ -33,6 +42,7 @@
 package scenario
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -42,7 +52,6 @@ import (
 	"sort"
 	"time"
 
-	"sbr6/internal/audit"
 	"sbr6/internal/core"
 	"sbr6/internal/identity"
 	"sbr6/internal/ndp"
@@ -110,10 +119,10 @@ func (a *SampleAgg) Observe(v float64) {
 	a.Hist[histBucket(v)]++
 }
 
-// Mean returns the aggregate mean, 0 when empty (never NaN: session
-// results must survive reflect.DeepEqual).
+// Mean returns the aggregate mean, 0 when empty or nil (never NaN:
+// session results must survive reflect.DeepEqual).
 func (a *SampleAgg) Mean() float64 {
-	if a.Count == 0 {
+	if a == nil || a.Count == 0 {
 		return 0
 	}
 	return a.Sum / float64(a.Count)
@@ -121,9 +130,9 @@ func (a *SampleAgg) Mean() float64 {
 
 // Quantile estimates the q-quantile by nearest rank over the histogram,
 // reporting the containing bucket's upper edge clamped to the observed
-// maximum; 0 when empty.
+// maximum; 0 when empty or nil.
 func (a *SampleAgg) Quantile(q float64) float64 {
-	if a.Count == 0 {
+	if a == nil || a.Count == 0 {
 		return 0
 	}
 	rank := int64(math.Ceil(q * float64(a.Count)))
@@ -142,17 +151,26 @@ func (a *SampleAgg) Quantile(q float64) float64 {
 
 // WindowReport is one finalized measurement window of a live session: the
 // delivery stats of the window itself plus the deltas of every merged
-// node counter over the window's wall of simulation time. Reports are
-// emitted in index order, each exactly once, lagged far enough that no
-// in-flight packet can still land in the window.
+// node counter over the window's span of simulation time. Deliveries are
+// attributed to the window the packet was sent in. Reports are emitted in
+// index order, each exactly once, lagged far enough that no in-flight
+// packet can still land in the window.
 type WindowReport struct {
 	Index     int                `json:"index"`
-	Start     time.Duration      `json:"start"`
+	Start     time.Duration      `json:"start"` // offset from measurement start
 	Sent      int                `json:"sent"`
 	Delivered int                `json:"delivered"`
 	Counters  map[string]float64 `json:"counters,omitempty"`
 	Live      int                `json:"live"`     // live nodes at the window's closing barrier
 	InFlight  int                `json:"inFlight"` // tracked packets at the window's closing barrier
+}
+
+// PDR returns the window's delivery ratio (0 when nothing was sent).
+func (w WindowReport) PDR() float64 {
+	if w.Sent == 0 {
+		return 0
+	}
+	return float64(w.Delivered) / float64(w.Sent)
 }
 
 // Live drives a built Scenario as an open-ended session. Construct with
@@ -195,30 +213,62 @@ func NewLive(sc *Scenario) *Live {
 	if sc.Cfg.Cooldown <= 0 {
 		sc.Cfg.Cooldown = sc.Cfg.WindowSize
 	}
-	return &Live{
+	lv := &Live{
 		sc:           sc,
 		w:            sc.Cfg.WindowSize,
-		lag:          int((sc.Cfg.Cooldown+sc.Cfg.WindowSize-1)/sc.Cfg.WindowSize) + 1,
+		lag:          windowsIn(sc.Cfg.Cooldown, sc.Cfg.WindowSize) + 1,
 		churn:        rand.New(rand.NewSource(sc.Cfg.Seed ^ 0x632be59b)), //sbr6:allow simrng seed-derived churn stream owned by the session
 		graveyard:    trace.NewMetrics(),
 		aggs:         make(map[string]*SampleAgg),
 		prevCounters: make(map[string]float64),
 	}
+	sc.onLatency = func(seconds float64) { observe(lv.aggs, "e2e.latency_s", seconds) }
+	return lv
 }
 
-// Start bootstraps the network, runs the warmup, and opens the first
-// measurement window with the configured flows running and audit sweeps
-// self-rescheduling. Returns how many nodes configured during bootstrap.
+// windowsIn returns ⌈d/w⌉, the whole windows of size w that cover d.
+func windowsIn(d, w time.Duration) int { return int((d + w - 1) / w) }
+
+// Start bootstraps the network, arms the audit sweep, runs the warmup,
+// and opens the first measurement window with the configured flows
+// running. Returns how many nodes configured during bootstrap.
 func (lv *Live) Start() int {
+	configured, _ := lv.start(context.Background())
+	return configured
+}
+
+// start is Start under ctx, which the bootstrap checks every cancelSpan of
+// virtual time; ok is false when ctx ended it early.
+func (lv *Live) start(ctx context.Context) (configured int, ok bool) {
 	sc := lv.sc
-	configured := sc.Bootstrap()
-	lv.startAudits()
+	if configured, ok = sc.bootstrap(ctx); !ok {
+		return 0, false
+	}
+	sc.StartAudits()
 	sc.RunFor(sc.Cfg.Warmup)
 	sc.measureStart = sc.Now()
-	sc.onLatency = func(_ int, seconds float64) { lv.observe("e2e.latency_s", seconds) }
 	lv.startFlows()
 	lv.started = true
-	return configured
+	return configured, true
+}
+
+// Run executes the scenario to its end: Start, then ⌈Duration/W⌉ measured
+// windows and ⌈Cooldown/W⌉ cooldown windows of Step, where W is the window
+// size. The cooldown steps finalize every measured window, and no other.
+// Run checks ctx during the bootstrap and between windows, and returns
+// nil once ctx is done.
+func (lv *Live) Run(ctx context.Context) *Result {
+	if _, ok := lv.start(ctx); !ok {
+		return nil
+	}
+	steps := windowsIn(lv.sc.Cfg.Duration, lv.w) + lv.lag - 1
+	for k := 0; k < steps; k++ {
+		if ctx.Err() != nil {
+			return nil
+		}
+		lv.Step()
+	}
+	return lv.Result()
 }
 
 // Step runs exactly one measurement window and performs the barrier work:
@@ -229,12 +279,12 @@ func (lv *Live) Step() {
 	sc.RunFor(lv.w)
 	// RunFor has replayed the region flow logs, so the bookkeeping below
 	// sees a fully settled window.
-	lv.windowRing(lv.window) // materialize the window even if nothing was sent
+	sc.windowAt(lv.window) // materialize the window even if nothing was sent
 	lv.window++
 
-	// Prune in-flight entries past the cooldown: the batch path would
-	// have counted them lost at run end; a session must not hold them
-	// forever waiting for a delivery that can no longer be attributed.
+	// Prune in-flight entries past the cooldown: they count as lost, and a
+	// session must not hold them forever waiting for a delivery that can
+	// no longer be attributed.
 	horizon := sc.Now().Add(-sc.Cfg.Cooldown)
 	//sbr6:commutative age-threshold deletes touch disjoint keys and no surviving state
 	for k, at := range sc.sent {
@@ -244,7 +294,7 @@ func (lv *Live) Step() {
 	}
 
 	for _, n := range sc.Nodes {
-		lv.drainInto(n.Metrics())
+		drainInto(lv.aggs, n.Metrics())
 	}
 	lv.pendingDeltas = append(lv.pendingDeltas, lv.counterDelta())
 	for lv.emitNext <= lv.window-lv.lag {
@@ -252,35 +302,27 @@ func (lv *Live) Step() {
 	}
 }
 
-// windowRing extends the retained window ring through absolute index idx.
-func (lv *Live) windowRing(idx int) *WindowStat { return lv.sc.windowAt(idx) }
-
-// drainInto folds one node's drained sample series into the session
-// aggregates.
-func (lv *Live) drainInto(m *trace.Metrics) {
+// drainInto folds m's drained sample series into aggs, in observation
+// order within each series.
+func drainInto(aggs map[string]*SampleAgg, m *trace.Metrics) {
 	//sbr6:commutative each drained series folds into its own name's aggregate; series keep their order
 	for name, series := range m.DrainSamples() {
-		agg := lv.aggs[name]
-		if agg == nil {
-			agg = &SampleAgg{}
-			lv.aggs[name] = agg
-		}
 		for _, v := range series {
-			agg.Observe(v)
+			observe(aggs, name, v)
 		}
 	}
 }
 
-// observe folds one sample directly into a session aggregate — the live
-// flow path records end-to-end latency here instead of on a node, so a
-// source's departure cannot strand samples.
-func (lv *Live) observe(name string, v float64) {
-	agg := lv.aggs[name]
-	if agg == nil {
-		agg = &SampleAgg{}
-		lv.aggs[name] = agg
+// observe folds one sample into its name's aggregate in aggs. The flow
+// path records end-to-end latency straight into the session aggregates
+// instead of on a node, so a source's departure cannot strand samples.
+func observe(aggs map[string]*SampleAgg, name string, v float64) {
+	a := aggs[name]
+	if a == nil {
+		a = &SampleAgg{}
+		aggs[name] = a
 	}
-	agg.Observe(v)
+	a.Observe(v)
 }
 
 // counterDelta merges every counter (live nodes + graveyard) and returns
@@ -289,22 +331,13 @@ func (lv *Live) observe(name string, v float64) {
 func (lv *Live) counterDelta() map[string]float64 {
 	cur := lv.mergedCounters()
 	delta := make(map[string]float64)
-	for _, name := range sortedNames(cur) {
+	for _, name := range sortedKeys(cur) {
 		if d := cur[name] - lv.prevCounters[name]; d != 0 {
 			delta[name] = d
 		}
 	}
 	lv.prevCounters = cur
 	return delta
-}
-
-func sortedNames(m map[string]float64) []string {
-	names := make([]string, 0, len(m))
-	for name := range m {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // merged returns the counters of the graveyard and every live node, merged.
@@ -333,27 +366,19 @@ func (lv *Live) mergedCounters() map[string]float64 {
 // finalizeOldest emits and drops the oldest retained window.
 func (lv *Live) finalizeOldest() {
 	sc := lv.sc
-	w := WindowStat{Start: time.Duration(lv.emitNext) * lv.w}
+	w := WindowReport{Index: lv.emitNext, Start: time.Duration(lv.emitNext) * lv.w}
 	if len(sc.windows) > 0 {
 		w = sc.windows[0]
 		sc.windows = sc.windows[1:]
 	}
-	var delta map[string]float64
 	if len(lv.pendingDeltas) > 0 {
-		delta = lv.pendingDeltas[0]
+		w.Counters = lv.pendingDeltas[0]
 		lv.pendingDeltas = lv.pendingDeltas[1:]
 	}
 	sc.winBase = lv.emitNext + 1
 	if lv.OnWindow != nil && !lv.Suppress {
-		lv.OnWindow(WindowReport{
-			Index:     lv.emitNext,
-			Start:     w.Start,
-			Sent:      w.Sent,
-			Delivered: w.Delivered,
-			Counters:  delta,
-			Live:      lv.LiveNodes(),
-			InFlight:  len(sc.sent),
-		})
+		w.Live, w.InFlight = lv.LiveNodes(), len(sc.sent)
+		lv.OnWindow(w)
 	}
 	lv.emitNext++
 }
@@ -412,7 +437,7 @@ func (lv *Live) Join(name string, b core.Behavior) (int, error) {
 	sc.eng.AddNode(id, track, n)
 	sc.eng.ScheduleOwnedAt(id, sc.Now().Add(jitter), n.Start)
 	sc.Nodes = append(sc.Nodes, n)
-	lv.scheduleAudit(idx, n)
+	sc.startAudit(idx)
 	return idx, nil
 }
 
@@ -440,56 +465,23 @@ func (lv *Live) Leave(idx int) error {
 		lv.deadFailed++
 	}
 	// Drain samples first so nothing is stranded, then bank the counters.
-	lv.drainInto(n.Metrics())
+	drainInto(lv.aggs, n.Metrics())
 	lv.graveyard.Merge(n.Metrics())
 	n.Shutdown()
 	sc.eng.RemoveNode(radio.NodeID(idx))
 	return nil
 }
 
-// startAudits arms the self-rescheduling audit sweep chain for every
-// build-time node (the batch path pre-schedules a fixed span instead; an
-// open-ended session cannot).
-func (lv *Live) startAudits() {
-	if lv.sc.Cfg.Protocol.Audit.Period <= 0 {
-		return
-	}
-	for i, n := range lv.sc.Nodes {
-		lv.scheduleAudit(i, n)
-	}
-}
-
-// scheduleAudit starts node i's audit chain at its seed-stable phase
-// offset. Each firing reschedules the next on the node's own simulator
-// (ownership is inherited), and the chain ends when the node departs.
-func (lv *Live) scheduleAudit(i int, n *core.Node) {
-	sc := lv.sc
-	period := sc.Cfg.Protocol.Audit.Period
-	if period <= 0 {
-		return
-	}
-	ns := sc.eng.NodeSim(radio.NodeID(i))
-	var fire func()
-	fire = func() {
-		if n.Dead() {
-			return
-		}
-		n.AuditAdvertise()
-		ns.After(period, fire)
-	}
-	first := audit.Offset(sc.Cfg.Seed, i, period)
-	if first == 0 {
-		first = period
-	}
-	sc.eng.ScheduleOwnedAt(radio.NodeID(i), sc.Now().Add(first), fire)
-}
-
-// startFlows arms the configured CBR flows as self-rescheduling chains —
-// open-ended, unlike the batch path's pre-scheduled send lists. A flow
-// pauses forever when its source departs; a departed destination simply
-// stops delivering.
+// startFlows arms the configured CBR flows as self-rescheduling chains:
+// flow f sends at Start + k·Interval into the measured span, for k ≥ 1,
+// at instants strictly before Duration. Each send schedules the next one
+// Interval later, so the send for an instant T is scheduled at
+// T − Interval, after any timer armed earlier for T. A flow stops for
+// good when its source departs; a departed destination simply stops
+// delivering.
 func (lv *Live) startFlows() {
 	sc := lv.sc
+	end := sc.measureStart.Add(sc.Cfg.Duration)
 	for fi, f := range sc.Cfg.Flows {
 		send := sc.armFlow(fi)
 		srcID, src := radio.NodeID(f.From), sc.Nodes[f.From]
@@ -500,19 +492,40 @@ func (lv *Live) startFlows() {
 				return
 			}
 			send()
-			srcSim.After(f.Interval, tick)
+			if srcSim.Now().Add(f.Interval) < end {
+				srcSim.After(f.Interval, tick)
+			}
 		}
-		sc.eng.ScheduleOwnedAt(srcID, sc.Now().Add(f.Start+f.Interval), tick)
+		if first := sc.Now().Add(f.Start + f.Interval); first < end {
+			sc.eng.ScheduleOwnedAt(srcID, first, tick)
+		}
 	}
 }
 
 // Result synthesizes the cumulative session result at the current
-// barrier: counters merged across graveyard and live nodes, latency from
-// the bounded aggregates (never NaN), totals from the flow stats. The
-// Windows slice is nil — sessions stream windows instead of retaining
-// them.
+// barrier: counters merged across graveyard and live nodes, the flow
+// totals, the delivery ratio, the byte and crypto counters, the link
+// stats, and every sample series from the bounded aggregates (latency
+// reads 0, never NaN, when nothing was delivered). Configured and
+// DADFailed count the nodes as they stand now.
 func (lv *Live) Result() *Result {
-	res := lv.sc.result(lv.merged())
+	sc := lv.sc
+	m := lv.merged()
+	res := &Result{Metrics: m, PerFlow: make(map[int]FlowResult), Samples: lv.samples(m)}
+	//sbr6:commutative order-free sums plus one distinct PerFlow key per flow
+	for fi, st := range sc.flowStats {
+		res.Sent += st.sent
+		res.Delivered += st.delivered
+		res.PerFlow[fi] = FlowResult{Sent: st.sent, Delivered: st.delivered}
+	}
+	if res.Sent > 0 {
+		res.PDR = float64(res.Delivered) / float64(res.Sent)
+	}
+	res.ControlBytes = m.Get("tx.bytes.control")
+	res.DataBytes = m.Get("tx.bytes.data")
+	res.CryptoSign = m.Get("crypto.sign")
+	res.CryptoVerify = m.Get("crypto.verify")
+	res.Link = sc.eng.Stats()
 	res.Configured = lv.deadConfig
 	res.DADFailed = lv.deadFailed
 	for _, n := range lv.sc.Nodes {
@@ -525,11 +538,25 @@ func (lv *Live) Result() *Result {
 			res.DADFailed++
 		}
 	}
-	if lat, ok := lv.aggs["e2e.latency_s"]; ok {
+	if lat, ok := res.Samples["e2e.latency_s"]; ok {
 		res.LatencyMean = lat.Mean()
 		res.LatencyP95 = lat.Quantile(0.95)
 	}
 	return res
+}
+
+// samples returns copies of the session aggregates with the series still
+// undrained in m (the merged node metrics) folded in, draining them from
+// m. Series stay undrained only until the first Step, so a Result read at
+// any barrier sees every sample once, in the order Step folds it.
+func (lv *Live) samples(m *trace.Metrics) map[string]*SampleAgg {
+	out := make(map[string]*SampleAgg, len(lv.aggs))
+	for _, name := range sortedKeys(lv.aggs) {
+		c := *lv.aggs[name]
+		out[name] = &c
+	}
+	drainInto(out, m)
+	return out
 }
 
 // Digest hashes the session's observable state at the current barrier:
@@ -557,16 +584,11 @@ func (lv *Live) Digest() [sha256.Size]byte {
 		h.Write(addr[:])
 	}
 	counters := lv.mergedCounters()
-	for _, name := range sortedNames(counters) {
+	for _, name := range sortedKeys(counters) {
 		h.Write([]byte(name))
 		putF(counters[name])
 	}
-	flows := make([]int, 0, len(sc.flowStats))
-	for fi := range sc.flowStats {
-		flows = append(flows, fi)
-	}
-	sort.Ints(flows)
-	for _, fi := range flows {
+	for _, fi := range sortedKeys(sc.flowStats) {
 		put(uint64(fi))
 		put(uint64(sc.flowStats[fi].sent))
 		put(uint64(sc.flowStats[fi].delivered))
@@ -587,13 +609,7 @@ func (lv *Live) Digest() [sha256.Size]byte {
 		put(uint64(k.seq))
 		put(uint64(sc.sent[k]))
 	}
-	aggNames := make([]string, 0, len(lv.aggs))
-	//sbr6:commutative keys are collected then sorted before hashing
-	for name := range lv.aggs {
-		aggNames = append(aggNames, name)
-	}
-	sort.Strings(aggNames)
-	for _, name := range aggNames {
+	for _, name := range sortedKeys(lv.aggs) {
 		a := lv.aggs[name]
 		h.Write([]byte(name))
 		put(uint64(a.Count))

@@ -15,6 +15,10 @@ func liveConfig(seed int64, shards int) Config {
 	cfg.N = 16
 	cfg.Area = geom.Rect{W: 600, H: 600} // dense enough to stay connected
 	cfg.Warmup = 1 * time.Second
+	// Flows stop at Duration, and the churn suites compare pending events
+	// and heap across their windows, so the flows outlast every suite: the
+	// longest, TestChurnHeapSteady, runs 3125 windows of 2 s.
+	cfg.Duration = 24 * time.Hour
 	cfg.WindowSize = 2 * time.Second
 	cfg.Cooldown = 2 * time.Second
 	cfg.Shards = shards

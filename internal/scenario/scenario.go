@@ -9,17 +9,20 @@
 // wall time only, never results. Node events run on their region's
 // simulator, and a harness advances time with Scenario.RunFor, never by
 // driving the engine directly: RunFor also applies the flow bookkeeping
-// the regions logged.
+// the regions logged. A run with traffic is a Live session (live.go):
+// Live.Run is the one definition of a run to its end.
 //
 // Node 0 is always the DNS server, the network's single security anchor.
 package scenario
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -61,13 +64,14 @@ type MobilitySpec struct {
 	Epoch    time.Duration // walk leg length (default 10 s)
 }
 
-// Flow is a constant-bit-rate traffic source running through the
-// measurement window.
+// Flow is a constant-bit-rate traffic source: it sends at Start +
+// k·Interval into the measurement window, for k ≥ 1, at every instant
+// strictly before Config.Duration.
 type Flow struct {
 	From, To int
 	Interval time.Duration
 	Size     int           // payload bytes
-	Start    time.Duration // offset into the measurement window
+	Start    time.Duration // offset into the measurement window; the first send is one Interval later
 }
 
 // PartitionSpec stages the last Nodes nodes in a disjoint area beyond
@@ -134,16 +138,18 @@ type Config struct {
 	BootStagger time.Duration
 	// Warmup runs after bootstrap before measurement starts.
 	Warmup time.Duration
-	// Duration is the measurement window.
+	// Duration is the measurement window: flows send only before it ends,
+	// and Live.Run measures ⌈Duration/WindowSize⌉ windows.
 	Duration time.Duration
 	// Cooldown lets in-flight packets land after the last send.
 	Cooldown time.Duration
 
 	Flows []Flow
 
-	// WindowSize, when positive, buckets sent/delivered counts into
-	// consecutive windows of the measurement phase so experiments can plot
-	// convergence over time (e.g. credits learning around a black hole).
+	// WindowSize buckets sent/delivered counts into consecutive windows of
+	// the measurement phase, so experiments can plot convergence over time
+	// (e.g. credits learning around a black hole); it is also the step a
+	// Live session advances by. NewLive defaults it to one second.
 	WindowSize time.Duration
 
 	// Shards is the region count of the simulation engine
@@ -240,12 +246,12 @@ func Validate(cfg Config) error {
 			return fmt.Errorf("scenario: preload %q references node %d: %w", name, idx, ErrConfig)
 		}
 	}
-	for _, idx := range sortedIntKeys(cfg.Names) {
+	for _, idx := range sortedKeys(cfg.Names) {
 		if idx < 0 || idx >= cfg.N {
 			return fmt.Errorf("scenario: name registration references node %d: %w", idx, ErrConfig)
 		}
 	}
-	for _, idx := range sortedIntKeys(cfg.Behaviors) {
+	for _, idx := range sortedKeys(cfg.Behaviors) {
 		if idx < 0 || idx >= cfg.N {
 			return fmt.Errorf("scenario: behavior references node %d: %w", idx, ErrConfig)
 		}
@@ -253,14 +259,14 @@ func Validate(cfg Config) error {
 	return nil
 }
 
-// sortedIntKeys returns m's keys in increasing order, for deterministic
-// iteration over index-keyed config maps.
-func sortedIntKeys[V any](m map[int]V) []int {
-	keys := make([]int, 0, len(m))
+// sortedKeys returns m's keys in increasing order, for deterministic
+// iteration over maps.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Ints(keys)
+	slices.Sort(keys)
 	return keys
 }
 
@@ -279,24 +285,17 @@ type Scenario struct {
 	Nodes  []*core.Node
 	DNSSrv *dnssrv.Server
 
-	// OnWindow, when set before Run on a windowed scenario, streams each
-	// measurement window's counts as the run passes it: window k is
-	// emitted one cooldown after its send-span closes, so the in-flight
-	// packets it is owed have landed. The idx is the window index.
-	OnWindow func(idx int, w WindowStat)
-
 	sent      map[flowPacket]sim.Time
 	flowStats map[int]*flowStat
-	windows   []WindowStat
-	// winBase is the absolute index of windows[0]. Batch runs keep it 0;
-	// a live session advances it as finalized windows are emitted and
-	// dropped, so the retained ring stays bounded.
+	windows   []WindowReport
+	// winBase is the absolute index of windows[0]; the session advances it
+	// as finalized windows are emitted and dropped, so the retained ring
+	// stays bounded.
 	winBase int
-	// onLatency, when set, receives end-to-end latency samples (src node
-	// index, seconds) instead of the source node's metrics — live
-	// sessions route them to bounded session aggregates so a departing
-	// source cannot strand samples.
-	onLatency    func(src int, seconds float64)
+	// onLatency receives end-to-end latency samples in seconds. The
+	// session routes them to its bounded aggregates, so a departing source
+	// cannot strand samples.
+	onLatency    func(seconds float64)
 	measureStart sim.Time
 	bootOffsets  []time.Duration
 	bootHorizon  time.Duration
@@ -336,9 +335,6 @@ type flowStat struct {
 
 // windowIndex buckets a simulation instant into a measurement window.
 func (sc *Scenario) windowIndex(at sim.Time) int {
-	if sc.Cfg.WindowSize <= 0 {
-		return -1
-	}
 	off := at.Sub(sc.measureStart)
 	if off < 0 {
 		return -1
@@ -346,14 +342,16 @@ func (sc *Scenario) windowIndex(at sim.Time) int {
 	return int(off / sc.Cfg.WindowSize)
 }
 
-func (sc *Scenario) windowAt(idx int) *WindowStat {
+func (sc *Scenario) windowAt(idx int) *WindowReport {
 	if idx < sc.winBase {
-		return nil // finalized and dropped (live sessions only)
+		return nil // finalized and dropped
 	}
 	idx -= sc.winBase
 	for len(sc.windows) <= idx {
-		sc.windows = append(sc.windows, WindowStat{
-			Start: time.Duration(len(sc.windows)+sc.winBase) * sc.Cfg.WindowSize,
+		abs := len(sc.windows) + sc.winBase
+		sc.windows = append(sc.windows, WindowReport{
+			Index: abs,
+			Start: time.Duration(abs) * sc.Cfg.WindowSize,
 		})
 	}
 	return &sc.windows[idx]
@@ -379,29 +377,15 @@ type Result struct {
 	Link radio.Stats
 
 	Metrics *trace.Metrics // merged node counters
+	// Samples holds every sample series (e.g. "dad.latency_s") folded into
+	// its bounded aggregate.
+	Samples map[string]*SampleAgg
 	PerFlow map[int]FlowResult
-	// Windows holds per-window delivery counts when Config.WindowSize > 0.
-	Windows []WindowStat
 }
 
 // FlowResult is one flow's delivery outcome.
 type FlowResult struct {
 	Sent, Delivered int
-}
-
-// WindowStat is one time bucket of the measurement phase.
-type WindowStat struct {
-	Start     time.Duration // offset from measurement start
-	Sent      int
-	Delivered int
-}
-
-// PDR returns the window's delivery ratio (0 when nothing was sent).
-func (w WindowStat) PDR() float64 {
-	if w.Sent == 0 {
-		return 0
-	}
-	return float64(w.Delivered) / float64(w.Sent)
 }
 
 // Build constructs the network (deterministically from Cfg.Seed) without
@@ -629,13 +613,17 @@ func (sc *Scenario) Bootstrap() int {
 	return configured
 }
 
-// bootstrap is Bootstrap under ctx; ok is false when ctx ended it early.
+// bootstrap is Bootstrap under ctx, which it checks before every
+// cancelSpan of virtual time; ok is false when ctx ended it early.
 func (sc *Scenario) bootstrap(ctx context.Context) (configured int, ok bool) {
 	for i, n := range sc.Nodes {
 		sc.eng.ScheduleOwnedAt(radio.NodeID(i), sc.Now().Add(sc.bootOffsets[i]), n.Start)
 	}
-	if !sc.runTo(ctx, sc.Now().Add(sc.bootHorizon)) {
-		return 0, false
+	for end := sc.Now().Add(sc.bootHorizon); sc.Now() < end; {
+		if ctx.Err() != nil {
+			return 0, false
+		}
+		sc.RunFor(min(end.Sub(sc.Now()), cancelSpan))
 	}
 	for _, n := range sc.Nodes {
 		if n.Configured() {
@@ -651,22 +639,40 @@ func (sc *Scenario) bootstrap(ctx context.Context) (configured int, ok bool) {
 // run spans from it.
 func (sc *Scenario) MergeComplete() time.Duration { return sc.mergeDone }
 
-// StartAuditSweeps schedules every node's periodic audit re-advertisements
-// over the next span of virtual time, one per sweep period at the node's
-// seed-stable phase (audit.Offset). Run calls it as the post-bootstrap
-// phases begin; harnesses that drive Bootstrap directly call it themselves.
-// With the sweep disabled it schedules nothing, draws nothing, and the run
-// is byte-identical to one without the audit subsystem.
-func (sc *Scenario) StartAuditSweeps(span time.Duration) {
+// StartAudits arms every node's audit sweep: one chain per node at its
+// seed-stable phase (audit.Offset), where a zero phase waits one period.
+// Each firing re-advertises the node's binding and schedules the next,
+// until the node departs. A Live session arms it once after bootstrap;
+// harnesses that drive Bootstrap directly arm it themselves, once. With
+// the sweep disabled it schedules nothing, draws nothing, and the run is
+// byte-identical to one without the audit subsystem.
+func (sc *Scenario) StartAudits() {
+	for i := range sc.Nodes {
+		sc.startAudit(i)
+	}
+}
+
+// startAudit arms node i's audit chain. Each firing reschedules the next on
+// the node's own simulator, so ownership is inherited.
+func (sc *Scenario) startAudit(i int) {
 	period := sc.Cfg.Protocol.Audit.Period
 	if period <= 0 {
 		return
 	}
-	for i, n := range sc.Nodes {
-		for t := audit.Offset(sc.Cfg.Seed, i, period); t < span; t += period {
-			sc.eng.ScheduleOwnedAt(radio.NodeID(i), sc.Now().Add(t), n.AuditAdvertise)
+	n, ns := sc.Nodes[i], sc.eng.NodeSim(radio.NodeID(i))
+	var fire func()
+	fire = func() {
+		if n.Dead() {
+			return
 		}
+		n.AuditAdvertise()
+		ns.After(period, fire)
 	}
+	first := audit.Offset(sc.Cfg.Seed, i, period)
+	if first == 0 {
+		first = period
+	}
+	sc.eng.ScheduleOwnedAt(radio.NodeID(i), sc.Now().Add(first), fire)
 }
 
 // RunFor advances the simulation by d through the engine's barrier
@@ -677,109 +683,15 @@ func (sc *Scenario) RunFor(d time.Duration) {
 	sc.replayFlowLogs()
 }
 
-// cancelSpan is the most virtual time Run advances between two checks of
-// its context.
+// cancelSpan is the most virtual time a bootstrap advances between two
+// checks of its context.
 const cancelSpan = 100 * time.Millisecond
-
-// runTo advances the simulation to end in spans of at most cancelSpan,
-// checking ctx before each; it reports false once ctx is done.
-func (sc *Scenario) runTo(ctx context.Context, end sim.Time) bool {
-	for ctx.Err() == nil && sc.Now() < end {
-		sc.RunFor(min(end.Sub(sc.Now()), cancelSpan))
-	}
-	return ctx.Err() == nil
-}
 
 // Now returns the current virtual time.
 func (sc *Scenario) Now() sim.Time { return sc.eng.Now() }
 
 // Engine returns the simulation engine.
 func (sc *Scenario) Engine() *shard.Engine { return sc.eng }
-
-// Run executes the full experiment: bootstrap, warmup, measured traffic,
-// cooldown; it returns the aggregated result. It checks ctx every
-// cancelSpan of virtual time and returns nil once ctx is done.
-func (sc *Scenario) Run(ctx context.Context) *Result {
-	configured, ok := sc.bootstrap(ctx)
-	if !ok {
-		return nil
-	}
-	sc.StartAuditSweeps(sc.Cfg.Warmup + sc.Cfg.Duration + sc.Cfg.Cooldown)
-	if !sc.runTo(ctx, sc.Now().Add(sc.Cfg.Warmup)) {
-		return nil
-	}
-	sc.measureStart = sc.Now()
-	sc.startFlows()
-	if sc.Cfg.WindowSize > 0 && sc.OnWindow != nil {
-		numW := int((sc.Cfg.Duration + sc.Cfg.WindowSize - 1) / sc.Cfg.WindowSize)
-		for k := 0; k < numW; k++ {
-			// Window k is emitted one cooldown after its send span ends
-			// (clamped to the run's end), when every packet sent inside
-			// it has had a full cooldown to land. The emission sees every
-			// event before that instant and none at it.
-			at := min(time.Duration(k+1)*sc.Cfg.WindowSize, sc.Cfg.Duration)
-			if !sc.runTo(ctx, sc.measureStart.Add(at+sc.Cfg.Cooldown-1)) {
-				return nil
-			}
-			w := WindowStat{Start: time.Duration(k) * sc.Cfg.WindowSize}
-			if k < len(sc.windows) {
-				w = sc.windows[k]
-			}
-			sc.OnWindow(k, w)
-		}
-	}
-	if !sc.runTo(ctx, sc.measureStart.Add(sc.Cfg.Duration+sc.Cfg.Cooldown)) {
-		return nil
-	}
-
-	m := trace.NewMetrics()
-	for _, n := range sc.Nodes {
-		m.Merge(n.Metrics())
-	}
-	res := sc.result(m)
-	res.Configured, res.DADFailed = configured, sc.Cfg.N-configured
-	res.LatencyMean = m.Mean("e2e.latency_s")
-	res.LatencyP95 = m.Quantile("e2e.latency_s", 0.95)
-	res.Windows = sc.windows
-	return res
-}
-
-// result assembles what batch runs and live sessions report alike from the
-// merged node counters m: the flow totals, the delivery ratio, the byte and
-// crypto counters and the link stats.
-func (sc *Scenario) result(m *trace.Metrics) *Result {
-	res := &Result{Metrics: m, PerFlow: make(map[int]FlowResult)}
-	//sbr6:commutative order-free sums plus one distinct PerFlow key per flow
-	for fi, st := range sc.flowStats {
-		res.Sent += st.sent
-		res.Delivered += st.delivered
-		res.PerFlow[fi] = FlowResult{Sent: st.sent, Delivered: st.delivered}
-	}
-	if res.Sent > 0 {
-		res.PDR = float64(res.Delivered) / float64(res.Sent)
-	}
-	res.ControlBytes = m.Get("tx.bytes.control")
-	res.DataBytes = m.Get("tx.bytes.data")
-	res.CryptoSign = m.Get("crypto.sign")
-	res.CryptoVerify = m.Get("crypto.verify")
-	res.Link = sc.eng.Stats()
-	return res
-}
-
-// startFlows schedules the CBR sources across the measurement window and
-// hooks delivery tracking at each sink. Flow fields were validated by
-// Build, so every flow here is well-formed.
-func (sc *Scenario) startFlows() {
-	for fi, f := range sc.Cfg.Flows {
-		send := sc.armFlow(fi)
-		count := int((sc.Cfg.Duration - f.Start) / f.Interval)
-		base := sc.Now()
-		for k := 0; k < count; k++ {
-			at := base.Add(f.Start + time.Duration(k)*f.Interval)
-			sc.eng.ScheduleOwnedAt(radio.NodeID(f.From), at, send)
-		}
-	}
-}
 
 // armFlow sets up flow fi's stats and sink hook and returns the action
 // that sends one of its packets; the caller schedules it as an event owned
@@ -878,12 +790,7 @@ func (sc *Scenario) replayFlowLogs() {
 		}
 		delete(sc.sent, key)
 		st.delivered++
-		srcIdx := sc.Cfg.Flows[int(e.flow)-1].From
-		if sc.onLatency != nil {
-			sc.onLatency(srcIdx, e.at.Sub(sentAt).Seconds())
-		} else {
-			sc.Nodes[srcIdx].Metrics().Observe("e2e.latency_s", e.at.Sub(sentAt).Seconds())
-		}
+		sc.onLatency(e.at.Sub(sentAt).Seconds())
 		if w := sc.windowAt(sc.windowIndex(sentAt)); w != nil {
 			w.Delivered++
 		}

@@ -120,7 +120,7 @@ func TestCleanRunDeliversEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := sc.Run(context.Background())
+	res := NewLive(sc).Run(context.Background())
 	if res.Configured != 9 {
 		t.Fatalf("configured = %d", res.Configured)
 	}
@@ -143,7 +143,7 @@ func TestDeterministicRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sc.Run(context.Background())
+		return NewLive(sc).Run(context.Background())
 	}
 	a, b := run(), run()
 	if a.PDR != b.PDR || a.ControlBytes != b.ControlBytes || a.Delivered != b.Delivered ||
@@ -160,7 +160,7 @@ func TestSecureOverheadExceedsBaseline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sc.Run(context.Background())
+		return NewLive(sc).Run(context.Background())
 	}
 	sec, base := run(true), run(false)
 	if sec.PDR < 0.95 || base.PDR < 0.95 {
@@ -190,7 +190,7 @@ func blackHoleRun(t *testing.T, secure bool) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sc.Run(context.Background())
+	return NewLive(sc).Run(context.Background())
 }
 
 func TestBlackHoleCollapsesBaseline(t *testing.T) {
@@ -278,7 +278,7 @@ func TestRERRSpammerIsFlagged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := sc.Run(context.Background())
+	res := NewLive(sc).Run(context.Background())
 	if sp.Sent == 0 {
 		t.Fatal("spammer never spammed")
 	}
@@ -301,7 +301,7 @@ func TestReplayerGainsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := sc.Run(context.Background())
+	res := NewLive(sc).Run(context.Background())
 	if rp.Replayed == 0 {
 		t.Fatal("replayer never replayed")
 	}
@@ -320,7 +320,7 @@ func TestWaypointMobilityRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := sc.Run(context.Background())
+	res := NewLive(sc).Run(context.Background())
 	if res.Configured < 8 {
 		t.Fatalf("configured = %d", res.Configured)
 	}
@@ -344,7 +344,7 @@ func TestIdentityChurnerChurns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc.Run(context.Background())
+	NewLive(sc).Run(context.Background())
 	if ch.Churns == 0 {
 		t.Fatal("churner never changed identity")
 	}
@@ -364,7 +364,7 @@ func TestLargeNetworkSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := sc.Run(context.Background())
+	res := NewLive(sc).Run(context.Background())
 	if res.Configured != 49 {
 		t.Fatalf("configured %d/49", res.Configured)
 	}
@@ -407,12 +407,13 @@ func TestFlowStartOffset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := sc.Run(context.Background())
-	// Only (Duration-Start)/Interval = 2 packets fit the window.
-	if res.Sent != 2 {
-		t.Fatalf("sent = %d, want 2", res.Sent)
+	res := NewLive(sc).Run(context.Background())
+	// A flow sends at Start + k·Interval for k ≥ 1, strictly before
+	// Duration: the one send at 5 s fits the window.
+	if res.Sent != 1 {
+		t.Fatalf("sent = %d, want 1", res.Sent)
 	}
-	if res.Delivered != 2 {
+	if res.Delivered != 1 {
 		t.Fatalf("delivered = %d", res.Delivered)
 	}
 }

@@ -139,7 +139,7 @@ func runSharded(t *testing.T, cfg scenario.Config, shards int) *scenario.Result 
 	if err != nil {
 		t.Fatalf("build with %d shards: %v", shards, err)
 	}
-	return sc.Run(context.Background())
+	return scenario.NewLive(sc).Run(context.Background())
 }
 
 func TestShardDifferential(t *testing.T) {
@@ -182,8 +182,9 @@ func TestShardedRunDelivers(t *testing.T) {
 // TestBarrierPlacementInvisible pins that where a run stops changes
 // nothing: a live session advanced 12 s in one RunFor equals the same
 // session advanced in seeded irregular spans of 1 ns to 700 ms, at one
-// region and at every shard level. Batch runs stop every 100 ms to check
-// their context and a session stops at every window, so both rely on it.
+// region and at every shard level. A run stops every 100 ms of its
+// bootstrap to check its context and at every window after it, and the
+// Runner's replicates and sessions alike rely on that costing nothing.
 func TestBarrierPlacementInvisible(t *testing.T) {
 	levels := shardLevels(t)
 	if !slices.Contains(levels, 1) {

@@ -1,6 +1,7 @@
 // Package trace collects simulation metrics — counters and sample
-// distributions — and formats the result tables the benchmark harness
-// prints. Counter names are free-form strings so experiments can define
+// series — and formats the result tables the benchmark harness prints.
+// Sample series are only collected here: a scenario drains them into its
+// bounded aggregates (scenario.SampleAgg), which every result reads. Counter names are free-form strings so experiments can define
 // their own taxonomy without touching this package.
 package trace
 
@@ -38,41 +39,6 @@ func (m *Metrics) Observe(name string, v float64) {
 	m.samples[name] = append(m.samples[name], v)
 }
 
-// Count returns the number of samples observed under name.
-func (m *Metrics) Count(name string) int { return len(m.samples[name]) }
-
-// Mean returns the mean of the named samples, or NaN when empty.
-func (m *Metrics) Mean(name string) float64 {
-	s := m.samples[name]
-	if len(s) == 0 {
-		return math.NaN()
-	}
-	sum := 0.0
-	for _, v := range s {
-		sum += v
-	}
-	return sum / float64(len(s))
-}
-
-// Quantile returns the q-quantile (0..1) of the named samples by the
-// nearest-rank method, or NaN when empty.
-func (m *Metrics) Quantile(name string, q float64) float64 {
-	s := m.samples[name]
-	if len(s) == 0 {
-		return math.NaN()
-	}
-	sorted := append([]float64(nil), s...)
-	sort.Float64s(sorted)
-	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
-}
-
 // DrainSamples removes and returns every sample series, leaving the
 // counters untouched. Long-lived sessions call it at window barriers so
 // sample slices (per-delivery latencies, DAD durations) never accumulate
@@ -100,16 +66,6 @@ func (m *Metrics) Merge(other *Metrics) {
 func (m *Metrics) CounterNames() []string {
 	names := make([]string, 0, len(m.counters))
 	for k := range m.counters {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// SampleNames returns all sample names, sorted.
-func (m *Metrics) SampleNames() []string {
-	names := make([]string, 0, len(m.samples))
-	for k := range m.samples {
 		names = append(names, k)
 	}
 	sort.Strings(names)

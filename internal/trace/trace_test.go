@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -28,26 +29,16 @@ func TestSamples(t *testing.T) {
 	for _, v := range []float64{5, 1, 3, 2, 4} {
 		m.Observe("lat", v)
 	}
-	if m.Count("lat") != 5 {
-		t.Fatalf("Count = %d", m.Count("lat"))
+	m.Inc("bytes", 1)
+	got := m.DrainSamples()
+	if !reflect.DeepEqual(got, map[string][]float64{"lat": {5, 1, 3, 2, 4}}) {
+		t.Fatalf("DrainSamples = %v, want the series in observation order", got)
 	}
-	if m.Mean("lat") != 3 {
-		t.Fatalf("Mean = %v", m.Mean("lat"))
+	if again := m.DrainSamples(); len(again) != 0 {
+		t.Fatalf("second DrainSamples = %v, want nothing", again)
 	}
-	if q := m.Quantile("lat", 0.5); q != 3 {
-		t.Fatalf("median = %v", q)
-	}
-	if q := m.Quantile("lat", 1.0); q != 5 {
-		t.Fatalf("p100 = %v", q)
-	}
-	if q := m.Quantile("lat", 0.0); q != 1 {
-		t.Fatalf("p0 = %v", q)
-	}
-	if !math.IsNaN(m.Mean("none")) || !math.IsNaN(m.Quantile("none", 0.5)) {
-		t.Fatal("empty distribution should be NaN")
-	}
-	if got := m.SampleNames(); len(got) != 1 || got[0] != "lat" {
-		t.Fatalf("SampleNames = %v", got)
+	if m.Get("bytes") != 1 {
+		t.Fatal("draining samples touched a counter")
 	}
 }
 
@@ -62,8 +53,8 @@ func TestMerge(t *testing.T) {
 	if a.Get("x") != 3 || a.Get("y") != 3 {
 		t.Fatalf("merged counters wrong")
 	}
-	if a.Count("s") != 2 || a.Mean("s") != 2 {
-		t.Fatalf("merged samples wrong")
+	if got := a.DrainSamples()["s"]; !reflect.DeepEqual(got, []float64{1, 3}) {
+		t.Fatalf("merged samples = %v, want [1 3]", got)
 	}
 }
 

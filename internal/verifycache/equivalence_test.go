@@ -111,7 +111,7 @@ func runWith(t *testing.T, mk func() scenario.Config, seed int64, cached bool) (
 	if err != nil {
 		t.Fatalf("build (cached=%v, seed=%d): %v", cached, seed, err)
 	}
-	res := sc.Run(context.Background())
+	res := scenario.NewLive(sc).Run(context.Background())
 	var stats verifycache.Stats
 	for _, n := range sc.Nodes {
 		s := n.VerifyCacheStats()

@@ -14,8 +14,9 @@ import (
 type Observer interface {
 	// RunStarted fires when a seed-replicate begins executing.
 	RunStarted(seed int64)
-	// Window streams one closed measurement window (WithWindows only).
-	Window(seed int64, w WindowStat)
+	// Window streams one measured window as the replicate's session
+	// finalizes it (WithWindows only).
+	Window(seed int64, w WindowReport)
 	// RunFinished delivers a replicate's final result.
 	RunFinished(seed int64, r *Result)
 }
@@ -24,7 +25,7 @@ type Observer interface {
 // ignored.
 type ObserverFuncs struct {
 	OnRunStarted  func(seed int64)
-	OnWindow      func(seed int64, w WindowStat)
+	OnWindow      func(seed int64, w WindowReport)
 	OnRunFinished func(seed int64, r *Result)
 }
 
@@ -36,7 +37,7 @@ func (o ObserverFuncs) RunStarted(seed int64) {
 }
 
 // Window implements Observer.
-func (o ObserverFuncs) Window(seed int64, w WindowStat) {
+func (o ObserverFuncs) Window(seed int64, w WindowReport) {
 	if o.OnWindow != nil {
 		o.OnWindow(seed, w)
 	}
@@ -56,7 +57,7 @@ func NewProgressObserver(w io.Writer) Observer {
 		OnRunStarted: func(seed int64) {
 			fmt.Fprintf(w, "run seed=%d started\n", seed)
 		},
-		OnWindow: func(seed int64, win WindowStat) {
+		OnWindow: func(seed int64, win WindowReport) {
 			fmt.Fprintf(w, "run seed=%d window @%s: %d/%d delivered (pdr=%.3f)\n",
 				seed, win.Start, win.Delivered, win.Sent, win.PDR())
 		},
@@ -78,7 +79,7 @@ func (s *syncObserver) RunStarted(seed int64) {
 	s.obs.RunStarted(seed)
 }
 
-func (s *syncObserver) Window(seed int64, w WindowStat) {
+func (s *syncObserver) Window(seed int64, w WindowReport) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.obs.Window(seed, w)

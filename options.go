@@ -104,13 +104,14 @@ func DefaultRadio() Radio {
 	}
 }
 
-// Flow is a constant-bit-rate traffic source running through the
-// measurement window.
+// Flow is a constant-bit-rate traffic source. It sends at Start +
+// k·Interval into the measurement window, for k ≥ 1, at every instant
+// strictly before the scenario's Duration.
 type Flow struct {
 	From, To int           // node indices; distinct, inside [0, nodes)
 	Interval time.Duration // inter-packet gap, must be positive
 	Size     int           // payload bytes
-	Start    time.Duration // offset into the measurement window
+	Start    time.Duration // offset into the measurement window; the first send is one Interval later
 }
 
 // TapEvent is one packet reception observed by a packet tap.
@@ -555,7 +556,8 @@ func WithTap(f func(TapEvent)) Option {
 	}
 }
 
-// WithDuration sets the measurement window length.
+// WithDuration sets the measurement window length (30 s by default). Flows
+// send only inside it, in a Runner's replicate and a Session alike.
 func WithDuration(d time.Duration) Option {
 	return func(s *Scenario) error {
 		if d <= 0 {
@@ -589,9 +591,10 @@ func WithCooldown(d time.Duration) Option {
 	}
 }
 
-// WithWindows buckets sent/delivered counts into consecutive windows of
-// the given size, enabling per-window streaming to Observers and the
-// Windows field of Result. In a Session it is the step Advance takes.
+// WithWindows sets the window size: the step a Session's Advance takes
+// and the span of each WindowReport (one second when unset). With it, a
+// Runner also streams each measured window to its Observer and keeps them
+// in Result.Windows.
 func WithWindows(size time.Duration) Option {
 	return func(s *Scenario) error {
 		if size <= 0 {

@@ -2,7 +2,6 @@ package sbr6
 
 import (
 	"fmt"
-	"time"
 
 	"sbr6/internal/core"
 	"sbr6/internal/ipv6"
@@ -25,8 +24,8 @@ type Result struct {
 	Delivered int
 	PDR       float64 // delivery ratio
 
-	LatencyMean float64 // seconds
-	LatencyP95  float64
+	LatencyMean float64 // seconds; 0 when nothing was delivered
+	LatencyP95  float64 // upper edge of the log-histogram bucket holding the 95th percentile
 
 	ControlBytes float64 // summed over nodes
 	DataBytes    float64
@@ -37,9 +36,12 @@ type Result struct {
 	UnicastFails uint64 // unicasts with no link-layer ACK
 
 	PerFlow map[int]FlowResult
-	Windows []WindowStat // per-window counts when WithWindows was set
+	// Windows holds a Runner's measured windows when WithWindows was set,
+	// and is nil otherwise; a Session streams its windows instead.
+	Windows []WindowReport
 
 	metrics     *trace.Metrics
+	samples     map[string]*scenario.SampleAgg
 	adversaries map[int]core.Behavior
 }
 
@@ -48,34 +50,19 @@ type FlowResult struct {
 	Sent, Delivered int
 }
 
-// WindowStat is one time bucket of the measurement phase. Deliveries are
-// attributed to the window the packet was sent in, so window PDRs are well
-// defined.
-type WindowStat struct {
-	Start     time.Duration // offset from measurement start
-	Sent      int
-	Delivered int
-}
-
-// PDR returns the window's delivery ratio (0 when nothing was sent).
-func (w WindowStat) PDR() float64 {
-	if w.Sent == 0 {
-		return 0
-	}
-	return float64(w.Delivered) / float64(w.Sent)
-}
-
 // Metric returns a merged per-node counter by name (e.g. "rerr.accepted",
 // "discovery.attempts", "tx.bytes.control"); unknown names read 0.
 func (r *Result) Metric(name string) float64 { return r.metrics.Get(name) }
 
-// MetricMean returns the mean of a merged sample series (e.g.
-// "e2e.latency_s", "dad.latency_s").
-func (r *Result) MetricMean(name string) float64 { return r.metrics.Mean(name) }
+// MetricMean returns the exact mean of a merged sample series (e.g.
+// "e2e.latency_s", "dad.latency_s"); 0 when the series has no samples.
+func (r *Result) MetricMean(name string) float64 { return r.samples[name].Mean() }
 
-// MetricQuantile returns the q-quantile of a merged sample series.
+// MetricQuantile returns the q-quantile of a merged sample series: the
+// upper edge of the log-histogram bucket that holds it, clamped to the
+// largest sample; 0 when the series has no samples.
 func (r *Result) MetricQuantile(name string, q float64) float64 {
-	return r.metrics.Quantile(name, q)
+	return r.samples[name].Quantile(q)
 }
 
 // MetricNames lists the merged counter names in sorted order.
@@ -114,19 +101,10 @@ func publicResult(seed int64, res *scenario.Result) *Result {
 		UnicastFails: res.Link.UnicastFails,
 		PerFlow:      make(map[int]FlowResult, len(res.PerFlow)),
 		metrics:      res.Metrics,
+		samples:      res.Samples,
 	}
 	for fi, fr := range res.PerFlow {
 		out.PerFlow[fi] = FlowResult{Sent: fr.Sent, Delivered: fr.Delivered}
 	}
-	for _, w := range res.Windows {
-		out.Windows = append(out.Windows, publicWindow(w))
-	}
 	return out
-}
-
-// scenarioWindow keeps the internal type out of runner.go's signatures.
-type scenarioWindow = scenario.WindowStat
-
-func publicWindow(w scenario.WindowStat) WindowStat {
-	return WindowStat{Start: w.Start, Sent: w.Sent, Delivered: w.Delivered}
 }

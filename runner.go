@@ -8,12 +8,20 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+
+	"sbr6/internal/scenario"
 )
 
 // Runner executes scenarios. Each discrete-event simulation stays
 // single-threaded and deterministic; RunBatch fans seed-replicates out
 // across a worker pool, so a batch's per-seed results are byte-identical
 // to serial runs of the same seeds.
+//
+// A replicate is a Session run to its end: Serve, then Advance through
+// ⌈Duration/W⌉ measured windows and ⌈Cooldown/W⌉ cooldown windows, where
+// W is the window size (one second without WithWindows), then Query. Its
+// Result equals that session's Query, with the measured windows in
+// Windows when WithWindows was set.
 type Runner struct {
 	// Workers bounds the pool size for RunBatch; <= 0 means GOMAXPROCS.
 	Workers int
@@ -35,8 +43,9 @@ func SeedRange(base int64, n int) []int64 {
 	return out
 }
 
-// Run executes one full experiment with the scenario's default seed,
-// checking ctx every 100 ms of virtual time.
+// Run executes one full experiment with the scenario's default seed. It
+// checks ctx every 100 ms of virtual time during the bootstrap and
+// between windows after it.
 func (r *Runner) Run(ctx context.Context, sc *Scenario) (*Result, error) {
 	return r.runOne(ctx, sc, sc.Seed(), r.observer())
 }
@@ -119,17 +128,25 @@ func (r *Runner) runOne(ctx context.Context, spec *Scenario, seed int64, obs Obs
 	if err != nil {
 		return nil, err
 	}
-	if obs != nil {
-		obs.RunStarted(seed)
-		sc.OnWindow = func(idx int, w scenarioWindow) {
-			obs.Window(seed, publicWindow(w))
+	lv := scenario.NewLive(sc)
+	var windows []WindowReport
+	if spec.cfg.WindowSize > 0 {
+		lv.OnWindow = func(w WindowReport) {
+			windows = append(windows, w)
+			if obs != nil {
+				obs.Window(seed, w)
+			}
 		}
 	}
-	out := sc.Run(ctx)
+	if obs != nil {
+		obs.RunStarted(seed)
+	}
+	out := lv.Run(ctx)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	res := publicResult(seed, out)
+	res.Windows = windows
 	res.adversaries = advs
 	if obs != nil {
 		obs.RunFinished(seed, res)
@@ -151,8 +168,8 @@ type Stat struct {
 func (s Stat) String() string { return fmt.Sprintf("%.3f ± %.3f", s.Mean, s.CI95) }
 
 // summarize computes a Stat over the finite samples; NaN observations
-// (e.g. the latency of a replicate that delivered nothing) don't
-// contribute, and N reports how many did.
+// (the latency of a replicate that delivered nothing) don't contribute,
+// and N reports how many did.
 func summarize(xs []float64) Stat {
 	finite := xs[:0:0]
 	for _, x := range xs {
@@ -248,8 +265,18 @@ func aggregate(seeds []int64, results []*Result) *BatchResult {
 		b.Results = append(b.Results, results[i])
 	}
 	b.PDR = b.Of(func(r *Result) float64 { return r.PDR })
-	b.LatencyMean = b.Of(func(r *Result) float64 { return r.LatencyMean })
-	b.LatencyP95 = b.Of(func(r *Result) float64 { return r.LatencyP95 })
+	// A replicate that delivered nothing has no latency; it reads NaN here
+	// so the latency Stats skip it.
+	latency := func(f func(*Result) float64) func(*Result) float64 {
+		return func(r *Result) float64 {
+			if r.Delivered == 0 {
+				return math.NaN()
+			}
+			return f(r)
+		}
+	}
+	b.LatencyMean = b.Of(latency(func(r *Result) float64 { return r.LatencyMean }))
+	b.LatencyP95 = b.Of(latency(func(r *Result) float64 { return r.LatencyP95 }))
 	b.ControlBytes = b.Of(func(r *Result) float64 { return r.ControlBytes })
 	b.DataBytes = b.Of(func(r *Result) float64 { return r.DataBytes })
 	b.CryptoSign = b.Of(func(r *Result) float64 { return r.CryptoSign })

@@ -7,7 +7,9 @@ package sbr6_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -344,6 +346,86 @@ func TestDefaultIsOneRegionEngine(t *testing.T) {
 	}
 }
 
+// TestRunnerIsSessionRunToItsEnd pins the one run path: a Runner
+// replicate equals the same scenario served, streamed and advanced
+// through ⌈Duration/W⌉ measured and ⌈Cooldown/W⌉ cooldown windows, then
+// queried. The two Results are JSON-identical once the streamed windows
+// are set as the session Result's Windows, and their sample series and
+// adversary state agree, across the scenario kinds and shard counts of
+// the default-engine check, with an audit sweep on.
+func TestRunnerIsSessionRunToItsEnd(t *testing.T) {
+	const windows = 4 + 1 // defaultEngineSpec: 4 s measured, 1 s cooldown, 1 s windows
+	for _, kind := range []string{"static", "mobile-lossy", "adversarial"} {
+		for _, shards := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/shards=%d", kind, shards), func(t *testing.T) {
+				spec := defaultEngineSpec(t, kind, sbr6.WithShards(shards), sbr6.WithAuditSweep(1500*time.Millisecond))
+				run, err := (&sbr6.Runner{}).Run(context.Background(), spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sess, err := sbr6.Serve(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var streamed []sbr6.WindowReport
+				if err := sess.Stream(func(w sbr6.WindowReport) { streamed = append(streamed, w) }); err != nil {
+					t.Fatal(err)
+				}
+				advance(t, sess, windows)
+				query := sess.Query()
+				query.Windows = streamed
+
+				a, err := json.Marshal(run)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := json.Marshal(query)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(a, b) {
+					t.Fatalf("Runner result differs from the session run to its end:\nrunner:  %s\nsession: %s", a, b)
+				}
+				if run.Delivered == 0 || len(run.Windows) != 4 || run.Metric("audit.adv_sent") == 0 {
+					t.Fatalf("vacuous comparison: %d delivered, %d windows, %v audit advertisements",
+						run.Delivered, len(run.Windows), run.Metric("audit.adv_sent"))
+				}
+				if m := run.MetricMean("dad.latency_s"); !(m > 0) || m != query.MetricMean("dad.latency_s") {
+					t.Fatalf("dad.latency_s mean: runner %v, session %v", m, query.MetricMean("dad.latency_s"))
+				}
+				for i := 0; i < spec.Nodes(); i++ {
+					if got, want := run.AdversaryState(i), any(sess.Node(i).Unwrap().Behavior); !reflect.DeepEqual(got, want) {
+						t.Fatalf("node %d: runner adversary state %+v, session %+v", i, got, want)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestQuerySamplesSurviveWindows reads a sample series before and after
+// windows drain the nodes' samples into the session aggregates: both
+// reads must see the same series.
+func TestQuerySamplesSurviveWindows(t *testing.T) {
+	sess, err := sbr6.Serve(fastSpec(t, sbr6.WithWindows(time.Second)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := sess.Query()
+	advance(t, sess, 2)
+	after := sess.Query()
+	mean, p50 := before.MetricMean("dad.latency_s"), before.MetricQuantile("dad.latency_s", 0.5)
+	if !(mean > 0) || !(p50 > 0) {
+		t.Fatalf("bootstrap left no DAD latency: mean %v, p50 %v", mean, p50)
+	}
+	if got := after.MetricMean("dad.latency_s"); got != mean {
+		t.Fatalf("dad.latency_s mean read %v before the windows and %v after", mean, got)
+	}
+	if got := after.MetricQuantile("dad.latency_s", 0.5); got != p50 {
+		t.Fatalf("dad.latency_s p50 read %v before the windows and %v after", p50, got)
+	}
+}
+
 // TestRunBatchDeterminism is the facade's core guarantee: the same seed
 // yields an identical Result whether run serially or through the parallel
 // worker pool, adversaries included. The second scenario sends forged
@@ -360,8 +442,7 @@ func TestRunBatchDeterminism(t *testing.T) {
 			sbr6.WithAdversaries(sbr6.BlackHole(4)),
 		}},
 		// Adversaries sit off the 1->8 diagonal so some traffic still lands
-		// (zero deliveries would make the latency stats NaN, which
-		// DeepEqual cannot compare).
+		// and the latency stats have samples to compare.
 		{"forging-blackhole+spammer", []sbr6.Option{
 			sbr6.WithAdversaries(sbr6.ForgingBlackHole(2), sbr6.RERRSpammer(6)),
 		}},
@@ -460,10 +541,10 @@ func TestRunBatchDeterminismBootPolicy(t *testing.T) {
 func TestRunnerObserverStreams(t *testing.T) {
 	sc := fastSpec(t, sbr6.WithWindows(2*time.Second))
 	var started, finished int
-	var windows []sbr6.WindowStat
+	var windows []sbr6.WindowReport
 	r := &sbr6.Runner{Workers: 2, Observer: sbr6.ObserverFuncs{
 		OnRunStarted: func(seed int64) { started++ },
-		OnWindow: func(seed int64, w sbr6.WindowStat) {
+		OnWindow: func(seed int64, w sbr6.WindowReport) {
 			if seed == 1 {
 				windows = append(windows, w)
 			}
@@ -488,7 +569,7 @@ func TestRunnerObserverStreams(t *testing.T) {
 	// The streamed windows match the final result's recorded windows.
 	res := batch.Results[0]
 	for i, w := range res.Windows {
-		if windows[i] != w {
+		if !reflect.DeepEqual(windows[i], w) {
 			t.Fatalf("window %d streamed %+v but recorded %+v", i, windows[i], w)
 		}
 	}
@@ -520,7 +601,7 @@ func TestRunnerCancelsMidRun(t *testing.T) {
 	defer cancel()
 	windows, finished := 0, 0
 	r := &sbr6.Runner{Observer: sbr6.ObserverFuncs{
-		OnWindow: func(int64, sbr6.WindowStat) {
+		OnWindow: func(int64, sbr6.WindowReport) {
 			windows++
 			cancel()
 		},
@@ -532,6 +613,40 @@ func TestRunnerCancelsMidRun(t *testing.T) {
 	}
 	if windows != 1 || finished != 0 {
 		t.Fatalf("observer saw %d windows and %d finishes; want 1 and 0", windows, finished)
+	}
+}
+
+// TestRunnerCancelsDuringBootstrap stops a replicate inside its
+// bootstrap: a tap cancels ctx on the first DAD reception, and the run
+// must end within the 100 ms of virtual time it advances between two
+// checks of ctx, with no result and no RunFinished.
+func TestRunnerCancelsDuringBootstrap(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cancelledAt, last := time.Duration(-1), time.Duration(0)
+	sc := fastSpec(t, sbr6.WithTap(func(ev sbr6.TapEvent) {
+		last = ev.At
+		if cancelledAt < 0 && strings.HasPrefix(ev.Desc, "AREQ") {
+			cancelledAt = ev.At
+			cancel()
+		}
+	}))
+	finished := 0
+	r := &sbr6.Runner{Observer: sbr6.ObserverFuncs{
+		OnRunFinished: func(int64, *sbr6.Result) { finished++ },
+	}}
+	res, err := r.Run(ctx, sc)
+	if res != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run = %v, %v; want nil, context.Canceled", res, err)
+	}
+	if finished != 0 {
+		t.Fatalf("observer saw %d finishes, want 0", finished)
+	}
+	if cancelledAt < 0 {
+		t.Fatal("the tap saw no DAD reception")
+	}
+	if last-cancelledAt > 100*time.Millisecond {
+		t.Fatalf("run went on from %v to %v after ctx was cancelled", cancelledAt, last)
 	}
 }
 

@@ -10,11 +10,11 @@ import (
 	"sbr6/internal/wire"
 )
 
-// WindowReport is one finalized measurement window streamed by a Session:
-// the window's own delivery counts plus the per-window deltas of every
-// merged node counter. Reports arrive in index order, each exactly once,
-// lagged by the cooldown so no in-flight packet can still land in an
-// emitted window.
+// WindowReport is one finalized measurement window, streamed by a Session
+// and by a Runner's Observer: the window's own delivery counts plus the
+// per-window deltas of every merged node counter. Reports arrive in index
+// order, each exactly once, lagged by the cooldown so no in-flight packet
+// can still land in an emitted window.
 type WindowReport = scenario.WindowReport
 
 // ErrSession is returned by every Session method invoked on a closed
@@ -58,8 +58,10 @@ type Session struct {
 }
 
 // Serve instantiates the scenario with its default seed, bootstraps the
-// network, runs the warmup and returns the session paused at its first
-// window barrier with the configured flows running.
+// network, arms the audit sweep, runs the warmup and returns the session
+// paused at its first window barrier with the configured flows running.
+// The flows send until the scenario's Duration has passed since the
+// warmup, so a session meant to run longer sets WithDuration to cover it.
 //
 // A session needs a window size and a cooldown: when the scenario does
 // not set them (WithWindows, WithCooldown), the window defaults to one
