@@ -277,9 +277,8 @@ func BenchmarkRSA1024Verify(b *testing.B) {
 	}
 }
 
-// One seeded reader state gives one RSA key: crypto/rsa.GenerateKey may
-// read an extra byte from its reader, so it gave a different key per
-// call.
+// One seeded reader state gives one RSA key, which crypto/rsa.GenerateKey
+// cannot promise: it may read an extra byte from its reader.
 func TestRSAKeygenDeterministic(t *testing.T) {
 	gen := func() *Identity {
 		id, err := New(SuiteRSA1024, rand.New(rand.NewSource(7)), "")

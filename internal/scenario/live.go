@@ -173,10 +173,10 @@ func (w WindowReport) PDR() float64 {
 	return float64(w.Delivered) / float64(w.Sent)
 }
 
-// Live drives a built Scenario as an open-ended session. Construct with
-// NewLive, then Start once, then any interleaving of Step / Join / Leave /
-// queries. Not safe for concurrent use: one goroutine owns the session,
-// exactly as one loop owns a simulator.
+// Live drives a built Scenario as a session. Construct with NewLive, then
+// either Run it to its end, or Start it once and interleave Step / Join /
+// Leave / queries. Not safe for concurrent use: one goroutine owns the
+// session, exactly as one loop owns a simulator.
 type Live struct {
 	sc  *Scenario
 	w   time.Duration

@@ -1,8 +1,9 @@
 // Package trace collects simulation metrics — counters and sample
 // series — and formats the result tables the benchmark harness prints.
 // Sample series are only collected here: a scenario drains them into its
-// bounded aggregates (scenario.SampleAgg), which every result reads. Counter names are free-form strings so experiments can define
-// their own taxonomy without touching this package.
+// bounded aggregates (scenario.SampleAgg), which every result reads.
+// Counter names are free-form strings so experiments can define their own
+// taxonomy without touching this package.
 package trace
 
 import (
@@ -77,9 +78,8 @@ type Table struct {
 	Title   string
 	Headers []string
 	Rows    [][]string
-	// Wall lists the columns measured in wall-clock time, whose cells
-	// differ from run to run; Ledger prints them as "~".
-	Wall []int
+
+	wall []int // columns measured in wall-clock time, which Ledger masks
 }
 
 // NewTable creates a table with the given title and column headers.
@@ -150,9 +150,10 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// WallClock marks columns as wall-clock measurements and returns t.
+// WallClock marks columns as wall-clock measurements, whose cells differ
+// from run to run, and returns t.
 func (t *Table) WallClock(cols ...int) *Table {
-	t.Wall = append(t.Wall, cols...)
+	t.wall = append(t.wall, cols...)
 	return t
 }
 
@@ -163,7 +164,7 @@ func (t *Table) Ledger() string {
 	c.Rows = make([][]string, len(t.Rows))
 	for i, row := range t.Rows {
 		c.Rows[i] = append([]string(nil), row...)
-		for _, col := range t.Wall {
+		for _, col := range t.wall {
 			if col < len(row) {
 				c.Rows[i][col] = "~"
 			}

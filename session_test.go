@@ -182,9 +182,9 @@ func TestSnapshotEquivalence(t *testing.T) {
 
 // TestRSASessionReproduces pins RSA-suite runs to their seed: two
 // sessions of one seed give every node the same address, and a session
-// resumes from its own snapshot. Both failed while crypto/rsa drew the
-// keys, because its key generation may read an extra byte from the
-// seeded reader.
+// resumes from its own snapshot. Both need keys that are a function of
+// the seed, which crypto/rsa.GenerateKey cannot promise: it may read an
+// extra byte from the seeded reader.
 func TestRSASessionReproduces(t *testing.T) {
 	sc, err := sbr6.NewScenario(
 		sbr6.WithSeed(2),
