@@ -9,13 +9,13 @@ package sbr6
 
 import (
 	"context"
-	"math/rand"
 	"testing"
 	"time"
 
 	"sbr6/internal/attack"
 	"sbr6/internal/boot"
 	"sbr6/internal/cga"
+	"sbr6/internal/draw"
 	"sbr6/internal/identity"
 	"sbr6/internal/ipv6"
 	"sbr6/internal/scalebench"
@@ -78,7 +78,7 @@ func BenchmarkTable1MessageCodec(b *testing.B) {
 
 func BenchmarkTable2CryptoOps(b *testing.B) {
 	for _, suite := range []identity.Suite{identity.SuiteEd25519, identity.SuiteRSA1024} {
-		id, err := identity.New(suite, rand.New(rand.NewSource(1)), "")
+		id, err := identity.New(suite, draw.New(1, draw.Key, 0), "")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -104,8 +104,7 @@ func BenchmarkTable2CryptoOps(b *testing.B) {
 // --- F1: CGA generation, verification, takeover search ---
 
 func BenchmarkFigure1CGA(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	id, err := identity.New(identity.SuiteEd25519, rng, "")
+	id, err := identity.New(identity.SuiteEd25519, draw.New(1, draw.Key, 0), "")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -124,7 +123,7 @@ func BenchmarkFigure1CGA(b *testing.B) {
 		}
 	})
 	b.Run("takeover16bit", func(b *testing.B) {
-		attacker, _ := identity.New(identity.SuiteEd25519, rng, "")
+		attacker, _ := identity.New(identity.SuiteEd25519, draw.New(1, draw.Key, 1), "")
 		victim := cga.TruncatedID(id.Pub.Bytes(), id.Rn, 16)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -276,7 +275,7 @@ func BenchmarkE1Overhead(b *testing.B) {
 
 func BenchmarkE2SuiteAblation(b *testing.B) {
 	for _, suite := range []identity.Suite{identity.SuiteEd25519, identity.SuiteRSA1024} {
-		id, err := identity.New(suite, rand.New(rand.NewSource(1)), "")
+		id, err := identity.New(suite, draw.New(1, draw.Key, 0), "")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -315,7 +314,7 @@ func BenchmarkE3CreditConvergence(b *testing.B) {
 
 func BenchmarkE4Collision(b *testing.B) {
 	pub := make([]byte, 32)
-	rand.New(rand.NewSource(1)).Read(pub)
+	draw.New(1, draw.Key, 0).Read(pub)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		cga.TruncatedID(pub, uint64(i), 16)

@@ -1,7 +1,7 @@
 // Command sbr6lint statically enforces the simulator's determinism and
 // state-ownership invariants over the sim-path packages: no map-order
-// dependence (maprange), no wall clock or global RNG (walltime), seeded
-// scenario-owned RNG streams only (simrng), and no package-global
+// dependence (maprange), no wall clock or global RNG (walltime), no
+// random-number package beside internal/draw (simrng), and no package-global
 // mutable state (globalstate). See the "Static analysis" section of the
 // README for what each check guards and how to annotate exceptions.
 //

@@ -172,8 +172,8 @@
 // meeting later, when no objection window is left to protect anyone.
 // WithAuditSweep(period) closes both: every configured node periodically
 // re-floods a signed re-advertisement of its CGA binding (per-node phases
-// from a seed-stable hash, so sweeps neither synchronize nor consume
-// simulator randomness), a node holding a conflicting binding for that
+// from each node's own audit draw, so sweeps neither synchronize nor
+// shift another draw), a node holding a conflicting binding for that
 // address objects with its own signed proof, and both claimants resolve
 // the conflict deterministically — the binding with the lower full CGA
 // digest rekeys and re-runs DAD, and bit-identical bindings (a cloned
@@ -256,11 +256,12 @@
 // dynamically are also machine-checked statically: cmd/sbr6lint runs
 // five analyzers over the sim-path packages on every commit (via go vet
 // -vettool in CI) — maprange (no map-iteration order on sim paths),
-// walltime (no wall clock, no global math/rand), simrng (RNG streams
-// minted only by annotated seed-derived owners; crypto/rand confined to
-// identity keygen), globalstate (no package-level mutable vars) and
-// directverify (no direct identity.PublicKey.Verify calls bypassing
-// the memoized signature check).
+// walltime (no wall clock, no global math/rand), simrng (no math/rand,
+// math/rand/v2 or crypto/rand: every draw comes from internal/draw, and
+// crypto/rand stays confined to identity keygen), globalstate (no
+// package-level mutable vars) and directverify (no direct
+// identity.PublicKey.Verify calls bypassing the memoized signature
+// check).
 // Exceptions require a reasoned //sbr6:allow or //sbr6:commutative
 // annotation, inventoried by `sbr6lint -list-allows`. globalstate in
 // particular is what makes the region-sharded core's ownership rules

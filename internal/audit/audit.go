@@ -24,11 +24,10 @@
 // clone. Either way the network returns to unique addresses within one
 // sweep exchange.
 //
-// Sweep timing is a pure function of (seed, node index): per-node phases
-// come from the same splitmix-style hashing boot.PerCell uses for cell
-// phases, so sweeps never synchronize into network-wide flood bursts and
-// never consume simulator randomness — scheduling the sweep cannot perturb
-// the rest of a seeded run.
+// Sweep timing is a pure function of (seed, node index): a node's phase is
+// the first draw of its audit stream (internal/draw), so sweeps never
+// synchronize into network-wide flood bursts and scheduling the sweep
+// cannot perturb the rest of a seeded run.
 package audit
 
 import (
@@ -37,8 +36,8 @@ import (
 	"fmt"
 	"time"
 
-	"sbr6/internal/boot"
 	"sbr6/internal/cga"
+	"sbr6/internal/draw"
 	"sbr6/internal/identity"
 	"sbr6/internal/ipv6"
 	"sbr6/internal/ndp"
@@ -65,16 +64,15 @@ type Config struct {
 func (c Config) Enabled() bool { return c.Period > 0 }
 
 // Offset returns node id's seed-stable advertisement phase inside one sweep
-// period: a deterministic hash of (seed, id) reduced to [0, period). It is
-// literally boot.PerCell's phase construction (boot.Mix), consumes no
-// RNG stream, so two nodes' sweeps interleave the same way on every run
-// of one seed while the population's phases spread uniformly across the
-// period instead of thundering together.
+// period: the first draw of its audit stream reduced to [0, period). It
+// draws from no other stream, so two nodes' sweeps interleave the same way
+// on every run of one seed while the population's phases spread uniformly
+// across the period instead of thundering together.
 func Offset(seed int64, id int, period time.Duration) time.Duration {
 	if period <= 0 {
 		return 0
 	}
-	return time.Duration(boot.Mix(uint64(seed), 0xa0d175, uint64(id)) % uint64(period))
+	return time.Duration(draw.New(seed, draw.Audit, uint64(id)).Uint64() % uint64(period))
 }
 
 // Verdict is one claimant's side of a deterministic conflict resolution.

@@ -6,13 +6,14 @@ import (
 	"testing/quick"
 	"time"
 
+	"sbr6/internal/draw"
 	"sbr6/internal/identity"
 	"sbr6/internal/ndp"
 )
 
 func mustIdent(t *testing.T, seed int64) *identity.Identity {
 	t.Helper()
-	id, err := identity.New(identity.SuiteEd25519, rand.New(rand.NewSource(seed)), "")
+	id, err := identity.New(identity.SuiteEd25519, draw.New(seed, draw.Key, 0), "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -305,53 +305,69 @@ func TestAuditDisabledIsNoOp(t *testing.T) {
 // objection) nor leave the DNS serving the abandoned address. The rekey
 // runs address-only DAD and then moves the binding through the signed
 // update protocol, so the name survives and resolves to the fresh address.
+//
+// The victim is the first radio neighbour of the DNS anchor that has a
+// simultaneous cross-cell partner: under per-cell admission an early
+// claimant's AREQ flood finds no configured relay, so only the anchor's
+// neighbours are sure to register a name during formation, and the test
+// needs a registered name to move.
 func TestAuditRekeyPreservesNameBinding(t *testing.T) {
 	cfg := auditConfig(90, 1, true)
-	cfg.Names = map[int]string{1: "victim-host"}
 	sc, err := scenario.Build(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Clone node 1's identity (name included) onto a cross-cell partner so
-	// the named node itself ends up rekeying. The clone sheds the copied
-	// name so only the victim re-binds.
+	// Clone the victim's identity (name included) onto a cross-cell
+	// partner so the named node itself ends up rekeying. The clone sheds
+	// the copied name so only the victim re-binds.
 	offs := sc.BootOffsets()
 	window := cfg.Protocol.DAD.ObjectionWindow()
 	g := geom.NewGrid(cfg.Radio.Range * boot.DefaultCellFraction)
-	for i := 0; i < cfg.N; i++ {
-		g.Set(i, sc.Engine().PosNow(radio.NodeID(i)))
+	pos := make([]geom.Point, cfg.N)
+	for i := range pos {
+		pos[i] = sc.Engine().PosNow(radio.NodeID(i))
+		g.Set(i, pos[i])
 	}
-	ix, iy, _ := g.CellOf(1)
-	clone := -1
-	for j := 2; j < cfg.N; j++ {
-		jx, jy, _ := g.CellOf(j)
-		delta := offs[1] - offs[j]
-		if delta < 0 {
-			delta = -delta
+	victimIdx, clone := -1, -1
+	for v := 1; v < cfg.N && clone < 0; v++ {
+		if pos[v].Dist(pos[0]) > cfg.Radio.Range {
+			continue
 		}
-		if (jx != ix || jy != iy) && delta < window/2 {
-			clone = j
-			break
+		ix, iy, _ := g.CellOf(v)
+		for j := 1; j < cfg.N; j++ {
+			jx, jy, _ := g.CellOf(j)
+			delta := offs[v] - offs[j]
+			if delta < 0 {
+				delta = -delta
+			}
+			if j != v && (jx != ix || jy != iy) && delta < window/2 {
+				victimIdx, clone = v, j
+				break
+			}
 		}
 	}
 	if clone < 0 {
-		t.Skip("no simultaneous cross-cell partner for node 1 under this seed")
+		t.Skip("no anchor neighbour has a simultaneous cross-cell partner under this seed")
 	}
-	*sc.Nodes[clone].Identity() = *sc.Nodes[1].Identity()
+	sc.Nodes[victimIdx].Identity().Name = "victim-host"
+	*sc.Nodes[clone].Identity() = *sc.Nodes[victimIdx].Identity()
 	sc.Nodes[clone].Identity().Name = ""
 
 	sc.Bootstrap()
-	if sc.Nodes[1].Addr() != sc.Nodes[clone].Addr() {
+	if sc.Nodes[victimIdx].Addr() != sc.Nodes[clone].Addr() {
 		t.Fatal("clone pair did not survive formation; the rekey path is never exercised")
 	}
-	stolen := sc.Nodes[1].Addr()
+	stolen := sc.Nodes[victimIdx].Addr()
+	if got, ok := sc.DNSSrv.Lookup("victim-host"); !ok || got != stolen {
+		t.Fatalf("formation left victim-host -> %s (ok=%v), want %s; the rebind path is never exercised", got, ok, stolen)
+	}
 
 	// Sweeps plus headroom for the post-DAD update round trip.
 	span := resolveK*sweepPeriod + 4*time.Second
 	sc.StartAudits()
 	sc.RunFor(span)
 
-	victim := sc.Nodes[1]
+	victim := sc.Nodes[victimIdx]
 	if victim.Addr() == stolen || sc.Nodes[clone].Addr() == victim.Addr() {
 		t.Fatalf("conflict unresolved: victim %s, clone %s", victim.Addr(), sc.Nodes[clone].Addr())
 	}

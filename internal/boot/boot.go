@@ -12,20 +12,21 @@
 // separated by at least the objection window, while spatially disjoint
 // cells bootstrap concurrently.
 //
-// Both policies are pure functions of their Plan: no RNG stream is
-// consumed, so adding or switching a policy never perturbs the rest of a
-// seeded run, and a given (policy, seed) pair always produces the same
-// schedule. The formation conformance suite in this package is the proof
-// obligation: under every policy all nodes end fully addressed with unique
-// addresses, seeded duplicate claims and name conflicts are detected with
-// identical counters, and each policy is byte-for-byte deterministic per
-// seed.
+// Both policies are pure functions of their Plan: PerCell's draws are
+// keyed by admission cell on the boot stream (internal/draw), so adding or
+// switching a policy never perturbs the rest of a seeded run, and a given
+// (policy, seed) pair always produces the same schedule. The formation
+// conformance suite in this package is the proof obligation: under every
+// policy all nodes end fully addressed with unique addresses, seeded
+// duplicate claims and name conflicts are detected with identical
+// counters, and each policy is byte-for-byte deterministic per seed.
 package boot
 
 import (
 	"fmt"
 	"time"
 
+	"sbr6/internal/draw"
 	"sbr6/internal/geom"
 )
 
@@ -232,14 +233,14 @@ func (PerCellPolicy) Schedule(p Plan) []time.Duration {
 	// order cannot leak into the offsets.
 	var members []ranked
 	g.VisitCells(func(ix, iy int32, ids []int) {
-		cellHash := Mix(uint64(p.Seed), uint64(uint32(ix)), uint64(uint32(iy)))
+		cell := draw.KeyOf(p.Seed, draw.Boot, uint64(uint32(ix))<<32|uint64(uint32(iy)))
 		var phase time.Duration
 		if spread > 0 {
-			phase = time.Duration(Mix(cellHash, 0xce11f0ad) % uint64(spread))
+			phase = time.Duration(draw.Mix(cell, 0) % uint64(spread))
 		}
 		members = members[:0]
 		for _, id := range ids {
-			members = append(members, ranked{id: id, h: Mix(cellHash, uint64(id))})
+			members = append(members, ranked{id: id, h: draw.Mix(cell, uint64(id)+1)})
 		}
 		sortRanked(members, p.Anchor)
 		for r, m := range members {
@@ -277,24 +278,6 @@ func sortRanked(ms []ranked, anchor int) {
 			ms[j], ms[j-1] = ms[j-1], ms[j]
 		}
 	}
-}
-
-// Mix folds the values into one well-scrambled word (splitmix64 finalizer
-// per input). It is the only source of per-cell randomness: no math/rand
-// stream is consumed, so policies never perturb the seeded simulation.
-// Exported because the audit sweep's phase stagger (internal/audit) is
-// documented to use exactly this construction.
-func Mix(vals ...uint64) uint64 {
-	h := uint64(0x9e3779b97f4a7c15)
-	for _, v := range vals {
-		h ^= v + 0x9e3779b97f4a7c15 + (h << 6) + (h >> 2)
-		h ^= h >> 30
-		h *= 0xbf58476d1ce4e5b9
-		h ^= h >> 27
-		h *= 0x94d049bb133111eb
-		h ^= h >> 31
-	}
-	return h
 }
 
 // Horizon returns when the last objection window of a schedule closes,

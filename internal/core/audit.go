@@ -25,7 +25,7 @@ func (n *Node) AuditAdvertise() {
 		return
 	}
 	n.auditSeq++
-	n.auditCh = n.rng.Uint64()
+	n.auditCh = n.src.Uint64()
 	m := audit.BuildAdv(n.ident, n.auditSeq, n.auditCh)
 	n.met.Add1("crypto.sign")
 	n.met.Add1("audit.adv_sent")
@@ -158,6 +158,6 @@ func (n *Node) auditRekey() {
 		n.auditRebind = &pendingRebind{name: n.ident.Name, oldIP: n.ident.Addr, oldRn: n.ident.Rn}
 		n.ident.Name = ""
 	}
-	n.ident.Regenerate(n.rng)
+	n.ident.Regenerate(n.src)
 	n.autoconf.Start()
 }

@@ -358,10 +358,10 @@ func TestAccessors(t *testing.T) {
 }
 
 // Shutdown releases what a departed node would otherwise pin for the rest
-// of a session, the four flood seen-sets and the random source, and every
-// entry point that would read them does nothing afterwards: the node's
+// of a session, the four flood seen-sets, and every entry point that
+// would read them does nothing afterwards: the node's
 // counters stay exactly where Shutdown left them.
-func TestShutdownReleasesSeenSetsAndRand(t *testing.T) {
+func TestShutdownReleasesSeenSets(t *testing.T) {
 	cfg := fastConfig(true)
 	cfg.Audit.Period = time.Second
 	tn := chain(t, cfg, 2, nil)
@@ -379,9 +379,6 @@ func TestShutdownReleasesSeenSetsAndRand(t *testing.T) {
 	n.Shutdown()
 	if n.areqSeen != nil || n.rreqSeen != nil || n.dnsFloods != nil || n.auditSeen != nil {
 		t.Fatal("Shutdown kept a flood seen-set")
-	}
-	if n.Rand() != nil {
-		t.Fatal("Shutdown kept the random source")
 	}
 	before := map[string]float64{}
 	for _, name := range n.Metrics().CounterNames() {

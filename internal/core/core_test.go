@@ -2,11 +2,11 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 	"time"
 
 	"sbr6/internal/dnssrv"
+	"sbr6/internal/draw"
 	"sbr6/internal/geom"
 	"sbr6/internal/identity"
 	"sbr6/internal/ipv6"
@@ -46,7 +46,7 @@ func buildNet(t testing.TB, cfg Config, positions []geom.Point, names []string) 
 	medium := radio.New(s, rcfg, 0, nil)
 	tn := &testnet{s: s, medium: medium}
 
-	dnsIdent, err := identity.New(cfg.Suite, rand.New(rand.NewSource(1000)), "dns")
+	dnsIdent, err := identity.New(cfg.Suite, draw.New(1000, draw.Key, 0), "dns")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,12 +63,12 @@ func buildNet(t testing.TB, cfg Config, positions []geom.Point, names []string) 
 		if i == 0 {
 			ident = dnsIdent
 		} else {
-			ident, err = identity.New(cfg.Suite, rand.New(rand.NewSource(int64(1000+i))), name)
+			ident, err = identity.New(cfg.Suite, draw.New(int64(1000+i), draw.Key, 0), name)
 			if err != nil {
 				t.Fatal(err)
 			}
 		}
-		rng := rand.New(rand.NewSource(int64(5000 + i)))
+		rng := draw.New(5000+int64(i), draw.Protocol, 0)
 		n := New(s, medium, radio.NodeID(i), ident, dnsIdent.Pub, cfg, rng, nil)
 		if i == 0 {
 			n.AttachDNS(dnssrv.New(s, rng, dnsIdent, dcfg, nil))
@@ -144,7 +144,7 @@ func TestDuplicateAddressResolvedByDAD(t *testing.T) {
 		Rn:   owner.Identity().Rn,
 		Addr: owner.Identity().Addr,
 	}
-	rng := rand.New(rand.NewSource(424242))
+	rng := draw.New(424242, draw.Protocol, 0)
 	joiner := New(tn.s, tn.medium, radio.NodeID(99), clone, tn.nodes[0].DNS().PublicKey(), cfg, rng, nil)
 	pos := geom.Point{X: 250} // neighbour of node 1
 	tn.medium.AddNode(radio.NodeID(99), func(sim.Time) geom.Point { return pos }, 0, joiner)

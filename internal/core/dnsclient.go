@@ -27,7 +27,7 @@ func (n *Node) Resolve(name string, cb func(addr ipv6.Addr, ok bool)) {
 		cb(ipv6.Addr{}, false)
 		return
 	}
-	st := &resolveState{ch: n.rng.Uint64(), cb: cb}
+	st := &resolveState{ch: n.src.Uint64(), cb: cb}
 	st.timer = n.sim.After(n.cfg.ResolveTimeout, func() {
 		delete(n.resolves, name)
 		n.met.Add1("dns.resolve_timeout")
@@ -159,7 +159,7 @@ func (n *Node) handleUpdateChal(pkt *wire.Packet, m *wire.UpdateChal) {
 		// proof. (A pre-rekeyed rebind already switched — its fresh address
 		// survived a full DAD round — and carries the old binding with it.)
 		st.oldIP, st.oldRn = n.ident.Addr, n.ident.Rn
-		n.ident.Regenerate(n.rng)
+		n.ident.Regenerate(n.src)
 		n.routes.SetOwner(n.ident.Addr)
 		n.met.Add1("addr.regenerated")
 	}

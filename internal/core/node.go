@@ -12,12 +12,12 @@ package core
 
 import (
 	"hash/fnv"
-	"math/rand"
 	"time"
 
 	"sbr6/internal/audit"
 	"sbr6/internal/credit"
 	"sbr6/internal/dnssrv"
+	"sbr6/internal/draw"
 	"sbr6/internal/dsr"
 	"sbr6/internal/identity"
 	"sbr6/internal/ipv6"
@@ -144,7 +144,7 @@ type Node struct {
 	ident  *identity.Identity
 	dnsPub identity.PublicKey
 	cfg    Config
-	rng    *rand.Rand
+	src    *draw.Source // the node's protocol stream
 	met    *trace.Metrics
 
 	dns *dnssrv.Server // non-nil only on the DNS node
@@ -269,7 +269,7 @@ type pendingRebind struct {
 // New creates a node. The caller attaches it to the medium (the scenario
 // owns positions): medium.AddNode(link, track.Position, track.SpeedBound(), node).
 func New(s *sim.Simulator, medium *radio.Medium, link radio.NodeID, ident *identity.Identity,
-	dnsPub identity.PublicKey, cfg Config, rng *rand.Rand, met *trace.Metrics) *Node {
+	dnsPub identity.PublicKey, cfg Config, src *draw.Source, met *trace.Metrics) *Node {
 	if met == nil {
 		met = trace.NewMetrics()
 	}
@@ -286,7 +286,7 @@ func New(s *sim.Simulator, medium *radio.Medium, link radio.NodeID, ident *ident
 	}
 	n := &Node{
 		sim: s, medium: medium, link: link, ident: ident, dnsPub: dnsPub,
-		cfg: cfg, rng: rng, met: met, vcache: vc,
+		cfg: cfg, src: src, met: met, vcache: vc,
 		neighbors:   make(map[ipv6.Addr]radio.NodeID),
 		areqSeen:    ndp.NewFloodCache(floodCap),
 		rreqSeen:    ndp.NewFloodCache(floodCap),
@@ -302,7 +302,7 @@ func New(s *sim.Simulator, medium *radio.Medium, link radio.NodeID, ident *ident
 		resolves:    make(map[string]*resolveState),
 		aliases:     make(map[ipv6.Addr]ipv6.Addr),
 	}
-	n.autoconf = ndp.NewInitiator(s, rng, ident, dnsPub, cfg.DAD)
+	n.autoconf = ndp.NewInitiator(s, src, ident, dnsPub, cfg.DAD)
 	n.autoconf.Verify = n.verifier()
 	n.autoconf.SendAREQ = n.sendAREQ
 	n.autoconf.OnConfigured = n.dadDone
@@ -345,8 +345,8 @@ func (n *Node) Config() Config { return n.cfg }
 // Sim returns the simulator driving the node.
 func (n *Node) Sim() *sim.Simulator { return n.sim }
 
-// Rand returns the node's random source, nil once Shutdown has run.
-func (n *Node) Rand() *rand.Rand { return n.rng }
+// Rand returns the node's protocol draw source.
+func (n *Node) Rand() *draw.Source { return n.src }
 
 // DNS returns the attached DNS server, or nil.
 func (n *Node) DNS() *dnssrv.Server { return n.dns }
@@ -414,12 +414,11 @@ func (n *Node) Shutdown() {
 		}
 		n.rebind = nil
 	}
-	// Drop per-peer state, the flood seen-sets and the random source
-	// (autoconf.Stop released its share) so the only thing a departed
-	// node pins is its metrics sink (merged into the scenario's graveyard
-	// by the caller). Untracked events that survive (finishProbe) look
-	// their state up by key and no-op on the emptied maps; every path
-	// that reads a seen-set or the random source is inert once dead.
+	// Drop per-peer state and the flood seen-sets so the only thing a
+	// departed node pins is its metrics sink (merged into the scenario's
+	// graveyard by the caller). Untracked events that survive
+	// (finishProbe) look their state up by key and no-op on the emptied
+	// maps; every path that reads a seen-set is inert once dead.
 	n.neighbors = make(map[ipv6.Addr]radio.NodeID)
 	n.pending = make(map[ipv6.Addr]*discovery)
 	n.outstanding = make(map[ackKey]*sentData)
@@ -430,7 +429,6 @@ func (n *Node) Shutdown() {
 	n.aliases = make(map[ipv6.Addr]ipv6.Addr)
 	n.auditRebind = nil
 	n.areqSeen, n.rreqSeen, n.dnsFloods, n.auditSeen = nil, nil, nil, nil
-	n.rng = nil
 }
 
 // Dead reports whether Shutdown has run.

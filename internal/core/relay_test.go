@@ -2,9 +2,9 @@ package core
 
 import (
 	"bytes"
-	"math/rand"
 	"testing"
 
+	"sbr6/internal/draw"
 	"sbr6/internal/geom"
 	"sbr6/internal/identity"
 	"sbr6/internal/ipv6"
@@ -25,11 +25,11 @@ func newRelayRig(t testing.TB, cfg Config, record bool) *relayRig {
 	t.Helper()
 	s := sim.New()
 	medium := radio.New(s, radio.DefaultConfig(), 0, nil)
-	ident, err := identity.New(cfg.Suite, rand.New(rand.NewSource(42)), "")
+	ident, err := identity.New(cfg.Suite, draw.New(42, draw.Key, 0), "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rig := &relayRig{s: s, relay: New(s, medium, 0, ident, ident.Pub, cfg, rand.New(rand.NewSource(43)), nil)}
+	rig := &relayRig{s: s, relay: New(s, medium, 0, ident, ident.Pub, cfg, draw.New(43, draw.Protocol, 0), nil)}
 	rig.relay.StartConfigured()
 	medium.AddNode(0, func(sim.Time) geom.Point { return geom.Point{} }, 0, rig.relay)
 	medium.AddNode(1, func(sim.Time) geom.Point { return geom.Point{X: 100} }, 0, radio.HandlerFunc(func(_ radio.NodeID, b []byte) {

@@ -1,11 +1,11 @@
 package core
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 
 	"sbr6/internal/dnssrv"
+	"sbr6/internal/draw"
 	"sbr6/internal/geom"
 	"sbr6/internal/identity"
 	"sbr6/internal/ipv6"
@@ -23,22 +23,22 @@ func newVerifier(t *testing.T) (*Node, []*identity.Identity) {
 	t.Helper()
 	s := sim.New()
 	medium := radio.New(s, radio.DefaultConfig(), 0, nil)
-	dnsIdent, err := identity.New(identity.SuiteEd25519, rand.New(rand.NewSource(1)), "dns")
+	dnsIdent, err := identity.New(identity.SuiteEd25519, draw.New(1, draw.Key, 0), "dns")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ident, err := identity.New(identity.SuiteEd25519, rand.New(rand.NewSource(2)), "")
+	ident, err := identity.New(identity.SuiteEd25519, draw.New(2, draw.Key, 0), "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := New(s, medium, 0, ident, dnsIdent.Pub, DefaultConfig(), rand.New(rand.NewSource(3)), nil)
+	n := New(s, medium, 0, ident, dnsIdent.Pub, DefaultConfig(), draw.New(3, draw.Protocol, 0), nil)
 	medium.AddNode(0, func(sim.Time) geom.Point { return geom.Point{} }, 0, n)
 	n.StartConfigured()
-	n.AttachDNS(dnssrv.New(s, rand.New(rand.NewSource(4)), dnsIdent, dnssrv.DefaultConfig(), nil))
+	n.AttachDNS(dnssrv.New(s, draw.New(4, draw.Protocol, 0), dnsIdent, dnssrv.DefaultConfig(), nil))
 
 	var ids []*identity.Identity
 	for i := 0; i < 4; i++ {
-		id, err := identity.New(identity.SuiteEd25519, rand.New(rand.NewSource(10+int64(i))), "")
+		id, err := identity.New(identity.SuiteEd25519, draw.New(10+int64(i), draw.Key, 0), "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,8 +192,8 @@ func TestHopAttestationModes(t *testing.T) {
 	// Baseline node leaves crypto fields empty.
 	s := sim.New()
 	medium := radio.New(s, radio.DefaultConfig(), 0, nil)
-	ident, _ := identity.New(identity.SuiteEd25519, rand.New(rand.NewSource(5)), "")
-	base := New(s, medium, 1, ident, nil, BaselineConfig(), rand.New(rand.NewSource(6)), nil)
+	ident, _ := identity.New(identity.SuiteEd25519, draw.New(5, draw.Key, 0), "")
+	base := New(s, medium, 1, ident, nil, BaselineConfig(), draw.New(6, draw.Protocol, 0), nil)
 	medium.AddNode(1, func(sim.Time) geom.Point { return geom.Point{} }, 0, base)
 	base.StartConfigured()
 	hb := base.hopAttestation(42)
@@ -318,7 +318,7 @@ func TestCGASitesRejectBumpedModifier(t *testing.T) {
 		}},
 		{"dnssrv.verifyUpdate NewRn", func(t *testing.T, bump uint64) (bool, bool) {
 			n, _ := newVerifier(t)
-			rng := rand.New(rand.NewSource(8))
+			rng := draw.New(8, draw.Key, 0)
 			host, err := identity.New(identity.SuiteEd25519, rng, "mobile")
 			if err != nil {
 				t.Fatal(err)

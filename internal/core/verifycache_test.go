@@ -1,9 +1,9 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
 
+	"sbr6/internal/draw"
 	"sbr6/internal/geom"
 	"sbr6/internal/identity"
 	"sbr6/internal/radio"
@@ -25,23 +25,23 @@ func newCachedVerifier(t *testing.T, direct bool) (*Node, []*identity.Identity) 
 	t.Helper()
 	s := sim.New()
 	medium := radio.New(s, radio.DefaultConfig(), 0, nil)
-	dnsIdent, err := identity.New(identity.SuiteEd25519, rand.New(rand.NewSource(1)), "dns")
+	dnsIdent, err := identity.New(identity.SuiteEd25519, draw.New(1, draw.Key, 0), "dns")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ident, err := identity.New(identity.SuiteEd25519, rand.New(rand.NewSource(2)), "")
+	ident, err := identity.New(identity.SuiteEd25519, draw.New(2, draw.Key, 0), "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
 	cfg.DirectVerify = direct
-	n := New(s, medium, 0, ident, dnsIdent.Pub, cfg, rand.New(rand.NewSource(3)), nil)
+	n := New(s, medium, 0, ident, dnsIdent.Pub, cfg, draw.New(3, draw.Protocol, 0), nil)
 	medium.AddNode(0, func(sim.Time) geom.Point { return geom.Point{} }, 0, n)
 	n.StartConfigured()
 
 	var ids []*identity.Identity
 	for i := 0; i < 4; i++ {
-		id, err := identity.New(identity.SuiteEd25519, rand.New(rand.NewSource(10+int64(i))), "")
+		id, err := identity.New(identity.SuiteEd25519, draw.New(10+int64(i), draw.Key, 0), "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,13 +173,13 @@ func newSigner(t *testing.T, suite identity.Suite) *Node {
 	t.Helper()
 	s := sim.New()
 	medium := radio.New(s, radio.DefaultConfig(), 0, nil)
-	ident, err := identity.New(suite, rand.New(rand.NewSource(2)), "")
+	ident, err := identity.New(suite, draw.New(2, draw.Key, 0), "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
 	cfg.Suite = suite
-	n := New(s, medium, 0, ident, ident.Pub, cfg, rand.New(rand.NewSource(3)), nil)
+	n := New(s, medium, 0, ident, ident.Pub, cfg, draw.New(3, draw.Protocol, 0), nil)
 	medium.AddNode(0, func(sim.Time) geom.Point { return geom.Point{} }, 0, n)
 	n.StartConfigured()
 	return n
@@ -229,7 +229,7 @@ func TestHopAttestationAfterAddressChange(t *testing.T) {
 	n := newSigner(t, identity.SuiteEd25519)
 	prev := n.hopAttestation(5)
 	for i := 0; i < 32; i++ {
-		n.ident.Regenerate(n.rng)
+		n.ident.Regenerate(n.src)
 		h := n.hopAttestation(5)
 		if h.IP == prev.IP || h.IP != n.Addr() {
 			t.Fatalf("rekey %d: attestation address %v, want the new address %v", i, h.IP, n.Addr())

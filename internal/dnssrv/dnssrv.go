@@ -12,10 +12,10 @@
 package dnssrv
 
 import (
-	"math/rand"
 	"time"
 
 	"sbr6/internal/cga"
+	"sbr6/internal/draw"
 	"sbr6/internal/identity"
 	"sbr6/internal/ipv6"
 	"sbr6/internal/ndp"
@@ -62,7 +62,7 @@ type Server struct {
 	Verifier ndp.Verifier
 
 	clock   ndp.Clock
-	rng     *rand.Rand
+	src     *draw.Source
 	ident   *identity.Identity // the DNS key pair; Pub is the trust anchor
 	cfg     Config
 	metrics *trace.Metrics
@@ -74,7 +74,7 @@ type Server struct {
 }
 
 // New creates a server. metrics may be nil.
-func New(clock ndp.Clock, rng *rand.Rand, ident *identity.Identity, cfg Config, metrics *trace.Metrics) *Server {
+func New(clock ndp.Clock, src *draw.Source, ident *identity.Identity, cfg Config, metrics *trace.Metrics) *Server {
 	if cfg.CommitDelay <= 0 {
 		cfg.CommitDelay = DefaultConfig().CommitDelay
 	}
@@ -82,7 +82,7 @@ func New(clock ndp.Clock, rng *rand.Rand, ident *identity.Identity, cfg Config, 
 		metrics = trace.NewMetrics()
 	}
 	return &Server{
-		clock: clock, rng: rng, ident: ident, cfg: cfg, metrics: metrics,
+		clock: clock, src: src, ident: ident, cfg: cfg, metrics: metrics,
 		names:      make(map[string]Record),
 		byAddr:     make(map[ipv6.Addr]string),
 		pending:    make(map[ipv6.Addr]*pendingReg),
@@ -228,7 +228,7 @@ func (s *Server) HandleUpdateReq(m *wire.UpdateReq) *wire.UpdateChal {
 	if _, ok := s.names[m.Name]; !ok {
 		return nil // no such binding; nothing to update
 	}
-	ch := s.rng.Uint64()
+	ch := s.src.Uint64()
 	s.challenges[m.Name] = ch
 	s.metrics.Add1("dns.update_challenge")
 	return &wire.UpdateChal{Name: m.Name, Ch: ch, Sig: s.ident.Sign(wire.SigUpdateChal(m.Name, ch))}

@@ -1,10 +1,10 @@
 package dnssrv
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 
+	"sbr6/internal/draw"
 	"sbr6/internal/identity"
 	"sbr6/internal/ipv6"
 	"sbr6/internal/ndp"
@@ -14,7 +14,7 @@ import (
 
 func newIdent(t testing.TB, seed int64, name string) *identity.Identity {
 	t.Helper()
-	id, err := identity.New(identity.SuiteEd25519, rand.New(rand.NewSource(seed)), name)
+	id, err := identity.New(identity.SuiteEd25519, draw.New(seed, draw.Key, 0), name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func newServer(t *testing.T) (*sim.Simulator, *Server, *identity.Identity) {
 	t.Helper()
 	s := sim.New()
 	dnsID := newIdent(t, 100, "dns")
-	srv := New(s, rand.New(rand.NewSource(1)), dnsID, DefaultConfig(), nil)
+	srv := New(s, draw.New(1, draw.Protocol, 0), dnsID, DefaultConfig(), nil)
 	return s, srv, dnsID
 }
 
@@ -68,7 +68,7 @@ func TestReverseLookupAndPreloadReplace(t *testing.T) {
 
 func TestReverseLookupAfterUpdate(t *testing.T) {
 	_, srv, _ := newServer(t)
-	rng := rand.New(rand.NewSource(8))
+	rng := draw.New(8, draw.Key, 0)
 	host, _ := identity.New(identity.SuiteEd25519, rng, "m")
 	srv.Preload("m", host.Addr)
 	oldIP, oldRn := host.Addr, host.Rn
@@ -261,7 +261,7 @@ func TestFakeDNSAnswerRejected(t *testing.T) {
 
 func TestSecureIPChangeFlow(t *testing.T) {
 	s, srv, dnsID := newServer(t)
-	rng := rand.New(rand.NewSource(8))
+	rng := draw.New(8, draw.Key, 0)
 	host, err := identity.New(identity.SuiteEd25519, rng, "mobile")
 	if err != nil {
 		t.Fatal(err)
@@ -293,7 +293,7 @@ func TestSecureIPChangeFlow(t *testing.T) {
 
 func TestIPChangeByNonOwnerRejected(t *testing.T) {
 	_, srv, _ := newServer(t)
-	rng := rand.New(rand.NewSource(8))
+	rng := draw.New(8, draw.Key, 0)
 	owner, _ := identity.New(identity.SuiteEd25519, rng, "target")
 	srv.Preload("target", owner.Addr)
 
@@ -321,7 +321,7 @@ func TestIPChangeByNonOwnerRejected(t *testing.T) {
 
 func TestUpdateWithoutChallengeRejected(t *testing.T) {
 	_, srv, _ := newServer(t)
-	rng := rand.New(rand.NewSource(8))
+	rng := draw.New(8, draw.Key, 0)
 	host, _ := identity.New(identity.SuiteEd25519, rng, "h")
 	srv.Preload("h", host.Addr)
 	oldIP, oldRn := host.Addr, host.Rn
@@ -334,7 +334,7 @@ func TestUpdateWithoutChallengeRejected(t *testing.T) {
 
 func TestUpdateChallengeSingleUse(t *testing.T) {
 	_, srv, _ := newServer(t)
-	rng := rand.New(rand.NewSource(8))
+	rng := draw.New(8, draw.Key, 0)
 	host, _ := identity.New(identity.SuiteEd25519, rng, "h")
 	srv.Preload("h", host.Addr)
 	oldIP, oldRn := host.Addr, host.Rn
@@ -359,7 +359,7 @@ func TestUpdateReqForUnknownName(t *testing.T) {
 
 func TestUpdateWrongOldIPRejected(t *testing.T) {
 	_, srv, _ := newServer(t)
-	rng := rand.New(rand.NewSource(8))
+	rng := draw.New(8, draw.Key, 0)
 	host, _ := identity.New(identity.SuiteEd25519, rng, "h")
 	srv.Preload("h", ipv6.SiteLocal(0, 0x1)) // bound to something else
 	chal := srv.HandleUpdateReq(&wire.UpdateReq{Name: "h"})

@@ -3,13 +3,13 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"sbr6"
 	"sbr6/internal/attack"
 	"sbr6/internal/cga"
 	"sbr6/internal/dnssrv"
+	"sbr6/internal/draw"
 	"sbr6/internal/identity"
 	"sbr6/internal/ipv6"
 	"sbr6/internal/ndp"
@@ -61,9 +61,8 @@ func runS1(opt Options) []*trace.Table {
 
 	// Replayed DNS answer: a past signed answer cannot satisfy a new query
 	// because the fresh challenge is covered by the signature.
-	rng := rand.New(rand.NewSource(opt.Seed))
-	dnsIdent, _ := identity.New(identity.SuiteEd25519, rng, "dns")
-	srv := dnssrv.New(sim.New(), rng, dnsIdent, dnssrv.DefaultConfig(), nil)
+	dnsIdent, _ := identity.New(identity.SuiteEd25519, draw.New(opt.Seed, draw.Key, 0), "dns")
+	srv := dnssrv.New(sim.New(), draw.New(opt.Seed, draw.Protocol, 0), dnsIdent, dnssrv.DefaultConfig(), nil)
 	srv.Preload("server", ipv6.SiteLocal(0, 0x1234))
 	old := srv.HandleQuery(&wire.DNSQuery{Name: "server", Ch: 111})
 	replay := trace.NewTable("S1b: replayed DNS answer", "check", "result")
@@ -159,11 +158,10 @@ func centralIndices(n int) []int {
 }
 
 func runS3(opt Options) []*trace.Table {
-	rng := rand.New(rand.NewSource(opt.Seed))
 	suite := identity.SuiteEd25519
-	dnsIdent, _ := identity.New(suite, rng, "dns")
-	victim, _ := identity.New(suite, rng, "victim")
-	attacker, _ := identity.New(suite, rng, "attacker")
+	dnsIdent, _ := identity.New(suite, draw.New(opt.Seed, draw.Key, 0), "dns")
+	victim, _ := identity.New(suite, draw.New(opt.Seed, draw.Key, 1), "victim")
+	attacker, _ := identity.New(suite, draw.New(opt.Seed, draw.Key, 2), "attacker")
 
 	t := trace.NewTable("S3: forged and replayed control messages",
 		"message", "attack", "baseline", "secure")
@@ -281,9 +279,8 @@ func runS4(opt Options) []*trace.Table {
 
 	// Forged RERR (claiming someone else's identity) — rejected outright
 	// in secure mode because the CGA binding fails.
-	rng := rand.New(rand.NewSource(opt.Seed))
-	victim, _ := identity.New(identity.SuiteEd25519, rng, "")
-	attacker, _ := identity.New(identity.SuiteEd25519, rng, "")
+	victim, _ := identity.New(identity.SuiteEd25519, draw.New(opt.Seed, draw.Key, 1), "")
+	attacker, _ := identity.New(identity.SuiteEd25519, draw.New(opt.Seed, draw.Key, 2), "")
 	forge := trace.NewTable("S4b: RERR forged in another relay's name", "check", "result")
 	sig := attacker.Sign(wire.SigRERR(victim.Addr, attacker.Addr))
 	// The verification steps a secure source applies:

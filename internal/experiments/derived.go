@@ -3,12 +3,12 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"time"
 
 	"sbr6"
 	"sbr6/internal/attack"
 	"sbr6/internal/cga"
+	"sbr6/internal/draw"
 	"sbr6/internal/identity"
 	"sbr6/internal/trace"
 )
@@ -69,8 +69,7 @@ func runE2(opt Options) []*trace.Table {
 		))
 
 		// Wall-clock verification cost of a 3-hop route record (4 sigs).
-		rng := rand.New(rand.NewSource(opt.Seed))
-		id, err := identity.New(suite.in, rng, "")
+		id, err := identity.New(suite.in, draw.New(opt.Seed, draw.Key, 0), "")
 		if err != nil {
 			panic(err)
 		}
@@ -164,9 +163,9 @@ func runE4(opt Options) []*trace.Table {
 	t := trace.NewTable("E4: observed address collisions vs birthday bound",
 		"bits", "identities", "pairs", "observed collisions", "expected (birthday)")
 
-	rng := rand.New(rand.NewSource(opt.Seed))
+	src := draw.New(opt.Seed, draw.Key, 0)
 	pub := make([]byte, 32)
-	rng.Read(pub)
+	src.Read(pub)
 
 	k := 2000
 	widths := []int{8, 12, 16, 20, 24}
@@ -178,7 +177,7 @@ func runE4(opt Options) []*trace.Table {
 		seen := make(map[uint64]int)
 		collisions := 0
 		for i := 0; i < k; i++ {
-			id := cga.TruncatedID(pub, rng.Uint64(), w)
+			id := cga.TruncatedID(pub, src.Uint64(), w)
 			collisions += seen[id]
 			seen[id]++
 		}

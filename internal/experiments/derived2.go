@@ -2,12 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"sbr6"
 	"sbr6/internal/core"
 	"sbr6/internal/dnssrv"
+	"sbr6/internal/draw"
 	"sbr6/internal/geom"
 	"sbr6/internal/identity"
 	"sbr6/internal/mobility"
@@ -102,17 +102,16 @@ func dadTrial(seed int64, loss float64, hops, retries int) bool {
 	rcfg.BroadcastJitter = time.Millisecond
 	rcfg.LossRate = loss
 	rcfg.UnicastRetries = retries
-	medium := radio.New(s, rcfg, uint64(seed), nil)
+	medium := radio.New(s, rcfg, seed, nil)
 	pcfg := fastProtocol(true)
 	pcfg.DAD.MaxRetries = 8
 
-	dnsIdent, err := identity.New(pcfg.Suite, rand.New(rand.NewSource(seed+1)), "dns")
+	dnsIdent, err := identity.New(pcfg.Suite, draw.New(seed, draw.Key, 0), "dns")
 	if err != nil {
 		panic(err)
 	}
 	mk := func(i int, ident *identity.Identity, pos geom.Point) *core.Node {
-		rng := rand.New(rand.NewSource(seed + 100 + int64(i)))
-		n := core.New(s, medium, radio.NodeID(i), ident, dnsIdent.Pub, pcfg, rng, nil)
+		n := core.New(s, medium, radio.NodeID(i), ident, dnsIdent.Pub, pcfg, draw.New(seed, draw.Protocol, uint64(i)), nil)
 		medium.AddNode(radio.NodeID(i), mobility.Static(pos).Position, 0, n)
 		return n
 	}
@@ -123,11 +122,11 @@ func dadTrial(seed int64, loss float64, hops, retries int) bool {
 	dnsNode := mk(0, dnsIdent, geom.Point{X: 0})
 	dcfg := dnssrv.DefaultConfig()
 	dcfg.CommitDelay = 300 * time.Millisecond
-	dnsNode.AttachDNS(dnssrv.New(s, rand.New(rand.NewSource(seed+2)), dnsIdent, dcfg, nil))
+	dnsNode.AttachDNS(dnssrv.New(s, dnsNode.Rand(), dnsIdent, dcfg, nil))
 	nodes = append(nodes, dnsNode)
 	var owner *core.Node
 	for i := 1; i <= hops; i++ {
-		ident, err := identity.New(pcfg.Suite, rand.New(rand.NewSource(seed+10+int64(i))), "")
+		ident, err := identity.New(pcfg.Suite, draw.New(seed, draw.Key, uint64(i)), "")
 		if err != nil {
 			panic(err)
 		}

@@ -3,13 +3,13 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"time"
 
 	"sbr6"
 	"sbr6/internal/cga"
 	"sbr6/internal/core"
 	"sbr6/internal/dnssrv"
+	"sbr6/internal/draw"
 	"sbr6/internal/geom"
 	"sbr6/internal/identity"
 	"sbr6/internal/radio"
@@ -30,8 +30,7 @@ func init() {
 }
 
 func runF1(opt Options) []*trace.Table {
-	rng := rand.New(rand.NewSource(opt.Seed))
-	id, err := identity.New(identity.SuiteEd25519, rng, "")
+	id, err := identity.New(identity.SuiteEd25519, draw.New(opt.Seed, draw.Key, 0), "")
 	if err != nil {
 		panic(err)
 	}
@@ -53,10 +52,11 @@ func runF1(opt Options) []*trace.Table {
 	if opt.Quick {
 		widths = []int{8, 10, 12, 14, 16}
 	}
-	attacker, err := identity.New(identity.SuiteEd25519, rng, "")
+	attacker, err := identity.New(identity.SuiteEd25519, draw.New(opt.Seed, draw.Key, 1), "")
 	if err != nil {
 		panic(err)
 	}
+	grind := draw.New(opt.Seed, draw.Protocol, 1)
 	atk := trace.NewTable("F1b: brute-force address takeover vs interface-ID width",
 		"bits", "expected attempts (2^w)", "measured attempts", "wall time").WallClock(3)
 	for _, w := range widths {
@@ -65,7 +65,7 @@ func runF1(opt Options) []*trace.Table {
 		attempts := uint64(0)
 		for {
 			attempts++
-			if cga.TruncatedID(attacker.Pub.Bytes(), rng.Uint64(), w) == victim {
+			if cga.TruncatedID(attacker.Pub.Bytes(), grind.Uint64(), w) == victim {
 				break
 			}
 		}
@@ -85,25 +85,24 @@ func runF2(opt Options) []*trace.Table {
 	s := sim.New()
 	rcfg := radio.DefaultConfig()
 	rcfg.BroadcastJitter = time.Millisecond
-	medium := radio.New(s, rcfg, uint64(opt.Seed), nil)
+	medium := radio.New(s, rcfg, opt.Seed, nil)
 	pcfg := fastProtocol(true)
 
 	tr := &transcript{}
 	names := []string{"dns", "printer"}
 	mkNode := func(i int, ident *identity.Identity, dnsPub identity.PublicKey, pos geom.Point) *core.Node {
-		rng := rand.New(rand.NewSource(opt.Seed + 100 + int64(i)))
-		n := core.New(s, medium, radio.NodeID(i), ident, dnsPub, pcfg, rng, nil)
+		n := core.New(s, medium, radio.NodeID(i), ident, dnsPub, pcfg, draw.New(opt.Seed, draw.Protocol, uint64(i)), nil)
 		n.Behavior = tap{tr: tr, name: fmt.Sprintf("n%d(%s)", i, names[min(i, len(names)-1)])}
 		medium.AddNode(radio.NodeID(i), func(sim.Time) geom.Point { return pos }, 0, n)
 		return n
 	}
 
-	dnsIdent, _ := identity.New(pcfg.Suite, rand.New(rand.NewSource(opt.Seed+1)), "dns")
-	rIdent, _ := identity.New(pcfg.Suite, rand.New(rand.NewSource(opt.Seed+2)), "printer")
+	dnsIdent, _ := identity.New(pcfg.Suite, draw.New(opt.Seed, draw.Key, 0), "dns")
+	rIdent, _ := identity.New(pcfg.Suite, draw.New(opt.Seed, draw.Key, 1), "printer")
 	dcfg := dnssrv.DefaultConfig()
 	dcfg.CommitDelay = 300 * time.Millisecond
 	dnsNode := mkNode(0, dnsIdent, dnsIdent.Pub, geom.Point{X: 0})
-	dnsNode.AttachDNS(dnssrv.New(s, rand.New(rand.NewSource(opt.Seed+3)), dnsIdent, dcfg, nil))
+	dnsNode.AttachDNS(dnssrv.New(s, dnsNode.Rand(), dnsIdent, dcfg, nil))
 	owner := mkNode(1, rIdent, dnsIdent.Pub, geom.Point{X: 200})
 
 	// Bootstrap the stable network.

@@ -2,10 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"sbr6/internal/cga"
+	"sbr6/internal/draw"
 	"sbr6/internal/identity"
 	"sbr6/internal/ipv6"
 	"sbr6/internal/trace"
@@ -23,8 +23,7 @@ func init() {
 
 // sigSizes returns representative signature/public-key wire sizes per suite.
 func sigSizes(seed int64, suite identity.Suite) (sig, pk int) {
-	rng := rand.New(rand.NewSource(seed))
-	id, err := identity.New(suite, rng, "")
+	id, err := identity.New(suite, draw.New(seed, draw.Key, 0), "")
 	if err != nil {
 		panic(err)
 	}
@@ -139,13 +138,13 @@ func runT2(opt Options) []*trace.Table {
 		"suite", "op", "iters", "us/op", "bytes").WallClock(3)
 
 	for _, suite := range []identity.Suite{identity.SuiteEd25519, identity.SuiteRSA1024} {
-		rng := rand.New(rand.NewSource(opt.Seed))
+		keys := draw.New(opt.Seed, draw.Key, 0)
 
 		start := time.Now()
 		var id *identity.Identity
 		for i := 0; i < keygenIters; i++ {
 			var err error
-			id, err = identity.New(suite, rng, "")
+			id, err = identity.New(suite, keys, "")
 			if err != nil {
 				panic(err)
 			}
@@ -184,9 +183,8 @@ func runT2(opt Options) []*trace.Table {
 	// What a destination pays to verify a k-hop secure route record.
 	k := trace.NewTable("T2b: destination verification cost vs route length",
 		"hops", "verifies", "ed25519 us", "rsa1024 us").WallClock(2, 3)
-	rngs := rand.New(rand.NewSource(opt.Seed + 1))
-	edID, _ := identity.New(identity.SuiteEd25519, rngs, "")
-	rsaID, _ := identity.New(identity.SuiteRSA1024, rngs, "")
+	edID, _ := identity.New(identity.SuiteEd25519, draw.New(opt.Seed, draw.Key, 1), "")
+	rsaID, _ := identity.New(identity.SuiteRSA1024, draw.New(opt.Seed, draw.Key, 2), "")
 	msg := wire.SigHop(edID.Addr, 1)
 	edSig := edID.Sign(msg)
 	rsaSig := rsaID.Sign(msg)

@@ -5,7 +5,8 @@ package geom
 import (
 	"fmt"
 	"math"
-	"math/rand"
+
+	"sbr6/internal/draw"
 )
 
 // Point is a position in metres.
@@ -62,9 +63,10 @@ func (r Rect) Clamp(p Point) Point {
 	return Point{math.Min(math.Max(p.X, 0), r.W), math.Min(math.Max(p.Y, 0), r.H)}
 }
 
-// RandomPoint returns a uniformly random point inside the rectangle.
-func (r Rect) RandomPoint(rng *rand.Rand) Point {
-	return Point{rng.Float64() * r.W, rng.Float64() * r.H}
+// RandomPoint returns a uniformly random point inside the rectangle from
+// the next two draws of src.
+func (r Rect) RandomPoint(src *draw.Source) Point {
+	return Point{src.Float64() * r.W, src.Float64() * r.H}
 }
 
 // Area returns the rectangle's area in square metres.

@@ -2,9 +2,10 @@ package geom
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"sbr6/internal/draw"
 )
 
 func TestDist(t *testing.T) {
@@ -80,7 +81,7 @@ func TestRectContainsAndClamp(t *testing.T) {
 
 func TestRandomPointInsideRect(t *testing.T) {
 	r := Rect{300, 700}
-	rng := rand.New(rand.NewSource(9))
+	rng := draw.New(9, draw.Placement, 0)
 	for i := 0; i < 1000; i++ {
 		if p := r.RandomPoint(rng); !r.Contains(p) {
 			t.Fatalf("RandomPoint produced %v outside %v", p, r)

@@ -20,13 +20,12 @@ import (
 	"crypto/rsa"
 	"crypto/sha256"
 	"crypto/x509"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math/big"
-	"math/rand"
 
 	"sbr6/internal/cga"
+	"sbr6/internal/draw"
 	"sbr6/internal/ipv6"
 )
 
@@ -233,23 +232,24 @@ type Identity struct {
 	Name string
 }
 
-// New generates a fresh identity: a key pair for the suite and an initial
-// CGA address from a random modifier.
-func New(suite Suite, rng *rand.Rand, name string) (*Identity, error) {
-	priv, err := GenerateKey(suite, NewReader(rng))
+// New generates a fresh identity from src, a node's key stream: a key pair
+// for the suite read from src in counter mode, then an initial CGA address
+// from the next draw as modifier.
+func New(suite Suite, src *draw.Source, name string) (*Identity, error) {
+	priv, err := GenerateKey(suite, src)
 	if err != nil {
 		return nil, err
 	}
 	id := &Identity{Priv: priv, Pub: priv.Public(), Name: name}
-	id.Regenerate(rng)
+	id.Regenerate(src)
 	return id, nil
 }
 
 // Regenerate draws a fresh modifier and recomputes the address, keeping the
 // key pair — the paper's recovery path when DAD detects a duplicate, and
 // also what an identity-churning adversary does.
-func (id *Identity) Regenerate(rng *rand.Rand) {
-	id.Rn = rng.Uint64()
+func (id *Identity) Regenerate(src *draw.Source) {
+	id.Rn = src.Uint64()
 	id.Addr = cga.Address(id.Pub.Bytes(), id.Rn)
 }
 
@@ -260,20 +260,4 @@ func (id *Identity) Sign(msg []byte) []byte { return id.Priv.Sign(msg) }
 // and modifier — true unless the identity was tampered with.
 func (id *Identity) VerifyOwnBinding() bool {
 	return cga.Verify(id.Addr, id.Pub.Bytes(), id.Rn)
-}
-
-// NewReader adapts a math/rand source to io.Reader for key generation.
-// Using the simulation's seeded source keeps Ed25519 runs fully
-// reproducible.
-func NewReader(rng *rand.Rand) io.Reader { return &randReader{rng} }
-
-type randReader struct{ rng *rand.Rand }
-
-func (r *randReader) Read(p []byte) (int, error) {
-	var buf [8]byte
-	for i := 0; i < len(p); i += 8 {
-		binary.LittleEndian.PutUint64(buf[:], r.rng.Uint64())
-		copy(p[i:], buf[:])
-	}
-	return len(p), nil
 }

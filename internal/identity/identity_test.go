@@ -2,16 +2,16 @@ package identity
 
 import (
 	"bytes"
-	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"sbr6/internal/cga"
+	"sbr6/internal/draw"
 )
 
 func newEd(t testing.TB, seed int64) *Identity {
 	t.Helper()
-	id, err := New(SuiteEd25519, rand.New(rand.NewSource(seed)), "host")
+	id, err := New(SuiteEd25519, draw.New(seed, draw.Key, 0), "host")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +22,7 @@ func TestSignVerifyRoundTrip(t *testing.T) {
 	for _, suite := range []Suite{SuiteEd25519, SuiteRSA1024} {
 		suite := suite
 		t.Run(suite.String(), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(1))
+			rng := draw.New(1, draw.Key, 0)
 			id, err := New(suite, rng, "a")
 			if err != nil {
 				t.Fatal(err)
@@ -55,7 +55,7 @@ func TestPublicKeySerializationRoundTrip(t *testing.T) {
 	for _, suite := range []Suite{SuiteEd25519, SuiteRSA1024} {
 		suite := suite
 		t.Run(suite.String(), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(3))
+			rng := draw.New(3, draw.Key, 0)
 			id, err := New(suite, rng, "")
 			if err != nil {
 				t.Fatal(err)
@@ -104,7 +104,7 @@ func TestIdentityAddressIsBoundCGA(t *testing.T) {
 }
 
 func TestRegenerateKeepsKeyChangesAddress(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
+	rng := draw.New(5, draw.Key, 0)
 	id, err := New(SuiteEd25519, rng, "")
 	if err != nil {
 		t.Fatal(err)
@@ -132,6 +132,13 @@ func TestEd25519Deterministic(t *testing.T) {
 	if a.Addr == c.Addr {
 		t.Fatal("different seeds yielded same address")
 	}
+	d, err := New(SuiteEd25519, draw.New(77, draw.Key, 1), "host")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(a.Pub.Bytes(), d.Pub.Bytes()) || a.Addr == d.Addr {
+		t.Fatal("two nodes of one seed yielded the same key")
+	}
 }
 
 // TestSignIsDeterministic holds every suite to deterministic signing: one
@@ -143,7 +150,7 @@ func TestEd25519Deterministic(t *testing.T) {
 func TestSignIsDeterministic(t *testing.T) {
 	for _, suite := range []Suite{SuiteEd25519, SuiteRSA1024} {
 		t.Run(suite.String(), func(t *testing.T) {
-			id, err := New(suite, rand.New(rand.NewSource(3)), "")
+			id, err := New(suite, draw.New(3, draw.Key, 0), "")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -160,7 +167,7 @@ func TestRSA2048RoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("RSA-2048 keygen is slow")
 	}
-	rng := rand.New(rand.NewSource(2))
+	rng := draw.New(2, draw.Key, 0)
 	id, err := New(SuiteRSA2048, rng, "big")
 	if err != nil {
 		t.Fatal(err)
@@ -205,8 +212,10 @@ func TestSuiteString(t *testing.T) {
 	}
 }
 
+// A key stream read in counter mode fills every requested length, whole
+// draws or not: it is the reader key generation consumes.
 func TestRandReaderFillsExactly(t *testing.T) {
-	r := NewReader(rand.New(rand.NewSource(1)))
+	r := draw.New(1, draw.Key, 0)
 	for _, n := range []int{0, 1, 7, 8, 9, 31, 32, 33} {
 		buf := make([]byte, n)
 		got, err := r.Read(buf)
@@ -262,7 +271,7 @@ func BenchmarkEd25519Verify(b *testing.B) {
 }
 
 func BenchmarkRSA1024Verify(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
+	rng := draw.New(1, draw.Key, 0)
 	id, err := New(SuiteRSA1024, rng, "")
 	if err != nil {
 		b.Fatal(err)
@@ -281,7 +290,7 @@ func BenchmarkRSA1024Verify(b *testing.B) {
 // cannot promise: it may read an extra byte from its reader.
 func TestRSAKeygenDeterministic(t *testing.T) {
 	gen := func() *Identity {
-		id, err := New(SuiteRSA1024, rand.New(rand.NewSource(7)), "")
+		id, err := New(SuiteRSA1024, draw.New(7, draw.Key, 0), "")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,9 +9,11 @@
 //     exact shape of the historical n.probes probe-ack bug PR 2 caught
 //     dynamically with the cross-medium differential suite).
 //   - walltime: wall-clock time or the process-global math/rand stream
-//     entering a sim path (virtual time and the seeded scenario RNG only).
-//   - simrng: RNG discipline — streams are minted only by the scenario
-//     owners from the seed; crypto/rand stays confined to identity keygen.
+//     entering a sim path (virtual time and internal/draw's seeded draws
+//     only).
+//   - simrng: one randomness model — no math/rand, math/rand/v2 or
+//     crypto/rand on a sim path; crypto/rand stays confined to identity
+//     keygen.
 //   - globalstate: package-level mutable state, the direct blocker to the
 //     region-sharded simulation core on the roadmap (region-local state
 //     must be the only state).
@@ -65,6 +67,7 @@ var scopedPackages = map[string]bool{
 	"sbr6/internal/pool":     true,
 	"sbr6/internal/shard":    true,
 	"sbr6/internal/dnssrv":   true,
+	"sbr6/internal/draw":     true,
 }
 
 // Scoped reports whether the package with the given import path is on

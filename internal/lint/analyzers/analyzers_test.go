@@ -37,12 +37,12 @@ func TestWallTime(t *testing.T) {
 	}
 }
 
-// TestSimRNG drives the simrng fixture: minting streams and importing
-// crypto/rand are flagged, consuming a handed-down stream is not.
+// TestSimRNG drives the simrng fixture: importing math/rand or
+// crypto/rand is flagged.
 func TestSimRNG(t *testing.T) {
 	diags := analysistest.Run(t, SimRNG, "simrng")
 	if len(diags) == 0 {
-		t.Fatal("simrng reported nothing on a fixture that mints streams — the check is vacuous")
+		t.Fatal("simrng reported nothing on a fixture that imports math/rand — the check is vacuous")
 	}
 }
 
@@ -93,6 +93,7 @@ func TestScoped(t *testing.T) {
 		{"sbr6/internal/shard", true},
 		{"sbr6/internal/mobility", true},
 		{"sbr6/internal/dnssrv", true},
+		{"sbr6/internal/draw", true},
 	} {
 		if got := Scoped(tc.path); got != tc.want {
 			t.Errorf("Scoped(%q) = %v, want %v", tc.path, got, tc.want)

@@ -1,26 +1,16 @@
-// Fixture for the simrng analyzer: minting RNG streams and importing
-// non-replayable entropy sources on a sim path are flagged; consuming a
-// scenario-owned stream is the sanctioned pattern.
+// Fixture for the simrng analyzer: importing a random-number package on a
+// sim path is flagged, whatever the file then does with it.
 package simrng
 
 import (
 	crand "crypto/rand" // want `crypto/rand on a sim path`
-	"math/rand"
+	"math/rand"         // want `math/rand on a sim path`
 )
 
 func mintsStream(seed int64) *rand.Rand {
-	return rand.New(rand.NewSource(seed)) // want `rand\.New mints an RNG stream` // want `rand\.NewSource mints an RNG stream`
-}
-
-func consumesOwnedStreamIsFine(rng *rand.Rand) float64 {
-	return rng.Float64()
+	return rand.New(rand.NewSource(seed))
 }
 
 func realEntropy(buf []byte) {
 	crand.Read(buf)
-}
-
-func annotatedOwner(seed int64) *rand.Rand {
-	//sbr6:allow simrng seed-derived stream owned by this fixture's scenario
-	return rand.New(rand.NewSource(seed))
 }

@@ -9,8 +9,8 @@ import (
 
 // WallTime forbids reading the host clock and drawing from the
 // process-global math/rand stream on sim paths. Simulation time is
-// virtual (sim.Time advances only through the event queue) and all
-// randomness flows from the scenario seed, so both of these make a run a
+// virtual (sim.Time advances only through the event queue) and every
+// draw is a hash of the run seed (internal/draw), so both of these make a run a
 // function of the machine it ran on rather than of its configuration.
 var WallTime = &analysis.Analyzer{
 	Name: "walltime",
@@ -58,7 +58,7 @@ func runWallTime(pass *analysis.Pass) error {
 				}
 			case "math/rand", "math/rand/v2":
 				if !globalRandConstructors[fn.Name()] {
-					pass.Reportf(id.Pos(), "%s.%s draws from the process-global RNG on a sim path; consume the scenario-owned seeded *rand.Rand instead", fn.Pkg().Path(), fn.Name())
+					pass.Reportf(id.Pos(), "%s.%s draws from the process-global RNG on a sim path; draw from the run's seeded streams (internal/draw) instead", fn.Pkg().Path(), fn.Name())
 				}
 			}
 			return true

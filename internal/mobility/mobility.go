@@ -8,9 +8,9 @@ package mobility
 
 import (
 	"math"
-	"math/rand"
 	"time"
 
+	"sbr6/internal/draw"
 	"sbr6/internal/geom"
 	"sbr6/internal/sim"
 )
@@ -124,9 +124,9 @@ type WaypointConfig struct {
 	Pause    time.Duration // pause at each waypoint
 }
 
-// NewWaypoint builds a random waypoint Track starting at start. The rng must
-// be dedicated to this track (derive one per node from the scenario seed).
-func NewWaypoint(cfg WaypointConfig, start geom.Point, rng *rand.Rand) Track {
+// NewWaypoint builds a random waypoint Track starting at start. src must
+// be dedicated to this track: the node's track stream.
+func NewWaypoint(cfg WaypointConfig, start geom.Point, src *draw.Source) Track {
 	if cfg.MinSpeed <= 0 {
 		cfg.MinSpeed = 0.1
 	}
@@ -134,8 +134,8 @@ func NewWaypoint(cfg WaypointConfig, start geom.Point, rng *rand.Rand) Track {
 		cfg.MaxSpeed = cfg.MinSpeed
 	}
 	next := func(prev leg) leg {
-		dest := cfg.Region.RandomPoint(rng)
-		speed := cfg.MinSpeed + rng.Float64()*(cfg.MaxSpeed-cfg.MinSpeed)
+		dest := cfg.Region.RandomPoint(src)
+		speed := cfg.MinSpeed + src.Float64()*(cfg.MaxSpeed-cfg.MinSpeed)
 		dist := prev.to.Dist(dest)
 		travel := sim.Duration(dist / speed * float64(time.Second))
 		arrive := prev.end.Add(travel)
@@ -154,8 +154,9 @@ type WalkConfig struct {
 	Epoch  time.Duration
 }
 
-// NewWalk builds a bounded random-walk Track starting at start.
-func NewWalk(cfg WalkConfig, start geom.Point, rng *rand.Rand) Track {
+// NewWalk builds a bounded random-walk Track starting at start, drawing
+// from src like NewWaypoint.
+func NewWalk(cfg WalkConfig, start geom.Point, src *draw.Source) Track {
 	if cfg.Speed <= 0 {
 		cfg.Speed = 1
 	}
@@ -163,7 +164,7 @@ func NewWalk(cfg WalkConfig, start geom.Point, rng *rand.Rand) Track {
 		cfg.Epoch = 10 * time.Second
 	}
 	next := func(prev leg) leg {
-		theta := rng.Float64() * 2 * math.Pi
+		theta := src.Float64() * 2 * math.Pi
 		step := cfg.Speed * cfg.Epoch.Seconds()
 		dest := cfg.Region.Clamp(prev.to.Add(geom.Point{X: math.Cos(theta) * step, Y: math.Sin(theta) * step}))
 		arrive := prev.end.Add(cfg.Epoch)
@@ -219,11 +220,12 @@ func (g *Glide) Arrival() sim.Time {
 	return g.Start.Add(sim.Duration(dist / g.Speed * float64(time.Second)))
 }
 
-// UniformPlacement returns n independent uniform positions inside region.
-func UniformPlacement(region geom.Rect, n int, rng *rand.Rand) []geom.Point {
+// UniformPlacement returns n independent uniform positions inside region,
+// drawn from src in order.
+func UniformPlacement(region geom.Rect, n int, src *draw.Source) []geom.Point {
 	pts := make([]geom.Point, n)
 	for i := range pts {
-		pts[i] = region.RandomPoint(rng)
+		pts[i] = region.RandomPoint(src)
 	}
 	return pts
 }

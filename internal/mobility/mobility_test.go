@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"sbr6/internal/draw"
 	"sbr6/internal/geom"
 	"sbr6/internal/sim"
 )
@@ -23,7 +24,7 @@ func TestStaticNeverMoves(t *testing.T) {
 func TestWaypointStaysInRegion(t *testing.T) {
 	region := geom.Rect{W: 500, H: 300}
 	cfg := WaypointConfig{Region: region, MinSpeed: 1, MaxSpeed: 10, Pause: 2 * time.Second}
-	tr := NewWaypoint(cfg, geom.Point{X: 100, Y: 100}, rand.New(rand.NewSource(1)))
+	tr := NewWaypoint(cfg, geom.Point{X: 100, Y: 100}, draw.New(1, draw.Track, 0))
 	for i := 0; i < 5000; i++ {
 		p := tr.Position(sim.Time(i) * sim.Time(100*time.Millisecond))
 		if !region.Contains(p) {
@@ -34,7 +35,7 @@ func TestWaypointStaysInRegion(t *testing.T) {
 
 func TestWaypointStartsAtStart(t *testing.T) {
 	start := geom.Point{X: 42, Y: 17}
-	tr := NewWaypoint(WaypointConfig{Region: geom.Rect{W: 100, H: 100}, MinSpeed: 1, MaxSpeed: 1}, start, rand.New(rand.NewSource(2)))
+	tr := NewWaypoint(WaypointConfig{Region: geom.Rect{W: 100, H: 100}, MinSpeed: 1, MaxSpeed: 1}, start, draw.New(2, draw.Track, 0))
 	if got := tr.Position(0); got != start {
 		t.Fatalf("Position(0) = %v, want %v", got, start)
 	}
@@ -43,7 +44,7 @@ func TestWaypointStartsAtStart(t *testing.T) {
 func TestWaypointSpeedBound(t *testing.T) {
 	// With MaxSpeed v, displacement over dt can never exceed v*dt.
 	cfg := WaypointConfig{Region: geom.Rect{W: 1000, H: 1000}, MinSpeed: 5, MaxSpeed: 20}
-	tr := NewWaypoint(cfg, geom.Point{X: 500, Y: 500}, rand.New(rand.NewSource(3)))
+	tr := NewWaypoint(cfg, geom.Point{X: 500, Y: 500}, draw.New(3, draw.Track, 0))
 	dt := 100 * time.Millisecond
 	prev := tr.Position(0)
 	for i := 1; i < 3000; i++ {
@@ -59,7 +60,7 @@ func TestWaypointSpeedBound(t *testing.T) {
 // relies on: zero for static tracks, the normalized configured maximum for
 // the movers.
 func TestTracksDeclareSpeedBounds(t *testing.T) {
-	rng := func() *rand.Rand { return rand.New(rand.NewSource(1)) }
+	rng := func() *draw.Source { return draw.New(1, draw.Track, 0) }
 	region := geom.Rect{W: 1000, H: 1000}
 	cases := []struct {
 		name  string
@@ -82,7 +83,7 @@ func TestTracksDeclareSpeedBounds(t *testing.T) {
 func TestWaypointDeterministicAndMonotoneQueries(t *testing.T) {
 	mk := func() Track {
 		return NewWaypoint(WaypointConfig{Region: geom.Rect{W: 300, H: 300}, MinSpeed: 1, MaxSpeed: 5, Pause: time.Second},
-			geom.Point{X: 10, Y: 10}, rand.New(rand.NewSource(7)))
+			geom.Point{X: 10, Y: 10}, draw.New(7, draw.Track, 0))
 	}
 	a, b := mk(), mk()
 	// Query a in order, b out of order; same answers must come back.
@@ -102,7 +103,7 @@ func TestWaypointPause(t *testing.T) {
 	// With min==max speed 1 m/s in a tiny region and a long pause, the node
 	// must be stationary for stretches.
 	cfg := WaypointConfig{Region: geom.Rect{W: 10, H: 10}, MinSpeed: 1, MaxSpeed: 1, Pause: time.Minute}
-	tr := NewWaypoint(cfg, geom.Point{X: 5, Y: 5}, rand.New(rand.NewSource(11)))
+	tr := NewWaypoint(cfg, geom.Point{X: 5, Y: 5}, draw.New(11, draw.Track, 0))
 	stationary := 0
 	prev := tr.Position(0)
 	for i := 1; i < 600; i++ {
@@ -119,7 +120,7 @@ func TestWaypointPause(t *testing.T) {
 
 func TestWalkStaysInRegion(t *testing.T) {
 	region := geom.Rect{W: 200, H: 200}
-	tr := NewWalk(WalkConfig{Region: region, Speed: 15, Epoch: 5 * time.Second}, geom.Point{X: 100, Y: 100}, rand.New(rand.NewSource(5)))
+	tr := NewWalk(WalkConfig{Region: region, Speed: 15, Epoch: 5 * time.Second}, geom.Point{X: 100, Y: 100}, draw.New(5, draw.Track, 0))
 	for i := 0; i < 2000; i++ {
 		p := tr.Position(sim.Time(i) * sim.Time(500*time.Millisecond))
 		if !region.Contains(p) {
@@ -130,12 +131,12 @@ func TestWalkStaysInRegion(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	// Zero-valued speeds must not produce NaN positions or hangs.
-	tr := NewWaypoint(WaypointConfig{Region: geom.Rect{W: 10, H: 10}}, geom.Point{}, rand.New(rand.NewSource(1)))
+	tr := NewWaypoint(WaypointConfig{Region: geom.Rect{W: 10, H: 10}}, geom.Point{}, draw.New(1, draw.Track, 0))
 	p := tr.Position(sim.Time(time.Minute))
 	if p != p { // NaN check
 		t.Fatal("NaN position")
 	}
-	tw := NewWalk(WalkConfig{Region: geom.Rect{W: 10, H: 10}}, geom.Point{}, rand.New(rand.NewSource(1)))
+	tw := NewWalk(WalkConfig{Region: geom.Rect{W: 10, H: 10}}, geom.Point{}, draw.New(1, draw.Track, 0))
 	if q := tw.Position(sim.Time(time.Minute)); q != q {
 		t.Fatal("NaN position")
 	}
@@ -143,7 +144,7 @@ func TestConfigDefaults(t *testing.T) {
 
 func TestUniformPlacementInRegion(t *testing.T) {
 	region := geom.Rect{W: 123, H: 456}
-	pts := UniformPlacement(region, 500, rand.New(rand.NewSource(9)))
+	pts := UniformPlacement(region, 500, draw.New(9, draw.Placement, 0))
 	if len(pts) != 500 {
 		t.Fatalf("len = %d", len(pts))
 	}
@@ -189,7 +190,7 @@ func TestLinePlacement(t *testing.T) {
 func TestPropertyWaypointInRegion(t *testing.T) {
 	region := geom.Rect{W: 400, H: 250}
 	tr := NewWaypoint(WaypointConfig{Region: region, MinSpeed: 0.5, MaxSpeed: 25, Pause: 3 * time.Second},
-		geom.Point{X: 200, Y: 125}, rand.New(rand.NewSource(13)))
+		geom.Point{X: 200, Y: 125}, draw.New(13, draw.Track, 0))
 	prop := func(ticks uint32) bool {
 		return region.Contains(tr.Position(sim.Time(ticks) * sim.Time(time.Millisecond)))
 	}
@@ -200,7 +201,7 @@ func TestPropertyWaypointInRegion(t *testing.T) {
 
 func BenchmarkWaypointPosition(b *testing.B) {
 	tr := NewWaypoint(WaypointConfig{Region: geom.Rect{W: 1000, H: 1000}, MinSpeed: 1, MaxSpeed: 20},
-		geom.Point{X: 1, Y: 1}, rand.New(rand.NewSource(1)))
+		geom.Point{X: 1, Y: 1}, draw.New(1, draw.Track, 0))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tr.Position(sim.Time(i%100000) * sim.Time(10*time.Millisecond))
@@ -252,7 +253,7 @@ func TestGlideTrack(t *testing.T) {
 func TestWalkForgetBoundsHistory(t *testing.T) {
 	cfg := WalkConfig{Region: geom.Rect{W: 500, H: 500}, Speed: 5, Epoch: time.Second}
 	mk := func() *mover {
-		return NewWalk(cfg, geom.Point{X: 250, Y: 250}, rand.New(rand.NewSource(7))).(*mover)
+		return NewWalk(cfg, geom.Point{X: 250, Y: 250}, draw.New(7, draw.Track, 0)).(*mover)
 	}
 	trimmed, twin := mk(), mk()
 	q := rand.New(rand.NewSource(8))

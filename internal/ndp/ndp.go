@@ -13,10 +13,10 @@ package ndp
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"sbr6/internal/cga"
+	"sbr6/internal/draw"
 	"sbr6/internal/identity"
 	"sbr6/internal/ipv6"
 	"sbr6/internal/sim"
@@ -180,7 +180,7 @@ func (c Config) ObjectionWindow() time.Duration {
 // Initiator drives secure DAD for one host.
 type Initiator struct {
 	clock  Clock
-	rng    *rand.Rand
+	src    *draw.Source
 	ident  *identity.Identity
 	dnsPub identity.PublicKey
 	cfg    Config
@@ -210,12 +210,12 @@ type Initiator struct {
 
 // NewInitiator builds an initiator for the identity. dnsPub may be nil when
 // the host does not register a name (DREPs are then ignored).
-func NewInitiator(clock Clock, rng *rand.Rand, ident *identity.Identity, dnsPub identity.PublicKey, cfg Config) *Initiator {
+func NewInitiator(clock Clock, src *draw.Source, ident *identity.Identity, dnsPub identity.PublicKey, cfg Config) *Initiator {
 	cfg.Timeout = cfg.ObjectionWindow() // the one shared default clamp
 	if cfg.MaxRetries <= 0 {
 		cfg.MaxRetries = DefaultConfig().MaxRetries
 	}
-	return &Initiator{clock: clock, rng: rng, ident: ident, dnsPub: dnsPub, cfg: cfg, state: StateIdle}
+	return &Initiator{clock: clock, src: src, ident: ident, dnsPub: dnsPub, cfg: cfg, state: StateIdle}
 }
 
 // State returns the current lifecycle state.
@@ -239,7 +239,7 @@ func (i *Initiator) Start() {
 	}
 	i.state = StateProbing
 	i.seq++
-	i.ch = i.rng.Uint64()
+	i.ch = i.src.Uint64()
 	if i.timer != nil {
 		i.timer.Cancel()
 	}
@@ -250,15 +250,13 @@ func (i *Initiator) Start() {
 // Stop abandons any DAD in progress and disarms the objection-window
 // timer, returning the state machine to StateIdle. A node leaving a
 // running simulation calls it so no success/retry callback fires after
-// the node's state has been reclaimed. Stop also drops the random source,
-// so a stopped initiator never starts again.
+// the node's state has been reclaimed.
 func (i *Initiator) Stop() {
 	if i.timer != nil {
 		i.timer.Cancel()
 		i.timer = nil
 	}
 	i.state = StateIdle
-	i.rng = nil
 }
 
 func (i *Initiator) succeed() {
@@ -298,7 +296,7 @@ func (i *Initiator) HandleAREP(m *wire.AREP) error {
 		return err
 	}
 	// Authentic duplicate: derive a fresh address, keep the key pair.
-	i.ident.Regenerate(i.rng)
+	i.ident.Regenerate(i.src)
 	i.retry("duplicate address")
 	return nil
 }

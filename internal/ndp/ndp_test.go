@@ -2,10 +2,10 @@ package ndp
 
 import (
 	"errors"
-	"math/rand"
 	"testing"
 	"time"
 
+	"sbr6/internal/draw"
 	"sbr6/internal/identity"
 	"sbr6/internal/ipv6"
 	"sbr6/internal/sim"
@@ -14,7 +14,7 @@ import (
 
 func newIdent(t testing.TB, seed int64, name string) *identity.Identity {
 	t.Helper()
-	id, err := identity.New(identity.SuiteEd25519, rand.New(rand.NewSource(seed)), name)
+	id, err := identity.New(identity.SuiteEd25519, draw.New(seed, draw.Key, 0), name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func newHarness(t *testing.T, cfg Config, name string) *harness {
 	h := &harness{s: sim.New()}
 	h.ident = newIdent(t, 10, name)
 	h.dns = newIdent(t, 20, "dns")
-	h.init = NewInitiator(h.s, rand.New(rand.NewSource(1)), h.ident, h.dns.Pub, cfg)
+	h.init = NewInitiator(h.s, draw.New(1, draw.Protocol, 0), h.ident, h.dns.Pub, cfg)
 	h.init.SendAREQ = func(m *wire.AREQ) { h.sent = append(h.sent, m) }
 	h.init.OnConfigured = func() { h.done = true }
 	h.init.OnFailed = func(reason string) { h.fail = reason }

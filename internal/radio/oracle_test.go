@@ -24,6 +24,7 @@ import (
 	"testing"
 	"time"
 
+	"sbr6/internal/draw"
 	"sbr6/internal/geom"
 	"sbr6/internal/mobility"
 	"sbr6/internal/radio"
@@ -35,6 +36,7 @@ type oracleNet struct {
 	t     *testing.T
 	s     *sim.Simulator
 	m     *radio.Medium
+	seed  int64
 	rng   *rand.Rand
 	area  geom.Rect
 	r2    float64
@@ -55,6 +57,7 @@ func newOracleNet(t *testing.T, seed int64) *oracleNet {
 		t:     t,
 		s:     s,
 		m:     radio.New(s, cfg, 0, nil),
+		seed:  seed,
 		rng:   rand.New(rand.NewSource(seed)),
 		area:  geom.Rect{W: 1500, H: 1500},
 		r2:    cfg.Range * cfg.Range,
@@ -77,8 +80,8 @@ const (
 func (o *oracleNet) add(kind int) {
 	id := o.next
 	o.next++
-	start := o.area.RandomPoint(o.rng)
-	trng := rand.New(rand.NewSource(o.rng.Int63()))
+	start := o.area.RandomPoint(draw.New(o.seed, draw.Placement, uint64(id)))
+	trng := draw.New(o.seed, draw.Track, uint64(id))
 	wp := func(lo, hi float64) mobility.Track {
 		return mobility.NewWaypoint(mobility.WaypointConfig{Region: o.area, MinSpeed: lo, MaxSpeed: hi}, start, trng)
 	}

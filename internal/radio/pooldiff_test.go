@@ -75,7 +75,7 @@ func runWireScript(t *testing.T, sc *scenario.Scenario, seed int64, pooled bool)
 	s := sim.New()
 	cfg := sc.Cfg.Radio
 	cfg.UnicastRetries = 2
-	m := radio.New(s, cfg, uint64(seed), nil)
+	m := radio.New(s, cfg, seed, nil)
 	n := sc.Cfg.N
 	var tr wireTrace
 	buf := func(size int) []byte {

@@ -8,11 +8,11 @@
 // route maintenance uses to detect broken links).
 //
 // Every random draw — contention jitter and the per-receiver loss process —
-// is a content hash keyed by (the seed New takes, transmitter, the
-// transmitter's transmission sequence, receiver). A draw therefore does not
-// depend on the order the medium visits receivers, on other media sharing
-// the simulator, or on how the sharded engine split the network, and the
-// medium consumes no sequential random stream.
+// is a draw of the radio stream (internal/draw) keyed by (the seed New
+// takes, transmitter, the transmitter's transmission sequence, receiver).
+// A draw therefore does not depend on the order the medium visits
+// receivers, on other media sharing the simulator, or on how the sharded
+// engine split the network, and the medium consumes no sequential stream.
 //
 // Nodes are identified by a NodeID playing the role of the interface's MAC
 // address; IP-to-NodeID resolution is the upper layer's concern.
@@ -30,6 +30,7 @@ import (
 	"math/bits"
 	"time"
 
+	"sbr6/internal/draw"
 	"sbr6/internal/geom"
 	"sbr6/internal/pool"
 	"sbr6/internal/sim"
@@ -176,7 +177,7 @@ type port struct {
 type Medium struct {
 	sim    *sim.Simulator
 	cfg    Config
-	seed   uint64 // keys every draw (contention jitter and the loss process)
+	seed   int64  // keys every draw (contention jitter and the loss process)
 	remote Remote // the sharded engine's view of other regions; nil when alone
 	ports  map[NodeID]*port
 	byOrd  []*port // ports indexed by attachment ordinal; nil = vacated slot
@@ -210,7 +211,7 @@ type Medium struct {
 // non-nil, is the sharded engine's view of nodes that live in other
 // regions: transmissions that may reach across the region boundary are
 // handed off through it instead of stopping at the local port table.
-func New(s *sim.Simulator, cfg Config, seed uint64, remote Remote) *Medium {
+func New(s *sim.Simulator, cfg Config, seed int64, remote Remote) *Medium {
 	if cfg.Range <= 0 {
 		cfg.Range = 250
 	}
@@ -406,26 +407,13 @@ func (m *Medium) txDuration(size int) sim.Duration {
 	return sim.Duration(float64(size*8) / m.cfg.BitrateBps * float64(time.Second))
 }
 
-// mix64 is the splitmix64 finalizer — a cheap, well-distributed 64-bit
-// hash for the medium's draws.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// drawMix derives one draw from the medium seed and the draw's identity. A
-// sequential RNG would entangle every medium draw with global event order;
-// a content-keyed hash gives each draw the same value no matter which
-// region evaluates it or in what order.
-func drawMix(seed, a, b, c uint64) uint64 {
-	h := mix64(seed + 0x9e3779b97f4a7c15 + a)
-	h = mix64(h + 0x9e3779b97f4a7c15 + b)
-	h = mix64(h + 0x9e3779b97f4a7c15 + c)
-	return h
+// radioDraw returns the radio stream's draw for transmitter from's attempt
+// txSeq, folding sub after it: 0 for the contention jitter, r+1 for
+// receiver r's loss. Keyed by content rather than by a sequential counter,
+// each draw has the same value no matter which region evaluates it or in
+// what order.
+func (m *Medium) radioDraw(from NodeID, txSeq, sub uint64) uint64 {
+	return draw.Mix(draw.KeyOf(m.seed, draw.Radio, uint64(from)), txSeq, sub)
 }
 
 // txJitter draws the contention jitter for one transmission attempt.
@@ -433,7 +421,7 @@ func (m *Medium) txJitter(from NodeID, txSeq uint64) sim.Duration {
 	if m.cfg.BroadcastJitter <= 0 {
 		return 0
 	}
-	h := drawMix(m.seed, uint64(from), txSeq, 0)
+	h := m.radioDraw(from, txSeq, 0)
 	return sim.Duration(h % uint64(m.cfg.BroadcastJitter))
 }
 
@@ -441,7 +429,7 @@ func (m *Medium) txJitter(from NodeID, txSeq uint64) sim.Duration {
 // lost on its way to the receiver. Callers gate on LossRate > 0 so a
 // lossless medium hashes nothing.
 func (m *Medium) lossDraw(from NodeID, txSeq uint64, to NodeID) bool {
-	h := drawMix(m.seed, uint64(from), txSeq, uint64(to)+1)
+	h := m.radioDraw(from, txSeq, uint64(to)+1)
 	return float64(h>>11)/(1<<53) < m.cfg.LossRate
 }
 

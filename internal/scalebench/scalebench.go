@@ -22,13 +22,13 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 	"runtime"
 	"time"
 
 	"sbr6/internal/audit"
 	"sbr6/internal/boot"
 	"sbr6/internal/core"
+	"sbr6/internal/draw"
 	"sbr6/internal/geom"
 	"sbr6/internal/identity"
 	"sbr6/internal/ipv6"
@@ -39,8 +39,6 @@ import (
 	"sbr6/internal/sim"
 	"sbr6/internal/wire"
 )
-
-func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // ScaleNetwork is a radio medium populated for the scale workload: nodes
 // uniformly placed at constant density (~12 neighbours each), every odd
@@ -60,17 +58,16 @@ func BuildScaleNetwork(n int, seed int64) *ScaleNetwork {
 	s := sim.New()
 	cfg := radio.DefaultConfig()
 	cfg.LossRate = 0.05
-	m := radio.New(s, cfg, uint64(seed), nil)
+	m := radio.New(s, cfg, seed, nil)
 
 	side := 125 * math.Sqrt(float64(n))
 	region := geom.Rect{W: side, H: side}
-	placeRng := newRand(seed)
-	positions := mobility.UniformPlacement(region, n, placeRng)
+	positions := mobility.UniformPlacement(region, n, draw.New(seed, draw.Placement, 0))
 	wp := mobility.WaypointConfig{Region: region, MinSpeed: 1, MaxSpeed: 10, Pause: time.Second}
 	for i := 0; i < n; i++ {
 		var track mobility.Track
 		if i%2 == 1 {
-			track = mobility.NewWaypoint(wp, positions[i], newRand(seed+int64(i)+1))
+			track = mobility.NewWaypoint(wp, positions[i], draw.New(seed, draw.Track, uint64(i)))
 		} else {
 			track = mobility.Static(positions[i])
 		}
@@ -204,7 +201,7 @@ func BuildShardNetwork(n, regions int, seed int64) *ShardNetwork {
 	cfg.LossRate = 0.05
 
 	side := 125 * math.Sqrt(float64(n))
-	positions := mobility.UniformPlacement(geom.Rect{W: side, H: side}, n, newRand(seed))
+	positions := mobility.UniformPlacement(geom.Rect{W: side, H: side}, n, draw.New(seed, draw.Placement, 0))
 	eng := shard.New(shard.Config{Seed: seed, Regions: regions, Radio: cfg, Positions: positions})
 	for i := 0; i < n; i++ {
 		eng.AddNode(radio.NodeID(i), mobility.Static(positions[i]),
@@ -266,13 +263,13 @@ type WireNetwork struct {
 // BuildWireNetwork constructs the wire workload at n nodes.
 func BuildWireNetwork(n int, seed int64) *WireNetwork {
 	nw := BuildScaleNetwork(n, seed)
-	rng := newRand(seed)
+	addrs := draw.New(seed, draw.Protocol, 0)
 	pkts := make([]*wire.Packet, n)
 	for i := range pkts {
 		var src, dst, via ipv6.Addr
-		rng.Read(src[:])
-		rng.Read(dst[:])
-		rng.Read(via[:])
+		addrs.Read(src[:])
+		addrs.Read(dst[:])
+		addrs.Read(via[:])
 		pkts[i] = &wire.Packet{
 			Src: src, Dst: dst, TTL: wire.DefaultTTL,
 			SrcRoute: []ipv6.Addr{via},
@@ -498,25 +495,27 @@ type CryptoNetwork struct {
 // n-node scale. cached selects the memoized (default) or direct verifier.
 func BuildCryptoNetwork(n int, cached bool, seed int64, epochs int) *CryptoNetwork {
 	s := sim.New()
-	medium := radio.New(s, radio.DefaultConfig(), uint64(seed), nil)
-	rng := newRand(seed)
-
-	mustIdent := func(name string) *identity.Identity {
-		id, err := identity.New(identity.SuiteEd25519, rng, name)
+	medium := radio.New(s, radio.DefaultConfig(), seed, nil)
+	// Identity k draws from key stream k: the DNS key, the verifying node,
+	// then the population. The node and the chain picks share a protocol
+	// stream.
+	mustIdent := func(k int, name string) *identity.Identity {
+		id, err := identity.New(identity.SuiteEd25519, draw.New(seed, draw.Key, uint64(k)), name)
 		if err != nil {
 			panic(fmt.Sprintf("scalebench: identity: %v", err))
 		}
 		return id
 	}
-	dns := mustIdent("dns")
+	proto := draw.New(seed, draw.Protocol, 0)
+	dns := mustIdent(0, "dns")
 	cfg := core.DefaultConfig()
 	cfg.DirectVerify = !cached
-	node := core.New(s, medium, 0, mustIdent(""), dns.Pub, cfg, rng, nil)
+	node := core.New(s, medium, 0, mustIdent(1, ""), dns.Pub, cfg, proto, nil)
 	node.StartConfigured()
 
 	pop := make([]*identity.Identity, n)
 	for i := range pop {
-		pop[i] = mustIdent("")
+		pop[i] = mustIdent(i+2, "")
 	}
 
 	fresh := n / 32
@@ -529,14 +528,14 @@ func BuildCryptoNetwork(n int, cached bool, seed int64, epochs int) *CryptoNetwo
 		chains := make([]*wire.RREQ, 0, fresh)
 		for j := 0; j < fresh; j++ {
 			seq++
-			src := pop[rng.Intn(n)]
+			src := pop[proto.Int63n(int64(n))]
 			m := &wire.RREQ{
-				SIP: src.Addr, DIP: pop[rng.Intn(n)].Addr, Seq: seq,
+				SIP: src.Addr, DIP: pop[proto.Int63n(int64(n))].Addr, Seq: seq,
 				SrcSig: src.Sign(wire.SigRREQSource(src.Addr, seq)),
 				SPK:    src.Pub.Bytes(), Srn: src.Rn,
 			}
 			for h := 0; h < CryptoChainHops; h++ {
-				hid := pop[rng.Intn(n)]
+				hid := pop[proto.Int63n(int64(n))]
 				m.SRR = append(m.SRR, wire.HopAttestation{
 					IP:  hid.Addr,
 					Sig: hid.Sign(wire.SigHop(hid.Addr, seq)),

@@ -35,10 +35,10 @@
 //
 // Everything external happens at window barriers, when every region of
 // the engine has quiesced: joins, leaves, queries and snapshots never
-// interleave with events. Join positions and start jitters draw from a
-// dedicated churn RNG stream, so a session replayed from the same seed
-// with the same barrier-stamped operation journal reproduces the run byte
-// for byte — that replay is exactly how snapshot restore works.
+// interleave with events. A joiner's position and start jitter come from
+// its own churn stream (internal/draw), so a session replayed from the
+// same seed with the same barrier-stamped operation journal reproduces the
+// run byte for byte — that replay is exactly how snapshot restore works.
 package scenario
 
 import (
@@ -48,12 +48,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"time"
 
 	"sbr6/internal/core"
-	"sbr6/internal/identity"
+	"sbr6/internal/draw"
 	"sbr6/internal/ndp"
 	"sbr6/internal/radio"
 	"sbr6/internal/trace"
@@ -188,7 +187,6 @@ type Live struct {
 	OnWindow func(WindowReport)
 	Suppress bool
 
-	churn    *rand.Rand
 	started  bool
 	window   int // windows fully run
 	emitNext int // absolute index of the next window to finalize
@@ -217,7 +215,6 @@ func NewLive(sc *Scenario) *Live {
 		sc:           sc,
 		w:            sc.Cfg.WindowSize,
 		lag:          windowsIn(sc.Cfg.Cooldown, sc.Cfg.WindowSize) + 1,
-		churn:        rand.New(rand.NewSource(sc.Cfg.Seed ^ 0x632be59b)), //sbr6:allow simrng seed-derived churn stream owned by the session
 		graveyard:    trace.NewMetrics(),
 		aggs:         make(map[string]*SampleAgg),
 		prevCounters: make(map[string]float64),
@@ -401,8 +398,8 @@ func (lv *Live) LiveNodes() int {
 // suites watch it return to steady state).
 func (lv *Live) InFlight() int { return len(lv.sc.sent) }
 
-// Join admits a new node: a fresh identity on the next seed-derived
-// streams, a spawn position and start jitter from the churn stream, and a
+// Join admits a new node: a fresh identity and protocol stream under its
+// new index, a spawn position and start jitter from its churn stream, and a
 // full secure bootstrap (DAD with objection window) exactly like a
 // build-time node. name optionally registers a domain name during DAD; b
 // optionally installs an adversarial behavior. Returns the new node's
@@ -412,31 +409,16 @@ func (lv *Live) Join(name string, b core.Behavior) (int, error) {
 		return 0, ErrNotStarted
 	}
 	sc := lv.sc
-	cfg := sc.Cfg
 	idx := len(sc.Nodes)
-	ident, err := identity.New(cfg.Protocol.Suite, rand.New(rand.NewSource(cfg.Seed+1000+int64(idx))), name) //sbr6:allow simrng seed-derived per-node keygen stream, same scheme as Build
+	churn := draw.New(sc.Cfg.Seed, draw.Churn, uint64(idx))
+	pos := sc.Cfg.Area.RandomPoint(churn)
+	jitter := time.Duration(1 + churn.Int63n(max(int64(lv.w/2), 1)))
+	sc.eng.InjectNode(radio.NodeID(idx), pos)
+	n, err := sc.addNode(idx, name, b, buildTrack(sc.Cfg, pos, idx))
 	if err != nil {
 		return 0, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed + 9000 + int64(idx))) //sbr6:allow simrng seed-derived per-node protocol stream, same scheme as Build
-	pos := cfg.Area.RandomPoint(lv.churn)
-	jitterRange := int64(lv.w / 2)
-	if jitterRange < 1 {
-		jitterRange = 1
-	}
-	jitter := time.Duration(1 + lv.churn.Int63n(jitterRange))
-	track := buildTrack(cfg, pos, idx)
-
-	id := radio.NodeID(idx)
-	sc.eng.InjectNode(id, pos)
-	ns, nm := sc.eng.NodeSim(id), sc.eng.NodeMedium(id)
-	prev := ns.SetOwner(uint32(id) + 1)
-	n := core.New(ns, nm, id, ident, sc.Nodes[0].Identity().Pub, cfg.Protocol, rng, nil)
-	ns.SetOwner(prev)
-	n.Behavior = b
-	sc.eng.AddNode(id, track, n)
-	sc.eng.ScheduleOwnedAt(id, sc.Now().Add(jitter), n.Start)
-	sc.Nodes = append(sc.Nodes, n)
+	sc.eng.ScheduleOwnedAt(radio.NodeID(idx), sc.Now().Add(jitter), n.Start)
 	sc.startAudit(idx)
 	return idx, nil
 }

@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 	"sort"
 	"time"
@@ -30,6 +29,7 @@ import (
 	"sbr6/internal/boot"
 	"sbr6/internal/core"
 	"sbr6/internal/dnssrv"
+	"sbr6/internal/draw"
 	"sbr6/internal/geom"
 	"sbr6/internal/identity"
 	"sbr6/internal/ipv6"
@@ -427,7 +427,6 @@ func Build(cfg Config) (*Scenario, error) {
 	}
 
 	// Placement.
-	placeRng := rand.New(rand.NewSource(cfg.Seed ^ 0x7f4a7c15)) //sbr6:allow simrng seed-derived placement stream owned by Build
 	var positions []geom.Point
 	switch cfg.Placement {
 	case PlaceGrid:
@@ -435,7 +434,7 @@ func Build(cfg Config) (*Scenario, error) {
 	case PlaceLine:
 		positions = mobility.LinePlacement(cfg.N, cfg.Spacing)
 	default:
-		positions = mobility.UniformPlacement(cfg.Area, cfg.N, placeRng)
+		positions = mobility.UniformPlacement(cfg.Area, cfg.N, draw.New(cfg.Seed, draw.Placement, 0))
 	}
 
 	// Partition staging: the trailing nodes spend formation in a disjoint
@@ -477,39 +476,7 @@ func Build(cfg Config) (*Scenario, error) {
 	})
 	sc.bootHorizon = boot.Horizon(sc.bootOffsets, cfg.Protocol.DAD.ObjectionWindow(), cfg.BootStagger+2*time.Second)
 
-	// Identities. The DNS key pair is node 0's.
-	dnsIdent, err := identity.New(cfg.Protocol.Suite, rand.New(rand.NewSource(cfg.Seed+1000)), cfg.Names[0]) //sbr6:allow simrng seed-derived DNS keygen stream owned by Build
-	if err != nil {
-		return nil, err
-	}
-
 	for i := 0; i < cfg.N; i++ {
-		var ident *identity.Identity
-		if i == 0 {
-			ident = dnsIdent
-		} else {
-			ident, err = identity.New(cfg.Protocol.Suite, rand.New(rand.NewSource(cfg.Seed+1000+int64(i))), cfg.Names[i]) //sbr6:allow simrng seed-derived per-node keygen stream owned by Build
-			if err != nil {
-				return nil, err
-			}
-		}
-		rng := rand.New(rand.NewSource(cfg.Seed + 9000 + int64(i))) //sbr6:allow simrng seed-derived per-node protocol stream owned by Build
-		// The node lives on its region's simulator and medium, and
-		// everything it ever schedules — starting with construction-time
-		// timers — is stamped with its own causal stream.
-		ns, nm := sc.eng.NodeSim(radio.NodeID(i)), sc.eng.NodeMedium(radio.NodeID(i))
-		prevOwner := ns.SetOwner(uint32(i) + 1)
-		n := core.New(ns, nm, radio.NodeID(i), ident, dnsIdent.Pub, cfg.Protocol, rng, nil)
-		if i == 0 {
-			dcfg := cfg.DNS
-			dcfg.Suite = cfg.Protocol.Suite
-			sc.DNSSrv = dnssrv.New(ns, rng, dnsIdent, dcfg, nil)
-			n.AttachDNS(sc.DNSSrv)
-		}
-		ns.SetOwner(prevOwner)
-		if b, hostile := cfg.Behaviors[i]; hostile {
-			n.Behavior = b
-		}
 		var track mobility.Track
 		if cfg.Partition.Nodes > 0 && i >= cfg.N-cfg.Partition.Nodes {
 			speed := cfg.Partition.Speed
@@ -525,8 +492,9 @@ func Build(cfg Config) (*Scenario, error) {
 		} else {
 			track = buildTrack(cfg, positions[i], i)
 		}
-		sc.eng.AddNode(radio.NodeID(i), track, n)
-		sc.Nodes = append(sc.Nodes, n)
+		if _, err := sc.addNode(i, cfg.Names[i], cfg.Behaviors[i], track); err != nil {
+			return nil, err
+		}
 	}
 
 	// Permanent DNS bindings exist before the network forms.
@@ -536,6 +504,41 @@ func Build(cfg Config) (*Scenario, error) {
 	}
 
 	return sc, nil
+}
+
+// addNode builds node i and attaches it to the engine with the given
+// track: its identity from its key stream, its protocol draws from its
+// protocol stream, and everything it ever schedules — starting with
+// construction-time timers — stamped with its own causal owner. Node 0 is
+// the DNS server, whose key pair is every node's trust anchor and which
+// shares node 0's protocol stream. Build and Live.Join both build nodes
+// here, so the per-node stream scheme is written once.
+func (sc *Scenario) addNode(i int, name string, b core.Behavior, track mobility.Track) (*core.Node, error) {
+	cfg := sc.Cfg
+	ident, err := identity.New(cfg.Protocol.Suite, draw.New(cfg.Seed, draw.Key, uint64(i)), name)
+	if err != nil {
+		return nil, err
+	}
+	dnsPub := ident.Pub
+	if i > 0 {
+		dnsPub = sc.Nodes[0].Identity().Pub
+	}
+	src := draw.New(cfg.Seed, draw.Protocol, uint64(i))
+	id := radio.NodeID(i)
+	ns, nm := sc.eng.NodeSim(id), sc.eng.NodeMedium(id)
+	prevOwner := ns.SetOwner(uint32(i) + 1)
+	n := core.New(ns, nm, id, ident, dnsPub, cfg.Protocol, src, nil)
+	if i == 0 {
+		dcfg := cfg.DNS
+		dcfg.Suite = cfg.Protocol.Suite
+		sc.DNSSrv = dnssrv.New(ns, src, ident, dcfg, nil)
+		n.AttachDNS(sc.DNSSrv)
+	}
+	ns.SetOwner(prevOwner)
+	n.Behavior = b
+	sc.eng.AddNode(id, track, n)
+	sc.Nodes = append(sc.Nodes, n)
+	return n, nil
 }
 
 // stagePartition returns the formation-start positions: main-cluster nodes
@@ -570,8 +573,8 @@ func stagePartition(cfg Config, positions []geom.Point, radioRange float64) []ge
 
 // buildTrack constructs node i's mobility track per the spec: static,
 // random waypoint, bounded random walk, or (when both models are selected)
-// the even/odd mix the churn suites use. Every moving track draws from a
-// node-dedicated seeded source, so adding walk nodes never shifts another
+// the even/odd mix the churn suites use. Every moving track draws from
+// the node's own track stream, so adding walk nodes never shifts another
 // node's trajectory.
 func buildTrack(cfg Config, start geom.Point, i int) mobility.Track {
 	m := cfg.Mobility
@@ -582,14 +585,14 @@ func buildTrack(cfg Config, start geom.Point, i int) mobility.Track {
 			Region: cfg.Area,
 			Speed:  m.MaxSpeed,
 			Epoch:  m.Epoch,
-		}, start, rand.New(rand.NewSource(cfg.Seed+20000+int64(i)))) //sbr6:allow simrng seed-derived per-node walk track stream
+		}, start, draw.New(cfg.Seed, draw.Track, uint64(i)))
 	case m.Waypoint:
 		return mobility.NewWaypoint(mobility.WaypointConfig{
 			Region:   cfg.Area,
 			MinSpeed: m.MinSpeed,
 			MaxSpeed: m.MaxSpeed,
 			Pause:    m.Pause,
-		}, start, rand.New(rand.NewSource(cfg.Seed+20000+int64(i)))) //sbr6:allow simrng seed-derived per-node waypoint track stream
+		}, start, draw.New(cfg.Seed, draw.Track, uint64(i)))
 	default:
 		return mobility.Static(start)
 	}

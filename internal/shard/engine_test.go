@@ -1,10 +1,10 @@
 package shard_test
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 
+	"sbr6/internal/draw"
 	"sbr6/internal/geom"
 	"sbr6/internal/mobility"
 	"sbr6/internal/radio"
@@ -84,7 +84,7 @@ func TestBarrierDuringCrossRegionFlight(t *testing.T) {
 	at := []geom.Point{{X: 100, Y: 100}, {X: 200, Y: 100}}
 	eng := shard.New(shard.Config{Seed: 1, Regions: 2, Radio: cfg, Positions: at})
 	walk := mobility.NewWalk(mobility.WalkConfig{Region: geom.Rect{W: 300, H: 200}, Speed: 1, Epoch: time.Second},
-		at[1], rand.New(rand.NewSource(1)))
+		at[1], draw.New(1, draw.Track, 0))
 	got := 0
 	eng.AddNode(0, mobility.Static(at[0]), radio.HandlerFunc(func(radio.NodeID, []byte) {}))
 	eng.AddNode(1, walk, radio.HandlerFunc(func(radio.NodeID, []byte) { got++ }))

@@ -85,7 +85,7 @@ import (
 
 // Config parameterizes an Engine.
 type Config struct {
-	// Seed derives the seed every region's medium keys its radio draws
+	// Seed is the run seed every region's medium keys its radio draws
 	// with.
 	Seed int64
 	// Regions is the shard count; values < 1 are treated as 1.
@@ -191,8 +191,6 @@ func New(cfg Config) *Engine {
 		// so engine runs stay byte-comparable across counts.
 		cfg.Radio.PropDelay = time.Nanosecond
 	}
-	radioSeed := uint64(cfg.Seed)*0x9e3779b97f4a7c15 + 1
-
 	n := len(cfg.Positions)
 	e := &Engine{
 		cfg:       cfg,
@@ -229,7 +227,7 @@ func New(cfg Config) *Engine {
 			size++
 		}
 		r := &region{idx: ri, sim: sim.New()}
-		r.med = radio.New(r.sim, cfg.Radio, radioSeed, &regionRemote{e: e, idx: ri})
+		r.med = radio.New(r.sim, cfg.Radio, cfg.Seed, &regionRemote{e: e, idx: ri})
 		for _, id := range order[at : at+size] {
 			e.regionOf[id] = ri
 			r.owned = append(r.owned, radio.NodeID(id))

@@ -2,15 +2,15 @@ package verifycache
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
+	"sbr6/internal/draw"
 	"sbr6/internal/identity"
 )
 
 func newIdent(t *testing.T, seed int64) *identity.Identity {
 	t.Helper()
-	id, err := identity.New(identity.SuiteEd25519, rand.New(rand.NewSource(seed)), "")
+	id, err := identity.New(identity.SuiteEd25519, draw.New(seed, draw.Key, 0), "")
 	if err != nil {
 		t.Fatal(err)
 	}

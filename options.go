@@ -580,11 +580,11 @@ func WithWarmup(d time.Duration) Option {
 }
 
 // WithCooldown sets how long in-flight packets may land after the last
-// send.
+// send (one window when unset).
 func WithCooldown(d time.Duration) Option {
 	return func(s *Scenario) error {
-		if d < 0 {
-			return fmt.Errorf("WithCooldown(%v): must not be negative: %w", d, ErrOption)
+		if d <= 0 {
+			return fmt.Errorf("WithCooldown(%v): must be positive: %w", d, ErrOption)
 		}
 		s.cfg.Cooldown = d
 		return nil

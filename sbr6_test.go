@@ -139,6 +139,7 @@ func TestOptionValidation(t *testing.T) {
 		{"zero-value adversary", []sbr6.Option{sbr6.WithAdversaries(sbr6.Adversary{})}, "WithAdversaries"},
 		{"negative duration", []sbr6.Option{sbr6.WithDuration(-time.Second)}, "WithDuration"},
 		{"negative cooldown", []sbr6.Option{sbr6.WithCooldown(-time.Second)}, "WithCooldown"},
+		{"zero cooldown", []sbr6.Option{sbr6.WithCooldown(0)}, "WithCooldown"},
 		{"negative window", []sbr6.Option{sbr6.WithWindows(-time.Second)}, "WithWindows"},
 		{"negative name index", []sbr6.Option{sbr6.WithName(-1, "a.example")}, "WithName"},
 		{"empty name", []sbr6.Option{sbr6.WithName(3, "")}, "WithName"},
@@ -492,6 +493,31 @@ func TestRunBatchDeterminism(t *testing.T) {
 				t.Fatalf("stat bounds wrong: %+v", sb.PDR)
 			}
 		})
+	}
+}
+
+// Replicates of a multi-seed batch draw independent networks: every key
+// is a draw of (seed, node), so no two seeds of a SeedRange batch, and no
+// two consecutive seeds, share a node address. A replicate is a session
+// served from its seed, so the sessions show what the batch draws.
+func TestSeedsShareNoAddress(t *testing.T) {
+	owner := map[sbr6.Addr]string{}
+	for _, seed := range sbr6.SeedRange(1, 4) {
+		sc, err := sbr6.NewScenario(sbr6.WithSeed(seed), sbr6.WithNodes(12), sbr6.WithFastTimers())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := sbr6.Serve(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < sess.NodeCount(); i++ {
+			a := sess.Node(i).Addr()
+			if prev, dup := owner[a]; dup {
+				t.Fatalf("seed %d node %d has the address of %s", seed, i, prev)
+			}
+			owner[a] = fmt.Sprintf("seed %d node %d", seed, i)
+		}
 	}
 }
 

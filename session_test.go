@@ -374,8 +374,10 @@ func corpusSnapshot(t *testing.T, name string) []byte {
 // Resume replays it and checks the replayed state digest, so success
 // proves the replay is byte for byte the one that was recorded. The
 // version 1 bytes the same session produced before every run moved onto
-// the one-region engine cannot replay to their digest, so Resume must
-// refuse them by version before replaying anything.
+// the one-region engine, and the version 2 bytes it produced before every
+// draw became a hash of (seed, stream, node, counter), cannot replay to
+// their digests, so Resume must refuse them by version before replaying
+// anything.
 func TestResumeCommittedSnapshot(t *testing.T) {
 	sess, err := sbr6.Resume(corpusSnapshot(t, "seed_genuine"))
 	if err != nil {
@@ -391,5 +393,13 @@ func TestResumeCommittedSnapshot(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "unsupported version 1") {
 		t.Fatalf("version 1 snapshot rejected for the wrong reason: %v", err)
+	}
+
+	_, err = sbr6.Resume(corpusSnapshot(t, "seed_v2_genuine"))
+	if !errors.Is(err, sbr6.ErrSnapshot) {
+		t.Fatalf("Resume of a version 2 snapshot: err = %v, want ErrSnapshot", err)
+	}
+	if !strings.Contains(err.Error(), "unsupported version 2") {
+		t.Fatalf("version 2 snapshot rejected for the wrong reason: %v", err)
 	}
 }

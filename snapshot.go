@@ -19,7 +19,9 @@ var ErrSnapshot = errors.New("sbr6: invalid snapshot")
 // rejects versions it does not know instead of replaying them wrongly.
 // Version 2: every session runs on the one-region engine with hashed radio
 // draws, so a version 1 session can no longer replay to its digest.
-const snapshotVersion = 2
+// Version 3: every draw is a hash of (seed, stream, node, counter)
+// (internal/draw), so a version 2 session draws other keys and places.
+const snapshotVersion = 3
 
 // snapshotFile is the serialized form of a live session. A snapshot does
 // not serialize simulator state — it stores the effective configuration,
