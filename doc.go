@@ -110,7 +110,11 @@
 // envelope. Each received frame is first scanned — validated exactly as
 // the decoder would, without allocating — and counted; an admission step
 // then drops duplicate flood copies and frames the node is neither
-// relaying nor addressed by, undecoded. A relay forwards by splicing the
+// relaying nor addressed by, undecoded. The receivers that one delivery
+// event reaches on one medium share one scan, one flood identity and one
+// lookup in their region's flood table, of which every node's seen-sets
+// are views; each receiver still counts the frame, records its neighbour,
+// tests its own admission bit and dispatches on its own. A relay forwards by splicing the
 // received bytes: a flooded request is rebroadcast with the relay's
 // route-record entry (its address, or for an RREQ its signed hop
 // attestation) inserted and the record count bumped, and a source-routed

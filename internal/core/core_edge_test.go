@@ -33,7 +33,7 @@ func TestWarnFloodCancelsNameSquatting(t *testing.T) {
 		Addr: owner.Identity().Addr,
 		Name: "squatted",
 	}
-	joiner := New(tn.s, tn.medium, radio.NodeID(77), clone, tn.nodes[0].DNS().PublicKey(), cfg,
+	joiner := New(tn.region, radio.NodeID(77), clone, tn.nodes[0].DNS().PublicKey(), cfg,
 		tn.nodes[3].Rand(), nil)
 	// Between the DNS (x=0) and the owner (x=200): both hear the AREQ
 	// directly, so the DNS opens a pending registration that the owner's
@@ -92,7 +92,7 @@ func TestWarnFloodRelayedOncePerNode(t *testing.T) {
 	for i, n := range tn.nodes {
 		before[i] = n.Metrics().Get("tx.AREP")
 	}
-	joiner := New(tn.s, tn.medium, radio.NodeID(99), &clone, tn.nodes[0].DNS().PublicKey(), cfg,
+	joiner := New(tn.region, radio.NodeID(99), &clone, tn.nodes[0].DNS().PublicKey(), cfg,
 		tn.nodes[3].Rand(), nil)
 	pos := positions[ownerIdx]
 	pos.X += 50 // hears the owner directly, so the objection needs no relay
@@ -358,8 +358,9 @@ func TestAccessors(t *testing.T) {
 }
 
 // Shutdown releases what a departed node would otherwise pin for the rest
-// of a session, the four flood seen-sets, and every entry point that
-// would read them does nothing afterwards: the node's
+// of a session, the four flood seen-sets: the region's flood table keeps
+// no record of the node, and its slot goes to the next joiner. Every
+// entry point that would read them does nothing afterwards: the node's
 // counters stay exactly where Shutdown left them.
 func TestShutdownReleasesSeenSets(t *testing.T) {
 	cfg := fastConfig(true)
@@ -376,9 +377,21 @@ func TestShutdownReleasesSeenSets(t *testing.T) {
 		t.Fatal("the live node neither admitted the AREQ nor advertised")
 	}
 
+	floods, slot := tn.region.floods, n.floods.Slot()
+	if floods.Held(slot) == 0 {
+		t.Fatal("the live node holds no record in the region's flood table")
+	}
 	n.Shutdown()
 	if n.areqSeen != nil || n.rreqSeen != nil || n.dnsFloods != nil || n.auditSeen != nil {
 		t.Fatal("Shutdown kept a flood seen-set")
+	}
+	if held := floods.Held(slot); held != 0 {
+		t.Fatalf("after Shutdown the region's flood table still holds %d records of the node", held)
+	}
+	if joiner := floods.Join(); joiner.Slot() != slot {
+		t.Fatalf("a joiner took slot %d, not the departed node's %d", joiner.Slot(), slot)
+	} else {
+		joiner.Release()
 	}
 	before := map[string]float64{}
 	for _, name := range n.Metrics().CounterNames() {

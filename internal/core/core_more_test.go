@@ -110,7 +110,8 @@ func TestLossyChannelStillDelivers(t *testing.T) {
 	rcfg := radio.DefaultConfig()
 	rcfg.BroadcastJitter = time.Millisecond
 	rcfg.LossRate = 0.1
-	tn := &testnet{s: s, medium: radio.New(s, rcfg, 0, nil)}
+	medium := radio.New(s, rcfg, 0, nil)
+	tn := &testnet{s: s, medium: medium, region: NewRegion(s, medium)}
 	cfg := fastConfig(true)
 	positions := []geom.Point{{X: 0}, {X: 200}, {X: 400}, {X: 600}}
 	base := buildNet(t, cfg, positions, nil)

@@ -20,6 +20,7 @@ import (
 type testnet struct {
 	s      *sim.Simulator
 	medium *radio.Medium
+	region *Region
 	nodes  []*Node
 }
 
@@ -44,7 +45,7 @@ func buildNet(t testing.TB, cfg Config, positions []geom.Point, names []string) 
 	rcfg := radio.DefaultConfig()
 	rcfg.BroadcastJitter = time.Millisecond
 	medium := radio.New(s, rcfg, 0, nil)
-	tn := &testnet{s: s, medium: medium}
+	tn := &testnet{s: s, medium: medium, region: NewRegion(s, medium)}
 
 	dnsIdent, err := identity.New(cfg.Suite, draw.New(1000, draw.Key, 0), "dns")
 	if err != nil {
@@ -69,7 +70,7 @@ func buildNet(t testing.TB, cfg Config, positions []geom.Point, names []string) 
 			}
 		}
 		rng := draw.New(5000+int64(i), draw.Protocol, 0)
-		n := New(s, medium, radio.NodeID(i), ident, dnsIdent.Pub, cfg, rng, nil)
+		n := New(tn.region, radio.NodeID(i), ident, dnsIdent.Pub, cfg, rng, nil)
 		if i == 0 {
 			n.AttachDNS(dnssrv.New(s, rng, dnsIdent, dcfg, nil))
 		}
@@ -145,7 +146,7 @@ func TestDuplicateAddressResolvedByDAD(t *testing.T) {
 		Addr: owner.Identity().Addr,
 	}
 	rng := draw.New(424242, draw.Protocol, 0)
-	joiner := New(tn.s, tn.medium, radio.NodeID(99), clone, tn.nodes[0].DNS().PublicKey(), cfg, rng, nil)
+	joiner := New(tn.region, radio.NodeID(99), clone, tn.nodes[0].DNS().PublicKey(), cfg, rng, nil)
 	pos := geom.Point{X: 250} // neighbour of node 1
 	tn.medium.AddNode(radio.NodeID(99), func(sim.Time) geom.Point { return pos }, 0, joiner)
 

@@ -138,8 +138,9 @@ type Behavior interface {
 
 // Node is one MANET host.
 type Node struct {
-	sim    *sim.Simulator
-	medium *radio.Medium
+	region *Region
+	sim    *sim.Simulator // the region's
+	medium *radio.Medium  // the region's
 	link   radio.NodeID
 	ident  *identity.Identity
 	dnsPub identity.PublicKey
@@ -159,6 +160,9 @@ type Node struct {
 
 	neighbors map[ipv6.Addr]radio.NodeID
 
+	// The flood seen-sets are views of the region's flood table, where
+	// floods is the node's slot.
+	floods    *ndp.Member
 	areqSeen  *ndp.FloodCache
 	rreqSeen  *ndp.FloodCache
 	dnsFloods *ndp.FloodCache // content-hash dedup for flood-routed DNS control
@@ -266,9 +270,18 @@ type pendingRebind struct {
 	oldRn uint64
 }
 
-// New creates a node. The caller attaches it to the medium (the scenario
-// owns positions): medium.AddNode(link, track.Position, track.SpeedBound(), node).
-func New(s *sim.Simulator, medium *radio.Medium, link radio.NodeID, ident *identity.Identity,
+// The seen-set kinds of a region's flood table.
+const (
+	floodAREQ ndp.Kind = iota + 1
+	floodRREQ
+	floodDNS
+	floodAudit
+)
+
+// New creates a node in region r. The caller attaches it to the region's
+// medium (the scenario owns positions):
+// medium.AddNode(link, track.Position, track.SpeedBound(), node).
+func New(r *Region, link radio.NodeID, ident *identity.Identity,
 	dnsPub identity.PublicKey, cfg Config, src *draw.Source, met *trace.Metrics) *Node {
 	if met == nil {
 		met = trace.NewMetrics()
@@ -284,14 +297,16 @@ func New(s *sim.Simulator, medium *radio.Medium, link radio.NodeID, ident *ident
 	if !cfg.DirectVerify {
 		vc = verifycache.New(verifycache.DefaultEntries)
 	}
+	floods := r.floods.Join()
 	n := &Node{
-		sim: s, medium: medium, link: link, ident: ident, dnsPub: dnsPub,
+		region: r, sim: r.sim, medium: r.medium, link: link, ident: ident, dnsPub: dnsPub,
 		cfg: cfg, src: src, met: met, vcache: vc,
 		neighbors:   make(map[ipv6.Addr]radio.NodeID),
-		areqSeen:    ndp.NewFloodCache(floodCap),
-		rreqSeen:    ndp.NewFloodCache(floodCap),
-		dnsFloods:   ndp.NewFloodCache(floodCap),
-		auditSeen:   ndp.NewFloodCache(floodCap),
+		floods:      floods,
+		areqSeen:    floods.Cache(floodAREQ, floodCap),
+		rreqSeen:    floods.Cache(floodRREQ, floodCap),
+		dnsFloods:   floods.Cache(floodDNS, floodCap),
+		auditSeen:   floods.Cache(floodAudit, floodCap),
 		routes:      dsr.NewCache(ident.Addr, sim.Duration(cfg.RouteTTL), 3),
 		credits:     credit.New(cfg.Credit),
 		pending:     make(map[ipv6.Addr]*discovery),
@@ -302,7 +317,7 @@ func New(s *sim.Simulator, medium *radio.Medium, link radio.NodeID, ident *ident
 		resolves:    make(map[string]*resolveState),
 		aliases:     make(map[ipv6.Addr]ipv6.Addr),
 	}
-	n.autoconf = ndp.NewInitiator(s, src, ident, dnsPub, cfg.DAD)
+	n.autoconf = ndp.NewInitiator(r.sim, src, ident, dnsPub, cfg.DAD)
 	n.autoconf.Verify = n.verifier()
 	n.autoconf.SendAREQ = n.sendAREQ
 	n.autoconf.OnConfigured = n.dadDone
@@ -414,11 +429,13 @@ func (n *Node) Shutdown() {
 		}
 		n.rebind = nil
 	}
-	// Drop per-peer state and the flood seen-sets so the only thing a
-	// departed node pins is its metrics sink (merged into the scenario's
-	// graveyard by the caller). Untracked events that survive
-	// (finishProbe) look their state up by key and no-op on the emptied
-	// maps; every path that reads a seen-set is inert once dead.
+	// Drop per-peer state, and release the node's marks in the region's
+	// flood table and its slot there to the next joiner. The node itself
+	// stays reachable through the scenario's node list, and with it its
+	// metrics, identity, verification cache, route cache and credit table.
+	// Untracked events that survive (finishProbe) look their state up by
+	// key and no-op on the emptied maps; every path that reads a seen-set
+	// is inert once dead.
 	n.neighbors = make(map[ipv6.Addr]radio.NodeID)
 	n.pending = make(map[ipv6.Addr]*discovery)
 	n.outstanding = make(map[ackKey]*sentData)
@@ -428,6 +445,7 @@ func (n *Node) Shutdown() {
 	n.resolves = make(map[string]*resolveState)
 	n.aliases = make(map[ipv6.Addr]ipv6.Addr)
 	n.auditRebind = nil
+	n.floods.Release()
 	n.areqSeen, n.rreqSeen, n.dnsFloods, n.auditSeen = nil, nil, nil, nil
 }
 
@@ -512,32 +530,51 @@ func (n *Node) VerifyRouteRecord(m *wire.RREQ) error { return n.verifySRR(m) }
 // that passes the admission step is dispatched to its handler, which
 // decodes it only if it needs more than the envelope. A relay that only
 // forwards never decodes: it splices the received bytes. Adversarial
-// nodes decode every frame first, because Intercept sees them all.
+// nodes decode every frame first, because Intercept sees them all. The
+// receivers of one delivery event share its scan (see Region); a frame
+// handed to Deliver outside one is scanned for this call alone.
 func (n *Node) Deliver(from radio.NodeID, payload []byte) {
 	if n.dead {
 		return
 	}
-	f := frame{raw: payload}
-	if err := wire.Scan(payload, &f.env); err != nil {
+	if sc := n.region.shared(payload); sc != nil {
+		n.receive(from, payload, sc)
+		return
+	}
+	var own rxScan
+	own.read(payload)
+	n.receive(from, payload, &own)
+}
+
+// receive is Deliver's per-receiver work on a scanned frame.
+func (n *Node) receive(from radio.NodeID, payload []byte, sc *rxScan) {
+	if sc.bad {
 		n.met.Add1("rx.malformed")
 		return
 	}
 	n.met.Add1("rx.frames")
-	if prev, ok := transmitter(&f.env); ok {
-		n.neighbors[prev] = from
+	if sc.hasPrev {
+		if id, ok := n.neighbors[sc.prev]; !ok || id != from {
+			n.neighbors[sc.prev] = from
+		}
 	}
-	if n.Behavior != nil && n.Behavior.Intercept(n, f.packet(), payload) {
+	var pkt *wire.Packet
+	if n.Behavior != nil {
+		if pkt = decode(payload); n.Behavior.Intercept(n, pkt, payload) {
+			return
+		}
+	}
+	if !n.admit(sc) {
 		return
 	}
-	if !n.admit(&f.env, payload) {
-		return
-	}
-	n.dispatch(&f)
+	n.dispatch(&frame{env: sc.env, raw: payload, pkt: pkt})
 }
 
-// frame is one received frame on its way to a handler: the envelope Scan
+// frame is one admitted frame on its way to a handler: the envelope Scan
 // read, the bytes (borrowed for the Deliver call, see radio.Handler) and
 // the decoded packet, nil until something needs more than the envelope.
+// It is this receiver's own: the receivers of a delivery share the scan,
+// but each decodes into its own packet.
 type frame struct {
 	env wire.Envelope
 	raw []byte
@@ -568,16 +605,17 @@ func decode(payload []byte) *wire.Packet {
 // on is never decoded. Floods are admitted once per flood identity
 // (marking it seen); route requests only once configured and never our
 // own; source-routed packets only at their current hop or destination.
-func (n *Node) admit(e *wire.Envelope, raw []byte) bool {
+func (n *Node) admit(sc *rxScan) bool {
+	e := &sc.env
 	switch {
 	case e.Dst == ipv6.DNS1 && e.RouteLen == 0:
-		return !n.dnsFloods.Seen(e.Src, dnsFloodKey(raw))
+		return !n.dnsFloods.SeenID(&sc.flood)
 	case e.Type == wire.TAREQ:
-		return !n.areqSeen.Seen(e.SIP, challengeKey(e.Seq, e.Ch))
+		return !n.areqSeen.SeenID(&sc.flood)
 	case e.Type == wire.TRREQ:
-		return n.configured && e.SIP != n.ident.Addr && !n.rreqSeen.Seen(e.SIP, e.Seq)
+		return n.configured && e.SIP != n.ident.Addr && !n.rreqSeen.SeenID(&sc.flood)
 	case e.Type == wire.TAuditAdv:
-		return !n.auditSeen.Seen(e.SIP, challengeKey(e.Seq, e.Ch))
+		return !n.auditSeen.SeenID(&sc.flood)
 	case int(e.Hop) < e.RouteLen:
 		return e.Next == n.ident.Addr
 	default:

@@ -29,7 +29,7 @@ func newRelayRig(t testing.TB, cfg Config, record bool) *relayRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rig := &relayRig{s: s, relay: New(s, medium, 0, ident, ident.Pub, cfg, draw.New(43, draw.Protocol, 0), nil)}
+	rig := &relayRig{s: s, relay: New(NewRegion(s, medium), 0, ident, ident.Pub, cfg, draw.New(43, draw.Protocol, 0), nil)}
 	rig.relay.StartConfigured()
 	medium.AddNode(0, func(sim.Time) geom.Point { return geom.Point{} }, 0, rig.relay)
 	medium.AddNode(1, func(sim.Time) geom.Point { return geom.Point{X: 100} }, 0, radio.HandlerFunc(func(_ radio.NodeID, b []byte) {
@@ -49,9 +49,10 @@ var (
 // A node that only relays an AuditAdv or an AREQ splices the received
 // bytes: no decoded message, record copy, packet, closure or counter
 // name. The simulator is drained after every frame so the medium's frame
-// and job pools recycle. The node's flood seen-set still grows now and
-// then (about one allocation per hundred frames), below AllocsPerRun's
-// whole-number average.
+// and job pools recycle. Each frame is a new flood, and the region's flood
+// table records it without allocating but when an arena or the node's
+// seen-set ring doubles (a handful of times in the run), below
+// AllocsPerRun's whole-number average.
 func TestRelayOnlyAllocatesNothing(t *testing.T) {
 	floods := []struct {
 		counter string

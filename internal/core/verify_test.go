@@ -31,7 +31,7 @@ func newVerifier(t *testing.T) (*Node, []*identity.Identity) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := New(s, medium, 0, ident, dnsIdent.Pub, DefaultConfig(), draw.New(3, draw.Protocol, 0), nil)
+	n := New(NewRegion(s, medium), 0, ident, dnsIdent.Pub, DefaultConfig(), draw.New(3, draw.Protocol, 0), nil)
 	medium.AddNode(0, func(sim.Time) geom.Point { return geom.Point{} }, 0, n)
 	n.StartConfigured()
 	n.AttachDNS(dnssrv.New(s, draw.New(4, draw.Protocol, 0), dnsIdent, dnssrv.DefaultConfig(), nil))
@@ -193,7 +193,7 @@ func TestHopAttestationModes(t *testing.T) {
 	s := sim.New()
 	medium := radio.New(s, radio.DefaultConfig(), 0, nil)
 	ident, _ := identity.New(identity.SuiteEd25519, draw.New(5, draw.Key, 0), "")
-	base := New(s, medium, 1, ident, nil, BaselineConfig(), draw.New(6, draw.Protocol, 0), nil)
+	base := New(NewRegion(s, medium), 1, ident, nil, BaselineConfig(), draw.New(6, draw.Protocol, 0), nil)
 	medium.AddNode(1, func(sim.Time) geom.Point { return geom.Point{} }, 0, base)
 	base.StartConfigured()
 	hb := base.hopAttestation(42)

@@ -35,7 +35,7 @@ func newCachedVerifier(t *testing.T, direct bool) (*Node, []*identity.Identity) 
 	}
 	cfg := DefaultConfig()
 	cfg.DirectVerify = direct
-	n := New(s, medium, 0, ident, dnsIdent.Pub, cfg, draw.New(3, draw.Protocol, 0), nil)
+	n := New(NewRegion(s, medium), 0, ident, dnsIdent.Pub, cfg, draw.New(3, draw.Protocol, 0), nil)
 	medium.AddNode(0, func(sim.Time) geom.Point { return geom.Point{} }, 0, n)
 	n.StartConfigured()
 
@@ -179,7 +179,7 @@ func newSigner(t *testing.T, suite identity.Suite) *Node {
 	}
 	cfg := DefaultConfig()
 	cfg.Suite = suite
-	n := New(s, medium, 0, ident, ident.Pub, cfg, draw.New(3, draw.Protocol, 0), nil)
+	n := New(NewRegion(s, medium), 0, ident, ident.Pub, cfg, draw.New(3, draw.Protocol, 0), nil)
 	medium.AddNode(0, func(sim.Time) geom.Point { return geom.Point{} }, 0, n)
 	n.StartConfigured()
 	return n

@@ -103,6 +103,7 @@ func dadTrial(seed int64, loss float64, hops, retries int) bool {
 	rcfg.LossRate = loss
 	rcfg.UnicastRetries = retries
 	medium := radio.New(s, rcfg, seed, nil)
+	region := core.NewRegion(s, medium)
 	pcfg := fastProtocol(true)
 	pcfg.DAD.MaxRetries = 8
 
@@ -111,7 +112,7 @@ func dadTrial(seed int64, loss float64, hops, retries int) bool {
 		panic(err)
 	}
 	mk := func(i int, ident *identity.Identity, pos geom.Point) *core.Node {
-		n := core.New(s, medium, radio.NodeID(i), ident, dnsIdent.Pub, pcfg, draw.New(seed, draw.Protocol, uint64(i)), nil)
+		n := core.New(region, radio.NodeID(i), ident, dnsIdent.Pub, pcfg, draw.New(seed, draw.Protocol, uint64(i)), nil)
 		medium.AddNode(radio.NodeID(i), mobility.Static(pos).Position, 0, n)
 		return n
 	}

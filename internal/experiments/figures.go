@@ -86,12 +86,13 @@ func runF2(opt Options) []*trace.Table {
 	rcfg := radio.DefaultConfig()
 	rcfg.BroadcastJitter = time.Millisecond
 	medium := radio.New(s, rcfg, opt.Seed, nil)
+	region := core.NewRegion(s, medium)
 	pcfg := fastProtocol(true)
 
 	tr := &transcript{}
 	names := []string{"dns", "printer"}
 	mkNode := func(i int, ident *identity.Identity, dnsPub identity.PublicKey, pos geom.Point) *core.Node {
-		n := core.New(s, medium, radio.NodeID(i), ident, dnsPub, pcfg, draw.New(opt.Seed, draw.Protocol, uint64(i)), nil)
+		n := core.New(region, radio.NodeID(i), ident, dnsPub, pcfg, draw.New(opt.Seed, draw.Protocol, uint64(i)), nil)
 		n.Behavior = tap{tr: tr, name: fmt.Sprintf("n%d(%s)", i, names[min(i, len(names)-1)])}
 		medium.AddNode(radio.NodeID(i), func(sim.Time) geom.Point { return pos }, 0, n)
 		return n

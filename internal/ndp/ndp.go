@@ -321,42 +321,3 @@ func (i *Initiator) HandleDREP(m *wire.DREP) error {
 	i.retry("duplicate domain name")
 	return nil
 }
-
-// FloodCache is the bounded seen-set used to suppress duplicate flood
-// rebroadcasts (AREQ and RREQ both use it). Eviction is FIFO.
-type FloodCache struct {
-	seen  map[floodKey]struct{}
-	order []floodKey
-	cap   int
-}
-
-type floodKey struct {
-	src ipv6.Addr
-	seq uint32
-}
-
-// NewFloodCache creates a cache remembering up to capacity flood ids.
-func NewFloodCache(capacity int) *FloodCache {
-	if capacity <= 0 {
-		capacity = 1024
-	}
-	return &FloodCache{seen: make(map[floodKey]struct{}), cap: capacity}
-}
-
-// Seen marks (src, seq) and reports whether it had been seen before.
-func (f *FloodCache) Seen(src ipv6.Addr, seq uint32) bool {
-	k := floodKey{src, seq}
-	if _, dup := f.seen[k]; dup {
-		return true
-	}
-	f.seen[k] = struct{}{}
-	f.order = append(f.order, k)
-	if len(f.order) > f.cap {
-		delete(f.seen, f.order[0])
-		f.order = f.order[1:]
-	}
-	return false
-}
-
-// Len reports the number of remembered ids.
-func (f *FloodCache) Len() int { return len(f.seen) }

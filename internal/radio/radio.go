@@ -48,6 +48,15 @@ type Handler interface {
 	// and recycled once the last delivery completes. A handler that needs
 	// the bytes later must copy them (wire.Decode already copies every
 	// variable-length field, so decoding counts as copying).
+	//
+	// Every Deliver call is made from a delivery event: a broadcast's
+	// receivers on this medium, a boundary-crossing broadcast's receivers
+	// or a unicast's addressee. During it, Medium.Delivery reports the
+	// event's number, and every receiver the event reaches gets the same
+	// payload slice, so receivers that share a medium may share work that
+	// depends only on the bytes. The number, not the buffer's address,
+	// tells one frame from the next: a released buffer carries the next
+	// transmission.
 	Deliver(from NodeID, payload []byte)
 }
 
@@ -203,6 +212,11 @@ type Medium struct {
 	pool        *pool.Pool
 	freeJobs    *txJob
 	freeBatches *deliveryBatch
+
+	// deliveries counts the delivery events run so far; delivering is the
+	// number of the one in progress, 0 between events.
+	deliveries uint64
+	delivering uint64
 }
 
 // New creates a medium on the given simulator. seed keys every draw of
@@ -226,6 +240,17 @@ func (m *Medium) Config() Config { return m.cfg }
 
 // Stats returns a snapshot of the link-layer counters.
 func (m *Medium) Stats() Stats { return m.stats }
+
+// Delivery reports the number of the delivery event in progress — the
+// medium numbers them 1, 2, 3, ... — or 0 outside one. Every Deliver call
+// an event makes sees the same number (see Handler).
+func (m *Medium) Delivery() uint64 { return m.delivering }
+
+// beginDelivery numbers the delivery event starting now.
+func (m *Medium) beginDelivery() {
+	m.deliveries++
+	m.delivering = m.deliveries
+}
 
 // AddNode attaches a node to the medium. speed is the node's speed bound
 // in metres/second (mobility.Track.SpeedBound; zero = static): pos must
@@ -526,6 +551,7 @@ func (m *Medium) takeBatch() *deliveryBatch {
 func runBatch(v any) {
 	b := v.(*deliveryBatch)
 	m := b.m
+	m.beginDelivery()
 	for _, o := range b.ports {
 		if o.down {
 			continue
@@ -536,6 +562,7 @@ func runBatch(v any) {
 		o.handler.Deliver(b.from, b.frame)
 		m.sim.SetOwner(prev)
 	}
+	m.delivering = 0
 	if b.release {
 		m.pool.Put(b.frame)
 	}
@@ -828,9 +855,11 @@ func runInjectDeliver(v any) {
 	if !ok || o.down {
 		return
 	}
+	m.beginDelivery()
 	prev := m.sim.SetOwner(uint32(o.id) + 1)
 	o.handler.Deliver(d.msg.From, d.msg.Frame)
 	m.sim.SetOwner(prev)
+	m.delivering = 0
 }
 
 // InjectScan schedules evaluation of a foreign region's broadcast against
@@ -881,5 +910,7 @@ func (m *Medium) runRemoteScan(msg ScanMsg) {
 		m.sim.SetOwner(prev)
 	}
 	extra := m.maxSpeed * m.cfg.PropDelay.Seconds()
+	m.beginDelivery()
 	m.gridForEach(msg.Pos, m.sim.Now(), extra, collect)
+	m.delivering = 0
 }

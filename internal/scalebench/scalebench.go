@@ -510,7 +510,7 @@ func BuildCryptoNetwork(n int, cached bool, seed int64, epochs int) *CryptoNetwo
 	dns := mustIdent(0, "dns")
 	cfg := core.DefaultConfig()
 	cfg.DirectVerify = !cached
-	node := core.New(s, medium, 0, mustIdent(1, ""), dns.Pub, cfg, proto, nil)
+	node := core.New(core.NewRegion(s, medium), 0, mustIdent(1, ""), dns.Pub, cfg, proto, nil)
 	node.StartConfigured()
 
 	pop := make([]*identity.Identity, n)

@@ -302,8 +302,10 @@ type Scenario struct {
 	mergeDone    time.Duration // latest partition glide arrival; 0 = no partition
 
 	// eng is the simulation engine: every node lives on one of its
-	// regions.
-	eng *shard.Engine
+	// regions, and regions[i] is what the nodes of engine region i share
+	// (built with the region's first node).
+	eng     *shard.Engine
+	regions []*core.Region
 	// flowLogs defers the shared flow bookkeeping: send and delivery
 	// events append to their own region's log, and RunFor replays the
 	// merged logs in deterministic order after each span.
@@ -456,6 +458,7 @@ func Build(cfg Config) (*Scenario, error) {
 		Positions: formationPos,
 	})
 	sc.flowLogs = make([][]flowLogEntry, sc.eng.Regions())
+	sc.regions = make([]*core.Region, sc.eng.Regions())
 
 	// The admission schedule is fixed at build time from the formation-start
 	// positions; policies are pure functions of the plan, so they consume no
@@ -525,9 +528,12 @@ func (sc *Scenario) addNode(i int, name string, b core.Behavior, track mobility.
 	}
 	src := draw.New(cfg.Seed, draw.Protocol, uint64(i))
 	id := radio.NodeID(i)
-	ns, nm := sc.eng.NodeSim(id), sc.eng.NodeMedium(id)
+	ns, ri := sc.eng.NodeSim(id), sc.eng.RegionOf(id)
+	if sc.regions[ri] == nil {
+		sc.regions[ri] = core.NewRegion(ns, sc.eng.NodeMedium(id))
+	}
 	prevOwner := ns.SetOwner(uint32(i) + 1)
-	n := core.New(ns, nm, id, ident, dnsPub, cfg.Protocol, src, nil)
+	n := core.New(sc.regions[ri], id, ident, dnsPub, cfg.Protocol, src, nil)
 	if i == 0 {
 		dcfg := cfg.DNS
 		dcfg.Suite = cfg.Protocol.Suite
