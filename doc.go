@@ -82,10 +82,15 @@
 // a query visits only the cells around the transmitter, widened by how far
 // a mover may have drifted since it was last bucketed, and filters the
 // candidates by exact distance in attachment order. That keeps 1k-100k-node
-// scenarios affordable at every network size with one code path. The
-// medium's tests hold the grid to a brute-force oracle — every pair checked
-// against the raw position functions — under motion, down toggles and
-// node churn. WithBootStagger shortens the serial DAD schedule that
+// scenarios affordable at every network size with one code path. A medium
+// with no movers — every node attached with speed bound 0 — walks the grid
+// once per transmitter instead: a broadcast fans out from the
+// transmitter's cached list of in-range ports, built at its first
+// broadcast and dropped whenever a node attaches or detaches within its
+// range; the down check and the loss draw stay per receiver. The medium's
+// tests hold the grid and the lists to a brute-force oracle — every pair
+// checked against the raw position functions — under motion, down toggles
+// and node churn. WithBootStagger shortens the serial DAD schedule that
 // otherwise dominates large bootstraps.
 //
 // # The pooled wire path
@@ -113,22 +118,24 @@
 // relaying nor addressed by, undecoded. The receivers that one delivery
 // event reaches on one medium share one scan, one flood identity and one
 // lookup in their region's flood table, of which every node's seen-sets
-// are views; each receiver still counts the frame, records its neighbour,
-// tests its own admission bit and dispatches on its own. A relay forwards by splicing the
-// received bytes: a flooded request is rebroadcast with the relay's
-// route-record entry (its address, or for an RREQ its signed hop
-// attestation) inserted and the record count bumped, and a source-routed
-// packet or flood-routed DNS control message moves on with its TTL and
-// hop index patched. So an AREQ is decoded only at the owner of the
-// probed address and at the DNS server, an audit advertisement only at
-// the holder of the advertised address, and an RREQ only at its
-// destination and at nodes holding a cached route they could answer it
-// from; source-routed forwards still decode, because their link-failure
-// path reads the packet. The spliced bytes equal the re-encoded packet,
-// so outputs match the decode-and-re-encode relay byte for byte.
-// Adversarial nodes decode every frame, because their Intercept hook sees
-// every frame, then pass the same admission step and relay by the same
-// splice. The rx.frames counter counts frames received, not decodes.
+// are views; each receiver still counts the frame (an array bump of a
+// declared counter, internal/trace, with no name hashed), records its
+// neighbour, tests its own admission bit and dispatches on its own. A
+// relay forwards by splicing the received bytes: a flooded request is
+// rebroadcast with the relay's route-record entry (its address, or for an
+// RREQ its signed hop attestation) inserted and the record count bumped,
+// and a source-routed packet or flood-routed DNS control message moves on
+// with its TTL and hop index patched. So an AREQ is decoded only at the
+// owner of the probed address and at the DNS server, an audit
+// advertisement only at the holder of the advertised address, and an RREQ
+// only at its destination and at nodes holding a cached route they could
+// answer it from; source-routed forwards still decode, because their
+// link-failure path reads the packet. The spliced bytes equal the
+// re-encoded packet, so outputs match the decode-and-re-encode relay byte
+// for byte. Adversarial nodes decode every frame, because their Intercept
+// hook sees every frame, then pass the same admission step and relay by
+// the same splice. The rx.frames counter counts frames received, not
+// decodes.
 //
 // # Bootstrap admission
 //

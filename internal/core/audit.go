@@ -3,6 +3,7 @@ package core
 import (
 	"sbr6/internal/audit"
 	"sbr6/internal/ndp"
+	"sbr6/internal/trace"
 	"sbr6/internal/wire"
 )
 
@@ -27,8 +28,8 @@ func (n *Node) AuditAdvertise() {
 	n.auditSeq++
 	n.auditCh = n.src.Uint64()
 	m := audit.BuildAdv(n.ident, n.auditSeq, n.auditCh)
-	n.met.Add1("crypto.sign")
-	n.met.Add1("audit.adv_sent")
+	n.met.Add1(trace.CryptoSign)
+	n.met.Add1(trace.AuditAdvSent)
 	n.auditSeen.Seen(m.SIP, challengeKey(m.Seq, m.Ch))
 	n.Flood(m, n.auditTTL())
 }
@@ -56,7 +57,7 @@ func (n *Node) verifier() ndp.Verifier {
 // the advertised address; every other node relays it from the envelope
 // alone.
 func (n *Node) handleAuditAdv(f *frame) {
-	n.met.Add1("rx.AADV")
+	n.met.Add1(trace.RxAADV)
 
 	// A configured holder of the advertised address consumes the flood —
 	// the conflict gets resolved here, relaying it further serves no one.
@@ -94,18 +95,18 @@ func (n *Node) handleConflictingAdv(m *wire.AuditAdv) {
 		// protocol can force a silent key-holder to reveal itself; what the
 		// sweep guarantees is that any claimant RUNNING the protocol is
 		// heard, and that hearing one resolves the conflict.
-		n.met.Add1("audit.replays_ignored")
+		n.met.Add1(trace.AuditReplaysIgnored)
 		return
 	}
-	n.met.Add1("crypto.verify")
+	n.met.Add1(trace.CryptoVerify)
 	if err := audit.ValidateAdv(n.verifier(), m, mine.Pub.Suite()); err != nil {
-		n.met.Add1("audit.adv_rejected")
+		n.met.Add1(trace.AuditAdvRejected)
 		return
 	}
-	n.met.Add1("audit.conflicts")
-	n.met.Add1("audit.objections_sent")
+	n.met.Add1(trace.AuditConflicts)
+	n.met.Add1(trace.AuditObjectionsSent)
 	obj := audit.BuildObjection(mine, m.SIP, m.Ch, m.RR)
-	n.met.Add1("crypto.sign")
+	n.met.Add1(trace.CryptoSign)
 	n.sendToUnconfigured(m.RR, m.SIP, obj)
 	if audit.Resolve(mine.Pub.Bytes(), mine.Rn, m.PK, m.Rn) == audit.Rekey {
 		n.auditRekey()
@@ -115,20 +116,20 @@ func (n *Node) handleConflictingAdv(m *wire.AuditAdv) {
 // handleAuditObj runs at the advertiser when a conflicting binding holder
 // objected to its current advertisement.
 func (n *Node) handleAuditObj(pkt *wire.Packet, m *wire.AuditObj) {
-	n.met.Add1("rx.AOBJ")
+	n.met.Add1(trace.RxAOBJ)
 	if !n.configured || m.SIP != n.ident.Addr || n.auditCh == 0 {
 		return
 	}
 	mine := n.ident
-	n.met.Add1("crypto.verify")
+	n.met.Add1(trace.CryptoVerify)
 	if err := audit.ValidateObj(n.verifier(), m, mine.Pub.Suite(), n.auditCh); err != nil {
-		n.met.Add1("audit.obj_rejected")
+		n.met.Add1(trace.AuditObjRejected)
 		return
 	}
 	// One resolution per sweep round: further objections (a third claimant,
 	// duplicate copies over other paths) wait for the next advertisement.
 	n.auditCh = 0
-	n.met.Add1("audit.conflicts")
+	n.met.Add1(trace.AuditConflicts)
 	if audit.Resolve(mine.Pub.Bytes(), mine.Rn, m.PK, m.Rn) == audit.Rekey {
 		n.auditRekey()
 	}
@@ -142,7 +143,7 @@ func (n *Node) handleAuditObj(pkt *wire.Packet, m *wire.AuditObj) {
 // objection and silently rename us — and is re-bound to the fresh address
 // through the signed update protocol once DAD completes (see dadDone).
 func (n *Node) auditRekey() {
-	n.met.Add1("audit.rekeys")
+	n.met.Add1(trace.AuditRekeys)
 	n.configured = false
 	n.auditCh = 0
 	// Abort any in-flight ordinary rebind: the address world it operates in
@@ -151,7 +152,7 @@ func (n *Node) auditRekey() {
 	if st := n.rebind; st != nil {
 		n.rebind = nil
 		st.timer.Cancel()
-		n.met.Add1("dns.rebind_aborted")
+		n.met.Add1(trace.DNSRebindAborted)
 		st.cb(false)
 	}
 	if n.ident.Name != "" {

@@ -3,6 +3,7 @@ package core
 import (
 	"sbr6/internal/ipv6"
 	"sbr6/internal/ndp"
+	"sbr6/internal/trace"
 	"sbr6/internal/wire"
 )
 
@@ -15,7 +16,7 @@ import (
 // pre-marks it as seen so the node ignores echoed copies of its own flood.
 func (n *Node) sendAREQ(m *wire.AREQ) {
 	n.areqSeen.Seen(m.SIP, challengeKey(m.Seq, m.Ch))
-	n.met.Add1("dad.rounds")
+	n.met.Add1(trace.DADRounds)
 	n.Flood(m, n.cfg.TTL)
 }
 
@@ -23,15 +24,15 @@ func (n *Node) sendAREQ(m *wire.AREQ) {
 // probed address and at the DNS server; every other node relays it from
 // the envelope alone.
 func (n *Node) handleAREQ(f *frame) {
-	n.met.Add1("rx.AREQ")
+	n.met.Add1(trace.RxAREQ)
 
 	// A configured owner of the probed address objects and stops the flood
 	// here: the requester must pick a new address anyway.
 	if n.configured && f.env.SIP == n.ident.Addr {
 		m := f.packet().Msg.(*wire.AREQ)
-		n.met.Add1("dad.objections_sent")
+		n.met.Add1(trace.DADObjectionsSent)
 		arep := ndp.BuildAREP(n.ident, m.SIP, m.Ch, m.RR)
-		n.met.Add1("crypto.sign")
+		n.met.Add1(trace.CryptoSign)
 		n.sendToUnconfigured(m.RR, m.SIP, arep)
 		if m.DN != "" && n.dns == nil {
 			// Warn the DNS so the conflicting name registration is not
@@ -46,7 +47,7 @@ func (n *Node) handleAREQ(f *frame) {
 	if n.dns != nil {
 		m := f.packet().Msg.(*wire.AREQ)
 		if drep := n.dns.HandleAREQ(m); drep != nil {
-			n.met.Add1("crypto.sign") // the server signed the DREP
+			n.met.Add1(trace.CryptoSign) // the server signed the DREP
 			n.sendToUnconfigured(m.RR, m.SIP, drep)
 		}
 	}
@@ -79,9 +80,9 @@ func (n *Node) floodToDNS(msg wire.Message) {
 func (n *Node) handleDNSFlood(f *frame) {
 	if n.dns != nil {
 		if m, ok := f.packet().Msg.(*wire.AREP); ok {
-			n.met.Add1("crypto.verify") // server validates the warn
+			n.met.Add1(trace.CryptoVerify) // server validates the warn
 			if n.dns.HandleWarnAREP(m) {
-				n.met.Add1("dns.warns_accepted")
+				n.met.Add1(trace.DNSWarnsAccepted)
 			}
 		}
 		return
@@ -93,27 +94,27 @@ func (n *Node) handleDNSFlood(f *frame) {
 }
 
 func (n *Node) handleAREP(pkt *wire.Packet, m *wire.AREP) {
-	n.met.Add1("rx.AREP")
+	n.met.Add1(trace.RxAREP)
 	if n.autoconf.State() != ndp.StateProbing {
 		return
 	}
-	n.met.Add1("crypto.verify")
+	n.met.Add1(trace.CryptoVerify)
 	if err := n.autoconf.HandleAREP(m); err != nil {
-		n.met.Add1("dad.arep_rejected")
+		n.met.Add1(trace.DADAREPRejected)
 		return
 	}
-	n.met.Add1("dad.arep_accepted")
+	n.met.Add1(trace.DADAREPAccepted)
 }
 
 func (n *Node) handleDREP(pkt *wire.Packet, m *wire.DREP) {
-	n.met.Add1("rx.DREP")
+	n.met.Add1(trace.RxDREP)
 	if n.autoconf.State() != ndp.StateProbing {
 		return
 	}
-	n.met.Add1("crypto.verify")
+	n.met.Add1(trace.CryptoVerify)
 	if err := n.autoconf.HandleDREP(m); err != nil {
-		n.met.Add1("dad.drep_rejected")
+		n.met.Add1(trace.DADDREPRejected)
 		return
 	}
-	n.met.Add1("dad.drep_accepted")
+	n.met.Add1(trace.DADDREPAccepted)
 }

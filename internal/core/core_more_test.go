@@ -402,3 +402,16 @@ func TestManyFlowsManyNodes(t *testing.T) {
 		t.Fatalf("delivered %d of 9 across 3 flows", total)
 	}
 }
+
+// TestTxCountersNameEveryType: every message type's transmission counter
+// is the declared tx.<TYPE> named after the type.
+func TestTxCountersNameEveryType(t *testing.T) {
+	if len(txCounters) != int(wire.TAuditObj)+1 {
+		t.Fatalf("txCounters covers %d types, want %d", len(txCounters)-1, wire.TAuditObj)
+	}
+	for ty := wire.TAREQ; ty <= wire.TAuditObj; ty++ {
+		if got, want := txCounters[ty].String(), "tx."+ty.String(); got != want {
+			t.Errorf("txCounters[%v] = %s, want %s", ty, got, want)
+		}
+	}
+}

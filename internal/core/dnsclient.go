@@ -4,6 +4,7 @@ import (
 	"sbr6/internal/dnssrv"
 	"sbr6/internal/dsr"
 	"sbr6/internal/ipv6"
+	"sbr6/internal/trace"
 	"sbr6/internal/wire"
 )
 
@@ -30,11 +31,11 @@ func (n *Node) Resolve(name string, cb func(addr ipv6.Addr, ok bool)) {
 	st := &resolveState{ch: n.src.Uint64(), cb: cb}
 	st.timer = n.sim.After(n.cfg.ResolveTimeout, func() {
 		delete(n.resolves, name)
-		n.met.Add1("dns.resolve_timeout")
+		n.met.Add1(trace.DNSResolveTimeout)
 		cb(ipv6.Addr{}, false)
 	})
 	n.resolves[name] = st
-	n.met.Add1("dns.resolve_started")
+	n.met.Add1(trace.DNSResolveStarted)
 
 	n.needRoute(ipv6.DNS1, func(route dsr.Route, ok bool) {
 		if !ok {
@@ -61,7 +62,7 @@ func (n *Node) handleDNSQuery(pkt *wire.Packet, m *wire.DNSQuery) {
 	if n.dns == nil {
 		return
 	}
-	n.met.Add1("crypto.sign")
+	n.met.Add1(trace.CryptoSign)
 	ans := n.dns.HandleQuery(m)
 	n.SendAlong(reverse(pkt.SrcRoute), pkt.Src, ans)
 }
@@ -69,7 +70,7 @@ func (n *Node) handleDNSQuery(pkt *wire.Packet, m *wire.DNSQuery) {
 func (n *Node) handleDNSAnswer(pkt *wire.Packet, m *wire.DNSAnswer) {
 	st, ok := n.resolves[m.Name]
 	if !ok {
-		n.met.Add1("dns.answer_unsolicited")
+		n.met.Add1(trace.DNSAnswerUnsolicited)
 		return
 	}
 	// Only the secure protocol authenticates answers; the baseline client
@@ -78,13 +79,13 @@ func (n *Node) handleDNSAnswer(pkt *wire.Packet, m *wire.DNSAnswer) {
 	// signature verification.
 	if n.cfg.Secure {
 		if !n.verify(n.dnsPub, wire.SigDNSAnswer(m.Name, m.IP, m.Found, st.ch), m.Sig) {
-			n.met.Add1("dns.answer_rejected")
+			n.met.Add1(trace.DNSAnswerRejected)
 			return
 		}
 	}
 	delete(n.resolves, m.Name)
 	st.timer.Cancel()
-	n.met.Add1("dns.answer_accepted")
+	n.met.Add1(trace.DNSAnswerAccepted)
 	st.cb(m.IP, m.Found)
 }
 
@@ -119,10 +120,10 @@ func (n *Node) startRebind(st *rebindState) {
 	n.rebind = st
 	st.timer = n.sim.After(2*n.cfg.ResolveTimeout, func() {
 		n.rebind = nil
-		n.met.Add1("dns.rebind_timeout")
+		n.met.Add1(trace.DNSRebindTimeout)
 		st.cb(false)
 	})
-	n.met.Add1("dns.rebind_started")
+	n.met.Add1(trace.DNSRebindStarted)
 	n.needRoute(ipv6.DNS1, func(route dsr.Route, ok bool) {
 		if !ok || n.rebind == nil {
 			return
@@ -139,7 +140,7 @@ func (n *Node) handleUpdateReq(pkt *wire.Packet, m *wire.UpdateReq) {
 	if chal == nil {
 		return
 	}
-	n.met.Add1("crypto.sign")
+	n.met.Add1(trace.CryptoSign)
 	n.SendAlong(reverse(pkt.SrcRoute), pkt.Src, chal)
 }
 
@@ -149,7 +150,7 @@ func (n *Node) handleUpdateChal(pkt *wire.Packet, m *wire.UpdateChal) {
 		return // no rebind in progress, or challenge already consumed
 	}
 	if !n.verify(n.dnsPub, wire.SigUpdateChal(m.Name, m.Ch), m.Sig) {
-		n.met.Add1("dns.chal_rejected")
+		n.met.Add1(trace.DNSChalRejected)
 		return
 	}
 	st.ch = m.Ch
@@ -161,11 +162,11 @@ func (n *Node) handleUpdateChal(pkt *wire.Packet, m *wire.UpdateChal) {
 		st.oldIP, st.oldRn = n.ident.Addr, n.ident.Rn
 		n.ident.Regenerate(n.src)
 		n.routes.SetOwner(n.ident.Addr)
-		n.met.Add1("addr.regenerated")
+		n.met.Add1(trace.AddrRegenerated)
 	}
 
 	upd := dnssrv.BuildUpdate(n.ident, n.ident.Name, st.oldIP, st.oldRn, m.Ch)
-	n.met.Add1("crypto.sign")
+	n.met.Add1(trace.CryptoSign)
 	// The route to the DNS was discovered under the old address; its relays
 	// still forward by address so the packet still flows, and the reply
 	// returns to the new source address via the reverse route.
@@ -188,8 +189,8 @@ func (n *Node) handleUpdate(pkt *wire.Packet, m *wire.Update) {
 	// includes the two CGA checks: the one place CGA checks reach
 	// crypto.verify.
 	res, verifies := n.dns.HandleUpdateCounted(m)
-	n.met.Inc("crypto.verify", float64(verifies))
-	n.met.Add1("crypto.sign")
+	n.met.Inc(trace.CryptoVerify, float64(verifies))
+	n.met.Add1(trace.CryptoSign)
 	n.SendAlong(reverse(pkt.SrcRoute), pkt.Src, res)
 }
 
@@ -201,15 +202,15 @@ func (n *Node) handleUpdateResult(pkt *wire.Packet, m *wire.UpdateResult) {
 	// The challenge comparison is free; only a matching challenge costs a
 	// signature verification.
 	if m.Ch != st.ch || !n.verify(n.dnsPub, wire.SigUpdateResult(m.Name, m.OK, m.Ch), m.Sig) {
-		n.met.Add1("dns.result_rejected")
+		n.met.Add1(trace.DNSResultRejected)
 		return
 	}
 	n.rebind = nil
 	st.timer.Cancel()
 	if m.OK {
-		n.met.Add1("dns.rebind_ok")
+		n.met.Add1(trace.DNSRebindOK)
 	} else {
-		n.met.Add1("dns.rebind_failed")
+		n.met.Add1(trace.DNSRebindFailed)
 	}
 	st.cb(m.OK)
 }

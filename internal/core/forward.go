@@ -5,6 +5,7 @@ import (
 	"sbr6/internal/dsr"
 	"sbr6/internal/identity"
 	"sbr6/internal/ipv6"
+	"sbr6/internal/trace"
 	"sbr6/internal/wire"
 )
 
@@ -30,10 +31,10 @@ func (n *Node) SendFlow(dst ipv6.Addr, flow uint32, payload []byte) (uint32, uin
 	}
 	n.dataSeq++
 	seq := n.dataSeq
-	n.met.Add1("data.sent")
+	n.met.Add1(trace.DataSent)
 	if n.ownsAddr(dst) {
 		// Loopback: no discovery, no radio.
-		n.met.Add1("data.delivered")
+		n.met.Add1(trace.DataDelivered)
 		if n.OnData != nil {
 			n.OnData(n.ident.Addr, &wire.Data{FlowID: flow, Seq: seq, Payload: payload})
 		}
@@ -41,7 +42,7 @@ func (n *Node) SendFlow(dst ipv6.Addr, flow uint32, payload []byte) (uint32, uin
 	}
 	n.needRoute(dst, func(route dsr.Route, ok bool) {
 		if !ok {
-			n.met.Add1("data.no_route")
+			n.met.Add1(trace.DataNoRoute)
 			return
 		}
 		n.transmitData(dst, route.Relays, flow, seq, payload)
@@ -62,20 +63,20 @@ func (n *Node) transmitData(dst ipv6.Addr, relays []ipv6.Addr, flow, seq uint32,
 
 	n.sendSourceRouted(pkt, func(next ipv6.Addr) {
 		// First-hop failure: we are the detecting node.
-		n.met.Add1("data.firsthop_fail")
+		n.met.Add1(trace.DataFirsthopFail)
 		n.routes.InvalidateLink(n.ident.Addr, next)
 	})
 }
 
 func (n *Node) handleData(pkt *wire.Packet, m *wire.Data) {
-	n.met.Add1("data.delivered")
+	n.met.Add1(trace.DataDelivered)
 	if n.OnData != nil {
 		n.OnData(pkt.Src, m)
 	}
 	// End-to-end acknowledgement back along the reverse route; each relay
 	// on the acknowledged path will earn a credit at the source.
 	ack := &wire.Ack{FlowID: m.FlowID, Seq: m.Seq}
-	n.met.Add1("ack.sent")
+	n.met.Add1(trace.AckSent)
 	n.SendAlong(reverse(pkt.SrcRoute), pkt.Src, ack)
 }
 
@@ -83,12 +84,12 @@ func (n *Node) handleAck(pkt *wire.Packet, m *wire.Ack) {
 	key := ackKey{m.FlowID, m.Seq}
 	sd, ok := n.outstanding[key]
 	if !ok {
-		n.met.Add1("ack.unsolicited")
+		n.met.Add1(trace.AckUnsolicited)
 		return
 	}
 	delete(n.outstanding, key)
 	sd.timer.Cancel()
-	n.met.Add1("ack.rx")
+	n.met.Add1(trace.AckRx)
 	n.lossStreak[sd.dst] = 0
 	if n.cfg.UseCredits {
 		n.credits.Reward(sd.relays)
@@ -107,7 +108,7 @@ func (n *Node) ackTimeout(key ackKey) {
 		return
 	}
 	delete(n.outstanding, key)
-	n.met.Add1("data.ack_timeout")
+	n.met.Add1(trace.DataAckTimeout)
 	n.lossStreak[sd.dst]++
 	if n.cfg.ProbeOnLoss && n.cfg.UseCredits &&
 		n.lossStreak[sd.dst] >= n.cfg.LossStreak && len(sd.relays) > 0 {
@@ -141,7 +142,7 @@ func (n *Node) startProbe(dst ipv6.Addr, relays []ipv6.Addr) {
 		acked:  make([]bool, len(targets)),
 	}
 	n.probes[dst] = pr
-	n.met.Add1("probe.started")
+	n.met.Add1(trace.ProbeStarted)
 	for i, target := range targets {
 		flow := probeFlowBase + uint32(len(n.probes))<<8 + uint32(i)
 		n.dataSeq++
@@ -179,17 +180,17 @@ func (n *Node) finishProbe(dst ipv6.Addr) {
 	case firstFail < 0:
 		// Everything answered, including the destination: the earlier
 		// losses were transient; nothing to pin.
-		n.met.Add1("probe.inconclusive")
+		n.met.Add1(trace.ProbeInconclusive)
 	case firstFail == len(pr.relays):
 		// Relays all answered but the destination probe died: the last
 		// relay accepted traffic and dropped what it had to forward.
-		n.met.Add1("probe.concluded")
+		n.met.Add1(trace.ProbeConcluded)
 		n.condemn(pr.relays[len(pr.relays)-1])
 	default:
 		// The broken segment is (firstFail-1, firstFail): one of the two
 		// endpoints is misbehaving (the paper's own ambiguity); both are
 		// penalized, and honest neighbours re-earn credit through rewards.
-		n.met.Add1("probe.concluded")
+		n.met.Add1(trace.ProbeConcluded)
 		n.condemn(pr.relays[firstFail])
 		if firstFail > 0 {
 			n.condemn(pr.relays[firstFail-1])
@@ -202,7 +203,7 @@ func (n *Node) finishProbe(dst ipv6.Addr) {
 func (n *Node) condemn(h ipv6.Addr) {
 	n.credits.Punish(h)
 	n.routes.InvalidateHost(h)
-	n.met.Add1("credit.punished")
+	n.met.Add1(trace.CreditPunished)
 }
 
 // --- Forwarding and route errors ---
@@ -214,20 +215,20 @@ func (n *Node) condemn(h ipv6.Addr) {
 func (n *Node) forwardUnicast(f *frame) {
 	pkt := f.packet()
 	if n.Behavior != nil && n.Behavior.DropForward(n, pkt) {
-		n.met.Add1("fwd.dropped.behavior")
+		n.met.Add1(trace.FwdDroppedBehavior)
 		return
 	}
 	if pkt.TTL <= 1 {
-		n.met.Add1("fwd.ttl_expired")
+		n.met.Add1(trace.FwdTTLExpired)
 		return
 	}
 	next := pkt.Dst
 	if hop := int(pkt.Hop) + 1; hop < len(pkt.SrcRoute) {
 		next = pkt.SrcRoute[hop]
 	}
-	n.met.Add1("fwd.relayed")
+	n.met.Add1(trace.FwdRelayed)
 	n.sendToHop(n.spliceFrame(f, nil), next, next == pkt.Dst && lastHopBroadcast(pkt.Msg), func(next ipv6.Addr) {
-		n.met.Add1("fwd.linkfail")
+		n.met.Add1(trace.FwdLinkfail)
 		n.routes.InvalidateLink(n.ident.Addr, next)
 		if _, isData := pkt.Msg.(*wire.Data); isData {
 			n.reportBrokenLink(pkt, next)
@@ -278,7 +279,7 @@ func (n *Node) trySalvage(pkt *wire.Packet) bool {
 		Src: pkt.Src, Dst: pkt.Dst, TTL: pkt.TTL - 1,
 		Hop: uint8(myIdx + 1), SrcRoute: route, Msg: &msg,
 	}
-	n.met.Add1("fwd.salvaged")
+	n.met.Add1(trace.FwdSalvaged)
 	n.sendSourceRouted(sal, nil)
 	return true
 }
@@ -300,12 +301,12 @@ func (n *Node) reportBrokenLink(orig *wire.Packet, next ipv6.Addr) {
 		}
 		prefix = append(prefix, orig.SrcRoute[i])
 	}
-	n.met.Add1("rerr.sent")
+	n.met.Add1(trace.RERRSent)
 	n.SendAlong(reverse(prefix), orig.Src, rerr)
 }
 
 func (n *Node) handleRERR(pkt *wire.Packet, m *wire.RERR) {
-	n.met.Add1("rx.RERR")
+	n.met.Add1(trace.RxRERR)
 	if n.cfg.Secure {
 		// A reporter re-announcing the same broken link re-signs the same
 		// (IIP, NIP) content, so repeated (and spammed) RERRs hit the
@@ -313,19 +314,19 @@ func (n *Node) handleRERR(pkt *wire.Packet, m *wire.RERR) {
 		ipk, err := identity.ParsePublicKey(n.cfg.Suite, m.IPK)
 		if err != nil || !cga.Verify(m.IIP, m.IPK, m.Irn) ||
 			!n.verify(ipk, wire.SigRERR(m.IIP, m.NIP), m.Sig) {
-			n.met.Add1("rerr.rejected")
+			n.met.Add1(trace.RERRRejected)
 			return
 		}
 		// Source routing lets us check the reporter is actually a relay we
 		// use; reports from strangers are meaningless (Section 4).
 		if !n.usesRelay(m.IIP) {
-			n.met.Add1("rerr.rejected")
+			n.met.Add1(trace.RERRRejected)
 			return
 		}
 	}
-	n.met.Add1("rerr.accepted")
+	n.met.Add1(trace.RERRAccepted)
 	dropped := n.routes.InvalidateLink(m.IIP, m.NIP)
-	n.met.Inc("route.invalidated", float64(dropped))
+	n.met.Inc(trace.RouteInvalidated, float64(dropped))
 
 	// Track reporter frequency: a host tearing down routes at high rate is
 	// suspect even though each individual report must be accepted.
@@ -338,7 +339,7 @@ func (n *Node) handleRERR(pkt *wire.Packet, m *wire.RERR) {
 		}
 		n.rerrTimes[m.IIP] = times
 		if len(times) > n.cfg.RERRThreshold {
-			n.met.Add1("rerr.spammer_flagged")
+			n.met.Add1(trace.RERRSpammerFlagged)
 			n.condemn(m.IIP)
 			delete(n.rerrTimes, m.IIP)
 		}

@@ -496,7 +496,7 @@ func (n *Node) ownsAddr(a ipv6.Addr) bool {
 // not primitive operations, so runs with and without the cache stay
 // byte-for-byte identical; the cache's Stats record the primitives.
 func (n *Node) sign(msg []byte) []byte {
-	n.met.Add1("crypto.sign")
+	n.met.Add1(trace.CryptoSign)
 	return n.vcache.Sign(n.ident.Priv, msg)
 }
 
@@ -509,7 +509,7 @@ func (n *Node) sign(msg []byte) []byte {
 // accounting. The one exception is the DNS server's update handler
 // (handleUpdate), which adds the CGA checks dnssrv reports to the count.
 func (n *Node) verify(pk identity.PublicKey, msg, sig []byte) bool {
-	n.met.Add1("crypto.verify")
+	n.met.Add1(trace.CryptoVerify)
 	return n.vcache.VerifySig(pk, msg, sig)
 }
 
@@ -549,10 +549,10 @@ func (n *Node) Deliver(from radio.NodeID, payload []byte) {
 // receive is Deliver's per-receiver work on a scanned frame.
 func (n *Node) receive(from radio.NodeID, payload []byte, sc *rxScan) {
 	if sc.bad {
-		n.met.Add1("rx.malformed")
+		n.met.Add1(trace.RxMalformed)
 		return
 	}
-	n.met.Add1("rx.frames")
+	n.met.Add1(trace.RxFrames)
 	if sc.hasPrev {
 		if id, ok := n.neighbors[sc.prev]; !ok || id != from {
 			n.neighbors[sc.prev] = from
@@ -699,32 +699,45 @@ func (n *Node) consume(pkt *wire.Packet) {
 	case *wire.UpdateResult:
 		n.handleUpdateResult(pkt, m)
 	default:
-		n.met.Add1("rx.unhandled")
+		n.met.Add1(trace.RxUnhandled)
 	}
 }
 
 // --- Transmit primitives ---
 
-// txCounters names each message type's transmission counter ("tx.AREQ",
-// "tx.DATA", ...), built once so accounting a frame allocates no name.
+// txCounters gives each message type its transmission counter
+// (tx.AREQ, tx.DATA, ...).
 //
-//sbr6:allow globalstate name table written once at init and read-only after
-var txCounters = func() (names [256]string) {
-	for t := range names {
-		names[t] = "tx." + wire.Type(t).String()
-	}
-	return names
-}()
+//sbr6:allow globalstate counter table written once at init and read-only after
+var txCounters = [...]trace.Counter{
+	wire.TAREQ:         trace.TxAREQ,
+	wire.TAREP:         trace.TxAREP,
+	wire.TDREP:         trace.TxDREP,
+	wire.TRREQ:         trace.TxRREQ,
+	wire.TRREP:         trace.TxRREP,
+	wire.TCREP:         trace.TxCREP,
+	wire.TRERR:         trace.TxRERR,
+	wire.TData:         trace.TxDATA,
+	wire.TAck:          trace.TxACK,
+	wire.TDNSQuery:     trace.TxDNSQ,
+	wire.TDNSAnswer:    trace.TxDNSA,
+	wire.TUpdateReq:    trace.TxUPDQ,
+	wire.TUpdateChal:   trace.TxCHAL,
+	wire.TUpdate:       trace.TxUPD,
+	wire.TUpdateResult: trace.TxUPDR,
+	wire.TAuditAdv:     trace.TxAADV,
+	wire.TAuditObj:     trace.TxAOBJ,
+}
 
 // account counts one transmitted frame of message type t and size bytes.
 func (n *Node) account(t wire.Type, size int) {
 	n.met.Add1(txCounters[t])
 	if t == wire.TData {
-		n.met.Inc("tx.bytes.data", float64(size))
+		n.met.Inc(trace.TxBytesData, float64(size))
 	} else {
-		n.met.Inc("tx.bytes.control", float64(size))
+		n.met.Inc(trace.TxBytesControl, float64(size))
 	}
-	n.met.Inc("tx.bytes.total", float64(size))
+	n.met.Inc(trace.TxBytesTotal, float64(size))
 }
 
 // encodeFrame serializes pkt into a frame checked out of the medium's
@@ -760,9 +773,9 @@ func (n *Node) RawBroadcast(raw []byte) {
 	if n.dead {
 		return
 	}
-	n.met.Inc("tx.bytes.total", float64(len(raw)))
-	n.met.Inc("tx.bytes.raw", float64(len(raw)))
-	n.met.Add1("tx.raw")
+	n.met.Inc(trace.TxBytesTotal, float64(len(raw)))
+	n.met.Inc(trace.TxBytesRaw, float64(len(raw)))
+	n.met.Add1(trace.TxRaw)
 	n.medium.Broadcast(n.link, raw)
 }
 
@@ -807,7 +820,7 @@ func (n *Node) sendSourceRouted(pkt *wire.Packet, onFail func(next ipv6.Addr)) {
 	}
 	next, ok := pkt.NextHop()
 	if !ok {
-		n.met.Add1("tx.route_exhausted")
+		n.met.Add1(trace.TxRouteExhausted)
 		return
 	}
 	n.sendToHop(n.encodeFrame(pkt), next, next == pkt.Dst && lastHopBroadcast(pkt.Msg), onFail)
@@ -823,7 +836,7 @@ func (n *Node) sendToHop(raw []byte, next ipv6.Addr, broadcast bool, onFail func
 	}
 	nid, known := n.neighbors[next]
 	if !known {
-		n.met.Add1("tx.no_neighbor")
+		n.met.Add1(trace.TxNoNeighbor)
 		n.medium.ReleaseFrame(raw) // built but never transmitted
 		if onFail != nil {
 			onFail(next)

@@ -7,6 +7,7 @@ import (
 	"sbr6/internal/dsr"
 	"sbr6/internal/identity"
 	"sbr6/internal/ipv6"
+	"sbr6/internal/trace"
 	"sbr6/internal/wire"
 )
 
@@ -55,7 +56,7 @@ func (n *Node) sendRREQ(dst ipv6.Addr, d *discovery) {
 		m.Srn = n.ident.Rn
 	}
 	n.rreqSeen.Seen(m.SIP, m.Seq)
-	n.met.Add1("discovery.attempts")
+	n.met.Add1(trace.DiscoveryAttempts)
 	n.Flood(m, n.cfg.TTL)
 
 	d.timer = n.sim.After(n.cfg.DiscoveryTimeout, func() {
@@ -66,7 +67,7 @@ func (n *Node) sendRREQ(dst ipv6.Addr, d *discovery) {
 			return
 		}
 		delete(n.pending, dst)
-		n.met.Add1("discovery.failed")
+		n.met.Add1(trace.DiscoveryFailed)
 		for _, w := range d.waiters {
 			w(dsr.Route{}, false)
 		}
@@ -78,7 +79,7 @@ func (n *Node) sendRREQ(dst ipv6.Addr, d *discovery) {
 // relays it from the envelope alone, splicing its hop attestation into
 // the received bytes.
 func (n *Node) handleRREQ(f *frame) {
-	n.met.Add1("rx.RREQ")
+	n.met.Add1(trace.RxRREQ)
 
 	if n.ownsAddr(f.env.DIP) {
 		n.answerRREQ(f.packet().Msg.(*wire.RREQ))
@@ -104,7 +105,7 @@ func (n *Node) handleRREQ(f *frame) {
 		return
 	}
 	h := n.hopAttestation(f.env.Seq)
-	n.met.Add1("fwd.RREQ")
+	n.met.Add1(trace.FwdRREQ)
 	n.medium.BroadcastFrame(n.link, n.spliceFrame(f, &h))
 }
 
@@ -169,7 +170,7 @@ func (n *Node) verifySRR(m *wire.RREQ) error {
 func (n *Node) answerRREQ(m *wire.RREQ) {
 	if n.cfg.Secure {
 		if err := n.verifySRR(m); err != nil {
-			n.met.Add1("rreq.rejected")
+			n.met.Add1(trace.RREQRejected)
 			return
 		}
 	}
@@ -185,18 +186,18 @@ func (n *Node) answerRREQ(m *wire.RREQ) {
 		rep.DPK = n.ident.Pub.Bytes()
 		rep.Drn = n.ident.Rn
 	}
-	n.met.Add1("rrep.sent")
+	n.met.Add1(trace.RREPSent)
 	n.SendAlong(reverse(rr), m.SIP, rep)
 }
 
 func (n *Node) handleRREP(pkt *wire.Packet, m *wire.RREP) {
-	n.met.Add1("rx.RREP")
+	n.met.Add1(trace.RxRREP)
 	if m.SIP != n.ident.Addr {
 		return
 	}
 	dst, d := n.findPending(m.Seq)
 	if d == nil {
-		n.met.Add1("rrep.unsolicited")
+		n.met.Add1(trace.RREPUnsolicited)
 		return
 	}
 
@@ -204,13 +205,13 @@ func (n *Node) handleRREP(pkt *wire.Packet, m *wire.RREP) {
 		dpk, err := identity.ParsePublicKey(n.cfg.Suite, m.DPK)
 		if err != nil || !cga.Verify(m.DIP, m.DPK, m.Drn) ||
 			!n.verify(dpk, wire.SigRREP(m.SIP, m.Seq, m.RR), m.Sig) {
-			n.met.Add1("rrep.rejected")
+			n.met.Add1(trace.RREPRejected)
 			return
 		}
 		// A reply for the DNS anycast must come from the real DNS server:
 		// its key is the trust anchor every host carries.
 		if isDNSAlias(dst) && string(m.DPK) != string(n.dnsPub.Bytes()) {
-			n.met.Add1("rrep.rejected")
+			n.met.Add1(trace.RREPRejected)
 			return
 		}
 	}
@@ -252,7 +253,7 @@ func isDNSAlias(a ipv6.Addr) bool {
 
 func (n *Node) installRoute(dst ipv6.Addr, route dsr.Route) {
 	n.routes.Put(dst, route, n.sim.Now())
-	n.met.Add1("route.installed")
+	n.met.Add1(trace.RouteInstalled)
 	n.met.Observe("route.len", float64(route.Len()))
 	if d, ok := n.pending[dst]; ok {
 		delete(n.pending, dst)
@@ -288,18 +289,18 @@ func (n *Node) sendCREP(m *wire.RREQ, cached dsr.Route) {
 		crep.SPK = n.ident.Pub.Bytes()
 		crep.Srn = n.ident.Rn
 	}
-	n.met.Add1("crep.sent")
+	n.met.Add1(trace.CREPSent)
 	n.SendAlong(reverse(toMe), m.SIP, crep)
 }
 
 func (n *Node) handleCREP(pkt *wire.Packet, m *wire.CREP) {
-	n.met.Add1("rx.CREP")
+	n.met.Add1(trace.RxCREP)
 	if m.S2IP != n.ident.Addr {
 		return
 	}
 	d, ok := n.pending[m.DIP]
 	if !ok || d.seq != m.Seq2 {
-		n.met.Add1("crep.unsolicited")
+		n.met.Add1(trace.CREPUnsolicited)
 		return
 	}
 
@@ -309,7 +310,7 @@ func (n *Node) handleCREP(pkt *wire.Packet, m *wire.CREP) {
 		spk, err := identity.ParsePublicKey(n.cfg.Suite, m.SPK)
 		if err != nil || !cga.Verify(m.SIP, m.SPK, m.Srn) ||
 			!n.verify(spk, wire.SigRREP(m.S2IP, m.Seq2, m.RRToS), m.Sig1) {
-			n.met.Add1("crep.rejected")
+			n.met.Add1(trace.CREPRejected)
 			return
 		}
 		// Cached half: the destination's original attestation must bind the
@@ -319,7 +320,7 @@ func (n *Node) handleCREP(pkt *wire.Packet, m *wire.CREP) {
 		dpk, err := identity.ParsePublicKey(n.cfg.Suite, m.DPK)
 		if err != nil || !cga.Verify(m.DIP, m.DPK, m.Drn) ||
 			!n.verify(dpk, wire.SigRREP(m.SIP, m.Seq, m.RRToD), m.Sig2) {
-			n.met.Add1("crep.rejected")
+			n.met.Add1(trace.CREPRejected)
 			return
 		}
 	}
@@ -331,7 +332,7 @@ func (n *Node) handleCREP(pkt *wire.Packet, m *wire.CREP) {
 	relays := append(append([]ipv6.Addr(nil), m.RRToS...), m.SIP)
 	relays = append(relays, m.RRToD...)
 	if hasDuplicateHop(n.ident.Addr, relays, m.DIP) {
-		n.met.Add1("crep.rejected")
+		n.met.Add1(trace.CREPRejected)
 		return
 	}
 	// Routes learned via CREP carry no attestation this node could re-serve

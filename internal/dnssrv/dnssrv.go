@@ -105,7 +105,7 @@ func (s *Server) Preload(name string, ip ipv6.Addr) {
 	}
 	s.names[name] = Record{Name: name, IP: ip, Permanent: true}
 	s.byAddr[ip] = name
-	s.metrics.Add1("dns.preloaded")
+	s.metrics.Add1(trace.DNSPreloaded)
 }
 
 // Lookup resolves a name locally.
@@ -131,7 +131,7 @@ func (s *Server) HandleAREQ(m *wire.AREQ) *wire.DREP {
 	if m.DN == "" {
 		return nil // pure DAD, no name involvement
 	}
-	s.metrics.Add1("dns.areq")
+	s.metrics.Add1(trace.DNSAREQ)
 
 	if rec, taken := s.names[m.DN]; taken {
 		if rec.IP == m.SIP {
@@ -155,7 +155,7 @@ func (s *Server) HandleAREQ(m *wire.AREQ) *wire.DREP {
 		delete(s.pending, reg.sip)
 		s.names[reg.name] = Record{Name: reg.name, IP: reg.sip}
 		s.byAddr[reg.sip] = reg.name
-		s.metrics.Add1("dns.registered")
+		s.metrics.Add1(trace.DNSRegistered)
 	})
 	s.pending[m.SIP] = reg
 	return nil
@@ -172,7 +172,7 @@ func (s *Server) reservedBy(name string) (*pendingReg, bool) {
 }
 
 func (s *Server) buildDREP(m *wire.AREQ) *wire.DREP {
-	s.metrics.Add1("dns.drep")
+	s.metrics.Add1(trace.DNSDREP)
 	return &wire.DREP{
 		SIP: m.SIP,
 		RR:  m.RR,
@@ -193,12 +193,12 @@ func (s *Server) HandleWarnAREP(m *wire.AREP) bool {
 		return false
 	}
 	if err := ndp.ValidateAREPVia(s.Verifier, m, s.cfg.Suite, reg.ch); err != nil {
-		s.metrics.Add1("dns.warn_rejected")
+		s.metrics.Add1(trace.DNSWarnRejected)
 		return false
 	}
 	reg.timer.Cancel()
 	delete(s.pending, m.SIP)
-	s.metrics.Add1("dns.warn_accepted")
+	s.metrics.Add1(trace.DNSWarnAccepted)
 	return true
 }
 
@@ -206,7 +206,7 @@ func (s *Server) HandleWarnAREP(m *wire.AREP) bool {
 // (name, IP, found, ch) so the querier can authenticate it with the
 // pre-distributed DNS public key.
 func (s *Server) HandleQuery(q *wire.DNSQuery) *wire.DNSAnswer {
-	s.metrics.Add1("dns.query")
+	s.metrics.Add1(trace.DNSQuery)
 	ip, found := s.Lookup(q.Name)
 	return &wire.DNSAnswer{
 		Name:  q.Name,
@@ -230,7 +230,7 @@ func (s *Server) HandleUpdateReq(m *wire.UpdateReq) *wire.UpdateChal {
 	}
 	ch := s.src.Uint64()
 	s.challenges[m.Name] = ch
-	s.metrics.Add1("dns.update_challenge")
+	s.metrics.Add1(trace.DNSUpdateChallenge)
 	return &wire.UpdateChal{Name: m.Name, Ch: ch, Sig: s.ident.Sign(wire.SigUpdateChal(m.Name, ch))}
 }
 
@@ -262,9 +262,9 @@ func (s *Server) HandleUpdateCounted(m *wire.Update) (*wire.UpdateResult, int) {
 		rec.IP = m.NewIP
 		s.names[m.Name] = rec
 		s.byAddr[m.NewIP] = m.Name
-		s.metrics.Add1("dns.update_ok")
+		s.metrics.Add1(trace.DNSUpdateOK)
 	} else {
-		s.metrics.Add1("dns.update_rejected")
+		s.metrics.Add1(trace.DNSUpdateRejected)
 	}
 	ch := s.challenges[m.Name]
 	delete(s.challenges, m.Name) // single use either way

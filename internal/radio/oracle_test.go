@@ -17,9 +17,18 @@ package radio_test
 // reuse the ordinals of departed slow movers. One seed starts with static
 // nodes only, when the grid is exact and the slop zero, and admits its
 // movers after the first probes.
+//
+// The static seeds exercise the receiver lists a medium with no movers
+// fans out from. Every node is static; churn detaches a static node and
+// attaches a static joiner in its ordinal at a fresh position, half the
+// time within the departed node's range, and toggles down states. A
+// walker attaches a third of the way through and detaches at two thirds,
+// so lists are built, dropped, bypassed while it moves and used again
+// after it leaves.
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -77,9 +86,8 @@ const (
 )
 
 // add attaches a fresh node of the given kind at a random position.
-func (o *oracleNet) add(kind int) {
+func (o *oracleNet) add(kind int) radio.NodeID {
 	id := o.next
-	o.next++
 	start := o.area.RandomPoint(draw.New(o.seed, draw.Placement, uint64(id)))
 	trng := draw.New(o.seed, draw.Track, uint64(id))
 	wp := func(lo, hi float64) mobility.Track {
@@ -98,6 +106,13 @@ func (o *oracleNet) add(kind int) {
 	case kindFast:
 		tr = wp(20, 40)
 	}
+	return o.attach(tr)
+}
+
+// attach adds a fresh node on the given track.
+func (o *oracleNet) attach(tr mobility.Track) radio.NodeID {
+	id := o.next
+	o.next++
 	o.m.AddNode(id, tr.Position, tr.SpeedBound(), radio.HandlerFunc(func(_ radio.NodeID, p []byte) {
 		o.heard[string(p)] = append(o.heard[string(p)], id)
 	}))
@@ -108,6 +123,7 @@ func (o *oracleNet) add(kind int) {
 	} else {
 		o.slots = append(o.slots, id)
 	}
+	return id
 }
 
 // remove detaches a node and vacates its ordinal.
@@ -189,6 +205,29 @@ func (o *oracleNet) churn() {
 	}
 }
 
+// staticChurn toggles a node down or up, and replaces a static node by a
+// static joiner that inherits its ordinal: half the time within the
+// departed node's range, otherwise anywhere in the area.
+func (o *oracleNet) staticChurn() {
+	ids := o.attached()
+	flip := ids[o.rng.Intn(len(ids))]
+	o.down[flip] = !o.down[flip]
+	o.m.SetDown(flip, o.down[flip])
+	victim := ids[o.rng.Intn(len(ids))]
+	if o.track[victim].SpeedBound() != 0 {
+		return // the walker
+	}
+	at := o.track[victim].Position(o.s.Now())
+	o.remove(victim)
+	pos := geom.Point{X: o.rng.Float64() * o.area.W, Y: o.rng.Float64() * o.area.H}
+	if o.rng.Intn(2) == 0 {
+		r := math.Sqrt(o.r2) * math.Sqrt(o.rng.Float64())
+		theta := 2 * math.Pi * o.rng.Float64()
+		pos = o.area.Clamp(at.Add(geom.Point{X: r * math.Cos(theta), Y: r * math.Sin(theta)}))
+	}
+	o.attach(mobility.Static(pos))
+}
+
 func sameIDs(a, b []radio.NodeID) bool {
 	if len(a) != len(b) {
 		return false
@@ -201,16 +240,23 @@ func sameIDs(a, b []radio.NodeID) bool {
 	return true
 }
 
-// TestGridNeighborsMatchNaive holds the grid to the brute-force oracle.
-// Seeds 1-3 attach every kind but the joiners' up front; seed 4 attaches
-// only the static ones and admits the movers between probes 4 and 5.
+// TestGridNeighborsMatchNaive holds the grid and the receiver lists to
+// the brute-force oracle. Seeds 1-3 attach every kind but the joiners' up
+// front; seed 4 attaches only the static ones and admits the movers
+// between probes 4 and 5. Seeds 5-7 are the static seeds.
 func TestGridNeighborsMatchNaive(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
+	const probes = 240 // every 250 ms for a minute of virtual time
+	probeAt := func(k int) sim.Time { return sim.Time(time.Duration(k) * 250 * time.Millisecond) }
+	for seed := int64(1); seed <= 7; seed++ {
 		o := newOracleNet(t, seed)
-		late := seed == 4
+		late, static := seed == 4, seed >= 5
 		for i := 0; i < 90; i++ {
-			if kind := i % kindFast; !late || kind == kindStatic {
-				o.add(kind) // every kind but the joiners'
+			kind := i % kindFast // every kind but the joiners'
+			if static {
+				kind = kindStatic
+			}
+			if !late || kind == kindStatic {
+				o.add(kind)
 			}
 		}
 		if late {
@@ -222,17 +268,23 @@ func TestGridNeighborsMatchNaive(t *testing.T) {
 				}
 			})
 		}
+		churn := o.churn
+		if static {
+			churn = o.staticChurn
+			var walker radio.NodeID
+			o.s.At(probeAt(probes/3).Add(60*time.Millisecond), func() { walker = o.add(kindWalk) })
+			o.s.At(probeAt(2*probes/3).Add(60*time.Millisecond), func() { o.remove(walker) })
+		}
 		expect := map[string][]radio.NodeID{}
-		const probes = 240 // every 250 ms for a minute of virtual time
 		for k := 1; k <= probes; k++ {
 			k := k
-			at := sim.Time(time.Duration(k) * 250 * time.Millisecond)
+			at := probeAt(k)
 			o.s.At(at, func() { o.probe(k, expect) })
 			if k%2 == 0 { // churn halfway between two probes
-				o.s.At(at.Add(125*time.Millisecond), o.churn)
+				o.s.At(at.Add(125*time.Millisecond), churn)
 			}
 		}
-		o.s.RunUntil(sim.Time(time.Duration(probes+1) * 250 * time.Millisecond))
+		o.s.RunUntil(probeAt(probes + 1))
 		for key, want := range expect {
 			if got := o.heard[key]; !sameIDs(got, want) {
 				t.Fatalf("seed %d: broadcast %s reached %v, brute force %v", seed, key, got, want)

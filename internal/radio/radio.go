@@ -19,10 +19,15 @@
 //
 // Receivers are found through a uniform spatial hash grid that answers
 // AppendNeighbors and broadcast fan-out from the cells around the
-// transmitter, and every transmission rides one pooled path: frame buffers
-// come from a per-medium size-class pool and each broadcast's surviving
-// receivers share one delivery event. The package tests hold the grid to a
-// brute-force neighbour oracle computed from the raw position functions.
+// transmitter. On a medium with no movers (every attached node declared
+// speed bound 0) a broadcast fans out from the transmitter's cached
+// receiver list instead: its in-range ports in attachment order, built by
+// one grid walk at the port's first broadcast and dropped whenever a node
+// attaches or detaches within its range. Every transmission rides one
+// pooled path: frame buffers come from a per-medium size-class pool and
+// each broadcast's surviving receivers share one delivery event. The
+// package tests hold the grid and the lists to a brute-force neighbour
+// oracle computed from the raw position functions.
 package radio
 
 import (
@@ -171,6 +176,22 @@ type port struct {
 	busyUntil sim.Time
 	down      bool
 	txSeq     uint64 // transmissions attempted so far; keys the medium's draws
+
+	// rx is the port's receiver list, kept only while the medium has no
+	// movers: every other port within range, in attachment order, down
+	// ones included (the down check is per broadcast). listed tells an
+	// empty list from one not built yet.
+	rx     []*port
+	listed bool
+}
+
+// dropList forgets the port's receiver list. Clearing the entries before
+// truncating keeps the backing array, reused by the next build, from
+// pinning a departed port.
+func (p *port) dropList() {
+	clear(p.rx)
+	p.rx = p.rx[:0]
+	p.listed = false
 }
 
 // Medium is the shared channel all nodes transmit on.
@@ -183,6 +204,16 @@ type port struct {
 // within one quantum, so pruning never loses a true neighbour. The sweep
 // schedules no event and covers only this medium's ports, so under the
 // sharded engine it stays inside one region.
+//
+// A medium with no movers needs no grid walk per broadcast: positions
+// never change, so each port caches its receiver list at its first
+// broadcast. AddNode and RemoveNode of a static node drop the lists of the
+// static ports within its range, so the next broadcast from each rebuilds
+// its list with the joiner or without the departed node. A list holds only
+// static ports, as lists are built only while no mover is attached, so a
+// mover's attach or detach drops none; while one is attached every
+// broadcast walks the grid, and the lists wait, still exact, for the
+// medium to hold no movers again.
 type Medium struct {
 	sim    *sim.Simulator
 	cfg    Config
@@ -285,6 +316,7 @@ func (m *Medium) AddNode(id NodeID, pos PositionFunc, speed float64, h Handler) 
 	m.ports[id] = p
 	m.live++
 	m.grid.Set(p.ord, pos(m.sim.Now()))
+	m.dropNear(p)
 }
 
 // RemoveNode detaches a node for good: it stops receiving immediately, its
@@ -301,6 +333,8 @@ func (m *Medium) RemoveNode(id NodeID) {
 	if !ok {
 		return
 	}
+	m.dropNear(p)
+	p.dropList()
 	delete(m.ports, id)
 	p.down = true // tombstone for in-flight jobs and batches
 	ord := p.ord
@@ -381,6 +415,39 @@ func (m *Medium) gridForEach(at geom.Point, now sim.Time, extra float64, fn func
 			fn(m.byOrd[ord])
 		}
 	}
+}
+
+// dropNear drops the receiver lists of the ports within range of p, a
+// static port that has just attached or is about to detach. Only static
+// ports hold lists and only static ports appear in them, so a mover
+// changes none.
+func (m *Medium) dropNear(p *port) {
+	if p.speed > 0 {
+		return
+	}
+	now := m.sim.Now()
+	at := p.pos(now)
+	r2 := m.cfg.Range * m.cfg.Range
+	m.gridForEach(at, now, 0, func(o *port) {
+		if o != p && o.listed && at.Dist2(o.pos(now)) <= r2 {
+			o.dropList()
+		}
+	})
+}
+
+// receivers returns p's receiver list, building it with one grid walk on
+// first use. Call it only while the medium has no movers.
+func (m *Medium) receivers(p *port, at geom.Point, now sim.Time) []*port {
+	if !p.listed {
+		r2 := m.cfg.Range * m.cfg.Range
+		m.gridForEach(at, now, 0, func(o *port) {
+			if o != p && at.Dist2(o.pos(now)) <= r2 {
+				p.rx = append(p.rx, o)
+			}
+		})
+		p.listed = true
+	}
+	return p.rx
 }
 
 // SetDown marks a node as failed (true) or restored (false). Down nodes
@@ -700,9 +767,11 @@ func (m *Medium) jobAckOutcome(j *txJob, ok bool) {
 }
 
 // completeJob runs at the end of serialization: it samples receivers from
-// positions at that instant, visits them in attachment order drawing the
-// loss process once per in-range receiver, and hands broadcast survivors
-// one shared delivery event that carries the single frame.
+// positions at that instant — from the transmitter's receiver list when
+// the medium has no movers, from the grid otherwise — visits them in
+// attachment order drawing the loss process once per in-range receiver,
+// and hands broadcast survivors one shared delivery event that carries the
+// single frame.
 func (m *Medium) completeJob(j *txJob) {
 	p := j.p
 	if p.down { // went down mid-transmission
@@ -739,18 +808,17 @@ func (m *Medium) completeJob(j *txJob) {
 	b := m.takeBatch()
 	b.from = p.id
 	b.frame = j.payload
-	collect := func(o *port) {
-		if o == p || o.down || at.Dist2(o.pos(now)) > r2 {
-			return
+	if m.movers == 0 {
+		for _, o := range m.receivers(p, at, now) {
+			m.admit(b, j, o)
 		}
-		if m.cfg.LossRate > 0 && m.lossDraw(p.id, j.txSeq, o.id) {
-			m.stats.LostFrames++
-			return
-		}
-		m.stats.RxFrames++
-		b.ports = append(b.ports, o)
+	} else {
+		m.gridForEach(at, now, 0, func(o *port) {
+			if o != p && at.Dist2(o.pos(now)) <= r2 {
+				m.admit(b, j, o)
+			}
+		})
 	}
-	m.gridForEach(at, now, 0, collect)
 	if m.remote != nil {
 		m.postRemoteScans(p, j, at, now)
 	}
@@ -764,6 +832,20 @@ func (m *Medium) completeJob(j *txJob) {
 		m.freeBatches = b
 	}
 	m.finishJob(j) // zero receivers: releases the frame right here
+}
+
+// admit takes in-range receiver o into broadcast batch b unless o is down
+// or the loss process drops the frame on its way to o.
+func (m *Medium) admit(b *deliveryBatch, j *txJob, o *port) {
+	if o.down {
+		return
+	}
+	if m.cfg.LossRate > 0 && m.lossDraw(j.p.id, j.txSeq, o.id) {
+		m.stats.LostFrames++
+		return
+	}
+	m.stats.RxFrames++
+	b.ports = append(b.ports, o)
 }
 
 // postRemoteScans hands a broadcast to every other region whose nodes

@@ -3,10 +3,14 @@ package radio
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
+	"weak"
 
+	"sbr6/internal/draw"
 	"sbr6/internal/geom"
+	"sbr6/internal/mobility"
 	"sbr6/internal/sim"
 )
 
@@ -359,6 +363,47 @@ func TestDuplicateNodePanics(t *testing.T) {
 	m.AddNode(1, fixed(geom.Point{}), 0, HandlerFunc(func(NodeID, []byte) {}))
 }
 
+// TestRemovedPortUnreachable: after every port has broadcast, so every
+// port holds a receiver list, a removed port's handler must become
+// garbage. A stale entry left in a neighbour's list, or in the backing
+// array a dropped list keeps for its rebuild, would pin it.
+func TestRemovedPortUnreachable(t *testing.T) {
+	s := sim.New()
+	cfg := quiet()
+	cfg.BitrateBps = 0
+	m := New(s, cfg, 0, nil)
+	const n = 30
+	for i := 0; i < n; i++ {
+		m.AddNode(NodeID(i), fixed(geom.Point{X: float64(i) * 40}), 0, &sink{})
+	}
+	broadcastAll := func() {
+		for id := NodeID(0); id < n; id++ {
+			if _, ok := m.ports[id]; ok {
+				m.Broadcast(id, []byte("hello"))
+			}
+		}
+		s.Run()
+	}
+	broadcastAll()
+	const victim = NodeID(n / 2)
+	for id := NodeID(0); id < n; id++ {
+		if !m.ports[id].listed {
+			t.Fatalf("port %d has no receiver list after broadcasting", id)
+		}
+	}
+	handler := weak.Make(m.ports[victim].handler.(*sink))
+	m.RemoveNode(victim)
+	runtime.GC()
+	if handler.Value() != nil {
+		t.Fatal("the removed port's handler is still reachable from the medium")
+	}
+	broadcastAll() // the lists rebuild without the removed port
+	if got := m.Stats().RxFrames; got == 0 {
+		t.Fatal("no frame delivered")
+	}
+	runtime.KeepAlive(m)
+}
+
 func TestStatsAccounting(t *testing.T) {
 	s := sim.New()
 	m, _ := build(s, quiet(), geom.Point{}, geom.Point{X: 10})
@@ -481,5 +526,51 @@ func BenchmarkBroadcastFanout50(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m.Broadcast(0, payload)
 		s.Run()
+	}
+}
+
+// BenchmarkBroadcastFanout1000 broadcasts from 1000 nodes placed uniformly
+// on a 125·√1000 m square, perfbench bootstrap's density (about twelve
+// receivers per transmission at the default 250 m range), one node after
+// another in a loop of serialized transmissions. static fans out from the
+// receiver lists; walk moves every node at 5 m/s, so each broadcast walks
+// the grid. Every node broadcasts once before the timer starts, so static
+// measures built lists.
+func BenchmarkBroadcastFanout1000(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		speed float64
+	}{{"static", 0}, {"walk", 5}} {
+		b.Run(bc.name, func(b *testing.B) {
+			const n = 1000
+			side := 125 * math.Sqrt(n)
+			area := geom.Rect{W: side, H: side}
+			s := sim.New()
+			m := New(s, quiet(), 0, nil)
+			for i := 0; i < n; i++ {
+				start := area.RandomPoint(draw.New(1, draw.Placement, uint64(i)))
+				var tr mobility.Track = mobility.Static(start)
+				if bc.speed > 0 {
+					tr = mobility.NewWalk(mobility.WalkConfig{Region: area, Speed: bc.speed, Epoch: 10 * time.Second},
+						start, draw.New(1, draw.Track, uint64(i)))
+				}
+				m.AddNode(NodeID(i), tr.Position, tr.SpeedBound(), HandlerFunc(func(NodeID, []byte) {}))
+			}
+			payload := make([]byte, 128)
+			for i := 0; i < n; i++ {
+				m.Broadcast(NodeID(i), payload)
+				s.Run()
+			}
+			before := m.Stats()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.Broadcast(NodeID(i%n), payload)
+				s.Run()
+			}
+			b.StopTimer()
+			after := m.Stats()
+			b.ReportMetric(float64(after.RxFrames-before.RxFrames)/float64(after.TxFrames-before.TxFrames), "rx/tx")
+		})
 	}
 }

@@ -1,47 +1,65 @@
 // Package trace collects simulation metrics — counters and sample
 // series — and formats the result tables the benchmark harness prints.
-// Sample series are only collected here: a scenario drains them into its
-// bounded aggregates (scenario.SampleAgg), which every result reads.
-// Counter names are free-form strings so experiments can define their own
-// taxonomy without touching this package.
+// Counters are declared: the schema in counters.go gives each one a
+// Counter ID and a name, every bump site names its ID, and a sink keeps
+// them in one array, so a bump hashes nothing. Names remain for reading:
+// Get and CounterNames answer by name, and a name outside the schema
+// reads 0. Sample series keep free-form names and are only collected
+// here: a scenario drains them into its bounded aggregates
+// (scenario.SampleAgg), which every result reads.
 package trace
 
 import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"math/bits"
 	"strings"
 )
 
-// Metrics accumulates named counters and sample sets. The zero value is not
-// usable; call NewMetrics.
+// Metrics accumulates the declared counters and named sample sets. The
+// zero value is an empty sink, as is NewMetrics's.
 type Metrics struct {
-	counters map[string]float64
-	samples  map[string][]float64
+	counts [numCounters]float64
+	// bumped marks the counters ever bumped, by zero included: those are
+	// the ones CounterNames lists.
+	bumped  [(numCounters + 63) / 64]uint64
+	samples map[string][]float64 // nil until the first Observe
 }
 
 // NewMetrics returns an empty metrics sink.
-func NewMetrics() *Metrics {
-	return &Metrics{counters: make(map[string]float64), samples: make(map[string][]float64)}
+func NewMetrics() *Metrics { return &Metrics{} }
+
+// Inc adds v to counter c.
+func (m *Metrics) Inc(c Counter, v float64) {
+	m.counts[c] += v
+	m.bumped[c>>6] |= 1 << (c & 63)
 }
 
-// Inc adds v to the named counter.
-func (m *Metrics) Inc(name string, v float64) { m.counters[name] += v }
+// Add1 increments counter c by one.
+func (m *Metrics) Add1(c Counter) { m.Inc(c, 1) }
 
-// Add1 increments the named counter by one.
-func (m *Metrics) Add1(name string) { m.counters[name]++ }
-
-// Get returns the counter's value (zero when never incremented).
-func (m *Metrics) Get(name string) float64 { return m.counters[name] }
+// Get returns the named counter's value: zero when it was never bumped or
+// when the schema declares no counter of that name.
+func (m *Metrics) Get(name string) float64 {
+	c, ok := counterIDs[name]
+	if !ok {
+		return 0
+	}
+	return m.counts[c]
+}
 
 // Observe appends a sample to the named distribution.
 func (m *Metrics) Observe(name string, v float64) {
+	if m.samples == nil {
+		m.samples = make(map[string][]float64)
+	}
 	m.samples[name] = append(m.samples[name], v)
 }
 
 // DrainSamples removes and returns every sample series, leaving the
-// counters untouched. Long-lived sessions call it at window barriers so
+// counters untouched; it returns nil, allocating nothing, when the sink
+// holds no samples. Long-lived sessions call it at window barriers so
 // sample slices (per-delivery latencies, DAD durations) never accumulate
 // across an open-ended run; callers fold the drained slices into bounded
 // cumulative aggregates. Each name's slice keeps its observation order,
@@ -49,27 +67,39 @@ func (m *Metrics) Observe(name string, v float64) {
 // in any order is deterministic.
 func (m *Metrics) DrainSamples() map[string][]float64 {
 	out := m.samples
-	m.samples = make(map[string][]float64)
+	m.samples = nil
 	return out
 }
 
-// Merge adds other's counters and samples into m.
+// Merge adds other's counters and samples into m: each counter is m's
+// value plus other's, and other's sample series follow m's.
 func (m *Metrics) Merge(other *Metrics) {
-	for k, v := range other.counters {
-		m.counters[k] += v
+	for c, v := range other.counts {
+		m.counts[c] += v
+	}
+	for w, b := range other.bumped {
+		m.bumped[w] |= b
 	}
 	for k, s := range other.samples {
+		if m.samples == nil {
+			m.samples = make(map[string][]float64)
+		}
 		m.samples[k] = append(m.samples[k], s...)
 	}
 }
 
-// CounterNames returns all counter names, sorted.
+// CounterNames returns the names of the counters ever bumped, sorted.
 func (m *Metrics) CounterNames() []string {
-	names := make([]string, 0, len(m.counters))
-	for k := range m.counters {
-		names = append(names, k)
+	n := 0
+	for _, w := range m.bumped {
+		n += bits.OnesCount64(w)
 	}
-	sort.Strings(names)
+	names := make([]string, 0, n)
+	for _, c := range byName {
+		if m.bumped[c>>6]&(1<<(c&63)) != 0 {
+			names = append(names, counterNames[c])
+		}
+	}
 	return names
 }
 

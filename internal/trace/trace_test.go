@@ -9,18 +9,48 @@ import (
 
 func TestCounters(t *testing.T) {
 	m := NewMetrics()
-	m.Inc("bytes", 10)
-	m.Inc("bytes", 5)
-	m.Add1("packets")
-	if m.Get("bytes") != 15 || m.Get("packets") != 1 {
-		t.Fatalf("counters wrong: %v %v", m.Get("bytes"), m.Get("packets"))
+	m.Inc(TxBytesTotal, 10)
+	m.Inc(TxBytesTotal, 5)
+	m.Add1(RxFrames)
+	if m.Get("tx.bytes.total") != 15 || m.Get("rx.frames") != 1 {
+		t.Fatalf("counters wrong: %v %v", m.Get("tx.bytes.total"), m.Get("rx.frames"))
 	}
-	if m.Get("never") != 0 {
-		t.Fatal("unknown counter should read zero")
+	if m.Get("crypto.sign") != 0 {
+		t.Fatal("a declared counter never bumped should read zero")
 	}
 	names := m.CounterNames()
-	if len(names) != 2 || names[0] != "bytes" || names[1] != "packets" {
+	if len(names) != 2 || names[0] != "rx.frames" || names[1] != "tx.bytes.total" {
 		t.Fatalf("CounterNames = %v", names)
+	}
+}
+
+// TestCounterBumpedByZeroIsListed: a counter bumped by zero reads 0 but
+// still appears, as it did when every bump created a map entry.
+func TestCounterBumpedByZeroIsListed(t *testing.T) {
+	m := NewMetrics()
+	m.Inc(RouteInvalidated, 0)
+	if got := m.CounterNames(); !reflect.DeepEqual(got, []string{"route.invalidated"}) {
+		t.Fatalf("CounterNames = %v, want [route.invalidated]", got)
+	}
+	if m.Get("route.invalidated") != 0 {
+		t.Fatal("a counter bumped by zero should read zero")
+	}
+	if got := NewMetrics().CounterNames(); got == nil || len(got) != 0 {
+		t.Fatalf("an empty sink's CounterNames = %#v, want an empty list", got)
+	}
+}
+
+// TestGetUndeclaredReadsZero pins the contract sbr6.Node.Metric passes on:
+// a name outside the schema reads 0, whatever the sink holds.
+func TestGetUndeclaredReadsZero(t *testing.T) {
+	m := NewMetrics()
+	for c := Counter(0); c < numCounters; c++ {
+		m.Add1(c)
+	}
+	for _, name := range []string{"never", "", "rx.frame", "tx.type(99)", "RX.FRAMES"} {
+		if got := m.Get(name); got != 0 {
+			t.Errorf("Get(%q) = %v, want 0", name, got)
+		}
 	}
 }
 
@@ -29,7 +59,7 @@ func TestSamples(t *testing.T) {
 	for _, v := range []float64{5, 1, 3, 2, 4} {
 		m.Observe("lat", v)
 	}
-	m.Inc("bytes", 1)
+	m.Inc(TxBytesTotal, 1)
 	got := m.DrainSamples()
 	if !reflect.DeepEqual(got, map[string][]float64{"lat": {5, 1, 3, 2, 4}}) {
 		t.Fatalf("DrainSamples = %v, want the series in observation order", got)
@@ -37,24 +67,72 @@ func TestSamples(t *testing.T) {
 	if again := m.DrainSamples(); len(again) != 0 {
 		t.Fatalf("second DrainSamples = %v, want nothing", again)
 	}
-	if m.Get("bytes") != 1 {
+	if m.Get("tx.bytes.total") != 1 {
 		t.Fatal("draining samples touched a counter")
+	}
+}
+
+// TestDrainSamplesEmptyAllocatesNothing: sessions drain every node at
+// every window barrier, and most nodes hold no samples.
+func TestDrainSamplesEmptyAllocatesNothing(t *testing.T) {
+	m := NewMetrics()
+	m.Add1(RxFrames)
+	m.Observe("lat", 1)
+	m.DrainSamples()
+	if allocs := testing.AllocsPerRun(100, func() {
+		if m.DrainSamples() != nil {
+			t.Fatal("an empty sink drained samples")
+		}
+	}); allocs != 0 {
+		t.Fatalf("DrainSamples of an empty sink made %v allocations, want 0", allocs)
 	}
 }
 
 func TestMerge(t *testing.T) {
 	a, b := NewMetrics(), NewMetrics()
-	a.Inc("x", 1)
-	b.Inc("x", 2)
-	b.Inc("y", 3)
+	a.Inc(CryptoSign, 1)
+	b.Inc(CryptoSign, 2)
+	b.Inc(CryptoVerify, 3)
 	a.Observe("s", 1)
 	b.Observe("s", 3)
 	a.Merge(b)
-	if a.Get("x") != 3 || a.Get("y") != 3 {
+	if a.Get("crypto.sign") != 3 || a.Get("crypto.verify") != 3 {
 		t.Fatalf("merged counters wrong")
 	}
 	if got := a.DrainSamples()["s"]; !reflect.DeepEqual(got, []float64{1, 3}) {
 		t.Fatalf("merged samples = %v, want [1 3]", got)
+	}
+}
+
+// TestMergeSumsInSinkOrder merges several sinks and requires every
+// counter to equal the per-name float sum taken in sink order, which is
+// not the same sum in every order, and the union of the names.
+func TestMergeSumsInSinkOrder(t *testing.T) {
+	vals := [][]float64{{0.1, 1e16, 3}, {0.2, 1, 0}, {0.3, -1e16, 5}}
+	sinks := make([]*Metrics, len(vals))
+	for i, vs := range vals {
+		sinks[i] = NewMetrics()
+		sinks[i].Inc(TxBytesData, vs[0])
+		sinks[i].Inc(TxBytesControl, vs[1])
+		if vs[2] != 0 {
+			sinks[i].Inc(RxFrames, vs[2])
+		}
+	}
+	merged := NewMetrics()
+	for _, s := range sinks {
+		merged.Merge(s)
+	}
+	for name, col := range map[string]int{"tx.bytes.data": 0, "tx.bytes.control": 1, "rx.frames": 2} {
+		want := 0.0
+		for _, vs := range vals {
+			want += vs[col]
+		}
+		if got := merged.Get(name); got != want {
+			t.Errorf("merged %s = %v, want the sink-order sum %v", name, got, want)
+		}
+	}
+	if got, want := merged.CounterNames(), []string{"rx.frames", "tx.bytes.control", "tx.bytes.data"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("merged CounterNames = %v, want %v", got, want)
 	}
 }
 

@@ -2,6 +2,7 @@ package sbr6_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -79,6 +80,53 @@ func driveSession(t *testing.T, sess *sbr6.Session, upto int, joined *int) []sbr
 		}
 	}
 	return reports
+}
+
+// TestStaticChurnShardInvariant runs the static session through
+// driveSession's churn (one join, two ejects) at every shard count and
+// requires the cumulative result, its counters and the window stream to
+// be JSON-identical to the one-region run's. Joins and ejects attach and
+// detach radio ports, which on a medium with no movers drops the
+// receiver lists near them, so this holds those drops to the same
+// answer whichever region's medium makes them.
+func TestStaticChurnShardInvariant(t *testing.T) {
+	const total = 6
+	for _, seed := range []int64{1, 7, 42} {
+		var ref []byte
+		for _, shards := range []int{1, 2, 3, 4} {
+			sc, err := sbr6.NewScenario(sessionOpts("static", seed, shards)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess, err := sbr6.Serve(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var joined int
+			reports := driveSession(t, sess, total, &joined)
+			res := sess.Query()
+			counters := map[string]float64{}
+			for _, name := range res.MetricNames() {
+				counters[name] = res.Metric(name)
+			}
+			got, err := json.Marshal(struct {
+				Query    *sbr6.Result
+				Counters map[string]float64
+				Windows  []sbr6.WindowReport
+			}{res, counters, reports})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Sent == 0 || res.Delivered == 0 || len(counters) == 0 {
+				t.Fatalf("seed %d, %d shards: degenerate session: %v", seed, shards, res)
+			}
+			if shards == 1 {
+				ref = got
+			} else if !bytes.Equal(got, ref) {
+				t.Errorf("seed %d: %d shards diverge from one:\n one:  %s\n %d: %s", seed, shards, ref, shards, got)
+			}
+		}
+	}
 }
 
 // TestSnapshotEquivalence is the correctness proof of the snapshot codec:
