@@ -9,6 +9,9 @@ package sbr6
 
 import (
 	"context"
+	"fmt"
+	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -507,5 +510,86 @@ func BenchmarkRunnerBatch(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// --- session reads at a window barrier: Snapshot and Query ---
+//
+// A 1000-node session in perfbench bootstrap's shape, built through the
+// facade: uniform placement on a 125·√n m square, per-cell boot at a
+// 500 ms stagger, fast timers, a DNS name on every node but the anchor, a
+// 60 s audit sweep, and 10 flows at 250 ms, in 1 s windows. It is run past
+// one window and read once, as perfbench reads it at every barrier; both
+// benchmarks then read it again per op and never change it, so they share
+// one session.
+
+var benchSession = sync.OnceValues(func() (*Session, error) {
+	n := 1000
+	side := 125 * math.Sqrt(float64(n))
+	opts := []Option{
+		WithSeed(1),
+		WithNodes(n),
+		WithArea(side, side),
+		WithPlacement(PlaceUniform),
+		WithFastTimers(),
+		WithBootPolicy(BootPerCell),
+		WithBootStagger(500 * time.Millisecond),
+		WithWindows(time.Second),
+		WithCooldown(time.Second),
+		WithAuditSweep(60 * time.Second),
+	}
+	flows := make([]Flow, 10)
+	for i := range flows {
+		flows[i] = Flow{From: 1 + i, To: 1 + i + n/2, Interval: 250 * time.Millisecond, Size: 64,
+			Start: time.Duration(i) * 25 * time.Millisecond}
+	}
+	opts = append(opts, WithFlows(flows...))
+	for i := 1; i < n; i++ {
+		opts = append(opts, WithName(i, fmt.Sprintf("n%d.bench", i)))
+	}
+	sc, err := NewScenario(opts...)
+	if err != nil {
+		return nil, err
+	}
+	sess, err := Serve(sc)
+	if err != nil {
+		return nil, err
+	}
+	if err := sess.Advance(1); err != nil {
+		return nil, err
+	}
+	sess.Query()
+	_, err = sess.Snapshot()
+	return sess, err
+})
+
+func sharedBenchSession(b *testing.B) *Session {
+	b.Helper()
+	sess, err := benchSession()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return sess
+}
+
+func BenchmarkSessionSnapshot(b *testing.B) {
+	sess := sharedBenchSession(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sess.Snapshot(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkSessionQuery(b *testing.B) {
+	sess := sharedBenchSession(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if sess.Query() == nil {
+			b.Fatal("Query returned nil")
+		}
 	}
 }

@@ -165,9 +165,11 @@
 // window). What per-cell admission gives up is detection that needs
 // configured relays before they exist: simultaneous cross-cell
 // duplicates (covered for honest nodes by CGA's 2^-64 collision bound,
-// and impossible to schedule away for an attacker) and formation-time
-// name checks from claimants too far from the DNS anchor for an early
-// flood to reach — those conflicts still surface at registration time.
+// and impossible to schedule away for an attacker) and the registration
+// of names claimed too far from the DNS anchor for an early flood to
+// reach: such a claimant hears no DREP and takes its name as registered,
+// but the DNS never heard the claim and nothing sends it again (README's
+// section on bootstrap admission has the share of names lost).
 // WithBootPolicy selects the policy; WithBootStagger tunes the spacing
 // either policy keeps; WithBootCellFraction widens or narrows the
 // admission buckets (capped at 1/sqrt(2) of the range, where the bucket

@@ -201,10 +201,11 @@ const MaxCellFraction = 0.7071
 // configured relays before they exist: simultaneous duplicate claims
 // between different cells (which CGA's per-pair 2^-64 collision bound
 // already covers for honest nodes, and which an attacker can manufacture
-// under any policy by ignoring the schedule), and formation-time
-// domain-name checks from claimants whose early flood cannot yet reach a
-// multi-hop-distant DNS server — those names are still caught at
-// registration time, once the network stands.
+// under any policy by ignoring the schedule), and the registration of
+// domain names claimed by nodes whose early flood cannot yet reach a
+// multi-hop-distant DNS server: nothing sends such a claim again, so the
+// name stays unregistered while its claimant, having heard no DREP, takes
+// it as registered.
 //
 // The offset multiset of a cell is a function of (seed, cell, occupancy)
 // alone — relabeling nodes permutes who gets which rank but never the

@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -177,18 +178,8 @@ func TestDaemonEndToEnd(t *testing.T) {
 		t.Fatalf("ejecting the anchor: got %v", rpcErr)
 	}
 
-	// Snapshot over the wire resumes to an equivalent session.
-	res, _ = c.mustCall("snapshot", nil)
-	resumed, err := sbr6.Resume(res)
-	if err != nil {
-		t.Fatalf("Resume of wire snapshot: %v", err)
-	}
-	if got, want := resumed.Windows(), sess.Windows(); got != want {
-		t.Fatalf("resumed at window %d, want %d", got, want)
-	}
-	if !reflect.DeepEqual(resumed.Query(), sess.Query()) {
-		t.Fatal("resumed session's cumulative result diverges from the served one")
-	}
+	// The snapshot after the inject and the eject, as the wire carries it.
+	snap, _ := c.mustCall("snapshot", nil)
 
 	c.mustCall("shutdown", nil)
 	select {
@@ -198,6 +189,28 @@ func TestDaemonEndToEnd(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Serve did not return after shutdown")
+	}
+
+	// Serve has returned, so the session is the test's again. The RPC
+	// returns the bytes Session.Snapshot gives, byte for byte.
+	local, err := sess.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(snap, local) {
+		t.Fatalf("snapshot RPC differs from Session.Snapshot:\nrpc   %.200s\nlocal %.200s", snap, local)
+	}
+
+	// The wire snapshot resumes to an equivalent session.
+	resumed, err := sbr6.Resume(snap)
+	if err != nil {
+		t.Fatalf("Resume of wire snapshot: %v", err)
+	}
+	if got, want := resumed.Windows(), sess.Windows(); got != want {
+		t.Fatalf("resumed at window %d, want %d", got, want)
+	}
+	if !reflect.DeepEqual(resumed.Query(), sess.Query()) {
+		t.Fatal("resumed session's cumulative result diverges from the served one")
 	}
 }
 

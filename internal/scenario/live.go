@@ -191,12 +191,18 @@ type Live struct {
 	window   int // windows fully run
 	emitNext int // absolute index of the next window to finalize
 
-	graveyard     *trace.Metrics
-	deadConfig    int // departed nodes that were configured
-	deadFailed    int // departed nodes whose DAD had failed
-	aggs          map[string]*SampleAgg
-	prevCounters  map[string]float64
+	graveyard  *trace.Metrics
+	deadConfig int // departed nodes that were configured
+	deadFailed int // departed nodes whose DAD had failed
+	aggs       map[string]*SampleAgg
+	// barrier is the counters-only merge of the graveyard and every live
+	// node that the last Step made after draining every sink: the baseline
+	// of the next window's counter deltas. Result and Digest read it while
+	// barrierOK holds, which Join, Leave and Invalidate clear.
+	barrier       *trace.Metrics
+	barrierOK     bool
 	pendingDeltas []map[string]float64 // per retained window, aligned with sc.windows
+	digestBuf     []byte               // Digest's buffer, kept at its largest size
 }
 
 // NewLive wraps a built (not yet run) scenario. The window size comes
@@ -212,12 +218,12 @@ func NewLive(sc *Scenario) *Live {
 		sc.Cfg.Cooldown = sc.Cfg.WindowSize
 	}
 	lv := &Live{
-		sc:           sc,
-		w:            sc.Cfg.WindowSize,
-		lag:          windowsIn(sc.Cfg.Cooldown, sc.Cfg.WindowSize) + 1,
-		graveyard:    trace.NewMetrics(),
-		aggs:         make(map[string]*SampleAgg),
-		prevCounters: make(map[string]float64),
+		sc:        sc,
+		w:         sc.Cfg.WindowSize,
+		lag:       windowsIn(sc.Cfg.Cooldown, sc.Cfg.WindowSize) + 1,
+		graveyard: trace.NewMetrics(),
+		aggs:      make(map[string]*SampleAgg),
+		barrier:   trace.NewMetrics(),
 	}
 	sc.onLatency = func(seconds float64) { observe(lv.aggs, "e2e.latency_s", seconds) }
 	return lv
@@ -323,19 +329,35 @@ func observe(aggs map[string]*SampleAgg, name string, v float64) {
 }
 
 // counterDelta merges every counter (live nodes + graveyard) and returns
-// the per-name change since the previous barrier, keeping the merged
-// snapshot as the new baseline.
+// the per-name change since the previous barrier, keeping the merge as
+// the barrier's: the next delta's baseline, and what reads see until a
+// Join or Leave.
 func (lv *Live) counterDelta() map[string]float64 {
-	cur := lv.mergedCounters()
+	cur := lv.merged()
 	delta := make(map[string]float64)
-	for _, name := range sortedKeys(cur) {
-		if d := cur[name] - lv.prevCounters[name]; d != 0 {
-			delta[name] = d
+	for c, v := range cur.Counters() {
+		if d := v - lv.barrier.Value(c); d != 0 {
+			delta[c.String()] = d
 		}
 	}
-	lv.prevCounters = cur
+	lv.barrier, lv.barrierOK = cur, true
 	return delta
 }
+
+// counters returns the barrier's merge while it holds, else a fresh merge
+// of every sink. Callers must not change it.
+func (lv *Live) counters() *trace.Metrics {
+	if lv.barrierOK {
+		return lv.barrier
+	}
+	return lv.merged()
+}
+
+// Invalidate drops the barrier's merge, so that reads merge every sink
+// afresh until the next Step. Join and Leave call it; so must a caller
+// that runs node code at a barrier, which can bump counters the merge has
+// not seen.
+func (lv *Live) Invalidate() { lv.barrierOK = false }
 
 // merged returns the counters of the graveyard and every live node, merged.
 func (lv *Live) merged() *trace.Metrics {
@@ -347,17 +369,6 @@ func (lv *Live) merged() *trace.Metrics {
 		}
 	}
 	return m
-}
-
-// mergedCounters returns the merged counter map across the graveyard and
-// every live node. Samples are already drained, so this is counters only.
-func (lv *Live) mergedCounters() map[string]float64 {
-	m := lv.merged()
-	out := make(map[string]float64, 64)
-	for _, name := range m.CounterNames() {
-		out[name] = m.Get(name)
-	}
-	return out
 }
 
 // finalizeOldest emits and drops the oldest retained window.
@@ -408,6 +419,7 @@ func (lv *Live) Join(name string, b core.Behavior) (int, error) {
 	if !lv.started {
 		return 0, ErrNotStarted
 	}
+	lv.Invalidate()
 	sc := lv.sc
 	idx := len(sc.Nodes)
 	churn := draw.New(sc.Cfg.Seed, draw.Churn, uint64(idx))
@@ -441,6 +453,7 @@ func (lv *Live) Leave(idx int) error {
 	if n.Dead() {
 		return fmt.Errorf("%w: %d", ErrDeparted, idx)
 	}
+	lv.Invalidate()
 	if n.Configured() {
 		lv.deadConfig++
 	} else if n.DADState() == ndp.StateFailed {
@@ -492,7 +505,8 @@ func (lv *Live) startFlows() {
 // DADFailed count the nodes as they stand now.
 func (lv *Live) Result() *Result {
 	sc := lv.sc
-	m := lv.merged()
+	m := trace.NewMetrics() // a copy: no caller holds the barrier's merge
+	m.Merge(lv.counters())
 	res := &Result{Metrics: m, PerFlow: make(map[int]FlowResult), Samples: lv.samples(m)}
 	//sbr6:commutative order-free sums plus one distinct PerFlow key per flow
 	for fi, st := range sc.flowStats {
@@ -547,9 +561,10 @@ func (lv *Live) samples(m *trace.Metrics) map[string]*SampleAgg {
 // the same barrier and verifies the digests match.
 func (lv *Live) Digest() [sha256.Size]byte {
 	sc := lv.sc
-	h := sha256.New()
-	var b [8]byte
-	put := func(v uint64) { binary.BigEndian.PutUint64(b[:], v); h.Write(b[:]) }
+	// The state is laid out in one buffer and hashed once: writing the
+	// hash eight bytes at a time cost more than hashing.
+	b := lv.digestBuf[:0]
+	put := func(v uint64) { b = binary.BigEndian.AppendUint64(b, v) }
 	putF := func(v float64) { put(math.Float64bits(v)) }
 	put(uint64(lv.window))
 	put(uint64(len(sc.Nodes)))
@@ -563,12 +578,11 @@ func (lv *Live) Digest() [sha256.Size]byte {
 		}
 		put(flags)
 		addr := n.Addr()
-		h.Write(addr[:])
+		b = append(b, addr[:]...)
 	}
-	counters := lv.mergedCounters()
-	for _, name := range sortedKeys(counters) {
-		h.Write([]byte(name))
-		putF(counters[name])
+	for c, v := range lv.counters().Counters() {
+		b = append(b, c.String()...)
+		putF(v)
 	}
 	for _, fi := range sortedKeys(sc.flowStats) {
 		put(uint64(fi))
@@ -593,7 +607,7 @@ func (lv *Live) Digest() [sha256.Size]byte {
 	}
 	for _, name := range sortedKeys(lv.aggs) {
 		a := lv.aggs[name]
-		h.Write([]byte(name))
+		b = append(b, name...)
 		put(uint64(a.Count))
 		putF(a.Sum)
 		putF(a.Min)
@@ -602,7 +616,6 @@ func (lv *Live) Digest() [sha256.Size]byte {
 			put(uint64(c))
 		}
 	}
-	var out [sha256.Size]byte
-	h.Sum(out[:0])
-	return out
+	lv.digestBuf = b
+	return sha256.Sum256(b)
 }

@@ -12,6 +12,7 @@ package trace
 import (
 	"fmt"
 	"io"
+	"iter"
 	"math"
 	"math/bits"
 	"strings"
@@ -95,13 +96,26 @@ func (m *Metrics) CounterNames() []string {
 		n += bits.OnesCount64(w)
 	}
 	names := make([]string, 0, n)
-	for _, c := range byName {
-		if m.bumped[c>>6]&(1<<(c&63)) != 0 {
-			names = append(names, counterNames[c])
-		}
+	for c := range m.Counters() {
+		names = append(names, counterNames[c])
 	}
 	return names
 }
+
+// Counters yields each counter ever bumped with its value, sorted by
+// name as CounterNames lists them.
+func (m *Metrics) Counters() iter.Seq2[Counter, float64] {
+	return func(yield func(Counter, float64) bool) {
+		for _, c := range byName {
+			if m.bumped[c>>6]&(1<<(c&63)) != 0 && !yield(c, m.counts[c]) {
+				return
+			}
+		}
+	}
+}
+
+// Value returns counter c's value, zero when it was never bumped.
+func (m *Metrics) Value(c Counter) float64 { return m.counts[c] }
 
 // Table is a simple fixed-width text table used by the experiment harness.
 type Table struct {

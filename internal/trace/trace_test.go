@@ -40,6 +40,34 @@ func TestCounterBumpedByZeroIsListed(t *testing.T) {
 	}
 }
 
+// TestCountersWalkNameOrder: Counters yields the bumped counters in
+// CounterNames's order with the values Get and Value read, a counter
+// bumped by zero included, and stops when the loop breaks.
+func TestCountersWalkNameOrder(t *testing.T) {
+	m := NewMetrics()
+	m.Inc(TxBytesTotal, 7)
+	m.Add1(RxFrames)
+	m.Inc(RouteInvalidated, 0)
+	var names []string
+	for c, v := range m.Counters() {
+		names = append(names, c.String())
+		if v != m.Get(c.String()) || v != m.Value(c) {
+			t.Fatalf("%s yields %v, Get reads %v, Value reads %v", c, v, m.Get(c.String()), m.Value(c))
+		}
+	}
+	if want := m.CounterNames(); !reflect.DeepEqual(names, want) {
+		t.Fatalf("Counters walks %v, CounterNames lists %v", names, want)
+	}
+	n := 0
+	for range m.Counters() {
+		n++
+		break
+	}
+	if n != 1 {
+		t.Fatalf("Counters yielded %d times after a break", n)
+	}
+}
+
 // TestGetUndeclaredReadsZero pins the contract sbr6.Node.Metric passes on:
 // a name outside the schema reads 0, whatever the sink holds.
 func TestGetUndeclaredReadsZero(t *testing.T) {

@@ -1,6 +1,7 @@
 package sbr6
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"time"
@@ -49,12 +50,20 @@ type sessionOp struct {
 // operations never interleave with simulation events and a session is
 // reproducible from its seed plus its op journal alone.
 type Session struct {
-	spec       *Scenario
-	sc         *scenario.Scenario
-	lv         *scenario.Live
-	journal    []sessionOp
+	spec *Scenario
+	sc   *scenario.Scenario
+	lv   *scenario.Live
+	// journal is the op journal as Snapshot writes it: each op's JSON
+	// object, comma-separated, in the order the ops were applied.
+	journal []byte
+	// head is the snapshot's fixed part, encoded at the first Snapshot.
+	head       []byte
 	configured int
 	closed     bool
+	// unwrapped is set once Node.Unwrap hands out a node's protocol
+	// stack, whose caller may bump counters at any barrier: from then on
+	// every Query and Snapshot merges the counters afresh.
+	unwrapped bool
 }
 
 // Serve instantiates the scenario with its default seed, bootstraps the
@@ -125,7 +134,7 @@ func (s *Session) Node(i int) *Node {
 	if i < 0 || i >= len(s.sc.Nodes) {
 		return nil
 	}
-	return &Node{n: s.sc.Nodes[i], idx: i}
+	return &Node{n: s.sc.Nodes[i], idx: i, s: s}
 }
 
 // Advance runs the given number of measurement windows. Windows that
@@ -158,7 +167,7 @@ func (s *Session) Inject(name string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	s.journal = append(s.journal, sessionOp{Window: s.lv.Windows(), Kind: opInject, Name: name, Index: idx})
+	s.record(sessionOp{Window: s.lv.Windows(), Kind: opInject, Name: name, Index: idx})
 	return idx, nil
 }
 
@@ -173,15 +182,37 @@ func (s *Session) Eject(idx int) error {
 	if err := s.lv.Leave(idx); err != nil {
 		return err
 	}
-	s.journal = append(s.journal, sessionOp{Window: s.lv.Windows(), Kind: opEject, Index: idx})
+	s.record(sessionOp{Window: s.lv.Windows(), Kind: opEject, Index: idx})
 	return nil
+}
+
+// record appends op to the journal.
+func (s *Session) record(op sessionOp) {
+	b, _ := json.Marshal(op) // ints and strings: cannot fail
+	if len(s.journal) > 0 {
+		s.journal = append(s.journal, ',')
+	}
+	s.journal = append(s.journal, b...)
 }
 
 // Query synthesizes the cumulative session result at the current barrier:
 // counters merged across departed and live nodes, latency from the
 // bounded aggregates, delivery totals per flow. Windows is nil — a
 // session streams windows instead of retaining them.
-func (s *Session) Query() *Result { return publicResult(s.Seed(), s.lv.Result()) }
+func (s *Session) Query() *Result {
+	s.settle()
+	return publicResult(s.Seed(), s.lv.Result())
+}
+
+// settle readies the barrier's counter merge for a read. Advance merges
+// the counters once per window; Inject, Eject and the Node calls that run
+// protocol code drop that merge. An unwrapped node can run protocol code
+// at any time, so once one is handed out, every read merges afresh.
+func (s *Session) settle() {
+	if s.unwrapped {
+		s.lv.Invalidate()
+	}
+}
 
 // Stream registers f to receive each finalized window; a nil f
 // unsubscribes. Only one callback is active at a time. The callback runs
@@ -206,6 +237,7 @@ func (s *Session) Close() error {
 type Node struct {
 	n   *core.Node
 	idx int
+	s   *Session
 }
 
 // Index returns the node's position in the scenario.
@@ -225,11 +257,17 @@ func (nd *Node) Departed() bool { return nd.n.Dead() }
 
 // Resolve performs a challenge-bound signed DNS lookup; cb fires when the
 // answer arrives or the resolve times out.
-func (nd *Node) Resolve(name string, cb func(Addr, bool)) { nd.n.Resolve(name, cb) }
+func (nd *Node) Resolve(name string, cb func(Addr, bool)) {
+	nd.s.lv.Invalidate()
+	nd.n.Resolve(name, cb)
+}
 
 // SendData routes a payload to dst, running secure route discovery if no
 // verified route is cached.
-func (nd *Node) SendData(dst Addr, payload []byte) { nd.n.SendData(dst, payload) }
+func (nd *Node) SendData(dst Addr, payload []byte) {
+	nd.s.lv.Invalidate()
+	nd.n.SendData(dst, payload)
+}
 
 // OnData registers a handler for data payloads addressed to this node,
 // chaining before any previously registered handler.
@@ -252,7 +290,10 @@ func (nd *Node) Route(dst Addr) (relays int, ok bool) {
 
 // RebindAddress moves the node to a fresh CGA address and re-binds its
 // registered name through the challenge-based update protocol.
-func (nd *Node) RebindAddress(cb func(ok bool)) { nd.n.RebindAddress(cb) }
+func (nd *Node) RebindAddress(cb func(ok bool)) {
+	nd.s.lv.Invalidate()
+	nd.n.RebindAddress(cb)
+}
 
 // Metric reads one of the node's counters by name.
 func (nd *Node) Metric(name string) float64 { return nd.n.Metrics().Get(name) }
@@ -260,5 +301,10 @@ func (nd *Node) Metric(name string) float64 { return nd.n.Metrics().Get(name) }
 // Unwrap returns the underlying protocol stack. The concrete type lives in
 // an internal package; it is an escape hatch for in-module experiments
 // that need the full surface: an attacker's state is its Behavior, and
-// node 0's DNS() is the trust anchor's server.
-func (nd *Node) Unwrap() *core.Node { return nd.n }
+// node 0's DNS() is the trust anchor's server. Its caller may run protocol
+// code at any barrier, so from the first Unwrap on the session's Query
+// and Snapshot merge every node's counters afresh.
+func (nd *Node) Unwrap() *core.Node {
+	nd.s.unwrapped = true
+	return nd.n
+}

@@ -345,6 +345,53 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 }
 
+// TestNodeCallsAtBarrierReachQuery checks that counters bumped at a
+// barrier, after Advance merged them, reach Query and Snapshot: by the
+// Node calls that run protocol code, and by an unwrapped node.
+func TestNodeCallsAtBarrierReachQuery(t *testing.T) {
+	sc, err := sbr6.NewScenario(append(sessionOpts("static", 4, 1), sbr6.WithName(3, "hub.example"))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := sbr6.Serve(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Advance(2); err != nil {
+		t.Fatal(err)
+	}
+	bumps := func(name string, call func()) {
+		t.Helper()
+		before := sess.Query().Metric(name)
+		snap, err := sess.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		call()
+		if got := sess.Query().Metric(name); got != before+1 {
+			t.Fatalf("Query reads %s = %v after the call, want %v", name, got, before+1)
+		}
+		again, err := sess.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Equal(snap, again) {
+			t.Fatalf("Snapshot did not change when %s was bumped", name)
+		}
+	}
+	bumps("data.sent", func() { sess.Node(1).SendData(sess.Node(2).Addr(), []byte("ping")) })
+	bumps("dns.resolve_started", func() { sess.Node(5).Resolve("hub.example", func(sbr6.Addr, bool) {}) })
+	bumps("dns.rebind_started", func() { sess.Node(3).RebindAddress(nil) })
+
+	// The protocol stack, unwrapped at one barrier, is driven at a later
+	// one, after Advance made a fresh merge.
+	stack := sess.Node(1).Unwrap()
+	if err := sess.Advance(1); err != nil {
+		t.Fatal(err)
+	}
+	bumps("data.sent", func() { stack.SendData(sess.Node(2).Addr(), []byte("pong")) })
+}
+
 // TestResumeRejectsGarbage exercises the codec's failure modes: every
 // rejection must wrap ErrSnapshot and never panic.
 func TestResumeRejectsGarbage(t *testing.T) {
@@ -375,13 +422,25 @@ func TestResumeRejectsGarbage(t *testing.T) {
 		{"empty object", []byte("{}"), "unsupported version 0"},
 		{"future version", []byte(`{"version":99}`), "unsupported version 99"},
 		{"negative windows", bytes.Replace(good, []byte(`"windows":1`), []byte(`"windows":-1`), 1), "negative window count -1"},
+		// Replaying 2^40 windows would run for days; the count is refused
+		// before any replay starts.
+		{"windows past a year", bytes.Replace(good, []byte(`"windows":1`), []byte(`"windows":1099511627776`), 1), "window count 1099511627776"},
 		{"digest tampered", bytes.Replace(good, []byte(`"digest":"`), []byte(`"digest":"00`), 1), "state digest mismatch"},
 		{"unknown journal op", bytes.Replace(good, []byte(`"windows":`),
 			[]byte(`"journal":[{"window":0,"kind":"explode","index":1}],"windows":`), 1), `unknown journal op "explode"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := sbr6.Resume(tc.data)
+			// A rejection must come before any long replay: a case that
+			// is still replaying after the deadline fails, not hangs.
+			done := make(chan error, 1)
+			go func() { _, err := sbr6.Resume(tc.data); done <- err }()
+			var err error
+			select {
+			case err = <-done:
+			case <-time.After(30 * time.Second):
+				t.Fatalf("Resume of %s still running after 30 s", tc.name)
+			}
 			switch {
 			case err == nil:
 				t.Fatalf("Resume accepted %s", tc.name)
@@ -420,19 +479,28 @@ func corpusSnapshot(t *testing.T, name string) []byte {
 
 // The committed snapshot of a 16-node session with a join must resume:
 // Resume replays it and checks the replayed state digest, so success
-// proves the replay is byte for byte the one that was recorded. The
+// proves the replay is byte for byte the one that was recorded, and the
+// resumed session must snapshot to the committed bytes again. The
 // version 1 bytes the same session produced before every run moved onto
 // the one-region engine, and the version 2 bytes it produced before every
 // draw became a hash of (seed, stream, node, counter), cannot replay to
 // their digests, so Resume must refuse them by version before replaying
 // anything.
 func TestResumeCommittedSnapshot(t *testing.T) {
-	sess, err := sbr6.Resume(corpusSnapshot(t, "seed_genuine"))
+	genuine := corpusSnapshot(t, "seed_genuine")
+	sess, err := sbr6.Resume(genuine)
 	if err != nil {
 		t.Fatalf("Resume of the committed snapshot failed: %v", err)
 	}
 	if got := sess.NodeCount(); got < 16 {
 		t.Fatalf("resumed session holds %d nodes, want at least 16", got)
+	}
+	again, err := sess.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, genuine) {
+		t.Fatalf("the resumed session snapshots to other bytes than the committed ones:\n got %.200s\nwant %.200s", again, genuine)
 	}
 
 	_, err = sbr6.Resume(corpusSnapshot(t, "seed_v1_genuine"))

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 	"time"
 
 	"sbr6/internal/scenario"
@@ -30,12 +31,19 @@ const snapshotVersion = 3
 // the scenario and re-runs it, applying each journaled op at its original
 // barrier, then verifies the replayed state digest against the stored one.
 type snapshotFile struct {
+	snapshotHead
+	Journal []sessionOp `json:"journal,omitempty"`
+	Windows int         `json:"windows"`
+	Digest  string      `json:"digest"`
+}
+
+// snapshotHead is the part of a snapshot fixed for the session's life:
+// nothing changes the effective configuration after Serve, nor the
+// adversaries.
+type snapshotHead struct {
 	Version     int             `json:"version"`
 	Config      scenario.Config `json:"config"`
 	Adversaries []advDescriptor `json:"adversaries,omitempty"`
-	Journal     []sessionOp     `json:"journal,omitempty"`
-	Windows     int             `json:"windows"`
-	Digest      string          `json:"digest"`
 }
 
 // Snapshot serializes the session at the current window barrier. The
@@ -43,24 +51,42 @@ type snapshotFile struct {
 // newline-delimited control-plane frame) and are self-verifying: they
 // carry a digest of the session's observable state that Resume recomputes
 // after replay.
+//
+// The bytes are json.Marshal's of a snapshotFile, assembled from parts:
+// the head, encoded at the first call, and the journal, encoded an op at
+// a time as ops are applied, so a call encodes only the window count and
+// the digest.
 func (s *Session) Snapshot() ([]byte, error) {
 	if err := s.ok(); err != nil {
 		return nil, err
 	}
-	cfg := s.sc.Cfg
-	cfg.Behaviors = nil // closures don't serialize; rebuilt from descriptors
-	snap := snapshotFile{
-		Version: snapshotVersion,
-		Config:  cfg,
-		Journal: s.journal,
-		Windows: s.lv.Windows(),
+	if s.head == nil {
+		cfg := s.sc.Cfg
+		cfg.Behaviors = nil // closures don't serialize; rebuilt from descriptors
+		head := snapshotHead{Version: snapshotVersion, Config: cfg}
+		for _, a := range s.spec.advs {
+			head.Adversaries = append(head.Adversaries, a.descriptor())
+		}
+		b, err := json.Marshal(head)
+		if err != nil {
+			return nil, err
+		}
+		s.head = b[:len(b)-1] // the file's fields go on where the head's object closes
 	}
-	for _, a := range s.spec.advs {
-		snap.Adversaries = append(snap.Adversaries, a.descriptor())
-	}
+	s.settle()
 	d := s.lv.Digest()
-	snap.Digest = hex.EncodeToString(d[:])
-	return json.Marshal(snap)
+	out := make([]byte, 0, len(s.head)+len(s.journal)+128)
+	out = append(out, s.head...)
+	if len(s.journal) > 0 {
+		out = append(out, `,"journal":[`...)
+		out = append(out, s.journal...)
+		out = append(out, ']')
+	}
+	out = append(out, `,"windows":`...)
+	out = strconv.AppendInt(out, int64(s.lv.Windows()), 10)
+	out = append(out, `,"digest":"`...)
+	out = hex.AppendEncode(out, d[:])
+	return append(out, `"}`...), nil
 }
 
 // Resume rebuilds a session from Snapshot bytes: the scenario is built
@@ -85,6 +111,12 @@ func Resume(data []byte) (*Session, error) {
 	cfg.Behaviors = nil
 	if err := snapshotSane(cfg); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrSnapshot, err)
+	}
+	// The replay runs every window, so a count past the virtual-time
+	// ceiling is refused before it starts. Warmup and WindowSize passed
+	// snapshotSane, so neither the difference nor the quotient overflows.
+	if int64(snap.Windows) > int64((maxVirtual-cfg.Warmup)/cfg.WindowSize) {
+		return nil, fmt.Errorf("%w: window count %d runs past %v of virtual time", ErrSnapshot, snap.Windows, maxVirtual)
 	}
 	spec := &Scenario{cfg: cfg, areaSet: true}
 	for _, d := range snap.Adversaries {
@@ -141,9 +173,18 @@ func Resume(data []byte) (*Session, error) {
 		return nil, fmt.Errorf("%w: state digest mismatch after replay (snapshot %.16s…, replay %.16s…)", ErrSnapshot, snap.Digest, got)
 	}
 	sess.lv.Suppress = false
-	sess.journal = append([]sessionOp(nil), snap.Journal...)
+	for _, op := range snap.Journal {
+		sess.record(op)
+	}
 	return sess, nil
 }
+
+// maxVirtual is the virtual-time ceiling a snapshot must stay under: a
+// duration near the int64 horizon overflows when added to the clock,
+// scheduling events "in the past" that re-execute forever. A year of
+// virtual time is beyond any plausible run; anything larger is
+// corruption.
+const maxVirtual = 365 * 24 * time.Hour
 
 // snapshotSane rejects numeric garbage a hand-edited or corrupted
 // snapshot could smuggle past scenario.Validate — values that would make
@@ -152,14 +193,9 @@ func Resume(data []byte) (*Session, error) {
 // snapshot written by Snapshot always passes.
 func snapshotSane(cfg scenario.Config) error {
 	bad := func(f float64) bool { return math.IsNaN(f) || math.IsInf(f, 0) }
-	// Virtual-time ceiling: a duration near the int64 horizon overflows
-	// when added to the clock, scheduling events "in the past" that
-	// re-execute forever. A year of virtual time is beyond any plausible
-	// run; anything larger is corruption.
-	const maxDur = 365 * 24 * time.Hour
 	long := func(ds ...time.Duration) bool {
 		for _, d := range ds {
-			if d > maxDur {
+			if d > maxVirtual {
 				return true
 			}
 		}
