@@ -91,11 +91,9 @@ func main() {
 		sbr6.WithDuration(*duration),
 		sbr6.WithRadioRange(*rng),
 	}
-	if *stagger < 0 {
-		fmt.Fprintf(os.Stderr, "manetsim: -stagger %v must not be negative\n", *stagger)
-		os.Exit(2)
-	}
-	if *stagger > 0 {
+	// A flag left at 0 keeps its option's default; any other value goes to
+	// the option, whose refusal exits 2 like every NewScenario error.
+	if *stagger != 0 {
 		opts = append(opts, sbr6.WithBootStagger(*stagger))
 	}
 	switch *bootPolicy {
@@ -107,11 +105,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "manetsim: -boot %q must be serial or percell\n", *bootPolicy)
 		os.Exit(2)
 	}
-	if *auditEvery < 0 {
-		fmt.Fprintf(os.Stderr, "manetsim: -audit %v must not be negative\n", *auditEvery)
-		os.Exit(2)
-	}
-	if *auditEvery > 0 {
+	if *auditEvery != 0 {
 		opts = append(opts, sbr6.WithAuditSweep(*auditEvery))
 	}
 	if *shards != 0 {
@@ -121,18 +115,18 @@ func main() {
 		opts = append(opts, sbr6.WithBaseline())
 	}
 	opts = append(opts, sbr6.WithCredits(*secure && *credits))
-	if *area > 0 {
+	if *area != 0 {
 		opts = append(opts, sbr6.WithArea(*area, *area), sbr6.WithPlacement(sbr6.PlaceUniform))
 	} else {
 		opts = append(opts, sbr6.WithPlacement(sbr6.PlaceGrid)) // area auto-sizes to 200 m cells
 	}
-	if *loss > 0 {
+	if *loss != 0 {
 		opts = append(opts, sbr6.WithLoss(*loss))
 	}
 	if *waypoint {
 		opts = append(opts, sbr6.WithMobility(sbr6.Mobility{MinSpeed: 1, MaxSpeed: *speed, Pause: 2 * time.Second}))
 	}
-	if *windows > 0 {
+	if *windows != 0 {
 		opts = append(opts, sbr6.WithWindows(*windows))
 	}
 

@@ -69,6 +69,25 @@
 // across static, mobile and adversarial scenarios, seeds and shard
 // counts.
 //
+// One rule bounds a configuration: NewScenario, the internal
+// scenario.Build and Resume each fill the zero fields that have defaults
+// with scenario.Defaults (boot stagger, line spacing, region count,
+// flood-cache bound, window size, cooldown) and then apply
+// scenario.Validate, so every session NewScenario accepts resumes from
+// its own snapshot, and a hand-edited snapshot NewScenario could not have
+// produced is refused. The bounds: 2 to 2^20 nodes; a finite, positive
+// area; a known placement and boot policy; a finite, non-negative spacing
+// and radio range; a bitrate of 0 (instantaneous) or 1 to 1e12 b/s; a
+// loss rate in [0, 1); finite speeds with MinSpeed at most MaxSpeed, and
+// MaxSpeed above 0 when nodes move; every duration between 0 and one year
+// of virtual time (scenario.MaxVirtual), with the DAD, discovery, ack and
+// resolve timeouts above 0; an audit period of 0 (off) or at least 1 ms;
+// a flood-cache bound of 0 (the default) or at least 256; an RERR
+// threshold of at least 1; at most 1024 regions; flow payloads of at most
+// 2^30 bytes; and names and preloads that are not empty and name
+// existing nodes. Each With* option also checks its own value first, so
+// its error names the option.
+//
 // The same Session API is exposed out-of-process by internal/daemon as
 // a JSON-RPC 2.0 control plane over newline-delimited frames on a TCP
 // or unix socket (manetsim -serve / -connect). All session access is

@@ -57,18 +57,6 @@ func (k Kind) String() string {
 	}
 }
 
-// ParseKind maps a CLI spelling to a Kind.
-func ParseKind(s string) (Kind, error) {
-	switch s {
-	case "serial":
-		return Serial, nil
-	case "percell":
-		return PerCell, nil
-	default:
-		return 0, fmt.Errorf("boot: unknown policy %q (want serial or percell)", s)
-	}
-}
-
 // Valid reports whether k names a built-in policy.
 func (k Kind) Valid() bool { return k == Serial || k == PerCell }
 

@@ -9,18 +9,11 @@ import (
 	"sbr6/internal/geom"
 )
 
-func TestKindRoundTrip(t *testing.T) {
+func TestKindValid(t *testing.T) {
 	for _, k := range []Kind{Serial, PerCell} {
-		got, err := ParseKind(k.String())
-		if err != nil || got != k {
-			t.Errorf("ParseKind(%q) = %v, %v", k.String(), got, err)
-		}
 		if !k.Valid() {
 			t.Errorf("%v not Valid", k)
 		}
-	}
-	if _, err := ParseKind("nope"); err == nil {
-		t.Error("ParseKind accepted garbage")
 	}
 	if Kind(42).Valid() {
 		t.Error("Kind(42) reported valid")

@@ -206,17 +206,9 @@ type Live struct {
 }
 
 // NewLive wraps a built (not yet run) scenario. The window size comes
-// from Cfg.WindowSize, one second when unset; the cooldown, one window
-// when unset, bounds how long a packet may stay in flight and sets the
-// emission lag. Both defaults are written back into Cfg, where a session
-// snapshot reads them.
+// from Cfg.WindowSize; the cooldown bounds how long a packet may stay in
+// flight and sets the emission lag. Build filled both with Defaults.
 func NewLive(sc *Scenario) *Live {
-	if sc.Cfg.WindowSize <= 0 {
-		sc.Cfg.WindowSize = time.Second
-	}
-	if sc.Cfg.Cooldown <= 0 {
-		sc.Cfg.Cooldown = sc.Cfg.WindowSize
-	}
 	lv := &Live{
 		sc:        sc,
 		w:         sc.Cfg.WindowSize,

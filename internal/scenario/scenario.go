@@ -141,7 +141,8 @@ type Config struct {
 	// Duration is the measurement window: flows send only before it ends,
 	// and Live.Run measures ⌈Duration/WindowSize⌉ windows.
 	Duration time.Duration
-	// Cooldown lets in-flight packets land after the last send.
+	// Cooldown lets in-flight packets land after the last send (one
+	// window when 0).
 	Cooldown time.Duration
 
 	Flows []Flow
@@ -149,13 +150,12 @@ type Config struct {
 	// WindowSize buckets sent/delivered counts into consecutive windows of
 	// the measurement phase, so experiments can plot convergence over time
 	// (e.g. credits learning around a black hole); it is also the step a
-	// Live session advances by. NewLive defaults it to one second.
+	// Live session advances by. Defaults sets it to one second.
 	WindowSize time.Duration
 
 	// Shards is the region count of the simulation engine
-	// (internal/shard); Build turns values below 1 into one region.
-	// Results are byte-identical at every count, so it changes only wall
-	// time.
+	// (internal/shard); Defaults turns 0 into one region. Results are
+	// byte-identical at every count, so it changes only wall time.
 	Shards int
 }
 
@@ -181,38 +181,135 @@ func DefaultConfig() Config {
 // returns, so callers can distinguish bad input from build failures.
 var ErrConfig = errors.New("invalid configuration")
 
-// Validate checks the parts of a Config that would otherwise surface as
-// runtime panics or silent misbehavior. Build calls it; the public facade
-// calls it eagerly at option-application time.
+// MaxVirtual is the longest span of virtual time a Config may name: a
+// duration near the int64 horizon overflows when added to the clock,
+// scheduling events "in the past" that re-execute forever. A year of
+// virtual time is beyond any plausible run.
+const MaxVirtual = 365 * 24 * time.Hour
+
+// Defaults returns cfg with a value in every zero field that has a
+// default: the boot stagger (the DAD timeout plus a margin, so earlier
+// nodes can relay for later ones), the PlaceLine spacing (200 m), the
+// engine's region count (one), the flood-cache bound (four slots per
+// node, at least 4096), the window size (one second) and the cooldown
+// (one window). It changes nothing else, so it is idempotent, and
+// Validate accepts zero exactly in these fields.
+func Defaults(cfg Config) Config {
+	if cfg.BootStagger == 0 {
+		cfg.BootStagger = cfg.Protocol.DAD.Timeout + 200*time.Millisecond
+	}
+	if cfg.Spacing == 0 {
+		cfg.Spacing = 200
+	}
+	if cfg.Shards == 0 {
+		cfg.Shards = 1
+	}
+	// Scale the per-node duplicate-flood suppression sets with the
+	// network: during a 10k-node bootstrap more than 4096 flood ids are
+	// in flight, and a FIFO seen-set smaller than the working set forgets
+	// ids while their copies still circulate — every late copy is then
+	// re-processed, re-verified and re-broadcast. Four slots per node
+	// keeps DAD and discovery floods deduplicated at any N; below ~1000
+	// nodes this leaves the historical 4096 unchanged.
+	if cfg.Protocol.FloodCache == 0 {
+		cfg.Protocol.FloodCache = max(4*cfg.N, 4096)
+	}
+	if cfg.WindowSize == 0 {
+		cfg.WindowSize = time.Second
+	}
+	if cfg.Cooldown == 0 {
+		cfg.Cooldown = cfg.WindowSize
+	}
+	return cfg
+}
+
+// Validate is the one rule that bounds a Config. NewScenario, Build and
+// Resume each apply it to the config Defaults completes, so a session one
+// of them accepts the others accept too. It refuses what would otherwise
+// surface as a panic, a hang, exhausted memory or silent misbehaviour.
 func Validate(cfg Config) error {
-	if cfg.N < 2 {
+	bad := func(f float64) bool { return math.IsNaN(f) || math.IsInf(f, 0) }
+	r, m, p, frac := cfg.Radio, cfg.Mobility, cfg.Protocol, cfg.BootCellFraction
+	switch {
+	case cfg.N < 2:
 		return fmt.Errorf("scenario: need at least 2 nodes, got %d: %w", cfg.N, ErrConfig)
-	}
-	if !cfg.Boot.Valid() {
+	case cfg.N > 1<<20:
+		return fmt.Errorf("scenario: node count %d above %d: %w", cfg.N, 1<<20, ErrConfig)
+	case !cfg.Boot.Valid():
 		return fmt.Errorf("scenario: unknown boot policy %d: %w", int(cfg.Boot), ErrConfig)
+	case frac != 0 && (math.IsNaN(frac) || frac <= 0 || frac > boot.MaxCellFraction):
+		return fmt.Errorf("scenario: boot cell fraction %g outside (0, %g]: %w", frac, boot.MaxCellFraction, ErrConfig)
+	case bad(cfg.Area.W) || bad(cfg.Area.H) || cfg.Area.W <= 0 || cfg.Area.H <= 0:
+		return fmt.Errorf("scenario: area %gx%g must be positive and finite: %w", cfg.Area.W, cfg.Area.H, ErrConfig)
+	case cfg.Placement < PlaceUniform || cfg.Placement > PlaceLine:
+		return fmt.Errorf("scenario: unknown placement %d: %w", cfg.Placement, ErrConfig)
+	case bad(cfg.Spacing) || cfg.Spacing < 0:
+		return fmt.Errorf("scenario: spacing %g must be finite and not negative: %w", cfg.Spacing, ErrConfig)
+	case bad(m.MinSpeed) || bad(m.MaxSpeed) || m.MinSpeed < 0 || m.MinSpeed > m.MaxSpeed ||
+		(m.Waypoint || m.Walk) && m.MaxSpeed <= 0:
+		return fmt.Errorf("scenario: mobility spec speeds [%g, %g] m/s must be finite, ordered, and positive when nodes move: %w",
+			m.MinSpeed, m.MaxSpeed, ErrConfig)
+	case bad(r.Range) || r.Range < 0:
+		return fmt.Errorf("scenario: radio range %g must be finite and not negative: %w", r.Range, ErrConfig)
+	case bad(r.BitrateBps) || r.BitrateBps != 0 && (r.BitrateBps < 1 || r.BitrateBps > 1e12):
+		return fmt.Errorf("scenario: radio bitrate %g outside 0 (instantaneous) or [1, 1e12] b/s: %w", r.BitrateBps, ErrConfig)
+	case math.IsNaN(r.LossRate) || r.LossRate < 0 || r.LossRate >= 1:
+		return fmt.Errorf("scenario: loss rate %g outside [0,1): %w", r.LossRate, ErrConfig)
+	// An undersized dedup set thrashes: floods are re-accepted and
+	// re-broadcast every time their entry is evicted, and the storm
+	// compounds across nodes.
+	case p.FloodCache != 0 && p.FloodCache < 256:
+		return fmt.Errorf("scenario: flood cache bound %d below 256 invites broadcast storms: %w", p.FloodCache, ErrConfig)
+	// A sub-millisecond audit period schedules millions of signed
+	// re-advertisements per virtual second — not a hang, but
+	// indistinguishable from one.
+	case p.Audit.Period != 0 && p.Audit.Period < time.Millisecond:
+		return fmt.Errorf("scenario: audit period %v is neither 0 (off) nor at least 1ms: %w", p.Audit.Period, ErrConfig)
+	case p.RERRThreshold < 1:
+		return fmt.Errorf("scenario: RERR threshold %d below 1: %w", p.RERRThreshold, ErrConfig)
+	case cfg.Shards < 0 || cfg.Shards > 1<<10:
+		return fmt.Errorf("scenario: shard count %d outside [0, %d]: %w", cfg.Shards, 1<<10, ErrConfig)
 	}
-	if f := cfg.BootCellFraction; f != 0 {
-		if math.IsNaN(f) || f <= 0 || f > boot.MaxCellFraction {
-			return fmt.Errorf("scenario: boot cell fraction %g outside (0, %g]: %w", f, boot.MaxCellFraction, ErrConfig)
+	for _, d := range [...]struct {
+		name  string
+		d, lo time.Duration
+	}{
+		{"boot stagger", cfg.BootStagger, 0},
+		{"warmup", cfg.Warmup, 0},
+		{"duration", cfg.Duration, 0},
+		{"cooldown", cfg.Cooldown, 0},
+		{"window size", cfg.WindowSize, 0},
+		{"partition join offset", cfg.Partition.JoinAt, 0},
+		{"mobility pause", m.Pause, 0},
+		{"walk epoch", m.Epoch, 0},
+		{"radio propagation delay", r.PropDelay, 0},
+		{"radio broadcast jitter", r.BroadcastJitter, 0},
+		{"radio queue delay", r.MaxQueueDelay, 0},
+		{"DAD timeout", p.DAD.Timeout, 1},
+		{"discovery timeout", p.DiscoveryTimeout, 1},
+		{"ack timeout", p.AckTimeout, 1},
+		{"resolve timeout", p.ResolveTimeout, 1},
+		{"route TTL", p.RouteTTL, 0},
+		{"RERR window", p.RERRWindow, 0},
+		{"audit period", p.Audit.Period, 0},
+		{"DNS commit delay", cfg.DNS.CommitDelay, 0},
+	} {
+		if d.d < d.lo || d.d > MaxVirtual {
+			return fmt.Errorf("scenario: %s %v outside [%v, %v]: %w", d.name, d.d, d.lo, MaxVirtual, ErrConfig)
 		}
-	}
-	if cfg.Protocol.Audit.Period < 0 {
-		return fmt.Errorf("scenario: negative audit period %v: %w", cfg.Protocol.Audit.Period, ErrConfig)
 	}
 	if p := cfg.Partition; p.Nodes != 0 {
 		switch {
 		case p.Nodes < 0 || p.Nodes >= cfg.N:
 			return fmt.Errorf("scenario: partition of %d nodes needs 1..%d (node 0 anchors the main cluster): %w",
 				p.Nodes, cfg.N-1, ErrConfig)
-		case p.Gap < 0 || math.IsNaN(p.Gap) || math.IsInf(p.Gap, 0):
+		case p.Gap < 0 || bad(p.Gap):
 			return fmt.Errorf("scenario: partition gap %g must be finite and not negative: %w", p.Gap, ErrConfig)
 		case p.Gap != 0 && p.Gap <= effectiveRange(cfg):
 			return fmt.Errorf("scenario: partition gap %g must exceed the radio range %g or be 0 for the default: %w",
 				p.Gap, effectiveRange(cfg), ErrConfig)
-		case p.Speed < 0 || math.IsNaN(p.Speed) || math.IsInf(p.Speed, 0):
+		case p.Speed < 0 || bad(p.Speed):
 			return fmt.Errorf("scenario: partition speed %g must be finite and not negative: %w", p.Speed, ErrConfig)
-		case p.JoinAt < 0:
-			return fmt.Errorf("scenario: negative partition join offset %v: %w", p.JoinAt, ErrConfig)
 		}
 	}
 	for i, f := range cfg.Flows {
@@ -229,6 +326,10 @@ func Validate(cfg Config) error {
 			return fmt.Errorf("scenario: flow %d: negative payload size %d: %w", i, f.Size, ErrConfig)
 		case f.Start < 0:
 			return fmt.Errorf("scenario: flow %d: negative start offset %v: %w", i, f.Start, ErrConfig)
+		case f.Interval > MaxVirtual || f.Start > MaxVirtual:
+			return fmt.Errorf("scenario: flow %d: interval %v or start %v past %v: %w", i, f.Interval, f.Start, MaxVirtual, ErrConfig)
+		case f.Size > 1<<30:
+			return fmt.Errorf("scenario: flow %d: payload size %d above %d: %w", i, f.Size, 1<<30, ErrConfig)
 		}
 	}
 	// Validation iterates map keys in sorted order so the FIRST invalid
@@ -242,13 +343,19 @@ func Validate(cfg Config) error {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		if idx := cfg.Preload[name]; idx < 0 || idx >= cfg.N {
+		switch idx := cfg.Preload[name]; {
+		case name == "":
+			return fmt.Errorf("scenario: empty preload name: %w", ErrConfig)
+		case idx < 0 || idx >= cfg.N:
 			return fmt.Errorf("scenario: preload %q references node %d: %w", name, idx, ErrConfig)
 		}
 	}
 	for _, idx := range sortedKeys(cfg.Names) {
-		if idx < 0 || idx >= cfg.N {
+		switch {
+		case idx < 0 || idx >= cfg.N:
 			return fmt.Errorf("scenario: name registration references node %d: %w", idx, ErrConfig)
+		case cfg.Names[idx] == "":
+			return fmt.Errorf("scenario: empty name for node %d: %w", idx, ErrConfig)
 		}
 	}
 	for _, idx := range sortedKeys(cfg.Behaviors) {
@@ -391,35 +498,11 @@ type FlowResult struct {
 }
 
 // Build constructs the network (deterministically from Cfg.Seed) without
-// running it.
+// running it. Its Cfg is cfg with Defaults applied.
 func Build(cfg Config) (*Scenario, error) {
+	cfg = Defaults(cfg)
 	if err := Validate(cfg); err != nil {
 		return nil, err
-	}
-	if cfg.BootStagger <= 0 {
-		cfg.BootStagger = cfg.Protocol.DAD.Timeout + 200*time.Millisecond
-		if cfg.BootStagger <= 200*time.Millisecond {
-			cfg.BootStagger = 3200 * time.Millisecond
-		}
-	}
-	if cfg.Spacing <= 0 {
-		cfg.Spacing = 200
-	}
-	if cfg.Shards < 1 {
-		cfg.Shards = 1
-	}
-	// Scale the per-node duplicate-flood suppression sets with the
-	// network: during a 10k-node bootstrap more than 4096 flood ids are
-	// in flight, and a FIFO seen-set smaller than the working set forgets
-	// ids while their copies still circulate — every late copy is then
-	// re-processed, re-verified and re-broadcast. Four slots per node
-	// keeps DAD and discovery floods deduplicated at any N; below ~1000
-	// nodes this leaves the historical 4096 unchanged.
-	if cfg.Protocol.FloodCache == 0 {
-		cfg.Protocol.FloodCache = 4 * cfg.N
-		if cfg.Protocol.FloodCache < 4096 {
-			cfg.Protocol.FloodCache = 4096
-		}
 	}
 
 	sc := &Scenario{
@@ -613,10 +696,8 @@ func (sc *Scenario) BootOffsets() []time.Duration {
 }
 
 // Bootstrap starts DAD per the admission policy's schedule and runs until
-// the last objection window closes (the horizon Build fixed; ObjectionWindow
-// is what the initiators actually arm, so a zero Timeout — the ndp default
-// in effect — still runs until the last window has closed). It returns how
-// many nodes configured successfully.
+// the last objection window closes (the horizon Build fixed). It returns
+// how many nodes configured successfully.
 func (sc *Scenario) Bootstrap() int {
 	configured, _ := sc.bootstrap(context.TODO())
 	return configured

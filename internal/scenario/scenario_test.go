@@ -65,6 +65,52 @@ func TestBuildValidation(t *testing.T) {
 	}
 }
 
+// TestDefaultsFillWhatValidateLeavesZero: Validate accepts zero in exactly
+// the fields Defaults fills and refuses a negative value there, and
+// Defaults fills the values Build and NewLive always used, changes no
+// other field and is idempotent.
+func TestDefaultsFillWhatValidateLeavesZero(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Cooldown = 0
+	if err := Validate(cfg); err != nil {
+		t.Fatalf("zero defaulted fields refused: %v", err)
+	}
+	want := cfg
+	want.BootStagger = cfg.Protocol.DAD.Timeout + 200*time.Millisecond
+	want.Spacing = 200
+	want.Shards = 1
+	want.Protocol.FloodCache = 4096
+	want.WindowSize = time.Second
+	want.Cooldown = time.Second
+	got := Defaults(cfg)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Defaults:\n got %+v\nwant %+v", got, want)
+	}
+	if again := Defaults(got); !reflect.DeepEqual(again, got) {
+		t.Fatalf("Defaults is not idempotent:\n once  %+v\n twice %+v", got, again)
+	}
+	if big := (Config{N: 5000}); Defaults(big).Protocol.FloodCache != 20000 {
+		t.Fatalf("flood cache for 5000 nodes = %d, want four slots per node", Defaults(big).Protocol.FloodCache)
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"boot stagger", func(c *Config) { c.BootStagger = -time.Second }},
+		{"spacing", func(c *Config) { c.Spacing = -1 }},
+		{"shard count", func(c *Config) { c.Shards = -1 }},
+		{"flood cache", func(c *Config) { c.Protocol.FloodCache = -1 }},
+		{"window size", func(c *Config) { c.WindowSize = -time.Second }},
+		{"cooldown", func(c *Config) { c.Cooldown = -time.Second }},
+	} {
+		c := DefaultConfig()
+		tc.mutate(&c)
+		if err := Validate(Defaults(c)); !errors.Is(err, ErrConfig) || !strings.Contains(err.Error(), tc.name) {
+			t.Errorf("negative %s: err = %v, want an ErrConfig naming it", tc.name, err)
+		}
+	}
+}
+
 // TestBootstrapPerCellConfiguresAll mirrors TestBootstrapConfiguresAll
 // under the concurrent admission policy: same fully-addressed, unique
 // outcome, a fraction of the virtual time.

@@ -84,7 +84,7 @@ type Mobility struct {
 // Radio parameterizes the shared wireless medium.
 type Radio struct {
 	Range           float64       // unit-disk reception radius in metres
-	BitrateBps      float64       // transmission serialization rate; <=0 means instantaneous
+	BitrateBps      float64       // transmission serialization rate in [1, 1e12] b/s; 0 means instantaneous
 	LossRate        float64       // independent per-receiver frame loss probability [0,1)
 	PropDelay       time.Duration // fixed propagation + processing latency
 	BroadcastJitter time.Duration // uniform random delay before any transmission
@@ -146,11 +146,14 @@ func (s *Scenario) emitTap(ev TapEvent) {
 type Option func(*Scenario) error
 
 // NewScenario validates opts eagerly and compiles them into an executable
-// scenario. Defaults (before any option): 25 static nodes on a uniform
-// 1000x1000 m area, the secure protocol with every defense enabled, the
-// default radio, seed 1, a 2 s warmup, 30 s measurement window and 5 s
-// cooldown, and no traffic flows. Node 0 is always the DNS server, the
-// network's single trust anchor.
+// scenario. Each option checks its own value, and the finished
+// configuration must pass the one rule Resume applies to a snapshot (see
+// "Snapshots and daemon mode" in the package doc), so every session the
+// scenario serves can be resumed. Defaults (before any option): 25 static
+// nodes on a uniform 1000x1000 m area, the secure protocol with every
+// defense enabled, the default radio, seed 1, a 2 s warmup, 30 s
+// measurement window and 5 s cooldown, and no traffic flows. Node 0 is
+// always the DNS server, the network's single trust anchor.
 func NewScenario(opts ...Option) (*Scenario, error) {
 	base := scenario.DefaultConfig()
 	base.Flows = nil
@@ -166,6 +169,7 @@ func NewScenario(opts ...Option) (*Scenario, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
+	// Validate bounded the node count, and a grid-sized area passes it.
 	if !s.areaSet && s.cfg.Placement == scenario.PlaceGrid {
 		side := gridSide(s.cfg.N)
 		s.cfg.Area = geom.Rect{W: 200 * float64(side), H: 200 * float64(side)}
@@ -173,12 +177,12 @@ func NewScenario(opts ...Option) (*Scenario, error) {
 	return s, nil
 }
 
-// validate runs the cross-field checks that need every option applied.
-// The checks shared with the internal harness (node count, flows, names,
-// preloads) live in scenario.Validate so the two layers cannot drift;
-// only the adversary checks are facade concepts validated here.
+// validate runs the checks that need every option applied: the
+// configuration, with its defaults filled, goes through scenario.Validate
+// — the rule Build and Resume apply too — and the adversaries, a facade
+// concept, are checked here.
 func (s *Scenario) validate() error {
-	cfg := s.cfg
+	cfg := scenario.Defaults(s.cfg)
 	if err := scenario.Validate(cfg); err != nil {
 		return fmt.Errorf("%w: %w", ErrOption, err)
 	}
@@ -530,11 +534,6 @@ func WithRERRThreshold(n int) Option {
 // already declared. Each replicate of a batch gets fresh adversary state.
 func WithAdversaries(advs ...Adversary) Option {
 	return func(s *Scenario) error {
-		for i, a := range advs {
-			if a.build == nil {
-				return fmt.Errorf("WithAdversaries: adversary %d is a zero-value Adversary (use a constructor): %w", i, ErrOption)
-			}
-		}
 		s.advs = append(s.advs, advs...)
 		return nil
 	}

@@ -426,6 +426,9 @@ func TestResumeRejectsGarbage(t *testing.T) {
 		// before any replay starts.
 		{"windows past a year", bytes.Replace(good, []byte(`"windows":1`), []byte(`"windows":1099511627776`), 1), "window count 1099511627776"},
 		{"digest tampered", bytes.Replace(good, []byte(`"digest":"`), []byte(`"digest":"00`), 1), "state digest mismatch"},
+		// WithMobility refuses a minimum speed above the maximum, and so
+		// must Resume, though a static session never reads the speeds.
+		{"min speed above max", bytes.Replace(good, []byte(`"MinSpeed":0,"MaxSpeed":0`), []byte(`"MinSpeed":5,"MaxSpeed":1`), 1), "mobility spec"},
 		{"unknown journal op", bytes.Replace(good, []byte(`"windows":`),
 			[]byte(`"journal":[{"window":0,"kind":"explode","index":1}],"windows":`), 1), `unknown journal op "explode"`},
 	}
@@ -455,6 +458,125 @@ func TestResumeRejectsGarbage(t *testing.T) {
 	// The untampered bytes must still resume.
 	if _, err := sbr6.Resume(good); err != nil {
 		t.Fatalf("Resume of a genuine snapshot failed: %v", err)
+	}
+}
+
+// TestResumeFillsZeroWindow: a snapshot whose WindowSize was zeroed by
+// hand gets the default a session without WithWindows gets, one second,
+// so a 1 s session's snapshot resumes to the same state with it zeroed.
+// Resume must fill the default before it divides by the window size to
+// bound the replay.
+func TestResumeFillsZeroWindow(t *testing.T) {
+	sess, err := sbr6.Serve(fastSpec(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Advance(2); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := sess.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	zeroed := bytes.Replace(snap, []byte(`"WindowSize":1000000000,`), []byte(`"WindowSize":0,`), 1)
+	if bytes.Equal(zeroed, snap) {
+		t.Fatalf("the snapshot holds no one-second WindowSize: %.300s", snap)
+	}
+	resumed, err := sbr6.Resume(zeroed)
+	if err != nil {
+		t.Fatalf("Resume with a zero WindowSize: %v", err)
+	}
+	want, got := sess.Query(), resumed.Query()
+	if want.Sent == 0 {
+		t.Fatal("degenerate session: no traffic sent")
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("resumed results diverge:\n session: %v\n resumed: %v", want, got)
+	}
+}
+
+// TestConfigRuleAgrees holds NewScenario and Resume to one rule: a
+// configuration Resume would refuse, NewScenario refuses, and a session
+// of every legal edge case resumes from its own snapshot to the same
+// results.
+func TestConfigRuleAgrees(t *testing.T) {
+	const twoYears = 2 * 365 * 24 * time.Hour
+	radio := func(edit func(*sbr6.Radio)) sbr6.Option {
+		r := sbr6.DefaultRadio()
+		edit(&r)
+		return sbr6.WithRadio(r)
+	}
+	refused := []struct {
+		name string
+		opt  sbr6.Option
+	}{
+		{"negative propagation delay", radio(func(r *sbr6.Radio) { r.PropDelay = -time.Microsecond })},
+		{"negative broadcast jitter", radio(func(r *sbr6.Radio) { r.BroadcastJitter = -time.Millisecond })},
+		{"negative bitrate", radio(func(r *sbr6.Radio) { r.BitrateBps = -1 })},
+		{"half a bit per second", radio(func(r *sbr6.Radio) { r.BitrateBps = 0.5 })},
+		{"sub-millisecond audit period", sbr6.WithAuditSweep(500 * time.Microsecond)},
+		{"two-year duration", sbr6.WithDuration(twoYears)},
+		{"two-year walk pause", sbr6.WithMobility(sbr6.Mobility{MaxSpeed: 1, Walk: true, Pause: twoYears})},
+		{"1025 shards", sbr6.WithShards(1025)},
+		// The option is in bounds, but the default stagger it implies,
+		// the DAD timeout plus 200 ms, is not.
+		{"year-long DAD timeout", sbr6.WithDADTimeout(365 * 24 * time.Hour)},
+	}
+	for _, tc := range refused {
+		t.Run("refused/"+tc.name, func(t *testing.T) {
+			if _, err := sbr6.NewScenario(tc.opt); !errors.Is(err, sbr6.ErrOption) {
+				t.Fatalf("NewScenario: err = %v, want one wrapping ErrOption", err)
+			}
+		})
+	}
+
+	legal := []struct {
+		name string
+		opts []sbr6.Option
+	}{
+		{"1 ms audit period", []sbr6.Option{sbr6.WithAuditSweep(time.Millisecond)}},
+		{"64 shards", []sbr6.Option{sbr6.WithShards(64)}},
+		{"line placement", []sbr6.Option{sbr6.WithPlacement(sbr6.PlaceLine), sbr6.WithSpacing(150)}},
+		{"walk mobility", []sbr6.Option{sbr6.WithMobility(sbr6.Mobility{MaxSpeed: 2, Walk: true})}},
+		{"instantaneous radio", []sbr6.Option{radio(func(r *sbr6.Radio) { r.BitrateBps = 0 })}},
+	}
+	for _, tc := range legal {
+		t.Run("resumes/"+tc.name, func(t *testing.T) {
+			sc, err := sbr6.NewScenario(append([]sbr6.Option{
+				sbr6.WithNodes(6),
+				sbr6.WithArea(400, 400),
+				sbr6.WithFastTimers(),
+				sbr6.WithWarmup(200 * time.Millisecond),
+				sbr6.WithWindows(500 * time.Millisecond),
+				sbr6.WithCooldown(500 * time.Millisecond),
+				sbr6.WithFlows(sbr6.Flow{From: 1, To: 2, Interval: 100 * time.Millisecond, Size: 32}),
+			}, tc.opts...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess, err := sbr6.Serve(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sess.Advance(1); err != nil {
+				t.Fatal(err)
+			}
+			snap, err := sess.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			resumed, err := sbr6.Resume(snap)
+			if err != nil {
+				t.Fatalf("Resume of the session's own snapshot: %v", err)
+			}
+			want, got := sess.Query(), resumed.Query()
+			if want.Sent == 0 {
+				t.Fatal("degenerate session: no traffic sent")
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("resumed results diverge:\n session: %v\n resumed: %v", want, got)
+			}
+		})
 	}
 }
 

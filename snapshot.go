@@ -5,9 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"strconv"
-	"time"
 
 	"sbr6/internal/scenario"
 )
@@ -95,7 +93,10 @@ func (s *Session) Snapshot() ([]byte, error) {
 // original barrier. Replayed windows are not re-emitted to Stream. The
 // replayed state digest must match the stored one — a mismatch means the
 // snapshot does not describe this build's deterministic run and is
-// rejected. Taps and observers are not restored.
+// rejected. The stored configuration must pass the rule NewScenario
+// applies, so a session's own snapshot is refused only once its warmup
+// and windows span more than a year of virtual time. Taps and observers
+// are not restored.
 func Resume(data []byte) (*Session, error) {
 	var snap snapshotFile
 	if err := json.Unmarshal(data, &snap); err != nil {
@@ -107,17 +108,8 @@ func Resume(data []byte) (*Session, error) {
 	if snap.Windows < 0 {
 		return nil, fmt.Errorf("%w: negative window count %d", ErrSnapshot, snap.Windows)
 	}
-	cfg := snap.Config
+	cfg := scenario.Defaults(snap.Config)
 	cfg.Behaviors = nil
-	if err := snapshotSane(cfg); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrSnapshot, err)
-	}
-	// The replay runs every window, so a count past the virtual-time
-	// ceiling is refused before it starts. Warmup and WindowSize passed
-	// snapshotSane, so neither the difference nor the quotient overflows.
-	if int64(snap.Windows) > int64((maxVirtual-cfg.Warmup)/cfg.WindowSize) {
-		return nil, fmt.Errorf("%w: window count %d runs past %v of virtual time", ErrSnapshot, snap.Windows, maxVirtual)
-	}
 	spec := &Scenario{cfg: cfg, areaSet: true}
 	for _, d := range snap.Adversaries {
 		a, err := adversaryFromDescriptor(d)
@@ -128,6 +120,13 @@ func Resume(data []byte) (*Session, error) {
 	}
 	if err := spec.validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrSnapshot, err)
+	}
+	// The replay runs every window, so a count past the virtual-time
+	// ceiling is refused before it starts. Validate bounded Warmup by the
+	// ceiling and WindowSize is positive once defaulted, so neither the
+	// difference nor the quotient overflows.
+	if int64(snap.Windows) > int64((scenario.MaxVirtual-cfg.Warmup)/cfg.WindowSize) {
+		return nil, fmt.Errorf("%w: window count %d runs past %v of virtual time", ErrSnapshot, snap.Windows, scenario.MaxVirtual)
 	}
 
 	sess, err := newSession(spec, cfg.Seed)
@@ -177,90 +176,4 @@ func Resume(data []byte) (*Session, error) {
 		sess.record(op)
 	}
 	return sess, nil
-}
-
-// maxVirtual is the virtual-time ceiling a snapshot must stay under: a
-// duration near the int64 horizon overflows when added to the clock,
-// scheduling events "in the past" that re-execute forever. A year of
-// virtual time is beyond any plausible run; anything larger is
-// corruption.
-const maxVirtual = 365 * 24 * time.Hour
-
-// snapshotSane rejects numeric garbage a hand-edited or corrupted
-// snapshot could smuggle past scenario.Validate — values that would make
-// the rebuild panic, hang or exhaust memory rather than fail cleanly.
-// The public options enforce the same bounds at construction time, so a
-// snapshot written by Snapshot always passes.
-func snapshotSane(cfg scenario.Config) error {
-	bad := func(f float64) bool { return math.IsNaN(f) || math.IsInf(f, 0) }
-	long := func(ds ...time.Duration) bool {
-		for _, d := range ds {
-			if d > maxVirtual {
-				return true
-			}
-		}
-		return false
-	}
-	r := cfg.Radio
-	switch {
-	case cfg.N > 1<<20:
-		return fmt.Errorf("implausible node count %d", cfg.N)
-	case bad(cfg.Area.W) || bad(cfg.Area.H) || cfg.Area.W <= 0 || cfg.Area.H <= 0:
-		return fmt.Errorf("area %gx%g must be positive and finite", cfg.Area.W, cfg.Area.H)
-	case cfg.Placement < scenario.PlaceUniform || cfg.Placement > scenario.PlaceLine:
-		return fmt.Errorf("unknown placement %d", cfg.Placement)
-	case bad(cfg.Spacing) || cfg.Spacing < 0:
-		return fmt.Errorf("spacing %g must be finite and not negative", cfg.Spacing)
-	case bad(r.Range) || r.Range < 0:
-		return fmt.Errorf("radio range %g must be finite and not negative", r.Range)
-	case bad(r.BitrateBps), r.BitrateBps != 0 && (r.BitrateBps < 1 || r.BitrateBps > 1e12):
-		return fmt.Errorf("radio bitrate %g outside 0 (instantaneous) or [1, 1e12] b/s", r.BitrateBps)
-	case math.IsNaN(r.LossRate) || r.LossRate < 0 || r.LossRate >= 1:
-		return fmt.Errorf("loss rate %g outside [0,1)", r.LossRate)
-	case r.PropDelay < 0 || r.BroadcastJitter < 0 || r.MaxQueueDelay < 0:
-		return fmt.Errorf("negative radio delay")
-	case long(r.PropDelay, r.BroadcastJitter, r.MaxQueueDelay):
-		return fmt.Errorf("implausible radio delay")
-	case bad(cfg.Mobility.MinSpeed) || bad(cfg.Mobility.MaxSpeed) ||
-		cfg.Mobility.MinSpeed < 0 || cfg.Mobility.MaxSpeed < 0 ||
-		cfg.Mobility.Pause < 0 || cfg.Mobility.Epoch < 0 ||
-		long(cfg.Mobility.Pause, cfg.Mobility.Epoch):
-		return fmt.Errorf("invalid mobility spec")
-	case cfg.WindowSize <= 0 || cfg.Cooldown <= 0:
-		return fmt.Errorf("live session needs positive window size and cooldown")
-	case cfg.Warmup < 0 || cfg.BootStagger < 0 || cfg.Duration < 0:
-		return fmt.Errorf("negative phase duration")
-	case long(cfg.WindowSize, cfg.Cooldown, cfg.Warmup, cfg.BootStagger, cfg.Duration):
-		return fmt.Errorf("implausible phase duration")
-	case cfg.Protocol.DAD.Timeout <= 0 || cfg.Protocol.DiscoveryTimeout <= 0 ||
-		cfg.Protocol.AckTimeout <= 0 || cfg.Protocol.ResolveTimeout <= 0:
-		return fmt.Errorf("protocol timers must be positive")
-	case long(cfg.Protocol.DAD.Timeout, cfg.Protocol.DiscoveryTimeout,
-		cfg.Protocol.AckTimeout, cfg.Protocol.ResolveTimeout,
-		cfg.Protocol.RouteTTL, cfg.Protocol.RERRWindow,
-		cfg.Protocol.Audit.Period):
-		return fmt.Errorf("implausible protocol timer")
-	case cfg.Protocol.FloodCache < 0:
-		return fmt.Errorf("negative flood cache bound %d", cfg.Protocol.FloodCache)
-	// An undersized dedup set thrashes: floods are re-accepted and
-	// re-broadcast every time their entry is evicted, and the storm
-	// compounds across nodes. 0 selects the roomy auto-scaled default.
-	case cfg.Protocol.FloodCache != 0 && cfg.Protocol.FloodCache < 256:
-		return fmt.Errorf("flood cache bound %d invites broadcast storms", cfg.Protocol.FloodCache)
-	// A sub-millisecond audit period schedules millions of signed
-	// re-advertisements per virtual second — not a hang, but
-	// indistinguishable from one.
-	case cfg.Protocol.Audit.Period != 0 && cfg.Protocol.Audit.Period < time.Millisecond:
-		return fmt.Errorf("audit period %v is implausibly small", cfg.Protocol.Audit.Period)
-	case cfg.DNS.CommitDelay < 0:
-		return fmt.Errorf("negative DNS commit delay")
-	case cfg.Shards < 0 || cfg.Shards > 1<<10:
-		return fmt.Errorf("implausible shard count %d", cfg.Shards)
-	}
-	for i, f := range cfg.Flows {
-		if long(f.Interval, f.Start) || f.Size > 1<<30 {
-			return fmt.Errorf("flow %d: implausible interval, start or size", i)
-		}
-	}
-	return nil
 }
