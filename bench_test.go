@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -591,5 +592,59 @@ func BenchmarkSessionQuery(b *testing.B) {
 		if sess.Query() == nil {
 			b.Fatal("Query returned nil")
 		}
+	}
+}
+
+// --- set-up under motion ---
+
+// BenchmarkServeMobile600 times NewScenario and Serve, the set-up, of a
+// session in perfbench mobile's shape: 600 nodes placed uniformly on a
+// 125·√n m square and walking at up to 5 m/s, on 2 shards, per-cell boot at
+// a 500 ms stagger, fast timers, 20 flows at 250 ms, 3 black holes and a
+// RERR spammer, in 1 s windows. Every op builds a fresh network from its
+// own seed. Serve runs CGA keygen, secure DAD and formation while the
+// nodes move, so the broadcast fan-out of a moving medium does most of
+// the work.
+func BenchmarkServeMobile600(b *testing.B) {
+	const n = 600
+	side := 125 * math.Sqrt(n)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		seed := int64(i + 1)
+		rng := rand.New(rand.NewSource(seed))
+		perm := rng.Perm(n - 1) // node 0 is the DNS anchor
+		take := func() int { v := perm[0] + 1; perm = perm[1:]; return v }
+		flows := make([]Flow, 20)
+		for f := range flows {
+			flows[f] = Flow{From: take(), To: take(), Interval: 250 * time.Millisecond, Size: 64,
+				Start: time.Duration(rng.Int63n(int64(250 * time.Millisecond)))}
+		}
+		advs := []Adversary{BlackHole(take()), BlackHole(take()), BlackHole(take()), RERRSpammer(take())}
+		sc, err := NewScenario(
+			WithSeed(seed),
+			WithNodes(n),
+			WithArea(side, side),
+			WithPlacement(PlaceUniform),
+			WithFastTimers(),
+			WithBootPolicy(BootPerCell),
+			WithBootStagger(500*time.Millisecond),
+			WithWindows(time.Second),
+			WithCooldown(time.Second),
+			WithShards(2),
+			WithMobility(Mobility{MaxSpeed: 5, Walk: true}),
+			WithFlows(flows...),
+			WithAdversaries(advs...),
+		)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sess, err := Serve(sc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got := sess.Configured(); got != n {
+			b.Fatalf("seed %d: %d of %d nodes configured", seed, got, n)
+		}
+		sess.Close()
 	}
 }

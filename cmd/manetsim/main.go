@@ -24,6 +24,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"time"
@@ -147,10 +148,13 @@ func main() {
 	}
 	opts = append(opts, sbr6.WithFlows(flowList...))
 
-	// Adversary placement: attackers occupy central grid positions.
+	// Adversary placement: attackers occupy central grid positions. The
+	// grid's side is ⌈√n⌉ in floating point, exact for every count
+	// NewScenario accepts; squaring candidate sides would overflow, and
+	// spin, on a count near the int range before NewScenario refuses it.
 	side := 1
-	for side*side < *n {
-		side++
+	if *n > 1 {
+		side = int(math.Ceil(math.Sqrt(float64(*n))))
 	}
 	mid := (side/2)*side + side/2
 	var advs []sbr6.Adversary

@@ -98,19 +98,24 @@
 // # Medium indexing and scale
 //
 // The radio medium resolves receivers through a uniform spatial hash grid:
-// a query visits only the cells around the transmitter, widened by how far
-// a mover may have drifted since it was last bucketed, and filters the
-// candidates by exact distance in attachment order. That keeps 1k-100k-node
-// scenarios affordable at every network size with one code path. A medium
-// with no movers — every node attached with speed bound 0 — walks the grid
-// once per transmitter instead: a broadcast fans out from the
-// transmitter's cached list of in-range ports, built at its first
-// broadcast and dropped whenever a node attaches or detaches within its
-// range; the down check and the loss draw stay per receiver. The medium's
-// tests hold the grid and the lists to a brute-force oracle — every pair
-// checked against the raw position functions — under motion, down toggles
-// and node churn. WithBootStagger shortens the serial DAD schedule that
-// otherwise dominates large bootstraps.
+// a query visits only the cells around a point, widened by how far a mover
+// may have drifted since it was last bucketed, and filters the candidates
+// by exact distance in attachment order. That keeps 1k-100k-node scenarios
+// affordable at every network size with one code path. A broadcast walks
+// the grid only to rebuild the transmitter's receiver list: the ports
+// within Range + 2s of it at the build, s a sixteenth of the range (0 with
+// no movers). The list serves until s / maxSpeed later, when no node has
+// drifted more than s, and forever on a medium with no movers, where it is
+// exact; attaches and detaches drop or edit only the lists they can
+// change. A broadcast fans out from the list, checking each candidate's
+// exact distance unless the list is exact; the down check and the loss
+// draw stay per receiver. Under the sharded engine every track is extended
+// to a run's deadline before the run, so regions read each other's tracks
+// without a lock. The medium's tests hold the grid and the lists to a
+// brute-force oracle — every pair checked against the raw position
+// functions — under motion, down toggles and node churn, with broadcasts
+// timed to the lists' lapse. WithBootStagger shortens the serial DAD
+// schedule that otherwise dominates large bootstraps.
 //
 // # The pooled wire path
 //

@@ -206,6 +206,10 @@ type Server struct {
 	cmds chan command
 	quit chan struct{}
 
+	// stopping is set by the shutdown method; Serve closes the server
+	// once the reply is written. Only the owner goroutine touches it.
+	stopping bool
+
 	closeOnce sync.Once
 }
 
@@ -243,6 +247,10 @@ func (s *Server) Serve(l net.Listener) error {
 		case cmd := <-s.cmds:
 			s.handle(cmd)
 			close(cmd.done)
+			if s.stopping {
+				s.Close()
+				return nil
+			}
 		case <-s.quit:
 			return nil
 		}
@@ -414,10 +422,9 @@ func (s *Server) dispatch(c *conn, req Request) (any, *Error) {
 		}
 		return json.RawMessage(snap), nil
 	case MethodShutdown:
-		// The response still goes out on this conn; the deferred Close
-		// runs after handle returns, from a goroutine so the owner loop
-		// can exit through s.quit.
-		go s.Close()
+		// Closing drops every connection, this one included, so Serve
+		// closes only after handle has written the reply.
+		s.stopping = true
 		return map[string]bool{"ok": true}, nil
 	default:
 		return nil, errf(CodeMethodNotFound, "unknown method %q", req.Method)

@@ -284,3 +284,34 @@ func TestDaemonMalformedFrames(t *testing.T) {
 	// The connection survives the garbage and still serves real calls.
 	c.mustCall("info", nil)
 }
+
+// TestDaemonShutdownReplies: the shutdown reply reaches the client before
+// the server drops the connection, on every one of 200 fresh servers.
+// Closing before the reply is written loses it, and the client reads EOF.
+func TestDaemonShutdownReplies(t *testing.T) {
+	sc, err := sbr6.NewScenario(sbr6.WithSeed(1), sbr6.WithNodes(2), sbr6.WithFastTimers())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		sess, err := sbr6.Serve(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, addr, errc := startServer(t, sess)
+		c := dialServer(t, addr)
+		res, _, rpcErr := c.call("shutdown", nil)
+		if rpcErr != nil || string(res) != `{"ok":true}` {
+			t.Fatalf("server %d: shutdown replied %s, %v", i, res, rpcErr)
+		}
+		select {
+		case err := <-errc:
+			if err != nil {
+				t.Fatalf("server %d: Serve returned %v after shutdown", i, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("server %d: Serve did not return after shutdown", i)
+		}
+		c.nc.Close()
+	}
+}

@@ -13,27 +13,59 @@ import "math"
 // the maximum drift since the last re-bucket, so pruning never loses a true
 // neighbour. Coordinates may be negative; cells extend over the whole plane.
 //
+// Occupied cells sit in one slice, found through an open-addressing index
+// keyed by cell coordinates, so looking a cell up is one multiply and a
+// short probe, with no Go map. Memory is bounded by the most cells held
+// occupied at once and by the largest id, never by the area the points
+// span. Ids are non-negative — attachment ordinals, node indices — and the
+// grid keeps one slot per id up to the largest it has stored.
+//
 // The zero value is not usable; call NewGrid.
 type Grid struct {
-	cell  float64
-	cells map[cellKey][]gridEntry
-	where map[int]gridSlot
+	cell float64
+	n    int // stored ids
+
+	// cells holds the occupied cells in no particular order. A cell that
+	// empties is swapped out past the end, keeping its bucket's capacity
+	// for the next cell that fills.
+	cells []gridCell
+	// index finds a cell in cells by key: linear probing from the key's
+	// hash, at most half full, with backward-shift deletion so no
+	// tombstone ever lengthens a probe.
+	index []indexSlot
+	shift uint // 64 - log2(len(index)): the hash keeps the top bits
+
+	where []gridSlot // by id
 }
 
 type cellKey struct{ ix, iy int32 }
+
+type gridCell struct {
+	key     cellKey
+	entries []gridEntry
+}
 
 type gridEntry struct {
 	id int
 	p  Point
 }
 
-// gridSlot remembers which bucket an id sits in and at which index, so Set
-// and Remove are O(1) via swap-removal.
-type gridSlot struct {
-	key cellKey
-	idx int
-	p   Point
+// indexSlot points a cell key at its place in cells.
+type indexSlot struct {
+	key  cellKey
+	cell int32 // position in cells + 1; 0 marks an empty slot
 }
+
+// gridSlot remembers which cell an id sits in and at which index of its
+// bucket, so Set and Remove are O(1) via swap-removal.
+type gridSlot struct {
+	cell int32 // position in cells + 1; 0 = id not stored
+	idx  int32
+	p    Point
+}
+
+// minIndexBits sizes the index of an empty grid: 1<<minIndexBits slots.
+const minIndexBits = 3
 
 // NewGrid returns an empty grid with the given cell side length in metres.
 // Non-positive cell sizes are clamped to 1.
@@ -41,89 +73,191 @@ func NewGrid(cell float64) *Grid {
 	if cell <= 0 || math.IsNaN(cell) || math.IsInf(cell, 0) {
 		cell = 1
 	}
-	return &Grid{
-		cell:  cell,
-		cells: make(map[cellKey][]gridEntry),
-		where: make(map[int]gridSlot),
-	}
+	return &Grid{cell: cell, index: make([]indexSlot, 1<<minIndexBits), shift: 64 - minIndexBits}
 }
 
 // Cell returns the grid's cell side length.
 func (g *Grid) Cell() float64 { return g.cell }
 
 // Len returns the number of stored ids.
-func (g *Grid) Len() int { return len(g.where) }
+func (g *Grid) Len() int { return g.n }
 
 // keyFor maps a point to its cell coordinates.
 func (g *Grid) keyFor(p Point) cellKey {
 	return cellKey{int32(math.Floor(p.X / g.cell)), int32(math.Floor(p.Y / g.cell))}
 }
 
+// home is the index slot a key's probe starts from (Fibonacci hashing of
+// the packed coordinates).
+func (g *Grid) home(k cellKey) int {
+	packed := uint64(uint32(k.ix))<<32 | uint64(uint32(k.iy))
+	return int((packed * 0x9E3779B97F4A7C15) >> g.shift)
+}
+
+// slotOf returns the index slot holding key k, or -1 when no cell has it.
+func (g *Grid) slotOf(k cellKey) int {
+	mask := len(g.index) - 1
+	for i := g.home(k); ; i = (i + 1) & mask {
+		switch s := &g.index[i]; {
+		case s.cell == 0:
+			return -1
+		case s.key == k:
+			return i
+		}
+	}
+}
+
+// find returns the position in cells of the cell with key k, or -1.
+func (g *Grid) find(k cellKey) int {
+	if i := g.slotOf(k); i >= 0 {
+		return int(g.index[i].cell) - 1
+	}
+	return -1
+}
+
+// place records that cell c has key k in the first free slot of k's probe.
+func (g *Grid) place(k cellKey, c int) {
+	mask := len(g.index) - 1
+	i := g.home(k)
+	for g.index[i].cell != 0 {
+		i = (i + 1) & mask
+	}
+	g.index[i] = indexSlot{key: k, cell: int32(c + 1)}
+}
+
+// addCell appends an empty cell with key k, reusing a spare bucket past
+// the end of cells when there is one, and returns its position.
+func (g *Grid) addCell(k cellKey) int {
+	c := len(g.cells)
+	if 2*(c+1) > len(g.index) {
+		g.index = make([]indexSlot, 2*len(g.index))
+		g.shift--
+		for i := range g.cells {
+			g.place(g.cells[i].key, i)
+		}
+	}
+	if c < cap(g.cells) {
+		g.cells = g.cells[:c+1]
+		g.cells[c].key = k
+	} else {
+		g.cells = append(g.cells, gridCell{key: k})
+	}
+	g.place(k, c)
+	return c
+}
+
+// dropCell deletes the empty cell at position c: its index slot goes by
+// backward shift, the last cell moves into its place, and its bucket
+// waits past the end for the next addCell.
+func (g *Grid) dropCell(c int) {
+	mask := len(g.index) - 1
+	i := g.slotOf(g.cells[c].key)
+	for j := (i + 1) & mask; g.index[j].cell != 0; j = (j + 1) & mask {
+		// The entry at j may fill the hole at i when i lies on its probe
+		// path, from its home up to j.
+		if (j-g.home(g.index[j].key))&mask >= (j-i)&mask {
+			g.index[i] = g.index[j]
+			i = j
+		}
+	}
+	g.index[i] = indexSlot{}
+
+	last := len(g.cells) - 1
+	spare := g.cells[c].entries[:0]
+	if c != last {
+		moved := g.cells[last]
+		g.cells[c] = moved
+		g.index[g.slotOf(moved.key)].cell = int32(c + 1)
+		for _, e := range moved.entries {
+			g.where[e.id].cell = int32(c + 1)
+		}
+	}
+	g.cells[last] = gridCell{entries: spare}
+	g.cells = g.cells[:last]
+}
+
 // Set inserts id at p, or moves it there if already stored. Moving within
-// the same cell only updates the snapshot position.
+// the same cell only updates the snapshot position. A negative id panics.
 func (g *Grid) Set(id int, p Point) {
+	if id < 0 {
+		panic("geom: negative grid id")
+	}
 	key := g.keyFor(p)
-	if slot, ok := g.where[id]; ok {
-		if slot.key == key {
-			g.cells[key][slot.idx].p = p
-			slot.p = p
-			g.where[id] = slot
+	if id >= len(g.where) {
+		g.where = append(g.where, make([]gridSlot, id+1-len(g.where))...)
+	}
+	if s := &g.where[id]; s.cell != 0 {
+		if c := &g.cells[s.cell-1]; c.key == key {
+			c.entries[s.idx].p = p
+			s.p = p
 			return
 		}
-		g.removeFromCell(slot)
+		g.unlink(id)
+	} else {
+		g.n++
 	}
-	bucket := g.cells[key]
-	g.where[id] = gridSlot{key: key, idx: len(bucket), p: p}
-	g.cells[key] = append(bucket, gridEntry{id: id, p: p})
+	c := g.find(key)
+	if c < 0 {
+		c = g.addCell(key)
+	}
+	cl := &g.cells[c]
+	g.where[id] = gridSlot{cell: int32(c + 1), idx: int32(len(cl.entries)), p: p}
+	cl.entries = append(cl.entries, gridEntry{id: id, p: p})
 }
 
 // Remove deletes id from the grid; unknown ids are a no-op.
 func (g *Grid) Remove(id int) {
-	slot, ok := g.where[id]
-	if !ok {
+	if id < 0 || id >= len(g.where) || g.where[id].cell == 0 {
 		return
 	}
-	g.removeFromCell(slot)
-	delete(g.where, id)
+	g.unlink(id)
+	g.where[id] = gridSlot{}
+	g.n--
 }
 
-// removeFromCell swap-removes the entry at slot from its bucket, fixing up
-// the moved entry's recorded index.
-func (g *Grid) removeFromCell(slot gridSlot) {
-	bucket := g.cells[slot.key]
+// unlink swap-removes a stored id from its bucket, fixing up the moved
+// entry's recorded index, and drops the cell if it empties.
+func (g *Grid) unlink(id int) {
+	s := g.where[id]
+	c := int(s.cell) - 1
+	bucket := g.cells[c].entries
 	last := len(bucket) - 1
-	if slot.idx != last {
+	if int(s.idx) != last {
 		moved := bucket[last]
-		bucket[slot.idx] = moved
-		ms := g.where[moved.id]
-		ms.idx = slot.idx
-		g.where[moved.id] = ms
+		bucket[s.idx] = moved
+		g.where[moved.id].idx = s.idx
 	}
-	bucket = bucket[:last]
-	if len(bucket) == 0 {
-		delete(g.cells, slot.key)
-	} else {
-		g.cells[slot.key] = bucket
+	g.cells[c].entries = bucket[:last]
+	if last == 0 {
+		g.dropCell(c)
 	}
 }
 
 // At returns the stored position of id.
 func (g *Grid) At(id int) (Point, bool) {
-	slot, ok := g.where[id]
-	return slot.p, ok
+	if id < 0 || id >= len(g.where) || g.where[id].cell == 0 {
+		return Point{}, false
+	}
+	return g.where[id].p, true
 }
 
 // CellOf returns the cell coordinates id is currently bucketed in. The
 // coordinates identify the cell [ix*cell, (ix+1)*cell) x [iy*cell,
 // (iy+1)*cell); two ids share a cell exactly when their coordinates match.
 func (g *Grid) CellOf(id int) (ix, iy int32, ok bool) {
-	slot, ok := g.where[id]
-	return slot.key.ix, slot.key.iy, ok
+	if id < 0 || id >= len(g.where) || g.where[id].cell == 0 {
+		return 0, 0, false
+	}
+	key := g.cells[g.where[id].cell-1].key
+	return key.ix, key.iy, true
 }
 
 // CellOccupancy returns how many ids are bucketed in the given cell.
 func (g *Grid) CellOccupancy(ix, iy int32) int {
-	return len(g.cells[cellKey{ix, iy}])
+	if c := g.find(cellKey{ix, iy}); c >= 0 {
+		return len(g.cells[c].entries)
+	}
+	return 0
 }
 
 // VisitCells calls fn once per occupied cell with that cell's member ids in
@@ -133,13 +267,12 @@ func (g *Grid) CellOccupancy(ix, iy int32) int {
 // fn must not retain or mutate it, nor mutate the grid.
 func (g *Grid) VisitCells(fn func(ix, iy int32, ids []int)) {
 	var buf []int
-	//sbr6:commutative contract: callers must be insensitive to cross-cell order (boot.PerCell ranks inside each cell)
-	for key, bucket := range g.cells {
+	for _, c := range g.cells {
 		buf = buf[:0]
-		for _, e := range bucket {
+		for _, e := range c.entries {
 			buf = append(buf, e.id)
 		}
-		fn(key.ix, key.iy, buf)
+		fn(c.key.ix, c.key.iy, buf)
 	}
 }
 
@@ -165,7 +298,11 @@ func (g *Grid) Visit(p Point, r float64, fn func(id int)) {
 	hi := g.keyFor(Point{p.X + r, p.Y + r})
 	for ix := lo.ix; ix <= hi.ix; ix++ {
 		for iy := lo.iy; iy <= hi.iy; iy++ {
-			for _, e := range g.cells[cellKey{ix, iy}] {
+			i := g.slotOf(cellKey{ix, iy})
+			if i < 0 {
+				continue
+			}
+			for _, e := range g.cells[g.index[i].cell-1].entries {
 				if p.Dist2(e.p) <= r2 {
 					fn(e.id)
 				}

@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -223,5 +224,203 @@ func TestGridCellIntrospection(t *testing.T) {
 	}
 	if _, _, ok := g.CellOf(1); ok {
 		t.Fatal("removed id still reports a cell")
+	}
+}
+
+// refGrid is the map-bucketed grid the index replaced, kept as the
+// reference for the bookkeeping the index must reproduce: bucket order
+// under swap-removal, cell coordinates and Query's visiting order.
+type refGrid struct {
+	cell  float64
+	cells map[cellKey][]int
+	where map[int]cellKey
+	pts   map[int]Point
+}
+
+func newRefGrid(cell float64) *refGrid {
+	return &refGrid{cell: cell, cells: map[cellKey][]int{}, where: map[int]cellKey{}, pts: map[int]Point{}}
+}
+
+func (r *refGrid) key(p Point) cellKey {
+	return cellKey{int32(math.Floor(p.X / r.cell)), int32(math.Floor(p.Y / r.cell))}
+}
+
+func (r *refGrid) unlink(id int) {
+	k := r.where[id]
+	b := r.cells[k]
+	i := slices.Index(b, id)
+	b[i] = b[len(b)-1]
+	b = b[:len(b)-1]
+	if len(b) == 0 {
+		delete(r.cells, k)
+	} else {
+		r.cells[k] = b
+	}
+}
+
+func (r *refGrid) set(id int, p Point) {
+	k := r.key(p)
+	if old, ok := r.where[id]; ok && old != k {
+		r.unlink(id)
+		r.cells[k] = append(r.cells[k], id)
+	} else if !ok {
+		r.cells[k] = append(r.cells[k], id)
+	}
+	r.where[id] = k
+	r.pts[id] = p
+}
+
+func (r *refGrid) remove(id int) {
+	if _, ok := r.where[id]; ok {
+		r.unlink(id)
+		delete(r.where, id)
+		delete(r.pts, id)
+	}
+}
+
+func (r *refGrid) query(c Point, rad float64) []int {
+	var out []int
+	lo, hi := r.key(Point{c.X - rad, c.Y - rad}), r.key(Point{c.X + rad, c.Y + rad})
+	for ix := lo.ix; ix <= hi.ix; ix++ {
+		for iy := lo.iy; iy <= hi.iy; iy++ {
+			for _, id := range r.cells[cellKey{ix, iy}] {
+				if c.Dist2(r.pts[id]) <= rad*rad {
+					out = append(out, id)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// checkAgainstRef compares every observable of g with the reference.
+func checkAgainstRef(t *testing.T, g *Grid, ref *refGrid, ids int) {
+	t.Helper()
+	if g.Len() != len(ref.where) {
+		t.Fatalf("Len = %d, reference %d", g.Len(), len(ref.where))
+	}
+	for id := 0; id < ids; id++ {
+		ix, iy, ok := g.CellOf(id)
+		k, want := ref.where[id]
+		if ok != want || (ok && (cellKey{ix, iy}) != k) {
+			t.Fatalf("CellOf(%d) = (%d,%d,%v), reference %v %v", id, ix, iy, ok, k, want)
+		}
+		if p, ok := g.At(id); ok != want || p != ref.pts[id] {
+			t.Fatalf("At(%d) = %v %v, reference %v", id, p, ok, ref.pts[id])
+		}
+	}
+	seen := 0
+	g.VisitCells(func(ix, iy int32, got []int) {
+		seen++
+		if want := ref.cells[cellKey{ix, iy}]; !slices.Equal(got, want) {
+			t.Fatalf("cell (%d,%d) holds %v in bucket order, reference %v", ix, iy, got, want)
+		}
+		if g.CellOccupancy(ix, iy) != len(got) {
+			t.Fatalf("CellOccupancy(%d,%d) = %d, members %v", ix, iy, g.CellOccupancy(ix, iy), got)
+		}
+	})
+	if seen != len(ref.cells) {
+		t.Fatalf("VisitCells saw %d cells, reference %d", seen, len(ref.cells))
+	}
+}
+
+// CellOf, CellOccupancy, VisitCells' bucket order and Query's order match
+// the map-bucketed reference through random inserts, moves and removals
+// that fill, empty and refill cells, so the index grows and deletes with
+// backward shifts and buckets are recycled.
+func TestGridBookkeepingMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		const ids = 300
+		g, ref := NewGrid(100), newRefGrid(100)
+		span := []float64{300, 3000, 30000}[seed%3] // few cells, many, sparse
+		for op := 0; op < 4000; op++ {
+			id := rng.Intn(ids)
+			switch rng.Intn(5) {
+			case 0, 1, 2:
+				p := Point{X: rng.Float64()*span - span/2, Y: rng.Float64()*span - span/2}
+				g.Set(id, p)
+				ref.set(id, p)
+			default:
+				g.Remove(id)
+				ref.remove(id)
+			}
+			if op%200 == 0 {
+				checkAgainstRef(t, g, ref, ids)
+				c := Point{X: rng.Float64()*span - span/2, Y: rng.Float64()*span - span/2}
+				if got, want := g.Query(c, 250, nil), ref.query(c, 250); !slices.Equal(got, want) {
+					t.Fatalf("seed %d: Query order %v, reference %v", seed, got, want)
+				}
+			}
+		}
+		checkAgainstRef(t, g, ref, ids)
+		for id := 0; id < ids; id++ {
+			g.Remove(id)
+		}
+		if g.Len() != 0 || len(g.cells) != 0 {
+			t.Fatalf("seed %d: emptied grid holds %d ids in %d cells", seed, g.Len(), len(g.cells))
+		}
+		for i := range g.index {
+			if g.index[i].cell != 0 {
+				t.Fatalf("seed %d: emptied grid keeps index slot %d", seed, i)
+			}
+		}
+	}
+}
+
+// Two points a billion metres apart occupy two cells; the grid's memory is
+// bounded by its occupied cells, not by the area between them.
+func TestGridFarApartStaysSmall(t *testing.T) {
+	g := NewGrid(250)
+	far := []Point{{X: -5e8, Y: -5e8}, {X: 5e8, Y: 5e8}}
+	for id, p := range far {
+		g.Set(id, p)
+	}
+	if len(g.cells) != 2 || len(g.index) > 1<<minIndexBits || len(g.where) != 2 {
+		t.Fatalf("grid of two far-apart points holds %d cells, %d index slots, %d id slots",
+			len(g.cells), len(g.index), len(g.where))
+	}
+	for id, p := range far {
+		if got := g.Query(p, 250, nil); !slices.Equal(got, []int{id}) {
+			t.Fatalf("query at point %d = %v", id, got)
+		}
+	}
+	if got := g.Query(Point{}, 1e6, nil); len(got) != 0 {
+		t.Fatalf("query between the points = %v", got)
+	}
+}
+
+// Negative coordinates floor to negative cells, -0 and the edges included,
+// and queries across the axes agree with brute force.
+func TestGridNegativeCoordinates(t *testing.T) {
+	g := NewGrid(100)
+	cases := []struct {
+		p      Point
+		ix, iy int32
+	}{
+		{Point{X: math.Copysign(0, -1), Y: 0}, 0, 0},
+		{Point{X: -1e-9, Y: -1e-9}, -1, -1},
+		{Point{X: -100, Y: 50}, -1, 0},
+		{Point{X: -100.000001, Y: -199.99}, -2, -2},
+		{Point{X: -250, Y: -300}, -3, -3},
+		{Point{X: 99.999, Y: -0.5}, 0, -1},
+	}
+	pts := map[int]Point{}
+	for id, c := range cases {
+		g.Set(id, c.p)
+		pts[id] = c.p
+		if ix, iy, ok := g.CellOf(id); !ok || ix != c.ix || iy != c.iy {
+			t.Fatalf("CellOf(%v) = (%d,%d,%v), want (%d,%d)", c.p, ix, iy, ok, c.ix, c.iy)
+		}
+	}
+	if got := g.CellOccupancy(-1, -1); got != 1 {
+		t.Fatalf("CellOccupancy(-1,-1) = %d, want 1", got)
+	}
+	for _, c := range []Point{{}, {X: -150, Y: -150}, {X: -260, Y: -310}, {X: 60, Y: -40}} {
+		for _, r := range []float64{0, 1, 120, 400} {
+			if got, want := sortedQuery(g, c, r), bruteQuery(pts, c, r); !slices.Equal(got, want) {
+				t.Fatalf("query %v r=%v = %v, brute force %v", c, r, got, want)
+			}
+		}
 	}
 }

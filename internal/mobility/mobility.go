@@ -19,6 +19,12 @@ import (
 // deterministic: the same Track queried at the same time always returns the
 // same point.
 type Track interface {
+	// Position returns the point at t. It may extend a lazily built
+	// history, but only past the latest instant queried so far: once a
+	// track has answered for t, a query at or before t mutates nothing, so
+	// such queries may run concurrently. The sharded engine queries every
+	// track at a run's deadline before the run and reads it without a lock
+	// during the run.
 	Position(t sim.Time) geom.Point
 	// SpeedBound returns the maximum speed in metres/second the track can
 	// ever move at; zero means it never moves. The radio medium's spatial

@@ -18,13 +18,23 @@ package radio_test
 // nodes only, when the grid is exact and the slop zero, and admits its
 // movers after the first probes.
 //
-// The static seeds exercise the receiver lists a medium with no movers
-// fans out from. Every node is static; churn detaches a static node and
-// attaches a static joiner in its ordinal at a fresh position, half the
-// time within the departed node's range, and toggles down states. A
-// walker attaches a third of the way through and detaches at two thirds,
-// so lists are built, dropped, bypassed while it moves and used again
+// The static seeds exercise the exact lists of a medium with no movers.
+// Every node is static; churn detaches a static node and attaches a static
+// joiner in its ordinal at a fresh position, half the time within the
+// departed node's range, and toggles down states. A walker attaches a
+// third of the way through and detaches at two thirds, so exact lists are
+// built, dropped, replaced by lapsing ones while it moves and exact again
 // after it leaves.
+//
+// The horizon seeds time the lapsing lists of a moving medium. Every node
+// walks at exactly the speed at which a list serves ten probe periods, and
+// every probe broadcasts twice, at its instant and 1 ns later, so lists
+// serve broadcasts at exactly their horizon and lapse 1 ns or one period
+// after it. Churn replaces a walker by a walker of the same speed, so
+// joiners enter live lists and departures leave them. Halfway through, a
+// fleet of walkers five times as fast attaches while every list is live,
+// cutting the lists' life to two probe periods; a list built before it
+// must not serve its old life.
 
 import (
 	"fmt"
@@ -172,16 +182,16 @@ func (o *oracleNet) want(i radio.NodeID) []radio.NodeID {
 
 // probe checks every node's AppendNeighbors against the oracle and
 // broadcasts from every node, recording what each broadcast must reach.
-func (o *oracleNet) probe(k int, expect map[string][]radio.NodeID) {
+func (o *oracleNet) probe(k string, expect map[string][]radio.NodeID) {
 	if got, want := o.m.Live(), len(o.track); got != want {
-		o.t.Fatalf("probe %d: medium holds %d live nodes, oracle %d", k, got, want)
+		o.t.Fatalf("probe %s: medium holds %d live nodes, oracle %d", k, got, want)
 	}
 	for _, i := range o.attached() {
 		want := o.want(i)
 		if got := o.m.AppendNeighbors(i, nil); !sameIDs(got, want) {
-			o.t.Fatalf("probe %d at %v: AppendNeighbors(%d) = %v, brute force %v", k, o.s.Now(), i, got, want)
+			o.t.Fatalf("probe %s at %v: AppendNeighbors(%d) = %v, brute force %v", k, o.s.Now(), i, got, want)
 		}
-		key := fmt.Sprintf("%d/%d", k, i)
+		key := fmt.Sprintf("%s/%d", k, i)
 		expect[key] = want
 		o.m.Broadcast(i, []byte(key))
 	}
@@ -228,6 +238,27 @@ func (o *oracleNet) staticChurn() {
 	o.attach(mobility.Static(pos))
 }
 
+// walker attaches a fresh random walker at exactly speed v.
+func (o *oracleNet) walker(v float64) radio.NodeID {
+	id := o.next
+	start := o.area.RandomPoint(draw.New(o.seed, draw.Placement, uint64(id)))
+	return o.attach(mobility.NewWalk(mobility.WalkConfig{Region: o.area, Speed: v, Epoch: 3 * time.Second},
+		start, draw.New(o.seed, draw.Track, uint64(id))))
+}
+
+// walkerChurn toggles a node down or up, and replaces a walker by a
+// walker of the same speed, which inherits its ordinal.
+func (o *oracleNet) walkerChurn() {
+	ids := o.attached()
+	flip := ids[o.rng.Intn(len(ids))]
+	o.down[flip] = !o.down[flip]
+	o.m.SetDown(flip, o.down[flip])
+	victim := ids[o.rng.Intn(len(ids))]
+	v := o.track[victim].SpeedBound()
+	o.remove(victim)
+	o.walker(v)
+}
+
 func sameIDs(a, b []radio.NodeID) bool {
 	if len(a) != len(b) {
 		return false
@@ -243,19 +274,25 @@ func sameIDs(a, b []radio.NodeID) bool {
 // TestGridNeighborsMatchNaive holds the grid and the receiver lists to
 // the brute-force oracle. Seeds 1-3 attach every kind but the joiners' up
 // front; seed 4 attaches only the static ones and admits the movers
-// between probes 4 and 5. Seeds 5-7 are the static seeds.
+// between probes 4 and 5. Seeds 5-7 are the static seeds, 8-9 the horizon
+// seeds.
 func TestGridNeighborsMatchNaive(t *testing.T) {
 	const probes = 240 // every 250 ms for a minute of virtual time
-	probeAt := func(k int) sim.Time { return sim.Time(time.Duration(k) * 250 * time.Millisecond) }
-	for seed := int64(1); seed <= 7; seed++ {
+	const period = 250 * time.Millisecond
+	probeAt := func(k int) sim.Time { return sim.Time(time.Duration(k) * period) }
+	for seed := int64(1); seed <= 9; seed++ {
 		o := newOracleNet(t, seed)
-		late, static := seed == 4, seed >= 5
+		late, static, horizon := seed == 4, seed >= 5 && seed <= 7, seed >= 8
+		// A list serves s / maxSpeed; at hv that is ten probe periods.
+		hv := radio.DefaultConfig().Range * radio.ListSlack / (10 * period).Seconds()
 		for i := 0; i < 90; i++ {
 			kind := i % kindFast // every kind but the joiners'
 			if static {
 				kind = kindStatic
 			}
-			if !late || kind == kindStatic {
+			if horizon {
+				o.walker(hv)
+			} else if !late || kind == kindStatic {
 				o.add(kind)
 			}
 		}
@@ -275,11 +312,22 @@ func TestGridNeighborsMatchNaive(t *testing.T) {
 			o.s.At(probeAt(probes/3).Add(60*time.Millisecond), func() { walker = o.add(kindWalk) })
 			o.s.At(probeAt(2*probes/3).Add(60*time.Millisecond), func() { o.remove(walker) })
 		}
+		if horizon {
+			churn = o.walkerChurn
+			o.s.At(probeAt(probes/2).Add(60*time.Millisecond), func() {
+				for i := 0; i < 30; i++ {
+					o.walker(5 * hv)
+				}
+			})
+		}
 		expect := map[string][]radio.NodeID{}
 		for k := 1; k <= probes; k++ {
 			k := k
 			at := probeAt(k)
-			o.s.At(at, func() { o.probe(k, expect) })
+			o.s.At(at, func() { o.probe(fmt.Sprint(k), expect) })
+			if horizon {
+				o.s.At(at.Add(1), func() { o.probe(fmt.Sprint(k, "+1ns"), expect) })
+			}
 			if k%2 == 0 { // churn halfway between two probes
 				o.s.At(at.Add(125*time.Millisecond), churn)
 			}

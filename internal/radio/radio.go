@@ -17,22 +17,24 @@
 // Nodes are identified by a NodeID playing the role of the interface's MAC
 // address; IP-to-NodeID resolution is the upper layer's concern.
 //
-// Receivers are found through a uniform spatial hash grid that answers
-// AppendNeighbors and broadcast fan-out from the cells around the
-// transmitter. On a medium with no movers (every attached node declared
-// speed bound 0) a broadcast fans out from the transmitter's cached
-// receiver list instead: its in-range ports in attachment order, built by
-// one grid walk at the port's first broadcast and dropped whenever a node
-// attaches or detaches within its range. Every transmission rides one
-// pooled path: frame buffers come from a per-medium size-class pool and
-// each broadcast's surviving receivers share one delivery event. The
-// package tests hold the grid and the lists to a brute-force neighbour
-// oracle computed from the raw position functions.
+// Every broadcast fans out from the transmitter's receiver list: the ports
+// within Range + 2s of it when the list was built, in attachment order,
+// where s is a fixed fraction of the range, and 0 on a medium with no
+// movers. A list serves until s / maxSpeed after its build, in which no
+// node drifts more than s, so no pair closes by more than 2s; on a medium
+// with no movers it is exact and serves until an attach or detach drops
+// it. One walk of a uniform spatial hash grid builds a list; the grid also
+// answers AppendNeighbors and boundary-crossing broadcasts directly. Every
+// transmission rides one pooled path: frame buffers come from a per-medium
+// size-class pool and each broadcast's surviving receivers share one
+// delivery event. The package tests hold the grid and the lists to a
+// brute-force neighbour oracle computed from the raw position functions.
 package radio
 
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"time"
 
 	"sbr6/internal/draw"
@@ -177,13 +179,28 @@ type port struct {
 	down      bool
 	txSeq     uint64 // transmissions attempted so far; keys the medium's draws
 
-	// rx is the port's receiver list, kept only while the medium has no
-	// movers: every other port within range, in attachment order, down
-	// ones included (the down check is per broadcast). listed tells an
-	// empty list from one not built yet.
-	rx     []*port
-	listed bool
+	// rx is the port's receiver list: every other port within list reach
+	// of it when the list was built, in attachment order, down ones
+	// included (the down check is per broadcast). It serves broadcasts at
+	// or before rxUntil; a dropped or unbuilt list has rxUntil noList.
+	rx      []*port
+	rxUntil sim.Time
 }
+
+// Receiver-list horizons: noList precedes every instant, forever follows
+// every one.
+const (
+	noList  = sim.Time(-1)
+	forever = sim.Time(math.MaxInt64)
+)
+
+// listSlack is s as a fraction of the range: the farthest any node may
+// drift while a list it sits in serves. A larger s lengthens both a list
+// and its life: fewer rebuilds, more candidates checked per broadcast. A
+// port broadcasts many times per life at walking speeds (at 5 m/s a list
+// serves 3.1 s), so the short list wins: a sixteenth set up perfbench
+// mobile faster than an eighth or a quarter.
+const listSlack = 0.0625
 
 // dropList forgets the port's receiver list. Clearing the entries before
 // truncating keeps the backing array, reused by the next build, from
@@ -191,29 +208,38 @@ type port struct {
 func (p *port) dropList() {
 	clear(p.rx)
 	p.rx = p.rx[:0]
-	p.listed = false
+	p.rxUntil = noList
 }
 
 // Medium is the shared channel all nodes transmit on.
 //
-// Receiver lookup runs through a uniform spatial hash grid that caches one
-// bucketed position per node. Every node declares its speed bound when it
-// attaches. Once the cached positions are older than the staleness quantum
-// slop / maxSpeed, the next query re-buckets every mover in one sweep.
-// Every query widens its radius by the slop, the farthest a node can drift
-// within one quantum, so pruning never loses a true neighbour. The sweep
-// schedules no event and covers only this medium's ports, so under the
-// sharded engine it stays inside one region.
+// Every node declares its speed bound when it attaches; maxSpeed is the
+// largest bound among the attached movers, 0 when none is attached.
 //
-// A medium with no movers needs no grid walk per broadcast: positions
-// never change, so each port caches its receiver list at its first
-// broadcast. AddNode and RemoveNode of a static node drop the lists of the
-// static ports within its range, so the next broadcast from each rebuilds
-// its list with the joiner or without the departed node. A list holds only
-// static ports, as lists are built only while no mover is attached, so a
-// mover's attach or detach drops none; while one is attached every
-// broadcast walks the grid, and the lists wait, still exact, for the
-// medium to hold no movers again.
+// A broadcast fans out from the transmitter's receiver list and checks
+// each candidate's exact distance at serialization end. A list holds the
+// ports within Range + 2s of its owner when it was built, s being
+// listSlack of the range, and serves until s / maxSpeed later: by then no
+// node has drifted more than s, so every port in range of the owner was
+// within Range + 2s at the build. On a medium with no movers s is 0 and a
+// list is exact and serves until dropped, so the fan-out skips the distance
+// check. A list is rebuilt, by one grid walk at the owner's next
+// broadcast, once it has lapsed or been dropped. AddNode drops the lists
+// within Range + 2s of the joiner, which are the only ones it can enter
+// before they lapse, and every list when its bound raises maxSpeed.
+// RemoveNode takes the departed port out of every list that holds it,
+// lapsed ones included, since a lapsed list may hold it however far its
+// owner has drifted; so no list ever pins a removed port. When the last
+// mover detaches, every list is dropped and comes back exact.
+//
+// The grid caches one bucketed position per node. Once the cached
+// positions are older than the staleness quantum slop / maxSpeed, the next
+// query re-buckets every mover in one sweep. Every query widens its radius
+// by the slop, the farthest a node can drift within one quantum, so
+// pruning never loses a true neighbour. The sweep schedules no event and
+// covers only this medium's ports, so under the sharded engine it stays
+// inside one region. AppendNeighbors and boundary-crossing broadcasts walk
+// the grid directly.
 type Medium struct {
 	sim    *sim.Simulator
 	cfg    Config
@@ -232,9 +258,10 @@ type Medium struct {
 	// Spatial index state.
 	grid        *geom.Grid
 	movers      int      // attached ports with a positive speed bound
-	maxSpeed    float64  // max declared bound, never decreases
+	maxSpeed    float64  // max bound of the attached movers; falls only when the last detaches
 	lastSweep   sim.Time // last re-bucket sweep of the movers
 	candBits    []uint64 // reusable candidate bitset (single-threaded sim)
+	listBuf     []*port  // reusable receiver-list build buffer, cleared after use
 	scanRegions []int    // reusable Remote.ScanRegions buffer
 
 	// Pooled wire path state: the frame buffer pool plus free lists of
@@ -300,7 +327,7 @@ func (m *Medium) AddNode(id NodeID, pos PositionFunc, speed float64, h Handler) 
 	if speed < 0 || math.IsNaN(speed) || math.IsInf(speed, 0) {
 		panic("radio: speed bound must be finite and non-negative")
 	}
-	p := &port{id: id, pos: pos, speed: speed, handler: h}
+	p := &port{id: id, pos: pos, speed: speed, handler: h, rxUntil: noList}
 	if n := len(m.freeOrds); n > 0 {
 		p.ord = m.freeOrds[n-1]
 		m.freeOrds = m.freeOrds[:n-1]
@@ -312,11 +339,16 @@ func (m *Medium) AddNode(id NodeID, pos PositionFunc, speed float64, h Handler) 
 	if speed > 0 {
 		m.movers++
 	}
-	m.maxSpeed = math.Max(m.maxSpeed, speed)
 	m.ports[id] = p
 	m.live++
 	m.grid.Set(p.ord, pos(m.sim.Now()))
-	m.dropNear(p)
+	if speed > m.maxSpeed {
+		// Every list was built for a life the faster joiner could outrun.
+		m.maxSpeed = speed
+		m.dropAll()
+	} else {
+		m.dropNear(p)
+	}
 }
 
 // RemoveNode detaches a node for good: it stops receiving immediately, its
@@ -333,13 +365,19 @@ func (m *Medium) RemoveNode(id NodeID) {
 	if !ok {
 		return
 	}
-	m.dropNear(p)
+	m.forget(p)
 	p.dropList()
 	delete(m.ports, id)
 	p.down = true // tombstone for in-flight jobs and batches
 	ord := p.ord
 	if p.speed > 0 {
 		m.movers--
+		if m.movers == 0 {
+			// Every list was built for lives and reaches that lapse; the
+			// rebuilt ones are exact.
+			m.maxSpeed = 0
+			m.dropAll()
+		}
 	}
 	m.byOrd[ord] = nil
 	m.freeOrds = append(m.freeOrds, ord)
@@ -385,14 +423,14 @@ func (m *Medium) syncGrid(now sim.Time) {
 // gridForEach invokes fn for every port that could currently be within
 // range of a transmitter at `at` — a superset; callers must re-check exact
 // positions. extra widens the query radius beyond the range and bucketing
-// slop: the remote-scan path queries positions slightly in the past, so
-// its candidates must also cover the drift a node can accumulate over the
-// propagation delay. Candidates are collected into a bitset
-// indexed by attachment ordinal and drained in increasing-ordinal order,
-// so receivers are visited in attachment order without sorting. The
-// bitset is scratch state; fn must not trigger another grid query
-// (protocol callbacks run later, from scheduled events, so this cannot
-// recurse).
+// slop: a receiver list reaches 2s farther, and the remote-scan path
+// queries positions slightly in the past, so its candidates must also
+// cover the drift a node can accumulate over the propagation delay.
+// Candidates are collected into a bitset indexed by attachment ordinal
+// and drained in increasing-ordinal order, so receivers are visited in
+// attachment order without sorting. The bitset is scratch state; fn must
+// not trigger another grid query (protocol callbacks run later, from
+// scheduled events, so this cannot recurse).
 func (m *Medium) gridForEach(at geom.Point, now sim.Time, extra float64, fn func(o *port)) {
 	m.syncGrid(now)
 	words := (len(m.byOrd) + 63) >> 6
@@ -417,37 +455,89 @@ func (m *Medium) gridForEach(at geom.Point, now sim.Time, extra float64, fn func
 	}
 }
 
-// dropNear drops the receiver lists of the ports within range of p, a
-// static port that has just attached or is about to detach. Only static
-// ports hold lists and only static ports appear in them, so a mover
-// changes none.
-func (m *Medium) dropNear(p *port) {
-	if p.speed > 0 {
-		return
+// slack returns s, the drift budget of a receiver list: listSlack of the
+// range, or 0 while the medium holds no mover.
+func (m *Medium) slack() float64 {
+	if m.maxSpeed <= 0 {
+		return 0
 	}
+	return m.cfg.Range * listSlack
+}
+
+// dropNear drops the receiver lists of the ports within list reach,
+// Range + 2s, of p, a joiner: it can enter no other list before that list
+// lapses.
+func (m *Medium) dropNear(p *port) {
 	now := m.sim.Now()
 	at := p.pos(now)
-	r2 := m.cfg.Range * m.cfg.Range
-	m.gridForEach(at, now, 0, func(o *port) {
-		if o != p && o.listed && at.Dist2(o.pos(now)) <= r2 {
+	extra := 2 * m.slack()
+	reach2 := (m.cfg.Range + extra) * (m.cfg.Range + extra)
+	m.gridForEach(at, now, extra, func(o *port) {
+		if o != p && at.Dist2(o.pos(now)) <= reach2 {
 			o.dropList()
 		}
 	})
 }
 
-// receivers returns p's receiver list, building it with one grid walk on
-// first use. Call it only while the medium has no movers.
-func (m *Medium) receivers(p *port, at geom.Point, now sim.Time) []*port {
-	if !p.listed {
-		r2 := m.cfg.Range * m.cfg.Range
-		m.gridForEach(at, now, 0, func(o *port) {
-			if o != p && at.Dist2(o.pos(now)) <= r2 {
-				p.rx = append(p.rx, o)
+// dropAll drops every receiver list.
+func (m *Medium) dropAll() {
+	for _, o := range m.byOrd {
+		if o != nil {
+			o.dropList()
+		}
+	}
+}
+
+// forget takes p, which is detaching, out of every receiver list that
+// holds it, lapsed ones included, keeping each list's order: a list
+// without p is still the list it was, minus a port that can no longer
+// receive. slices.Delete clears the vacated slot, so nothing pins p.
+func (m *Medium) forget(p *port) {
+	for _, o := range m.byOrd {
+		if o == nil {
+			continue
+		}
+		if i := slices.Index(o.rx, p); i >= 0 {
+			o.rx = slices.Delete(o.rx, i, i+1)
+		}
+	}
+}
+
+// receivers returns p's receiver list for a broadcast at now, from at,
+// rebuilding it with one grid walk when it has lapsed or been dropped, and
+// reports whether it is exact (the medium holds no mover), so the fan-out
+// may skip the distance check. A rebuild reuses the list's capacity; one
+// that outgrows it allocates once, with room to grow by half, so a list
+// whose length wanders as its neighbours move settles into its array.
+func (m *Medium) receivers(p *port, at geom.Point, now sim.Time) (rx []*port, exact bool) {
+	s := m.slack()
+	if now > p.rxUntil {
+		reach2 := (m.cfg.Range + 2*s) * (m.cfg.Range + 2*s)
+		m.gridForEach(at, now, 2*s, func(o *port) {
+			if o != p && at.Dist2(o.pos(now)) <= reach2 {
+				m.listBuf = append(m.listBuf, o)
 			}
 		})
-		p.listed = true
+		n, stale := len(m.listBuf), len(p.rx)
+		if n > cap(p.rx) {
+			p.rx = make([]*port, 0, n+n/2)
+		}
+		p.rx = append(p.rx[:0], m.listBuf...)
+		if n < stale {
+			clear(p.rx[n:stale]) // no pin past the end
+		}
+		clear(m.listBuf)
+		m.listBuf = m.listBuf[:0]
+		p.rxUntil = forever
+		if s > 0 {
+			// No node drifts more than s in s / maxSpeed. A life too long
+			// for the clock (a vanishing speed bound) never lapses.
+			if life := s / m.maxSpeed * float64(time.Second); life < float64(forever-now) {
+				p.rxUntil = now.Add(sim.Duration(life))
+			}
+		}
 	}
-	return p.rx
+	return p.rx, s == 0
 }
 
 // SetDown marks a node as failed (true) or restored (false). Down nodes
@@ -767,8 +857,8 @@ func (m *Medium) jobAckOutcome(j *txJob, ok bool) {
 }
 
 // completeJob runs at the end of serialization: it samples receivers from
-// positions at that instant — from the transmitter's receiver list when
-// the medium has no movers, from the grid otherwise — visits them in
+// positions at that instant — the transmitter's receiver list, each
+// candidate's distance checked unless the list is exact — visits them in
 // attachment order drawing the loss process once per in-range receiver,
 // and hands broadcast survivors one shared delivery event that carries the
 // single frame.
@@ -808,16 +898,11 @@ func (m *Medium) completeJob(j *txJob) {
 	b := m.takeBatch()
 	b.from = p.id
 	b.frame = j.payload
-	if m.movers == 0 {
-		for _, o := range m.receivers(p, at, now) {
+	rx, exact := m.receivers(p, at, now)
+	for _, o := range rx {
+		if exact || at.Dist2(o.pos(now)) <= r2 {
 			m.admit(b, j, o)
 		}
-	} else {
-		m.gridForEach(at, now, 0, func(o *port) {
-			if o != p && at.Dist2(o.pos(now)) <= r2 {
-				m.admit(b, j, o)
-			}
-		})
 	}
 	if m.remote != nil {
 		m.postRemoteScans(p, j, at, now)

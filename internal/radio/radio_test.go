@@ -366,42 +366,76 @@ func TestDuplicateNodePanics(t *testing.T) {
 // TestRemovedPortUnreachable: after every port has broadcast, so every
 // port holds a receiver list, a removed port's handler must become
 // garbage. A stale entry left in a neighbour's list, or in the backing
-// array a dropped list keeps for its rebuild, would pin it.
+// array a list keeps for its rebuild, would pin it. On the moving medium
+// a walker that started next to the departed port has walked out of
+// reach of every list its neighbourhood could name: in "lapsed" the
+// walker's list holding it has lapsed unused; in "shrunk" every port
+// broadcasts again first, so the walker's rebuilt list is empty and the
+// departed port survives only past its end, in the reused array.
 func TestRemovedPortUnreachable(t *testing.T) {
-	s := sim.New()
-	cfg := quiet()
-	cfg.BitrateBps = 0
-	m := New(s, cfg, 0, nil)
 	const n = 30
-	for i := 0; i < n; i++ {
-		m.AddNode(NodeID(i), fixed(geom.Point{X: float64(i) * 40}), 0, &sink{})
-	}
-	broadcastAll := func() {
-		for id := NodeID(0); id < n; id++ {
-			if _, ok := m.ports[id]; ok {
-				m.Broadcast(id, []byte("hello"))
-			}
-		}
-		s.Run()
-	}
-	broadcastAll()
 	const victim = NodeID(n / 2)
-	for id := NodeID(0); id < n; id++ {
-		if !m.ports[id].listed {
-			t.Fatalf("port %d has no receiver list after broadcasting", id)
-		}
+	for _, tc := range []struct {
+		name        string
+		speed       float64 // of the walker, node n-1, which starts next to the victim
+		wait        time.Duration
+		rebroadcast bool
+	}{
+		{"static", 0, 0, false},
+		{"lapsed", 10, time.Minute, false},
+		{"shrunk", 10, time.Minute, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := sim.New()
+			cfg := quiet()
+			cfg.BitrateBps = 0
+			m := New(s, cfg, 0, nil)
+			for i := 0; i < n-1; i++ {
+				m.AddNode(NodeID(i), fixed(geom.Point{X: float64(i) * 40}), 0, &sink{})
+			}
+			start := geom.Point{X: float64(victim) * 40, Y: 30}
+			walker := func(t sim.Time) geom.Point {
+				return start.Add(geom.Point{Y: tc.speed * t.Seconds()})
+			}
+			m.AddNode(n-1, walker, tc.speed, &sink{})
+			broadcastAll := func() {
+				for id := NodeID(0); id < n; id++ {
+					if _, ok := m.ports[id]; ok {
+						m.Broadcast(id, []byte("hello"))
+					}
+				}
+				s.Run()
+			}
+			broadcastAll()
+			for id := NodeID(0); id < n; id++ {
+				if m.ports[id].rxUntil == noList {
+					t.Fatalf("port %d has no receiver list after broadcasting", id)
+				}
+			}
+			s.RunUntil(s.Now().Add(tc.wait))
+			if d := m.ports[n-1].pos(s.Now()).Dist(start); tc.speed > 0 && d <= cfg.Range+2*cfg.Range*listSlack {
+				t.Fatalf("the walker is still within list reach, %.0f m, of the victim", d)
+			}
+			if tc.rebroadcast {
+				broadcastAll()
+				if w := m.ports[n-1]; len(w.rx) != 0 || cap(w.rx) == 0 {
+					t.Fatalf("the walker's rebuilt list holds %d ports in an array of %d", len(w.rx), cap(w.rx))
+				}
+			}
+			handler := weak.Make(m.ports[victim].handler.(*sink))
+			m.RemoveNode(victim)
+			runtime.GC()
+			if handler.Value() != nil {
+				t.Fatal("the removed port's handler is still reachable from the medium")
+			}
+			before := m.Stats().RxFrames
+			broadcastAll() // the lists rebuild without the removed port
+			if m.Stats().RxFrames == before {
+				t.Fatal("no frame delivered")
+			}
+			runtime.KeepAlive(m)
+		})
 	}
-	handler := weak.Make(m.ports[victim].handler.(*sink))
-	m.RemoveNode(victim)
-	runtime.GC()
-	if handler.Value() != nil {
-		t.Fatal("the removed port's handler is still reachable from the medium")
-	}
-	broadcastAll() // the lists rebuild without the removed port
-	if got := m.Stats().RxFrames; got == 0 {
-		t.Fatal("no frame delivered")
-	}
-	runtime.KeepAlive(m)
 }
 
 func TestStatsAccounting(t *testing.T) {

@@ -64,11 +64,14 @@
 //     the node was assigned to at build time (by x-sorted strip). Ownership
 //     never migrates, even if the node physically roams into another strip —
 //     position only affects radio reachability, which flows via messages.
-//   - Mobility tracks are owned by their node's region but queried remotely
-//     (lazily-extended legs mutate under a per-node mutex, the only lock on
-//     the hot path; with only one region the track is read without it).
-//     At each barrier the engine has every attached node's track drop the
-//     legs no later query can reach (mobility.Track.Forget).
+//   - Mobility tracks are owned by their node's region but queried remotely,
+//     and read without a lock. A track extends its legs lazily, but only
+//     past the latest instant queried so far (mobility.Track), and no query
+//     inside a run names an instant past the run's deadline; RunUntil
+//     extends every track to its deadline before any region runs, so during
+//     the run every read is pure. At each barrier the engine has every
+//     attached node's track drop the legs no later query can reach
+//     (mobility.Track.Forget).
 package shard
 
 import (
@@ -136,19 +139,10 @@ func (r *region) rectDist2(p geom.Point) float64 {
 	return dx*dx + dy*dy
 }
 
-// nodeInfo is the engine's cross-region view of one node. The mutex guards
-// the track only: lazily-extended tracks mutate their leg cache on query.
+// nodeInfo is the engine's cross-region view of one node.
 type nodeInfo struct {
-	mu     sync.Mutex
 	track  mobility.Track
 	exists bool
-}
-
-func (ni *nodeInfo) position(t sim.Time) geom.Point {
-	ni.mu.Lock()
-	p := ni.track.Position(t)
-	ni.mu.Unlock()
-	return p
 }
 
 // Engine owns the regions, the barrier protocol and the clock.
@@ -271,19 +265,14 @@ func (e *Engine) NodeMedium(id radio.NodeID) *radio.Medium { return e.regions[e.
 // AddNode attaches a node to its region's medium. All nodes must be added
 // before the first run; ownership is fixed by the build-time partition.
 //
-// Other regions query the track concurrently (PosAt), and lazily-extended
-// tracks mutate their leg cache on query, so the owning medium reads it
-// under the node's lock too — unless no other region exists, when it
-// reads the track directly.
+// The owning medium and other regions (PosAt) read the track concurrently
+// during a run, without a lock: RunUntil has extended it to the run's
+// deadline first, so no read inside the run mutates it.
 func (e *Engine) AddNode(id radio.NodeID, track mobility.Track, h radio.Handler) {
 	ni := e.nodes[id]
 	ni.track = track
 	ni.exists = true
-	pos := track.Position
-	if len(e.regions) > 1 {
-		pos = ni.position
-	}
-	e.regions[e.regionOf[id]].med.AddNode(id, pos, track.SpeedBound(), h)
+	e.regions[e.regionOf[id]].med.AddNode(id, track.Position, track.SpeedBound(), h)
 }
 
 // InjectNode admits a node born after the engine was built, assigning it
@@ -345,7 +334,7 @@ func (e *Engine) ScheduleOwnedAt(id radio.NodeID, at sim.Time, fn func()) {
 }
 
 // PosNow returns the node's position at the engine's clock.
-func (e *Engine) PosNow(id radio.NodeID) geom.Point { return e.nodes[id].position(e.now) }
+func (e *Engine) PosNow(id radio.NodeID) geom.Point { return e.nodes[id].track.Position(e.now) }
 
 // Now returns the engine's clock: the deadline of the last RunUntil.
 func (e *Engine) Now() sim.Time { return e.now }
@@ -487,13 +476,23 @@ func (e *Engine) runRegions(c sim.Time) bool {
 	return true
 }
 
-// RunUntil drives the engine to the deadline: it exchanges pending
-// messages, then runs one parallel round under conservative horizons, until
-// no region has an event at or before the deadline. It then sets the
-// engine's clock and every region clock to the deadline, and has every
-// attached node's track forget the legs no later query can reach.
+// RunUntil drives the engine to the deadline: it extends every attached
+// node's track to the deadline, then exchanges pending messages and runs
+// one parallel round under conservative horizons, until no region has an
+// event at or before the deadline. It then sets the engine's clock and
+// every region clock to the deadline, and has every attached node's track
+// forget the legs no later query can reach.
+//
+// Every position query inside the run names an instant at or before the
+// deadline, so after the extension no query mutates a track and regions
+// read each other's tracks without a lock.
 func (e *Engine) RunUntil(deadline sim.Time) {
 	e.finalize()
+	for _, ni := range e.nodes {
+		if ni.exists {
+			ni.track.Position(deadline)
+		}
+	}
 	for {
 		e.exchange()
 		if !e.runRegions(deadline + 1) {
@@ -533,7 +532,7 @@ func (r *regionRemote) Exists(id radio.NodeID) bool {
 }
 
 func (r *regionRemote) PosAt(id radio.NodeID, t sim.Time) geom.Point {
-	return r.e.nodes[id].position(t)
+	return r.e.nodes[id].track.Position(t)
 }
 
 func (r *regionRemote) ScanRegions(from geom.Point, reach float64, buf []int) []int {
