@@ -280,6 +280,16 @@
 //     boundary-crossing send at time u tightens the remaining horizon
 //     to u+2L, so a peer's reaction can never land in this region's
 //     virtual past.
+//   - The engine alone decides which regions a broadcast reaches. Each
+//     region keeps the bounding box of its nodes' positions at attach
+//     and the largest speed bound ever attached to it; a broadcast sent
+//     at time t skips a region with no live node or whose box lies
+//     farther than Range + speed·t from the transmitter. The rule reads
+//     only the send instant and the attach history, so where runs stop
+//     changes no event count.
+//   - A crossing broadcast lands as a delivery batch admitted by the
+//     same code as a local one, so a down receiver counts the same on
+//     either side of a boundary.
 //
 // Under those rules the merged Result is byte-for-byte identical at
 // every shard count — proven by the differential suite in

@@ -34,10 +34,6 @@ var (
 	DNS3 = MustParse("fec0:0:0:ffff::3")
 )
 
-// WellKnownDNS returns the three reserved DNS discovery addresses in probe
-// order.
-func WellKnownDNS() [3]Addr { return [3]Addr{DNS1, DNS2, DNS3} }
-
 // IsUnspecified reports whether a is "::".
 func (a Addr) IsUnspecified() bool { return a == Unspecified }
 

@@ -24,11 +24,14 @@
 // node drifts more than s, so no pair closes by more than 2s; on a medium
 // with no movers it is exact and serves until an attach or detach drops
 // it. One walk of a uniform spatial hash grid builds a list; the grid also
-// answers AppendNeighbors and boundary-crossing broadcasts directly. Every
-// transmission rides one pooled path: frame buffers come from a per-medium
-// size-class pool and each broadcast's surviving receivers share one
-// delivery event. The package tests hold the grid and the lists to a
-// brute-force neighbour oracle computed from the raw position functions.
+// answers AppendNeighbors directly. Every transmission rides one pooled
+// path: frame buffers come from a per-medium size-class pool and each
+// broadcast's surviving receivers share one delivery event. A broadcast
+// that crosses into another region of the sharded engine lands there the
+// same way, as one delivery event whose receivers one grid walk admits
+// when it runs, from their positions at the frame's serialization end.
+// The package tests hold the grid and the lists to a brute-force neighbour
+// oracle computed from the raw position functions.
 package radio
 
 import (
@@ -108,22 +111,23 @@ type Remote interface {
 	// PosAt returns the node's position at time t (t never exceeds the
 	// calling region's safe horizon, so the answer is final).
 	PosAt(id NodeID, t sim.Time) geom.Point
-	// ScanRegions appends the indices of regions other than the caller's
-	// own whose nodes could be within reach of a transmitter at from,
-	// in increasing order, and returns the extended slice.
-	ScanRegions(from geom.Point, reach float64, buf []int) []int
-	// PostScan enqueues a boundary-crossing broadcast for the region.
-	PostScan(region int, msg ScanMsg)
+	// PostScan hands every broadcast to the engine, which alone decides
+	// which other regions it may reach and enqueues it for each of them.
+	// msg.Frame is borrowed for the call: the medium recycles it on its
+	// own schedule, so the engine copies it, once, for every region in
+	// reach.
+	PostScan(msg ScanMsg)
 	// PostDeliver enqueues a boundary-crossing unicast delivery for the
-	// region owning id.
-	PostDeliver(id NodeID, msg DeliverMsg)
+	// region owning msg.To. msg.Frame is borrowed for the call, as in
+	// PostScan.
+	PostDeliver(msg DeliverMsg)
 }
 
 // ScanMsg is a broadcast crossing a region boundary: everything a foreign
 // region needs to evaluate its own receivers exactly as the transmitter's
-// region evaluated the local ones. Frame is a single read-only copy shared
-// by every target region; receivers borrow it during Deliver and must not
-// mutate or retain it.
+// region evaluated the local ones. The copy of Frame the engine delivers
+// is read-only and shared by every target region; receivers borrow it
+// during Deliver and must not mutate or retain it.
 type ScanMsg struct {
 	From  NodeID
 	Pos   geom.Point // transmitter position at serialization end
@@ -238,8 +242,17 @@ func (p *port) dropList() {
 // by the slop, the farthest a node can drift within one quantum, so
 // pruning never loses a true neighbour. The sweep schedules no event and
 // covers only this medium's ports, so under the sharded engine it stays
-// inside one region. AppendNeighbors and boundary-crossing broadcasts walk
-// the grid directly.
+// inside one region. AppendNeighbors walks the grid directly.
+//
+// Under the sharded engine, every broadcast is also handed to the engine
+// (Remote.PostScan), which posts it to each other region it may reach.
+// There it lands through InjectScan as one delivery batch scheduled under
+// the transmitter's owner: when the batch runs, at the frame's arrival, one
+// grid walk finds the ports within range of the transmitter at its
+// serialization end, a pure past query, and the same admit and runBatch
+// that serve a local broadcast take them in and deliver to them. A
+// crossing unicast lands through InjectDeliver as a batch that already
+// holds its addressee.
 type Medium struct {
 	sim    *sim.Simulator
 	cfg    Config
@@ -256,13 +269,12 @@ type Medium struct {
 	freeOrds []int
 
 	// Spatial index state.
-	grid        *geom.Grid
-	movers      int      // attached ports with a positive speed bound
-	maxSpeed    float64  // max bound of the attached movers; falls only when the last detaches
-	lastSweep   sim.Time // last re-bucket sweep of the movers
-	candBits    []uint64 // reusable candidate bitset (single-threaded sim)
-	listBuf     []*port  // reusable receiver-list build buffer, cleared after use
-	scanRegions []int    // reusable Remote.ScanRegions buffer
+	grid      *geom.Grid
+	movers    int      // attached ports with a positive speed bound
+	maxSpeed  float64  // max bound of the attached movers; falls only when the last detaches
+	lastSweep sim.Time // last re-bucket sweep of the movers
+	candBits  []uint64 // reusable candidate bitset (single-threaded sim)
+	listBuf   []*port  // reusable receiver-list build buffer, cleared after use
 
 	// Pooled wire path state: the frame buffer pool plus free lists of
 	// transmit jobs and delivery batches. All strictly per-medium — the
@@ -281,8 +293,9 @@ type Medium struct {
 // the medium (contention jitter and the loss process); callers pass their
 // run's seed, so each run draws its own jitter and loss. remote, when
 // non-nil, is the sharded engine's view of nodes that live in other
-// regions: transmissions that may reach across the region boundary are
-// handed off through it instead of stopping at the local port table.
+// regions: every broadcast, and every unicast to a node that is not
+// local, is handed to it, and the engine decides which regions it
+// reaches.
 func New(s *sim.Simulator, cfg Config, seed int64, remote Remote) *Medium {
 	if cfg.Range <= 0 {
 		cfg.Range = 250
@@ -405,11 +418,7 @@ func (m *Medium) slop() float64 {
 // attached since the last sweep was bucketed at its attach instant, later
 // than the sweep, so it has drifted no farther than the swept movers.
 func (m *Medium) syncGrid(now sim.Time) {
-	if m.movers == 0 {
-		return
-	}
-	quantum := sim.Duration(m.slop() / m.maxSpeed * float64(time.Second))
-	if now.Sub(m.lastSweep) <= quantum {
+	if m.movers == 0 || now <= lapse(m.lastSweep, m.slop()/m.maxSpeed) {
 		return
 	}
 	for ord, p := range m.byOrd {
@@ -423,9 +432,9 @@ func (m *Medium) syncGrid(now sim.Time) {
 // gridForEach invokes fn for every port that could currently be within
 // range of a transmitter at `at` — a superset; callers must re-check exact
 // positions. extra widens the query radius beyond the range and bucketing
-// slop: a receiver list reaches 2s farther, and the remote-scan path
-// queries positions slightly in the past, so its candidates must also
-// cover the drift a node can accumulate over the propagation delay.
+// slop: a receiver list reaches 2s farther, and a crossing broadcast's
+// admission queries positions slightly in the past, so its candidates must
+// also cover the drift a node can accumulate over the propagation delay.
 // Candidates are collected into a bitset indexed by attachment ordinal
 // and drained in increasing-ordinal order, so receivers are visited in
 // attachment order without sorting. The bitset is scratch state; fn must
@@ -530,14 +539,19 @@ func (m *Medium) receivers(p *port, at geom.Point, now sim.Time) (rx []*port, ex
 		m.listBuf = m.listBuf[:0]
 		p.rxUntil = forever
 		if s > 0 {
-			// No node drifts more than s in s / maxSpeed. A life too long
-			// for the clock (a vanishing speed bound) never lapses.
-			if life := s / m.maxSpeed * float64(time.Second); life < float64(forever-now) {
-				p.rxUntil = now.Add(sim.Duration(life))
-			}
+			p.rxUntil = lapse(now, s/m.maxSpeed) // no node drifts more than s in that time
 		}
 	}
 	return p.rx, s == 0
+}
+
+// lapse returns the instant secs seconds after t, or forever when that
+// lies past the clock's end, as it does under a vanishing speed bound.
+func lapse(t sim.Time, secs float64) sim.Time {
+	if ns := secs * float64(time.Second); ns < float64(forever-t) {
+		return t.Add(sim.Duration(ns))
+	}
+	return forever
 }
 
 // SetDown marks a node as failed (true) or restored (false). Down nodes
@@ -680,34 +694,60 @@ func (m *Medium) putJob(j *txJob) {
 	m.freeJobs = j
 }
 
-// deliveryBatch carries one broadcast frame and every receiver that
-// survived the loss process to a single delivery event, replacing one
-// closure-captured event per receiver.
+// deliveryBatch carries one frame and its receivers to a single delivery
+// event, replacing one closure-captured event per receiver: the receivers
+// of a broadcast that survived the loss process, or a unicast's addressee.
+// A broadcast crossing in from another region is admitted when its batch
+// runs: pos and sent are the transmitter's position and instant at
+// serialization end, where its receivers are sampled.
 type deliveryBatch struct {
-	m       *Medium
-	from    NodeID
-	frame   []byte
-	release bool
-	ports   []*port
-	next    *deliveryBatch
+	m        *Medium
+	from     NodeID
+	txSeq    uint64 // the transmission's draw key
+	frame    []byte
+	release  bool // the medium owns frame; release it after the delivery
+	crossing bool
+	pos      geom.Point
+	sent     sim.Time
+	ports    []*port
+	next     *deliveryBatch
 }
 
-func (m *Medium) takeBatch() *deliveryBatch {
-	if b := m.freeBatches; b != nil {
+// takeBatch returns a recycled batch for one frame. It sets every field a
+// previous use may have left, release above all: a stale one would hand
+// the pool a frame the medium does not own.
+func (m *Medium) takeBatch(from NodeID, txSeq uint64, frame []byte, release bool) *deliveryBatch {
+	b := m.freeBatches
+	if b != nil {
 		m.freeBatches = b.next
 		b.next = nil
-		return b
+	} else {
+		b = &deliveryBatch{m: m}
 	}
-	return &deliveryBatch{m: m}
+	b.from, b.txSeq, b.frame, b.release, b.crossing = from, txSeq, frame, release, false
+	return b
 }
 
-// runBatch fires at transmission-end + PropDelay and invokes every
-// surviving receiver's handler in the order the loss process visited them
-// (attachment order), then releases the shared frame. Receivers that went
-// down between scheduling and delivery are skipped.
+// putBatch recycles b, which no longer holds its frame or its receivers.
+func (m *Medium) putBatch(b *deliveryBatch) {
+	clear(b.ports)
+	b.ports = b.ports[:0]
+	b.frame = nil
+	b.next = m.freeBatches
+	m.freeBatches = b
+}
+
+// runBatch fires at transmission-end + PropDelay, admits a crossing
+// broadcast's receivers, and invokes every receiver's handler in the order
+// the loss process visited them (attachment order), then releases the
+// frame when the medium owns it. Receivers that went down between
+// admission and delivery are skipped.
 func runBatch(v any) {
 	b := v.(*deliveryBatch)
 	m := b.m
+	if b.crossing {
+		m.admitCrossing(b)
+	}
 	m.beginDelivery()
 	for _, o := range b.ports {
 		if o.down {
@@ -723,13 +763,7 @@ func runBatch(v any) {
 	if b.release {
 		m.pool.Put(b.frame)
 	}
-	b.frame = nil
-	for i := range b.ports {
-		b.ports[i] = nil
-	}
-	b.ports = b.ports[:0]
-	b.next = m.freeBatches
-	m.freeBatches = b
+	m.putBatch(b)
 }
 
 func runCompleteJob(v any) { j := v.(*txJob); j.m.completeJob(j) }
@@ -861,7 +895,8 @@ func (m *Medium) jobAckOutcome(j *txJob, ok bool) {
 // candidate's distance checked unless the list is exact — visits them in
 // attachment order drawing the loss process once per in-range receiver,
 // and hands broadcast survivors one shared delivery event that carries the
-// single frame.
+// single frame. Under the sharded engine it also hands every broadcast to
+// the engine, for the other regions it may reach.
 func (m *Medium) completeJob(j *txJob) {
 	p := j.p
 	if p.down { // went down mid-transmission
@@ -882,8 +917,10 @@ func (m *Medium) completeJob(j *txJob) {
 		// addressee — looked up directly instead of scanned for.
 		delivered := false
 		if o, ok := m.ports[j.to]; ok {
-			if o != p && !o.down && at.Dist2(o.pos(now)) <= r2 {
-				delivered = m.deliverJob(p, o, j)
+			if o != p && at.Dist2(o.pos(now)) <= r2 {
+				b := m.takeBatch(p.id, j.txSeq, j.payload, j.release)
+				m.admit(b, o)
+				delivered = m.schedule(b, j)
 			}
 		} else if m.remote != nil {
 			delivered = m.remoteUnicast(p, j, at, now)
@@ -895,37 +932,28 @@ func (m *Medium) completeJob(j *txJob) {
 		return
 	}
 
-	b := m.takeBatch()
-	b.from = p.id
-	b.frame = j.payload
+	b := m.takeBatch(p.id, j.txSeq, j.payload, j.release)
 	rx, exact := m.receivers(p, at, now)
 	for _, o := range rx {
 		if exact || at.Dist2(o.pos(now)) <= r2 {
-			m.admit(b, j, o)
+			m.admit(b, o)
 		}
 	}
 	if m.remote != nil {
-		m.postRemoteScans(p, j, at, now)
+		m.remote.PostScan(ScanMsg{From: p.id, Pos: at, Sent: now, At: now.Add(m.cfg.PropDelay),
+			TxSeq: j.txSeq, Frame: j.payload})
 	}
-	if len(b.ports) > 0 {
-		b.release = j.release
-		j.release = false // the batch owns the frame now
-		m.sim.DoArg(m.cfg.PropDelay, runBatch, b)
-	} else {
-		b.frame = nil
-		b.next = m.freeBatches
-		m.freeBatches = b
-	}
+	m.schedule(b, j)
 	m.finishJob(j) // zero receivers: releases the frame right here
 }
 
-// admit takes in-range receiver o into broadcast batch b unless o is down
-// or the loss process drops the frame on its way to o.
-func (m *Medium) admit(b *deliveryBatch, j *txJob, o *port) {
+// admit takes in-range receiver o into batch b unless o is down or the
+// loss process drops the frame on its way to o.
+func (m *Medium) admit(b *deliveryBatch, o *port) {
 	if o.down {
 		return
 	}
-	if m.cfg.LossRate > 0 && m.lossDraw(j.p.id, j.txSeq, o.id) {
+	if m.cfg.LossRate > 0 && m.lossDraw(b.from, b.txSeq, o.id) {
 		m.stats.LostFrames++
 		return
 	}
@@ -933,26 +961,17 @@ func (m *Medium) admit(b *deliveryBatch, j *txJob, o *port) {
 	b.ports = append(b.ports, o)
 }
 
-// postRemoteScans hands a broadcast to every other region whose nodes
-// could be within range: one read-only frame copy shared by all of them
-// (the local pooled buffer is released on schedule, so it cannot travel).
-func (m *Medium) postRemoteScans(p *port, j *txJob, at geom.Point, now sim.Time) {
-	r := m.remote
-	m.scanRegions = r.ScanRegions(at, m.cfg.Range, m.scanRegions[:0])
-	if len(m.scanRegions) == 0 {
-		return
+// schedule hands batch b, which carries j's frame, one delivery event a
+// propagation delay from now and reports true, or recycles it on the spot
+// and reports false when it admitted no receiver, leaving the frame to j.
+func (m *Medium) schedule(b *deliveryBatch, j *txJob) bool {
+	if len(b.ports) == 0 {
+		m.putBatch(b)
+		return false
 	}
-	msg := ScanMsg{
-		From:  p.id,
-		Pos:   at,
-		Sent:  now,
-		At:    now.Add(m.cfg.PropDelay),
-		TxSeq: j.txSeq,
-		Frame: append([]byte(nil), j.payload...),
-	}
-	for _, reg := range m.scanRegions {
-		r.PostScan(reg, msg)
-	}
+	j.release = false // the batch owns the frame now
+	m.sim.DoArg(m.cfg.PropDelay, runBatch, b)
+	return true
 }
 
 // remoteUnicast resolves a unicast whose target lives in another region.
@@ -972,112 +991,56 @@ func (m *Medium) remoteUnicast(p *port, j *txJob, at geom.Point, now sim.Time) b
 		return false
 	}
 	m.stats.RxFrames++
-	r.PostDeliver(j.to, DeliverMsg{
-		From:  p.id,
-		To:    j.to,
-		At:    now.Add(m.cfg.PropDelay),
-		Frame: append([]byte(nil), j.payload...),
-	})
-	return true
-}
-
-// deliverJob applies the loss process to a unicast delivery and, when the
-// frame survives, schedules a single-receiver batch that releases the
-// frame after the handler runs.
-func (m *Medium) deliverJob(p, o *port, j *txJob) bool {
-	if m.cfg.LossRate > 0 && m.lossDraw(p.id, j.txSeq, o.id) {
-		m.stats.LostFrames++
-		return false
-	}
-	m.stats.RxFrames++
-	b := m.takeBatch()
-	b.from, b.frame, b.release = p.id, j.payload, j.release
-	j.release = false
-	b.ports = append(b.ports, o)
-	m.sim.DoArg(m.cfg.PropDelay, runBatch, b)
+	r.PostDeliver(DeliverMsg{From: p.id, To: j.to, At: now.Add(m.cfg.PropDelay), Frame: j.payload})
 	return true
 }
 
 // --- Boundary-crossing injection (the sharded engine's inbound side) ---
 
-type injectedScan struct {
-	m   *Medium
-	msg ScanMsg
-}
-
-type injectedDeliver struct {
-	m   *Medium
-	msg DeliverMsg
-}
-
-func runInjectScan(v any) {
-	s := v.(*injectedScan)
-	s.m.runRemoteScan(s.msg)
-}
-
-func runInjectDeliver(v any) {
-	d := v.(*injectedDeliver)
-	m := d.m
-	o, ok := m.ports[d.msg.To]
-	if !ok || o.down {
-		return
-	}
-	m.beginDelivery()
-	prev := m.sim.SetOwner(uint32(o.id) + 1)
-	o.handler.Deliver(d.msg.From, d.msg.Frame)
-	m.sim.SetOwner(prev)
-	m.delivering = 0
-}
-
-// InjectScan schedules evaluation of a foreign region's broadcast against
-// this medium's ports. The event is stamped with the transmitter's
-// scheduling owner so that, at equal instants, it sorts against local
-// events exactly where the transmitter's delivery batch would have sorted
-// had both nodes shared a region. Called by the engine at exchange
-// barriers, while the region is quiescent.
+// InjectScan schedules a foreign region's broadcast to land on this medium
+// at msg.At, as a delivery batch that admits its receivers when it runs
+// (admitCrossing). The batch borrows msg.Frame, which the engine owns.
+// Called by the engine at exchange barriers, while the region is
+// quiescent.
 func (m *Medium) InjectScan(msg ScanMsg) {
-	prev := m.sim.SetOwner(uint32(msg.From) + 1)
-	m.sim.DoAtArg(msg.At, runInjectScan, &injectedScan{m: m, msg: msg})
-	m.sim.SetOwner(prev)
+	b := m.takeBatch(msg.From, msg.TxSeq, msg.Frame, false)
+	b.crossing, b.pos, b.sent = true, msg.Pos, msg.Sent
+	m.inject(b, msg.At)
 }
 
-// InjectDeliver schedules delivery of a foreign region's unicast to the
-// local target port. Loss and range were already resolved sender-side;
-// only the receiver's up/down state at delivery time remains to check —
-// the same check a local delivery batch makes.
+// InjectDeliver schedules a foreign region's unicast to land on its local
+// target port at msg.At, as a delivery batch that holds the port. Loss and
+// range were already resolved sender-side; only the receiver's up/down
+// state at delivery time remains to check, which runBatch does.
 func (m *Medium) InjectDeliver(msg DeliverMsg) {
-	prev := m.sim.SetOwner(uint32(msg.From) + 1)
-	m.sim.DoAtArg(msg.At, runInjectDeliver, &injectedDeliver{m: m, msg: msg})
+	b := m.takeBatch(msg.From, 0, msg.Frame, false)
+	if o, ok := m.ports[msg.To]; ok {
+		b.ports = append(b.ports, o)
+	}
+	m.inject(b, msg.At)
+}
+
+// inject schedules b at the instant at, stamped with the transmitter's
+// owner so that, at equal instants, it sorts against local events exactly
+// where the transmitter's delivery batch would have sorted had both nodes
+// shared a region.
+func (m *Medium) inject(b *deliveryBatch, at sim.Time) {
+	prev := m.sim.SetOwner(uint32(b.from) + 1)
+	m.sim.DoAtArg(at, runBatch, b)
 	m.sim.SetOwner(prev)
 }
 
-// runRemoteScan evaluates a boundary-crossing broadcast at its delivery
-// instant: receivers are sampled at msg.Sent (a pure past query — exactly
-// the instant the transmitter's region sampled its local receivers), the
-// loss process draws the same content-keyed hashes a local evaluation
-// would, and surviving receivers that are still up get the frame. The
-// candidate radius is widened by the drift a node can accumulate between
-// Sent and now, on top of the usual bucketing slop.
-func (m *Medium) runRemoteScan(msg ScanMsg) {
+// admitCrossing admits a crossing broadcast's receivers at its delivery:
+// the ports within range of the transmitter at serialization end, sampled
+// at that instant (a pure past query, exactly the instant the
+// transmitter's region sampled its local receivers), in attachment order.
+// The grid walk widens by the drift a node can accumulate between then and
+// now, on top of the usual bucketing slop.
+func (m *Medium) admitCrossing(b *deliveryBatch) {
 	r2 := m.cfg.Range * m.cfg.Range
-	collect := func(o *port) {
-		if msg.Pos.Dist2(o.pos(msg.Sent)) > r2 {
-			return
+	m.gridForEach(b.pos, m.sim.Now(), m.maxSpeed*m.cfg.PropDelay.Seconds(), func(o *port) {
+		if b.pos.Dist2(o.pos(b.sent)) <= r2 {
+			m.admit(b, o)
 		}
-		if m.cfg.LossRate > 0 && m.lossDraw(msg.From, msg.TxSeq, o.id) {
-			m.stats.LostFrames++
-			return
-		}
-		m.stats.RxFrames++
-		if o.down { // down at delivery, as in runBatch
-			return
-		}
-		prev := m.sim.SetOwner(uint32(o.id) + 1)
-		o.handler.Deliver(msg.From, msg.Frame)
-		m.sim.SetOwner(prev)
-	}
-	extra := m.maxSpeed * m.cfg.PropDelay.Seconds()
-	m.beginDelivery()
-	m.gridForEach(msg.Pos, m.sim.Now(), extra, collect)
-	m.delivering = 0
+	})
 }

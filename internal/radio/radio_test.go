@@ -486,6 +486,30 @@ func TestGridMovingNodeWithSpeedBound(t *testing.T) {
 	}
 }
 
+// A vanishing speed bound makes the grid's re-bucket interval, slop /
+// maxSpeed, too long for the clock. The grid must then never re-bucket,
+// as a receiver list whose life is too long never lapses, rather than
+// re-bucket at every query.
+func TestGridSweepIntervalOverflow(t *testing.T) {
+	s := sim.New()
+	m := New(s, quiet(), 0, nil)
+	m.AddNode(0, fixed(geom.Point{}), 0, &sink{})
+	m.AddNode(1, fixed(geom.Point{X: 10}), 1e-12, &sink{})
+	sweeps := 0
+	for i := 0; i < 100; i++ {
+		s.RunFor(time.Second)
+		if nb := m.AppendNeighbors(0, nil); len(nb) != 1 {
+			t.Fatalf("AppendNeighbors(0) = %v, want [1]", nb)
+		}
+		if m.lastSweep == s.Now() {
+			sweeps++
+		}
+	}
+	if sweeps != 0 {
+		t.Fatalf("a 1e-12 m/s mover was re-bucketed on %d of 100 queries", sweeps)
+	}
+}
+
 // AddNode rejects a speed bound the grid cannot rely on, as it rejects a
 // duplicate id: the node is not attached, and the medium still works.
 func TestAddNodeRejectsBadSpeedBound(t *testing.T) {

@@ -193,9 +193,11 @@ type ShardNetwork struct {
 // count: the radio workload's constant-density placement and lossy links,
 // but static. Flood deliveries land nanoseconds apart, so every
 // conservative window holds thousands of events and the cell measures
-// parallel throughput, and each region's bounding box prunes the remote
-// scans of broadcasts that cannot reach it, which a region holding a
-// mover gives up. The differential suite covers mobility for correctness.
+// parallel throughput. The engine posts a broadcast only to the regions
+// whose bounding box it may reach; a static region's box stays that tight
+// for the whole run, while a moving region's reach grows with its speed
+// bound times the send instant. The differential suite covers mobility
+// for correctness.
 func BuildShardNetwork(n, regions int, seed int64) *ShardNetwork {
 	cfg := radio.DefaultConfig()
 	cfg.LossRate = 0.05

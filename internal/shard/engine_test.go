@@ -102,3 +102,43 @@ func TestBarrierDuringCrossRegionFlight(t *testing.T) {
 		t.Fatalf("walker received %d copies, want 1", got)
 	}
 }
+
+// A crossing broadcast counts its receivers exactly as a local one does:
+// a down receiver is skipped before the loss draw and the link counters,
+// so Stats is the same at every region count, lossless and lossy.
+func TestCrossingDeliveryCountsLikeLocal(t *testing.T) {
+	// At two regions the transmitter (node 0) and a filler out of
+	// everyone's range (node 3) make the first strip; the up receiver
+	// (node 1) and the down one (node 2) make the second.
+	at := []geom.Point{{X: 0}, {X: 100}, {X: 150}, {X: 1, Y: 5000}}
+	for _, loss := range []float64{0, 0.5} {
+		var stats [2]radio.Stats
+		for i, regions := range []int{1, 2} {
+			cfg := radio.DefaultConfig()
+			cfg.LossRate = loss
+			eng := shard.New(shard.Config{Seed: 1, Regions: regions, Radio: cfg, Positions: at})
+			got := make([]int, len(at))
+			for id, p := range at {
+				eng.AddNode(radio.NodeID(id), mobility.Static(p),
+					radio.HandlerFunc(func(radio.NodeID, []byte) { got[id]++ }))
+			}
+			if regions == 2 && (eng.RegionOf(1) == eng.RegionOf(0) || eng.RegionOf(2) == eng.RegionOf(0)) {
+				t.Fatal("a receiver shares the transmitter's region; the test is vacuous")
+			}
+			eng.NodeMedium(2).SetDown(2, true)
+			for k := 1; k <= 40; k++ {
+				eng.ScheduleOwnedAt(0, sim.Time(k)*sim.Time(10*time.Millisecond), func() {
+					eng.NodeMedium(0).Broadcast(0, []byte("bc"))
+				})
+			}
+			eng.RunFor(time.Second)
+			if got[1] == 0 || got[2] != 0 {
+				t.Fatalf("loss %v, %d regions: the up receiver got %d copies, the down one %d", loss, regions, got[1], got[2])
+			}
+			stats[i] = eng.Stats()
+		}
+		if stats[0] != stats[1] {
+			t.Errorf("loss %v: stats at 2 regions %+v, at 1 region %+v", loss, stats[1], stats[0])
+		}
+	}
+}

@@ -46,6 +46,22 @@
 // shard count. The radio's draws are content hashes (see package radio), so
 // no random stream is consumed in a region-count-dependent order.
 //
+// # Boundary crossings
+//
+// The engine alone decides which regions a frame reaches. A region's
+// medium hands the engine every broadcast (radio.Remote.PostScan), and
+// the engine posts it to each other region that may hold a receiver, with
+// one copy of the frame shared between them; a unicast goes only to its
+// addressee's region. One rule covers static, moving and joined regions
+// alike. Each region keeps the bounding box of its nodes' positions at the
+// instants they attached, at build or at a barrier join, and the largest
+// speed bound ever attached to it; neither ever shrinks. A broadcast sent
+// at time t skips a region that holds no live node, or whose box lies
+// farther than Range + speed·t from the transmitter, since no node of
+// that region can then be in range. The rule reads the send instant and
+// the attach history only, so where runs stop moves no event. A lone
+// region has nothing to cross into, and its medium gets no Remote.
+//
 // # One clock
 //
 // The engine has no event loop of its own. Its clock is the deadline of
@@ -98,8 +114,9 @@ type Config struct {
 	// shard count, so results stay comparable across counts.
 	Radio radio.Config
 	// Positions are the build-time node positions, indexed by NodeID.
-	// They drive the strip partition and the static-region pruning boxes;
-	// nodes may move afterwards without affecting ownership.
+	// They drive only the strip partition: nodes may move afterwards
+	// without affecting ownership, and which regions a broadcast reaches
+	// follows from the positions nodes attach at (Engine.AddNode).
 	Positions []geom.Point
 }
 
@@ -112,7 +129,6 @@ type outMsg struct {
 }
 
 type region struct {
-	idx int
 	sim *sim.Simulator
 	med *radio.Medium
 
@@ -121,22 +137,35 @@ type region struct {
 	// the engine thread (regions idle) drains.
 	out []outMsg
 
-	owned []radio.NodeID // node ids assigned to this region, ascending
-
-	// Static-region pruning state, finalized before the first run: if
-	// every owned node is provably immobile the region can be skipped by
-	// remote broadcasts whose reach misses its bounding box.
-	allStatic              bool
+	// Reach state, grown as nodes attach and never shrunk: the bounding
+	// box of every node's position at its attach instant, and the largest
+	// speed bound ever attached. At time t no node of the region lies
+	// farther than speed·t from the box.
 	minX, maxX, minY, maxY float64
-	nNodes                 int
+	speed                  float64
 }
 
-// rectDist2 returns the squared distance from p to the region's bounding
-// box (0 if inside).
-func (r *region) rectDist2(p geom.Point) float64 {
-	dx := math.Max(math.Max(r.minX-p.X, p.X-r.maxX), 0)
-	dy := math.Max(math.Max(r.minY-p.Y, p.Y-r.maxY), 0)
-	return dx*dx + dy*dy
+// attach grows the region's reach state by a node attached at p with the
+// given speed bound.
+func (r *region) attach(p geom.Point, speed float64) {
+	r.minX, r.maxX = math.Min(r.minX, p.X), math.Max(r.maxX, p.X)
+	r.minY, r.maxY = math.Min(r.minY, p.Y), math.Max(r.maxY, p.Y)
+	r.speed = math.Max(r.speed, speed)
+}
+
+// reaches reports whether a broadcast sent from `from` at `sent`, heard
+// up to rng metres away, may reach a node of the region: one is live, and
+// the box lies within rng + speed·sent of the transmitter. It reads only
+// state that changes at barriers, so it is race-free during a run and
+// depends on the attach history alone, never on where runs stop.
+func (r *region) reaches(from geom.Point, sent sim.Time, rng float64) bool {
+	if r.med.Live() == 0 {
+		return false
+	}
+	dx := math.Max(math.Max(r.minX-from.X, from.X-r.maxX), 0)
+	dy := math.Max(math.Max(r.minY-from.Y, from.Y-r.maxY), 0)
+	reach := rng + r.speed*sent.Seconds()
+	return dx*dx+dy*dy <= reach*reach
 }
 
 // nodeInfo is the engine's cross-region view of one node.
@@ -147,8 +176,8 @@ type nodeInfo struct {
 
 // Engine owns the regions, the barrier protocol and the clock.
 type Engine struct {
-	cfg       Config
 	lookahead sim.Duration
+	reach     float64 // every region medium's effective radio range
 	regions   []*region
 	regionOf  []int
 	nodes     []*nodeInfo
@@ -165,8 +194,6 @@ type Engine struct {
 
 	nexts    []sim.Time // scratch: per-region earliest pending event
 	horizons []sim.Time // scratch: per-region safe horizon
-
-	finalized bool
 }
 
 // inf sorts after every real event time.
@@ -187,7 +214,6 @@ func New(cfg Config) *Engine {
 	}
 	n := len(cfg.Positions)
 	e := &Engine{
-		cfg:       cfg,
 		lookahead: sim.Duration(cfg.Radio.PropDelay),
 		regionOf:  make([]int, n),
 		nodes:     make([]*nodeInfo, n),
@@ -220,13 +246,15 @@ func New(cfg Config) *Engine {
 		if ri < extra {
 			size++
 		}
-		r := &region{idx: ri, sim: sim.New()}
-		r.med = radio.New(r.sim, cfg.Radio, cfg.Seed, &regionRemote{e: e, idx: ri})
+		r := &region{sim: sim.New(), minX: math.Inf(1), maxX: math.Inf(-1), minY: math.Inf(1), maxY: math.Inf(-1)}
+		var remote radio.Remote // nil for a lone region: nothing crosses
+		if cfg.Regions > 1 {
+			remote = &regionRemote{e: e, idx: ri}
+		}
+		r.med = radio.New(r.sim, cfg.Radio, cfg.Seed, remote)
 		for _, id := range order[at : at+size] {
 			e.regionOf[id] = ri
-			r.owned = append(r.owned, radio.NodeID(id))
 		}
-		sort.Slice(r.owned, func(a, b int) bool { return r.owned[a] < r.owned[b] })
 		at += size
 		e.regions[ri] = r
 		if ri < cfg.Regions-1 {
@@ -239,6 +267,7 @@ func New(cfg Config) *Engine {
 			e.splits = append(e.splits, last)
 		}
 	}
+	e.reach = e.regions[0].med.Config().Range
 	return e
 }
 
@@ -262,8 +291,10 @@ func (e *Engine) NodeSim(id radio.NodeID) *sim.Simulator { return e.regions[e.re
 // NodeMedium returns the region medium the node must transmit on.
 func (e *Engine) NodeMedium(id radio.NodeID) *radio.Medium { return e.regions[e.regionOf[id]].med }
 
-// AddNode attaches a node to its region's medium. All nodes must be added
-// before the first run; ownership is fixed by the build-time partition.
+// AddNode attaches a node to its region's medium, at build or at a
+// barrier after InjectNode; ownership is fixed by the build-time
+// partition. The node's position at the engine's clock and its speed bound
+// join its region's reach state.
 //
 // The owning medium and other regions (PosAt) read the track concurrently
 // during a run, without a lock: RunUntil has extended it to the run's
@@ -272,54 +303,39 @@ func (e *Engine) AddNode(id radio.NodeID, track mobility.Track, h radio.Handler)
 	ni := e.nodes[id]
 	ni.track = track
 	ni.exists = true
-	e.regions[e.regionOf[id]].med.AddNode(id, track.Position, track.SpeedBound(), h)
+	r := e.regions[e.regionOf[id]]
+	r.attach(track.Position(e.now), track.SpeedBound())
+	r.med.AddNode(id, track.Position, track.SpeedBound(), h)
 }
 
 // InjectNode admits a node born after the engine was built, assigning it
 // the region whose build-time strip contains its spawn position (never
 // rebalanced, like every ownership decision). Barrier-only: call it
-// between runs, when every region has quiesced, so the engine's slices and
-// the region's pruning box are mutated race-free. Ids must grow densely
-// (the next id is len(nodes)). The caller builds the node against
-// NodeSim/NodeMedium exactly as for a build-time node, then attaches it
-// with AddNode.
+// between runs, when every region has quiesced, so the engine's slices
+// are mutated race-free. Ids must grow densely (the next id is
+// len(nodes)). The caller builds the node against NodeSim/NodeMedium
+// exactly as for a build-time node, then attaches it with AddNode.
 func (e *Engine) InjectNode(id radio.NodeID, pos geom.Point) {
 	if int(id) != len(e.nodes) {
 		panic("shard: InjectNode ids must extend the node space densely")
 	}
-	ri := e.regionForX(pos.X)
-	e.regionOf = append(e.regionOf, ri)
+	e.regionOf = append(e.regionOf, e.regionForX(pos.X))
 	e.nodes = append(e.nodes, &nodeInfo{})
-	e.cfg.Positions = append(e.cfg.Positions, pos)
-	r := e.regions[ri]
-	r.owned = append(r.owned, id) // ids are dense, so owned stays ascending
-	if e.finalized {
-		r.nNodes++
-		r.minX, r.maxX = math.Min(r.minX, pos.X), math.Max(r.maxX, pos.X)
-		r.minY, r.maxY = math.Min(r.minY, pos.Y), math.Max(r.maxY, pos.Y)
-		// The joiner's track is not known yet; dropping the static-region
-		// claim only widens remote scans, never changes their outcome.
-		r.allStatic = false
-	}
 }
 
 // RemoveNode detaches a departed node: its radio port leaves the owning
 // medium (in-flight frames to it drop harmlessly) and remote existence
 // checks start failing, so no region ever posts to it again. Barrier-only,
-// like InjectNode. The id is never reused; the region's pruning box keeps
-// the departed position (boxes only ever grow — pruning stays sound,
-// merely less tight).
+// like InjectNode. The id is never reused; the region's reach state keeps
+// the departed node (it only ever grows, so pruning stays sound, merely
+// less tight).
 func (e *Engine) RemoveNode(id radio.NodeID) {
 	ni := e.nodes[id]
 	if !ni.exists {
 		return
 	}
 	ni.exists = false
-	r := e.regions[e.regionOf[id]]
-	r.med.RemoveNode(id)
-	if e.finalized {
-		r.nNodes--
-	}
+	e.regions[e.regionOf[id]].med.RemoveNode(id)
 }
 
 // ScheduleOwnedAt schedules fn at time at on the node's region simulator,
@@ -365,33 +381,6 @@ func (e *Engine) Events() uint64 {
 		t += r.sim.Processed()
 	}
 	return t
-}
-
-// finalize computes the per-region pruning state from build positions.
-// Called lazily on the first run, after all AddNode calls.
-func (e *Engine) finalize() {
-	if e.finalized {
-		return
-	}
-	e.finalized = true
-	for _, r := range e.regions {
-		r.allStatic = true
-		r.minX, r.minY = math.Inf(1), math.Inf(1)
-		r.maxX, r.maxY = math.Inf(-1), math.Inf(-1)
-		for _, id := range r.owned {
-			ni := e.nodes[id]
-			if !ni.exists {
-				continue
-			}
-			r.nNodes++
-			p := e.cfg.Positions[id]
-			r.minX, r.maxX = math.Min(r.minX, p.X), math.Max(r.maxX, p.X)
-			r.minY, r.maxY = math.Min(r.minY, p.Y), math.Max(r.maxY, p.Y)
-			if ni.track.SpeedBound() > 0 {
-				r.allStatic = false
-			}
-		}
-	}
 }
 
 // exchange drains every region's out queue in region index order, injecting
@@ -487,7 +476,6 @@ func (e *Engine) runRegions(c sim.Time) bool {
 // deadline, so after the extension no query mutates a track and regions
 // read each other's tracks without a lock.
 func (e *Engine) RunUntil(deadline sim.Time) {
-	e.finalize()
 	for _, ni := range e.nodes {
 		if ni.exists {
 			ni.track.Position(deadline)
@@ -535,27 +523,27 @@ func (r *regionRemote) PosAt(id radio.NodeID, t sim.Time) geom.Point {
 	return r.e.nodes[id].track.Position(t)
 }
 
-func (r *regionRemote) ScanRegions(from geom.Point, reach float64, buf []int) []int {
+// PostScan posts a broadcast to every other region it may reach (see
+// region.reaches), sharing one copy of its frame between them.
+func (r *regionRemote) PostScan(msg radio.ScanMsg) {
+	self, posted := r.e.regions[r.idx], false
 	for j, reg := range r.e.regions {
-		if j == r.idx || reg.nNodes == 0 {
+		if j == r.idx || !reg.reaches(msg.Pos, msg.Sent, r.e.reach) {
 			continue
 		}
-		if reg.allStatic && reg.rectDist2(from) > reach*reach {
-			continue
+		if !posted {
+			msg.Frame, posted = append([]byte(nil), msg.Frame...), true
 		}
-		buf = append(buf, j)
+		self.out = append(self.out, outMsg{scan: true, target: j, s: msg})
 	}
-	return buf
+	if posted {
+		self.sim.TightenHorizon(msg.At + sim.Time(r.e.lookahead))
+	}
 }
 
-func (r *regionRemote) PostScan(target int, msg radio.ScanMsg) {
+func (r *regionRemote) PostDeliver(msg radio.DeliverMsg) {
 	self := r.e.regions[r.idx]
-	self.out = append(self.out, outMsg{scan: true, target: target, s: msg})
-	self.sim.TightenHorizon(msg.At + sim.Time(r.e.lookahead))
-}
-
-func (r *regionRemote) PostDeliver(id radio.NodeID, msg radio.DeliverMsg) {
-	self := r.e.regions[r.idx]
-	self.out = append(self.out, outMsg{target: r.e.regionOf[id], d: msg})
+	msg.Frame = append([]byte(nil), msg.Frame...)
+	self.out = append(self.out, outMsg{target: r.e.regionOf[msg.To], d: msg})
 	self.sim.TightenHorizon(msg.At + sim.Time(r.e.lookahead))
 }

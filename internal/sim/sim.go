@@ -213,9 +213,6 @@ func (s *Simulator) SetOwner(o uint32) uint32 {
 	return prev
 }
 
-// Owner returns the current scheduling owner id.
-func (s *Simulator) Owner() uint32 { return s.owner }
-
 // nextKey mints the ordering key for a newly scheduled event.
 func (s *Simulator) nextKey() (owner uint32, seq uint64) {
 	o := s.owner
